@@ -79,13 +79,13 @@ def generate_reality_stream(
     for _ in range(timestamps - 1):
         flips = max(1, round(rng.expovariate(1.0 / config.mean_flips_per_timestamp)))
         changes: list[EdgeChange] = []
-        batch_deleted: set[tuple] = set()
-        batch_inserted: set[tuple] = set()
+        # Edges whose presence now differs from the batch-start state.
+        flipped: set[tuple] = set()
         for _ in range(flips):
             if present and rng.random() < 0.5:
                 key = rng.choice(sorted(present))
                 present.discard(key)
-                batch_deleted.add(key)
+                flipped ^= {key}
             else:
                 u = rng.randrange(config.num_devices)
                 v = rng.randrange(config.num_devices)
@@ -98,11 +98,11 @@ def generate_reality_stream(
                 if key in present:
                     continue
                 present.add(key)
-                batch_inserted.add(key)
-        # An edge removed and re-added within one batch is a no-op.
-        for key in batch_deleted & batch_inserted:
-            batch_deleted.discard(key)
-            batch_inserted.discard(key)
+                flipped ^= {key}
+        # Net by parity: an edge flipped an even number of times within one
+        # batch is a no-op, an odd number is one change towards ``present``.
+        batch_deleted = flipped - present
+        batch_inserted = flipped & present
         for u, v in sorted(batch_deleted):
             changes.append(EdgeChange.delete(u, v))
         for u, v in sorted(batch_inserted):

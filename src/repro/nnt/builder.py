@@ -25,14 +25,15 @@ def build_nnt(graph: LabeledGraph, root: VertexId, depth_limit: int) -> NNT:
     queue: deque[TreeNode] = deque([tree.root])
     while queue:
         node = queue.popleft()
-        if node.depth >= depth_limit:
-            continue
+        depth = node.depth + 1
+        leaf = depth >= depth_limit
         for neighbor, edge_label in graph.neighbor_items(node.graph_vertex):
             if node.edge_on_root_path(node.graph_vertex, neighbor):
                 continue
-            child = TreeNode(neighbor, node, node.depth + 1, edge_label)
+            child = TreeNode(neighbor, node, depth, edge_label, leaf)
             node.children[neighbor] = child
-            queue.append(child)
+            if not leaf:
+                queue.append(child)
     return tree
 
 

@@ -9,6 +9,14 @@ plus two inverted indexes:
 * the **node-tree index** ``I_node``: graph vertex -> every tree node that
   is an occurrence of it (across all NNTs, roots included).
 
+Both are dicts of plain lists, and every node remembers its slot in each
+(``node.vpos`` / ``node.epos``): an appearance is appended on splice-in
+and removed by moving the bucket's last entry into its slot.  Dimensions
+are interned per index (equal ``node.dim`` are one tuple object), and
+subtree removal clears every removed node's ``parent`` link, so a detached
+subtree holds no reference cycle and is freed by reference count at once
+instead of at the collector's next full pass.
+
 Deleting a graph edge removes the subtree under each of its appearances
 (Procedure *Delete-Edge*); inserting edge ``(a, b)`` appends, under every
 pre-existing appearance of ``a`` and of ``b`` where the new edge is not on
@@ -42,13 +50,13 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping, Protocol
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .. import obs
 from ..graph.labeled_graph import GraphError, Label, LabeledGraph, VertexId, edge_key
 from ..graph.operations import GraphChangeOperation, INSERT, EdgeChange
 from .projection import NPV, Dimension, DimensionScheme, PAPER_SCHEME, add_to_vector
-from .tree import NNT, TreeNode
+from .tree import NNT, NO_CHILDREN, TreeNode
 
 
 class NPVListener(Protocol):
@@ -82,13 +90,6 @@ class BatchNPVListener(NPVListener, Protocol):
         """One batch's coalesced non-zero NPV deltas (treat as read-only)."""
 
 
-def _root_of(node: TreeNode) -> VertexId:
-    """Graph vertex owning the tree that contains ``node`` (O(depth) walk)."""
-    while node.parent is not None:
-        node = node.parent
-    return node.graph_vertex
-
-
 class NNTIndex:
     """All NNTs + NPVs of one evolving graph, maintained incrementally."""
 
@@ -108,9 +109,12 @@ class NNTIndex:
         self._paper_dims = not scheme.include_edge_label
         self.graph = LabeledGraph()
         self.trees: dict[VertexId, NNT] = {}
-        self.node_index: dict[VertexId, set[TreeNode]] = {}
-        self.edge_index: dict[tuple, set[TreeNode]] = {}
+        self.node_index: dict[VertexId, list[TreeNode]] = {}
+        self.edge_index: dict[tuple, list[TreeNode]] = {}
         self.npvs: dict[VertexId, NPV] = {}
+        # dimension -> its one canonical tuple (what node.dim, NPV keys and
+        # delivered delta keys of this index all are).
+        self._dims: dict[Dimension, Dimension] = {}
         self.listeners: list[NPVListener] = []
         #: Net delta delivery (batched per edge change / timestamp batch)
         #: vs. the legacy one listener call per spliced tree edge.
@@ -304,23 +308,33 @@ class NNTIndex:
         limit = self.depth_limit
         for node in snapshot_a:
             if node.depth < limit and not node.edge_on_root_path(node.graph_vertex, b):
-                self._expand_subtree(self._add_tree_edge(node, b, edge_label, notify), notify)
+                self._splice_subtree(node, b, edge_label, notify)
         for node in snapshot_b:
             if node.depth < limit and not node.edge_on_root_path(node.graph_vertex, a):
-                self._expand_subtree(self._add_tree_edge(node, a, edge_label, notify), notify)
+                self._splice_subtree(node, a, edge_label, notify)
 
-    def _expand_subtree(self, start: TreeNode, notify: bool) -> None:
-        """BFS expansion of a freshly created node down to the depth limit."""
-        queue = deque([start])
+    def _splice_subtree(
+        self, parent: TreeNode, graph_vertex: VertexId, edge_label: Label, notify: bool
+    ) -> None:
+        """Hang one new tree edge below ``parent`` and expand it BFS-style
+        down to the depth limit."""
+        limit = self.depth_limit
+        first = self._add_tree_edge(parent, graph_vertex, edge_label, notify)
+        added = 1
+        queue = deque([first] if first.depth < limit else ())
         while queue:
             node = queue.popleft()
-            if node.depth >= self.depth_limit:
-                continue
-            for neighbor, edge_label in self.graph.neighbor_items(node.graph_vertex):
-                if node.edge_on_root_path(node.graph_vertex, neighbor):
+            vertex = node.graph_vertex
+            leaf = node.depth + 1 >= limit
+            for neighbor, neighbor_label in self.graph.neighbor_items(vertex):
+                if node.edge_on_root_path(vertex, neighbor):
                     continue
-                child = self._add_tree_edge(node, neighbor, edge_label, notify)
-                queue.append(child)
+                child = self._add_tree_edge(node, neighbor, neighbor_label, notify)
+                added += 1
+                if not leaf:
+                    queue.append(child)
+        self.num_tree_nodes += added
+        self.stats["tree_nodes_added"] += added
 
     # ------------------------------------------------------------------
     # deletion (Figure 4)
@@ -331,14 +345,12 @@ class NNTIndex:
             raise GraphError(f"edge ({a!r}, {b!r}) does not exist")
         key = edge_key(a, b)
         with self.batch():
-            appearances = self.edge_index.get(key)
             # Appearances of one edge are never nested inside each other (a
-            # simple path uses an edge at most once), but subtree removal can
-            # still shrink the set we are iterating, so drain it destructively.
+            # simple path uses an edge at most once), so each removal takes
+            # exactly its own top out of this bucket: drain it from the tail.
+            appearances = self.edge_index.get(key)
             while appearances:
-                child = next(iter(appearances))
-                self._remove_subtree(child, notify=True)
-                appearances = self.edge_index.get(key)
+                self._remove_subtree(appearances[-1], notify=True)
             self.graph.remove_edge(a, b)
             self.stats["edges_deleted"] += 1
             for vertex in (a, b):
@@ -347,28 +359,46 @@ class NNTIndex:
 
     def _remove_subtree(self, top: TreeNode, notify: bool) -> None:
         """Detach ``top`` (a non-root tree node) and its whole subtree,
-        unindexing every node and reversing every NPV contribution."""
+        unindexing every node and reversing every NPV contribution.  Each
+        removed node also loses its ``parent`` link, so what is detached
+        points downwards only and needs no cycle collector to be freed."""
         parent = top.parent
         if parent is None:
             raise GraphError("cannot remove the root of an NNT as a subtree")
-        root_vertex = top.root_vertex if top.root_vertex is not None else _root_of(top)
-        for node in top.descendants(include_self=True):
-            self.node_index[node.graph_vertex].discard(node)
+        root_vertex = top.root_vertex
+        npv = self.npvs[root_vertex]
+        node_index = self.node_index
+        edge_index = self.edge_index
+        removed = 0
+        stack = [top]  # descendants() inlined: the generator costs ~10% here
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(node.children.values())
+            # Swap-with-last removal from both buckets.
+            bucket = node_index[node.graph_vertex]
+            last = bucket.pop()
+            if last is not node:
+                bucket[node.vpos] = last
+                last.vpos = node.vpos
             assert node.parent is not None
             key = edge_key(node.parent.graph_vertex, node.graph_vertex)
-            bucket = self.edge_index.get(key)
-            if bucket is not None:
-                bucket.discard(node)
-                if not bucket:
-                    del self.edge_index[key]
+            bucket = edge_index[key]
+            last = bucket.pop()
+            if last is not node:
+                bucket[node.epos] = last
+                last.epos = node.epos
+            elif not bucket:
+                del edge_index[key]
+            node.parent = None
             dim = node.dim  # cached at creation by _add_tree_edge
-            add_to_vector(self.npvs[root_vertex], dim, -1)
-            self.num_tree_nodes -= 1
-            self.stats["tree_nodes_removed"] += 1
+            add_to_vector(npv, dim, -1)
+            removed += 1
             if notify:
                 self._emit_delta(root_vertex, dim, -1)
         del parent.children[top.graph_vertex]
-        top.parent = None
+        self.num_tree_nodes -= removed
+        self.stats["tree_nodes_removed"] += removed
 
     # ------------------------------------------------------------------
     # vertex lifecycle
@@ -377,8 +407,9 @@ class NNTIndex:
         self.graph.add_vertex(vertex, label)
         tree = NNT(vertex, self.depth_limit)
         tree.root.root_vertex = vertex
+        tree.root.vpos = 0
         self.trees[vertex] = tree
-        self.node_index.setdefault(vertex, set()).add(tree.root)
+        self.node_index[vertex] = [tree.root]
         self.npvs[vertex] = {}
         self.num_tree_nodes += 1
         if notify:
@@ -393,14 +424,12 @@ class NNTIndex:
         incident edges, all already deleted), so the cleanup is local.
         """
         tree = self.trees.pop(vertex)
-        bucket = self.node_index.get(vertex, set())
-        bucket.discard(tree.root)
-        if bucket:
+        bucket = self.node_index.pop(vertex)
+        if len(bucket) != 1 or bucket[0] is not tree.root:
             raise AssertionError(
                 f"isolated vertex {vertex!r} still has NNT occurrences; "
                 "index is corrupt"
             )
-        self.node_index.pop(vertex, None)
         leftover = self.npvs.pop(vertex)
         if leftover:
             raise AssertionError(
@@ -421,25 +450,29 @@ class NNTIndex:
     def _add_tree_edge(
         self, parent: TreeNode, graph_vertex: VertexId, edge_label: Label, notify: bool
     ) -> TreeNode:
-        child = TreeNode(graph_vertex, parent, parent.depth + 1, edge_label)
+        """Create, link and index one tree node (the caller counts it)."""
+        depth = parent.depth + 1
+        child = TreeNode(graph_vertex, parent, depth, edge_label, depth >= self.depth_limit)
         parent.children[graph_vertex] = child
-        self.node_index.setdefault(graph_vertex, set()).add(child)
-        self.edge_index.setdefault(
-            edge_key(parent.graph_vertex, graph_vertex), set()
-        ).add(child)
+        # The vertex is in the graph, so its root already opened the bucket.
+        bucket = self.node_index[graph_vertex]
+        child.vpos = len(bucket)
+        bucket.append(child)
+        appearances = self.edge_index.setdefault(edge_key(parent.graph_vertex, graph_vertex), [])
+        child.epos = len(appearances)
+        appearances.append(child)
         # Hot path: cache the owning root and the node's dimension so
         # subtree removal never recomputes either.
-        root_vertex = parent.root_vertex if parent.root_vertex is not None else _root_of(child)
+        root_vertex = parent.root_vertex
         child.root_vertex = root_vertex
         if self._paper_dims:
             labels = self.graph.labels
-            dim = (child.depth, labels[parent.graph_vertex], labels[graph_vertex])
+            dim = (depth, labels[parent.graph_vertex], labels[graph_vertex])
         else:
             dim = self.scheme.dimension_of_node(child, self.graph.vertex_label)
+        dim = self._dims.setdefault(dim, dim)
         child.dim = dim
         add_to_vector(self.npvs[root_vertex], dim, +1)
-        self.num_tree_nodes += 1
-        self.stats["tree_nodes_added"] += 1
         if notify:
             self._emit_delta(root_vertex, dim, +1)
         return child
@@ -463,7 +496,7 @@ class NNTIndex:
             )
         if self._batch_depth or self._pending:
             raise AssertionError("integrity checked inside an open delta batch")
-        seen_nodes: set[int] = set()
+        live = 0
         for vertex, tree in self.trees.items():
             if tree.root_vertex != vertex:
                 raise AssertionError(f"tree of {vertex!r} rooted elsewhere")
@@ -476,21 +509,32 @@ class NNTIndex:
             if want_npv != self.npvs[vertex]:
                 raise AssertionError(f"NPV of {vertex!r} diverged from fresh projection")
             for node in tree.nodes():
-                seen_nodes.add(id(node))
-                if node not in self.node_index.get(node.graph_vertex, set()):
+                live += 1
+                if node.root_vertex != vertex:
+                    raise AssertionError("tree node caches the wrong root vertex")
+                if not _in_slot(self.node_index.get(node.graph_vertex, ()), node.vpos, node):
                     raise AssertionError("tree node missing from node index")
+                if (node.children is NO_CHILDREN) != (node.depth >= self.depth_limit):
+                    raise AssertionError("children dict on a leaf or none on an inner node")
                 if node.parent is not None:
                     key = edge_key(node.parent.graph_vertex, node.graph_vertex)
-                    if node not in self.edge_index.get(key, set()):
+                    if not _in_slot(self.edge_index.get(key, ()), node.epos, node):
                         raise AssertionError("tree edge missing from edge index")
-        for vertex, bucket in self.node_index.items():
-            for node in bucket:
-                if id(node) not in seen_nodes:
-                    raise AssertionError(f"stale node-index entry for {vertex!r}")
-        for key, bucket in self.edge_index.items():
-            for node in bucket:
-                if id(node) not in seen_nodes:
-                    raise AssertionError(f"stale edge-index entry for {key!r}")
+                    if node.dim is not self._dims.get(node.dim):
+                        raise AssertionError("tree node dimension is not the interned one")
+        # Every live node was found in a slot of its own above, so equal
+        # totals leave no room for a stale or duplicated bucket entry.
+        if recounted != live:
+            raise AssertionError("stale node-index entry")
+        if sum(map(len, self.edge_index.values())) != live - len(self.trees):
+            raise AssertionError("stale edge-index entry")
+        if not all(self.edge_index.values()):
+            raise AssertionError("empty edge-index bucket left behind")
+
+
+def _in_slot(bucket: Sequence[TreeNode], pos: int, node: TreeNode) -> bool:
+    """Does ``bucket`` hold ``node`` at the slot the node remembers?"""
+    return 0 <= pos < len(bucket) and bucket[pos] is node
 
 
 def index_graphs(

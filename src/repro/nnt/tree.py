@@ -10,13 +10,26 @@ The structure here is deliberately pointer-based (parent links, children
 keyed by graph vertex) because the incremental maintenance of Section III
 (:mod:`repro.nnt.incremental`) splices subtrees in and out in place and
 indexes individual tree nodes in its inverted indexes.
+
+Memory layout: with branching factor ``r`` about ``(r-1)/r`` of a tree's
+nodes sit at the depth limit, where no child can ever hang, so a node
+created as a *leaf* shares one read-only empty ``children`` mapping and
+only inner nodes own a dict.  The index-owned slots (``root_vertex``, the
+interned ``dim``, the positions ``vpos`` / ``epos`` in the node's
+``I_node`` / ``I_edge`` buckets) are never assigned on trees built by
+:func:`repro.nnt.builder.build_nnt`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, cast
 
 from ..graph.labeled_graph import Label, VertexId
+
+#: The ``children`` of every leaf: read-only (a write raises ``TypeError``
+#: rather than leak into every other leaf), typed as the dict it stands in for.
+NO_CHILDREN = cast("dict[VertexId, TreeNode]", MappingProxyType({}))
 
 
 class TreeNode:
@@ -24,7 +37,9 @@ class TreeNode:
 
     ``children`` is keyed by the child's graph vertex: from a given tree
     node at graph vertex ``g``, a graph edge ``(g, x)`` can extend the path
-    in at most one way, so keys are unique.
+    in at most one way, so keys are unique.  ``leaf=True`` declares that
+    no child will ever be added (the node sits at its tree's depth limit):
+    ``children`` is then the shared :data:`NO_CHILDREN`.
     """
 
     __slots__ = (
@@ -35,7 +50,18 @@ class TreeNode:
         "edge_label",
         "root_vertex",
         "dim",
+        "vpos",
+        "epos",
     )
+
+    # Hot-path bookkeeping assigned by NNTIndex as it splices the node in:
+    # the owning tree's root vertex, the interned NPV dimension of the
+    # incoming tree edge and the node's slots in its I_node / I_edge buckets
+    # (a root has no incoming edge, hence neither ``dim`` nor ``epos``).
+    root_vertex: VertexId
+    dim: tuple
+    vpos: int
+    epos: int
 
     def __init__(
         self,
@@ -43,18 +69,15 @@ class TreeNode:
         parent: "TreeNode | None" = None,
         depth: int = 0,
         edge_label: Label | None = None,
+        leaf: bool = False,
     ) -> None:
         self.graph_vertex = graph_vertex
         self.parent = parent
-        self.children: dict[VertexId, TreeNode] = {}
+        self.children: dict[VertexId, TreeNode] = NO_CHILDREN if leaf else {}
         self.depth = depth
         # Label of the graph edge (parent.graph_vertex, graph_vertex);
         # None for the root.
         self.edge_label = edge_label
-        # Caches populated by the incremental index (hot-path bookkeeping):
-        # the owning tree's root vertex, and the node's NPV dimension.
-        self.root_vertex: VertexId | None = None
-        self.dim = None
 
     def is_root(self) -> bool:
         """Is this the tree's root node?"""

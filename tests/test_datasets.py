@@ -122,6 +122,17 @@ class TestReality:
         final = stream.final_graph()  # raises if any op is inconsistent
         assert final.num_vertices >= 0
 
+    def test_odd_flips_within_a_batch_are_netted_by_parity(self):
+        # An edge flipped three times inside one batch (insert, delete,
+        # insert) was netted as a no-op, which left `present` ahead of the
+        # emitted changes: a later batch then deleted an edge that was not
+        # there (Random(1), t = 274).  final_graph() replays every batch on
+        # a LabeledGraph and raises GraphError on such a change.
+        generate_reality_stream(random.Random(1), 300).final_graph()
+        # The horizon ISSUE 12 names (16 streams x 300 timestamps).
+        for stream in generate_reality_streams(16, 300, seed=47):
+            stream.final_graph()
+
     def test_multiple_streams(self):
         streams = generate_reality_streams(3, 5, seed=5)
         assert len(streams) == 3
