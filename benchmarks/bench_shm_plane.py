@@ -1,4 +1,4 @@
-"""Shared-memory NPV plane benchmarks: queue bytes per apply.
+"""Shared-memory payload-ring benchmark: queue bytes per apply.
 
 The point of ``ShardedMonitor(shm=True)`` is not raw wall-clock on a
 2-core CI box (where fork time-slicing drowns the signal) — it is the
@@ -11,7 +11,7 @@ workload, which makes it gateable on shared CI runners where timing is
 not.
 
 ``test_shm_bytes_pickled_gate`` pins the claim: on a dense fig16-style
-workload the shm plane ships at least 5x fewer bytes per apply than
+workload the shm ring ships at least 5x fewer bytes per apply than
 the pickled-payload queue path (target ~10x; the measured ratio lands
 in ``BENCH_shm.json``'s ``extra_info`` for trending).
 """
@@ -112,13 +112,13 @@ def test_apply_queue_bytes(benchmark, shm):
 
 def test_shm_bytes_pickled_gate():
     """The headline claim: >= 5x fewer queue bytes per apply with the
-    shm plane (counter-based — deterministic on a 2-core runner)."""
+    shm ring (counter-based — deterministic on a 2-core runner)."""
     queue_bytes = _bytes_per_apply(shm=False)
     shm_bytes = _bytes_per_apply(shm=True)
     assert shm_bytes > 0, "shm replay pickled nothing — counter wiring broken"
     ratio = queue_bytes / shm_bytes
     assert ratio >= 5.0, (
-        f"shm plane ships only {ratio:.1f}x fewer queue bytes per apply "
+        f"shm ring ships only {ratio:.1f}x fewer queue bytes per apply "
         f"({queue_bytes:.0f} -> {shm_bytes:.0f}); gate is 5x"
     )
 

@@ -772,8 +772,8 @@ class SharedMemoryContainmentRule(Rule):
     rule_id = "RP016"
     title = "shared-memory segments are touched only by repro.runtime.shm"
     rationale = (
-        "The NPV plane's segments carry generation-tagged headers, "
-        "pid-scoped names and a crash-orphan sweep; those three only "
+        "The payload rings' segments carry pid-scoped names and a "
+        "crash-orphan sweep; those two only "
         "compose into 'no leaked segments after close()' if every "
         "allocate/attach/unlink goes through repro.runtime.shm.  A "
         "second call site would mint segments the sweep cannot name "
@@ -817,8 +817,8 @@ class SharedMemoryContainmentRule(Rule):
                         f"import of {name!r} outside repro.runtime.shm: "
                         "segment allocation, attachment and unlink are "
                         "one protocol with one owner; go through "
-                        "repro.runtime.shm (NpvPlane/PlaneReader/"
-                        "ShmRing/cleanup_segments)",
+                        "repro.runtime.shm (ShmRing/RingReader/"
+                        "cleanup_segments)",
                     )
                     break
 

@@ -148,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--shm",
         action="store_true",
-        help="shared-memory NPV plane + payload rings (workers >= 2; "
-        "most effective with --method matrix)",
+        help="ship apply payloads through per-shard shared-memory rings "
+        "(workers >= 2)",
     )
     replay.add_argument(
         "--rescale-at",
@@ -882,8 +882,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 monitor, sys.stdin, emit, dlq=dlq, stats_every=args.stats_every
             )
     finally:
-        if hasattr(monitor, "close"):
-            monitor.close()
+        monitor.close()
     return 0
 
 

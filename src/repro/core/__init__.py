@@ -4,11 +4,9 @@ from .database import GraphDatabase
 from .metrics import (
     Confusion,
     RunningStats,
-    ShardCounters,
     Stopwatch,
     candidate_ratio,
     compare_with_truth,
-    merge_counter_summaries,
 )
 from .checkpoint import checkpoint_stats, load_monitor, save_monitor
 from .monitor import MatchEvent, StreamMonitor, diff_polls
@@ -21,7 +19,6 @@ __all__ = [
     "GraphDatabase",
     "MatchEvent",
     "RunningStats",
-    "ShardCounters",
     "SlidingWindowMonitor",
     "Stopwatch",
     "StreamMonitor",
@@ -30,6 +27,5 @@ __all__ = [
     "compare_with_truth",
     "diff_polls",
     "load_monitor",
-    "merge_counter_summaries",
     "save_monitor",
 ]

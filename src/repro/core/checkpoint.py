@@ -91,15 +91,6 @@ def save_monitor(
     }
     if shard is not None:
         manifest["shard"] = dict(shard)
-    # Engines with exportable row storage (the shared-memory plane)
-    # contribute a per-stream segment manifest — diagnostic provenance:
-    # restore re-derives engine state from the graphs, never from the
-    # segments, so a checkpoint outlives the segments it names.
-    exporter = getattr(monitor.engine, "segment_manifest", None)
-    if exporter is not None:
-        segments = exporter()
-        if segments:
-            manifest["segments"] = segments
     (directory / MANIFEST).write_text(json.dumps(manifest, indent=2), encoding="utf-8")
     write_graph_set(
         [monitor.query_set.queries[query_id] for query_id in query_ids],
@@ -111,17 +102,8 @@ def save_monitor(
     return directory
 
 
-def load_monitor(
-    directory: str | Path,
-    engine_options: Mapping[str, Any] | None = None,
-) -> StreamMonitor:
-    """Rebuild a :class:`StreamMonitor` from :func:`save_monitor` output.
-
-    ``engine_options`` configures the *restored* monitor's engine (e.g.
-    a fresh shared-memory ``store_factory``); the checkpoint itself is
-    storage-agnostic — segments named in its manifest are provenance,
-    not state to reattach.
-    """
+def load_monitor(directory: str | Path) -> StreamMonitor:
+    """Rebuild a :class:`StreamMonitor` from :func:`save_monitor` output."""
     directory = Path(directory)
     manifest = json.loads((directory / MANIFEST).read_text(encoding="utf-8"))
     if manifest.get("format") != 1:
@@ -140,7 +122,6 @@ def load_monitor(
         method=manifest["method"],
         depth_limit=manifest["depth_limit"],
         scheme=DimensionScheme(include_edge_label=manifest["include_edge_label"]),
-        engine_options=engine_options,
     )
     stream_ids = manifest["stream_ids"]
     stream_kinds = manifest.get("stream_id_kinds", ["str"] * len(stream_ids))
@@ -166,7 +147,6 @@ def checkpoint_stats(directory: str | Path) -> dict[str, Any]:
         "num_queries": len(manifest.get("query_ids", [])),
         "num_streams": len(manifest.get("stream_ids", [])),
         "shard": manifest.get("shard"),
-        "segments": manifest.get("segments"),
         "num_files": len(files),
         "total_bytes": sum(p.stat().st_size for p in files),
     }

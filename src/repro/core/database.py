@@ -10,49 +10,31 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
-import numpy as np
-
 from ..graph.labeled_graph import LabeledGraph
 from ..isomorphism.vf2 import SubgraphMatcher
 from ..join.dominance import pair_joinable_bruteforce
 from ..nnt.builder import project_graph
-from ..nnt.projection import Dimension, DimensionScheme, NPV, PAPER_SCHEME
+from ..nnt.projection import DimensionScheme, PAPER_SCHEME
 
 GraphId = Hashable
-DimIndex = dict[Dimension, int]  # projection dimension -> matrix column
 
 
 class GraphDatabase:
-    """A static collection of labeled graphs indexed by their NPVs.
-
-    ``vectorized=True`` additionally materializes each graph's NPVs as a
-    dense numpy matrix over that graph's dimension universe; dominance
-    checks then run as vectorized column comparisons.  Answers are
-    identical (property-tested); it pays off when data graphs are large
-    and most vertices must be scanned per check — on the paper's small
-    graphs the sparse early-exit path is just as fast.
-    """
+    """A static collection of labeled graphs indexed by their NPVs."""
 
     def __init__(
         self,
         graphs: Mapping[GraphId, LabeledGraph],
         depth_limit: int = 3,
         scheme: DimensionScheme = PAPER_SCHEME,
-        vectorized: bool = False,
     ) -> None:
         self.depth_limit = depth_limit
         self.scheme = scheme
-        self.vectorized = vectorized
         self.graphs: dict[GraphId, LabeledGraph] = dict(graphs)
         self._vectors = {
             graph_id: list(project_graph(graph, depth_limit, scheme).values())
             for graph_id, graph in self.graphs.items()
         }
-        # graph_id -> (dim -> column index, matrix of shape (n_vertices, n_dims))
-        self._matrices: dict[GraphId, tuple[DimIndex, np.ndarray]] = {}
-        if vectorized:
-            for graph_id, vectors in self._vectors.items():
-                self._matrices[graph_id] = _build_matrix(vectors)
 
     @classmethod
     def from_list(
@@ -60,10 +42,9 @@ class GraphDatabase:
         graphs: list[LabeledGraph],
         depth_limit: int = 3,
         scheme: DimensionScheme = PAPER_SCHEME,
-        vectorized: bool = False,
     ) -> "GraphDatabase":
         """Index a list of graphs under integer ids 0..n-1."""
-        return cls(dict(enumerate(graphs)), depth_limit, scheme, vectorized)
+        return cls(dict(enumerate(graphs)), depth_limit, scheme)
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -73,22 +54,11 @@ class GraphDatabase:
         vector dominated by some data-graph vector.  Sound: a superset of
         the exact answer set."""
         query_vectors = list(project_graph(query, self.depth_limit, self.scheme).values())
-        if self.vectorized:
-            return {
-                graph_id
-                for graph_id in self.graphs
-                if _joinable_vectorized(query_vectors, *self._matrices[graph_id])
-            }
         return {
             graph_id
             for graph_id, stream_vectors in self._vectors.items()
             if pair_joinable_bruteforce(query_vectors, stream_vectors)
         }
-
-    def _joinable(self, query_vectors: list[NPV], graph_id: GraphId) -> bool:
-        if self.vectorized:
-            return _joinable_vectorized(query_vectors, *self._matrices[graph_id])
-        return pair_joinable_bruteforce(query_vectors, self._vectors[graph_id])
 
     def search(self, query: LabeledGraph, verify: bool = True) -> set[GraphId]:
         """Subgraph search: the filtered candidates, exact if ``verify``."""
@@ -100,42 +70,3 @@ class GraphDatabase:
             for graph_id in candidates
             if SubgraphMatcher(self.graphs[graph_id]).is_subgraph(query)
         }
-
-
-def _build_matrix(vectors: list[NPV]) -> tuple[DimIndex, np.ndarray]:
-    """Dense (vertices x dims) matrix over the union of non-zero dims."""
-    dims = sorted({dim for vector in vectors for dim in vector}, key=repr)
-    dim_index = {dim: column for column, dim in enumerate(dims)}
-    matrix = np.zeros((len(vectors), len(dims)), dtype=np.int64)
-    for row, vector in enumerate(vectors):
-        for dim, value in vector.items():
-            matrix[row, dim_index[dim]] = value
-    return dim_index, matrix
-
-
-def _joinable_vectorized(
-    query_vectors: list[NPV], dim_index: DimIndex, matrix: np.ndarray
-) -> bool:
-    """Vectorized Lemma 4.2 check: every query vector needs one row of
-    ``matrix`` that dominates it on its non-zero dimensions."""
-    if matrix.shape[0] == 0:
-        return not query_vectors or all(not vector for vector in query_vectors)
-    for vector in query_vectors:
-        if not vector:
-            continue  # the all-zero vector is dominated by any vertex
-        columns = []
-        values = []
-        missing = False
-        for dim, value in vector.items():
-            column = dim_index.get(dim)
-            if column is None:
-                missing = True  # no data vertex has this dim non-zero
-                break
-            columns.append(column)
-            values.append(value)
-        if missing:
-            return False
-        needed = np.asarray(values, dtype=np.int64)
-        if not (matrix[:, columns] >= needed).all(axis=1).any():
-            return False
-    return True

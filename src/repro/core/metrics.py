@@ -8,9 +8,7 @@ The paper's two headline measures:
   maintenance + answering, averaged over timestamps (Figures 2/15/16/17).
 
 Plus the soundness bookkeeping (false positives / false negatives against
-an exact oracle) that the paper's guarantees are stated in, and the
-per-worker throughput/latency counters the sharded runtime
-(:mod:`repro.runtime`) aggregates at poll time.
+an exact oracle) that the paper's guarantees are stated in.
 """
 
 from __future__ import annotations
@@ -97,96 +95,6 @@ class RunningStats:
             "min": self.minimum if self.count else 0.0,
             "max": self.maximum if self.count else 0.0,
         }
-
-
-@dataclass
-class ShardCounters:
-    """Throughput/latency accounting for one runtime worker.
-
-    Each worker owns one instance and folds in every change batch and
-    poll it services; the coordinator collects the plain-dict summaries
-    and merges them into a fleet view with :func:`merge_counter_summaries`.
-    """
-
-    batches: int = 0  # change batches applied (one per apply command)
-    changes: int = 0  # individual edge changes inside those batches
-    polls: int = 0  # candidate-set reads served
-    checkpoints: int = 0  # shard snapshots written
-    busy_seconds: float = 0.0  # wall time spent inside commands
-    batch_latency: RunningStats = field(default_factory=RunningStats)
-
-    def record_batch(self, num_changes: int, seconds: float) -> None:
-        """Fold one applied change batch into the counters."""
-        self.batches += 1
-        self.changes += num_changes
-        self.busy_seconds += seconds
-        self.batch_latency.add(seconds)
-
-    def record_poll(self, seconds: float) -> None:
-        """Fold one serviced poll into the counters."""
-        self.polls += 1
-        self.busy_seconds += seconds
-
-    def record_checkpoint(self, seconds: float) -> None:
-        """Fold one shard snapshot into the counters."""
-        self.checkpoints += 1
-        self.busy_seconds += seconds
-
-    @property
-    def changes_per_second(self) -> float:
-        """Edge changes applied per busy second (0 before any work)."""
-        if self.busy_seconds <= 0.0:
-            return 0.0
-        return self.changes / self.busy_seconds
-
-    def summary(self) -> dict[str, float]:
-        """Plain-dict snapshot (picklable, JSON-representable)."""
-        return {
-            "batches": self.batches,
-            "changes": self.changes,
-            "polls": self.polls,
-            "checkpoints": self.checkpoints,
-            "busy_seconds": self.busy_seconds,
-            "changes_per_second": self.changes_per_second,
-            "batch_latency": self.batch_latency.summary(),
-        }
-
-
-def merge_counter_summaries(summaries: Iterable[dict]) -> dict[str, float]:
-    """Fleet-wide aggregate of per-worker :meth:`ShardCounters.summary`
-    dicts: counters sum; the latency mean is batch-weighted; min/max are
-    taken across workers."""
-    merged: dict[str, float] = {
-        "batches": 0,
-        "changes": 0,
-        "polls": 0,
-        "checkpoints": 0,
-        "busy_seconds": 0.0,
-    }
-    latency_count = 0
-    latency_weighted = 0.0
-    latency_min = math.inf
-    latency_max = -math.inf
-    for summary in summaries:
-        for key in ("batches", "changes", "polls", "checkpoints", "busy_seconds"):
-            merged[key] += summary.get(key, 0)
-        latency = summary.get("batch_latency", {})
-        count = int(latency.get("count", 0))
-        if count:
-            latency_count += count
-            latency_weighted += latency.get("mean", 0.0) * count
-            latency_min = min(latency_min, latency.get("min", math.inf))
-            latency_max = max(latency_max, latency.get("max", -math.inf))
-    merged["changes_per_second"] = (
-        merged["changes"] / merged["busy_seconds"] if merged["busy_seconds"] > 0 else 0.0
-    )
-    merged["batch_latency"] = {
-        "count": latency_count,
-        "mean": latency_weighted / latency_count if latency_count else 0.0,
-        "min": latency_min if latency_count else 0.0,
-        "max": latency_max if latency_count else 0.0,
-    }
-    return merged
 
 
 @dataclass

@@ -24,7 +24,6 @@ subgraph isomorphism.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Iterable, Literal, Mapping
 
@@ -48,28 +47,6 @@ class MatchEvent:
     query_id: QueryId
 
 
-#: Classes that already emitted the ``poll_events`` deprecation warning
-#: (the warning fires once per class per process, not once per call).
-_POLL_EVENTS_WARNED: set[str] = set()
-
-
-def warn_poll_events_deprecated(cls_name: str) -> None:
-    """Emit the ``poll_events -> events`` :class:`DeprecationWarning`,
-    once per class per process.  Shared by every monitor front-end that
-    keeps the legacy alias (:class:`StreamMonitor`,
-    :class:`repro.runtime.ShardedMonitor`,
-    :class:`repro.core.window.SlidingWindowMonitor`)."""
-    if cls_name in _POLL_EVENTS_WARNED:
-        return
-    _POLL_EVENTS_WARNED.add(cls_name)
-    warnings.warn(
-        f"{cls_name}.poll_events() is deprecated and will be removed; "
-        f"call {cls_name}.events() instead (identical semantics)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def diff_polls(previous: set[Pair], current: set[Pair]) -> list[MatchEvent]:
     """The sorted transition events between two candidate-set polls —
     the one place the appeared/vanished semantics live, shared by
@@ -89,20 +66,11 @@ class StreamMonitor:
     method:
         Join engine: ``"dsc"`` (default, Figure 8), ``"skyline"``
         (Figure 11), ``"nl"`` (the baseline nested loop) or
-        ``"matrix"`` (dense vectorized dominance, for large query sets).
+        ``"matrix"`` (dense vectorized dominance).
     depth_limit:
         NNT depth ``l``; the paper's self-test settles on 3.
     scheme:
         NPV dimension scheme (the paper's label-pair scheme by default).
-    coalesce:
-        Net out cancelling NPV deltas per edge change / timestamp batch
-        before delivering them to the engine (default).  ``False``
-        restores one engine call per spliced tree edge — kept for
-        differential testing and benchmarking only.
-    engine_options:
-        Engine-specific constructor keywords forwarded to
-        :func:`repro.join.make_engine` — e.g. the matrix engine's
-        ``store_factory`` for shared-memory row storage.
     """
 
     def __init__(
@@ -111,16 +79,12 @@ class StreamMonitor:
         method: str = "dsc",
         depth_limit: int = 3,
         scheme: DimensionScheme = PAPER_SCHEME,
-        coalesce: bool = True,
-        engine_options: Mapping[str, Any] | None = None,
     ) -> None:
         self.query_set = QuerySet(queries, depth_limit, scheme)
         self.method = method.lower()
-        self.engine_options = dict(engine_options) if engine_options else None
-        self.engine = make_engine(self.method, self.query_set, self.engine_options)
+        self.engine = make_engine(self.method, self.query_set)
         self.depth_limit = depth_limit
         self.scheme = scheme
-        self.coalesce = coalesce
         self._indexes: dict[StreamId, NNTIndex] = {}
         self._adapters: dict[StreamId, StreamListenerAdapter] = {}
         self._last_poll: set[Pair] = set()
@@ -132,7 +96,7 @@ class StreamMonitor:
         """Start monitoring a stream, optionally from an initial graph."""
         if stream_id in self._indexes:
             raise ValueError(f"stream {stream_id!r} is already monitored")
-        index = NNTIndex(initial, self.depth_limit, self.scheme, coalesce=self.coalesce)
+        index = NNTIndex(initial, self.depth_limit, self.scheme)
         self.engine.register_stream(stream_id, index.npvs)
         adapter = StreamListenerAdapter(self.engine, stream_id)
         index.add_listener(adapter)
@@ -195,14 +159,6 @@ class StreamMonitor:
             obs.gauge(
                 "queries_registered", help="currently monitored queries"
             ).set(len(self.query_set))
-
-    def add_query(self, query_id: QueryId, query: LabeledGraph) -> None:
-        """Alias of :meth:`register_query` (historical name)."""
-        self.register_query(query_id, query)
-
-    def remove_query(self, query_id: QueryId) -> None:
-        """Alias of :meth:`deregister_query` (historical name)."""
-        self.deregister_query(query_id)
 
     def query_ids(self) -> list[QueryId]:
         """Ids of the currently monitored patterns."""
@@ -319,12 +275,6 @@ class StreamMonitor:
             ).inc(len(events))
         return events
 
-    def poll_events(self) -> list[MatchEvent]:
-        """Deprecated alias for :meth:`events` (same semantics; warns
-        once per process)."""
-        warn_poll_events_deprecated(type(self).__name__)
-        return self.events()
-
     def verified_matches(self, pairs: Iterable[Pair] | None = None) -> set[Pair]:
         """Exact joinable pairs: the filter's candidates confirmed by
         subgraph isomorphism checking (expensive; for when exactness
@@ -354,9 +304,6 @@ class StreamMonitor:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Free engine-held external resources (shared-memory row
-        stores); a no-op for purely in-process engines.  The monitor
-        must not be used afterwards."""
-        closer = getattr(self.engine, "close", None)
-        if closer is not None:
-            closer()
+        """Nothing to release — every resource is in-process.  Present
+        so all monitor classes share one lifecycle surface
+        (:class:`repro.runtime.ShardedMonitor` owns processes and rings)."""

@@ -18,7 +18,7 @@ from ..graph.labeled_graph import Label, LabeledGraph, VertexId, edge_key
 from ..graph.operations import EdgeChange, GraphChangeOperation
 from ..join.base import Pair, QueryId, StreamId
 from ..nnt.projection import DimensionScheme, PAPER_SCHEME
-from .monitor import MatchEvent, StreamMonitor, warn_poll_events_deprecated
+from .monitor import MatchEvent, StreamMonitor
 
 
 class SlidingWindowMonitor:
@@ -135,9 +135,3 @@ class SlidingWindowMonitor:
     def events(self) -> list[MatchEvent]:
         """Match transitions since the last poll (see StreamMonitor)."""
         return self._monitor.events()
-
-    def poll_events(self) -> list[MatchEvent]:
-        """Deprecated alias for :meth:`events` (same semantics; warns
-        once per process)."""
-        warn_poll_events_deprecated(type(self).__name__)
-        return self.events()

@@ -24,11 +24,11 @@ rejected / shed rate sparklines plus the circuit-breaker state strip.
 
 Shown per frame: apply-latency percentiles (from the
 ``monitor.apply.seconds`` histogram), poll/event counters, worker inbox
-depths and backpressure drops/spills (sharded runs), the shared-memory
-plane footprint and rescale status (``shm=True`` runs: segment count and
-bytes, remap/ring-overflow counters, queue bytes pickled, last-rescale
-duration and whether one is in flight), live query churn (registered
-count, registration/retirement totals, dedup group count, and the
+depths and backpressure drops/spills (sharded runs), the payload rings
+and rescale status (``shm=True`` runs: ring count, ring-overflow
+counter, queue bytes pickled, last-rescale duration and whether one is
+in flight), live query churn (registered count,
+registration/retirement totals, dedup group count, and the
 ``query.register.seconds`` latency percentiles), the serving edge when the stats
 came from a ``repro serve`` server (active sessions, admission queue
 depth, breaker state, admit/reject/shed/dead-letter counts and commit
@@ -259,15 +259,13 @@ def render_dashboard(
             "dropped={dropped}  spilled={spilled}  parked={parked}".format(**backpressure)
         )
 
-    # -- shared-memory plane & resharding -----------------------------------
+    # -- payload rings & resharding ------------------------------------------
     shm = stats.get("shm")
     if isinstance(shm, Mapping):
-        remaps = _value(summary, "shm.remaps")
         overflows = _value(summary, "shm.ring_overflow")
         queue_bytes = _value(summary, "runtime.bytes_pickled")
         lines.append(
-            f"shm plane       segments={shm.get('segments', 0)}  "
-            f"bytes={shm.get('bytes', 0)}  remaps={remaps:.0f}  "
+            f"shm rings       rings={shm.get('rings', 0)}  "
             f"ring_overflows={overflows:.0f}  queue_bytes={queue_bytes:.0f}"
         )
     rescale = stats.get("rescale")

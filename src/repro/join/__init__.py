@@ -17,7 +17,7 @@ from .dominance import (
     pair_joinable_bruteforce,
 )
 from .dominated_set_cover import DominatedSetCoverJoin
-from .matrix import DenseRowStore, MatrixJoin
+from .matrix import MatrixJoin
 from .nested_loop import NestedLoopJoin
 from .skyline import SkylineEarlyStopJoin
 
@@ -29,25 +29,20 @@ ENGINES = {
 }
 
 
-def make_engine(name: str, query_set: QuerySet, options=None) -> JoinEngine:
+def make_engine(name: str, query_set: QuerySet) -> JoinEngine:
     """Instantiate a join engine by name (nl/dsc/skyline from the paper,
-    plus the vectorized matrix backend).
-
-    ``options`` are engine-specific constructor keywords (e.g. the
-    matrix engine's ``store_factory`` for shared-memory row storage).
-    """
+    plus the vectorized matrix backend)."""
     try:
         engine_cls = ENGINES[name.lower()]
     except KeyError:
         raise ValueError(
             f"unknown engine {name!r}; expected one of {sorted(ENGINES)}"
         ) from None
-    return engine_cls(query_set, **(dict(options) if options else {}))
+    return engine_cls(query_set)
 
 
 __all__ = [
     "BatchDeltas",
-    "DenseRowStore",
     "DominatedSetCoverJoin",
     "ENGINES",
     "JoinEngine",

@@ -17,13 +17,14 @@ scatter-add.  Coverage is recomputed lazily per stream — a stream that
 was touched pays one vectorized sweep at the next poll, however many
 deltas arrived — with the stream axis chunked to bound the broadcast
 temporary.  The trade-off versus DSC/Skyline: per-poll cost grows with
-``stream vertices x query vectors x dimensions``, but the constant is a
-numpy comparison, which wins when the query set is large.
+``stream vertices x query vectors x dimensions`` with a numpy constant —
+which, measured, does not beat DSC or Skyline on any benchmarked
+workload (``docs/performance.md``, section 2).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -48,64 +49,23 @@ _CHUNK = 128
 _INITIAL_ROWS = 16
 
 
-class DenseRowStore:
-    """In-process numpy row storage — the default ``RowStore``.
-
-    The storage seam behind :class:`_StreamState`: anything exposing
-    ``array`` (a ``(capacity, dims)`` int64 ndarray), ``grow()``
-    (double capacity in place, preserving rows), ``set_row_count(n)``
-    (sync the live row count for external readers), ``descriptor()``
-    (an exportable handle, or ``None`` when rows only live in-process),
-    and ``release()`` can back a stream.  The shared-memory plane
-    (:class:`repro.runtime.shm.ShmRowStore`) implements the same
-    surface and is injected via ``store_factory`` — the engine never
-    imports it, keeping the concurrency layering one-directional.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, rows: int, dims: int) -> None:
-        self.array = np.zeros((rows, dims), dtype=np.int64)
-
-    def grow(self) -> None:
-        """Double capacity in place, preserving existing rows."""
-        grown = np.zeros(
-            (self.array.shape[0] * 2, self.array.shape[1]), dtype=np.int64
-        )
-        grown[: self.array.shape[0]] = self.array
-        self.array = grown
-
-    def set_row_count(self, count: int) -> None:
-        """No external readers — nothing to sync."""
-
-    def descriptor(self) -> Any | None:
-        """No exportable handle — rows live only in this process."""
-        return None
-
-    def release(self) -> None:
-        """Nothing to free beyond normal garbage collection."""
-
-
-#: ``store_factory(initial_rows, num_dims) -> RowStore``.
-StoreFactory = Callable[[int, int], Any]
-
-
 class _StreamState:
     """One stream's dense NPV matrix and its lazily cached coverage."""
 
-    __slots__ = ("store", "row_of", "vertex_at", "count", "covered", "verdicts")
+    __slots__ = ("matrix", "row_of", "vertex_at", "count", "covered", "verdicts")
 
-    def __init__(self, num_dims: int, store_factory: StoreFactory) -> None:
-        self.store = store_factory(_INITIAL_ROWS, num_dims)
+    def __init__(self, num_dims: int) -> None:
+        #: ``(capacity, dims)`` rows; the first ``count`` are live.
+        self.matrix = np.zeros((_INITIAL_ROWS, num_dims), dtype=np.int64)
         self.row_of: dict[VertexId, int] = {}
         self.vertex_at: list[VertexId] = []
         self.count = 0
         self.covered: np.ndarray | None = None  # None = stale
         self.verdicts: np.ndarray | None = None  # per query ordinal; None = stale
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.store.array
+    def grow(self) -> None:
+        """Double capacity, preserving existing rows."""
+        self.matrix = np.concatenate([self.matrix, np.zeros_like(self.matrix)])
 
     def invalidate(self) -> None:
         self.covered = None
@@ -117,11 +77,8 @@ class MatrixJoin(JoinEngine):
 
     name = "matrix"
 
-    def __init__(
-        self, query_set: QuerySet, store_factory: StoreFactory | None = None
-    ) -> None:
+    def __init__(self, query_set: QuerySet) -> None:
         super().__init__(query_set)
-        self._store_factory: StoreFactory = store_factory or DenseRowStore
         self._streams: dict[StreamId, _StreamState] = {}
         self._dims: list[Dimension] = []
         self._dim_col: dict[Dimension, int] = {}
@@ -138,9 +95,8 @@ class MatrixJoin(JoinEngine):
         """Recompact the query matrix from the live groups.
 
         The query side is tiny next to the stream rows, so churn rebuilds
-        it wholesale; the stream stores are only touched (reallocated and
-        the old segment tombstoned) when the sorted dimension universe
-        actually changed.
+        it wholesale; the stream matrices are only reallocated when the
+        sorted dimension universe actually changed.
         """
         query_set = self.query_set
         old_dims = self._dims
@@ -166,32 +122,27 @@ class MatrixJoin(JoinEngine):
         self._query_matrix = matrix
         self._row_group = np.asarray(row_group, dtype=np.intp)
         if new_dims != old_dims:
-            self._remap_stores(old_dims, stream_npvs or {})
+            self._remap_rows(old_dims, stream_npvs or {})
         for state in self._streams.values():
             state.invalidate()
 
-    def _remap_stores(self, old_dims: list[Dimension], stream_npvs: StreamNpvs) -> None:
-        """Reallocate every stream's row store onto the new column layout:
-        shared columns are copied, columns for newly introduced dimensions
-        are backfilled from the live NPVs (their deltas were dropped while
-        no query referenced them), and the old store is released — on the
-        shared-memory plane that tombstones the segment back to the
-        free-list."""
+    def _remap_rows(self, old_dims: list[Dimension], stream_npvs: StreamNpvs) -> None:
+        """Reallocate every stream's rows onto the new column layout:
+        shared columns are copied and columns for newly introduced
+        dimensions are backfilled from the live NPVs (their deltas were
+        dropped while no query referenced them)."""
         old_col = {dim: col for col, dim in enumerate(old_dims)}
         shared = [
             (col, old_col[dim]) for dim, col in self._dim_col.items() if dim in old_col
         ]
         fresh = [dim for dim in self._dims if dim not in old_col]
         for stream_id, state in self._streams.items():
-            old_store = state.store
-            capacity = max(old_store.array.shape[0], _INITIAL_ROWS)
-            store = self._store_factory(capacity, len(self._dims))
+            old_matrix = state.matrix
+            matrix = np.zeros((old_matrix.shape[0], len(self._dims)), dtype=np.int64)
             count = state.count
             if count:
-                array = store.array
-                old_array = old_store.array
                 for new_c, old_c in shared:
-                    array[:count, new_c] = old_array[:count, old_c]
+                    matrix[:count, new_c] = old_matrix[:count, old_c]
                 if fresh:
                     npvs = stream_npvs.get(stream_id, {})
                     for row in range(count):
@@ -201,10 +152,8 @@ class MatrixJoin(JoinEngine):
                         for dim in fresh:
                             value = source.get(dim, 0)
                             if value:
-                                array[row, self._dim_col[dim]] = value
-            state.store = store
-            store.set_row_count(count)
-            old_store.release()
+                                matrix[row, self._dim_col[dim]] = value
+            state.matrix = matrix
 
     def _on_group_added(self, change: QueryChange, stream_npvs: StreamNpvs) -> None:
         self._rebuild_query_side(stream_npvs)
@@ -216,7 +165,7 @@ class MatrixJoin(JoinEngine):
     def register_stream(self, stream_id: StreamId, npvs: Mapping[VertexId, NPV]) -> None:
         if stream_id in self._streams:
             raise ValueError(f"stream {stream_id!r} is already registered")
-        state = _StreamState(len(self._dims), self._store_factory)
+        state = _StreamState(len(self._dims))
         self._streams[stream_id] = state
         for vertex, vector in npvs.items():
             row = self._add_row(state, vertex)
@@ -226,60 +175,19 @@ class MatrixJoin(JoinEngine):
                     state.matrix[row, col] = value
 
     def remove_stream(self, stream_id: StreamId) -> None:
-        state = self._streams.pop(stream_id)
-        state.store.release()
+        del self._streams[stream_id]
 
     def stream_ids(self) -> list[StreamId]:
         return list(self._streams)
 
-    def close(self) -> None:
-        """Release every stream's row storage (a no-op for the default
-        in-process store; frees shared-memory segments otherwise)."""
-        for state in self._streams.values():
-            state.store.release()
-        self._streams.clear()
-
-    # -- row storage introspection ----------------------------------------
-    def npv_descriptor(self, stream_id: StreamId) -> Any | None:
-        """The stream's exportable row-store handle (``None`` when rows
-        live only in-process) — what ships over the wire instead of rows."""
-        return self._streams[stream_id].store.descriptor()
-
-    def npv_rows(self, stream_id: StreamId) -> np.ndarray:
-        """A copy of the stream's live NPV rows (tests pin the shared-
-        memory plane bit-for-bit against this)."""
-        state = self._streams[stream_id]
-        return np.array(state.matrix[: state.count], copy=True)
-
-    def segment_manifest(self) -> dict[str, dict[str, Any]]:
-        """Per-stream segment descriptors for the checkpoint manifest.
-
-        Only streams with exportable storage appear; with the default
-        store the manifest is empty and checkpoints are unchanged.
-        """
-        segments: dict[str, dict[str, Any]] = {}
-        for stream_id, state in self._streams.items():
-            descriptor = state.store.descriptor()
-            if descriptor is None:
-                continue
-            segments[str(stream_id)] = {
-                "name": descriptor.name,
-                "generation": descriptor.generation,
-                "rows": descriptor.rows,
-                "dims": descriptor.dims,
-                "capacity": descriptor.capacity,
-            }
-        return segments
-
     # -- row management ---------------------------------------------------
     def _add_row(self, state: _StreamState, vertex: VertexId) -> int:
         if state.count == state.matrix.shape[0]:
-            state.store.grow()
+            state.grow()
         row = state.count
         state.row_of[vertex] = row
         state.vertex_at.append(vertex)
         state.count += 1
-        state.store.set_row_count(state.count)
         # The slot is all-zero: rows are zeroed when vacated.
         return row
 
@@ -294,7 +202,6 @@ class MatrixJoin(JoinEngine):
         state.matrix[last] = 0
         state.vertex_at.pop()
         state.count = last
-        state.store.set_row_count(state.count)
 
     # -- NPV evolution ----------------------------------------------------
     def on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:

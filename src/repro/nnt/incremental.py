@@ -31,7 +31,7 @@ vertex's NPV and forwarded to registered listeners — this is what lets
 the join engines of :mod:`repro.join` update their counters without ever
 re-projecting a tree.
 
-Delta delivery is *batched and coalesced* by default: all the ``+/-1``
+Delta delivery is *batched and coalesced*: all the ``+/-1``
 deltas produced while one edge change (or one whole timestamp batch
 applied through :meth:`NNTIndex.apply` / :meth:`NNTIndex.batch`) is in
 flight are accumulated per ``(vertex, dimension)``, cancelling pairs are
@@ -41,9 +41,7 @@ lifecycle events still fire eagerly, in order).  On temporal-locality
 streams — where a timestamp deletes and re-inserts overlapping edge
 sets — most deltas cancel, so the join engines see a fraction of the raw
 tree-edge churn.  Listeners without an ``on_batch_update`` method fall
-back to one ``on_dimension_delta`` call per *net* entry; constructing the
-index with ``coalesce=False`` restores the legacy one-call-per-tree-edge
-delivery (kept for differential testing and benchmarking).
+back to one ``on_dimension_delta`` call per *net* entry.
 """
 
 from __future__ import annotations
@@ -98,7 +96,6 @@ class NNTIndex:
         initial: LabeledGraph | None = None,
         depth_limit: int = 3,
         scheme: DimensionScheme = PAPER_SCHEME,
-        coalesce: bool = True,
     ) -> None:
         if depth_limit < 1:
             raise ValueError("depth_limit must be at least 1")
@@ -116,9 +113,6 @@ class NNTIndex:
         # delivered delta keys of this index all are).
         self._dims: dict[Dimension, Dimension] = {}
         self.listeners: list[NPVListener] = []
-        #: Net delta delivery (batched per edge change / timestamp batch)
-        #: vs. the legacy one listener call per spliced tree edge.
-        self.coalesce = coalesce
         #: Live occurrence count across all NNTs, roots included (O(1)
         #: alternative to summing the node-index buckets).
         self.num_tree_nodes = 0
@@ -170,23 +164,14 @@ class NNTIndex:
                 self._flush_pending()
 
     def _emit_delta(self, vertex: VertexId, dim: Dimension, delta: int) -> None:
-        """Queue (coalescing) or immediately deliver one NPV delta."""
-        if self.coalesce and self._batch_depth:
-            key = (vertex, dim)
-            net = self._pending.get(key, 0) + delta
-            if net:
-                self._pending[key] = net
-            else:
-                del self._pending[key]
-            return
-        self.stats["deltas_delivered"] += 1
-        if obs.enabled():
-            obs.counter(
-                "nnt.deltas_delivered",
-                help="net NPV deltas delivered to listeners after coalescing",
-            ).inc()
-        for listener in self.listeners:
-            listener.on_dimension_delta(vertex, dim, delta)
+        """Net one NPV delta into the open batch scope (every notifying
+        entry point opens one)."""
+        key = (vertex, dim)
+        net = self._pending.get(key, 0) + delta
+        if net:
+            self._pending[key] = net
+        else:
+            del self._pending[key]
 
     def _flush_pending(self) -> None:
         """Deliver the netted deltas of the closing batch scope.

@@ -9,8 +9,7 @@ Three primitives, one switch:
   get-or-create typed instruments in the process-local
   :class:`Registry`; per-worker registries merge losslessly with
   :func:`merge_summaries` (the runtime coordinator does this at poll
-  time, extending the ``ShardCounters`` machinery of
-  :mod:`repro.core.metrics`).
+  time).
 * **Exposition** — :func:`render_prometheus` / :func:`render_json` turn
   any summary (live, dumped, or merged) into scrapeable text; surfaced
   as ``repro stats`` and the ``--stats-every`` replay/serve flags.

@@ -79,13 +79,9 @@ CATALOG: dict[str, tuple[str, str]] = {
     "runtime.streams_moved": ("counter", "streams migrated between shards by rescales"),
     "runtime.submit.seconds": ("histogram", "seconds per coordinator submit"),
     "runtime.workers": ("gauge", "current worker pool size"),
-    # -- shared-memory plane ----------------------------------------------
-    "shm.attaches": ("counter", "reader attaches to shared NPV segments"),
-    "shm.grows": ("counter", "shared segment grow operations"),
-    "shm.remaps": ("counter", "coordinator remaps after a segment grow"),
+    # -- shared-memory payload rings --------------------------------------
     "shm.ring_bytes": ("counter", "payload bytes carried by the shared rings"),
     "shm.ring_overflow": ("counter", "payloads that fell back inline on a full ring"),
-    "shm.segments_created": ("counter", "shared-memory segments created"),
     # -- serving edge ------------------------------------------------------
     "serve.admitted": ("counter", "commands admitted"),
     "serve.batches_applied": ("counter", "staged batches applied by commit"),

@@ -18,8 +18,7 @@ the canonical ``name{key="value",...}`` form, so the filter-quality
 counters (``filter.candidates{stream=...,query=...}``,
 ``join.dsc.pruned{dim=...}``) and the error-labelled span histograms
 stay independent series.  A registry snapshots to a plain-dict
-:meth:`Registry.summary` — picklable and JSON-representable, the same
-contract as :meth:`repro.core.metrics.ShardCounters.summary` — and
+:meth:`Registry.summary` — picklable and JSON-representable — and
 per-worker summaries merge losslessly with :func:`merge_summaries`
 (counters and gauges sum; histograms with identical bounds add their
 bucket counts), which is how :mod:`repro.runtime` builds its fleet view

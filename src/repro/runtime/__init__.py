@@ -30,26 +30,12 @@ from .coordinator import (
 )
 from .recovery import CheckpointStore, RecoveryLog, ShardJournal
 from .router import ShardRouter, stable_hash
-from .shm import (
-    NpvPlane,
-    PlaneDescriptor,
-    PlaneReader,
-    RingReader,
-    RingRef,
-    ShmError,
-    ShmRing,
-    ShmRowStore,
-    StaleSegment,
-    cleanup_segments,
-)
+from .shm import RingReader, RingRef, ShmError, ShmRing, cleanup_segments
 from .worker import ShardState, WorkerSpec
 
 __all__ = [
     "CheckpointStore",
-    "NpvPlane",
     "POLICIES",
-    "PlaneDescriptor",
-    "PlaneReader",
     "RecoveryLog",
     "RingReader",
     "RingRef",
@@ -59,8 +45,6 @@ __all__ = [
     "ShardedMonitor",
     "ShmError",
     "ShmRing",
-    "ShmRowStore",
-    "StaleSegment",
     "WorkerCrashed",
     "WorkerDied",
     "WorkerSpec",

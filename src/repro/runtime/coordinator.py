@@ -37,14 +37,13 @@ worker would have reached: no false negatives.  With ``auto_recover``
 (default) this happens transparently inside the call that notices the
 death.
 
-**Shared-memory plane** (``shm=True``).  Each worker keeps its matrix
-engine's dense NPV rows in :mod:`repro.runtime.shm` segments, and each
-shard gets a coordinator->worker payload ring: ``apply`` pickles the
-update once into the ring and the inbox queue carries a fixed-size
-:class:`~repro.runtime.shm.RingRef` instead of the payload — the
-``runtime.bytes_pickled`` counter shows the difference.  Journals keep
-recording the *inline* payloads, so recovery and the loss guarantees
-are unchanged.
+**Payload rings** (``shm=True``).  Each shard gets a
+coordinator->worker shared-memory ring (:mod:`repro.runtime.shm`):
+``apply`` pickles the update once into the ring and the inbox queue
+carries a fixed-size :class:`~repro.runtime.shm.RingRef` instead of the
+payload — the ``runtime.bytes_pickled`` counter shows the difference.
+Journals keep recording the *inline* payloads, so recovery and the loss
+guarantees are unchanged.
 
 **Elastic resharding.**  :meth:`rescale` grows or shrinks the worker
 pool live: behind a routing barrier, every stream whose consistent-hash
@@ -67,29 +66,21 @@ from pathlib import Path
 from typing import Any, Iterable, Literal, Mapping
 
 from .. import obs
-from ..core.metrics import Stopwatch, merge_counter_summaries
-from ..core.monitor import MatchEvent, diff_polls, warn_poll_events_deprecated
+from ..core.metrics import Stopwatch
+from ..core.monitor import MatchEvent, diff_polls
 from ..graph.labeled_graph import LabeledGraph
 from ..graph.operations import EdgeChange, GraphChangeOperation
 from ..join.base import Pair, QueryId, StreamId
 from ..nnt.projection import DimensionScheme, PAPER_SCHEME
 from .recovery import CheckpointStore, RecoveryLog, ShardJournal
 from .router import ShardRouter
-from .shm import (
-    DEFAULT_RING_CAPACITY,
-    PlaneDescriptor,
-    PlaneReader,
-    ShmRing,
-    StaleSegment,
-    cleanup_segments,
-)
+from .shm import DEFAULT_RING_CAPACITY, ShmRing, cleanup_segments
 from .worker import (
     CMD_ADD_STREAM,
     CMD_APPLY,
     CMD_CHECKPOINT,
     CMD_DEREGISTER_QUERY,
     CMD_EXPORT_STREAM,
-    CMD_NPV,
     CMD_POLL,
     CMD_REGISTER_QUERY,
     CMD_REMOVE_STREAM,
@@ -174,10 +165,8 @@ class ShardedMonitor:
         available (fast, inherits the query set) and the platform
         default elsewhere.
     shm:
-        Enable the shared-memory NPV plane and per-shard payload rings
-        (see the module docstring).  Most effective with
-        ``method="matrix"`` (the plane holds its dense rows); other
-        engines still benefit from ring-borne apply payloads.
+        Ship apply payloads through per-shard shared-memory rings
+        instead of the inbox queues (see the module docstring).
     ring_capacity:
         Payload bytes per shard ring (``shm=True`` only).  A full ring
         falls back to inline payloads — lossless, just counted on
@@ -195,7 +184,6 @@ class ShardedMonitor:
         method: str = "dsc",
         depth_limit: int = 3,
         scheme: DimensionScheme = PAPER_SCHEME,
-        coalesce: bool = True,
         num_workers: int = 2,
         queue_capacity: int = 128,
         backpressure: str = "block",
@@ -227,8 +215,6 @@ class ShardedMonitor:
             method=method.lower(),
             depth_limit=depth_limit,
             scheme=scheme,
-            coalesce=coalesce,
-            shm=shm,
             flight_dir=str(flight_dir) if flight_dir is not None else None,
         )
         self.num_workers = num_workers
@@ -268,44 +254,42 @@ class ShardedMonitor:
         self._shm_base = f"repro-{os.getpid()}m{_INSTANCE_COUNTER}"
         self._spawn_epoch = 0
         self._rings: dict[int, ShmRing] = {}
-        self._segment_prefixes: dict[int, str] = {}
-        self._plane_reader = PlaneReader() if shm else None
-        self._npv_cache: dict[StreamId, PlaneDescriptor] = {}
         self._rescales = 0
         self._last_rescale_seconds = 0.0
         self._rescaling = False
         # Name this process's track in exported traces before workers
         # fork (forked children overwrite the label with shard-<k>).
         obs.set_process_label("coordinator")
-        self._workers: dict[int, _WorkerHandle] = {
-            shard: self._spawn(shard, self.spec) for shard in range(num_workers)
-        }
+        self._workers: dict[int, _WorkerHandle] = {}
+        try:
+            for shard in range(num_workers):
+                self._workers[shard] = self._spawn(shard, self.spec)
+        except BaseException:
+            # A failed spawn never returns the object, so nobody else
+            # can stop the workers and unlink the rings already made.
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def _shm_spec(self, shard_id: int, spec: WorkerSpec) -> WorkerSpec:
-        """Provision a fresh ring + segment namespace for one spawn.
+        """Provision a fresh payload ring for one spawn.
 
-        Per-spawn epochs keep a respawned worker's names disjoint from
-        its SIGKILLed predecessor's; the predecessor's orphans are swept
-        here, before the successor starts allocating.
+        Per-spawn epochs keep a respawned worker's ring name disjoint
+        from its predecessor's, whose ring is unlinked here.
         """
         if not self.shm:
             return spec
         self._spawn_epoch += 1
-        epoch = self._spawn_epoch
         old_ring = self._rings.pop(shard_id, None)
         if old_ring is not None:
             old_ring.close(unlink=True)
-        old_prefix = self._segment_prefixes.pop(shard_id, None)
-        if old_prefix is not None:
-            cleanup_segments(old_prefix)
-        prefix = f"{self._shm_base}-plane{shard_id}e{epoch}"
-        ring = ShmRing(f"{self._shm_base}-ring{shard_id}e{epoch}", self.ring_capacity)
+        ring = ShmRing(
+            f"{self._shm_base}-ring{shard_id}e{self._spawn_epoch}", self.ring_capacity
+        )
         self._rings[shard_id] = ring
-        self._segment_prefixes[shard_id] = prefix
-        return replace(spec, ring=ring.name, segment_prefix=prefix)
+        return replace(spec, ring=ring.name)
 
     def _spawn(self, shard_id: int, spec: WorkerSpec) -> _WorkerHandle:
         spec = self._shm_spec(shard_id, spec)
@@ -323,10 +307,9 @@ class ShardedMonitor:
     def close(self) -> None:
         """Stop every worker and release their queues (idempotent).
 
-        With ``shm=True`` this is also the leak boundary: workers unlink
-        their own segments on a graceful stop, the coordinator unlinks
-        the rings it created, and a final prefix sweep collects whatever
-        a SIGKILLed worker left behind.
+        With ``shm=True`` this is also the leak boundary: the
+        coordinator unlinks the rings it created, and a final prefix
+        sweep is the net under that.
         """
         if self._closed:
             return
@@ -343,8 +326,6 @@ class ShardedMonitor:
         for ring in self._rings.values():
             ring.close(unlink=True)
         self._rings.clear()
-        if self._plane_reader is not None:
-            self._plane_reader.close()
         if self.shm:
             cleanup_segments(self._shm_base)
 
@@ -440,14 +421,6 @@ class ShardedMonitor:
                 "queries_registered", help="currently monitored queries"
             ).set(len(self._queries))
 
-    def add_query(self, query_id: QueryId, query: LabeledGraph) -> None:
-        """Alias of :meth:`register_query` (StreamMonitor parity)."""
-        self.register_query(query_id, query)
-
-    def remove_query(self, query_id: QueryId) -> None:
-        """Alias of :meth:`deregister_query` (StreamMonitor parity)."""
-        self.deregister_query(query_id)
-
     def shard_of(self, stream_id: StreamId) -> int:
         """Which shard owns a registered stream."""
         return self._streams[stream_id]
@@ -538,7 +511,7 @@ class ShardedMonitor:
     def _wire_apply(self, shard: int, command: tuple) -> tuple:
         """The wire form of one apply: ``(envelope, ring_ref)``.
 
-        With the shm plane on, the payload is pickled once into the
+        With ``shm=True`` the payload is pickled once into the
         shard's ring and the queue carries a fixed-size
         :class:`~repro.runtime.shm.RingRef`; a full ring falls back to
         the inline payload (lossless, counted on ``shm.ring_overflow``).
@@ -741,12 +714,6 @@ class ShardedMonitor:
         self._last_poll = current
         return events
 
-    def poll_events(self) -> list[MatchEvent]:
-        """Deprecated alias for :meth:`events` (same semantics; warns
-        once per process)."""
-        warn_poll_events_deprecated(type(self).__name__)
-        return self.events()
-
     def trace_spans(self) -> list[obs.SpanRecord]:
         """Every collected span across the fleet: the coordinator's own
         ring plus each worker's (shipped over :data:`CMD_TRACE`).  All
@@ -773,11 +740,10 @@ class ShardedMonitor:
 
     def stats(self) -> dict[str, Any]:
         """Coordinator + per-worker statistics: routing and backpressure
-        counters, the recovery log, each worker's
-        :class:`~repro.core.metrics.ShardCounters` and monitor stats,
-        the merged fleet throughput view, and the merged observability
-        registries (``merged_obs``: every worker's instruments plus the
-        coordinator's own, combined with :func:`repro.obs.merge_summaries`)."""
+        counters, the recovery log, each worker's monitor stats, and the
+        merged observability registries (``merged_obs``: every worker's
+        instruments plus the coordinator's own, combined with
+        :func:`repro.obs.merge_summaries`)."""
         self._ensure_open()
         self._barrier()
         workers: dict[int, dict[str, Any]] = {}
@@ -799,23 +765,9 @@ class ShardedMonitor:
             ).set(sum(depth for depth in depths.values() if depth > 0))
         shm_section = None
         if self.shm:
-            segments = 0
-            segment_bytes = 0
-            for payload in workers.values():
-                plane = payload.get("shm")
-                if plane:
-                    segments += plane.get("segments", 0)
-                    segment_bytes += plane.get("bytes", 0)
             shm_section = {
-                "segments": segments,
-                "bytes": segment_bytes,
                 "rings": len(self._rings),
                 "ring_capacity": self.ring_capacity,
-                "reader_attached": (
-                    self._plane_reader.attached_count()
-                    if self._plane_reader is not None
-                    else 0
-                ),
             }
         return {
             "num_workers": self.num_workers,
@@ -852,9 +804,6 @@ class ShardedMonitor:
             "streams_per_shard": shard_streams,
             "inbox_depths": depths,
             "workers": workers,
-            "merged_counters": merge_counter_summaries(
-                payload["counters"] for payload in workers.values()
-            ),
             "merged_obs": obs.merge_summaries(
                 [payload.get("obs", {}) for payload in workers.values()]
                 + [obs.get_registry().summary()]
@@ -971,7 +920,6 @@ class ShardedMonitor:
             self._submit_control(destination, (CMD_ADD_STREAM, stream_id, graph))
             self._submit_control(origin, (CMD_REMOVE_STREAM, stream_id))
             self._streams[stream_id] = destination
-            self._npv_cache.pop(stream_id, None)
             moved += 1
             if obs.enabled():
                 obs.counter(
@@ -992,9 +940,6 @@ class ShardedMonitor:
             ring = self._rings.pop(shard, None)
             if ring is not None:
                 ring.close(unlink=True)
-            prefix = self._segment_prefixes.pop(shard, None)
-            if prefix is not None:
-                cleanup_segments(prefix)
             del self._journals[shard]
             del self._spill[shard]
             if self.store is not None:
@@ -1002,56 +947,6 @@ class ShardedMonitor:
                 # different slice; its old snapshot must not survive.
                 self.store.invalidate(shard)
         return moved
-
-    # ------------------------------------------------------------------
-    # shared-memory plane reads
-    # ------------------------------------------------------------------
-    def npv_rows(self, stream_id: StreamId) -> Any:
-        """One stream's dense NPV rows, read straight out of shared
-        memory (requires ``shm=True`` and the matrix engine).
-
-        The descriptor request is a FIFO barrier behind every accepted
-        update for the stream, so the copy is consistent; a generation
-        mismatch (the segment grew or moved since the last read) is the
-        remap handshake — counted on ``shm.remaps`` and resolved by
-        re-requesting a fresh descriptor.
-        """
-        self._ensure_open()
-        if not self.shm or self._plane_reader is None:
-            raise RuntimeError("npv_rows() requires shm=True")
-        if stream_id not in self._streams:
-            raise KeyError(f"stream {stream_id!r} is not monitored")
-        last_error: Exception | None = None
-        for _ in range(3):
-            shard = self._streams[stream_id]
-            response = self._request(shard, CMD_NPV, stream_id)
-            descriptor = response[3]
-            if descriptor is None:
-                raise RuntimeError(
-                    "stream has no exportable NPV rows "
-                    "(the shared plane backs the matrix engine only)"
-                )
-            cached = self._npv_cache.get(stream_id)
-            if cached is not None and (
-                cached.name != descriptor.name
-                or cached.generation != descriptor.generation
-            ):
-                if obs.enabled():
-                    obs.counter(
-                        "shm.remaps",
-                        help="generation-tagged segment remaps observed by readers",
-                    ).inc()
-            self._npv_cache[stream_id] = descriptor
-            try:
-                return self._plane_reader.read(descriptor)
-            except (StaleSegment, FileNotFoundError) as error:
-                # The worker recovered (fresh segments) between the
-                # response and the read; evict and re-request.
-                last_error = error
-                self._npv_cache.pop(stream_id, None)
-        raise StaleSegment(
-            f"could not obtain a stable descriptor for stream {stream_id!r}"
-        ) from last_error
 
     # ------------------------------------------------------------------
     # checkpointing and recovery
@@ -1094,10 +989,6 @@ class ShardedMonitor:
                 restore_dir = str(latest)
         # Journaled-but-undelivered spill is replayed from the journal.
         self._spill[shard] = deque()
-        # Descriptors issued by the dead worker point at swept segments.
-        for stream_id, owner in self._streams.items():
-            if owner == shard:
-                self._npv_cache.pop(stream_id, None)
         handle = self._spawn(shard, self.spec.restored(restore_dir))
         self._workers[shard] = handle
         journal = self._journals[shard]

@@ -1,52 +1,30 @@
-"""The shared-memory NPV plane: segments, descriptors, and rings.
+"""Shared-memory payload rings: one SPSC byte ring per shard.
 
-The matrix engine's hot state is one dense ``int64`` row matrix per
-stream (:mod:`repro.join.matrix`).  Without this module, every byte of
-that state that crosses the coordinator<->worker boundary rides a
-``multiprocessing`` queue — pickled, piped, and unpickled.  This module
-moves the rows into POSIX shared memory so the queues carry only
-**fixed-size descriptors**:
+With ``ShardedMonitor(shm=True)`` the coordinator pickles an apply
+payload once into the shard's ring and enqueues a fixed-size
+:class:`RingRef` (name + monotonic offset + length + CRC32) instead of
+the payload itself; the worker reads the bytes back at dispatch time.
 
-* :class:`NpvPlane` — the worker-side segment allocator.  One plane per
-  worker process owns every segment that worker creates: allocation
-  goes through a size-bucketed **free-list** (a removed stream's
-  segment is tombstoned and reused by the next grow/allocate), and
-  every (re)assignment stamps a fresh plane-global **generation** into
-  the segment header, so a reader holding yesterday's descriptor can
-  always tell.
-* :class:`ShmRowStore` — the plane-backed row storage behind the matrix
-  engine's ``RowStore`` surface (grow-by-doubling, header row-count
-  sync, descriptor export).  The engine never imports this module; the
-  store is injected as a factory (``engine_options["store_factory"]``),
-  which keeps the RP008/RP016 layering intact.
-* :class:`PlaneReader` — the coordinator-side attach cache.  ``read``
-  validates the descriptor's generation against the live header and
-  raises :class:`StaleSegment` on mismatch; the coordinator then
-  re-requests a fresh descriptor (the **remap handshake**, counted on
-  ``shm.remaps``).
-* :class:`ShmRing` / :class:`RingReader` — a single-producer
-  single-consumer byte ring per shard.  The coordinator pickles an
-  apply payload once into the ring and enqueues a :class:`RingRef`
-  (name + monotonic offset + length + CRC32); the worker reads the
-  bytes back at dispatch time.  Offsets are monotone u64s, the consumed
-  watermark lives in the ring header, and a CRC mismatch crashes the
-  worker loudly — which is exactly the runtime's recover-from-journal
-  path, since journals always record inline payloads.
+* :class:`ShmRing` / :class:`RingReader` — the producer and consumer
+  halves.  Offsets are monotone u64s, the consumed watermark lives in
+  the ring header, and a CRC mismatch crashes the worker loudly — which
+  is exactly the runtime's recover-from-journal path, since journals
+  always record inline payloads.
 
-**Segment lifecycle and crash orphans.**  Graceful shutdown unlinks
-everything (``NpvPlane.close`` / ``ShmRing.close``).  A SIGKILLed
-worker leaks its segments in ``/dev/shm``; the coordinator sweeps them
-with :func:`cleanup_segments` (prefix scan) on respawn and on
-``ShardedMonitor.close()``.  The stdlib ``resource_tracker`` remains
-the net under the net: creators stay registered until ``unlink()``
-(which unregisters by itself), so even a coordinator that dies before
-sweeping leaves cleanup to the tracker at interpreter exit; the sweep
-unregisters the names it removes so the tracker stays quiet.
+**Segment lifecycle and crash orphans.**  The coordinator creates and
+owns every ring; workers only attach.  Graceful shutdown unlinks the
+ring (``ShmRing.close``), and ``ShardedMonitor.close()`` finishes with
+a :func:`cleanup_segments` sweep of its name prefix.  The stdlib
+``resource_tracker`` remains the net under the net: creators stay
+registered until ``unlink()`` (which unregisters by itself), so even a
+coordinator that dies before sweeping leaves cleanup to the tracker at
+interpreter exit; the sweep unregisters the names it removes so the
+tracker stays quiet.
 
 Segment names are deterministic (coordinator pid + shard + spawn epoch
-+ counter — rule RP010's pid+counter scheme), which is what makes the
-prefix sweep safe: a name collision would mean two live coordinators
-share a pid.
+— rule RP010's pid+counter scheme), which is what makes the prefix
+sweep safe: a name collision would mean two live coordinators share a
+pid.
 """
 
 from __future__ import annotations
@@ -56,19 +34,10 @@ import struct
 import zlib
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
-import numpy as np
-
-from .. import obs
-
-#: Bytes reserved at the front of every segment for the header.
+#: Bytes reserved at the front of every ring segment for the header.
 HEADER_SIZE = 64
-
-#: NPV segment header: magic, version, flags, generation, row_count,
-#: dim_count, capacity (rows).  Packed little-endian at offset 0.
-_NPV_HEADER = struct.Struct("<8sII4Q")
-_NPV_MAGIC = b"REPRONPV"
 
 #: Ring header: magic, version, flags, capacity (payload bytes), tail
 #: (consumed watermark, a monotone u64 written only by the consumer).
@@ -78,38 +47,12 @@ _RING_TAIL_OFFSET = 8 + 4 + 4 + 8  # the tail field inside _RING_HEADER
 
 _VERSION = 1
 
-#: Generation stamped into a freed segment's header: any descriptor
-#: that still points at it fails validation (live generations start
-#: at 1 and only grow).
-TOMBSTONE_GENERATION = 0
-
 #: Default ring capacity per shard (payload bytes).
 DEFAULT_RING_CAPACITY = 1 << 20
 
-#: Smallest NPV segment (one page): the floor of the power-of-two size
-#: buckets :meth:`NpvPlane.acquire` allocates in.
-MIN_SEGMENT_SIZE = 4096
-
 
 class ShmError(RuntimeError):
-    """A shared-memory plane invariant was violated."""
-
-
-class StaleSegment(ShmError):
-    """A descriptor's generation no longer matches the live header —
-    the segment grew, moved, or was freed since the descriptor was
-    issued.  Re-request a fresh descriptor (the remap handshake)."""
-
-
-class PlaneDescriptor(NamedTuple):
-    """Fixed-size handle to one stream's NPV rows — what crosses the
-    process boundary instead of the rows themselves."""
-
-    name: str
-    generation: int
-    rows: int
-    dims: int
-    capacity: int
+    """A shared-memory ring invariant was violated."""
 
 
 class RingRef(NamedTuple):
@@ -147,294 +90,6 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     ``unlink()`` when the creator (or the sweep) destroys the segment.
     """
     return shared_memory.SharedMemory(name=name)
-
-
-def _read_npv_header(segment: shared_memory.SharedMemory) -> tuple[int, int, int, int]:
-    """(generation, row_count, dim_count, capacity) from a live header."""
-    magic, version, _flags, generation, rows, dims, capacity = _NPV_HEADER.unpack_from(
-        segment.buf, 0
-    )
-    if magic != _NPV_MAGIC or version != _VERSION:
-        raise ShmError(
-            f"segment {segment.name!r} is not an NPV plane segment "
-            f"(magic={magic!r}, version={version})"
-        )
-    return generation, rows, dims, capacity
-
-
-class NpvPlane:
-    """Worker-side segment allocator: every segment this process
-    creates, a size-bucketed free-list, and the generation counter.
-
-    One plane per worker process; ``prefix`` (assigned by the
-    coordinator: pid + shard + spawn epoch) namespaces the segment
-    names so the coordinator can sweep orphans after a SIGKILL.
-    """
-
-    def __init__(self, prefix: str) -> None:
-        self.prefix = prefix
-        self._segments: dict[str, shared_memory.SharedMemory] = {}
-        self._free: dict[int, list[str]] = {}
-        self._stores: list["ShmRowStore"] = []
-        self._counter = 0
-        self._generation = TOMBSTONE_GENERATION
-
-    # -- allocation ------------------------------------------------------
-    def next_generation(self) -> int:
-        """A fresh plane-global generation (monotone, never reused), so
-        free-list reuse always changes the generation a reader sees."""
-        self._generation += 1
-        return self._generation
-
-    def acquire(self, payload_bytes: int) -> shared_memory.SharedMemory:
-        """A segment with at least ``payload_bytes`` behind the header,
-        reusing a freed segment of the same size bucket when possible.
-
-        Sizes round up to power-of-two buckets (floor: one page), so a
-        freed segment is reusable by any later request that lands in
-        the same bucket — query churn that reallocates row stores with
-        slightly different dimension counts recycles segments instead
-        of accumulating near-miss sizes on the free-list forever.
-        """
-        needed = HEADER_SIZE + payload_bytes
-        size = MIN_SEGMENT_SIZE
-        while size < needed:
-            size *= 2
-        bucket = self._free.get(size)
-        if bucket:
-            return self._segments[bucket.pop()]
-        self._counter += 1
-        name = f"{self.prefix}-seg{self._counter}"
-        segment = shared_memory.SharedMemory(name=name, create=True, size=size)
-        self._segments[name] = segment
-        if obs.enabled():
-            obs.counter(
-                "shm.segments_created",
-                help="shared-memory NPV segments allocated (fresh, not reused)",
-            ).inc()
-        return segment
-
-    def release(self, segment: shared_memory.SharedMemory) -> None:
-        """Tombstone a segment and park it on the free-list."""
-        _NPV_HEADER.pack_into(
-            segment.buf, 0, _NPV_MAGIC, _VERSION, 0, TOMBSTONE_GENERATION, 0, 0, 0
-        )
-        self._free.setdefault(segment.size, []).append(segment.name)
-
-    def row_store(self, rows: int, dims: int) -> "ShmRowStore":
-        """The ``store_factory`` injected into the matrix engine."""
-        store = ShmRowStore(self, rows, dims)
-        self._stores.append(store)
-        return store
-
-    def forget_store(self, store: "ShmRowStore") -> None:
-        """Stop tracking a released store (called by the store itself)."""
-        try:
-            self._stores.remove(store)
-        except ValueError:
-            pass
-
-    # -- introspection -----------------------------------------------------
-    def stats(self) -> dict[str, int]:
-        """Live plane footprint for ``stats()`` aggregation."""
-        free = sum(len(names) for names in self._free.values())
-        return {
-            "segments": len(self._segments),
-            "bytes": sum(segment.size for segment in self._segments.values()),
-            "free_segments": free,
-            "generation": self._generation,
-        }
-
-    def segment_names(self) -> list[str]:
-        """Names of every live segment (tests assert leak-freedom)."""
-        return sorted(self._segments)
-
-    # -- lifecycle -----------------------------------------------------------
-    def close(self, unlink: bool = True) -> None:
-        """Detach every store, close every segment, optionally unlink.
-
-        The stores must drop their numpy views first — a mapped buffer
-        with live exports cannot be closed.
-        """
-        for store in list(self._stores):
-            store.detach()
-        self._stores.clear()
-        for segment in self._segments.values():
-            segment.close()
-            if unlink:
-                try:
-                    segment.unlink()
-                except FileNotFoundError:
-                    pass
-        self._segments.clear()
-        self._free.clear()
-
-
-class ShmRowStore:
-    """Shared-memory row storage with the matrix engine's ``RowStore``
-    surface (see :class:`repro.join.matrix.DenseRowStore`): an ``array``
-    of shape ``(capacity, dims)``, grow-by-doubling, a row-count sync
-    hook, and a :class:`PlaneDescriptor` export."""
-
-    def __init__(self, plane: NpvPlane, rows: int, dims: int) -> None:
-        self._plane = plane
-        self._dims = dims
-        self._rows = 0
-        self._segment: shared_memory.SharedMemory | None = None
-        self._array: np.ndarray | None = None
-        self._generation = TOMBSTONE_GENERATION
-        self._map(plane.acquire(rows * dims * 8), rows)
-
-    def _map(self, segment: shared_memory.SharedMemory, capacity: int) -> None:
-        self._segment = segment
-        self._generation = self._plane.next_generation()
-        _NPV_HEADER.pack_into(
-            segment.buf,
-            0,
-            _NPV_MAGIC,
-            _VERSION,
-            0,
-            self._generation,
-            self._rows,
-            self._dims,
-            capacity,
-        )
-        view = np.ndarray(
-            (capacity, self._dims),
-            dtype=np.int64,
-            buffer=segment.buf,
-            offset=HEADER_SIZE,
-        )
-        view[:] = 0
-        self._array = view
-
-    # -- RowStore surface ------------------------------------------------
-    @property
-    def array(self) -> np.ndarray:
-        if self._array is None:
-            raise ShmError("row store was released")
-        return self._array
-
-    def grow(self) -> None:
-        """Double capacity into a (possibly recycled) larger segment."""
-        old_segment = self._segment
-        old_array = self._array
-        if old_segment is None or old_array is None:
-            raise ShmError("row store was released")
-        capacity = old_array.shape[0]
-        new_segment = self._plane.acquire(capacity * 2 * self._dims * 8)
-        self._array = None
-        self._map(new_segment, capacity * 2)
-        assert self._array is not None
-        self._array[:capacity] = old_array
-        del old_array
-        self._plane.release(old_segment)
-        if obs.enabled():
-            obs.counter(
-                "shm.grows",
-                help="row-store grow-by-doubling segment swaps",
-            ).inc()
-
-    def set_row_count(self, count: int) -> None:
-        """Sync the live row count into the header (readers bound their
-        copy by it)."""
-        self._rows = count
-        segment = self._segment
-        if segment is not None:
-            struct.pack_into("<Q", segment.buf, 24, count)
-
-    def descriptor(self) -> PlaneDescriptor:
-        """The fixed-size handle a reader needs to attach and validate."""
-        segment = self._segment
-        array = self._array
-        if segment is None or array is None:
-            raise ShmError("row store was released")
-        return PlaneDescriptor(
-            name=segment.name,
-            generation=self._generation,
-            rows=self._rows,
-            dims=self._dims,
-            capacity=array.shape[0],
-        )
-
-    def release(self) -> None:
-        """Give the segment back to the plane's free-list."""
-        segment = self._segment
-        if segment is None:
-            return
-        self.detach()
-        self._plane.release(segment)
-        self._plane.forget_store(self)
-
-    def detach(self) -> None:
-        """Drop the numpy view and segment reference (the view must go
-        before anyone closes the segment; the plane keeps the handle)."""
-        self._array = None
-        self._segment = None
-
-    def __repr__(self) -> str:  # diagnostic only
-        state = "released" if self._array is None else f"rows={self._rows}"
-        return f"<ShmRowStore {state} dims={self._dims}>"
-
-
-class PlaneReader:
-    """Coordinator-side attach cache with generation validation."""
-
-    def __init__(self) -> None:
-        self._attached: dict[str, shared_memory.SharedMemory] = {}
-
-    def read(self, descriptor: PlaneDescriptor) -> np.ndarray:
-        """Copy the live rows a descriptor points at out of shared
-        memory (one memcpy; no pickling, no queue).
-
-        Raises :class:`StaleSegment` when the segment's header
-        generation disagrees with the descriptor — grown, freed, or
-        recycled since it was issued — and evicts the cached attach so
-        the caller's re-request starts clean.
-        """
-        segment = self._attached.get(descriptor.name)
-        if segment is None:
-            try:
-                segment = _attach(descriptor.name)
-            except FileNotFoundError:
-                raise StaleSegment(
-                    f"segment {descriptor.name!r} no longer exists"
-                ) from None
-            self._attached[descriptor.name] = segment
-            if obs.enabled():
-                obs.counter(
-                    "shm.attaches",
-                    help="reader-side shared-memory segment attaches",
-                ).inc()
-        generation, rows, dims, capacity = _read_npv_header(segment)
-        if generation != descriptor.generation:
-            self.evict(descriptor.name)
-            raise StaleSegment(
-                f"segment {descriptor.name!r} is at generation {generation}, "
-                f"descriptor says {descriptor.generation}"
-            )
-        view = np.ndarray(
-            (capacity, dims), dtype=np.int64, buffer=segment.buf, offset=HEADER_SIZE
-        )
-        copied = np.array(view[:rows], copy=True)
-        del view
-        return copied
-
-    def evict(self, name: str) -> None:
-        """Drop (and close) one cached attach."""
-        segment = self._attached.pop(name, None)
-        if segment is not None:
-            segment.close()
-
-    def attached_count(self) -> int:
-        """Number of segments currently held open by the cache."""
-        return len(self._attached)
-
-    def close(self) -> None:
-        """Close every cached attach (never unlinks — readers don't own)."""
-        for segment in self._attached.values():
-            segment.close()
-        self._attached.clear()
 
 
 class ShmRing:
@@ -596,16 +251,10 @@ def live_segments(prefix: str) -> list[str]:
 __all__ = [
     "DEFAULT_RING_CAPACITY",
     "HEADER_SIZE",
-    "NpvPlane",
-    "PlaneDescriptor",
-    "PlaneReader",
     "RingReader",
     "RingRef",
     "ShmError",
     "ShmRing",
-    "ShmRowStore",
-    "StaleSegment",
-    "TOMBSTONE_GENERATION",
     "cleanup_segments",
     "live_segments",
     "make_prefix",

@@ -5,37 +5,35 @@ coordinator's :class:`~repro.runtime.router.ShardRouter`) over the full
 shared query set.  It drains its bounded inbox in FIFO order — which is
 what makes a poll a consistent barrier: the poll command is enqueued
 after every update it must observe — and pushes tagged responses on its
-outbox.  All answering state is the monitor's; the worker adds only the
-:class:`~repro.core.metrics.ShardCounters` throughput/latency accounting
-and the checkpoint/restore glue.
+outbox.  All answering state is the monitor's; the worker adds only
+the checkpoint/restore glue.
 
 Workers never share *mutable* memory with the coordinator: commands and
 responses are picklable values (graphs, change operations, frozen
 candidate sets), so a worker can be SIGKILLed at any instant and
 respawned from its last shard checkpoint without corrupting anyone
-else.  The optional shared-memory plane (:mod:`repro.runtime.shm`)
-keeps that property — segments are single-writer (this worker), the
-payload ring is single-producer (the coordinator) / single-consumer
-(this worker), and everything is reconstructible from journal +
-checkpoint, so crash recovery works exactly as before.
+else.  The optional payload ring (:mod:`repro.runtime.shm`) keeps that
+property — it is single-producer (the coordinator) / single-consumer
+(this worker), the worker owns no segment, and everything is
+reconstructible from journal + checkpoint, so crash recovery works
+exactly as before.
 """
 
 from __future__ import annotations
 
 import pickle
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
 from .. import obs
 from ..core.checkpoint import checkpoint_stats, load_monitor, save_monitor
-from ..core.metrics import ShardCounters, Stopwatch
+from ..core.metrics import Stopwatch
 from ..core.monitor import StreamMonitor
 from ..graph.labeled_graph import LabeledGraph
-from ..graph.operations import EdgeChange
 from ..nnt.projection import PAPER_SCHEME, DimensionScheme
-from .shm import NpvPlane, RingReader, RingRef
+from .shm import RingReader, RingRef
 
 #: Inbox commands a worker understands (first tuple element).
 CMD_ADD_STREAM = "add_stream"
@@ -48,7 +46,6 @@ CMD_STATS = "stats"
 CMD_TRACE = "trace"
 CMD_CHECKPOINT = "checkpoint"
 CMD_EXPORT_STREAM = "export_stream"
-CMD_NPV = "npv_plane"
 CMD_STOP = "stop"
 
 #: Commands that mutate shard state and therefore enter the journal.
@@ -65,32 +62,19 @@ class WorkerSpec:
     method: str = "dsc"
     depth_limit: int = 3
     scheme: DimensionScheme = PAPER_SCHEME
-    coalesce: bool = True
     restore_dir: str | None = None  # set when respawning from a checkpoint
-    shm: bool = False  # shared-memory NPV plane + payload ring
     ring: str | None = None  # payload-ring segment name (coordinator-created)
-    segment_prefix: str | None = None  # namespace for this worker's segments
     flight_dir: str | None = None  # flight-recorder journal/dump directory
 
-    def build_monitor(self, plane: NpvPlane | None = None) -> StreamMonitor:
-        """A fresh monitor, restored from ``restore_dir`` when set.
-
-        With a plane and the matrix engine, NPV rows go straight into
-        shared-memory row stores (restores included — segments are
-        rebuilt from the checkpointed graphs, never reattached).
-        """
-        engine_options = None
-        if plane is not None and self.method == "matrix":
-            engine_options = {"store_factory": plane.row_store}
+    def build_monitor(self) -> StreamMonitor:
+        """A fresh monitor, restored from ``restore_dir`` when set."""
         if self.restore_dir is not None:
-            return load_monitor(self.restore_dir, engine_options=engine_options)
+            return load_monitor(self.restore_dir)
         return StreamMonitor(
             dict(self.queries),
             method=self.method,
             depth_limit=self.depth_limit,
             scheme=self.scheme,
-            coalesce=self.coalesce,
-            engine_options=engine_options,
         )
 
     def restored(self, restore_dir: str | None) -> "WorkerSpec":
@@ -106,8 +90,6 @@ class ShardState:
 
     shard_id: int
     monitor: StreamMonitor
-    counters: ShardCounters = field(default_factory=ShardCounters)
-    plane: NpvPlane | None = None
     ring: RingReader | None = None
 
     def execute(self, command: tuple) -> tuple | None:
@@ -122,11 +104,7 @@ class ShardState:
                         "received a ring payload but no ring is attached"
                     )
                 update = pickle.loads(self.ring.read(update))
-            timer = Stopwatch()
-            with timer:
-                self.monitor.apply(stream_id, update)
-            num_changes = 1 if isinstance(update, EdgeChange) else len(update)
-            self.counters.record_batch(num_changes, timer.total)
+            self.monitor.apply(stream_id, update)
             return None
         if kind == CMD_ADD_STREAM:
             _, stream_id, initial = command
@@ -143,10 +121,7 @@ class ShardState:
             self.monitor.deregister_query(command[1])
             return None
         if kind == CMD_POLL:
-            timer = Stopwatch()
-            with timer:
-                candidates = frozenset(self.monitor.matches())
-            self.counters.record_poll(timer.total)
+            candidates = frozenset(self.monitor.matches())
             return (CMD_POLL, command[1], self.shard_id, candidates)
         if kind == CMD_STATS:
             return (CMD_STATS, command[1], self.shard_id, self.stats())
@@ -159,7 +134,6 @@ class ShardState:
             timer = Stopwatch()
             with timer:
                 save_monitor(self.monitor, Path(directory), shard=shard_note)
-            self.counters.record_checkpoint(timer.total)
             obs.histogram(
                 "runtime.checkpoint.seconds",
                 help="wall-clock seconds to write one shard checkpoint",
@@ -175,40 +149,26 @@ class ShardState:
                 self.shard_id,
                 self.monitor.graph(stream_id),
             )
-        if kind == CMD_NPV:
-            # The remap handshake: a fresh descriptor for the stream's
-            # shared row segment (None when rows live only in-process).
-            _, request_id, stream_id = command
-            exporter = getattr(self.monitor.engine, "npv_descriptor", None)
-            descriptor = exporter(stream_id) if exporter is not None else None
-            return (CMD_NPV, request_id, self.shard_id, descriptor)
         if kind == CMD_STOP:
             self.shutdown()
             return (CMD_STOP, command[1], self.shard_id, None)
         raise ValueError(f"unknown worker command {kind!r}")
 
     def shutdown(self) -> None:
-        """Free shared-memory resources on graceful stop: drop the
-        engine's row-store views, then unlink this worker's segments
-        (the creator owns the unlink), then detach from the ring."""
+        """Detach from the payload ring on graceful stop (the
+        coordinator created it and owns the unlink)."""
         self.monitor.close()
-        if self.plane is not None:
-            self.plane.close(unlink=True)
-            self.plane = None
         if self.ring is not None:
             self.ring.close()
             self.ring = None
 
     def stats(self) -> dict[str, Any]:
-        """Shard-local stats: counters, the monitor's own view, the
-        shared-memory plane footprint (when enabled), and the
+        """Shard-local stats: the monitor's own view and the
         process-local observability registry (merged by the coordinator
         with :func:`repro.obs.merge_summaries`)."""
         return {
             "shard_id": self.shard_id,
-            "counters": self.counters.summary(),
             "monitor": self.monitor.stats(),
-            "shm": self.plane.stats() if self.plane is not None else None,
             "obs": obs.get_registry().summary(),
         }
 
@@ -246,17 +206,8 @@ def worker_main(shard_id: int, spec: WorkerSpec, inbox, outbox) -> None:
         )
         obs.install_signal_dump(flight, spec.flight_dir)
     try:
-        plane = None
-        ring = None
-        if spec.shm:
-            if spec.segment_prefix is None:
-                raise ValueError("shm workers need a segment prefix")
-            plane = NpvPlane(spec.segment_prefix)
-            if spec.ring is not None:
-                ring = RingReader(spec.ring)
-        state = ShardState(
-            shard_id, spec.build_monitor(plane), plane=plane, ring=ring
-        )
+        ring = RingReader(spec.ring) if spec.ring is not None else None
+        state = ShardState(shard_id, spec.build_monitor(), ring=ring)
     except BaseException:  # noqa: BLE001 - startup failures must surface
         outbox.put(("error", None, shard_id, traceback.format_exc()))
         if flight is not None:

@@ -3,11 +3,11 @@ join engines' answers.
 
 Three delivery paths feed the same operation stream to every engine:
 
-* **coalesced** — the default: one ``on_batch_update`` per edge change /
-  timestamp batch with cancelling deltas netted out;
-* **legacy** — ``coalesce=False``: one ``on_dimension_delta`` per
-  spliced tree edge (the pre-pipeline behavior);
-* **fallback** — coalesced flushing into a listener without
+* **per_timestamp** — ``NNTIndex.apply``: one ``on_batch_update`` per
+  timestamp batch with cancelling deltas netted out across its changes;
+* **per_change** — ``NNTIndex.apply_change`` for each change in turn:
+  one coalescing scope (and one ``on_batch_update``) per edge change;
+* **fallback** — per-timestamp flushing into a listener without
   ``on_batch_update``: one ``on_dimension_delta`` per *net* entry.
 
 All of them must produce candidate sets identical to each other, to the
@@ -93,6 +93,12 @@ def temporal_locality_batch(rng: random.Random, index: NNTIndex) -> GraphChangeO
     return GraphChangeOperation(changes)
 
 
+def apply_per_change(index: NNTIndex, batch: GraphChangeOperation) -> None:
+    """The batch's changes in ``apply`` order, each in its own scope."""
+    for change in batch.sequentialized():
+        index.apply_change(change)
+
+
 def _attach(engines, index, adapter_cls):
     for sid_engine in engines.values():
         sid_engine.register_stream(0, index.npvs)
@@ -107,8 +113,8 @@ def test_property_delivery_paths_agree(seeds):
     base = random_labeled_graph(rng, 6, extra_edges=3)
 
     paths = {
-        "coalesced": (NNTIndex(base, depth_limit=2), StreamListenerAdapter),
-        "legacy": (NNTIndex(base, depth_limit=2, coalesce=False), StreamListenerAdapter),
+        "per_timestamp": (NNTIndex(base, depth_limit=2), StreamListenerAdapter),
+        "per_change": (NNTIndex(base, depth_limit=2), StreamListenerAdapter),
         "fallback": (NNTIndex(base, depth_limit=2), LegacyAdapter),
     }
     engines = {
@@ -126,9 +132,12 @@ def test_property_delivery_paths_agree(seeds):
         # Identical graphs produce identical batches; apply each path's own.
         assert len({b.changes for b in batches.values()}) == 1
         for path, (index, _) in paths.items():
-            index.apply(batches[path])
+            if path == "per_change":
+                apply_per_change(index, batches[path])
+            else:
+                index.apply(batches[path])
 
-    reference_index = paths["coalesced"][0]
+    reference_index = paths["per_timestamp"][0]
     reference_index.check_integrity()
     expected = oracle({0: reference_index}, query_set)
     for path, path_engines in engines.items():
@@ -144,7 +153,8 @@ def test_property_delivery_paths_agree(seeds):
 
 def test_coalescing_cancels_delete_reinsert_batches():
     """A batch that deletes and re-inserts the same edges must deliver
-    zero deltas under coalescing (and plenty under legacy delivery).
+    zero deltas when the whole batch shares one coalescing scope (and
+    plenty when every change flushes its own).
 
     The stream graph is a clique so no deletion isolates a vertex —
     vertex removal purges its queued deltas, which would legitimately
@@ -155,8 +165,8 @@ def test_coalescing_cancels_delete_reinsert_batches():
         [(i, "ABC"[i % 3]) for i in range(5)],
         [(i, j, "x") for i in range(5) for j in range(i + 1, 5)],
     )
-    coalesced = NNTIndex(base, depth_limit=3)
-    legacy = NNTIndex(base, depth_limit=3, coalesce=False)
+    per_timestamp = NNTIndex(base, depth_limit=3)
+    per_change = NNTIndex(base, depth_limit=3)
     edges = list(base.edges())[:3]
     batch = GraphChangeOperation(
         [EdgeChange.delete(u, v) for u, v, _ in edges]
@@ -165,12 +175,13 @@ def test_coalescing_cancels_delete_reinsert_batches():
             for u, v, label in edges
         ]
     )
-    for index in (coalesced, legacy):
-        index.apply(batch)
+    per_timestamp.apply(batch)
+    apply_per_change(per_change, batch)
+    for index in (per_timestamp, per_change):
         index.check_integrity()
-    assert coalesced.npvs == legacy.npvs
-    assert coalesced.stats["deltas_delivered"] == 0
-    assert legacy.stats["deltas_delivered"] > 0
+    assert per_timestamp.npvs == per_change.npvs
+    assert per_timestamp.stats["deltas_delivered"] == 0
+    assert per_change.stats["deltas_delivered"] > 0
 
 
 @settings(max_examples=10, deadline=None)

@@ -130,9 +130,8 @@ class TestRenderDashboard:
 
     def test_shm_and_rescale_panels(self):
         stats = synthetic_stats()
-        stats["shm"] = {"segments": 7, "bytes": 4096, "rings": 2}
+        stats["shm"] = {"rings": 2, "ring_capacity": 4096}
         stats["rescale"] = {"count": 3, "last_seconds": 0.25, "active": True}
-        stats["obs"]["shm.remaps"] = {"kind": "counter", "help": "", "value": 4}
         stats["obs"]["shm.ring_overflow"] = {"kind": "counter", "help": "", "value": 1}
         stats["obs"]["runtime.bytes_pickled"] = {
             "kind": "counter",
@@ -140,14 +139,13 @@ class TestRenderDashboard:
             "value": 1234,
         }
         frame = render_dashboard(stats)
-        assert "shm plane       segments=7  bytes=4096  remaps=4" in frame
-        assert "ring_overflows=1  queue_bytes=1234" in frame
+        assert "shm rings       rings=2  ring_overflows=1  queue_bytes=1234" in frame
         assert "rescale         count=3" in frame
         assert "in-flight" in frame
 
     def test_shm_panels_absent_for_non_shm_runs(self):
         frame = render_dashboard(synthetic_stats())
-        assert "shm plane" not in frame
+        assert "shm rings" not in frame
         assert "rescale " not in frame
 
     def test_serve_panels(self):

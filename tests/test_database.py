@@ -75,32 +75,10 @@ class TestFiltering:
         deep = GraphDatabase.from_list(graphs, depth_limit=3)
         assert deep.filter_candidates(query) <= shallow.filter_candidates(query)
 
-
-class TestVectorized:
-    def test_equivalence_on_molecules(self):
-        from repro.datasets import generate_molecule_set, make_query_set
-
-        molecules = generate_molecule_set(40, seed=3)
-        queries = make_query_set(molecules, 6, 10, seed=4)
-        scalar = GraphDatabase.from_list(molecules)
-        vectorized = GraphDatabase.from_list(molecules, vectorized=True)
-        for query in queries:
-            assert scalar.filter_candidates(query) == vectorized.filter_candidates(query)
-
-    def test_equivalence_random(self):
-        rng = random.Random(5300)
-        graphs = [random_labeled_graph(rng, rng.randint(3, 8), extra_edges=3) for _ in range(8)]
-        scalar = GraphDatabase.from_list(graphs)
-        vectorized = GraphDatabase.from_list(graphs, vectorized=True)
-        for _ in range(10):
-            query = extract_connected_subgraph(rng, rng.choice(graphs), 3)
-            assert scalar.filter_candidates(query) == vectorized.filter_candidates(query)
-            assert scalar.search(query) == vectorized.search(query)
-
     def test_empty_graph_in_db(self):
-        db = GraphDatabase({0: LabeledGraph(), 1: chain(["A", "B"])}, vectorized=True)
+        db = GraphDatabase({0: LabeledGraph(), 1: chain(["A", "B"])})
         assert db.filter_candidates(chain(["A", "B"])) == {1}
 
-    def test_missing_dimension_fast_reject(self):
-        db = GraphDatabase.from_list([chain(["A", "A"])], vectorized=True)
+    def test_missing_dimension_rejects(self):
+        db = GraphDatabase.from_list([chain(["A", "A"])])
         assert db.filter_candidates(chain(["B", "B"])) == set()

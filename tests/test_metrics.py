@@ -4,17 +4,13 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.metrics import (
     Confusion,
     RunningStats,
-    ShardCounters,
     Stopwatch,
     candidate_ratio,
     compare_with_truth,
-    merge_counter_summaries,
 )
 
 
@@ -105,87 +101,3 @@ class TestStopwatch:
         lap = watch.stop()
         assert lap >= 0.0
         assert math.isclose(lap, watch.total)
-
-
-# ----------------------------------------------------------------------
-# shard counters and fleet merging
-# ----------------------------------------------------------------------
-def counters_strategy():
-    """A ShardCounters summary built from random recorded batches/polls."""
-    batch = st.tuples(st.integers(0, 50), st.floats(0.0, 2.0, allow_nan=False))
-    return st.builds(
-        _summarize,
-        st.lists(batch, max_size=6),
-        st.integers(0, 5),
-        st.integers(0, 3),
-    )
-
-
-def _summarize(batches, polls, checkpoints):
-    counters = ShardCounters()
-    for num_changes, seconds in batches:
-        counters.record_batch(num_changes, seconds)
-    for _ in range(polls):
-        counters.record_poll(0.001)
-    for _ in range(checkpoints):
-        counters.record_checkpoint(0.002)
-    return counters.summary()
-
-
-def assert_merged_equal(left: dict, right: dict) -> None:
-    assert left.keys() == right.keys()
-    for key in left:
-        if key == "batch_latency":
-            for field in ("count", "mean", "min", "max"):
-                assert left[key][field] == pytest.approx(right[key][field])
-        else:
-            assert left[key] == pytest.approx(right[key])
-
-
-class TestMergeCounterSummaries:
-    def test_counts_sum_and_latency_is_batch_weighted(self):
-        a = _summarize([(10, 1.0), (10, 1.0)], polls=1, checkpoints=0)
-        b = _summarize([(5, 4.0)], polls=0, checkpoints=2)
-        merged = merge_counter_summaries([a, b])
-        assert merged["batches"] == 3
-        assert merged["changes"] == 25
-        assert merged["polls"] == 1
-        assert merged["checkpoints"] == 2
-        latency = merged["batch_latency"]
-        assert latency["count"] == 3
-        assert latency["mean"] == pytest.approx((1.0 + 1.0 + 4.0) / 3)
-        assert latency["min"] == pytest.approx(1.0)
-        assert latency["max"] == pytest.approx(4.0)
-
-    def test_identity_empty_summary(self):
-        summary = _summarize([(3, 0.5)], polls=2, checkpoints=1)
-        alone = merge_counter_summaries([summary])
-        assert_merged_equal(merge_counter_summaries([summary, {}]), alone)
-        assert_merged_equal(merge_counter_summaries([{}, summary]), alone)
-
-    def test_empty_input(self):
-        merged = merge_counter_summaries([])
-        assert merged["batches"] == 0
-        assert merged["changes_per_second"] == 0.0
-        assert merged["batch_latency"]["count"] == 0
-
-    @given(a=counters_strategy(), b=counters_strategy(), c=counters_strategy())
-    @settings(max_examples=50, deadline=None)
-    def test_associative(self, a, b, c):
-        left = merge_counter_summaries([merge_counter_summaries([a, b]), c])
-        right = merge_counter_summaries([a, merge_counter_summaries([b, c])])
-        assert_merged_equal(left, right)
-
-    @given(a=counters_strategy(), b=counters_strategy())
-    @settings(max_examples=50, deadline=None)
-    def test_commutative(self, a, b):
-        assert_merged_equal(
-            merge_counter_summaries([a, b]), merge_counter_summaries([b, a])
-        )
-
-    @given(summaries=st.lists(counters_strategy(), max_size=4))
-    @settings(max_examples=50, deadline=None)
-    def test_merge_output_is_mergeable_again(self, summaries):
-        once = merge_counter_summaries(summaries)
-        again = merge_counter_summaries([once])
-        assert_merged_equal(once, again)

@@ -25,7 +25,7 @@ class TestDynamicQueries:
     def test_add_query_sees_existing_streams(self, method):
         monitor = StreamMonitor({"ab": chain(["A", "B"])}, method=method)
         monitor.add_stream("s", chain(["A", "B", "C"]))
-        monitor.add_query("bc", chain(["B", "C"]))
+        monitor.register_query("bc", chain(["B", "C"]))
         assert monitor.matches() == {("s", "ab"), ("s", "bc")}
         assert sorted(monitor.query_ids()) == ["ab", "bc"]
 
@@ -33,7 +33,7 @@ class TestDynamicQueries:
     def test_added_query_tracks_future_updates(self, method):
         monitor = StreamMonitor({"ab": chain(["A", "B"])}, method=method)
         monitor.add_stream("s")
-        monitor.add_query("cd", chain(["C", "D"]))
+        monitor.register_query("cd", chain(["C", "D"]))
         monitor.apply("s", EdgeChange.insert(0, 1, "-", "C", "D"))
         assert monitor.matches() == {("s", "cd")}
         monitor.apply("s", EdgeChange.delete(0, 1))
@@ -44,19 +44,19 @@ class TestDynamicQueries:
             {"ab": chain(["A", "B"]), "bc": chain(["B", "C"])}, method="dsc"
         )
         monitor.add_stream("s", chain(["A", "B", "C"]))
-        monitor.remove_query("ab")
+        monitor.deregister_query("ab")
         assert monitor.matches() == {("s", "bc")}
         assert monitor.query_ids() == ["bc"]
 
     def test_duplicate_query_rejected(self):
         monitor = StreamMonitor({"ab": chain(["A", "B"])})
         with pytest.raises(ValueError):
-            monitor.add_query("ab", chain(["A", "B"]))
+            monitor.register_query("ab", chain(["A", "B"]))
 
     def test_remove_missing_query_rejected(self):
         monitor = StreamMonitor({"ab": chain(["A", "B"])})
         with pytest.raises(KeyError):
-            monitor.remove_query("nope")
+            monitor.deregister_query("nope")
 
     def test_rebuild_preserves_engine_agreement(self):
         rng = random.Random(606)
@@ -67,8 +67,8 @@ class TestDynamicQueries:
         }
         for monitor in monitors.values():
             monitor.add_stream(0, source)
-            monitor.add_query("q1", chain(["B", "C", "A"]))
-            monitor.remove_query("q0")
+            monitor.register_query("q1", chain(["B", "C", "A"]))
+            monitor.deregister_query("q0")
         results = {frozenset(m.matches()) for m in monitors.values()}
         assert len(results) == 1
 
@@ -98,14 +98,14 @@ class TestPollEvents:
         monitor = StreamMonitor({"ab": chain(["A", "B"])})
         monitor.add_stream("s", chain(["A", "B"]))
         monitor.events()
-        monitor.remove_query("ab")
+        monitor.deregister_query("ab")
         assert monitor.events() == []
 
     def test_added_query_emits_appearance(self):
         monitor = StreamMonitor({"ab": chain(["A", "B"])})
         monitor.add_stream("s", chain(["A", "B", "C"]))
         monitor.events()
-        monitor.add_query("bc", chain(["B", "C"]))
+        monitor.register_query("bc", chain(["B", "C"]))
         assert monitor.events() == [MatchEvent("appeared", "s", "bc")]
 
     def test_events_sorted_deterministically(self):

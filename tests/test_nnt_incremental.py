@@ -5,6 +5,7 @@ insert/delete sequences and check the full cross-structure invariants
 (`NNTIndex.check_integrity`) plus listener-delta consistency.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -28,25 +29,20 @@ def paper_graph() -> LabeledGraph:
 class RecordingListener:
     """Mirrors NPVs from deltas; used to validate the listener protocol.
 
-    With ``strict_removal`` (legacy per-delta delivery,
-    ``coalesce=False``) a removed vertex's mirror must already be zero;
-    under coalesced delivery the zeroing deltas are purged instead of
-    flushed, so the mirror discards whatever remains — the contract the
-    join engines implement.
+    A removed vertex's zeroing deltas are purged instead of flushed, so
+    the mirror discards whatever remains — the contract the join
+    engines implement.
     """
 
-    def __init__(self, strict_removal=False):
+    def __init__(self):
         self.vectors = {}
-        self.strict_removal = strict_removal
 
     def on_vertex_added(self, vertex):
         assert vertex not in self.vectors
         self.vectors[vertex] = {}
 
     def on_vertex_removed(self, vertex):
-        remaining = self.vectors.pop(vertex)
-        if self.strict_removal:
-            assert remaining == {}
+        del self.vectors[vertex]
 
     def on_dimension_delta(self, vertex, dim, delta):
         vector = self.vectors[vertex]
@@ -168,17 +164,21 @@ class TestBatches:
 
 
 class TestListeners:
-    @pytest.mark.parametrize("coalesce", (True, False))
-    def test_listener_mirror_tracks_npvs(self, coalesce):
+    @pytest.mark.parametrize("widened", (True, False))
+    def test_listener_mirror_tracks_npvs(self, widened):
+        """One coalescing scope per edge change, or widened over four
+        (vertices removed and re-created mid-scope included)."""
         rng = random.Random(99)
-        index = NNTIndex(paper_graph(), depth_limit=3, coalesce=coalesce)
-        listener = RecordingListener(strict_removal=not coalesce)
+        index = NNTIndex(paper_graph(), depth_limit=3)
+        listener = RecordingListener()
         for vertex in index.graph.vertices():
             listener.vectors[vertex] = dict(index.npv(vertex))
         index.add_listener(listener)
-        for _ in range(120):
-            _random_step(rng, index)
-        assert listener.vectors == index.npvs
+        for _ in range(30):
+            with index.batch() if widened else contextlib.nullcontext():
+                for _ in range(4):
+                    _random_step(rng, index)
+            assert listener.vectors == index.npvs
 
     def test_no_notifications_during_initial_build(self):
         listener = RecordingListener()

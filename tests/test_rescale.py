@@ -1,7 +1,7 @@
 """Elastic live resharding: ``ShardedMonitor.rescale`` must preserve
 the exact union answer at every poll while the worker pool grows or
 shrinks — including through worker deaths mid-rescale (recovery from
-journal + checkpoint) and with the shared-memory plane attached."""
+journal + checkpoint) and with the shared-memory payload rings on."""
 
 from __future__ import annotations
 
@@ -285,26 +285,18 @@ class TestRescaleRecovery:
 
 
 @needs_shm_dir
-class TestRescaleWithShmPlane:
-    def test_rescale_on_the_plane_stays_exact_and_leak_free(self):
+class TestRescaleWithShmRings:
+    def test_rescale_on_rings_stays_exact_and_leak_free(self):
         rng = random.Random(94)
         queries = small_queries(rng)
         streams = small_streams(rng, count=6, timestamps=6)
-        oracle = StreamMonitor(queries, method="matrix")
-        sharded = ShardedMonitor(queries, method="matrix", num_workers=2, shm=True)
+        oracle = StreamMonitor(queries, method="dsc")
+        sharded = ShardedMonitor(queries, method="dsc", num_workers=2, shm=True)
         prefix = sharded._shm_base
         try:
             replay_with_rescales(sharded, streams, {1: 4, 3: 2}, oracle)
-            import numpy as np
-
-            for stream_id in streams:
-                # A moved stream's new owner rebuilt its rows from the
-                # exported graph, so row order may differ; the row
-                # *content* must be identical.
-                ours = np.sort(sharded.npv_rows(stream_id), axis=0)
-                theirs = np.sort(oracle.engine.npv_rows(stream_id), axis=0)
-                assert np.array_equal(ours, theirs)
-            assert live_segments(prefix)
+            # Grown to 4 and back to 2: one ring per surviving shard.
+            assert len(live_segments(prefix)) == 2
         finally:
             sharded.close()
         assert live_segments(prefix) == []
@@ -313,19 +305,17 @@ class TestRescaleWithShmPlane:
         rng = random.Random(95)
         queries = small_queries(rng)
         streams = small_streams(rng, count=6, timestamps=2)
-        sharded = ShardedMonitor(queries, method="matrix", num_workers=4, shm=True)
+        sharded = ShardedMonitor(queries, method="dsc", num_workers=4, shm=True)
         prefix = sharded._shm_base
         try:
             for stream_id, stream in streams.items():
                 sharded.add_stream(stream_id, stream.initial)
             sharded.matches()  # settle the fleet
-            before = len(live_segments(prefix))
+            assert len(live_segments(prefix)) == 4
             sharded.rescale(2)
             sharded.matches()
-            # 2 rings + 2 worker planes remain; the retired shards'
-            # rings and swept segments are gone.
-            after = len(live_segments(prefix))
-            assert after < before
+            # The retired shards' rings are unlinked with them.
+            assert len(live_segments(prefix)) == 2
         finally:
             sharded.close()
         assert live_segments(prefix) == []

@@ -215,7 +215,6 @@ class TestLifecycle:
         assert stats["backpressure"]["policy"] == "block"
         assert stats["backpressure"]["accepted_batches"] == 1
         assert set(stats["workers"]) == {0, 1}
-        assert stats["merged_counters"]["batches"] == 1
         assert stats["recovery"] == {
             "checkpoints": 0,
             "recoveries": 0,

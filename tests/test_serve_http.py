@@ -295,7 +295,7 @@ class TestMergedScrapeAfterChurn:
         queries = {"q0": edge_query()}
         with ShardedMonitor(queries, num_workers=2) as sharded:
             sharded.add_stream("s0", edge_query())  # carries a matching edge
-            sharded.add_query("q1", edge_query())
+            sharded.register_query("q1", edge_query())
             sharded.apply(
                 "s0",
                 GraphChangeOperation([EdgeChange("ins", 40, 41, "x", "A", "B")]),
@@ -304,8 +304,8 @@ class TestMergedScrapeAfterChurn:
             before = parse_prometheus_text(
                 obs.render_prometheus(collect_obs_summary(sharded), prefix="repro")
             )
-            sharded.remove_query("q0")
-            sharded.add_query("q2", edge_query())
+            sharded.deregister_query("q0")
+            sharded.register_query("q2", edge_query())
             sharded.apply(
                 "s0",
                 GraphChangeOperation([EdgeChange("ins", 50, 51, "x", "A", "B")]),

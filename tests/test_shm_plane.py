@@ -1,36 +1,31 @@
-"""The shared-memory NPV plane: plane-backed row stores must equal the
-in-process numpy rows bit-for-bit (grow/remove/remap included), rings
-must round-trip payloads exactly, and ``ShardedMonitor(shm=True)`` must
-stay a behavioural drop-in that leaks no segments past ``close()``."""
+"""The shared-memory payload rings: rings must round-trip payloads
+exactly, and ``ShardedMonitor(shm=True)`` must stay a behavioural
+drop-in — on every engine — that leaks no segment past ``close()``,
+SIGKILLed workers included."""
 
 from __future__ import annotations
 
+import errno
 import itertools
+import multiprocessing
 import os
 import random
 import signal
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.monitor import StreamMonitor
 from repro.datasets.stream_gen import synthesize_stream
-from repro.graph import EdgeChange
-from repro.join.matrix import DenseRowStore
+from repro.join import ENGINES
 from repro.runtime import ShardedMonitor
+from repro.runtime import coordinator as coordinator_module
 from repro.runtime.shm import (
-    TOMBSTONE_GENERATION,
-    NpvPlane,
-    PlaneReader,
     RingReader,
     ShmError,
     ShmRing,
-    StaleSegment,
     cleanup_segments,
     live_segments,
     make_prefix,
@@ -45,147 +40,43 @@ needs_shm_dir = pytest.mark.skipif(not HAS_SHM_DIR, reason="no /dev/shm to scan"
 _uniq = itertools.count()
 
 
+@pytest.fixture
+def clean_obs():
+    """Observability on, against a private registry, for one test."""
+    previous = obs.set_registry(obs.Registry())
+    was_enabled = obs.enabled()
+    obs.enable()
+    yield
+    obs.set_registry(previous)
+    if not was_enabled:
+        obs.disable()
+
+
 def fresh_prefix() -> str:
     """A namespace no other test (or test run) is using."""
     return make_prefix("t", next(_uniq), os.getpid() % 997)
 
 
-@pytest.fixture
-def plane():
-    instance = NpvPlane(fresh_prefix())
-    yield instance
-    instance.close()
-
-
 # ----------------------------------------------------------------------
-# row stores: shared-memory vs in-process, bit for bit
-# ----------------------------------------------------------------------
-DIMS = 3
-
-store_ops = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("write"),
-            st.integers(min_value=0, max_value=63),
-            st.integers(min_value=0, max_value=DIMS - 1),
-            st.integers(min_value=-(2**40), max_value=2**40),
-        ),
-        st.just(("grow",)),
-        st.tuples(st.just("rows"), st.integers(min_value=0, max_value=64)),
-    ),
-    max_size=30,
-)
-
-
-class TestRowStoreEquivalence:
-    @given(ops=store_ops)
-    @settings(max_examples=30, deadline=None)
-    def test_round_trips_equal_dense_rows_bit_for_bit(self, ops):
-        prefix = fresh_prefix()
-        plane = NpvPlane(prefix)
-        reader = PlaneReader()
-        try:
-            dense = DenseRowStore(4, DIMS)
-            shared = plane.row_store(4, DIMS)
-            rows = 0
-            for op in ops:
-                if op[0] == "write":
-                    _, row, col, value = op
-                    if row >= dense.array.shape[0]:
-                        continue
-                    dense.array[row, col] = value
-                    shared.array[row, col] = value
-                elif op[0] == "grow":
-                    dense.grow()
-                    shared.grow()
-                else:
-                    rows = min(op[1], dense.array.shape[0])
-                    dense.set_row_count(rows)
-                    shared.set_row_count(rows)
-                assert shared.array.shape == dense.array.shape
-                assert np.array_equal(shared.array, dense.array)
-                # The remap handshake's read path sees the same bytes.
-                via_reader = reader.read(shared.descriptor())
-                assert np.array_equal(via_reader, dense.array[:rows])
-        finally:
-            reader.close()
-            plane.close()
-        if HAS_SHM_DIR:
-            assert live_segments(prefix) == []
-
-    def test_grow_preserves_rows_and_stales_old_descriptor(self, plane):
-        store = plane.row_store(4, 2)
-        store.array[:4] = np.arange(8).reshape(4, 2)
-        store.set_row_count(4)
-        reader = PlaneReader()
-        stale = store.descriptor()
-        assert np.array_equal(reader.read(stale), np.arange(8).reshape(4, 2))
-        store.grow()
-        assert store.array.shape == (8, 2)
-        assert np.array_equal(store.array[:4], np.arange(8).reshape(4, 2))
-        with pytest.raises(StaleSegment):
-            reader.read(stale)  # old segment was tombstoned by the grow
-        fresh = store.descriptor()
-        assert fresh.generation > stale.generation
-        assert np.array_equal(reader.read(fresh), np.arange(8).reshape(4, 2))
-        reader.close()
-
-    def test_release_tombstones_and_free_list_reuses(self, plane):
-        first = plane.row_store(4, 2)
-        issued = first.descriptor()
-        first.release()
-        assert plane.stats()["free_segments"] == 1
-        reader = PlaneReader()
-        with pytest.raises(StaleSegment):
-            reader.read(issued)  # freed: header holds the tombstone
-        second = plane.row_store(4, 2)
-        reused = second.descriptor()
-        assert reused.name == issued.name  # same segment, recycled
-        assert reused.generation > issued.generation
-        assert issued.generation > TOMBSTONE_GENERATION
-        assert plane.stats()["free_segments"] == 0
-        assert np.count_nonzero(second.array) == 0  # fresh slate
-        reader.close()
-
-    def test_reader_raises_on_vanished_segment(self, plane):
-        store = plane.row_store(4, 2)
-        descriptor = store.descriptor()
-        plane.close()  # unlinks everything
-        reader = PlaneReader()
-        with pytest.raises(StaleSegment):
-            reader.read(descriptor)
-        reader.close()
-
-
-# ----------------------------------------------------------------------
-# plane lifecycle: sweep and leak-freedom
+# segment lifecycle: unlink and sweep
 # ----------------------------------------------------------------------
 @needs_shm_dir
 class TestPlaneLifecycle:
     def test_close_unlinks_every_segment(self):
         prefix = fresh_prefix()
-        plane = NpvPlane(prefix)
-        plane.row_store(4, 2)
-        grown = plane.row_store(4, 2)
-        grown.grow()  # two live segments + one free-listed
-        assert live_segments(prefix)
-        plane.close()
+        rings = [ShmRing(f"{prefix}-ring{i}", 64) for i in range(2)]
+        assert len(live_segments(prefix)) == 2
+        for ring in rings:
+            ring.close()
         assert live_segments(prefix) == []
-        assert plane.stats() == {
-            "segments": 0,
-            "bytes": 0,
-            "free_segments": 0,
-            "generation": plane.stats()["generation"],
-        }
 
     def test_cleanup_segments_sweeps_orphans(self):
         prefix = fresh_prefix()
-        plane = NpvPlane(prefix)
-        plane.row_store(4, 2)
-        plane.row_store(8, 2)
+        rings = [ShmRing(f"{prefix}-ring{i}", 64) for i in range(2)]
         # A SIGKILLed owner never unlinks; simulate by only closing the
         # local mappings.
-        plane.close(unlink=False)
+        for ring in rings:
+            ring.close(unlink=False)
         assert len(live_segments(prefix)) == 2
         removed = cleanup_segments(prefix)
         assert len(removed) == 2
@@ -269,7 +160,7 @@ class TestRing:
 
 
 # ----------------------------------------------------------------------
-# the sharded runtime on the plane
+# the sharded runtime on the rings
 # ----------------------------------------------------------------------
 def small_queries(rng: random.Random, count: int = 3) -> dict:
     return {
@@ -289,9 +180,8 @@ def small_streams(rng: random.Random, count: int = 3, timestamps: int = 5) -> di
 
 
 class TestShardedShm:
-    def drive(self, sharded: ShardedMonitor, streams: dict, npv: bool) -> None:
-        """Replay against an oracle; optionally pin NPV rows bit-for-bit
-        out of shared memory at every timestamp."""
+    def drive(self, sharded: ShardedMonitor, streams: dict) -> None:
+        """Replay against an in-process oracle, poll for poll."""
         oracle = StreamMonitor(
             sharded.spec.queries,
             method=sharded.spec.method,
@@ -306,112 +196,63 @@ class TestShardedShm:
                 sharded.apply(stream_id, stream.operations[t])
                 oracle.apply(stream_id, stream.operations[t])
             assert sharded.matches() == oracle.matches(), f"diverged at t={t + 1}"
-            if npv:
-                for stream_id in streams:
-                    assert np.array_equal(
-                        sharded.npv_rows(stream_id),
-                        oracle.engine.npv_rows(stream_id),
-                    ), f"NPV rows diverged for {stream_id} at t={t + 1}"
 
-    def test_matches_and_npv_rows_equal_oracle(self):
+    @pytest.mark.parametrize("method", sorted(ENGINES))
+    def test_matches_equal_oracle(self, method):
         rng = random.Random(71)
         queries = small_queries(rng)
         streams = small_streams(rng, count=3, timestamps=5)
-        with ShardedMonitor(
-            queries, method="matrix", num_workers=2, shm=True
-        ) as sharded:
-            self.drive(sharded, streams, npv=True)
+        with ShardedMonitor(queries, method=method, num_workers=2, shm=True) as sharded:
+            self.drive(sharded, streams)
             stats = sharded.stats()
-        assert stats["shm"]["segments"] >= len(streams)
-        assert stats["shm"]["bytes"] > 0
-        assert stats["shm"]["rings"] == 2
+        assert stats["shm"] == {"rings": 2, "ring_capacity": sharded.ring_capacity}
 
-    def test_remap_handshake_on_growth(self):
-        """Growing a stream past the initial row capacity swaps its
-        segment; the coordinator's cached descriptor goes stale and the
-        re-request is counted as a remap."""
-        rng = random.Random(72)
-        queries = small_queries(rng, count=2)
-        previous = obs.set_registry(obs.Registry())
-        was_enabled = obs.enabled()
-        obs.enable()
-        try:
-            with ShardedMonitor(
-                queries, method="matrix", num_workers=1, shm=True
-            ) as sharded:
-                oracle = StreamMonitor(queries, method="matrix")
-                sharded.add_stream("s0")
-                oracle.add_stream("s0")
-                for i in range(40):  # well past _INITIAL_ROWS = 16
-                    change = EdgeChange.insert(i, i + 1000, "-", "A", "B")
-                    sharded.apply("s0", change)
-                    oracle.apply("s0", change)
-                    assert np.array_equal(
-                        sharded.npv_rows("s0"), oracle.engine.npv_rows("s0")
-                    )
-                summary = obs.get_registry().summary()
-                assert summary["shm.remaps"]["value"] >= 1
-                # The grow itself happens worker-side; it reaches the
-                # coordinator through the merged registries.
-                merged = sharded.stats()["merged_obs"]
-                assert merged["shm.grows"]["value"] >= 1
-        finally:
-            obs.set_registry(previous)
-            if not was_enabled:
-                obs.disable()
-
-    def test_tiny_ring_falls_back_inline_losslessly(self):
+    def test_tiny_ring_falls_back_inline_losslessly(self, clean_obs):
         rng = random.Random(73)
         queries = small_queries(rng)
         streams = small_streams(rng, count=2, timestamps=4)
         with ShardedMonitor(
-            queries, method="matrix", num_workers=2, shm=True, ring_capacity=1
+            queries, method="dsc", num_workers=2, shm=True, ring_capacity=1
         ) as sharded:
-            self.drive(sharded, streams, npv=True)
+            self.drive(sharded, streams)
+        summary = obs.get_registry().summary()
+        assert summary["shm.ring_overflow"]["value"] >= 1
+        assert "shm.ring_bytes" not in summary
 
-    def test_non_matrix_engine_still_ships_ring_payloads(self):
+    def test_non_matrix_engine_still_ships_ring_payloads(self, clean_obs):
         rng = random.Random(74)
         queries = small_queries(rng)
         streams = small_streams(rng, count=2, timestamps=4)
         with ShardedMonitor(queries, method="dsc", num_workers=2, shm=True) as sharded:
-            self.drive(sharded, streams, npv=False)
-            with pytest.raises(RuntimeError, match="no exportable NPV rows"):
-                sharded.npv_rows(next(iter(streams)))
-
-    def test_npv_rows_requires_shm_and_known_stream(self):
-        rng = random.Random(75)
-        queries = small_queries(rng)
-        with ShardedMonitor(queries, method="matrix", num_workers=1) as sharded:
-            sharded.add_stream("s0")
-            with pytest.raises(RuntimeError, match="shm=True"):
-                sharded.npv_rows("s0")
-        with ShardedMonitor(
-            queries, method="matrix", num_workers=1, shm=True
-        ) as sharded:
-            with pytest.raises(KeyError):
-                sharded.npv_rows("ghost")
+            self.drive(sharded, streams)
+        summary = obs.get_registry().summary()
+        assert summary["shm.ring_bytes"]["value"] > 0
+        assert "shm.ring_overflow" not in summary
 
     @needs_shm_dir
     def test_close_leaves_no_segments(self):
         rng = random.Random(76)
         queries = small_queries(rng)
         streams = small_streams(rng, count=3, timestamps=3)
-        sharded = ShardedMonitor(queries, method="matrix", num_workers=2, shm=True)
+        sharded = ShardedMonitor(queries, method="dsc", num_workers=2, shm=True)
         prefix = sharded._shm_base
         try:
-            self.drive(sharded, streams, npv=True)
-            assert live_segments(prefix)  # the plane is actually in use
+            self.drive(sharded, streams)
+            assert len(live_segments(prefix)) == 2  # one ring per shard
         finally:
             sharded.close()
         assert live_segments(prefix) == []
 
     @needs_shm_dir
     def test_sigkill_orphans_are_swept_on_recovery_and_close(self):
+        """Workers own no segment: after a SIGKILL + recovery there are
+        exactly ``num_workers`` rings (the dead worker's replaced, not
+        leaked), and none after ``close()``."""
         rng = random.Random(77)
         queries = small_queries(rng)
         streams = small_streams(rng, count=3, timestamps=5)
-        oracle = StreamMonitor(queries, method="matrix")
-        sharded = ShardedMonitor(queries, method="matrix", num_workers=2, shm=True)
+        oracle = StreamMonitor(queries, method="dsc")
+        sharded = ShardedMonitor(queries, method="dsc", num_workers=2, shm=True)
         prefix = sharded._shm_base
         try:
             for stream_id, stream in streams.items():
@@ -426,12 +267,29 @@ class TestShardedShm:
                     os.kill(sharded.worker_pids()[0], signal.SIGKILL)
                     time.sleep(0.05)
                 assert sharded.matches() == oracle.matches()
-                for stream_id in streams:
-                    assert np.array_equal(
-                        sharded.npv_rows(stream_id),
-                        oracle.engine.npv_rows(stream_id),
-                    )
             assert sharded.recovery_log.recoveries >= 1
+            assert len(live_segments(prefix)) == sharded.num_workers
         finally:
             sharded.close()
+        assert live_segments(prefix) == []
+
+    @needs_shm_dir
+    def test_failed_spawn_leaves_no_worker_and_no_ring(self, monkeypatch):
+        """Spawn k raising must tear down spawns 0..k-1: the constructor
+        never returns, so nobody else could ``close()`` them."""
+        real_ring = coordinator_module.ShmRing
+        created: list[str] = []
+
+        def second_ring_fails(name, capacity):
+            if created:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            created.append(name)
+            return real_ring(name, capacity)
+
+        monkeypatch.setattr(coordinator_module, "ShmRing", second_ring_fails)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(OSError):
+            ShardedMonitor(small_queries(random.Random(78)), num_workers=2, shm=True)
+        assert set(multiprocessing.active_children()) == before
+        prefix = created[0].rsplit("-ring", 1)[0]
         assert live_segments(prefix) == []

@@ -169,7 +169,7 @@ class MonitorMachine(RuleBasedStateMachine):
         self.next_query += 1
         self.queries[query_id] = query
         for monitor in self.monitors.values():
-            monitor.add_query(query_id, query)
+            monitor.register_query(query_id, query)
 
     @precondition(lambda self: len(self.queries) > 1)
     @rule(seed=st.integers(0, 10**6))
@@ -177,7 +177,7 @@ class MonitorMachine(RuleBasedStateMachine):
         query_id = random.Random(seed).choice(sorted(self.queries))
         del self.queries[query_id]
         for monitor in self.monitors.values():
-            monitor.remove_query(query_id)
+            monitor.deregister_query(query_id)
 
     @invariant()
     def engines_agree(self):
