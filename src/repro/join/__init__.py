@@ -1,5 +1,8 @@
 """Dominance join engines between graph streams and query patterns."""
 
+from collections.abc import Mapping
+from typing import Iterator
+
 from .base import (
     BatchDeltas,
     JoinEngine,
@@ -17,16 +20,45 @@ from .dominance import (
     pair_joinable_bruteforce,
 )
 from .dominated_set_cover import DominatedSetCoverJoin
-from .matrix import MatrixJoin
 from .nested_loop import NestedLoopJoin
 from .skyline import SkylineEarlyStopJoin
 
-ENGINES = {
-    "nl": NestedLoopJoin,
-    "dsc": DominatedSetCoverJoin,
-    "skyline": SkylineEarlyStopJoin,
-    "matrix": MatrixJoin,
-}
+
+class _EngineTable(Mapping[str, type[JoinEngine]]):
+    """Engine name -> class.  ``matrix`` is the one numpy importer on the
+    filtering path (about half of ``import repro``'s time, ~16 MB in every
+    process), so its module is imported when the name is looked up, not
+    with the package; listing the names imports nothing."""
+
+    _eager: dict[str, type[JoinEngine]] = {
+        "nl": NestedLoopJoin,
+        "dsc": DominatedSetCoverJoin,
+        "skyline": SkylineEarlyStopJoin,
+    }
+
+    def __getitem__(self, name: str) -> type[JoinEngine]:
+        if name == "matrix":
+            from .matrix import MatrixJoin
+
+            return MatrixJoin
+        return self._eager[name]
+
+    def __iter__(self) -> Iterator[str]:
+        yield from self._eager
+        yield "matrix"
+
+    def __len__(self) -> int:
+        return len(self._eager) + 1
+
+
+ENGINES = _EngineTable()
+
+
+def __getattr__(name: str) -> type[JoinEngine]:
+    """``repro.join.MatrixJoin``, resolved on first use (PEP 562)."""
+    if name == "MatrixJoin":
+        return ENGINES["matrix"]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def make_engine(name: str, query_set: QuerySet) -> JoinEngine:
