@@ -1,7 +1,11 @@
 """Incremental NNT maintenance (Section III, Figures 4-5 of the paper).
 
 :class:`NNTIndex` keeps, for one evolving graph, the NNT of every vertex
-plus two inverted indexes:
+*to depth* ``l - 1``.  Level ``l`` — where most of Def 3.1's tree sits and
+no node can ever get a child — is not stored: a depth-``l - 1`` node on
+vertex ``g`` stands for one depth-``l`` tree edge per graph neighbour of
+``g`` whose edge is not on its root path, and only their NPV counts
+exist.  Two inverted indexes cover the materialised nodes:
 
 * the **edge-tree index** ``I_edge``: graph edge -> the tree nodes whose
   incoming tree edge crosses it (each such node identifies one appearance
@@ -13,21 +17,27 @@ Both are dicts of plain lists, and every node remembers its slot in each
 (``node.vpos`` / ``node.epos``): an appearance is appended on splice-in
 and removed by moving the bucket's last entry into its slot.  Dimensions
 are interned per index (equal ``node.dim`` are one tuple object), and
-subtree removal clears every removed node's ``parent`` link, so a detached
-subtree holds no reference cycle and is freed by reference count at once
-instead of at the collector's next full pass.
+subtree removal empties every removed inner node's ``children``, so a
+detached subtree points upwards only, holds no reference cycle and is
+freed by reference count at once instead of at the collector's next full
+pass.
 
-Deleting a graph edge removes the subtree under each of its appearances
-(Procedure *Delete-Edge*); inserting edge ``(a, b)`` appends, under every
-pre-existing appearance of ``a`` and of ``b`` where the new edge is not on
-the root path, a new branch expanded BFS-style to the depth limit
-(Procedure *Insert-Edge*).  Per appearance the work is ``O(r^(l-1))`` for
-maximum degree ``r`` (Lemma 3.2).
+An appearance of a graph edge is thus of one of two kinds.  Deleting
+edge ``(a, b)`` removes the subtree under each materialised appearance,
+then takes one count off every remaining depth-``l - 1`` occurrence of
+``a`` and of ``b`` (the implied appearances), then removes the graph edge
+(Procedure *Delete-Edge*); inserting it adds the graph edge, then under
+every pre-existing occurrence of ``a`` and of ``b`` either appends a new
+branch expanded BFS-style to depth ``l - 1`` or, at depth ``l - 1``, adds
+one count (Procedure *Insert-Edge*).  Per appearance the work is
+``O(r^(l-1))`` for maximum degree ``r`` (Lemma 3.2), and
+``num_tree_nodes`` / ``stats`` keep counting *logical* tree nodes,
+materialised and implied alike.
 
 The index simultaneously maintains the sparse NPV of every vertex
-(Section IV-A): every tree edge spliced in or out produces a ``+/-1``
-delta on one projection dimension, which is applied to the owning
-vertex's NPV and forwarded to registered listeners — this is what lets
+(Section IV-A): every tree edge spliced in or out, stored or implied,
+produces a ``+/-1`` delta on one projection dimension, which is applied
+to the owning vertex's NPV and forwarded to registered listeners — this is what lets
 the join engines of :mod:`repro.join` update their counters without ever
 re-projecting a tree.
 
@@ -100,9 +110,11 @@ class NNTIndex:
         if depth_limit < 1:
             raise ValueError("depth_limit must be at least 1")
         self.depth_limit = depth_limit
+        #: Deepest stored level; its nodes imply their depth-l children.
+        self._deepest = depth_limit - 1
         self.scheme = scheme
         # Fast path: the paper's scheme builds (depth, label, label)
-        # tuples inline in _add_tree_edge instead of dispatching.
+        # tuples inline in _dim instead of dispatching.
         self._paper_dims = not scheme.include_edge_label
         self.graph = LabeledGraph()
         self.trees: dict[VertexId, NNT] = {}
@@ -113,8 +125,9 @@ class NNTIndex:
         # delivered delta keys of this index all are).
         self._dims: dict[Dimension, Dimension] = {}
         self.listeners: list[NPVListener] = []
-        #: Live occurrence count across all NNTs, roots included (O(1)
-        #: alternative to summing the node-index buckets).
+        #: Live *logical* occurrence count across all NNTs — materialised
+        #: nodes (roots included) plus implied depth-l ones; what a
+        #: full-depth ``build_nnt`` of every vertex would sum to, in O(1).
         self.num_tree_nodes = 0
         self._batch_depth = 0
         self._pending: dict[tuple[VertexId, Dimension], int] = {}
@@ -263,15 +276,23 @@ class NNTIndex:
         a_label: Label | None = None,
         b_label: Label | None = None,
     ) -> None:
-        """Insert graph edge ``(a, b)``, creating missing endpoints."""
+        """Insert graph edge ``(a, b)``, creating missing endpoints.  A
+        refused insert (self loop, duplicate edge, new endpoint without a
+        label) raises before anything is touched."""
+        if a == b:
+            raise GraphError("self loops are not supported")
+        if self.graph.has_edge(a, b):
+            raise GraphError(f"edge ({a!r}, {b!r}) already exists")
+        endpoints = ((a, a_label), (b, b_label))
+        for vertex, label in endpoints:
+            if label is None and not self.graph.has_vertex(vertex):
+                raise GraphError(
+                    f"inserting edge ({a!r}, {b!r}) creates vertex "
+                    f"{vertex!r} but no label was provided"
+                )
         with self.batch():
-            for vertex, label in ((a, a_label), (b, b_label)):
+            for vertex, label in endpoints:
                 if not self.graph.has_vertex(vertex):
-                    if label is None:
-                        raise GraphError(
-                            f"inserting edge ({a!r}, {b!r}) creates vertex "
-                            f"{vertex!r} but no label was provided"
-                        )
                     self._create_vertex(vertex, label, notify=True)
             self._insert_edge_internal(a, b, edge_label, notify=True)
             self.stats["edges_inserted"] += 1
@@ -279,45 +300,42 @@ class NNTIndex:
     def _insert_edge_internal(
         self, a: VertexId, b: VertexId, edge_label: Label, notify: bool
     ) -> None:
-        # Snapshot the pre-existing appearances of both endpoints before
-        # touching anything: the expansion below creates new appearances
-        # of a and b that are already complete w.r.t. the new edge and
-        # must not be re-extended.
-        snapshot_a = list(self.node_index.get(a, ()))
-        snapshot_b = list(self.node_index.get(b, ()))
+        # Snapshot the pre-existing appearances of both endpoints above
+        # the deepest level before touching anything: the expansion below
+        # creates new appearances of a and b that are already complete
+        # w.r.t. the new edge (none of the old ones has it on its root path).
+        deepest = self._deepest
+        hang_below = [
+            (node, other)
+            for vertex, other in ((a, b), (b, a))
+            for node in self.node_index[vertex]
+            if node.depth < deepest
+        ]
         self.graph.add_edge(a, b, edge_label)
-        # Hang the new edge (and its BFS-expanded subtree) below every
-        # pre-existing appearance where the simple-path rule allows it.
-        # Most appearances sit at the depth limit; check that inline
-        # before paying a call (this loop runs once per appearance).
-        limit = self.depth_limit
-        for node in snapshot_a:
-            if node.depth < limit and not node.edge_on_root_path(node.graph_vertex, b):
-                self._splice_subtree(node, b, edge_label, notify)
-        for node in snapshot_b:
-            if node.depth < limit and not node.edge_on_root_path(node.graph_vertex, a):
-                self._splice_subtree(node, a, edge_label, notify)
+        # At the deepest level the new depth-l tree edge is implied: an NPV
+        # +1, nothing created.  Above it, hang the edge and its subtree.
+        self._book_implied_edge(a, b, edge_label, +1, notify)
+        for node, other in hang_below:
+            self._splice_subtree(node, other, edge_label, notify)
 
     def _splice_subtree(
         self, parent: TreeNode, graph_vertex: VertexId, edge_label: Label, notify: bool
     ) -> None:
-        """Hang one new tree edge below ``parent`` and expand it BFS-style
-        down to the depth limit."""
-        limit = self.depth_limit
-        first = self._add_tree_edge(parent, graph_vertex, edge_label, notify)
+        """Hang one new tree edge below ``parent`` (above the deepest
+        level) and expand it BFS-style down to the depth limit."""
+        deepest = self._deepest
         added = 1
-        queue = deque([first] if first.depth < limit else ())
+        queue = deque([self._add_tree_edge(parent, graph_vertex, edge_label, notify)])
         while queue:
             node = queue.popleft()
+            if node.depth == deepest:
+                added += self._book_implied(node, +1, notify)
+                continue
             vertex = node.graph_vertex
-            leaf = node.depth + 1 >= limit
             for neighbor, neighbor_label in self.graph.neighbor_items(vertex):
-                if node.edge_on_root_path(vertex, neighbor):
-                    continue
-                child = self._add_tree_edge(node, neighbor, neighbor_label, notify)
-                added += 1
-                if not leaf:
-                    queue.append(child)
+                if not node.edge_on_root_path(vertex, neighbor):
+                    queue.append(self._add_tree_edge(node, neighbor, neighbor_label, notify))
+                    added += 1
         self.num_tree_nodes += added
         self.stats["tree_nodes_added"] += added
 
@@ -336,6 +354,9 @@ class NNTIndex:
             appearances = self.edge_index.get(key)
             while appearances:
                 self._remove_subtree(appearances[-1], notify=True)
+            # What is left of a and b at the deepest level no longer has
+            # the edge on its root path: each implied one appearance of it.
+            self._book_implied_edge(a, b, self.graph.edge_label(a, b), -1, notify=True)
             self.graph.remove_edge(a, b)
             self.stats["edges_deleted"] += 1
             for vertex in (a, b):
@@ -344,22 +365,26 @@ class NNTIndex:
 
     def _remove_subtree(self, top: TreeNode, notify: bool) -> None:
         """Detach ``top`` (a non-root tree node) and its whole subtree,
-        unindexing every node and reversing every NPV contribution.  Each
-        removed node also loses its ``parent`` link, so what is detached
-        points downwards only and needs no cycle collector to be freed."""
+        unindexing every node and reversing every NPV contribution, implied
+        ones included.  Removed inner nodes lose their children (``top`` its
+        parent), so what is detached points upwards only and needs no cycle
+        collector to be freed."""
         parent = top.parent
         if parent is None:
             raise GraphError("cannot remove the root of an NNT as a subtree")
         root_vertex = top.root_vertex
-        npv = self.npvs[root_vertex]
+        deepest = self._deepest
         node_index = self.node_index
         edge_index = self.edge_index
         removed = 0
         stack = [top]  # descendants() inlined: the generator costs ~10% here
         while stack:
             node = stack.pop()
-            if node.children:
+            if node.depth == deepest:  # root path intact: parent links stay
+                removed += self._book_implied(node, -1, notify)
+            elif node.children:
                 stack.extend(node.children.values())
+                node.children.clear()
             # Swap-with-last removal from both buckets.
             bucket = node_index[node.graph_vertex]
             last = bucket.pop()
@@ -375,13 +400,10 @@ class NNTIndex:
                 last.epos = node.epos
             elif not bucket:
                 del edge_index[key]
-            node.parent = None
-            dim = node.dim  # cached at creation by _add_tree_edge
-            add_to_vector(npv, dim, -1)
+            self._book(root_vertex, node.dim, -1, notify)  # dim cached at creation
             removed += 1
-            if notify:
-                self._emit_delta(root_vertex, dim, -1)
         del parent.children[top.graph_vertex]
+        top.parent = None
         self.num_tree_nodes -= removed
         self.stats["tree_nodes_removed"] += removed
 
@@ -435,9 +457,10 @@ class NNTIndex:
     def _add_tree_edge(
         self, parent: TreeNode, graph_vertex: VertexId, edge_label: Label, notify: bool
     ) -> TreeNode:
-        """Create, link and index one tree node (the caller counts it)."""
+        """Create, link and index one tree node above the depth limit (the
+        caller counts it)."""
         depth = parent.depth + 1
-        child = TreeNode(graph_vertex, parent, depth, edge_label, depth >= self.depth_limit)
+        child = TreeNode(graph_vertex, parent, depth, edge_label, depth >= self._deepest)
         parent.children[graph_vertex] = child
         # The vertex is in the graph, so its root already opened the bucket.
         bucket = self.node_index[graph_vertex]
@@ -450,17 +473,58 @@ class NNTIndex:
         # subtree removal never recomputes either.
         root_vertex = parent.root_vertex
         child.root_vertex = root_vertex
-        if self._paper_dims:
-            labels = self.graph.labels
-            dim = (depth, labels[parent.graph_vertex], labels[graph_vertex])
-        else:
-            dim = self.scheme.dimension_of_node(child, self.graph.vertex_label)
-        dim = self._dims.setdefault(dim, dim)
-        child.dim = dim
-        add_to_vector(self.npvs[root_vertex], dim, +1)
-        if notify:
-            self._emit_delta(root_vertex, dim, +1)
+        labels = self.graph.labels
+        child.dim = self._dim(depth, labels[parent.graph_vertex], labels[graph_vertex], edge_label)
+        self._book(root_vertex, child.dim, +1, notify)
         return child
+
+    def _dim(self, depth: int, parent_label: Label, label: Label, edge_label: Label) -> Dimension:
+        """The interned dimension of a tree edge whose child sits at ``depth``."""
+        if self._paper_dims:
+            dim = (depth, parent_label, label)
+        else:
+            dim = self.scheme.dimension(depth, parent_label, label, edge_label)
+        return self._dims.setdefault(dim, dim)
+
+    def _book(self, root_vertex: VertexId, dim: Dimension, delta: int, notify: bool) -> None:
+        """Apply ``delta`` tree edges on ``dim`` to ``NPV(root_vertex)``."""
+        add_to_vector(self.npvs[root_vertex], dim, delta)
+        if notify:
+            self._emit_delta(root_vertex, dim, delta)
+
+    def _book_implied_edge(
+        self, a: VertexId, b: VertexId, edge_label: Label, sign: int, notify: bool
+    ) -> None:
+        """Every deepest-level occurrence of ``a`` (of ``b``) now indexed
+        gains or loses the depth-``l`` tree edge to ``b`` (to ``a``)."""
+        labels = self.graph.labels
+        deepest = self._deepest
+        count = 0
+        for vertex, other in ((a, b), (b, a)):
+            dim = self._dim(self.depth_limit, labels[vertex], labels[other], edge_label)
+            for node in self.node_index[vertex]:
+                if node.depth == deepest:
+                    count += 1
+                    self._book(node.root_vertex, dim, sign, notify)
+        self.num_tree_nodes += sign * count
+        self.stats["tree_nodes_added" if sign > 0 else "tree_nodes_removed"] += count
+
+    def _book_implied(self, node: TreeNode, sign: int, notify: bool) -> int:
+        """Add (``sign=+1``) or reverse (``-1``) the depth-``l`` tree edges
+        that ``node``, at the deepest materialised level, stands for — one
+        per graph neighbour whose edge is not on its root path — as one
+        ``+/-count`` per distinct dimension; returns how many there are."""
+        vertex = node.graph_vertex
+        labels = self.graph.labels
+        counts: dict[tuple, int] = {}
+        for neighbor, edge_label in self.graph.neighbor_items(vertex):
+            if not node.edge_on_root_path(vertex, neighbor):
+                key = (labels[neighbor], edge_label)
+                counts[key] = counts.get(key, 0) + 1
+        for (label, edge_label), count in counts.items():
+            dim = self._dim(self.depth_limit, labels[vertex], label, edge_label)
+            self._book(node.root_vertex, dim, sign * count, notify)
+        return sum(counts.values())
 
     # ------------------------------------------------------------------
     # integrity checking (used heavily by the test suite)
@@ -473,43 +537,45 @@ class NNTIndex:
 
         if set(self.trees) != set(self.graph.vertices()):
             raise AssertionError("tree set does not match graph vertex set")
-        recounted = sum(len(bucket) for bucket in self.node_index.values())
-        if self.num_tree_nodes != recounted:
-            raise AssertionError(
-                f"running tree-node counter ({self.num_tree_nodes}) diverged "
-                f"from the node index ({recounted})"
-            )
         if self._batch_depth or self._pending:
             raise AssertionError("integrity checked inside an open delta batch")
-        live = 0
+        label_of = self.graph.vertex_label
+        deepest = self._deepest
+        live = logical = 0
         for vertex, tree in self.trees.items():
             if tree.root_vertex != vertex:
                 raise AssertionError(f"tree of {vertex!r} rooted elsewhere")
+            # Full-depth reference: its projection verifies the implied level.
             expected = build_nnt(self.graph, vertex, self.depth_limit)
-            got_form = tree.canonical_form(self.graph.vertex_label)
-            want_form = expected.canonical_form(self.graph.vertex_label)
-            if got_form != want_form:
-                raise AssertionError(f"NNT of {vertex!r} diverged from fresh build")
-            want_npv = project_tree(expected, self.graph.vertex_label, self.scheme)
-            if want_npv != self.npvs[vertex]:
+            logical += expected.size()
+            if project_tree(expected, label_of, self.scheme) != self.npvs[vertex]:
                 raise AssertionError(f"NPV of {vertex!r} diverged from fresh projection")
+            stored = build_nnt(self.graph, vertex, deepest) if deepest else NNT(vertex, 1)
+            if tree.canonical_form(label_of) != stored.canonical_form(label_of):
+                raise AssertionError(f"NNT of {vertex!r} diverged from fresh build")
             for node in tree.nodes():
                 live += 1
                 if node.root_vertex != vertex:
                     raise AssertionError("tree node caches the wrong root vertex")
                 if not _in_slot(self.node_index.get(node.graph_vertex, ()), node.vpos, node):
                     raise AssertionError("tree node missing from node index")
-                if (node.children is NO_CHILDREN) != (node.depth >= self.depth_limit):
-                    raise AssertionError("children dict on a leaf or none on an inner node")
-                if node.parent is not None:
-                    key = edge_key(node.parent.graph_vertex, node.graph_vertex)
-                    if not _in_slot(self.edge_index.get(key, ()), node.epos, node):
-                        raise AssertionError("tree edge missing from edge index")
-                    if node.dim is not self._dims.get(node.dim):
-                        raise AssertionError("tree node dimension is not the interned one")
+                if node.parent is None:
+                    continue
+                if (node.children is NO_CHILDREN) != (node.depth >= deepest):
+                    raise AssertionError("children dict at the deepest level or none above it")
+                key = edge_key(node.parent.graph_vertex, node.graph_vertex)
+                if not _in_slot(self.edge_index.get(key, ()), node.epos, node):
+                    raise AssertionError("tree edge missing from edge index")
+                if node.dim is not self._dims.get(node.dim):
+                    raise AssertionError("tree node dimension is not the interned one")
+        if self.num_tree_nodes != logical:
+            raise AssertionError(
+                f"running tree-node counter ({self.num_tree_nodes}) diverged "
+                f"from the fresh full-depth builds ({logical})"
+            )
         # Every live node was found in a slot of its own above, so equal
         # totals leave no room for a stale or duplicated bucket entry.
-        if recounted != live:
+        if sum(map(len, self.node_index.values())) != live:
             raise AssertionError("stale node-index entry")
         if sum(map(len, self.edge_index.values())) != live - len(self.trees):
             raise AssertionError("stale edge-index entry")

@@ -14,7 +14,11 @@ indexes individual tree nodes in its inverted indexes.
 Memory layout: with branching factor ``r`` about ``(r-1)/r`` of a tree's
 nodes sit at the depth limit, where no child can ever hang, so a node
 created as a *leaf* shares one read-only empty ``children`` mapping and
-only inner nodes own a dict.  The index-owned slots (``root_vertex``, the
+only inner nodes own a dict.  The index goes one step further and stores
+its trees to depth ``l - 1`` only — its leaves are the depth-``l - 1``
+nodes, each standing for the depth-``l`` children the graph implies (see
+:mod:`repro.nnt.incremental`); :func:`~repro.nnt.builder.build_nnt`
+always builds the full tree.  The index-owned slots (``root_vertex``, the
 interned ``dim``, the positions ``vpos`` / ``epos`` in the node's
 ``I_node`` / ``I_edge`` buckets) are never assigned on trees built by
 :func:`repro.nnt.builder.build_nnt`.
@@ -38,8 +42,8 @@ class TreeNode:
     ``children`` is keyed by the child's graph vertex: from a given tree
     node at graph vertex ``g``, a graph edge ``(g, x)`` can extend the path
     in at most one way, so keys are unique.  ``leaf=True`` declares that
-    no child will ever be added (the node sits at its tree's depth limit):
-    ``children`` is then the shared :data:`NO_CHILDREN`.
+    no child will ever be added (the node sits at the deepest level its
+    tree stores): ``children`` is then the shared :data:`NO_CHILDREN`.
     """
 
     __slots__ = (

@@ -6,6 +6,7 @@ import pytest
 
 from repro import EdgeChange, GraphChangeOperation, LabeledGraph, StreamMonitor
 from repro.isomorphism import SubgraphMatcher
+from repro.nnt import build_all_nnts
 
 from .conftest import extract_connected_subgraph, random_labeled_graph
 
@@ -95,13 +96,14 @@ class TestUpdates:
 
     def test_stats_tree_nodes_o1_counter(self):
         """stats() must report the running per-stream tree-node counter,
-        matching an explicit recount of the node-index buckets."""
+        matching an explicit recount over fresh full-depth builds."""
         monitor = make_monitor()
         monitor.add_stream("s", chain(["A", "B", "C"]))
         monitor.apply("s", EdgeChange.insert(0, 2, "-"))
         stats = monitor.stats()
         index = monitor._indexes["s"]
-        recount = sum(len(bucket) for bucket in index.node_index.values())
+        fresh = build_all_nnts(index.graph, index.depth_limit)
+        recount = sum(tree.size() for tree in fresh.values())
         assert stats["streams"]["s"]["tree_nodes"] == recount > 0
 
     def test_is_match(self):

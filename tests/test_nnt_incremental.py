@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import StreamMonitor
 from repro.graph import EdgeChange, GraphChangeOperation, GraphError, LabeledGraph
-from repro.nnt import NNTIndex, project_graph
+from repro.nnt import NNTIndex, build_all_nnts, project_graph
 from repro.nnt.projection import DimensionScheme
 
 from .conftest import random_labeled_graph
@@ -100,6 +101,35 @@ class TestInsert:
         index = NNTIndex(paper_graph(), depth_limit=2)
         with pytest.raises(GraphError):
             index.insert_edge(1, 2, "-")
+
+    @pytest.mark.parametrize(
+        "refused",
+        [
+            (1, 2, "-", "A", None),  # no label for the new vertex 2
+            (3, 3, "-", "A", "A"),  # self loop
+        ],
+    )
+    def test_refused_insert_leaves_no_trace(self, refused):
+        """A refused insert raises before the first mutation: no phantom
+        endpoint in the graph, the trees, the NPVs or a listener's mirror."""
+        index = NNTIndex(depth_limit=3)
+        listener = RecordingListener()
+        index.add_listener(listener)
+        with pytest.raises(GraphError):
+            index.insert_edge(*refused)
+        assert index.graph.num_vertices == 0 and index.num_tree_nodes == 0
+        assert not index.trees and not index.npvs and not listener.vectors
+        index.check_integrity()
+
+    def test_refused_insert_does_not_flip_the_trivial_query(self):
+        """An engine mirroring a phantom vertex would call a one-vertex
+        query a candidate of the (still empty) stream."""
+        dot = LabeledGraph.from_vertices_and_edges([(0, "A")])
+        monitor = StreamMonitor({"dot": dot})
+        monitor.add_stream("s")
+        with pytest.raises(GraphError):
+            monitor.apply("s", EdgeChange.insert(1, 2, "-", "A", None))
+        assert monitor.matches() == set()
 
     def test_first_edge_of_empty_index(self):
         index = NNTIndex(depth_limit=2)
@@ -244,4 +274,35 @@ def test_property_operation_stream_consistency(seeds):
         if index.graph.num_vertices == 0:
             index.insert_edge(0, 1, "-", "A", "B")
     assert index.npvs == project_graph(index.graph, 2)
+    index.check_integrity()
+
+
+class BatchRecordingListener(RecordingListener):
+    """The same mirror, fed whole coalesced batches."""
+
+    def on_batch_update(self, deltas):
+        for (vertex, dim), net in deltas.items():
+            self.on_dimension_delta(vertex, dim, net)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from((1, 2, 3, 4)),
+    st.booleans(),
+    st.lists(st.integers(0, 10_000), min_size=5, max_size=30),
+)
+def test_property_depth_limit_level_is_derived_from_the_graph(depth, edge_labels, seeds):
+    """The index materialises levels 0..l-1 and implies level l (at l = 1
+    the roots are the deepest level): after every step, under both
+    dimension schemes, the NPVs, the logical node counter and a mirror
+    replaying the delivered deltas equal what full-depth fresh builds give."""
+    scheme = DimensionScheme(include_edge_label=edge_labels)
+    index = NNTIndex(depth_limit=depth, scheme=scheme)
+    listener = BatchRecordingListener()
+    index.add_listener(listener)
+    for seed in seeds:
+        _random_step(random.Random(seed), index)
+        assert index.npvs == project_graph(index.graph, depth, scheme) == listener.vectors
+        fresh = build_all_nnts(index.graph, depth)
+        assert index.num_tree_nodes == sum(tree.size() for tree in fresh.values())
     index.check_integrity()

@@ -1,11 +1,13 @@
-"""Memory layout of the NNT store (ISSUE 12).
+"""Memory layout of the NNT store (ISSUEs 12 and 15).
 
 What the layout promises, each checked where it can be observed: removed
 subtrees are acyclic and die by reference count, churn leaves nothing for
-the cycle collector, a live tree node costs a bounded number of bytes, and
+the cycle collector, a live *logical* tree node (materialised above the
+depth limit, implied at it) costs a bounded number of bytes, and
 `NNTIndex.check_integrity` notices when any of the layout's own invariants
-(slot back-pointers, no empty edge bucket, interned dimensions, dict-free
-leaves) is broken.
+(slot back-pointers, no empty edge bucket, interned dimensions, a
+dict-free deepest materialised level, the implied level's NPV counts, the
+logical node counter) is broken.
 """
 
 import gc
@@ -22,9 +24,12 @@ from repro.nnt import NNTIndex, build_nnt
 from repro.nnt import incremental
 from repro.nnt.tree import NO_CHILDREN, TreeNode
 
-#: tracemalloc bytes per live tree node after the churn below: 530 with
-#: set buckets, a dict per node and a tuple per node; ~215 now.
-BYTES_PER_NODE_CEILING = 240
+#: tracemalloc bytes per live logical tree node after the churn below: 530
+#: with set buckets, a dict per node and a tuple per node; ~215 with every
+#: level materialised; 61 with the depth-limit level implied (44 at build:
+#: the churn drains a third of the graph, and the per-vertex NPV dicts and
+#: inner nodes' children dicts keep their high-water tables).
+BYTES_PER_NODE_CEILING = 64
 
 
 @contextmanager
@@ -55,9 +60,10 @@ class WeakNode(TreeNode):
 
 def test_deleted_subtree_dies_without_the_collector(monkeypatch):
     monkeypatch.setattr(incremental, "TreeNode", WeakNode)
-    index = NNTIndex(path_graph(), depth_limit=3)
-    # NNT(1) is the path 1 -> 2 -> 3 -> 4; deleting (1, 2) detaches the
-    # subtree topped by 2, whose inner node 3 has a parent and a child.
+    index = NNTIndex(path_graph(), depth_limit=4)
+    # NNT(1) is the path 1 -> 2 -> 3 -> 4, materialised to its end at
+    # depth limit 4; deleting (1, 2) detaches the subtree topped by 2,
+    # whose inner node 3 has a parent and a child.
     inner = weakref.ref(index.tree(1).root.children[2].children[3])
     assert inner().children and inner().parent is not None
     with collector_off():
@@ -104,7 +110,9 @@ def test_bytes_per_live_tree_node(churned):
 
 def test_reference_and_indexed_trees_share_one_shape():
     graph = path_graph()
-    index = NNTIndex(graph, depth_limit=2)
+    # The index stores NNT(1) to depth l - 1: at l = 3 that is the shape
+    # of the depth-2 reference tree, deepest level dict-free in both.
+    index = NNTIndex(graph, depth_limit=3)
     for tree in (build_nnt(graph, 1, 2), index.tree(1)):
         leaf = tree.root.children[2].children[3]
         assert leaf.children is NO_CHILDREN and not list(leaf.descendants(include_self=False))
@@ -132,7 +140,18 @@ def _copy_a_dimension(index):
 
 
 def _private_dict_on_a_leaf(index):
-    index.tree(1).root.children[2].children[3].children[4].children = {}
+    # The stored tree's leaves: depth l - 1 = 2, where 1 -> 2 -> 3 ends.
+    index.tree(1).root.children[2].children[3].children = {}
+
+
+def _implied_leaf_count_off_by_one(index):
+    # NNT(1) = 1 -> 2 -> 3 -> 4: the depth-3 edge C -> B exists only as a count.
+    assert index.npvs[1][(3, "C", "B")] == 1
+    index.npvs[1][(3, "C", "B")] = 2
+
+
+def _logical_counter_off_by_one(index):
+    index.num_tree_nodes += 1
 
 
 @pytest.mark.parametrize(
@@ -143,6 +162,8 @@ def _private_dict_on_a_leaf(index):
         _leave_empty_edge_bucket,
         _copy_a_dimension,
         _private_dict_on_a_leaf,
+        _implied_leaf_count_off_by_one,
+        _logical_counter_off_by_one,
     ],
 )
 def test_check_integrity_sees_layout_corruption(corrupt):
