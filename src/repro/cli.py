@@ -826,9 +826,6 @@ def _parse_host_port(spec: str) -> tuple[str, int]:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import DeadLetterQueue, ServeConfig, run_server, serve_lines
-    from .serve.protocol import encode_reply
-
     queries = dict(read_graph_set(args.queries))
     if args.workers >= 1:
         from .runtime import ShardedMonitor
@@ -846,12 +843,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     else:
         monitor = StreamMonitor(queries, method=args.method, depth_limit=args.depth)
-
-    def emit(payload: dict) -> None:
-        print(encode_reply(payload), flush=True)
-
-    dlq = DeadLetterQueue(args.dlq_dir)
     try:
+        # The serving edge (asyncio, ssl, http, admission) is imported
+        # only now that the workers have forked: they never serve, and
+        # would carry its pages for life.
+        from .serve import DeadLetterQueue, ServeConfig, run_server, serve_lines
+        from .serve.protocol import encode_reply
+
+        def emit(payload: dict) -> None:
+            print(encode_reply(payload), flush=True)
+
+        dlq = DeadLetterQueue(args.dlq_dir)
         if args.tcp:
             host, port = _parse_host_port(args.tcp)
             http_host, http_port = (None, 0)

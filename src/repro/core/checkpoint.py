@@ -16,9 +16,9 @@ the JSON manifest and must be JSON-representable.
 
 Shard-scoped checkpoints: the multi-process runtime
 (:mod:`repro.runtime`) snapshots each worker's private monitor with a
-``shard`` annotation (shard id, shard count, journal sequence) so a
-respawned worker can prove it restored the right slice; the annotation
-is opaque to this module beyond being stored and returned.
+``shard`` annotation (shard id, shard count, snapshot ordinal) so a
+reader can tell which slice of the fleet it holds; the annotation is
+opaque to this module beyond being stored and returned.
 """
 
 from __future__ import annotations

@@ -6,9 +6,11 @@ from .operations import (
     INSERT,
     EdgeChange,
     GraphChangeOperation,
+    apply_batch_validated,
     apply_change,
     apply_operation,
     diff_graphs,
+    undo_batch,
 )
 from .stream import GraphStream
 
@@ -21,8 +23,10 @@ __all__ = [
     "GraphError",
     "GraphStream",
     "LabeledGraph",
+    "apply_batch_validated",
     "apply_change",
     "apply_operation",
     "diff_graphs",
     "edge_key",
+    "undo_batch",
 ]

@@ -104,13 +104,19 @@ def apply_change(graph: LabeledGraph, change: EdgeChange) -> None:
 
 
 def _apply_insert(graph: LabeledGraph, change: EdgeChange) -> None:
-    for vertex, label in ((change.u, change.u_label), (change.v, change.v_label)):
+    """Refused inserts (duplicate edge, new endpoint without a label)
+    raise before anything is touched, like ``NNTIndex.insert_edge``."""
+    if graph.has_edge(change.u, change.v):
+        raise GraphError(f"edge ({change.u!r}, {change.v!r}) already exists")
+    endpoints = ((change.u, change.u_label), (change.v, change.v_label))
+    for vertex, label in endpoints:
+        if label is None and not graph.has_vertex(vertex):
+            raise GraphError(
+                f"insertion of edge ({change.u!r}, {change.v!r}) creates "
+                f"vertex {vertex!r} but no label was provided"
+            )
+    for vertex, label in endpoints:
         if not graph.has_vertex(vertex):
-            if label is None:
-                raise GraphError(
-                    f"insertion of edge ({change.u!r}, {change.v!r}) creates "
-                    f"vertex {vertex!r} but no label was provided"
-                )
             graph.add_vertex(vertex, label)
     graph.add_edge(change.u, change.v, change.edge_label)
 
@@ -126,6 +132,64 @@ def apply_operation(graph: LabeledGraph, operation: GraphChangeOperation) -> Non
     """Apply a whole batch in place: deletions first, then insertions."""
     for change in operation.sequentialized():
         apply_change(graph, change)
+
+
+def apply_batch_validated(
+    graph: LabeledGraph, batch: GraphChangeOperation | EdgeChange
+) -> list[tuple]:
+    """Apply ``batch`` to ``graph``, all or nothing.
+
+    Runs the exact mutation sequence a monitor runs (deletions first,
+    then insertions; endpoints left isolated are dropped), so a batch a
+    monitor would refuse (duplicate insert, missing delete, unlabeled
+    new vertex) raises :class:`GraphError` *here* — with every change of
+    the batch that had already applied undone, leaving ``graph`` exactly
+    as it was.  Returns the undo log of the applied batch, for a caller
+    that has to take it back later (:func:`undo_batch`).
+    """
+    changes = (batch,) if isinstance(batch, EdgeChange) else batch.sequentialized()
+    undo: list[tuple] = []
+    try:
+        for change in changes:
+            u, v = change.u, change.v
+            if change.op == INSERT:
+                created = tuple(w for w in (u, v) if not graph.has_vertex(w))
+                _apply_insert(graph, change)
+                undo.append((INSERT, u, v, created))
+            else:
+                record = (
+                    DELETE,
+                    u,
+                    v,
+                    graph.edge_label(u, v),
+                    graph.vertex_label(u),
+                    graph.vertex_label(v),
+                )
+                _apply_delete(graph, change)
+                undo.append(record)
+    except BaseException:
+        undo_batch(graph, undo)
+        raise
+    return undo
+
+
+def undo_batch(graph: LabeledGraph, undo: list[tuple]) -> None:
+    """Revert a batch :func:`apply_batch_validated` applied to ``graph``
+    (nothing else may have touched the graph in between).  One record per
+    applied change: ``(INSERT, u, v, created_endpoints)`` or
+    ``(DELETE, u, v, edge_label, u_label, v_label)``."""
+    for record in reversed(undo):
+        if record[0] == INSERT:
+            _, u, v, created = record
+            graph.remove_edge(u, v)
+            for vertex in created:
+                graph.remove_vertex(vertex)
+        else:
+            _, u, v, edge_label, u_label, v_label = record
+            for vertex, label in ((u, u_label), (v, v_label)):
+                if not graph.has_vertex(vertex):
+                    graph.add_vertex(vertex, label)
+            graph.add_edge(u, v, edge_label)
 
 
 def diff_graphs(old: LabeledGraph, new: LabeledGraph) -> GraphChangeOperation:

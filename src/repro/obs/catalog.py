@@ -62,6 +62,7 @@ CATALOG: dict[str, tuple[str, str]] = {
     # -- query churn ------------------------------------------------------
     "query.register.seconds": ("histogram", "seconds per live query registration"),
     # -- sharded runtime --------------------------------------------------
+    "runtime.add_stream.seconds": ("histogram", "seconds per worker-side stream index build"),
     "runtime.bytes_pickled": ("counter", "payload bytes pickled onto worker queues"),
     "runtime.checkpoint.seconds": ("histogram", "seconds per shard checkpoint write"),
     "runtime.deregister_query.seconds": ("histogram", "seconds per fleet query retirement"),

@@ -18,9 +18,9 @@ matching the runtime's pickled command tuples:
   executes the command under :func:`attached`, so the worker's root
   spans adopt the coordinator's trace id and parent span id.
 
-Commands replayed from a recovery journal are recorded *without* a
-context (the coordinator journals the base command, not the envelope),
-so a respawned worker opens fresh traces instead of re-attaching to
+The commands recovery seeds a respawned worker with are sent *without*
+a context (the bare command, not an envelope), so a respawned worker
+opens fresh traces instead of re-attaching to
 parents that ended before it was born — no orphan parent ids.
 
 The ids are process-unique by construction (``pid`` + per-process
@@ -204,14 +204,14 @@ class _Attachment:
 def attached(ctx: TraceContext | None) -> _Attachment:
     """Run a block with ``ctx`` as the remote parent of any root span
     opened inside it.  ``attached(None)`` explicitly clears the remote
-    parent (a journal-replayed command must not adopt a stale trace)."""
+    parent (a command replayed by recovery must not adopt a stale trace)."""
     return _Attachment(ctx)
 
 
 def stamp_envelope(command: tuple) -> tuple:
     """The command tuple extended with the current trace context, when
-    a trace is active; unchanged otherwise (so journals and disabled
-    runs see byte-identical commands)."""
+    a trace is active; unchanged otherwise (so disabled runs see
+    byte-identical commands)."""
     ctx = current_context()
     if ctx is None:
         return command

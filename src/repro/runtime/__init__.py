@@ -7,12 +7,12 @@ processes (consistent hash on stream id — streams are independent by
 Definition 2.8, so sharding preserves the answer), routes change
 batches to bounded worker inboxes under a configurable backpressure
 policy, aggregates per-worker candidate sets into one global answer at
-poll time, and checkpoints each shard so a killed worker respawns with
-no false negatives.
+poll time, and keeps each stream's current graph so a killed worker
+respawns with no false negatives.
 
 See ``docs/runtime.md`` for the architecture, routing, backpressure and
 recovery protocols; :mod:`repro.runtime.worker` for the command
-protocol; :mod:`repro.runtime.recovery` for the snapshot/journal
+protocol; :mod:`repro.runtime.recovery` for the snapshot export
 layout.
 
 This is the only package in the tree allowed to touch process/thread
@@ -28,7 +28,7 @@ from .coordinator import (
     WorkerCrashed,
     WorkerDied,
 )
-from .recovery import CheckpointStore, RecoveryLog, ShardJournal
+from .recovery import CheckpointStore, RecoveryLog
 from .router import ShardRouter, stable_hash
 from .shm import RingReader, RingRef, ShmError, ShmRing, cleanup_segments
 from .worker import ShardState, WorkerSpec
@@ -39,7 +39,6 @@ __all__ = [
     "RecoveryLog",
     "RingReader",
     "RingRef",
-    "ShardJournal",
     "ShardRouter",
     "ShardState",
     "ShardedMonitor",

@@ -28,30 +28,41 @@ answer reflects exactly the updates accepted before the poll — the same
 semantics as calling ``matches()`` on a single monitor after the same
 ``apply`` calls.
 
-**Recovery.**  Every state-mutating command is journaled per shard
-(:mod:`repro.runtime.recovery`); ``checkpoint()`` snapshots each worker
-and truncates its journal.  A worker that dies — killed, OOMed, crashed
-hardware — is respawned from its latest committed snapshot and the
-journal tail is replayed, converging to exactly the state the lost
-worker would have reached: no false negatives.  With ``auto_recover``
-(default) this happens transparently inside the call that notices the
-death.
+**State of record.**  A worker's filter state is a pure function of
+its streams' *current graphs* and the query set, so that is all the
+coordinator keeps: one :class:`~repro.graph.LabeledGraph` per stream
+(``add_stream`` stores a copy, every accepted ``apply`` is folded in
+with the worker's own semantics, ``remove_stream`` forgets it) next to
+the live query dict — O(sum of |E_i|), whatever the stream length.  The
+fold (:func:`~repro.graph.operations.apply_batch_validated`) is
+all-or-nothing and runs *before* anything is put on a queue or ring: a
+batch a worker would die on raises :class:`~repro.graph.GraphError`
+from ``apply`` with nothing sent and nothing recorded.
+
+**Recovery.**  A worker that dies — killed, OOMed, crashed hardware —
+is respawned from the birth spec and sent the state of record: the net
+query churn since birth, then ``add_stream(id, current graph)`` for
+every stream it owns.  That is the state the lost worker would have
+reached (no false negatives), at a cost independent of how long the
+streams have run.  With ``auto_recover`` (default) this happens inside
+the call that notices the death.  ``checkpoint()`` is an export, not a
+recovery input (:mod:`repro.runtime.recovery`).
 
 **Payload rings** (``shm=True``).  Each shard gets a
 coordinator->worker shared-memory ring (:mod:`repro.runtime.shm`):
 ``apply`` pickles the update once into the ring and the inbox queue
 carries a fixed-size :class:`~repro.runtime.shm.RingRef` instead of the
 payload — the ``runtime.bytes_pickled`` counter shows the difference.
-Journals keep recording the *inline* payloads, so recovery and the loss
-guarantees are unchanged.
+Recovery never reads a ring (the state of record is the coordinator's
+own graphs), so the loss guarantees are unchanged.
 
 **Elastic resharding.**  :meth:`rescale` grows or shrinks the worker
 pool live: behind a routing barrier, every stream whose consistent-hash
-owner changes is exported from its old shard (a FIFO-ordered graph
-export, so every accepted update is folded in) and re-registered —
-journaled — on its new one.  The union-of-shards answer is preserved at
-every poll, and a worker killed mid-rescale recovers from journal +
-checkpoint exactly like any other death.
+owner changes is registered on its new shard from the coordinator's
+graph of it (every accepted update is folded in; no worker round trip)
+and removed from its old one.  The union-of-shards answer is preserved
+at every poll, and a worker killed mid-rescale recovers exactly like
+any other death.
 """
 
 from __future__ import annotations
@@ -69,10 +80,15 @@ from .. import obs
 from ..core.metrics import Stopwatch
 from ..core.monitor import MatchEvent, diff_polls
 from ..graph.labeled_graph import LabeledGraph
-from ..graph.operations import EdgeChange, GraphChangeOperation
+from ..graph.operations import (
+    EdgeChange,
+    GraphChangeOperation,
+    apply_batch_validated,
+    undo_batch,
+)
 from ..join.base import Pair, QueryId, StreamId
 from ..nnt.projection import DimensionScheme, PAPER_SCHEME
-from .recovery import CheckpointStore, RecoveryLog, ShardJournal
+from .recovery import CheckpointStore, RecoveryLog
 from .router import ShardRouter
 from .shm import DEFAULT_RING_CAPACITY, ShmRing, cleanup_segments
 from .worker import (
@@ -80,14 +96,12 @@ from .worker import (
     CMD_APPLY,
     CMD_CHECKPOINT,
     CMD_DEREGISTER_QUERY,
-    CMD_EXPORT_STREAM,
     CMD_POLL,
     CMD_REGISTER_QUERY,
     CMD_REMOVE_STREAM,
     CMD_STATS,
     CMD_STOP,
     CMD_TRACE,
-    STATE_COMMANDS,
     WorkerSpec,
     worker_main,
 )
@@ -152,8 +166,7 @@ class ShardedMonitor:
         docstring.
     checkpoint_dir:
         Root directory for shard snapshots; required for
-        ``checkpoint()`` and for restore-based recovery (without it,
-        recovery replays the journal from the shard's birth).
+        ``checkpoint()``.
     checkpoint_every:
         Auto-checkpoint after this many accepted change batches
         (0 = manual checkpoints only).
@@ -230,16 +243,15 @@ class ShardedMonitor:
         self.router = ShardRouter(num_workers)
         self.store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
         self.recovery_log = RecoveryLog()
-        self._journals = {shard: ShardJournal() for shard in range(num_workers)}
         self._spill: dict[int, deque[tuple]] = {
             shard: deque() for shard in range(num_workers)
         }
         self._streams: dict[StreamId, int] = {}
-        # The *live* query set.  ``self.spec.queries`` stays frozen at
-        # birth: a respawn restores checkpoint (whose manifest carries
-        # the churned membership) or birth spec, then replays the
-        # journal — which contains every register/deregister since — so
-        # the two always reconverge to this dict.
+        # The state of record: each stream's current graph — private to
+        # this process; what crosses a queue is a copy, because queues
+        # pickle later, on a feeder thread — and the *live* query set
+        # (``self.spec.queries`` stays frozen at birth).
+        self._graphs: dict[StreamId, LabeledGraph] = {}
         self._queries: dict[QueryId, LabeledGraph] = dict(queries)
         self._query_registrations = 0
         self._query_deregistrations = 0
@@ -350,17 +362,28 @@ class ShardedMonitor:
         shard = self.router.shard_for(stream_id)
         self._submit_control(shard, (CMD_ADD_STREAM, stream_id, initial))
         self._streams[stream_id] = shard
+        self._graphs[stream_id] = (
+            initial.copy() if initial is not None else LabeledGraph()
+        )
 
     def remove_stream(self, stream_id: StreamId) -> None:
         """Stop monitoring a stream and free its shard-local state."""
         self._ensure_open()
-        shard = self._streams.pop(stream_id)
-        self._submit_control(shard, (CMD_REMOVE_STREAM, stream_id))
+        # Delivered before it is forgotten: a respawn inside the submit
+        # still registers the stream the command then removes.
+        self._submit_control(self._streams[stream_id], (CMD_REMOVE_STREAM, stream_id))
+        del self._streams[stream_id]
+        del self._graphs[stream_id]
         self._last_poll = {pair for pair in self._last_poll if pair[0] != stream_id}
 
     def stream_ids(self) -> list[StreamId]:
         """Ids of the currently monitored streams."""
         return list(self._streams)
+
+    def graph(self, stream_id: StreamId) -> LabeledGraph:
+        """The stream's current graph: the initial graph with every
+        accepted update folded in (live — treat as read-only)."""
+        return self._graphs[stream_id]
 
     def query_ids(self) -> list[QueryId]:
         """Ids of the currently monitored patterns."""
@@ -372,13 +395,12 @@ class ShardedMonitor:
     def register_query(self, query_id: QueryId, query: LabeledGraph) -> None:
         """Register a pattern live, with no false-negative window.
 
-        The command rides the journaled control path to every shard
-        (:data:`~repro.runtime.worker.CMD_REGISTER_QUERY` is a state
-        command): each worker's FIFO inbox guarantees its registration
-        snapshot reflects every update accepted before this call
-        returns, and a worker SIGKILLed mid-registration replays the
-        command from its journal — the query lands fully present or,
-        if the call itself never completed on that shard, fully absent.
+        The command rides the control path to every shard: each
+        worker's FIFO inbox guarantees its registration snapshot
+        reflects every update accepted before this call returns, and a
+        worker SIGKILLed mid-registration is respawned with the live
+        query set — the query lands fully present or, if the call
+        itself never completed, fully absent.
         """
         self._ensure_open()
         if query_id in self._queries:
@@ -434,14 +456,17 @@ class ShardedMonitor:
         """Route one edge change / timestamp batch to the owning shard.
 
         Returns True when the update was accepted (always, except under
-        the ``"drop"`` policy with a full inbox).
+        the ``"drop"`` policy with a full inbox).  A batch the stream's
+        current graph refuses (duplicate insert, missing delete,
+        unlabeled new vertex) raises :class:`~repro.graph.GraphError`:
+        nothing of it is applied, sent or recorded.
         """
         self._ensure_open()
         if stream_id not in self._streams:
             raise KeyError(f"stream {stream_id!r} is not monitored")
         shard = self._streams[stream_id]
         with obs.span("runtime.submit", shard=shard):
-            accepted = self._submit_update(shard, (CMD_APPLY, stream_id, update))
+            accepted = self._submit_update(shard, stream_id, update)
         if accepted:
             self._accepted_batches += 1
             self._batches_since_checkpoint += 1
@@ -488,13 +513,10 @@ class ShardedMonitor:
                     ) from None
 
     def _submit_control(self, shard: int, command: tuple) -> None:
-        """Control traffic: always lossless and blocking.
-
-        The wire carries the trace-stamped envelope; the journal records
-        the *base* command, so recovery replays open fresh traces
-        instead of parenting to spans that ended before the respawned
-        worker was born.
-        """
+        """Control traffic: always lossless and blocking.  Callers
+        update the state of record only once this returns, so a respawn
+        in here rebuilds the worker *without* the command's effect and
+        the command then lands on it exactly once."""
         envelope = obs.stamp_envelope(command)
         for attempt in (0, 1):
             handle = self._handle_for(shard)
@@ -505,8 +527,6 @@ class ShardedMonitor:
                 if not self.auto_recover or attempt:
                     raise
                 # _handle_for will respawn on the retry.
-        if command[0] in STATE_COMMANDS:
-            self._journals[shard].record(command)
 
     def _wire_apply(self, shard: int, command: tuple) -> tuple:
         """The wire form of one apply: ``(envelope, ring_ref)``.
@@ -544,16 +564,37 @@ class ShardedMonitor:
             ).inc(len(pickle.dumps(envelope)))
         return envelope, ref
 
-    def _submit_update(self, shard: int, command: tuple) -> bool:
-        """Data traffic: subject to the configured backpressure policy.
+    def _submit_update(
+        self,
+        shard: int,
+        stream_id: StreamId,
+        update: GraphChangeOperation | EdgeChange,
+    ) -> bool:
+        """Data traffic: fold the update into the stream's graph, then
+        send it under the backpressure policy.  The fold comes after the
+        liveness check (a respawn must not be built from a batch it is
+        about to be sent) and is taken back when the update is not
+        accepted — dropped, or the send raised."""
+        handle = self._handle_for(shard)
+        graph = self._graphs[stream_id]
+        undo = apply_batch_validated(graph, update)
+        accepted = False
+        try:
+            accepted = self._send_update(shard, handle, (CMD_APPLY, stream_id, update))
+        finally:
+            if not accepted:
+                undo_batch(graph, undo)
+        return accepted
+
+    def _send_update(self, shard: int, handle: _WorkerHandle, command: tuple) -> bool:
+        """Put one folded apply on the wire; False when dropped.
 
         Stamped envelopes travel the wire (and wait in the spill buffer,
-        keeping the submit-time trace context); journals record base
-        commands — see :meth:`_submit_control`.  Ring-borne payloads are
-        rolled back when dropped and re-wired after a recovery (the
-        respawned worker gets a fresh ring, so a pre-death ref is dead).
+        keeping the submit-time trace context).  A worker that dies
+        under the send is re-sent nothing: its respawn is built from
+        graphs that already hold the update.  Ring-borne payloads are
+        rolled back when dropped.
         """
-        handle = self._handle_for(shard)
         envelope, ref = self._wire_apply(shard, command)
         if self.backpressure == "block":
             try:
@@ -562,8 +603,6 @@ class ShardedMonitor:
                 if not self.auto_recover:
                     raise
                 self.recover(shard)
-                envelope, ref = self._wire_apply(shard, command)
-                self._put_blocking(self._workers[shard], envelope)
         elif self.backpressure == "drop":
             try:
                 handle.inbox.put_nowait(envelope)
@@ -584,7 +623,6 @@ class ShardedMonitor:
                 self._spilled += 1
                 self._record_spilled()
                 self._drain_spill(shard, block=False)
-                self._journals[shard].record(command)
                 return True
             try:
                 handle.inbox.put_nowait(envelope)
@@ -592,9 +630,6 @@ class ShardedMonitor:
                 spill.append(envelope)
                 self._spilled += 1
                 self._record_spilled()
-                self._journals[shard].record(command)
-                return True
-        self._journals[shard].record(command)
         return True
 
     @staticmethod
@@ -611,13 +646,15 @@ class ShardedMonitor:
         Drains the whole buffer in one call whenever the inbox has room
         (``deque`` keeps the per-envelope cost O(1) however deep the
         backlog got); a full inbox ends the non-blocking drain early.
-        Spilled commands are already journaled; recovery clears the park
-        buffer and replays the journal instead, so death mid-drain loses
-        nothing.
+        Parked updates are already folded into the graphs of record;
+        recovery empties the buffer and rebuilds the worker from those,
+        so death mid-drain loses nothing.
         """
         spill = self._spill[shard]
+        if not spill:
+            return
+        handle = self._handle_for(shard)  # a respawn here empties the buffer
         while spill:
-            handle = self._handle_for(shard)
             try:
                 if block:
                     self._put_blocking(handle, spill[0])
@@ -629,7 +666,7 @@ class ShardedMonitor:
                 if not self.auto_recover:
                     raise
                 self.recover(shard)
-                return  # recover() already replayed the journal (incl. spill)
+                return
             spill.popleft()
 
     def _barrier(self) -> None:
@@ -752,7 +789,6 @@ class ShardedMonitor:
             payload = dict(response[3])
             payload["pid"] = self._workers[shard].process.pid
             payload["alive"] = self._workers[shard].is_alive()
-            payload["journal_len"] = len(self._journals[shard])
             workers[shard] = payload
         shard_streams: dict[int, int] = {shard: 0 for shard in self._workers}
         for shard in self._streams.values():
@@ -817,16 +853,15 @@ class ShardedMonitor:
         """Grow or shrink the worker pool to ``num_workers``, live.
 
         Runs behind a routing barrier (all spill drained, so every
-        accepted update is deliverable before ownership moves).  Each
-        stream whose consistent-hash owner changes is exported from its
-        current shard — a FIFO-ordered request, so the exported graph
-        reflects every accepted update — and re-registered on its new
-        owner through the journaled control path; shrinking stops the
-        excess shards only after their streams have moved out.  Polls
-        issued after ``rescale`` returns therefore see exactly the
-        union they would have seen without it: no false negatives, and
-        a worker killed mid-rescale recovers from journal + checkpoint
-        like any other death.
+        accepted update is delivered before ownership moves).  Each
+        stream whose consistent-hash owner changes is registered on its
+        new owner from the coordinator's graph of it — which holds
+        every accepted update, so no worker is asked for anything — and
+        removed from its old one; shrinking stops the excess shards
+        only after their streams have moved out.  Polls issued after
+        ``rescale`` returns therefore see exactly the union they would
+        have seen without it: no false negatives, and a worker killed
+        mid-rescale recovers like any other death.
 
         Returns ``{"from", "to", "moved_streams", "seconds"}``.
         """
@@ -875,18 +910,37 @@ class ShardedMonitor:
             "seconds": timer.total,
         }
 
-    def _query_catchup(self, shard: int) -> None:
-        """Replay the net query churn since birth onto one fresh shard
-        (spawned from the frozen birth spec) via journaled control
-        commands."""
+    def _seed(self, shard: int) -> int:
+        """Send a worker just spawned from the frozen birth spec the
+        state of record: the net query churn since birth, then the
+        current graph of every stream it owns.  Returns the command
+        count — a function of the live state, not of the history.
+
+        The commands go out bare (the worker opens fresh traces, not
+        children of spans that ended before it was born) and straight
+        onto the new inbox: if this worker dies too, the next call to
+        notice seeds its successor from scratch.
+        """
         birth = self.spec.queries
         live = self._queries
-        for query_id in birth:
-            if live.get(query_id) is not birth[query_id]:
-                self._submit_control(shard, (CMD_DEREGISTER_QUERY, query_id))
-        for query_id, graph in live.items():
-            if birth.get(query_id) is not graph:
-                self._submit_control(shard, (CMD_REGISTER_QUERY, query_id, graph))
+        commands: list[tuple] = [
+            (CMD_DEREGISTER_QUERY, query_id)
+            for query_id in birth
+            if live.get(query_id) is not birth[query_id]
+        ]
+        commands += [
+            (CMD_REGISTER_QUERY, query_id, graph)
+            for query_id, graph in live.items()
+            if birth.get(query_id) is not graph
+        ]
+        commands += [
+            (CMD_ADD_STREAM, stream_id, self._graphs[stream_id].copy())
+            for stream_id, owner in self._streams.items()
+            if owner == shard
+        ]
+        for command in commands:
+            self._put_blocking(self._workers[shard], command)
+        return len(commands)
 
     def _rescale_locked(self, target: int) -> int:
         """The rescale body: spawn, move, install, retire.  Returns the
@@ -894,30 +948,25 @@ class ShardedMonitor:
         source = self.num_workers
         self._barrier()
         for shard in range(source, target):  # grow: new empty shards
-            self._journals[shard] = ShardJournal()
             self._spill[shard] = deque()
-            if self.store is not None:
-                # A snapshot left by a *previous* tenant of this shard
-                # id describes a different stream slice — never restore
-                # from it.
-                self.store.invalidate(shard)
             self._workers[shard] = self._spawn(shard, self.spec)
-            # The newcomer was built from the birth spec; bring it up to
-            # the live query set through its (fresh) journal so a crash
-            # mid-catch-up recovers exactly like any other churn.
-            self._query_catchup(shard)
+            # Built from the birth spec and owning no stream yet: this
+            # brings it up to the live query set.
+            self._seed(shard)
         router = ShardRouter(target)
         moved = 0
-        # Deterministic move order (sorted by stream id) so journals and
+        # Deterministic move order (sorted by stream id) so workers and
         # tests see the same handoff sequence on every run.
         for stream_id in sorted(self._streams, key=str):
             destination = router.shard_for(stream_id)
             origin = self._streams[stream_id]
             if destination == origin:
                 continue
-            response = self._request(origin, CMD_EXPORT_STREAM, stream_id)
-            graph = response[3]
-            self._submit_control(destination, (CMD_ADD_STREAM, stream_id, graph))
+            # The origin keeps owning the stream until both commands are
+            # out: a respawn of either shard in between is seeded right.
+            self._submit_control(
+                destination, (CMD_ADD_STREAM, stream_id, self._graphs[stream_id].copy())
+            )
             self._submit_control(origin, (CMD_REMOVE_STREAM, stream_id))
             self._streams[stream_id] = destination
             moved += 1
@@ -940,11 +989,9 @@ class ShardedMonitor:
             ring = self._rings.pop(shard, None)
             if ring is not None:
                 ring.close(unlink=True)
-            del self._journals[shard]
             del self._spill[shard]
             if self.store is not None:
-                # This shard id may be re-created by a later grow with a
-                # different slice; its old snapshot must not survive.
+                # Its last export describes a shard that no longer exists.
                 self.store.invalidate(shard)
         return moved
 
@@ -952,16 +999,18 @@ class ShardedMonitor:
     # checkpointing and recovery
     # ------------------------------------------------------------------
     def checkpoint(self) -> list[dict[str, Any]]:
-        """Snapshot every shard and truncate the journals; returns one
-        :func:`~repro.core.checkpoint.checkpoint_stats` dict per shard."""
+        """Export a snapshot of every shard under ``checkpoint_dir``;
+        returns one :func:`~repro.core.checkpoint.checkpoint_stats` dict
+        per shard.  Recovery does not read it."""
         self._ensure_open()
         if self.store is None:
             raise RuntimeError("checkpoint() requires checkpoint_dir")
         self._barrier()
         results = []
         for shard in self._workers:
-            journal = self._journals[shard]
-            sequence = journal.sequence
+            # The ordinal of this snapshot: every one gets a directory
+            # of its own, so ``LATEST`` never names one being written.
+            sequence = self.recovery_log.checkpoints
             target = self.store.prepare(shard, sequence)
             note = {
                 "shard_id": shard,
@@ -970,32 +1019,21 @@ class ShardedMonitor:
             }
             response = self._request(shard, CMD_CHECKPOINT, str(target), note)
             self.store.commit(shard, sequence)
-            journal.truncate()
             self.recovery_log.checkpoints += 1
             results.append(response[3])
         self._batches_since_checkpoint = 0
         return results
 
     def recover(self, shard: int) -> None:
-        """Respawn one shard's worker from its latest committed snapshot
-        (or from scratch) and replay the journal tail."""
+        """Respawn one shard's worker from the birth spec and bring it
+        to the state of record (:meth:`_seed`)."""
         self._ensure_open()
-        old = self._workers[shard]
-        old.dispose()
-        restore_dir = None
-        if self.store is not None:
-            latest = self.store.latest_dir(shard)
-            if latest is not None:
-                restore_dir = str(latest)
-        # Journaled-but-undelivered spill is replayed from the journal.
-        self._spill[shard] = deque()
-        handle = self._spawn(shard, self.spec.restored(restore_dir))
-        self._workers[shard] = handle
-        journal = self._journals[shard]
-        for command in journal.entries:
-            self._put_blocking(handle, command)
+        self._workers[shard].dispose()
+        # Parked updates are already in the graphs the respawn is seeded with.
+        self._spill[shard].clear()
+        self._workers[shard] = self._spawn(shard, self.spec)
         self.recovery_log.recoveries += 1
-        self.recovery_log.replayed_commands += len(journal)
+        self.recovery_log.replayed_commands += self._seed(shard)
 
     def recover_dead(self) -> list[int]:
         """Respawn every dead worker; returns the recovered shard ids."""

@@ -1,55 +1,29 @@
-"""Checkpoint-based worker recovery.
+"""Shard snapshot exports and the fleet's failure counters.
 
-The recovery protocol has two halves, both owned by the coordinator:
+Recovery itself needs nothing from this module but the counters: the
+coordinator's state of record is one current graph per stream plus the
+live query set (:mod:`repro.runtime.coordinator`), and a dead worker is
+respawned from the birth spec and re-sent exactly that — a cost that
+depends on the live graphs, never on how long the streams have run or
+on when a checkpoint was last taken.
 
-* a :class:`CheckpointStore` laying snapshots out on disk as
-  ``<root>/shard_<k>/ckpt_<seq>/`` (each one a plain
-  :mod:`repro.core.checkpoint` directory written *by the worker that
-  owns the shard*), with a ``LATEST`` pointer that is only advanced
-  after the worker acknowledges the snapshot — a worker killed mid-save
-  leaves a dangling ``ckpt_<seq>`` directory, never a corrupt pointer;
-* one :class:`ShardJournal` per shard holding every state-mutating
-  command submitted since the pointer last advanced.  Respawn = restore
-  the ``LATEST`` snapshot, then replay the journal tail in submission
-  order.  Because commands are routed per stream and applied in FIFO
-  order, the replayed worker converges to exactly the state the killed
-  worker would have reached — no false negatives (Lemma 4.2 holds
-  shard-locally, and no update is lost).
-
-The journal deliberately lives in the *coordinator*: it must survive
-the worker it describes.  Its memory footprint is bounded by the
-checkpoint cadence (``checkpoint_every``), which truncates it.
+:class:`CheckpointStore` lays the *exports* ``checkpoint()`` writes out
+on disk as ``<root>/shard_<k>/ckpt_<seq>/`` (each one a plain
+:mod:`repro.core.checkpoint` directory written *by the worker that
+owns the shard*, loadable with
+:func:`~repro.core.checkpoint.load_monitor`), with a ``LATEST`` pointer
+that is only advanced after the worker acknowledges the snapshot — a
+worker killed mid-save leaves a dangling ``ckpt_<seq>`` directory,
+never a pointer to an incomplete one.  Nothing in the runtime reads an
+export back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 LATEST = "LATEST"
-
-
-@dataclass
-class ShardJournal:
-    """State-mutating commands submitted to one shard since its last
-    acknowledged checkpoint (or since birth)."""
-
-    entries: list[tuple] = field(default_factory=list)
-    #: Commands recorded since birth, monotone across truncations — the
-    #: checkpoint sequence annotation ties snapshots to journal offsets.
-    sequence: int = 0
-
-    def record(self, command: tuple) -> None:
-        """Append one submitted command."""
-        self.entries.append(command)
-        self.sequence += 1
-
-    def truncate(self) -> None:
-        """Forget everything — the shard just checkpointed."""
-        self.entries.clear()
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 class CheckpointStore:
@@ -82,29 +56,17 @@ class CheckpointStore:
     def invalidate(self, shard_id: int) -> None:
         """Retract the shard's ``LATEST`` pointer (idempotent).
 
-        Called when a rescale creates or destroys a shard: the shard id
-        may be reused later with a *different* stream slice, and a
-        respawn restoring the old snapshot would resurrect streams the
-        router no longer sends there.  Snapshot directories stay on
-        disk (they are cheap and useful forensics); only the pointer —
-        the thing recovery trusts — goes away.
+        Called when a rescale retires a shard: its streams have moved,
+        so its last export no longer describes a slice of the fleet.
+        Snapshot directories stay on disk (they are cheap and useful
+        forensics); only the pointer — the thing a reader trusts —
+        goes away.
         """
         pointer = self.shard_dir(shard_id) / LATEST
         try:
             pointer.unlink()
         except FileNotFoundError:
             pass
-
-    def latest_dir(self, shard_id: int) -> Path | None:
-        """The last committed snapshot for a shard, or None if it never
-        completed a checkpoint (recovery then rebuilds from the journal
-        alone, which in that case reaches back to the shard's birth)."""
-        pointer = self.shard_dir(shard_id) / LATEST
-        if not pointer.exists():
-            return None
-        sequence = int(pointer.read_text(encoding="utf-8").strip())
-        target = self.shard_dir(shard_id) / f"ckpt_{sequence}"
-        return target if target.exists() else None
 
 
 @dataclass
@@ -113,6 +75,7 @@ class RecoveryLog:
 
     checkpoints: int = 0
     recoveries: int = 0
+    #: Commands sent to respawned workers to rebuild their state.
     replayed_commands: int = 0
 
     def summary(self) -> dict[str, int]:

@@ -8,8 +8,8 @@ the payload itself; the worker reads the bytes back at dispatch time.
 * :class:`ShmRing` / :class:`RingReader` — the producer and consumer
   halves.  Offsets are monotone u64s, the consumed watermark lives in
   the ring header, and a CRC mismatch crashes the worker loudly — which
-  is exactly the runtime's recover-from-journal path, since journals
-  always record inline payloads.
+  is exactly the runtime's normal recovery path, since the respawn is
+  built from the coordinator's own graphs and never reads a ring.
 
 **Segment lifecycle and crash orphans.**  The coordinator creates and
 owns every ring; workers only attach.  Graceful shutdown unlinks the
@@ -184,8 +184,8 @@ class RingReader:
 
         A CRC mismatch means the producer and consumer disagree about
         the ring state — the worker raises, dies loudly, and the
-        coordinator's journal replay (inline payloads) restores the
-        shard; corruption is never silently applied.
+        coordinator rebuilds the shard from its own graphs; corruption
+        is never silently applied.
         """
         position = ref.offset % self.capacity
         first = min(ref.length, self.capacity - position)

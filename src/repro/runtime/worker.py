@@ -6,29 +6,28 @@ shared query set.  It drains its bounded inbox in FIFO order — which is
 what makes a poll a consistent barrier: the poll command is enqueued
 after every update it must observe — and pushes tagged responses on its
 outbox.  All answering state is the monitor's; the worker adds only
-the checkpoint/restore glue.
+the checkpoint export glue.
 
 Workers never share *mutable* memory with the coordinator: commands and
 responses are picklable values (graphs, change operations, frozen
 candidate sets), so a worker can be SIGKILLed at any instant and
-respawned from its last shard checkpoint without corrupting anyone
-else.  The optional payload ring (:mod:`repro.runtime.shm`) keeps that
-property — it is single-producer (the coordinator) / single-consumer
-(this worker), the worker owns no segment, and everything is
-reconstructible from journal + checkpoint, so crash recovery works
-exactly as before.
+respawned from the coordinator's graphs of record without corrupting
+anyone else.  The optional payload ring (:mod:`repro.runtime.shm`)
+keeps that property — it is single-producer (the coordinator) /
+single-consumer (this worker), the worker owns no segment, and nothing
+recovery needs lives in it.
 """
 
 from __future__ import annotations
 
 import pickle
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
 from .. import obs
-from ..core.checkpoint import checkpoint_stats, load_monitor, save_monitor
+from ..core.checkpoint import checkpoint_stats, save_monitor
 from ..core.metrics import Stopwatch
 from ..core.monitor import StreamMonitor
 from ..graph.labeled_graph import LabeledGraph
@@ -45,10 +44,9 @@ CMD_POLL = "poll"
 CMD_STATS = "stats"
 CMD_TRACE = "trace"
 CMD_CHECKPOINT = "checkpoint"
-CMD_EXPORT_STREAM = "export_stream"
 CMD_STOP = "stop"
 
-#: Commands that mutate shard state and therefore enter the journal.
+#: Commands that mutate shard state (the ones the flight recorder notes).
 STATE_COMMANDS = frozenset(
     {CMD_ADD_STREAM, CMD_REMOVE_STREAM, CMD_APPLY, CMD_REGISTER_QUERY, CMD_DEREGISTER_QUERY}
 )
@@ -62,24 +60,17 @@ class WorkerSpec:
     method: str = "dsc"
     depth_limit: int = 3
     scheme: DimensionScheme = PAPER_SCHEME
-    restore_dir: str | None = None  # set when respawning from a checkpoint
     ring: str | None = None  # payload-ring segment name (coordinator-created)
     flight_dir: str | None = None  # flight-recorder journal/dump directory
 
     def build_monitor(self) -> StreamMonitor:
-        """A fresh monitor, restored from ``restore_dir`` when set."""
-        if self.restore_dir is not None:
-            return load_monitor(self.restore_dir)
+        """A fresh monitor over the birth query set."""
         return StreamMonitor(
             dict(self.queries),
             method=self.method,
             depth_limit=self.depth_limit,
             scheme=self.scheme,
         )
-
-    def restored(self, restore_dir: str | None) -> "WorkerSpec":
-        """This spec with a different restore directory."""
-        return replace(self, restore_dir=restore_dir)
 
 
 @dataclass
@@ -108,7 +99,9 @@ class ShardState:
             return None
         if kind == CMD_ADD_STREAM:
             _, stream_id, initial = command
-            self.monitor.add_stream(stream_id, initial)
+            # The index build over the initial graph — all a respawn costs.
+            with obs.span("runtime.add_stream", stream=stream_id):
+                self.monitor.add_stream(stream_id, initial)
             return None
         if kind == CMD_REMOVE_STREAM:
             self.monitor.remove_stream(command[1])
@@ -139,16 +132,6 @@ class ShardState:
                 help="wall-clock seconds to write one shard checkpoint",
             ).observe(timer.total)
             return (CMD_CHECKPOINT, request_id, self.shard_id, checkpoint_stats(directory))
-        if kind == CMD_EXPORT_STREAM:
-            # Rescale handoff: the stream's full graph, behind the FIFO
-            # barrier (every prior apply for it is already folded in).
-            _, request_id, stream_id = command
-            return (
-                CMD_EXPORT_STREAM,
-                request_id,
-                self.shard_id,
-                self.monitor.graph(stream_id),
-            )
         if kind == CMD_STOP:
             self.shutdown()
             return (CMD_STOP, command[1], self.shard_id, None)
@@ -181,17 +164,16 @@ def worker_main(shard_id: int, spec: WorkerSpec, inbox, outbox) -> None:
     context (:func:`repro.obs.stamp_envelope`); the worker splits the
     envelope and executes the base command under
     :func:`repro.obs.attached`, so the root spans it opens join the
-    coordinator-side trace of the call that caused them.  Journal
-    replays during recovery go through :meth:`ShardState.execute`
-    directly with bare commands, hence open fresh traces.
+    coordinator-side trace of the call that caused them.  The commands
+    a recovery seeds a respawn with arrive bare, hence open fresh traces.
     """
     obs.set_process_label(f"shard-{shard_id}")
     # A recovery respawn forks from a coordinator that may be mid-span:
     # drop every piece of observability state inherited across the fork
     # (open frames, the span ring, the registry) so this process starts
-    # clean — replayed journal commands open *fresh* root traces, and
-    # the shard's registry never double-counts coordinator instruments
-    # when stats are merged.
+    # clean — the commands recovery seeds it with open *fresh* root
+    # traces, and the shard's registry never double-counts coordinator
+    # instruments when stats are merged.
     obs.trace.reset()
     obs.clear_spans()
     obs.set_registry(obs.Registry())

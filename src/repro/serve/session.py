@@ -22,19 +22,21 @@ queue and *cleared from the stage*: the historical stdin loop kept the
 failing batch staged, so every subsequent tick re-failed it forever.
 Healthy streams in the same commit still apply.
 
-Poison detection must be *synchronous*, but the sharded runtime's
-``apply`` is not: it enqueues the batch and the graph error only
-surfaces at the next poll — as a :class:`WorkerCrashed` whose journal
-replay re-runs the same poison command, crash-looping the worker.  The
-bridge therefore keeps a **shadow** :class:`LabeledGraph` per stream
-and replays each batch against it (exact same mutation sequence the
-worker runs, all-or-nothing via undo records) *before* submitting, so
-graph-level poison is refused up front in both the in-process and the
-sharded configurations and the monitor never sees it.
+Poison detection must be *synchronous* and leave nothing half done,
+but the in-process monitor applies a batch change by change and stops
+at the first refused one.  The bridge therefore keeps a **shadow**
+:class:`LabeledGraph` per stream and replays each batch against it with
+:func:`repro.graph.operations.apply_batch_validated` (the exact
+mutation sequence the monitor runs, all or nothing) *before*
+submitting, so graph-level poison is refused up front and the monitor
+never sees it.  The sharded runtime folds every batch into its own
+graph of record with the same function, so its ``apply`` refuses the
+same batches the same way.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Any, Callable, Iterable, Mapping
 
 from .. import obs
@@ -42,10 +44,9 @@ from ..core.monitor import diff_polls
 from ..graph.io import read_graph_set
 from ..graph.labeled_graph import GraphError, LabeledGraph
 from ..graph.operations import (
-    INSERT,
     EdgeChange,
     GraphChangeOperation,
-    apply_change,
+    apply_batch_validated,
 )
 from . import protocol
 from .dlq import DeadLetterQueue
@@ -83,67 +84,6 @@ def _runtime_crash_errors() -> tuple[type[BaseException], ...]:
     from ..runtime.coordinator import WorkerCrashed
 
     return (WorkerCrashed,)
-
-
-def apply_batch_validated(shadow: LabeledGraph, batch: GraphChangeOperation) -> None:
-    """Apply ``batch`` to the shadow graph, all or nothing.
-
-    Replays the exact mutation sequence the monitor runs (deletions
-    first, then insertions — the paper's order) so graph-level poison
-    (duplicate insert, missing delete, unlabeled new vertex) raises
-    *here*, synchronously, before the batch is ever submitted.  On
-    failure every already-applied change is undone in reverse, leaving
-    the shadow identical to the monitor's state.
-    """
-    undo: list[tuple[EdgeChange, bool, Any, dict[Any, Any]]] = []
-    try:
-        for change in batch.sequentialized():
-            had_edge = shadow.has_edge(change.u, change.v)
-            prior_label = (
-                shadow.edge_label(change.u, change.v) if had_edge else None
-            )
-            labels = {
-                w: shadow.vertex_label(w)
-                for w in (change.u, change.v)
-                if shadow.has_vertex(w)
-            }
-            undo.append((change, had_edge, prior_label, labels))
-            apply_change(shadow, change)
-    except POISON_ERRORS:
-        for change, had_edge, prior_label, labels in reversed(undo):
-            _undo_change(shadow, change, had_edge, prior_label, labels)
-        raise
-
-
-def _undo_change(
-    shadow: LabeledGraph,
-    change: EdgeChange,
-    had_edge: bool,
-    prior_label: Any,
-    labels: dict[Any, Any],
-) -> None:
-    """Revert one (possibly partially applied) change on the shadow.
-
-    Guarded by pre-change facts rather than assumptions about how far
-    the change got: an insert that failed after creating one endpoint
-    still rolls back cleanly.
-    """
-    if change.op == INSERT:
-        if not had_edge and shadow.has_edge(change.u, change.v):
-            shadow.remove_edge(change.u, change.v)
-        for vertex in (change.u, change.v):
-            if (
-                vertex not in labels  # created by this change, if at all
-                and shadow.has_vertex(vertex)
-                and shadow.degree(vertex) == 0
-            ):
-                shadow.remove_vertex(vertex)
-    else:
-        for vertex in (change.u, change.v):
-            if vertex in labels and not shadow.has_vertex(vertex):
-                shadow.add_vertex(vertex, labels[vertex])
-        if had_edge and not shadow.has_edge(change.u, change.v):
-            shadow.add_edge(change.u, change.v, prior_label)
 
 
 class Session:
@@ -204,6 +144,9 @@ class MonitorBridge:
         #: Per-stream replica of the monitor's graph, used to refuse
         #: poison batches before they are submitted (module docstring).
         self._shadow: dict[Any, LabeledGraph] = {}
+        #: The last graph-set file read, as ``((path, mtime_ns, size),
+        #: parsed)``: registering n streams out of one file parses it once.
+        self._graph_file: tuple[tuple, dict[str, LabeledGraph]] | None = None
 
     # -- command execution -------------------------------------------------
 
@@ -260,9 +203,19 @@ class MonitorBridge:
             return {"ok": True, "cmd": command.verb}
         raise ProtocolError(f"unhandled command {type(command).__name__}")
 
+    def _graph_set(self, path: str) -> dict[str, LabeledGraph]:
+        """The graphs of one graph-set file by name, parsed again only
+        when the file has changed on disk.  The graphs are shared between
+        calls: callers copy before they mutate."""
+        status = os.stat(path)
+        key = (str(path), status.st_mtime_ns, status.st_size)
+        if self._graph_file is None or self._graph_file[0] != key:
+            self._graph_file = (key, dict(read_graph_set(path)))
+        return self._graph_file[1]
+
     def _add_stream(self, session: Session, command: AddStream) -> dict[str, Any]:
         if command.graph_file is not None:
-            graph_set = dict(read_graph_set(command.graph_file))
+            graph_set = self._graph_set(command.graph_file)
             key = (
                 command.graph_key
                 if command.graph_key is not None
@@ -293,7 +246,7 @@ class MonitorBridge:
         are poison here and never reach a shard worker (where the crash
         loop of satellite lore would begin)."""
         if command.graph_file is not None:
-            graph_set = dict(read_graph_set(command.graph_file))
+            graph_set = self._graph_set(command.graph_file)
             if not graph_set:
                 raise ValueError(f"empty graph set {command.graph_file}")
             key = (

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import (
     DELETE,
@@ -10,9 +11,11 @@ from repro.graph import (
     GraphChangeOperation,
     GraphError,
     LabeledGraph,
+    apply_batch_validated,
     apply_change,
     apply_operation,
     diff_graphs,
+    undo_batch,
 )
 
 from .conftest import graph_strategy
@@ -111,6 +114,64 @@ class TestApply:
     def test_delete_missing_edge_raises(self):
         with pytest.raises(GraphError):
             apply_change(base_graph(), EdgeChange.delete(1, 3))
+
+
+class TestValidatedBatch:
+    def test_refused_insert_touches_nothing(self):
+        # 7 has its label, 8 does not: 7 must not be left behind.
+        graph = base_graph()
+        with pytest.raises(GraphError):
+            apply_change(graph, EdgeChange.insert(7, 8, "z", "G", None))
+        assert graph == base_graph()
+
+    def test_accepts_a_single_change(self):
+        graph = base_graph()
+        undo = apply_batch_validated(graph, EdgeChange.insert(1, 3, "z"))
+        assert graph.has_edge(1, 3)
+        undo_batch(graph, undo)
+        assert graph == base_graph()
+
+    def test_undo_keeps_a_vertex_that_was_isolated_before(self):
+        graph = base_graph()
+        graph.add_vertex(4, "D")  # isolated from the start (initial graphs may be)
+        pristine = graph.copy()
+        undo = apply_batch_validated(
+            graph, GraphChangeOperation([EdgeChange.insert(4, 5, "w", None, "E")])
+        )
+        assert graph.has_edge(4, 5)
+        undo_batch(graph, undo)
+        assert graph == pristine  # 4 kept, 5 gone
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph_strategy(),
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.integers(0, 9), min_size=2, max_size=2, unique=True),
+                st.sampled_from([None, "A", "B"]),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_all_or_nothing_and_undoable(self, graph, specs):
+        batch = GraphChangeOperation(
+            EdgeChange.insert(u, v, "x", label, label) if insert else EdgeChange.delete(u, v)
+            for insert, (u, v), label in specs
+        )
+        pristine = graph.copy()
+        expected = graph.copy()
+        try:
+            apply_operation(expected, batch)
+        except GraphError:
+            with pytest.raises(GraphError):
+                apply_batch_validated(graph, batch)
+            assert graph == pristine
+            return
+        undo = apply_batch_validated(graph, batch)
+        assert graph == expected
+        undo_batch(graph, undo)
+        assert graph == pristine
 
 
 class TestDiffGraphs:

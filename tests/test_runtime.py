@@ -192,17 +192,24 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             ShardedMonitor(queries, checkpoint_every=5)  # no checkpoint_dir
 
-    def test_worker_exception_surfaces_with_traceback(self):
+    def test_worker_exception_surfaces_with_traceback(self, monkeypatch):
         rng = random.Random(5)
+
+        def boom(self, stream_id, update):
+            raise RuntimeError("engine fault injected inside the worker")
+
+        # A fault the coordinator cannot pre-validate (a refused batch
+        # never reaches a worker any more); forked workers inherit it.
+        monkeypatch.setattr(StreamMonitor, "apply", boom)
         with ShardedMonitor(
-            small_queries(rng), num_workers=1, auto_recover=False
+            small_queries(rng), num_workers=1, auto_recover=False, start_method="fork"
         ) as sharded:
             sharded.add_stream("s0", random_labeled_graph(rng, 3))
             sharded.apply("s0", EdgeChange.insert(100, 101, "-", "A", "B"))
-            # Duplicate insertion makes the worker raise GraphError.
-            sharded.apply("s0", EdgeChange.insert(100, 101, "-", "A", "B"))
-            with pytest.raises((WorkerCrashed, WorkerDied)):
+            with pytest.raises((WorkerCrashed, WorkerDied)) as excinfo:
                 sharded.matches()
+            if excinfo.type is WorkerCrashed:
+                assert "engine fault injected" in str(excinfo.value)
 
     def test_stats_shape(self):
         rng = random.Random(6)

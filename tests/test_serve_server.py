@@ -27,6 +27,7 @@ from repro import obs
 from repro.core.monitor import StreamMonitor
 from repro.datasets.stream_gen import synthesize_stream
 from repro.graph import LabeledGraph
+from repro.graph.io import write_graph_set
 from repro.graph.operations import EdgeChange, GraphChangeOperation
 from repro.obs import Registry
 from repro.serve import (
@@ -37,7 +38,7 @@ from repro.serve import (
     TokenBucket,
     replay_dead_letters_async,
 )
-from repro.serve.protocol import Commit, change_to_dict
+from repro.serve.protocol import AddQuery, AddStream, Commit, Edit, change_to_dict
 from repro.serve.server import _WorkItem
 from repro.serve.session import apply_batch_validated
 
@@ -548,6 +549,57 @@ class TestShadowValidation:
                 GraphChangeOperation([EdgeChange.insert(7, 8, "x", "G", None)]),
             )
         assert graph == pristine
+
+
+# -- graph-set files ----------------------------------------------------------
+
+
+class TestGraphSetFileParsedOnce:
+    """``stream`` / ``addq`` commands naming one graph-set file parse it
+    once, not once per command — and still see the file change."""
+
+    def _write(self, path: Path, count: int, size: int) -> None:
+        rng = random.Random(size)
+        write_graph_set(
+            [random_labeled_graph(rng, size) for _ in range(count)],
+            path,
+            names=[f"g{i}" for i in range(count)],
+        )
+
+    def test_one_parse_for_many_commands_and_rewrites_are_seen(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.serve import session as session_module
+
+        parses = []
+        real = session_module.read_graph_set
+
+        def counting(path):
+            parses.append(str(path))
+            return real(path)
+
+        monkeypatch.setattr(session_module, "read_graph_set", counting)
+        path = tmp_path / "set.txt"
+        self._write(path, 32, 4)
+        bridge = session_module.MonitorBridge(StreamMonitor({"q": edge_query()}))
+        session = Session(1)
+        for i in range(32):
+            reply = bridge.execute(session, AddStream(i, str(path), f"g{i}", verb="stream"))
+            assert reply["ok"], reply
+        reply = bridge.execute(session, AddQuery("p", str(path), "g3", verb="addq"))
+        assert reply["ok"], reply
+        assert len(parses) == 1
+        assert bridge.monitor.graph(7).num_vertices == 4
+        # Each stream got a graph of its own, not the shared parsed one.
+        bridge.execute(session, Edit(7, EdgeChange.insert("0", "99", "x", None, "A"), verb="ins"))
+        assert bridge.execute(session, Commit(verb="commit"))["ok"]
+        assert bridge.monitor.graph(8).num_vertices == 4
+
+        self._write(path, 32, 6)  # another size: stat differs whatever the clock
+        reply = bridge.execute(session, AddStream(100, str(path), "g0", verb="stream"))
+        assert reply["ok"], reply
+        assert len(parses) == 2
+        assert bridge.monitor.graph(100).num_vertices == 6
 
 
 # -- draining ---------------------------------------------------------------
