@@ -64,7 +64,7 @@ def main() -> None:
                   f"(window expired {expired} flows this minute)")
 
     # Confirm what is live right now, with caching for repeated polls.
-    verifier = CachingVerifier(monitor._monitor)
+    verifier = CachingVerifier(monitor.monitor)
     confirmed = verifier.verified_matches()
     verifier.verified_matches()  # quiet second poll: all cache hits
     print(f"\nconfirmed now: {sorted(q for _, q in confirmed)}")
@@ -72,7 +72,7 @@ def main() -> None:
 
     # Checkpoint the wrapped monitor and prove the restored copy agrees.
     with tempfile.TemporaryDirectory() as tmp:
-        save_monitor(monitor._monitor, tmp)
+        save_monitor(monitor.monitor, tmp)
         restored = load_monitor(tmp)
         assert restored.matches() == monitor.matches()
         print(f"checkpoint round-trip OK ({len(restored.matches())} live pairs)")

@@ -4,11 +4,11 @@ These rules protect the *inter-component* protocols the sharded runtime
 depends on — invariants no single-file rule can see:
 
 ========  ==========================================================
-RP011     pickle-boundary safety: values placed on runtime queues or
-          into journal records must be built from pickle-safe,
-          fork-safe types (no lambdas, generator expressions, locally
-          defined functions/classes, or references to module-level
-          mutable state — resolved across files)
+RP011     pickle-boundary safety: values placed on runtime queues must
+          be built from pickle-safe, fork-safe types (no lambdas,
+          generator expressions, locally defined functions/classes, or
+          references to module-level mutable state — resolved across
+          files)
 RP012     span coverage: the public functions on the instrumented hot
           paths (the table in ``docs/observability.md``) must open an
           ``obs.span`` themselves or via a resolvable callee
@@ -48,12 +48,12 @@ from .project import (
 )
 
 # ----------------------------------------------------------------------
-# RP011 — pickle-boundary safety for runtime commands / journal records
+# RP011 — pickle-boundary safety for runtime commands
 # ----------------------------------------------------------------------
 
 #: Callees whose arguments cross the coordinator<->worker process
-#: boundary (queue puts, journal appends, trace-envelope stamping).
-_BOUNDARY_CALLS = frozenset({"put", "put_nowait", "record", "stamp_envelope"})
+#: boundary (queue puts, trace-envelope stamping).
+_BOUNDARY_CALLS = frozenset({"put", "put_nowait", "stamp_envelope"})
 
 #: Prefix naming the runtime's command-tuple constants.
 _COMMAND_PREFIX = "CMD_"
@@ -61,21 +61,20 @@ _COMMAND_PREFIX = "CMD_"
 
 @register_project
 class PickleBoundaryRule(ProjectRule):
-    """Runtime queue commands and journal records must be pickle-safe
-    and fork-safe."""
+    """Runtime queue commands must be pickle-safe and fork-safe."""
 
     rule_id = "RP011"
-    title = "pickle-boundary safety for runtime commands/journal records"
+    title = "pickle-boundary safety for runtime commands"
     rationale = (
         "Every command crosses the coordinator->worker process boundary "
-        "twice: once over a multiprocessing queue (pickled), and again "
-        "on recovery when the journal tail is replayed into a respawned "
-        "worker.  A lambda or locally defined callable fails to pickle "
-        "at the worst possible moment (mid-recovery); a reference to "
-        "module-level mutable state silently forks into divergent "
-        "copies, so the replayed worker converges to a *different* "
-        "state than the one that died — breaking the no-false-negative "
-        "recovery guarantee (Lemma 4.2 applied shard-locally)."
+        "over a multiprocessing queue, pickled on a feeder thread after "
+        "put() has returned, and recovery sends a respawned worker more "
+        "of them.  A lambda or locally defined callable fails to pickle "
+        "there, out of the caller's sight; a reference to module-level "
+        "mutable state silently forks into divergent copies, so the "
+        "respawned worker converges to a *different* state than the one "
+        "that died — breaking the no-false-negative recovery guarantee "
+        "(Lemma 4.2 applied shard-locally)."
     )
 
     def check(self, model: ProjectModel) -> Iterator[Finding]:
@@ -87,7 +86,7 @@ class PickleBoundaryRule(ProjectRule):
     def _check_module(
         self, model: ProjectModel, info: ModuleInfo
     ) -> Iterator[Finding]:
-        # A CMD_* tuple passed straight into put()/record() is yielded
+        # A CMD_* tuple passed straight into put() is yielded
         # both as a call payload and as a command tuple; dedupe so each
         # offending expression is reported once.
         seen: set[tuple[int, int, str]] = set()
@@ -140,27 +139,27 @@ class PickleBoundaryRule(ProjectRule):
                 yield info.finding(
                     node,
                     self.rule_id,
-                    "lambda in a runtime command/journal payload: lambdas "
-                    "cannot be pickled across the worker boundary (and fail "
-                    "again at journal replay); use a module-level function",
+                    "lambda in a runtime command payload: lambdas cannot be "
+                    "pickled across the worker boundary; use a module-level "
+                    "function",
                 )
             elif isinstance(node, ast.GeneratorExp):
                 yield info.finding(
                     node,
                     self.rule_id,
-                    "generator expression in a runtime command/journal "
-                    "payload: generators cannot be pickled; materialize an "
-                    "explicit list/tuple first",
+                    "generator expression in a runtime command payload: "
+                    "generators cannot be pickled; materialize an explicit "
+                    "list/tuple first",
                 )
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 if node.id in local_defs:
                     yield info.finding(
                         node,
                         self.rule_id,
-                        f"locally defined {node.id!r} in a runtime "
-                        "command/journal payload: pickle resolves callables "
-                        "by qualified name and cannot reach function-local "
-                        "definitions; move it to module level",
+                        f"locally defined {node.id!r} in a runtime command "
+                        "payload: pickle resolves callables by qualified "
+                        "name and cannot reach function-local definitions; "
+                        "move it to module level",
                     )
                     continue
                 resolved = model.resolve_global(info, node.id)
@@ -172,11 +171,10 @@ class PickleBoundaryRule(ProjectRule):
                         node,
                         self.rule_id,
                         f"module-level mutable {name!r} (defined in "
-                        f"{owner.canonical}) referenced in a runtime "
-                        "command/journal payload: each fork gets a divergent "
-                        "copy, so journal replay reconstructs different "
-                        "state than the worker that died; pass an immutable "
-                        "snapshot instead",
+                        f"{owner.canonical}) referenced in a runtime command "
+                        "payload: each fork gets a divergent copy, so a "
+                        "respawned worker reconstructs different state than "
+                        "the one that died; pass an immutable snapshot instead",
                     )
 
 

@@ -1,21 +1,28 @@
 """Command-line interface.
 
-Eleven subcommands::
+Thirteen subcommands::
 
     python -m repro generate ...    # write synthetic datasets to files
     python -m repro search ...      # static filter-and-verify search
     python -m repro monitor ...     # replay streams, print match events
-    python -m repro replay ...      # same, through the sharded runtime
+    python -m repro replay ...      # same, with live rescale/churn and runtime knobs
     python -m repro serve ...       # serving layer: stdin lines or --tcp JSON
     python -m repro dlq ...         # inspect/replay the dead-letter journal
     python -m repro stats ...       # render an observability dump (Prometheus/JSON)
     python -m repro trace ...       # export a replay's span tree (Perfetto/text)
     python -m repro top ...         # live dashboard over stats()
+    python -m repro slo ...         # evaluate the SLO rules (live /slo or a replay)
+    python -m repro flight ...      # inspect flight-recorder journals and dumps
     python -m repro experiment ...  # run a paper-figure driver
     python -m repro lint ...        # static analysis (--project adds cross-file rules)
 
 Graphs and query sets use the text format of :mod:`repro.graph.io`
 (gSpan-style ``t # / v / e`` blocks); streams add ``op`` blocks.
+``replay``/``serve``/``trace``/``top``/``slo`` take ``--workers N``:
+``0`` runs the in-process :class:`StreamMonitor`, ``N >= 1`` forks N
+worker processes behind a :class:`ShardedMonitor` (:func:`_open_monitor`
+is the one place either is built; :func:`_replay` the one loop that
+drives them through recorded streams).
 ``replay`` and ``serve`` take ``--stats-every N`` to emit the merged
 observability registries every N timestamps; ``monitor``/``replay``
 take ``--probe-rate``/``--probe-budget-ms`` to run the sampled
@@ -38,6 +45,7 @@ from .datasets.queries import make_query_set
 from .datasets.reality import RealityConfig, generate_reality_stream
 from .datasets.stream_gen import DENSE, SPARSE, synthesize_stream
 from .graph.io import read_graph_set, read_stream, write_graph_set, write_stream
+from .runtime import ShardedMonitor
 
 
 def _add_probe_arguments(sub: argparse.ArgumentParser) -> None:
@@ -58,6 +66,17 @@ def _add_probe_arguments(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_workers_argument(sub: argparse.ArgumentParser) -> None:
+    """``--workers``, meaning the same thing wherever it is accepted."""
+    sub.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="worker processes (0 = in-process StreamMonitor, no "
+        "subprocesses; N >= 1 = N forked workers behind a ShardedMonitor)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree (also used by the CLI tests)."""
     parser = argparse.ArgumentParser(
@@ -66,6 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
         "(Wang & Chen, ICDE 2009 reproduction)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    # Shared by every subcommand that builds a monitor / that replays
+    # recorded streams through one.
+    filtering = argparse.ArgumentParser(add_help=False)
+    filtering.add_argument(
+        "--method", choices=["nl", "dsc", "skyline", "matrix"], default="dsc"
+    )
+    filtering.add_argument("--depth", type=int, default=3, help="NNT depth l")
+    recorded = argparse.ArgumentParser(add_help=False)
+    recorded.add_argument("--queries", required=True, help="graph-set file of patterns")
+    recorded.add_argument("--streams", nargs="+", required=True, help="stream files")
 
     # -- generate ---------------------------------------------------------
     gen = subparsers.add_parser("generate", help="write synthetic datasets to files")
@@ -100,13 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # -- monitor ----------------------------------------------------------
-    monitor = subparsers.add_parser("monitor", help="replay streams and print match events")
-    monitor.add_argument("--queries", required=True, help="graph-set file of patterns")
-    monitor.add_argument("--streams", nargs="+", required=True, help="stream files")
-    monitor.add_argument(
-        "--method", choices=["nl", "dsc", "skyline", "matrix"], default="dsc"
+    monitor = subparsers.add_parser(
+        "monitor",
+        parents=[recorded, filtering],
+        help="replay streams and print match events",
     )
-    monitor.add_argument("--depth", type=int, default=3, help="NNT depth l")
     monitor.add_argument(
         "--verify", action="store_true", help="confirm events with exact isomorphism"
     )
@@ -115,20 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     # -- replay -----------------------------------------------------------
     replay = subparsers.add_parser(
         "replay",
-        help="replay streams through the sharded runtime and print match events",
+        parents=[recorded, filtering],
+        help="replay streams (optionally through the sharded runtime) and "
+        "print match events",
     )
-    replay.add_argument("--queries", required=True, help="graph-set file of patterns")
-    replay.add_argument("--streams", nargs="+", required=True, help="stream files")
-    replay.add_argument(
-        "--method", choices=["nl", "dsc", "skyline", "matrix"], default="dsc"
-    )
-    replay.add_argument("--depth", type=int, default=3, help="NNT depth l")
-    replay.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes (1 = in-process StreamMonitor, no subprocesses)",
-    )
+    _add_workers_argument(replay)
     replay.add_argument(
         "--queue-capacity", type=int, default=128, help="worker inbox bound"
     )
@@ -149,14 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--shm",
         action="store_true",
         help="ship apply payloads through per-shard shared-memory rings "
-        "(workers >= 2)",
+        "(--workers >= 1)",
     )
     replay.add_argument(
         "--rescale-at",
         action="append",
         metavar="T:N",
         help="rescale the worker pool to N workers after the events of "
-        "timestamp T (repeatable; workers >= 2)",
+        "timestamp T (repeatable; --workers >= 1)",
     )
     replay.add_argument(
         "--register-at",
@@ -187,27 +205,19 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--flight-dir",
         help="per-shard flight-recorder directory (journals survive "
-        "SIGKILL; workers >= 2)",
+        "SIGKILL; --workers >= 1)",
     )
     _add_probe_arguments(replay)
 
     # -- serve ------------------------------------------------------------
     serve = subparsers.add_parser(
         "serve",
+        parents=[filtering],
         help="monitoring server: line protocol on stdin, or an asyncio TCP "
         "server with sessions + admission control via --tcp HOST:PORT",
     )
     serve.add_argument("--queries", required=True, help="graph-set file of patterns")
-    serve.add_argument(
-        "--method", choices=["nl", "dsc", "skyline", "matrix"], default="dsc"
-    )
-    serve.add_argument("--depth", type=int, default=3, help="NNT depth l")
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes (0 = in-process StreamMonitor)",
-    )
+    _add_workers_argument(serve)
     serve.add_argument("--queue-capacity", type=int, default=128)
     serve.add_argument("--policy", choices=["block", "drop", "spill"], default="block")
     serve.add_argument("--checkpoint-dir", help="shard snapshot directory")
@@ -293,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     # -- slo --------------------------------------------------------------
     slo = subparsers.add_parser(
         "slo",
+        parents=[filtering],
         help="evaluate the SLO rules: against a live server's /slo "
         "endpoint, or over a local replay (exit 1 on breach)",
     )
@@ -303,13 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     slo.add_argument("--queries", help="graph-set file of patterns (replay mode)")
     slo.add_argument("--streams", nargs="+", help="stream files (replay mode)")
-    slo.add_argument(
-        "--method", choices=["nl", "dsc", "skyline", "matrix"], default="dsc"
-    )
-    slo.add_argument("--depth", type=int, default=3, help="NNT depth l")
-    slo.add_argument(
-        "--workers", type=int, default=0, help="worker processes (0 = in-process)"
-    )
+    _add_workers_argument(slo)
     slo.add_argument(
         "--window",
         type=float,
@@ -378,21 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     # -- trace --------------------------------------------------------------
     trace = subparsers.add_parser(
         "trace",
+        parents=[recorded, filtering],
         help="replay streams and export the collected span tree "
         "(Chrome trace-event JSON for Perfetto, or a text critical-span table)",
     )
-    trace.add_argument("--queries", required=True, help="graph-set file of patterns")
-    trace.add_argument("--streams", nargs="+", required=True, help="stream files")
-    trace.add_argument(
-        "--method", choices=["nl", "dsc", "skyline", "matrix"], default="dsc"
-    )
-    trace.add_argument("--depth", type=int, default=3, help="NNT depth l")
-    trace.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes (0 = in-process; >=1 adds per-shard trace tracks)",
-    )
+    _add_workers_argument(trace)
     trace.add_argument("--queue-capacity", type=int, default=128)
     trace.add_argument(
         "--format",
@@ -408,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     # -- top ----------------------------------------------------------------
     top = subparsers.add_parser(
         "top",
+        parents=[filtering],
         help="live plain-terminal dashboard: latency percentiles, inbox "
         "depths, pruning power, FP-ratio estimate",
     )
@@ -419,13 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--queries", help="graph-set file of patterns (replay mode)")
     top.add_argument("--streams", nargs="+", help="stream files (replay mode)")
-    top.add_argument(
-        "--method", choices=["nl", "dsc", "skyline", "matrix"], default="dsc"
-    )
-    top.add_argument("--depth", type=int, default=3, help="NNT depth l")
-    top.add_argument(
-        "--workers", type=int, default=0, help="worker processes (0 = in-process)"
-    )
+    _add_workers_argument(top)
     top.add_argument("--queue-capacity", type=int, default=128)
     top.add_argument(
         "--interval", type=float, default=1.0, help="seconds between frames"
@@ -551,15 +541,53 @@ def _read_streams(paths: list[str]) -> dict:
     return streams
 
 
-def _collect_obs_summary(monitor) -> dict:
-    """The monitor's observability summary: for a ShardedMonitor the
-    fleet-merged per-worker registries (plus the coordinator's own), for
-    an in-process monitor the process-local registry."""
-    from . import obs
+#: Runtime flag -> ``ShardedMonitor`` parameter; each is passed only by
+#: the subcommands that define the flag.
+_RUNTIME_OPTIONS = {
+    "queue_capacity": "queue_capacity",
+    "policy": "backpressure",
+    "checkpoint_dir": "checkpoint_dir",
+    "checkpoint_every": "checkpoint_every",
+    "shm": "shm",
+    "flight_dir": "flight_dir",
+}
 
-    if hasattr(monitor, "inbox_depths"):  # ShardedMonitor
-        return monitor.stats()["merged_obs"]
-    return obs.get_registry().summary()
+
+def _open_monitor(args: argparse.Namespace, queries: dict):
+    """The one place the CLI builds a monitor (use it in a ``with``):
+    ``--workers 0``, or a subcommand without the flag, is the in-process
+    :class:`StreamMonitor`; ``N >= 1`` is a :class:`ShardedMonitor` over
+    N forked workers."""
+    workers = getattr(args, "workers", 0)
+    if workers < 1:
+        return StreamMonitor(queries, method=args.method, depth_limit=args.depth)
+    options = {
+        parameter: getattr(args, flag)
+        for flag, parameter in _RUNTIME_OPTIONS.items()
+        if hasattr(args, flag)
+    }
+    return ShardedMonitor(
+        queries,
+        method=args.method,
+        depth_limit=args.depth,
+        num_workers=workers,
+        **options,
+    )
+
+
+def _replay(monitor, streams):
+    """The one replay loop: register every stream, then apply one
+    timestamp's batches at a time.  Yields ``(timestamp, events)`` after
+    each step — timestamp 0 is the initial graphs — so the caller does
+    its reporting, sampling or painting between steps."""
+    for stream_id, stream in streams.items():
+        monitor.add_stream(stream_id, stream.initial)
+    yield 0, monitor.events()
+    horizon = min(len(stream.operations) for stream in streams.values())
+    for timestamp in range(horizon):
+        for stream_id, stream in streams.items():
+            monitor.apply(stream_id, stream.operations[timestamp])
+        yield timestamp + 1, monitor.events()
 
 
 def _make_probe(monitor, args) -> "object | None":
@@ -625,69 +653,62 @@ def _replay_and_report(
     """
     from .obs import render_prometheus
 
-    for stream_id, stream in streams.items():
-        monitor.add_stream(stream_id, stream.initial)
-    for event in monitor.events():
-        print(f"t=0: {event.kind} {event.query_id} on {event.stream_id}")
-
-    horizon = min(len(stream.operations) for stream in streams.values())
-    for timestamp in range(horizon):
-        for stream_id, stream in streams.items():
-            monitor.apply(stream_id, stream.operations[timestamp])
-        for event in monitor.events():
-            line = f"t={timestamp + 1}: {event.kind} {event.query_id} on {event.stream_id}"
-            if verify_with is not None and event.kind == "appeared":
+    for timestamp, events in _replay(monitor, streams):
+        for event in events:
+            line = f"t={timestamp}: {event.kind} {event.query_id} on {event.stream_id}"
+            if verify_with is not None and timestamp and event.kind == "appeared":
                 pair = (event.stream_id, event.query_id)
                 confirmed = pair in verify_with.verified_matches({pair})
                 line += "  [CONFIRMED]" if confirmed else "  [filter only]"
             print(line)
-        target = rescales.get(timestamp + 1) if rescales else None
+        if not timestamp:
+            continue  # the initial graphs: events only
+        target = rescales.get(timestamp) if rescales else None
         if target is not None:
             report = monitor.rescale(target)
             print(
-                f"t={timestamp + 1}: rescale workers "
+                f"t={timestamp}: rescale workers "
                 f"{report['from']}->{report['to']} "
                 f"moved={report['moved_streams']} in {report['seconds']:.3f}s"
             )
-        for operation in (churn or {}).get(timestamp + 1, ()):
+        for operation in (churn or {}).get(timestamp, ()):
             if operation[0] == "register":
                 _, query_id, pattern = operation
                 monitor.register_query(query_id, pattern)
-                print(f"t={timestamp + 1}: register query {query_id}")
+                print(f"t={timestamp}: register query {query_id}")
             else:
                 monitor.deregister_query(operation[1])
-                print(f"t={timestamp + 1}: deregister query {operation[1]}")
+                print(f"t={timestamp}: deregister query {operation[1]}")
         if probe is not None:
             probe.sample()
-        if stats_every and (timestamp + 1) % stats_every == 0:
-            print(f"# repro stats t={timestamp + 1}")
-            print(render_prometheus(_collect_obs_summary(monitor)), end="")
+        if stats_every and timestamp % stats_every == 0:
+            print(f"# repro stats t={timestamp}")
+            print(render_prometheus(monitor.obs_summary()), end="")
     final = sorted(monitor.matches())
     print(f"final possible pairs: {final}")
     if probe is not None:
         _report_probe(probe)
     if stats_every:
         print("# repro stats final")
-        print(render_prometheus(_collect_obs_summary(monitor)), end="")
+        print(render_prometheus(monitor.obs_summary()), end="")
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    queries = dict(read_graph_set(args.queries))
     streams = _read_streams(args.streams)
-    monitor = StreamMonitor(queries, method=args.method, depth_limit=args.depth)
-    _replay_and_report(
-        monitor,
-        streams,
-        verify_with=monitor if args.verify else None,
-        probe=_make_probe(monitor, args),
-    )
+    with _open_monitor(args, dict(read_graph_set(args.queries))) as monitor:
+        _replay_and_report(
+            monitor,
+            streams,
+            verify_with=monitor if args.verify else None,
+            probe=_make_probe(monitor, args),
+        )
     return 0
 
 
 def _write_stats_json(monitor, path: str) -> None:
     import json
 
-    summary = _collect_obs_summary(monitor)
+    summary = monitor.obs_summary()
     Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
 
@@ -762,36 +783,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     streams = _read_streams(args.streams)
     rescales = _parse_rescales(args.rescale_at)
     churn = _parse_churn(args.register_at, args.deregister_at)
-    if args.workers <= 1:
+    if args.workers < 1:
         if rescales:
-            raise SystemExit("--rescale-at requires --workers >= 2")
+            raise SystemExit("--rescale-at requires --workers >= 1")
         if args.shm:
-            raise SystemExit("--shm requires --workers >= 2")
-        monitor = StreamMonitor(queries, method=args.method, depth_limit=args.depth)
-        _replay_and_report(
-            monitor,
-            streams,
-            stats_every=args.stats_every,
-            probe=_make_probe(monitor, args),
-            churn=churn,
-        )
-        if args.stats_json:
-            _write_stats_json(monitor, args.stats_json)
-        return 0
-    from .runtime import ShardedMonitor
-
-    with ShardedMonitor(
-        queries,
-        method=args.method,
-        depth_limit=args.depth,
-        num_workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        backpressure=args.policy,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        shm=args.shm,
-        flight_dir=args.flight_dir,
-    ) as monitor:
+            raise SystemExit("--shm requires --workers >= 1")
+    with _open_monitor(args, queries) as monitor:
         _replay_and_report(
             monitor,
             streams,
@@ -800,19 +797,20 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             rescales=rescales,
             churn=churn,
         )
-        stats = monitor.stats()
-        pressure = stats["backpressure"]
-        line = (
-            f"workers: {stats['num_workers']}  "
-            f"policy: {pressure['policy']}  "
-            f"batches: {pressure['accepted_batches']}  "
-            f"dropped: {pressure['dropped']}  "
-            f"spilled: {pressure['spilled']}"
-        )
-        rescale = stats.get("rescale") or {}
-        if rescale.get("count"):
-            line += f"  rescales: {rescale['count']}"
-        print(line)
+        if args.workers >= 1:
+            stats = monitor.stats()
+            pressure = stats["backpressure"]
+            line = (
+                f"workers: {stats['num_workers']}  "
+                f"policy: {pressure['policy']}  "
+                f"batches: {pressure['accepted_batches']}  "
+                f"dropped: {pressure['dropped']}  "
+                f"spilled: {pressure['spilled']}"
+            )
+            rescale = stats.get("rescale") or {}
+            if rescale.get("count"):
+                line += f"  rescales: {rescale['count']}"
+            print(line)
         if args.stats_json:
             _write_stats_json(monitor, args.stats_json)
     return 0
@@ -826,24 +824,7 @@ def _parse_host_port(spec: str) -> tuple[str, int]:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    queries = dict(read_graph_set(args.queries))
-    if args.workers >= 1:
-        from .runtime import ShardedMonitor
-
-        monitor = ShardedMonitor(
-            queries,
-            method=args.method,
-            depth_limit=args.depth,
-            num_workers=args.workers,
-            queue_capacity=args.queue_capacity,
-            backpressure=args.policy,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            flight_dir=args.flight_dir,
-        )
-    else:
-        monitor = StreamMonitor(queries, method=args.method, depth_limit=args.depth)
-    try:
+    with _open_monitor(args, dict(read_graph_set(args.queries))) as monitor:
         # The serving edge (asyncio, ssl, http, admission) is imported
         # only now that the workers have forked: they never serve, and
         # would carry its pages for life.
@@ -883,8 +864,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             serve_lines(
                 monitor, sys.stdin, emit, dlq=dlq, stats_every=args.stats_every
             )
-    finally:
-        monitor.close()
     return 0
 
 
@@ -964,43 +943,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _replay_silently(monitor, streams) -> None:
-    """Drive a monitor through recorded streams without reporting —
-    the replay exists only for the side effects being exported."""
-    for stream_id, stream in streams.items():
-        monitor.add_stream(stream_id, stream.initial)
-    monitor.events()
-    horizon = min(len(stream.operations) for stream in streams.values())
-    for timestamp in range(horizon):
-        for stream_id, stream in streams.items():
-            monitor.apply(stream_id, stream.operations[timestamp])
-        monitor.events()
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
     from . import obs
 
     obs.enable()  # tracing is the whole point; override REPRO_OBS=0
-    queries = dict(read_graph_set(args.queries))
     streams = _read_streams(args.streams)
-    if args.workers >= 1:
-        from .runtime import ShardedMonitor
-
-        with ShardedMonitor(
-            queries,
-            method=args.method,
-            depth_limit=args.depth,
-            num_workers=args.workers,
-            queue_capacity=args.queue_capacity,
-        ) as monitor:
-            _replay_silently(monitor, streams)
-            records = monitor.trace_spans()
-    else:
-        monitor = StreamMonitor(queries, method=args.method, depth_limit=args.depth)
-        _replay_silently(monitor, streams)
-        records = list(obs.spans())
+    with _open_monitor(args, dict(read_graph_set(args.queries))) as monitor:
+        for _ in _replay(monitor, streams):
+            pass  # the replay exists only for the spans it leaves behind
+        records = monitor.trace_spans()
     if args.format == "chrome":
         text = json.dumps(obs.to_chrome(records), indent=2, sort_keys=True) + "\n"
     else:
@@ -1042,55 +995,31 @@ def _cmd_top(args: argparse.Namespace) -> int:
         )
         return 2
     obs.enable()
-    queries = dict(read_graph_set(args.queries))
     streams = _read_streams(args.streams)
     horizon = min(len(stream.operations) for stream in streams.values())
     iterations = args.iterations if args.iterations is not None else horizon + 1
-
-    def run_over(monitor) -> int:
+    with _open_monitor(args, dict(read_graph_set(args.queries))) as monitor:
         probe = _make_probe(monitor, args)
-        for stream_id, stream in streams.items():
-            monitor.add_stream(stream_id, stream.initial)
-        monitor.events()
-        cursor = {"t": 0}
+        steps = _replay(monitor, streams)
+        next(steps)  # register the streams; frames start at timestamp 1
 
         def poll() -> dict:
             # One frame = one timestamp: the dashboard doubles as the
             # replay driver, so everything stays single-threaded.
-            timestamp = cursor["t"]
-            if timestamp < horizon:
-                for stream_id, stream in streams.items():
-                    monitor.apply(stream_id, stream.operations[timestamp])
-                cursor["t"] = timestamp + 1
-            monitor.events()
+            next(steps, None)  # frames past the horizon repaint the final state
             if probe is not None:
                 probe.sample()
-            if hasattr(monitor, "inbox_depths"):  # ShardedMonitor
-                return monitor.stats()
-            return {**monitor.stats(), "obs": obs.get_registry().summary()}
+            stats = monitor.stats()
+            if "merged_obs" not in stats:  # in-process: no registry inside
+                stats["obs"] = monitor.obs_summary()
+            return stats
 
-        return run_top(
+        frames = run_top(
             poll,
             sys.stdout,
             interval=args.interval,
             iterations=iterations,
             clear=not args.no_clear,
-        )
-
-    if args.workers >= 1:
-        from .runtime import ShardedMonitor
-
-        with ShardedMonitor(
-            queries,
-            method=args.method,
-            depth_limit=args.depth,
-            num_workers=args.workers,
-            queue_capacity=args.queue_capacity,
-        ) as monitor:
-            frames = run_over(monitor)
-    else:
-        frames = run_over(
-            StreamMonitor(queries, method=args.method, depth_limit=args.depth)
         )
     print(f"{frames} frames", file=sys.stderr)
     return 0
@@ -1136,50 +1065,20 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     from . import obs
 
     obs.enable()
-    queries = dict(read_graph_set(args.queries))
-    streams = _read_streams(args.streams)
     import dataclasses
 
+    streams = _read_streams(args.streams)
     rules = tuple(
         dataclasses.replace(rule, window=args.window) for rule in obs.DEFAULT_RULES
     )
     timeline = obs.Timeline()
     engine = obs.SloEngine(rules=rules, timeline=timeline)
-
-    def run_over(monitor) -> dict:
-        def collect() -> dict:
-            stats = monitor.stats() if hasattr(monitor, "inbox_depths") else None
-            if stats is not None and isinstance(stats.get("merged_obs"), dict):
-                return stats["merged_obs"]
-            return obs.get_registry().summary()
-
-        for stream_id, stream in streams.items():
-            monitor.add_stream(stream_id, stream.initial)
-        monitor.events()
-        timeline.sample(collect())
-        horizon = min(len(stream.operations) for stream in streams.values())
-        for timestamp in range(horizon):
-            for stream_id, stream in streams.items():
-                monitor.apply(stream_id, stream.operations[timestamp])
-            monitor.events()
-            timeline.sample(collect())
-            engine.evaluate()
-        return engine.snapshot()
-
-    if args.workers >= 1:
-        from .runtime import ShardedMonitor
-
-        with ShardedMonitor(
-            queries,
-            method=args.method,
-            depth_limit=args.depth,
-            num_workers=args.workers,
-        ) as monitor:
-            snapshot = run_over(monitor)
-    else:
-        snapshot = run_over(
-            StreamMonitor(queries, method=args.method, depth_limit=args.depth)
-        )
+    with _open_monitor(args, dict(read_graph_set(args.queries))) as monitor:
+        for timestamp, _ in _replay(monitor, streams):
+            timeline.sample(monitor.obs_summary())
+            if timestamp:
+                engine.evaluate()
+    snapshot = engine.snapshot()
     _print_slo_table(snapshot)
     return 1 if snapshot["worst"] == "breach" else 0
 

@@ -191,7 +191,10 @@ class StreamMonitor:
     def apply(
         self, stream_id: StreamId, update: GraphChangeOperation | EdgeChange
     ) -> None:
-        """Apply one edge change or a whole timestamp batch to a stream."""
+        """Apply one edge change or a whole timestamp batch to a stream,
+        all or nothing: an update the stream's graph refuses (duplicate
+        insert, missing delete, unlabeled new vertex) raises
+        :class:`~repro.graph.GraphError` with nothing of it applied."""
         index = self._indexes[stream_id]
         with obs.span("monitor.apply", stream=stream_id):
             if isinstance(update, EdgeChange):
@@ -300,6 +303,15 @@ class StreamMonitor:
             ).inc(checked)
         return confirmed
 
+    def obs_summary(self) -> dict[str, Any]:
+        """The observability summary of everything this monitor did: the
+        process-local registry (the sharded monitor merges its fleet's)."""
+        return obs.get_registry().summary()
+
+    def trace_spans(self) -> list[obs.SpanRecord]:
+        """Every span collected so far (all in this process)."""
+        return list(obs.spans())
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -307,3 +319,9 @@ class StreamMonitor:
         """Nothing to release — every resource is in-process.  Present
         so all monitor classes share one lifecycle surface
         (:class:`repro.runtime.ShardedMonitor` owns processes and rings)."""
+
+    def __enter__(self) -> "StreamMonitor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

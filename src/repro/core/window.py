@@ -50,7 +50,10 @@ class SlidingWindowMonitor:
         if window < 1:
             raise ValueError("window must be at least 1 tick")
         self.window = window
-        self._monitor = StreamMonitor(queries, method, depth_limit, scheme)
+        #: The wrapped monitor, public for what is not delegated here
+        #: (verifiers, checkpoints, query churn, stats); edges go in
+        #: through :meth:`observe` only, or the leases go stale.
+        self.monitor = StreamMonitor(queries, method, depth_limit, scheme)
         self._clock: dict[StreamId, int] = {}
         self._expiry: dict[StreamId, dict[tuple[VertexId, VertexId], int]] = {}
 
@@ -59,13 +62,13 @@ class SlidingWindowMonitor:
     # ------------------------------------------------------------------
     def add_stream(self, stream_id: StreamId) -> None:
         """Start monitoring a stream (windowed streams start empty)."""
-        self._monitor.add_stream(stream_id)
+        self.monitor.add_stream(stream_id)
         self._clock[stream_id] = 0
         self._expiry[stream_id] = {}
 
     def remove_stream(self, stream_id: StreamId) -> None:
         """Stop monitoring a stream."""
-        self._monitor.remove_stream(stream_id)
+        self.monitor.remove_stream(stream_id)
         del self._clock[stream_id]
         del self._expiry[stream_id]
 
@@ -90,7 +93,7 @@ class SlidingWindowMonitor:
         key = edge_key(u, v)
         leases = self._expiry[stream_id]
         if key not in leases:
-            self._monitor.apply(
+            self.monitor.apply(
                 stream_id, EdgeChange.insert(u, v, edge_label, u_label, v_label)
             )
         leases[key] = self._clock[stream_id] + self.window
@@ -99,7 +102,7 @@ class SlidingWindowMonitor:
         """Explicitly drop an edge before its lease expires."""
         key = edge_key(u, v)
         if self._expiry[stream_id].pop(key, None) is not None:
-            self._monitor.apply(stream_id, EdgeChange.delete(u, v))
+            self.monitor.apply(stream_id, EdgeChange.delete(u, v))
 
     def tick(self, stream_id: StreamId) -> int:
         """Advance the stream's clock by one and expire stale edges;
@@ -114,7 +117,7 @@ class SlidingWindowMonitor:
                 del leases[key]
                 u, v = key
                 changes.append(EdgeChange.delete(u, v))
-            self._monitor.apply(stream_id, GraphChangeOperation(changes))
+            self.monitor.apply(stream_id, GraphChangeOperation(changes))
         return len(expired)
 
     # ------------------------------------------------------------------
@@ -122,16 +125,16 @@ class SlidingWindowMonitor:
     # ------------------------------------------------------------------
     def graph(self, stream_id: StreamId) -> LabeledGraph:
         """The stream's current windowed graph (live — treat as read-only)."""
-        return self._monitor.graph(stream_id)
+        return self.monitor.graph(stream_id)
 
     def matches(self) -> set[Pair]:
         """Possible joinable pairs over the current windows."""
-        return self._monitor.matches()
+        return self.monitor.matches()
 
     def verified_matches(self) -> set[Pair]:
         """Exact joinable pairs over the current windows."""
-        return self._monitor.verified_matches()
+        return self.monitor.verified_matches()
 
     def events(self) -> list[MatchEvent]:
         """Match transitions since the last poll (see StreamMonitor)."""
-        return self._monitor.events()
+        return self.monitor.events()

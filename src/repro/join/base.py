@@ -242,6 +242,8 @@ class JoinEngine(ABC):
 
     def __init__(self, query_set: QuerySet) -> None:
         self.query_set = query_set
+        #: The pairs :meth:`candidates` last returned, each keyed by itself.
+        self._answer: dict[Pair, Pair] = {}
         # Cached once so the per-probe cost is one gated ``inc()``, not a
         # registry lookup; every concrete ``is_candidate`` bumps this.
         self._obs_checks = obs.counter(
@@ -339,14 +341,26 @@ class JoinEngine(ABC):
         """Does the pair currently pass the dominance filter?"""
 
     def candidates(self) -> set[Pair]:
-        """All currently passing (stream, query) pairs."""
+        """All currently passing (stream, query) pairs, as a fresh set.
+
+        A pair that also passed at the previous call is the *same tuple
+        object* as then, so a caller that keeps answers (a session's
+        last poll, a recording of every tick) holds one tuple per pair,
+        not one per pair per kept answer.
+        """
         with obs.span("join.candidates", engine=self.name):
-            return {
-                (stream_id, query_id)
-                for stream_id in self.stream_ids()
-                for query_id in self.query_set.query_ids()
-                if self.is_candidate(stream_id, query_id)
-            }
+            previous = self._answer
+            answer: dict[Pair, Pair] = {}
+            for stream_id in self.stream_ids():
+                for query_id in self.query_set.query_ids():
+                    if self.is_candidate(stream_id, query_id):
+                        pair = (stream_id, query_id)
+                        pair = previous.get(pair, pair)
+                        answer[pair] = pair
+            # Replaced, never patched: a pair of a removed stream or a
+            # retired query is gone after the next call.
+            self._answer = answer
+            return set(answer)
 
     @abstractmethod
     def stream_ids(self) -> list[StreamId]:

@@ -62,7 +62,13 @@ from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .. import obs
 from ..graph.labeled_graph import GraphError, Label, LabeledGraph, VertexId, edge_key
-from ..graph.operations import GraphChangeOperation, INSERT, EdgeChange
+from ..graph.operations import (
+    INSERT,
+    EdgeChange,
+    GraphChangeOperation,
+    apply_batch_validated,
+    undo_batch,
+)
 from .projection import NPV, Dimension, DimensionScheme, PAPER_SCHEME, add_to_vector
 from .tree import NNT, NO_CHILDREN, TreeNode
 
@@ -246,12 +252,18 @@ class NNTIndex:
     # change application
     # ------------------------------------------------------------------
     def apply(self, operation: GraphChangeOperation) -> None:
-        """Apply a batch: all deletions first, then all insertions.
+        """Apply a batch, all or nothing: deletions first, then insertions.
 
-        The whole operation shares one coalescing scope, so deltas that
+        The batch is first run against the graph alone and taken back
+        (:func:`~repro.graph.operations.apply_batch_validated`, the one
+        statement of what is refused), so a bad change anywhere in it
+        raises :class:`GraphError` before any tree node, NPV or listener
+        sees one, and the Figs 4-5 procedures below cannot refuse.  The
+        whole operation shares one coalescing scope, so deltas that
         cancel across its changes (e.g. a delete/re-insert pair touching
         the same tree edges) never reach the listeners.
         """
+        undo_batch(self.graph, apply_batch_validated(self.graph, operation))
         with self.batch():
             for change in operation.sequentialized():
                 self.apply_change(change)

@@ -380,9 +380,9 @@ class Timeline:
 class TimelineSampler:
     """Interval-driven sampling for poll loops and periodic tasks.
 
-    ``collect`` produces the summary to fold in (for a sharded monitor:
-    :func:`repro.serve.session.collect_obs_summary`); ``interval`` is
-    the target sampling period.  :meth:`maybe_sample` is safe to call
+    ``collect`` produces the summary to fold in (a monitor's
+    ``obs_summary`` method, for instance); ``interval`` is the target
+    sampling period.  :meth:`maybe_sample` is safe to call
     much more often than the interval — it reads the clock once and
     returns None until the period has elapsed.
     """

@@ -764,6 +764,11 @@ class ShardedMonitor:
             records.extend(response[3])
         return records
 
+    def obs_summary(self) -> dict[str, Any]:
+        """The fleet-merged observability summary: every worker's
+        registry plus the coordinator's own (``stats()["merged_obs"]``)."""
+        return self.stats()["merged_obs"]
+
     def inbox_depths(self) -> dict[int, int]:
         """Best-effort pending-command count per worker inbox (``qsize``
         is approximate by nature; -1 where the platform lacks it)."""

@@ -61,7 +61,7 @@ from .protocol import (
     encode_reply,
     parse_json_line,
 )
-from .session import MonitorBridge, Session, collect_obs_summary
+from .session import MonitorBridge, Session
 
 __all__ = [
     "ServeConfig",
@@ -210,7 +210,7 @@ class ReproServer:
             self.http = ObservabilityEndpoint(
                 self.config.http_host,
                 self.config.http_port,
-                summary=lambda: collect_obs_summary(self.monitor),
+                summary=self.monitor.obs_summary,
                 ready=lambda: not self.lifecycle.draining,
                 slo=self.slo.snapshot,
                 timeline=self.timeline,
@@ -235,7 +235,7 @@ class ReproServer:
         while True:
             await asyncio.sleep(self.config.timeline_interval)
             try:
-                self.timeline.sample(collect_obs_summary(self.monitor))
+                self.timeline.sample(self.monitor.obs_summary())
                 self.slo.evaluate()
             except asyncio.CancelledError:
                 raise

@@ -22,16 +22,14 @@ queue and *cleared from the stage*: the historical stdin loop kept the
 failing batch staged, so every subsequent tick re-failed it forever.
 Healthy streams in the same commit still apply.
 
-Poison detection must be *synchronous* and leave nothing half done,
-but the in-process monitor applies a batch change by change and stops
-at the first refused one.  The bridge therefore keeps a **shadow**
-:class:`LabeledGraph` per stream and replays each batch against it with
-:func:`repro.graph.operations.apply_batch_validated` (the exact
-mutation sequence the monitor runs, all or nothing) *before*
-submitting, so graph-level poison is refused up front and the monitor
-never sees it.  The sharded runtime folds every batch into its own
-graph of record with the same function, so its ``apply`` refuses the
-same batches the same way.
+The bridge does no validation of its own.  ``apply`` on every monitor
+is all-or-nothing and synchronous about refusal: the in-process monitor
+validates the batch against the stream's graph before the first splice
+(:meth:`repro.nnt.incremental.NNTIndex.apply`), the sharded runtime
+folds it into its graph of record before anything is sent to a worker,
+both with :func:`repro.graph.operations.apply_batch_validated` — so a
+refused batch raises here with nothing applied anywhere, and the next
+commit on the stream starts from the state the last good one left.
 """
 
 from __future__ import annotations
@@ -46,8 +44,9 @@ from ..graph.labeled_graph import GraphError, LabeledGraph
 from ..graph.operations import (
     EdgeChange,
     GraphChangeOperation,
-    apply_batch_validated,
+    apply_batch_validated,  # re-exported: the e2e harness imports it from here
 )
+from ..runtime import WorkerCrashed
 from . import protocol
 from .dlq import DeadLetterQueue
 from .protocol import (
@@ -75,15 +74,12 @@ __all__ = [
 ]
 
 #: Exceptions that make a batch *poison* (journaled, never retried).
-#: WorkerCrashed is appended lazily to keep this import-light for the
-#: in-process monitor path.
-POISON_ERRORS: tuple[type[BaseException], ...] = (GraphError, ValueError, KeyError)
-
-
-def _runtime_crash_errors() -> tuple[type[BaseException], ...]:
-    from ..runtime.coordinator import WorkerCrashed
-
-    return (WorkerCrashed,)
+POISON_ERRORS: tuple[type[BaseException], ...] = (
+    GraphError,
+    ValueError,
+    KeyError,
+    WorkerCrashed,
+)
 
 
 class Session:
@@ -138,12 +134,6 @@ class MonitorBridge:
         self._deregistrations = obs.counter(
             "serve.query_deregistrations", "live query retirements via delq"
         )
-        self._poison: tuple[type[BaseException], ...] = POISON_ERRORS
-        if hasattr(monitor, "inbox_depths"):  # sharded runtime
-            self._poison = POISON_ERRORS + _runtime_crash_errors()
-        #: Per-stream replica of the monitor's graph, used to refuse
-        #: poison batches before they are submitted (module docstring).
-        self._shadow: dict[Any, LabeledGraph] = {}
         #: The last graph-set file read, as ``((path, mtime_ns, size),
         #: parsed)``: registering n streams out of one file parses it once.
         self._graph_file: tuple[tuple, dict[str, LabeledGraph]] | None = None
@@ -237,7 +227,6 @@ class MonitorBridge:
                 "stream": command.stream_id,
                 "error": f"{type(exc).__name__}: {exc}",
             }
-        self._shadow[command.stream_id] = initial.copy()
         session.pending.setdefault(command.stream_id, [])
         return {"ok": True, "cmd": command.verb, "stream": command.stream_id}
 
@@ -277,7 +266,7 @@ class MonitorBridge:
             try:
                 pattern = self._load_pattern(command)
                 self.monitor.register_query(command.query_id, pattern)
-            except self._poison + (OSError, TypeError) as exc:
+            except POISON_ERRORS + (OSError, TypeError) as exc:
                 dlq_id = self.dlq.record(
                     session=session.session_id,
                     stream=None,
@@ -317,7 +306,7 @@ class MonitorBridge:
             trace_id = ctx.trace_id if ctx is not None else None
             try:
                 self.monitor.deregister_query(command.query_id)
-            except self._poison as exc:
+            except POISON_ERRORS as exc:
                 # Nothing to replay — an unknown id is refused, not
                 # dead-lettered.
                 reply: dict[str, Any] = {
@@ -352,24 +341,13 @@ class MonitorBridge:
                 changes = session.pending[stream_id]
                 if not changes:
                     continue
-                batch = GraphChangeOperation(changes)
                 try:
-                    # The validator raises (rolling itself back) on
-                    # graph-level poison; the monitor never sees it.
-                    shadow = self._shadow.get(stream_id)
-                    if shadow is not None:
-                        apply_batch_validated(shadow, batch)
-                    try:
-                        self.monitor.apply(stream_id, batch)
-                    except self._poison:
-                        # The shadow accepted what the monitor refused:
-                        # it can no longer be trusted for this stream.
-                        self._resync_shadow(stream_id)
-                        raise
+                    # All or nothing: a refused batch leaves no trace.
+                    self.monitor.apply(stream_id, GraphChangeOperation(changes))
                     applied += 1
                     self.accepted_batches += 1
                     self._batches.inc()
-                except self._poison as exc:
+                except POISON_ERRORS as exc:
                     dlq_id = self.dlq.record(
                         session=session.session_id,
                         stream=stream_id,
@@ -403,24 +381,6 @@ class MonitorBridge:
             reply["error"] = errors[0]["error"]
         return reply
 
-    def _resync_shadow(self, stream_id: Any) -> None:
-        """Re-align a shadow the monitor has disagreed with.
-
-        Re-copies the authoritative graph when the monitor exposes one
-        (the in-process :class:`~repro.core.monitor.StreamMonitor`);
-        otherwise the shadow is dropped, so later batches on the stream
-        go unvalidated rather than being judged against drifted state.
-        """
-        if stream_id not in self._shadow:
-            return
-        if hasattr(self.monitor, "graph"):
-            try:
-                self._shadow[stream_id] = self.monitor.graph(stream_id).copy()
-                return
-            except (ValueError, KeyError):
-                pass
-        del self._shadow[stream_id]
-
     def _checkpoint(self, command: Command) -> dict[str, Any]:
         if not hasattr(self.monitor, "checkpoint"):
             return {"ok": False, "error": "checkpoint requires --workers >= 1"}
@@ -451,16 +411,8 @@ class MonitorBridge:
 
 
 def collect_obs_summary(monitor: Any) -> dict[str, Any]:
-    """The monitor's observability summary: for a ShardedMonitor the
-    fleet-merged per-worker registries (plus the coordinator's own), for
-    an in-process monitor the process-local registry."""
-    if hasattr(monitor, "inbox_depths"):  # ShardedMonitor
-        summary = monitor.stats()["merged_obs"]
-        assert isinstance(summary, dict)
-        return summary
-    summary = obs.get_registry().summary()
-    assert isinstance(summary, dict)
-    return summary
+    """``monitor.obs_summary()``, kept as a function for its importers."""
+    return monitor.obs_summary()
 
 
 def serve_lines(
@@ -490,12 +442,9 @@ def serve_lines(
             continue
         try:
             reply = bridge.execute(session, command)
-        except POISON_ERRORS as exc:
+        except POISON_ERRORS + (OSError,) as exc:
             # Non-batch failures (e.g. unreadable graph-set file) are
             # reported in the historical `Type: message` shape.
-            emit({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        except OSError as exc:
             emit({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
             continue
         executed += 1
@@ -510,7 +459,7 @@ def serve_lines(
                     "ok": True,
                     "cmd": "stats_auto",
                     "t": bridge.timestamp,
-                    "obs": collect_obs_summary(monitor),
+                    "obs": monitor.obs_summary(),
                 }
             )
         if isinstance(command, Quit):

@@ -1,8 +1,8 @@
 """RP011 fixture — analyzed as if it were ``repro.runtime.badmod``.
 
 Everything here crosses the coordinator->worker pickle boundary (queue
-puts, journal records, CMD_* tuples) carrying something that either
-cannot pickle or forks into divergent state.
+puts, CMD_* tuples) carrying something that either cannot pickle or
+forks into divergent state.
 """
 
 CMD_APPLY = "apply"
@@ -14,8 +14,8 @@ def submit(queue, update):
     queue.put((CMD_APPLY, update, lambda x: x))  # expect-violation
 
 
-def journal(journal_store, stream_id):
-    journal_store.record(
+def submit_lazy(queue, stream_id):
+    queue.put(
         (CMD_APPLY, stream_id, (e for e in range(3)))  # expect-violation
     )
 

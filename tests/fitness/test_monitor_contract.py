@@ -1,0 +1,144 @@
+"""One monitor contract, stated by behaviour (docs/api.md has the table).
+
+``StreamMonitor`` and ``ShardedMonitor`` share no base class; what keeps
+them interchangeable for the CLI and the serve bridge is pinned here:
+equal parameter names on every shared public method, one scripted
+scenario that must read the same on both (an all-or-nothing ``apply``
+included), and a source check that the code which used to tell them
+apart has not come back.
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
+from repro import (
+    EdgeChange,
+    GraphChangeOperation,
+    GraphError,
+    LabeledGraph,
+    ShardedMonitor,
+    StreamMonitor,
+)
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: The shared surface the CLI and the bridge rely on.
+CONTRACT = set(
+    "add_stream remove_stream stream_ids graph register_query deregister_query "
+    "query_ids apply apply_many matches is_match events stats obs_summary "
+    "trace_spans close".split()
+)
+
+MONITORS = {
+    "in_process": StreamMonitor,
+    "sharded": lambda queries: ShardedMonitor(queries, num_workers=1),
+}
+
+
+def _public_methods(cls: type) -> dict:
+    return {
+        name: member
+        for name, member in inspect.getmembers(cls, inspect.isfunction)
+        if not name.startswith("_")
+    }
+
+
+def test_shared_methods_take_the_same_parameters() -> None:
+    ours, theirs = _public_methods(StreamMonitor), _public_methods(ShardedMonitor)
+    shared = ours.keys() & theirs.keys()
+    assert CONTRACT <= shared, CONTRACT - shared
+    for name in sorted(shared):
+        assert list(inspect.signature(ours[name]).parameters) == list(
+            inspect.signature(theirs[name]).parameters
+        ), name
+    for cls in (StreamMonitor, ShardedMonitor):
+        assert hasattr(cls, "__enter__") and hasattr(cls, "__exit__")
+
+
+def _edge(a: str, b: str) -> LabeledGraph:
+    return LabeledGraph.from_vertices_and_edges([(0, a), (1, b)], [(0, 1, "-")])
+
+
+def _events(monitor) -> list[tuple]:
+    return [(e.kind, e.stream_id, e.query_id) for e in monitor.events()]
+
+
+@pytest.mark.parametrize("flavour", sorted(MONITORS))
+def test_scripted_scenario_reads_the_same(flavour: str) -> None:
+    closed = []
+    with MONITORS[flavour]({"ab": _edge("A", "B")}) as monitor:
+        close = monitor.close
+        monitor.close = lambda: (closed.append(True), close())
+
+        monitor.add_stream("s")
+        monitor.apply("s", GraphChangeOperation([EdgeChange.insert(1, 2, "-", "A", "B")]))
+        assert _events(monitor) == [("appeared", "s", "ab")]
+
+        before = monitor.graph("s").copy()
+        with pytest.raises(GraphError):  # the valid prefix must not stay
+            monitor.apply(
+                "s",
+                GraphChangeOperation(
+                    [
+                        EdgeChange.insert(2, 3, "-", None, "C"),
+                        EdgeChange.insert(3, 4, "-", None, "A"),
+                        EdgeChange.insert(1, 2, "-"),
+                    ]
+                ),
+            )
+        assert monitor.graph("s") == before
+        assert _events(monitor) == []
+
+        monitor.register_query("bc", _edge("B", "C"))
+        monitor.apply("s", EdgeChange.insert(2, 3, "-", None, "C"))
+        monitor.deregister_query("ab")
+        assert monitor.query_ids() == ["bc"]
+        assert _events(monitor) == [("appeared", "s", "bc")]
+        assert monitor.matches() == {("s", "bc")}
+        assert monitor.is_match("s", "bc")
+        assert sorted(monitor.graph("s").edges()) == [(1, 2, "-"), (2, 3, "-")]
+
+        assert monitor.stats()["num_streams"] == 1
+        assert isinstance(monitor.obs_summary(), dict)
+        assert isinstance(monitor.trace_spans(), list)
+    assert closed == [True]
+
+
+def _attribute_probes(attribute: str) -> list[tuple[str, str]]:
+    """``(file, enclosing function)`` of every ``hasattr(x, attribute)``
+    under ``src/repro``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "hasattr"
+                    and len(node.args) == 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value == attribute
+                ):
+                    found.append((str(path.relative_to(SRC)), function.name))
+    return found
+
+
+def test_nothing_tells_the_two_monitors_apart_by_probing() -> None:
+    """No shadow graph, and the only type proxies left are the load
+    probe of the admission breaker and the checkpoint capability."""
+    for path in sorted(SRC.rglob("*.py")):
+        assert "_shadow" not in path.read_text(), path
+    assert _attribute_probes("inbox_depths") == [("serve/server.py", "_load")]
+    assert _attribute_probes("graph") == []
+    assert sorted(_attribute_probes("checkpoint")) == [
+        ("serve/server.py", "drain"),
+        ("serve/session.py", "_checkpoint"),
+    ]

@@ -88,6 +88,34 @@ class TestEngineFactory:
             assert engine.stream_ids() == []
 
 
+class TestAnswerTuplesAreKept:
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_a_pair_that_stays_is_the_same_tuple(self, name):
+        """Two polls in a row hand back equal, separate sets holding the
+        *same* tuple objects; a removed stream or retired query leaves
+        nothing behind in the engine after the next poll."""
+        path = LabeledGraph.from_vertices_and_edges(
+            [(0, "A"), (1, "B"), (2, "C")], [(0, 1, "x"), (1, 2, "x")]
+        )
+        engine = make_engine(
+            name, QuerySet({"ab": path.subgraph([0, 1]), "abc": path}, depth_limit=2)
+        )
+        for stream_id in ("s0", "s1"):
+            engine.register_stream(stream_id, NNTIndex(path, 2).npvs)
+        first = engine.candidates()
+        second = engine.candidates()
+        assert first is not second
+        assert first == second == {(s, q) for s in ("s0", "s1") for q in ("ab", "abc")}
+        kept = {pair: pair for pair in first}
+        assert all(pair is kept[pair] for pair in second)
+
+        engine.remove_stream("s1")
+        engine.remove_query("abc")
+        (survivor,) = engine.candidates()
+        assert survivor is kept[("s0", "ab")]
+        assert set(engine._answer) == {("s0", "ab")}
+
+
 class TestStaticAgreement:
     @pytest.mark.parametrize("trial", range(6))
     def test_engines_agree_on_random_snapshots(self, trial):

@@ -4,9 +4,16 @@ import random
 
 import pytest
 
-from repro import EdgeChange, GraphChangeOperation, LabeledGraph, StreamMonitor
+from repro import (
+    EdgeChange,
+    GraphChangeOperation,
+    GraphError,
+    LabeledGraph,
+    StreamMonitor,
+)
 from repro.isomorphism import SubgraphMatcher
 from repro.nnt import build_all_nnts
+from repro.nnt.projection import PAPER_SCHEME, DimensionScheme
 
 from .conftest import extract_connected_subgraph, random_labeled_graph
 
@@ -111,6 +118,76 @@ class TestUpdates:
         monitor.add_stream("s", chain(["A", "B"]))
         assert monitor.is_match("s", "ab")
         assert not monitor.is_match("s", "abc")
+
+
+#: name -> (valid batches applied first, the batch that must be refused).
+POISON_BATCHES = {
+    # The reproduction of ISSUE 19: the valid prefix insert(3,4) used to stay.
+    "duplicate_insert_second": (
+        [[EdgeChange.insert(1, 2, "-", "A", "B")]],
+        [EdgeChange.insert(3, 4, "-", "B", "C"), EdgeChange.insert(1, 2, "-", "A", "B")],
+    ),
+    # delete(2,3) isolates vertex 3, which is dropped; then delete(5,6) is refused.
+    "missing_delete_after_vertex_drop": (
+        [[EdgeChange.insert(1, 2, "-", "A", "B"), EdgeChange.insert(2, 3, "-", None, "C")]],
+        [EdgeChange.delete(2, 3), EdgeChange.delete(5, 6)],
+    ),
+    "unlabeled_endpoint_third": (
+        [[EdgeChange.insert(1, 2, "-", "A", "B")]],
+        [
+            EdgeChange.insert(2, 3, "-", None, "C"),
+            EdgeChange.insert(3, 4, "-", None, "A"),
+            EdgeChange.insert(4, 9, "-"),
+        ],
+    ),
+}
+
+
+class TestAllOrNothingBatches:
+    """A refused batch leaves the graph, the NNT, the NPVs and the join
+    engine exactly as they were (Def 2.4: the batch is the unit)."""
+
+    @pytest.mark.parametrize("poison", sorted(POISON_BATCHES))
+    @pytest.mark.parametrize(
+        "scheme",
+        (PAPER_SCHEME, DimensionScheme(include_edge_label=True)),
+        ids=("paper", "edge_label"),
+    )
+    @pytest.mark.parametrize("method", ("nl", "dsc", "skyline", "matrix"))
+    def test_refused_batch_leaves_no_trace(self, method, scheme, poison):
+        queries = {"ab": chain(["A", "B"]), "abc": chain(["A", "B", "C"])}
+        monitor = StreamMonitor(queries, method=method, scheme=scheme)
+        twin = StreamMonitor(queries, method=method, scheme=scheme)  # never poisoned
+        for each in (monitor, twin):
+            each.add_stream("s")
+        valid, refused = POISON_BATCHES[poison]
+        for batch in valid:
+            for each in (monitor, twin):
+                each.apply("s", GraphChangeOperation(batch))
+        index = monitor._indexes["s"]
+        graph = monitor.graph("s").copy()
+        npvs = {vertex: dict(npv) for vertex, npv in index.npvs.items()}
+        matches = monitor.matches()
+        version = monitor.mutation_version("s")
+
+        with pytest.raises(GraphError):
+            monitor.apply("s", GraphChangeOperation(refused))
+
+        assert monitor.graph("s") == graph
+        assert index.npvs == npvs
+        assert monitor.matches() == matches
+        assert monitor.mutation_version("s") == version
+        index.check_integrity()
+
+        following = GraphChangeOperation(
+            [EdgeChange.delete(1, 2), EdgeChange.insert(7, 8, "-", "B", "C")]
+        )
+        for each in (monitor, twin):
+            each.apply("s", following)
+        index.check_integrity()
+        assert monitor.graph("s") == twin.graph("s")
+        assert index.npvs == twin._indexes["s"].npvs
+        assert monitor.matches() == twin.matches()
 
 
 class TestVerification:

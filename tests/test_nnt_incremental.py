@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro import StreamMonitor
 from repro.graph import EdgeChange, GraphChangeOperation, GraphError, LabeledGraph
+from repro.graph.operations import apply_change, apply_operation
 from repro.nnt import NNTIndex, build_all_nnts, project_graph
 from repro.nnt.projection import DimensionScheme
 
@@ -305,4 +306,98 @@ def test_property_depth_limit_level_is_derived_from_the_graph(depth, edge_labels
         assert index.npvs == project_graph(index.graph, depth, scheme) == listener.vectors
         fresh = build_all_nnts(index.graph, depth)
         assert index.num_tree_nodes == sum(tree.size() for tree in fresh.values())
+    index.check_integrity()
+
+
+class CountingBatchListener(BatchRecordingListener):
+    """The batch mirror, counting every callback it is sent."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def on_vertex_added(self, vertex):
+        self.calls += 1
+        super().on_vertex_added(vertex)
+
+    def on_vertex_removed(self, vertex):
+        self.calls += 1
+        super().on_vertex_removed(vertex)
+
+    def on_batch_update(self, deltas):
+        self.calls += 1
+        super().on_batch_update(deltas)
+
+
+def _random_batch(rng: random.Random, graph: LabeledGraph) -> GraphChangeOperation:
+    """A batch that is valid against ``graph`` — built on a scratch copy
+    in processing order — into which, half the time, one change the
+    graph should refuse is dropped at a random position."""
+    scratch = graph.copy()
+    changes = []
+
+    def add(change: EdgeChange) -> None:
+        changes.append(change)
+        apply_change(scratch, change)
+
+    edges = list(scratch.edges())
+    for u, v, _ in rng.sample(edges, min(rng.randint(0, 2), len(edges))):
+        add(EdgeChange.delete(u, v))
+    fresh = max(list(graph.vertices()) + [0]) + 1  # ids from here up are unused
+    for _ in range(rng.randint(0, 3)):
+        vertices = list(scratch.vertices())
+        if len(vertices) >= 2 and rng.random() < 0.6:
+            u, v = rng.sample(vertices, 2)
+            if scratch.has_edge(u, v):
+                continue
+        else:
+            u, v, fresh = (rng.choice(vertices) if vertices else fresh + 1), fresh, fresh + 2
+        labels = [
+            graph.vertex_label(w) if graph.has_vertex(w) else rng.choice("ABC")
+            for w in (u, v)
+        ]
+        add(EdgeChange.insert(u, v, rng.choice("-="), *labels))
+    if rng.random() < 0.5:
+        poison = [
+            EdgeChange.delete(9_000, 9_001),  # no such edge
+            EdgeChange.insert(fresh, 9_002, "-", "A"),  # 9_002 gets no label
+        ]
+        if scratch.num_edges:
+            u, v, label = rng.choice(list(scratch.edges()))
+            poison.append(EdgeChange.insert(u, v, label))  # there after the batch
+        changes.insert(rng.randint(0, len(changes)), rng.choice(poison))
+    return GraphChangeOperation(changes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from((1, 2, 3)),
+    st.booleans(),
+    st.lists(st.integers(0, 10_000), min_size=5, max_size=25),
+)
+def test_property_refused_batches_reach_no_listener(depth, edge_labels, seeds):
+    """Random valid and invalid batches: a batch the graph refuses
+    (judged by plain ``apply_operation`` on a copy) raises, delivers no
+    delta and no vertex event, and leaves the graph as it was; after
+    every step the listener's mirror equals a fresh projection."""
+    scheme = DimensionScheme(include_edge_label=edge_labels)
+    index = NNTIndex(paper_graph(), depth_limit=depth, scheme=scheme)
+    listener = CountingBatchListener()
+    listener.vectors = {vertex: dict(npv) for vertex, npv in index.npvs.items()}
+    index.add_listener(listener)
+    for seed in seeds:
+        batch = _random_batch(random.Random(seed), index.graph)
+        expected = index.graph.copy()
+        try:
+            apply_operation(expected, batch)
+        except GraphError:
+            before, calls = index.graph.copy(), listener.calls
+            with pytest.raises(GraphError):
+                index.apply(batch)
+            assert index.graph == before
+            assert listener.calls == calls
+        else:
+            index.apply(batch)
+            assert index.graph == expected
+        assert listener.vectors == index.npvs == project_graph(index.graph, depth, scheme)
     index.check_integrity()

@@ -464,6 +464,36 @@ class TestDeadLettering:
         assert entry is not None and entry.stream == "s"
         assert entry.changes == [change_to_dict(EdgeChange.insert(1, 2, "x", "A", "B"))]
 
+    def test_poison_third_change_leaves_the_stream_as_it_was(self):
+        """In-process, no shadow: the monitor itself refuses the whole
+        commit, so the two good changes ahead of the poison one leave
+        no trace and the following commit applies."""
+        from repro.serve import serve_lines
+
+        monitor = StreamMonitor({"q": edge_query()}, method="dsc")
+        dlq = DeadLetterQueue()
+        replies: list[dict] = []
+        script = [
+            "stream s",
+            "ins s 1 2 x A B",
+            "tick",
+            "ins s 3 4 x A B",
+            "ins s 4 5 x B A",
+            "ins s 1 2 x A B",  # duplicate edge: poison, third of three
+            "tick",
+        ]
+        serve_lines(monitor, script, replies.append, dlq=dlq)
+        bad = replies[-1]
+        assert bad["ok"] is False and bad["applied"] == 0
+        assert "GraphError" in bad["errors"][0]["error"]
+        assert len(dlq.get(bad["errors"][0]["dlq_id"]).changes) == 3
+        assert sorted(monitor.graph("s").edges()) == [("1", "2", "x")]
+
+        replies.clear()
+        serve_lines(monitor, ["ins s 3 4 x A B", "tick"], replies.append, dlq=dlq)
+        assert replies[-1]["ok"] and replies[-1]["applied"] == 1
+        assert monitor.graph("s").num_edges == 2
+
     def test_cli_dlq_list_and_show(self, tmp_path, capsys):
         from repro.cli import main
 
