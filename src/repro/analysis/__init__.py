@@ -6,51 +6,35 @@ filtering path, seeded dataset generation, deterministic result
 ordering — instead of trusting every future PR to preserve them by
 convention.  See ``docs/static_analysis.md`` for the rule catalog.
 
-Two rule tiers share one finding/suppression pipeline:
-
-* per-module rules (:class:`Rule`) see one :class:`ModuleContext`;
-* project rules (:class:`ProjectRule`, RP011+) query the whole-program
-  :class:`ProjectModel` — import graph, symbol tables, call graph —
-  and run under ``repro lint --project``.
+Every run parses the analyzed files once into a :class:`ProjectModel`
+and runs the registered :class:`Rule` classes over it: ``check`` per
+:class:`Module`, ``check_project`` once over the whole model (import
+graph, symbols across files).
 
 Public API::
 
-    from repro.analysis import Analyzer, Finding, Severity
-    findings = Analyzer().analyze_paths(["src", "benchmarks"])
-    findings = Analyzer().analyze_project(["src", "benchmarks"])
+    from repro.analysis import analyze_paths
+    findings = analyze_paths(["src", "benchmarks"])
 """
 
-from .engine import Analyzer, iter_python_files
-from .findings import Finding, Severity
+from .engine import analyze_paths, analyze_sources, iter_python_files
+from .findings import Finding
 from .layering import ALLOWED_IMPORTS, FILTERING_PATH_UNITS, resolve_unit
-from .project import (
-    PROJECT_REGISTRY,
-    ProjectModel,
-    ProjectRule,
-    all_project_rules,
-    make_project_rules,
-    register_project,
-)
-from .rules import REGISTRY, ModuleContext, Rule, all_rules, make_rules, register
+from .project import Module, ProjectModel
+from .rules import REGISTRY, Rule, make_rules, register
 
 __all__ = [
     "ALLOWED_IMPORTS",
-    "Analyzer",
     "FILTERING_PATH_UNITS",
     "Finding",
-    "ModuleContext",
-    "PROJECT_REGISTRY",
+    "Module",
     "ProjectModel",
-    "ProjectRule",
     "REGISTRY",
     "Rule",
-    "Severity",
-    "all_project_rules",
-    "all_rules",
+    "analyze_paths",
+    "analyze_sources",
     "iter_python_files",
-    "make_project_rules",
     "make_rules",
     "register",
-    "register_project",
     "resolve_unit",
 ]

@@ -1,13 +1,10 @@
 """Command line for the analyzer.
 
-Usable standalone (``python -m repro.analysis [paths]``) and embedded as
-the ``repro lint`` subcommand (both build their flags through
-:func:`add_lint_arguments`, so the two surfaces cannot drift).  Exit
+``python -m repro.analysis [paths]`` and ``python -m repro lint
+[paths]`` are the same :func:`main` (the ``repro`` CLI hands everything
+after the verb over unparsed, so the two surfaces cannot drift).  Exit
 codes: 0 clean, 1 findings, 2 usage error — so CI can gate on it
-directly.  ``--strict`` promotes warnings into the exit code;
-``--project`` adds the whole-program rules (RP011+) on top of the
-per-module pack; ``--baseline`` subtracts reviewed pre-existing
-findings so new code is gated while adoption is incremental.
+directly.
 """
 
 from __future__ import annotations
@@ -15,26 +12,33 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from .engine import Analyzer
-from .findings import Finding, Severity
-from .project import PROJECT_REGISTRY, make_project_rules
-from .rules import REGISTRY, make_rules
+from .engine import analyze_paths
+from .rules import REGISTRY
 
 DEFAULT_PATHS = ["src", "benchmarks"]
 
 
-def rule_range() -> str:
-    """``"RP001-RP015"`` — derived from the registries so the help text
-    can never go stale again."""
-    ids = sorted(REGISTRY) + sorted(PROJECT_REGISTRY)
-    return f"{min(ids)}-{max(ids)}" if ids else "none"
+def _render_catalog() -> str:
+    lines = ["available rules:"]
+    for rule_id in sorted(REGISTRY):
+        rule = REGISTRY[rule_id]
+        scope = "all units" if rule.units is None else ", ".join(sorted(rule.units))
+        if rule.exempt:
+            scope += f" (except {', '.join(sorted(rule.exempt))})"
+        lines.append(f"  {rule_id}  {rule.title}")
+        lines.append(f"         scope: {scope}")
+    return "\n".join(lines)
 
 
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the lint flags on ``parser`` (shared between the
-    standalone module CLI and the ``repro lint`` subcommand)."""
+def main(argv: list[str] | None = None) -> int:
+    """Parse ``argv``, run the analyzer, print the findings; returns the
+    exit code."""
+    parser = argparse.ArgumentParser(
+        prog="repro.analysis",
+        description="Static analysis enforcing the reproduction's soundness "
+        f"and layering invariants (rules {min(REGISTRY)}-{max(REGISTRY)}).",
+    )
     parser.add_argument(
         "paths",
         nargs="*",
@@ -43,232 +47,43 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
-        help="output format (json: one machine-readable object; "
-        "sarif: SARIF 2.1.0 for CI annotation)",
+        help="output format (json: one machine-readable object)",
     )
     parser.add_argument(
-        "--select",
-        help="comma-separated rule ids to run (default: all)",
+        "--select", help="comma-separated rule ids to run (default: all)"
     )
     parser.add_argument(
-        "--project",
-        action="store_true",
-        help="whole-program mode: build the semantic model once and run "
-        "the cross-file rules (RP011+) in addition to the per-module pack",
+        "--list-rules", action="store_true", help="print the rule catalog and exit"
     )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 1 on warnings too, not just errors",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="subtract the reviewed findings recorded in FILE before "
-        "reporting/exiting (incremental adoption; stale entries are "
-        "noted on stderr)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write the current findings to FILE as a baseline and exit 0",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog and exit",
-    )
-
-
-def build_parser(prog: str = "repro.analysis") -> argparse.ArgumentParser:
-    """The argparse tree (shared by ``repro lint``)."""
-    parser = argparse.ArgumentParser(
-        prog=prog,
-        description="Static analysis enforcing the reproduction's "
-        f"soundness and layering invariants (rules {rule_range()}).",
-    )
-    add_lint_arguments(parser)
-    return parser
-
-
-# ----------------------------------------------------------------------
-# baselines
-# ----------------------------------------------------------------------
-
-
-def _fingerprint(finding: Finding) -> tuple[str, str, str]:
-    """Line-number-free identity, stable across unrelated edits."""
-    return (finding.path, finding.rule_id, finding.message)
-
-
-def load_baseline(path: str) -> set[tuple[str, str, str]]:
-    """The fingerprints recorded in a baseline file."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {
-        (entry["path"], entry["rule"], entry["message"])
-        for entry in payload.get("findings", [])
-    }
-
-
-def write_baseline(path: str, findings: list[Finding]) -> None:
-    """Record ``findings`` as the reviewed baseline."""
-    payload = {
-        "version": 1,
-        "findings": [
-            {"path": f.path, "rule": f.rule_id, "message": f.message}
-            for f in findings
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def apply_baseline(
-    findings: list[Finding], baseline: set[tuple[str, str, str]]
-) -> tuple[list[Finding], int]:
-    """(surviving findings, count of stale baseline entries)."""
-    current = {_fingerprint(f) for f in findings}
-    kept = [f for f in findings if _fingerprint(f) not in baseline]
-    stale = len(baseline - current)
-    return kept, stale
-
-
-# ----------------------------------------------------------------------
-# rendering
-# ----------------------------------------------------------------------
-
-
-def _render_text(findings: list[Finding]) -> str:
-    lines = [finding.render() for finding in findings]
-    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-    warnings = len(findings) - errors
-    lines.append(
-        f"found {len(findings)} violation(s) "
-        f"({errors} error(s), {warnings} warning(s))"
-        if findings
-        else "no violations found"
-    )
-    return "\n".join(lines)
-
-
-def _render_json(findings: list[Finding], paths: list[str]) -> str:
-    payload = {
-        "paths": paths,
-        "findings": [finding.to_dict() for finding in findings],
-        "summary": {
-            "total": len(findings),
-            "errors": sum(1 for f in findings if f.severity is Severity.ERROR),
-            "warnings": sum(1 for f in findings if f.severity is Severity.WARNING),
-        },
-    }
-    return json.dumps(payload, indent=2)
-
-
-def _render_catalog() -> str:
-    lines = ["available rules:"]
-    for rule_id in sorted(REGISTRY):
-        rule = REGISTRY[rule_id]
-        scope = "all units" if rule.units is None else ", ".join(sorted(rule.units))
-        lines.append(f"  {rule_id}  {rule.title}")
-        lines.append(f"         scope: {scope}")
-    lines.append("project rules (need --project):")
-    for rule_id in sorted(PROJECT_REGISTRY):
-        project_rule = PROJECT_REGISTRY[rule_id]
-        lines.append(f"  {rule_id}  {project_rule.title}")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# execution
-# ----------------------------------------------------------------------
-
-
-def _split_selection(
-    select: list[str] | None, project: bool
-) -> tuple[list[str] | None, list[str] | None]:
-    """Validated (per-module ids, project ids); raises ValueError with a
-    user-facing message on unknown ids or project ids without --project."""
-    if select is None:
-        return None, None
-    per_module = [rule_id for rule_id in select if rule_id in REGISTRY]
-    project_ids = [rule_id for rule_id in select if rule_id in PROJECT_REGISTRY]
-    unknown = [
-        rule_id
-        for rule_id in select
-        if rule_id not in REGISTRY and rule_id not in PROJECT_REGISTRY
-    ]
-    if unknown:
-        raise ValueError(f"unknown rule id(s): {', '.join(sorted(set(unknown)))}")
-    if project_ids and not project:
-        raise ValueError(
-            f"rule(s) {', '.join(project_ids)} need the whole-program model; "
-            "add --project"
-        )
-    return per_module, project_ids
-
-
-def run(args: argparse.Namespace) -> int:
-    """Execute a parsed invocation; returns the exit code."""
+    args = parser.parse_args(argv)
     if args.list_rules:
         print(_render_catalog())
         return 0
     select = None
     if args.select:
         select = [part.strip().upper() for part in args.select.split(",") if part.strip()]
-    try:
-        per_module, project_ids = _split_selection(select, args.project)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    analyzer = Analyzer(
-        make_rules(per_module),
-        project_rules=make_project_rules(project_ids),
-    )
-    baseline: set[tuple[str, str, str]] = set()
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as error:
-            print(f"error: cannot read baseline {args.baseline}: {error}", file=sys.stderr)
+        unknown = sorted(set(select) - set(REGISTRY))
+        if unknown:
+            print(f"error: unknown rule id(s): {', '.join(unknown)}", file=sys.stderr)
             return 2
     try:
-        if args.project:
-            findings = analyzer.analyze_project(args.paths)
-        else:
-            findings = analyzer.analyze_paths(args.paths)
+        findings = analyze_paths(args.paths, select)
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        write_baseline(args.write_baseline, findings)
-        print(
-            f"wrote {len(findings)} finding(s) to baseline {args.write_baseline}"
-        )
-        return 0
-    if baseline:
-        findings, stale = apply_baseline(findings, baseline)
-        if stale:
-            print(
-                f"note: {stale} baseline entr{'y is' if stale == 1 else 'ies are'} "
-                "stale (fixed findings — shrink the baseline file)",
-                file=sys.stderr,
-            )
     if args.format == "json":
-        print(_render_json(findings, list(args.paths)))
-    elif args.format == "sarif":
-        from .sarif import render_sarif
-
-        print(render_sarif(findings))
+        payload = {
+            "paths": list(args.paths),
+            "findings": [finding.to_dict() for finding in findings],
+            "summary": {"total": len(findings)},
+        }
+        print(json.dumps(payload, indent=2))
     else:
-        print(_render_text(findings))
-    has_errors = any(f.severity is Severity.ERROR for f in findings)
-    has_warnings = any(f.severity is Severity.WARNING for f in findings)
-    if has_errors or (args.strict and has_warnings):
-        return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``python -m repro.analysis``."""
-    return run(build_parser().parse_args(argv))
+        for finding in findings:
+            print(finding.render())
+        print(
+            f"found {len(findings)} violation(s)" if findings else "no violations found"
+        )
+    return 1 if findings else 0

@@ -1,4 +1,9 @@
-"""The analyzer: file discovery, parsing, rule dispatch, suppression.
+"""The analyzer: file discovery, rule dispatch, suppression.
+
+Every run — the CLI, ``tests/fitness``, CI — goes one way: parse the
+sources once into a :class:`~repro.analysis.project.ProjectModel`, call
+each selected rule's ``check`` on the modules its scope covers and its
+``check_project`` once, then drop the findings waived per line.
 
 Stdlib-only by design (the layering matrix pins ``repro.analysis`` to
 zero internal imports) so it can lint the very tree it lives in without
@@ -7,16 +12,15 @@ import-order hazards.
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .findings import Finding, Severity
-from .layering import module_name_for_path, resolve_unit
-from .project import ProjectRule, all_project_rules
-from .rules import ModuleContext, Rule, make_rules
+from .findings import Finding
+from .project import ProjectModel, SourceEntry
+from .rules import make_rules
+from .suppressions import SuppressionIndex
 from . import rulepack  # noqa: F401 - importing registers the rule pack
-from . import project_rules  # noqa: F401 - registers the project rule pack
+from . import project_rules  # noqa: F401 - registers the cross-file rule pack
 
 #: Directory names never descended into during discovery.
 _SKIP_DIRS = {
@@ -42,148 +46,61 @@ def iter_python_files(paths: Sequence[Path | str]) -> list[Path]:
             files.add(path)
         elif path.is_dir():
             for candidate in path.rglob("*.py"):
-                if not any(part in _SKIP_DIRS for part in candidate.parts):
+                # Only what lies *below* the given root decides: a
+                # checkout under a directory called ``build`` is not skipped.
+                below = candidate.relative_to(path).parts
+                if not any(part in _SKIP_DIRS for part in below):
                     files.add(candidate)
         else:
             raise FileNotFoundError(f"no such file or directory: {path}")
     return sorted(files)
 
 
-class Analyzer:
-    """Runs a rule set over source files and returns structured findings."""
+def analyze_paths(
+    paths: Sequence[Path | str], select: list[str] | None = None
+) -> list[Finding]:
+    """Analyze files and directory trees; sorted, suppression-filtered.
 
-    def __init__(
-        self,
-        rules: Sequence[Rule] | None = None,
-        project_rules: Sequence[ProjectRule] | None = None,
-    ) -> None:
-        self.rules: list[Rule] = list(rules) if rules is not None else make_rules()
-        self.project_rules: list[ProjectRule] = (
-            list(project_rules) if project_rules is not None else all_project_rules()
-        )
-
-    # ------------------------------------------------------------------
-    def analyze_source(
-        self,
-        source: str,
-        path: str = "<string>",
-        module_name: str | None = None,
-        unit: str | None = None,
-    ) -> list[Finding]:
-        """Analyze one in-memory module.
-
-        ``module_name`` / ``unit`` override the path-derived identity —
-        fitness tests use this to run fixture files *as if* they lived
-        in a specific package.
-        """
-        if module_name is None:
-            module_name = module_name_for_path(Path(path)) if path != "<string>" else path
-        if unit is None:
-            unit = resolve_unit(module_name)
+    One unreadable or non-UTF-8 file degrades to an ``RP000`` finding
+    for that file — the rest of the run continues.
+    """
+    entries: list[SourceEntry] = []
+    unreadable: list[Finding] = []
+    for file in iter_python_files(paths):
         try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as error:
-            return [
-                Finding(
-                    path=path,
-                    line=error.lineno or 1,
-                    column=(error.offset or 0) + 1,
-                    rule_id="RP000",
-                    message=f"syntax error: {error.msg}",
-                    severity=Severity.ERROR,
-                )
-            ]
-        context = ModuleContext(
-            path=path, module_name=module_name, unit=unit, tree=tree, source=source
-        )
-        findings: list[Finding] = []
-        for rule in self.rules:
-            if rule.applies_to(context):
-                findings.extend(rule.check(context))
-        return self._apply_suppressions(source, findings)
+            entries.append((file.read_text(encoding="utf-8"), str(file), None, None))
+        except (OSError, UnicodeDecodeError) as error:
+            unreadable.append(
+                Finding(str(file), 1, 1, "RP000", f"unreadable file: {error}")
+            )
+    return sorted(unreadable + analyze_sources(entries, select))
 
-    def analyze_file(
-        self,
-        path: Path | str,
-        module_name: str | None = None,
-        unit: str | None = None,
-    ) -> list[Finding]:
-        """Analyze one file on disk."""
-        path = Path(path)
-        source = path.read_text(encoding="utf-8")
-        return self.analyze_source(
-            source, path=str(path), module_name=module_name, unit=unit
-        )
 
-    def analyze_paths(self, paths: Sequence[Path | str]) -> list[Finding]:
-        """Analyze files and directory trees; sorted, suppression-filtered.
+def analyze_sources(
+    entries: Sequence[SourceEntry], select: list[str] | None = None
+) -> list[Finding]:
+    """Analyze in-memory ``(source, path, module_name, unit)`` modules
+    under the ``select``-ed rules (all when None).
 
-        One unreadable or non-UTF-8 file degrades to an ``RP000`` ERROR
-        finding for that file — the rest of the run continues.
-        """
-        findings: list[Finding] = []
-        for file in iter_python_files(paths):
-            try:
-                findings.extend(self.analyze_file(file))
-            except (OSError, UnicodeDecodeError) as error:
-                findings.append(
-                    Finding(
-                        path=str(file),
-                        line=1,
-                        column=1,
-                        rule_id="RP000",
-                        message=f"unreadable file: {error}",
-                        severity=Severity.ERROR,
-                    )
-                )
-        return sorted(findings)
-
-    def analyze_project(self, paths: Sequence[Path | str]) -> list[Finding]:
-        """Whole-program analysis: per-module rules *plus* the
-        cross-file project rules (RP011+), over one shared parse.
-
-        The :class:`~repro.analysis.project.ProjectModel` is built once
-        and every rule queries it, so ``--project`` costs one tree walk
-        more than the per-file mode, not one per rule.  Suppression
-        comments apply to project findings exactly as to per-module
-        ones.
-        """
-        from .project import ProjectModel
-
-        model = ProjectModel.build(paths)
-        findings: list[Finding] = list(model.errors)
-        for info in model.infos:
-            context = info.context()
-            per_file: list[Finding] = []
-            for rule in self.rules:
-                if rule.applies_to(context):
-                    per_file.extend(rule.check(context))
-            findings.extend(self._apply_suppressions(info.source, per_file))
-        cross_file: list[Finding] = []
-        for project_rule in self.project_rules:
-            cross_file.extend(project_rule.check(model))
-        sources = {info.path: info.source for info in model.infos}
-        by_path: dict[str, list[Finding]] = {}
-        for finding in cross_file:
-            by_path.setdefault(finding.path, []).append(finding)
-        for path, group in by_path.items():
-            source = sources.get(path)
-            if source is None:
-                findings.extend(group)
-            else:
-                findings.extend(self._apply_suppressions(source, group))
-        return sorted(findings)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _apply_suppressions(
-        source: str, findings: Iterable[Finding]
-    ) -> list[Finding]:
-        from .suppressions import SuppressionIndex
-
-        index = SuppressionIndex(source)
-        return sorted(
-            finding
-            for finding in findings
-            if not index.is_suppressed(finding.line, finding.rule_id)
-        )
+    A ``module_name`` / ``unit`` overrides the path-derived identity —
+    fitness tests use this to run fixture files *as if* they lived in a
+    specific package.  A syntax error degrades to an ``RP000`` finding.
+    """
+    model = ProjectModel(entries)
+    rules = make_rules(select)
+    findings: list[Finding] = []
+    for module in model.parsed:
+        for rule in rules:
+            if rule.applies_to(module):
+                findings.extend(rule.check(module))
+    for rule in rules:
+        findings.extend(rule.check_project(model))
+    sources = {module.path: module.source for module in model.parsed}
+    waivers: dict[str, SuppressionIndex] = {}
+    kept = list(model.errors)
+    for finding in findings:
+        if finding.path not in waivers:
+            waivers[finding.path] = SuppressionIndex(sources[finding.path])
+        if not waivers[finding.path].is_suppressed(finding.line, finding.rule_id):
+            kept.append(finding)
+    return sorted(kept)

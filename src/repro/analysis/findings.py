@@ -2,25 +2,13 @@
 
 A :class:`Finding` pins one rule violation to a file/line/column so it
 can be rendered as a compiler-style diagnostic, serialized to JSON for
-CI annotation, or matched against ``# repro: noqa[RULE-ID]``
-suppression comments by the engine.
+CI, or matched against ``# repro: noqa[RULE-ID]`` suppression comments
+by the engine.  Every finding fails the run.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class Severity(enum.Enum):
-    """How a finding affects the exit code.
-
-    ``ERROR`` findings fail the run; ``WARNING`` findings are reported
-    but do not (reserved for rules being phased in).
-    """
-
-    ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True, order=True)
@@ -32,14 +20,10 @@ class Finding:
     column: int
     rule_id: str
     message: str
-    severity: Severity = Severity.ERROR
 
     def render(self) -> str:
         """Compiler-style one-line diagnostic."""
-        return (
-            f"{self.path}:{self.line}:{self.column}: "
-            f"{self.rule_id} [{self.severity.value}] {self.message}"
-        )
+        return f"{self.path}:{self.line}:{self.column}: {self.rule_id} {self.message}"
 
     def to_dict(self) -> dict[str, object]:
         """JSON-serializable form (for ``--format=json`` / CI)."""
@@ -48,6 +32,5 @@ class Finding:
             "line": self.line,
             "column": self.column,
             "rule": self.rule_id,
-            "severity": self.severity.value,
             "message": self.message,
         }

@@ -1,24 +1,13 @@
-"""Graph structures backing the whole-program semantic model.
+"""The import graph backing the model every lint run builds.
 
-Two graphs, both derived once per :class:`~repro.analysis.project.ProjectModel`
-build and then queried by every project rule:
-
-* :class:`ImportGraph` — module-level import edges between the analyzed
-  modules (``repro.runtime.coordinator -> repro.obs``), with
-  ``typing_only`` marking imports that live inside an
-  ``if TYPE_CHECKING:`` block (they never execute, so they are excluded
-  from cycle detection but still checked against the layering matrix).
-  Strongly connected components come from an iterative Tarjan, so cycle
-  reporting is deterministic and recursion-limit-proof.
-
-* :class:`CallGraph` — a conservative over-approximation of "who may
-  call whom" across the tree.  Edges are *certain* (resolved through a
-  name binding: local function, imported symbol, ``self.method``, typed
-  attribute) or *dynamic* (``anything.m()`` matched against every known
-  method named ``m``).  Reachability queries choose whether the dynamic
-  over-approximation participates: soundness rules (RP013) include it,
-  coverage rules (RP012) use only certain edges so a span hiding behind
-  an unresolvable call does not silently satisfy the check.
+:class:`ImportGraph` holds the module-level import edges between the
+analyzed modules (``repro.runtime.coordinator -> repro.obs``), derived
+once per :class:`~repro.analysis.project.ProjectModel`.  ``typing_only``
+marks imports that do not execute at module init (inside an
+``if TYPE_CHECKING:`` block or a function body): they are excluded from
+cycle detection but still checked against the layering matrix.
+Strongly connected components come from an iterative Tarjan, so cycle
+reporting is deterministic and recursion-limit-proof.
 
 Stdlib-only, like the rest of ``repro.analysis``.
 """
@@ -26,7 +15,7 @@ Stdlib-only, like the rest of ``repro.analysis``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -53,7 +42,6 @@ class ImportGraph:
 
     def __init__(self, nodes: Iterable[str]) -> None:
         self.nodes: set[str] = set(nodes)
-        self.edges: list[ImportEdge] = []
         # Runtime (non-typing) adjacency over known nodes only.
         self._adjacency: dict[str, set[str]] = {node: set() for node in self.nodes}
         # Every edge (typing or not, known target or not), keyed by source.
@@ -62,19 +50,10 @@ class ImportGraph:
         }
 
     def add_edge(self, edge: ImportEdge) -> None:
-        """Record one import statement."""
-        if edge.source not in self.nodes:
-            self.nodes.add(edge.source)
-            self._adjacency[edge.source] = set()
-            self._by_source[edge.source] = []
-        self.edges.append(edge)
+        """Record one import statement (of a module in ``nodes``)."""
         self._by_source[edge.source].append(edge)
         if not edge.typing_only and edge.target in self.nodes:
             self._adjacency[edge.source].add(edge.target)
-
-    def successors(self, node: str) -> set[str]:
-        """Runtime-imported modules of ``node`` within the model."""
-        return set(self._adjacency.get(node, set()))
 
     def edges_from(self, node: str) -> list[ImportEdge]:
         """Every recorded import edge leaving ``node``."""
@@ -175,41 +154,3 @@ class ImportGraph:
                     return list(reversed(path))
                 frontier.append(succ)
         return None
-
-
-@dataclass
-class CallGraph:
-    """Conservative "may call" edges between function symbols.
-
-    Function keys are ``"<canonical module>:<qualname>"`` (e.g.
-    ``"repro.core.monitor:StreamMonitor.apply"``).
-    """
-
-    certain: dict[str, set[str]] = field(default_factory=dict)
-    dynamic: dict[str, set[str]] = field(default_factory=dict)
-
-    def add_edge(self, caller: str, callee: str, certain: bool) -> None:
-        """Record that ``caller`` may invoke ``callee``."""
-        table = self.certain if certain else self.dynamic
-        table.setdefault(caller, set()).add(callee)
-
-    def callees(self, caller: str, include_dynamic: bool = True) -> set[str]:
-        """Direct callees of one function."""
-        result = set(self.certain.get(caller, set()))
-        if include_dynamic:
-            result |= self.dynamic.get(caller, set())
-        return result
-
-    def reachable(
-        self, entries: Iterable[str], include_dynamic: bool = True
-    ) -> set[str]:
-        """Every function reachable from ``entries`` (inclusive)."""
-        seen: set[str] = set()
-        frontier = deque(entries)
-        while frontier:
-            node = frontier.popleft()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(self.callees(node, include_dynamic) - seen)
-        return seen

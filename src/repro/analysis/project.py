@@ -1,27 +1,22 @@
-"""The whole-program semantic model (``repro lint --project``).
+"""The model every lint run builds: each analyzed file parsed once.
 
-Per-module rules (:mod:`repro.analysis.rulepack`) see one file at a
-time; the invariants that keep the sharded runtime sound span files —
-what crosses the coordinator→worker pickle boundary, whether hot paths
-carry spans, whether checkpoint ``save``/``restore`` agree on the
-manifest schema.  :class:`ProjectModel` parses the analyzed tree *once*
-and derives three queryable views:
+:class:`ProjectModel` parses the analyzed tree *once* into
+:class:`Module` records — the one thing every rule looks at — and
+derives two queryable views over them:
 
-* a per-module **symbol table** (classes with typed attributes and
-  methods, functions, module-level assignments, import bindings);
+* a per-module **symbol table** (functions and methods by qualified
+  name, classes, module-level assignments and which of them are mutable
+  containers, import bindings);
 * the **import graph** (:class:`~repro.analysis.graphs.ImportGraph`)
-  over the analyzed modules, with ``TYPE_CHECKING``-only edges marked;
-* a conservative **call graph**
-  (:class:`~repro.analysis.graphs.CallGraph`) over everything the
-  binding structure can resolve — local calls, imported symbols,
-  ``self.method()``, annotation-typed attribute calls — plus dynamic
-  name-match edges for the rest.
+  over the analyzed modules, with lazy edges (``TYPE_CHECKING`` blocks,
+  function bodies) marked.
 
-:class:`ProjectRule` is the whole-program counterpart of
-:class:`~repro.analysis.rules.Rule`: it inspects the model instead of a
-single :class:`~repro.analysis.rules.ModuleContext`.  Project rules
-register into :data:`PROJECT_REGISTRY` and run only under
-``--project`` (they are meaningless on isolated files).
+Per-module checks (:meth:`Rule.check <repro.analysis.rules.Rule.check>`)
+read one :class:`Module`; the invariants that span files — what crosses
+the coordinator→worker pickle boundary, whether checkpoint
+``save``/``restore`` agree on the manifest schema, import cycles —
+query the whole model (:meth:`Rule.check_project
+<repro.analysis.rules.Rule.check_project>`).
 """
 
 from __future__ import annotations
@@ -29,11 +24,15 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .findings import Finding, Severity
+from .findings import Finding
+from .graphs import ImportEdge, ImportGraph
 from .layering import module_name_for_path, resolve_unit
-from .rules import ModuleContext
+
+#: An in-memory module: ``(source, path, module_name, unit)``; a None
+#: name/unit is derived from the path.
+SourceEntry = tuple[str, str, str | None, str | None]
 
 # ----------------------------------------------------------------------
 # symbols
@@ -49,74 +48,9 @@ _MUTABLE_FACTORIES = frozenset(
 class FunctionSymbol:
     """One function or method definition."""
 
-    module: str  # canonical module name
     qualname: str  # "f" or "Cls.m"
     node: ast.FunctionDef | ast.AsyncFunctionDef
     class_name: str | None = None
-
-    @property
-    def key(self) -> str:
-        """The call-graph node id."""
-        return f"{self.module}:{self.qualname}"
-
-    @property
-    def name(self) -> str:
-        """The bare (method) name."""
-        return self.node.name
-
-    @property
-    def is_public(self) -> bool:
-        """Part of the module/class public surface (dunders excluded)."""
-        return not self.node.name.startswith("_")
-
-
-@dataclass
-class ClassSymbol:
-    """One class definition with its methods and typed attributes."""
-
-    module: str
-    name: str
-    node: ast.ClassDef
-    methods: dict[str, FunctionSymbol] = field(default_factory=dict)
-    bases: list[str] = field(default_factory=list)
-    #: attribute name -> annotated type name (from class-body and
-    #: ``self.x: T`` annotations; dataclass fields land here too).
-    attr_types: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class ModuleSymbols:
-    """Everything name-shaped one module defines or binds."""
-
-    functions: dict[str, FunctionSymbol] = field(default_factory=dict)
-    classes: dict[str, ClassSymbol] = field(default_factory=dict)
-    #: module-level name -> the assigned value expression.
-    global_assigns: dict[str, ast.expr] = field(default_factory=dict)
-    #: module-level names bound to mutable containers.
-    mutable_globals: set[str] = field(default_factory=set)
-    #: local name -> (absolute module, attribute-or-None).  ``import a.b``
-    #: binds ``a.b`` -> ("a.b", None); ``from m import f as g`` binds
-    #: ``g`` -> ("m", "f").
-    import_bindings: dict[str, tuple[str, str | None]] = field(default_factory=dict)
-
-
-def _annotation_name(annotation: ast.expr | None) -> str | None:
-    """The plain type name of an annotation, unwrapping Optional-ish
-    shapes conservatively (``X``, ``"X"``, ``X | None``)."""
-    if annotation is None:
-        return None
-    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-        return annotation.value.split("[")[0].strip()
-    if isinstance(annotation, ast.Name):
-        return annotation.id
-    if isinstance(annotation, ast.Attribute):
-        return annotation.attr
-    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
-        left = _annotation_name(annotation.left)
-        if left is not None and left != "None":
-            return left
-        return _annotation_name(annotation.right)
-    return None
 
 
 def _is_mutable_literal(value: ast.expr) -> bool:
@@ -131,63 +65,54 @@ def _is_mutable_literal(value: ast.expr) -> bool:
 
 
 # ----------------------------------------------------------------------
-# per-module info
+# the module record
 # ----------------------------------------------------------------------
 
 
 def canonical_module_name(module_name: str) -> str:
     """Graph-node identity: ``repro.obs.__init__`` and ``repro.obs`` are
     the same module."""
-    if module_name.endswith(".__init__"):
-        return module_name[: -len(".__init__")]
-    return module_name
+    return module_name.removesuffix(".__init__")
 
 
 @dataclass
-class ModuleInfo:
-    """One parsed module plus its derived symbol table."""
+class Module:
+    """One parsed source file plus everything name-shaped it defines or
+    binds (its symbol table)."""
 
-    path: str
-    module_name: str  # as per-file analysis sees it (``pkg.__init__`` kept)
+    path: str  # display path (as given on the command line)
+    module_name: str  # dotted, best effort; ``pkg.__init__`` kept
     canonical: str  # graph-node identity (``pkg``)
-    unit: str
+    unit: str  # layering unit, e.g. "repro.nnt" or "benchmarks"
     tree: ast.Module
     source: str
-    symbols: ModuleSymbols = field(default_factory=ModuleSymbols)
-    #: every absolute ``repro.*`` target this module imports, with the
-    #: import statement's location (superset of the import-graph edges —
-    #: targets outside the analyzed tree are kept here).  The final bool
-    #: marks *lazy* imports — inside ``if TYPE_CHECKING:`` or a function
-    #: body — which do not execute at module init and therefore do not
-    #: participate in cycle detection.
-    repro_imports: list[tuple[str, int, int, bool]] = field(default_factory=list)
+    #: top-level functions and the methods of top-level classes, by
+    #: qualified name.
+    functions: dict[str, FunctionSymbol] = field(default_factory=dict)
+    classes: set[str] = field(default_factory=set)
+    #: module-level names bound by assignment.
+    global_names: set[str] = field(default_factory=set)
+    #: the subset of those bound to mutable containers.
+    mutable_globals: set[str] = field(default_factory=set)
+    #: local name -> (absolute module, attribute-or-None).  ``import a.b``
+    #: binds ``a.b`` -> ("a.b", None); ``from m import f as g`` binds
+    #: ``g`` -> ("m", "f").
+    import_bindings: dict[str, tuple[str, str | None]] = field(default_factory=dict)
+    #: every absolute ``repro.*`` target this module imports, anchored at
+    #: the import statement (targets outside the analyzed tree are kept).
+    #: ``typing_only`` marks *lazy* imports — inside ``if TYPE_CHECKING:``
+    #: or a function body — which do not execute at module init and
+    #: therefore do not participate in cycle detection.
+    repro_imports: list[ImportEdge] = field(default_factory=list)
 
-    def context(self) -> ModuleContext:
-        """The per-module rule context (so per-file rules reuse this
-        parse in project mode)."""
-        return ModuleContext(
-            path=self.path,
-            module_name=self.module_name,
-            unit=self.unit,
-            tree=self.tree,
-            source=self.source,
-        )
-
-    def finding(
-        self,
-        node: ast.AST,
-        rule_id: str,
-        message: str,
-        severity: Severity = Severity.ERROR,
-    ) -> Finding:
-        """A finding anchored at ``node`` in this module."""
+    def finding(self, node: ast.AST, rule_id: str, message: str) -> Finding:
+        """A finding anchored at ``node``'s location in this module."""
         return Finding(
             path=self.path,
             line=getattr(node, "lineno", 1),
             column=getattr(node, "col_offset", 0) + 1,
             rule_id=rule_id,
             message=message,
-            severity=severity,
         )
 
 
@@ -196,12 +121,15 @@ class ModuleInfo:
 # ----------------------------------------------------------------------
 
 
-def _in_type_checking_block(
-    node: ast.stmt, parents: dict[ast.AST, ast.AST]
-) -> bool:
-    """Is this statement lexically inside ``if TYPE_CHECKING:``?"""
+def _is_lazy(node: ast.stmt, parents: dict[ast.AST, ast.AST]) -> bool:
+    """Is this statement lexically inside ``if TYPE_CHECKING:`` or a
+    function body?  Such imports do not run at module init — a
+    function-body import is the canonical way to *break* an import cycle
+    and must not be reported as part of one."""
     current: ast.AST | None = parents.get(node)
     while current is not None:
+        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return True
         if isinstance(current, ast.If):
             test = current.test
             if (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
@@ -212,79 +140,35 @@ def _in_type_checking_block(
     return False
 
 
-def _in_function_body(node: ast.stmt, parents: dict[ast.AST, ast.AST]) -> bool:
-    """Is this statement lexically inside a function body?  Such imports
-    run on call, not at module init — they are the canonical way to
-    *break* an import cycle and must not be reported as part of one."""
-    current: ast.AST | None = parents.get(node)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return True
-        current = parents.get(current)
-    return False
-
-
-def _collect_symbols(info: ModuleInfo) -> None:
-    """Fill ``info.symbols`` from the module body (one pass)."""
-    symbols = info.symbols
-    for stmt in info.tree.body:
+def _collect_symbols(module: Module) -> None:
+    """Fill the symbol table from the module body (one pass)."""
+    for stmt in module.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            symbols.functions[stmt.name] = FunctionSymbol(
-                module=info.canonical, qualname=stmt.name, node=stmt
-            )
+            module.functions[stmt.name] = FunctionSymbol(stmt.name, stmt)
         elif isinstance(stmt, ast.ClassDef):
-            cls = ClassSymbol(
-                module=info.canonical,
-                name=stmt.name,
-                node=stmt,
-                bases=[b for b in (_annotation_name(base) for base in stmt.bases) if b],
-            )
+            module.classes.add(stmt.name)
             for member in stmt.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    symbol = FunctionSymbol(
-                        module=info.canonical,
-                        qualname=f"{stmt.name}.{member.name}",
-                        node=member,
-                        class_name=stmt.name,
+                    qualname = f"{stmt.name}.{member.name}"
+                    module.functions[qualname] = FunctionSymbol(
+                        qualname, member, class_name=stmt.name
                     )
-                    cls.methods[member.name] = symbol
-                    symbols.functions[symbol.qualname] = symbol
-                elif isinstance(member, ast.AnnAssign) and isinstance(
-                    member.target, ast.Name
-                ):
-                    annotated = _annotation_name(member.annotation)
-                    if annotated:
-                        cls.attr_types[member.target.id] = annotated
-            # ``self.x: T = ...`` annotations inside methods count too.
-            for node in ast.walk(stmt):
-                if (
-                    isinstance(node, ast.AnnAssign)
-                    and isinstance(node.target, ast.Attribute)
-                    and isinstance(node.target.value, ast.Name)
-                    and node.target.value.id == "self"
-                ):
-                    annotated = _annotation_name(node.annotation)
-                    if annotated:
-                        cls.attr_types.setdefault(node.target.attr, annotated)
-            symbols.classes[stmt.name] = cls
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
                 if isinstance(target, ast.Name):
-                    symbols.global_assigns[target.id] = stmt.value
+                    module.global_names.add(target.id)
                     if _is_mutable_literal(stmt.value):
-                        symbols.mutable_globals.add(target.id)
-        elif isinstance(stmt, ast.AnnAssign):
-            if isinstance(stmt.target, ast.Name) and stmt.value is not None:
-                symbols.global_assigns[stmt.target.id] = stmt.value
-                if _is_mutable_literal(stmt.value):
-                    symbols.mutable_globals.add(stmt.target.id)
+                        module.mutable_globals.add(target.id)
 
 
-def _resolve_relative(module_name: str, level: int, target: str | None) -> str | None:
-    """Absolute dotted name of a relative import (same convention as the
-    rulepack: the ``__init__``-suffixed module name makes package-local
-    levels resolve correctly)."""
+def resolve_relative(module_name: str, level: int, target: str | None) -> str | None:
+    """Absolute dotted name of a relative import, or None if it escapes
+    the package tree (``from .. import x`` at the top level)."""
     parts = module_name.split(".")
+    # Module "repro.nnt.tree": level 1 is package "repro.nnt", level 2
+    # is "repro" — i.e. drop the module stem plus (level - 1) packages
+    # (the ``__init__``-suffixed name makes package-local levels work).
     if level >= len(parts):
         return None
     base = parts[: len(parts) - level]
@@ -293,52 +177,51 @@ def _resolve_relative(module_name: str, level: int, target: str | None) -> str |
     return ".".join(base)
 
 
-def _collect_imports(info: ModuleInfo, parents: dict[ast.AST, ast.AST]) -> None:
+def _collect_imports(module: Module) -> None:
     """Record import bindings and absolute ``repro.*`` import targets."""
-    symbols = info.symbols
-    for node in ast.walk(info.tree):
+    parents: dict[ast.AST, ast.AST] = {}
+    for node in ast.walk(module.tree):
+        for child in ast.iter_child_nodes(node):
+            parents[child] = node
+    bindings = module.import_bindings
+
+    def record(target: str, node: ast.stmt) -> None:
+        if target == "repro" or target.startswith("repro."):
+            module.repro_imports.append(
+                ImportEdge(
+                    source=module.canonical,
+                    target=canonical_module_name(target),
+                    lineno=node.lineno,
+                    column=node.col_offset,
+                    typing_only=_is_lazy(node, parents),
+                )
+            )
+
+    for node in ast.walk(module.tree):
         if isinstance(node, ast.Import):
-            lazy = _in_type_checking_block(node, parents) or _in_function_body(
-                node, parents
-            )
             for alias in node.names:
-                bound = alias.asname or alias.name
-                symbols.import_bindings[bound] = (alias.name, None)
-                if alias.name == "repro" or alias.name.startswith("repro."):
-                    info.repro_imports.append(
-                        (alias.name, node.lineno, node.col_offset, lazy)
-                    )
+                bindings[alias.asname or alias.name] = (alias.name, None)
+                record(alias.name, node)
         elif isinstance(node, ast.ImportFrom):
-            lazy = _in_type_checking_block(node, parents) or _in_function_body(
-                node, parents
-            )
             if node.level == 0:
                 base = node.module
             else:
-                base = _resolve_relative(info.module_name, node.level, node.module)
+                base = resolve_relative(module.module_name, node.level, node.module)
             if base is None:
                 continue
             if node.module is None:
                 # ``from . import x, y`` — each alias is a submodule.
                 for alias in node.names:
-                    target = f"{base}.{alias.name}"
-                    bound = alias.asname or alias.name
-                    symbols.import_bindings[bound] = (target, None)
-                    if target.startswith("repro."):
-                        info.repro_imports.append(
-                            (target, node.lineno, node.col_offset, lazy)
-                        )
+                    submodule = f"{base}.{alias.name}"
+                    bindings[alias.asname or alias.name] = (submodule, None)
+                    record(submodule, node)
                 continue
             for alias in node.names:
-                bound = alias.asname or alias.name
-                symbols.import_bindings[bound] = (base, alias.name)
-            if base == "repro" or base.startswith("repro."):
-                info.repro_imports.append(
-                    (base, node.lineno, node.col_offset, lazy)
-                )
+                bindings[alias.asname or alias.name] = (base, alias.name)
+            record(base, node)
 
 
-def _flatten_attribute(expr: ast.expr) -> list[str] | None:
+def flatten_attribute(expr: ast.expr) -> list[str] | None:
     """``a.b.c`` -> ["a", "b", "c"]; None for non-name chains."""
     parts: list[str] = []
     current = expr
@@ -352,431 +235,62 @@ def _flatten_attribute(expr: ast.expr) -> list[str] | None:
 
 
 class ProjectModel:
-    """The parsed tree plus derived import/symbol/call views."""
+    """The parsed modules plus the derived symbol and import views.
 
-    def __init__(self) -> None:
-        self.modules: dict[str, ModuleInfo] = {}  # canonical name -> info
-        self.infos: list[ModuleInfo] = []  # every parsed module, in path order
-        self.errors: list[Finding] = []  # unreadable / unparsable files
-        from .graphs import CallGraph, ImportGraph
+    Built from in-memory entries, so the fitness tests can model fixture
+    files *as if* they lived at declared module paths.  A syntactically
+    broken entry degrades to an ``RP000`` finding in :attr:`errors`; the
+    model still covers the rest.
+    """
 
-        self.import_graph: ImportGraph = ImportGraph([])
-        self.call_graph: CallGraph = CallGraph()
-        #: bare method name -> every FunctionSymbol key using it.
-        self._method_index: dict[str, set[str]] = {}
-        self._span_cache: dict[str, bool] = {}
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(cls, paths: Sequence[Path | str]) -> "ProjectModel":
-        """Parse every ``.py`` file under ``paths`` into one model.
-
-        Unreadable or syntactically broken files degrade to ``RP000``
-        findings in :attr:`errors`; the model still covers the rest.
-        """
-        from .engine import iter_python_files
-
-        model = cls()
-        entries: list[tuple[str, str, str | None, str | None]] = []
-        for file in iter_python_files(paths):
-            try:
-                source = file.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as error:
-                model.errors.append(
-                    Finding(
-                        path=str(file),
-                        line=1,
-                        column=1,
-                        rule_id="RP000",
-                        message=f"unreadable file: {error}",
-                        severity=Severity.ERROR,
-                    )
-                )
-                continue
-            entries.append((source, str(file), None, None))
-        cls._ingest(model, entries)
-        return model
-
-    @classmethod
-    def from_sources(
-        cls, entries: Sequence[tuple[str, str, str | None, str | None]]
-    ) -> "ProjectModel":
-        """Build from in-memory ``(source, path, module_name, unit)``
-        tuples — the fitness tests use this to model fixture files *as
-        if* they lived at declared module paths."""
-        model = cls()
-        cls._ingest(model, entries)
-        return model
-
-    def _ingest(
-        self, entries: Sequence[tuple[str, str, str | None, str | None]]
-    ) -> None:
+    def __init__(self, entries: Sequence[SourceEntry]) -> None:
+        self.parsed: list[Module] = []  # every parsed module, in the order given
+        self.modules: dict[str, Module] = {}  # canonical name -> module
+        self.errors: list[Finding] = []  # one RP000 per unparsable entry
         for source, path, module_name, unit in entries:
             if module_name is None:
                 module_name = module_name_for_path(Path(path))
-            if unit is None:
-                unit = resolve_unit(module_name)
             try:
                 tree = ast.parse(source, filename=path)
             except SyntaxError as error:
+                line, column = error.lineno or 1, (error.offset or 0) + 1
                 self.errors.append(
-                    Finding(
-                        path=path,
-                        line=error.lineno or 1,
-                        column=(error.offset or 0) + 1,
-                        rule_id="RP000",
-                        message=f"syntax error: {error.msg}",
-                        severity=Severity.ERROR,
-                    )
+                    Finding(path, line, column, "RP000", f"syntax error: {error.msg}")
                 )
                 continue
-            info = ModuleInfo(
+            module = Module(
                 path=path,
                 module_name=module_name,
                 canonical=canonical_module_name(module_name),
-                unit=unit,
+                unit=unit if unit is not None else resolve_unit(module_name),
                 tree=tree,
                 source=source,
             )
-            self.infos.append(info)
-            self.modules[info.canonical] = info
-        self._derive()
-
-    def _derive(self) -> None:
-        """Compute symbols, the import graph, and the call graph."""
-        from .graphs import ImportEdge, ImportGraph
-
-        for info in self.infos:
-            parents: dict[ast.AST, ast.AST] = {}
-            for node in ast.walk(info.tree):
-                for child in ast.iter_child_nodes(node):
-                    parents[child] = node
-            _collect_symbols(info)
-            _collect_imports(info, parents)
-
+            _collect_symbols(module)
+            _collect_imports(module)
+            self.parsed.append(module)
+            self.modules[module.canonical] = module
         self.import_graph = ImportGraph(self.modules)
-        for info in self.infos:
-            for target, lineno, column, typing_only in info.repro_imports:
-                self.import_graph.add_edge(
-                    ImportEdge(
-                        source=info.canonical,
-                        target=canonical_module_name(target),
-                        lineno=lineno,
-                        column=column,
-                        typing_only=typing_only,
-                    )
-                )
+        for module in self.parsed:
+            for edge in module.repro_imports:
+                self.import_graph.add_edge(edge)
 
-        for info in self.infos:
-            for symbol in info.symbols.functions.values():
-                self._method_index.setdefault(symbol.name, set()).add(symbol.key)
-        for info in self.infos:
-            for symbol in info.symbols.functions.values():
-                self._add_call_edges(info, symbol)
-
-    # ------------------------------------------------------------------
-    # call resolution
-    # ------------------------------------------------------------------
-    def _resolve_module(self, dotted: str) -> ModuleInfo | None:
-        """The analyzed module for an absolute dotted name, if any."""
-        return self.modules.get(canonical_module_name(dotted))
-
-    def _resolve_chain(
-        self, info: ModuleInfo, symbol: FunctionSymbol, chain: list[str]
-    ) -> tuple[str | None, bool]:
-        """Resolve a flattened call chain to a function key.
-
-        Returns ``(key, certain)``; ``(None, _)`` when nothing in the
-        model matches.  Dynamic fallback (bare method-name match) is
-        signalled by ``certain=False`` with a sentinel ``key`` of None —
-        the caller consults the method index instead.
-        """
-        bindings = info.symbols.import_bindings
-        if len(chain) == 1:
-            name = chain[0]
-            local = info.symbols.functions.get(name)
-            if local is not None:
-                return local.key, True
-            cls = info.symbols.classes.get(name)
-            if cls is not None:
-                init = cls.methods.get("__init__")
-                return (init.key if init is not None else None), True
-            if name in bindings:
-                module, attr = bindings[name]
-                if attr is not None:
-                    return self._resolve_imported(module, attr)
-            return None, True
-
-        head = chain[0]
-        # self.method() / cls.method() inside a class.
-        if head in {"self", "cls"} and symbol.class_name is not None:
-            owner = info.symbols.classes.get(symbol.class_name)
-            if owner is not None:
-                if len(chain) == 2:
-                    method = owner.methods.get(chain[1])
-                    if method is not None:
-                        return method.key, True
-                    resolved = self._resolve_in_bases(info, owner, chain[1])
-                    if resolved is not None:
-                        return resolved, True
-                elif len(chain) == 3:
-                    # self.<attr>.<method>() through a typed attribute.
-                    attr_type = owner.attr_types.get(chain[1])
-                    if attr_type is not None:
-                        resolved = self._resolve_typed_method(
-                            info, attr_type, chain[2]
-                        )
-                        if resolved is not None:
-                            return resolved, True
-            return None, False
-
-        # Longest dotted-module prefix, translating the head through an
-        # import binding when one exists (``from .. import obs`` makes
-        # ``obs.trace.reset`` resolve to ``repro.obs.trace:reset``).
-        root = head
-        binding = bindings.get(head)
-        if binding is not None:
-            module, attr = binding
-            root = module if attr is None else f"{module}.{attr}"
-        for split in range(len(chain) - 1, 0, -1):
-            dotted = ".".join([root, *chain[1:split]])
-            target = self._resolve_module(dotted)
-            if target is None:
-                continue
-            rest = chain[split:]
-            if len(rest) == 1:
-                fn = target.symbols.functions.get(rest[0])
-                if fn is not None:
-                    return fn.key, True
-                cls = target.symbols.classes.get(rest[0])
-                if cls is not None:
-                    init = cls.methods.get("__init__")
-                    return (init.key if init is not None else None), True
-                onward = target.symbols.import_bindings.get(rest[0])
-                if onward is not None and onward[1] is not None:
-                    return self._resolve_imported(onward[0], onward[1])
-            elif len(rest) == 2:
-                method = target.symbols.functions.get(f"{rest[0]}.{rest[1]}")
-                if method is not None:
-                    return method.key, True
-            return None, True
-        return None, False
-
-    def _resolve_imported(self, module: str, attr: str) -> tuple[str | None, bool]:
-        """``from module import attr`` used as a callable."""
-        target = self._resolve_module(module)
-        if target is None:
-            submodule = self._resolve_module(f"{module}.{attr}")
-            if submodule is not None:
-                return None, True  # a module object, not a callable
-            return None, True
-        fn = target.symbols.functions.get(attr)
-        if fn is not None:
-            return fn.key, True
-        cls = target.symbols.classes.get(attr)
-        if cls is not None:
-            init = cls.methods.get("__init__")
-            return (init.key if init is not None else None), True
-        # Re-exported name: follow one binding hop.
-        onward = target.symbols.import_bindings.get(attr)
-        if onward is not None and onward[1] is not None and onward[0] != module:
-            return self._resolve_imported(onward[0], onward[1])
-        return None, True
-
-    def _resolve_typed_method(
-        self, info: ModuleInfo, type_name: str, method: str
-    ) -> str | None:
-        """Resolve ``<TypeName>.<method>`` from ``info``'s namespace."""
-        cls = info.symbols.classes.get(type_name)
-        if cls is None:
-            binding = info.symbols.import_bindings.get(type_name)
-            if binding is None or binding[1] is None:
-                return None
-            target = self._resolve_module(binding[0])
-            if target is None:
-                return None
-            cls = target.symbols.classes.get(binding[1])
-        if cls is None:
-            return None
-        found = cls.methods.get(method)
-        if found is not None:
-            return found.key
-        owner = self.modules.get(cls.module)
-        if owner is not None:
-            return self._resolve_in_bases(owner, cls, method)
-        return None
-
-    def _resolve_in_bases(
-        self, info: ModuleInfo, cls: ClassSymbol, method: str, depth: int = 0
-    ) -> str | None:
-        """Look a method up through resolvable base classes (bounded)."""
-        if depth > 4:
-            return None
-        for base_name in cls.bases:
-            base = info.symbols.classes.get(base_name)
-            base_info = info
-            if base is None:
-                binding = info.symbols.import_bindings.get(base_name)
-                if binding is None or binding[1] is None:
-                    continue
-                target = self._resolve_module(binding[0])
-                if target is None:
-                    continue
-                base = target.symbols.classes.get(binding[1])
-                base_info = target
-            if base is None:
-                continue
-            found = base.methods.get(method)
-            if found is not None:
-                return found.key
-            inherited = self._resolve_in_bases(base_info, base, method, depth + 1)
-            if inherited is not None:
-                return inherited
-        return None
-
-    def _add_call_edges(self, info: ModuleInfo, symbol: FunctionSymbol) -> None:
-        """Record every call lexically inside ``symbol`` (nested defs
-        are attributed to the enclosing symbol — an over-approximation
-        that keeps reachability sound)."""
-        for node in ast.walk(symbol.node):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = _flatten_attribute(node.func)
-            if chain is None:
-                continue
-            key, certain = self._resolve_chain(info, symbol, chain)
-            if key is not None:
-                self.call_graph.add_edge(symbol.key, key, certain=certain)
-                continue
-            if certain:
-                continue  # resolved to "definitely nothing in the model"
-            # Dynamic fallback: any method with this bare name.
-            for candidate in self._method_index.get(chain[-1], set()):
-                if candidate != symbol.key:
-                    self.call_graph.add_edge(symbol.key, candidate, certain=False)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def function(self, module: str, qualname: str) -> FunctionSymbol | None:
-        """Look one function symbol up by canonical module + qualname."""
-        info = self.modules.get(module)
-        if info is None:
-            return None
-        return info.symbols.functions.get(qualname)
-
-    def function_by_key(self, key: str) -> FunctionSymbol | None:
-        """Look a symbol up by its ``module:qualname`` call-graph key."""
-        module, _, qualname = key.partition(":")
-        return self.function(module, qualname)
-
-    def opens_span(self, key: str) -> bool:
-        """Does this function open an ``obs.span`` — lexically, or via a
-        *certainly*-resolved callee (transitively)?"""
-        for reached in self.call_graph.reachable([key], include_dynamic=False):
-            if self._opens_span_lexically(reached):
-                return True
-        return False
-
-    def _opens_span_lexically(self, key: str) -> bool:
-        cached = self._span_cache.get(key)
-        if cached is not None:
-            return cached
-        symbol = self.function_by_key(key)
-        result = False
-        if symbol is not None:
-            for node in ast.walk(symbol.node):
-                if not isinstance(node, (ast.With, ast.AsyncWith)):
-                    continue
-                for item in node.items:
-                    expr = item.context_expr
-                    if not isinstance(expr, ast.Call):
-                        continue
-                    chain = _flatten_attribute(expr.func)
-                    if chain and chain[-1] == "span":
-                        result = True
-        self._span_cache[key] = result
-        return result
-
-    def resolve_global(
-        self, info: ModuleInfo, name: str
-    ) -> tuple[ModuleInfo, str] | None:
-        """Follow import bindings from ``name`` in ``info`` to the
+    def resolve_global(self, module: Module, name: str) -> tuple[Module, str] | None:
+        """Follow import bindings from ``name`` in ``module`` to the
         module that actually assigns it (bounded hops)."""
-        current_info, current_name = info, name
+        current, current_name = module, name
         for _ in range(8):
-            symbols = current_info.symbols
             if (
-                current_name in symbols.global_assigns
-                or current_name in symbols.functions
-                or current_name in symbols.classes
+                current_name in current.global_names
+                or current_name in current.functions
+                or current_name in current.classes
             ):
-                return current_info, current_name
-            binding = symbols.import_bindings.get(current_name)
+                return current, current_name
+            binding = current.import_bindings.get(current_name)
             if binding is None or binding[1] is None:
                 return None
-            target = self._resolve_module(binding[0])
+            target = self.modules.get(canonical_module_name(binding[0]))
             if target is None:
                 return None
-            current_info, current_name = target, binding[1]
+            current, current_name = target, binding[1]
         return None
-
-
-# ----------------------------------------------------------------------
-# project rules
-# ----------------------------------------------------------------------
-
-
-class ProjectRule:
-    """Base class for whole-program rules.
-
-    Same contract as :class:`~repro.analysis.rules.Rule`, but
-    :meth:`check` sees the :class:`ProjectModel` instead of one module;
-    findings still anchor to file/line so per-line ``# repro: noqa``
-    suppression applies unchanged.
-    """
-
-    rule_id: str = ""
-    title: str = ""
-    rationale: str = ""
-
-    def check(self, model: ProjectModel) -> Iterator[Finding]:
-        """Yield findings over the whole model."""
-        raise NotImplementedError
-
-
-PROJECT_REGISTRY: dict[str, type[ProjectRule]] = {}
-
-
-def register_project(rule_class: type[ProjectRule]) -> type[ProjectRule]:
-    """Class decorator adding a project rule to the registry."""
-    rule_id = rule_class.rule_id
-    if not rule_id:
-        raise ValueError(f"{rule_class.__name__} has no rule_id")
-    if rule_id in PROJECT_REGISTRY:
-        raise ValueError(f"duplicate project rule id {rule_id!r}")
-    PROJECT_REGISTRY[rule_id] = rule_class
-    return rule_class
-
-
-def all_project_rules() -> list[ProjectRule]:
-    """One instance of every registered project rule, sorted by id."""
-    return [PROJECT_REGISTRY[rule_id]() for rule_id in sorted(PROJECT_REGISTRY)]
-
-
-def make_project_rules(select: list[str] | None = None) -> list[ProjectRule]:
-    """Instantiate the selected project rules (all when None).
-
-    Unlike :func:`~repro.analysis.rules.make_rules`, unknown ids are
-    skipped rather than raised — the CLI validates the combined
-    selection against both registries before calling either factory.
-    """
-    if select is None:
-        return all_project_rules()
-    return [
-        PROJECT_REGISTRY[rule_id]()
-        for rule_id in sorted(set(select))
-        if rule_id in PROJECT_REGISTRY
-    ]

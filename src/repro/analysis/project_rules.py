@@ -1,7 +1,8 @@
-"""The cross-file rule pack (RP011-RP015, RP018), over the semantic model.
+"""The cross-file rule pack (RP011, RP012, RP014, RP015, RP018).
 
-These rules protect the *inter-component* protocols the sharded runtime
-depends on — invariants no single-file rule can see:
+These rules implement ``check_project`` over the whole model: they
+protect the *inter-component* protocols the sharded runtime depends on
+— invariants no single-file check can see:
 
 ========  ==========================================================
 RP011     pickle-boundary safety: values placed on runtime queues must
@@ -11,11 +12,8 @@ RP011     pickle-boundary safety: values placed on runtime queues must
           files)
 RP012     span coverage: the public functions on the instrumented hot
           paths (the table in ``docs/observability.md``) must open an
-          ``obs.span`` themselves or via a resolvable callee
-RP013     no swallowed exceptions on the runtime control path: bare or
-          ``except Exception``/``BaseException`` handlers whose body
-          does nothing, in any function the call graph reaches from
-          the coordinator/worker public surface
+          ``obs.span`` themselves or in a method they call on ``self``
+          within their own class
 RP014     checkpoint round-trip symmetry: every manifest key written
           by checkpoint ``save`` code must be consumed somewhere by
           ``restore``/stats code, and every non-defaulted read must
@@ -35,17 +33,13 @@ RP018     metric-catalog membership: every dotted metric-name string
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterator
 
-from .findings import Finding, Severity
+from .findings import Finding
 from .layering import FILTERING_PATH_UNITS, resolve_unit
-from .project import (
-    ModuleInfo,
-    ProjectModel,
-    ProjectRule,
-    _flatten_attribute,
-    register_project,
-)
+from .project import FunctionSymbol, Module, ProjectModel, flatten_attribute
+from .rules import Rule, register
 
 # ----------------------------------------------------------------------
 # RP011 — pickle-boundary safety for runtime commands
@@ -59,43 +53,35 @@ _BOUNDARY_CALLS = frozenset({"put", "put_nowait", "stamp_envelope"})
 _COMMAND_PREFIX = "CMD_"
 
 
-@register_project
-class PickleBoundaryRule(ProjectRule):
-    """Runtime queue commands must be pickle-safe and fork-safe."""
+@register
+class PickleBoundaryRule(Rule):
+    """Runtime queue commands must be pickle-safe and fork-safe: they
+    are pickled on a feeder thread after ``put()`` has returned, so an
+    unpicklable payload fails out of the caller's sight, and module-level
+    mutable state silently forks into divergent copies."""
 
     rule_id = "RP011"
     title = "pickle-boundary safety for runtime commands"
-    rationale = (
-        "Every command crosses the coordinator->worker process boundary "
-        "over a multiprocessing queue, pickled on a feeder thread after "
-        "put() has returned, and recovery sends a respawned worker more "
-        "of them.  A lambda or locally defined callable fails to pickle "
-        "there, out of the caller's sight; a reference to module-level "
-        "mutable state silently forks into divergent copies, so the "
-        "respawned worker converges to a *different* state than the one "
-        "that died — breaking the no-false-negative recovery guarantee "
-        "(Lemma 4.2 applied shard-locally)."
-    )
 
-    def check(self, model: ProjectModel) -> Iterator[Finding]:
-        for info in model.infos:
-            if info.unit != "repro.runtime":
+    def check_project(self, model: ProjectModel) -> Iterator[Finding]:
+        for module in model.parsed:
+            if module.unit != "repro.runtime":
                 continue
-            yield from self._check_module(model, info)
+            yield from self._check_module(model, module)
 
     def _check_module(
-        self, model: ProjectModel, info: ModuleInfo
+        self, model: ProjectModel, module: Module
     ) -> Iterator[Finding]:
         # A CMD_* tuple passed straight into put() is yielded
         # both as a call payload and as a command tuple; dedupe so each
         # offending expression is reported once.
         seen: set[tuple[int, int, str]] = set()
-        for symbol in info.symbols.functions.values():
+        for symbol in module.functions.values():
             local_defs = self._local_definitions(symbol.node)
             for node in ast.walk(symbol.node):
                 for site in self._boundary_payloads(node):
                     for finding in self._check_payload(
-                        model, info, site, local_defs
+                        model, module, site, local_defs
                     ):
                         key = (finding.line, finding.column, finding.message)
                         if key in seen:
@@ -119,7 +105,7 @@ class PickleBoundaryRule(ProjectRule):
     def _boundary_payloads(node: ast.AST) -> Iterator[ast.expr]:
         """Expressions that cross the process boundary at ``node``."""
         if isinstance(node, ast.Call):
-            chain = _flatten_attribute(node.func)
+            chain = flatten_attribute(node.func)
             if chain and chain[-1] in _BOUNDARY_CALLS:
                 yield from node.args
         elif isinstance(node, ast.Tuple):
@@ -130,13 +116,13 @@ class PickleBoundaryRule(ProjectRule):
     def _check_payload(
         self,
         model: ProjectModel,
-        info: ModuleInfo,
+        module: Module,
         payload: ast.expr,
         local_defs: set[str],
     ) -> Iterator[Finding]:
         for node in ast.walk(payload):
             if isinstance(node, ast.Lambda):
-                yield info.finding(
+                yield module.finding(
                     node,
                     self.rule_id,
                     "lambda in a runtime command payload: lambdas cannot be "
@@ -144,7 +130,7 @@ class PickleBoundaryRule(ProjectRule):
                     "function",
                 )
             elif isinstance(node, ast.GeneratorExp):
-                yield info.finding(
+                yield module.finding(
                     node,
                     self.rule_id,
                     "generator expression in a runtime command payload: "
@@ -153,7 +139,7 @@ class PickleBoundaryRule(ProjectRule):
                 )
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 if node.id in local_defs:
-                    yield info.finding(
+                    yield module.finding(
                         node,
                         self.rule_id,
                         f"locally defined {node.id!r} in a runtime command "
@@ -162,12 +148,12 @@ class PickleBoundaryRule(ProjectRule):
                         "move it to module level",
                     )
                     continue
-                resolved = model.resolve_global(info, node.id)
+                resolved = model.resolve_global(module, node.id)
                 if resolved is None:
                     continue
                 owner, name = resolved
-                if name in owner.symbols.mutable_globals:
-                    yield info.finding(
+                if name in owner.mutable_globals:
+                    yield module.finding(
                         node,
                         self.rule_id,
                         f"module-level mutable {name!r} (defined in "
@@ -184,9 +170,9 @@ class PickleBoundaryRule(ProjectRule):
 
 #: The instrumented hot paths: the "What is instrumented" table of
 #: ``docs/observability.md``, as (canonical module, qualname) pairs.
-#: Every entry must open an ``obs.span`` lexically or via a callee the
-#: call graph certainly resolves; waive a deliberate exception with
-#: ``# repro: noqa[RP012]`` on the ``def`` line.
+#: Every entry must open an ``obs.span`` lexically or in a method it
+#: calls on ``self`` within its own class; waive a deliberate exception
+#: with ``# repro: noqa[RP012]`` on the ``def`` line.
 HOT_PATHS: tuple[tuple[str, str], ...] = (
     ("repro.core.monitor", "StreamMonitor.apply"),
     ("repro.core.monitor", "StreamMonitor.matches"),
@@ -202,148 +188,71 @@ HOT_PATHS: tuple[tuple[str, str], ...] = (
 )
 
 
-@register_project
-class SpanCoverageRule(ProjectRule):
-    """Instrumented hot paths must actually open spans."""
-
-    rule_id = "RP012"
-    title = "span coverage on the instrumented hot paths"
-    rationale = (
-        "docs/observability.md promises that every hot path feeds a "
-        "`<name>.seconds` histogram and the coordinator->worker trace "
-        "tree; a refactor that drops the `with obs.span(...)` from one "
-        "of these functions silently un-instruments it — `repro stats` "
-        "and `repro top` keep rendering, with a hole where that stage's "
-        "latency used to be.  The call graph accepts spans opened by a "
-        "certainly-resolved callee (events() timing via matches() is "
-        "fine); anything weaker needs an explicit waiver."
-    )
-
-    def check(self, model: ProjectModel) -> Iterator[Finding]:
-        for module, qualname in HOT_PATHS:
-            info = model.modules.get(module)
-            if info is None:
-                continue  # partial tree (fixtures, single-package runs)
-            symbol = info.symbols.functions.get(qualname)
-            if symbol is None:
-                yield Finding(
-                    path=info.path,
-                    line=1,
-                    column=1,
-                    rule_id=self.rule_id,
-                    message=(
-                        f"hot-path function {module}.{qualname} is listed in "
-                        "the span-coverage table but no longer exists; "
-                        "update HOT_PATHS in repro/analysis/project_rules.py "
-                        "and the docs/observability.md table together"
-                    ),
-                    severity=Severity.WARNING,
-                )
-                continue
-            if not model.opens_span(symbol.key):
-                yield info.finding(
-                    symbol.node,
-                    self.rule_id,
-                    f"hot-path function {qualname}() opens no obs.span "
-                    "(directly or via a resolvable callee); every "
-                    "instrumented stage in docs/observability.md must feed "
-                    "its `<name>.seconds` histogram and the trace tree",
-                    severity=Severity.WARNING,
-                )
-
-
-# ----------------------------------------------------------------------
-# RP013 — no swallowed exceptions on the runtime control path
-# ----------------------------------------------------------------------
-
-_BROAD_EXCEPTIONS = {"Exception", "BaseException"}
-
-
-def _is_broad_handler(handler: ast.ExceptHandler) -> bool:
-    """Bare ``except:`` or one naming Exception/BaseException."""
-    if handler.type is None:
-        return True
-    candidates: list[ast.expr] = (
-        list(handler.type.elts)
-        if isinstance(handler.type, ast.Tuple)
-        else [handler.type]
-    )
-    for expr in candidates:
-        chain = _flatten_attribute(expr)
-        if chain and chain[-1] in _BROAD_EXCEPTIONS:
-            return True
+def _opens_span(module: Module, symbol: FunctionSymbol) -> bool:
+    """Does this function contain a ``with ….span(...)`` — itself, or in
+    a method it calls on ``self`` within its own class (transitively)?
+    Nothing weaker counts: a span behind another object's method may or
+    may not be the one that runs."""
+    seen: set[str] = set()
+    frontier = [symbol]
+    while frontier:
+        current = frontier.pop()
+        if current.qualname in seen:
+            continue
+        seen.add(current.qualname)
+        for node in ast.walk(current.node):
+            if isinstance(node, (ast.With, ast.AsyncWith)):
+                for item in node.items:
+                    expr = item.context_expr
+                    if not isinstance(expr, ast.Call):
+                        continue
+                    chain = flatten_attribute(expr.func)
+                    if chain and chain[-1] == "span":
+                        return True
+            elif isinstance(node, ast.Call) and current.class_name is not None:
+                chain = flatten_attribute(node.func)
+                if chain and len(chain) == 2 and chain[0] == "self":
+                    callee = module.functions.get(
+                        f"{current.class_name}.{chain[1]}"
+                    )
+                    if callee is not None:
+                        frontier.append(callee)
     return False
 
 
-def _body_does_nothing(handler: ast.ExceptHandler) -> bool:
-    """Only ``pass``, ``...`` or ``continue`` — the caller learns nothing."""
-    for stmt in handler.body:
-        if isinstance(stmt, ast.Pass):
-            continue
-        if isinstance(stmt, ast.Continue):
-            continue
-        if (
-            isinstance(stmt, ast.Expr)
-            and isinstance(stmt.value, ast.Constant)
-            and stmt.value.value is Ellipsis
-        ):
-            continue
-        return False
-    return True
+@register
+class SpanCoverageRule(Rule):
+    """Instrumented hot paths must actually open spans: a refactor that
+    drops the ``with obs.span(...)`` silently un-instruments the stage
+    while ``repro stats`` and ``repro top`` keep rendering."""
 
+    rule_id = "RP012"
+    title = "span coverage on the instrumented hot paths"
 
-@register_project
-class SwallowedExceptionRule(ProjectRule):
-    """Broad do-nothing excepts reachable from the runtime surface."""
-
-    rule_id = "RP013"
-    title = "no swallowed exceptions on the runtime control path"
-    rationale = (
-        "The runtime's failure model is crash-and-recover: a worker "
-        "that hits an unexpected error reports it on the outbox and "
-        "dies loudly, the coordinator respawns it from checkpoint + "
-        "journal.  A broad `except: pass` anywhere the control flow "
-        "reaches converts a detectable crash into silent state "
-        "divergence — the exact failure the journal/checkpoint "
-        "machinery exists to prevent, and the kind soak tests only "
-        "catch probabilistically.  Narrow, typed handlers (e.g. "
-        "`except (WorkerDied, TimeoutError): pass` on a best-effort "
-        "close) stay legal; it is the broad do-nothing handler that is "
-        "banned."
-    )
-
-    def check(self, model: ProjectModel) -> Iterator[Finding]:
-        entries = [
-            symbol.key
-            for info in model.infos
-            if info.unit == "repro.runtime"
-            for symbol in info.symbols.functions.values()
-            if symbol.is_public
-        ]
-        if not entries:
-            return
-        reachable = model.call_graph.reachable(entries, include_dynamic=True)
-        for key in sorted(reachable):
-            symbol = model.function_by_key(key)
+    def check_project(self, model: ProjectModel) -> Iterator[Finding]:
+        for module_name, qualname in HOT_PATHS:
+            module = model.modules.get(module_name)
+            if module is None:
+                continue  # partial tree (fixtures, single-package runs)
+            symbol = module.functions.get(qualname)
             if symbol is None:
-                continue
-            info = model.modules.get(symbol.module)
-            if info is None or not info.unit.startswith("repro."):
-                continue
-            for node in ast.walk(symbol.node):
-                if not isinstance(node, ast.ExceptHandler):
-                    continue
-                if _is_broad_handler(node) and _body_does_nothing(node):
-                    yield info.finding(
-                        node,
-                        self.rule_id,
-                        f"broad do-nothing except in {symbol.qualname}(), "
-                        "which is reachable from the runtime control path "
-                        f"(entry surface of repro.runtime); crash loudly so "
-                        "checkpoint/journal recovery can restore a "
-                        "consistent shard, or narrow the handler to the "
-                        "specific exceptions being tolerated",
-                    )
+                yield module.finding(
+                    module.tree,
+                    self.rule_id,
+                    f"hot-path function {module_name}.{qualname} is listed in "
+                    "the span-coverage table but no longer exists; "
+                    "update HOT_PATHS in repro/analysis/project_rules.py "
+                    "and the docs/observability.md table together",
+                )
+            elif not _opens_span(module, symbol):
+                yield module.finding(
+                    symbol.node,
+                    self.rule_id,
+                    f"hot-path function {qualname}() opens no obs.span "
+                    "(itself or in a method it calls on self); every "
+                    "instrumented stage in docs/observability.md must feed "
+                    "its `<name>.seconds` histogram and the trace tree",
+                )
 
 
 # ----------------------------------------------------------------------
@@ -358,41 +267,30 @@ _MANIFEST_NAME = "manifest"
 _CHECKPOINT_UNITS = frozenset({"repro.core", "repro.runtime"})
 
 
-@register_project
-class CheckpointSymmetryRule(ProjectRule):
-    """Manifest fields written by save must be consumed by restore."""
+@register
+class CheckpointSymmetryRule(Rule):
+    """Manifest fields written by save must be consumed by restore: a
+    key written but never read is dead state (and a likely sign the
+    restore path forgot it), a key read with ``[]`` but never written
+    crashes every load; ``.get(key, default)`` reads are exempt."""
 
     rule_id = "RP014"
     title = "checkpoint manifest round-trip symmetry"
-    rationale = (
-        "Recovery correctness is a two-sided contract: save_monitor "
-        "records what a restored worker will need, load_monitor/"
-        "checkpoint_stats consume it.  A key written but never read is "
-        "dead state the snapshot hauls forever (and a likely sign the "
-        "restore path forgot it — the vertex-id-kind bug class); a key "
-        "read with [] but never written crashes every restore, i.e. "
-        "exactly when a worker already died.  The two live in "
-        "different functions (and potentially files), so only a "
-        "symbol-level whole-program diff can keep them symmetric.  "
-        "Deliberately tolerant reads use .get(key, default) and are "
-        "exempt (the back-compat idiom for manifests written by older "
-        "versions)."
-    )
 
-    def check(self, model: ProjectModel) -> Iterator[Finding]:
-        writes: dict[str, list[tuple[ModuleInfo, ast.AST]]] = {}
-        strict_reads: dict[str, list[tuple[ModuleInfo, ast.AST]]] = {}
+    def check_project(self, model: ProjectModel) -> Iterator[Finding]:
+        writes: dict[str, list[tuple[Module, ast.AST]]] = {}
+        strict_reads: dict[str, list[tuple[Module, ast.AST]]] = {}
         tolerant_reads: set[str] = set()
-        for info in model.infos:
-            if info.unit not in _CHECKPOINT_UNITS:
+        for module in model.parsed:
+            if module.unit not in _CHECKPOINT_UNITS:
                 continue
-            self._scan_module(info, writes, strict_reads, tolerant_reads)
+            self._scan_module(module, writes, strict_reads, tolerant_reads)
         if not writes and not strict_reads:
             return
         read_keys = set(strict_reads) | tolerant_reads
         for key in sorted(set(writes) - read_keys):
-            for info, node in writes[key]:
-                yield info.finding(
+            for module, node in writes[key]:
+                yield module.finding(
                     node,
                     self.rule_id,
                     f"manifest key {key!r} is written by checkpoint save "
@@ -401,8 +299,8 @@ class CheckpointSymmetryRule(ProjectRule):
                     "writing dead state into every snapshot",
                 )
         for key in sorted(set(strict_reads) - set(writes)):
-            for info, node in strict_reads[key]:
-                yield info.finding(
+            for module, node in strict_reads[key]:
+                yield module.finding(
                     node,
                     self.rule_id,
                     f"manifest key {key!r} is read with [] but no checkpoint "
@@ -413,9 +311,9 @@ class CheckpointSymmetryRule(ProjectRule):
 
     @staticmethod
     def _scan_module(
-        info: ModuleInfo,
-        writes: dict[str, list[tuple[ModuleInfo, ast.AST]]],
-        strict_reads: dict[str, list[tuple[ModuleInfo, ast.AST]]],
+        module: Module,
+        writes: dict[str, list[tuple[Module, ast.AST]]],
+        strict_reads: dict[str, list[tuple[Module, ast.AST]]],
         tolerant_reads: set[str],
     ) -> None:
         def is_manifest(expr: ast.expr) -> bool:
@@ -426,7 +324,7 @@ class CheckpointSymmetryRule(ProjectRule):
                 return expr.value
             return None
 
-        for node in ast.walk(info.tree):
+        for node in ast.walk(module.tree):
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = (
                     node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -442,7 +340,7 @@ class CheckpointSymmetryRule(ProjectRule):
                                 continue
                             key = constant_key(key_node)
                             if key is not None:
-                                writes.setdefault(key, []).append((info, key_node))
+                                writes.setdefault(key, []).append((module, key_node))
                     # manifest["key"] = ...
                     elif (
                         isinstance(target, ast.Subscript)
@@ -450,12 +348,12 @@ class CheckpointSymmetryRule(ProjectRule):
                     ):
                         key = constant_key(target.slice)
                         if key is not None:
-                            writes.setdefault(key, []).append((info, target))
+                            writes.setdefault(key, []).append((module, target))
             elif isinstance(node, ast.Subscript) and is_manifest(node.value):
                 if isinstance(node.ctx, ast.Load):
                     key = constant_key(node.slice)
                     if key is not None:
-                        strict_reads.setdefault(key, []).append((info, node))
+                        strict_reads.setdefault(key, []).append((module, node))
             elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -465,13 +363,10 @@ class CheckpointSymmetryRule(ProjectRule):
             ):
                 key = constant_key(node.args[0])
                 if key is not None:
-                    if len(node.args) > 1 or node.keywords:
-                        tolerant_reads.add(key)
-                    else:
-                        # .get(key) with no default: still a read, but it
-                        # hides a missing writer behind None — count it as
-                        # tolerant (the value is checked by the caller).
-                        tolerant_reads.add(key)
+                    # Even .get(key) with no default counts as tolerant:
+                    # it hides a missing writer behind None, and the
+                    # value is checked by the caller.
+                    tolerant_reads.add(key)
 
 
 # ----------------------------------------------------------------------
@@ -479,29 +374,17 @@ class CheckpointSymmetryRule(ProjectRule):
 # ----------------------------------------------------------------------
 
 
-@register_project
-class WholeGraphLayeringRule(ProjectRule):
-    """Import cycles and transitive isomorphism reach, on the real graph."""
+@register
+class WholeGraphLayeringRule(Rule):
+    """Import cycles and transitive isomorphism reach, on the real graph:
+    the two layering properties RP001's per-statement check cannot see
+    (cyclic modules meet half-initialized; an intermediary can carry the
+    filter to the exact matcher with no single import looking wrong)."""
 
     rule_id = "RP015"
     title = "whole-graph import layering (cycles, transitive isomorphism)"
-    rationale = (
-        "RP001 checks each import statement against the layering matrix "
-        "one file at a time; two properties only exist at the graph "
-        "level.  (1) Cycles: every module involved in an import cycle "
-        "is initialized in an order that depends on who gets imported "
-        "first — checkpoint restore, journal replay and worker fork all "
-        "import modules in different orders, so cyclic modules can see "
-        "each other half-initialized exactly during recovery.  "
-        "(2) Transitive reach: the matrix can be edited edge-by-edge "
-        "into a state where a filtering-path unit reaches "
-        "repro.isomorphism through an intermediary, violating the "
-        "Lemma 4.2 contract (the filter must answer from NPV dominance "
-        "alone) without any single import looking wrong.  TYPE_CHECKING "
-        "imports never execute and are exempt from both checks."
-    )
 
-    def check(self, model: ProjectModel) -> Iterator[Finding]:
+    def check_project(self, model: ProjectModel) -> Iterator[Finding]:
         yield from self._check_cycles(model)
         yield from self._check_transitive_isomorphism(model)
 
@@ -518,12 +401,12 @@ class WholeGraphLayeringRule(ProjectRule):
                     if candidate.target in members and not candidate.typing_only:
                         edge = candidate
                         break
-            info = model.modules.get(anchor_module)
-            if info is None or edge is None:
+            module = model.modules.get(anchor_module)
+            if module is None or edge is None:
                 continue
             path = " -> ".join([*cycle, cycle[0]])
             yield Finding(
-                path=info.path,
+                path=module.path,
                 line=edge.lineno,
                 column=edge.column + 1,
                 rule_id=self.rule_id,
@@ -547,14 +430,14 @@ class WholeGraphLayeringRule(ProjectRule):
             for name in model.import_graph.nodes
             if resolve_unit(name) == "repro.isomorphism"
         }
-        for info in model.infos:
-            if info.unit not in FILTERING_PATH_UNITS:
+        for module in model.parsed:
+            if module.unit not in FILTERING_PATH_UNITS:
                 continue
             # One hop beyond the model: an in-model path to a module
             # whose *raw* imports leave for repro.isomorphism.
-            path = model.import_graph.shortest_path(info.canonical, iso_nodes)
+            path = model.import_graph.shortest_path(module.canonical, iso_nodes)
             if path is None:
-                path = self._path_via_raw_edge(model, info)
+                path = self._path_via_raw_edge(model, module)
             if path is None or len(path) < 2:
                 # Direct (len == 2 with iso target is still worth RP015
                 # only when RP001 cannot see it; a direct edge is RP001's
@@ -566,12 +449,12 @@ class WholeGraphLayeringRule(ProjectRule):
             if edge is None:
                 continue
             yield Finding(
-                path=info.path,
+                path=module.path,
                 line=edge.lineno,
                 column=edge.column + 1,
                 rule_id=self.rule_id,
                 message=(
-                    f"filtering-path module {info.canonical} transitively "
+                    f"filtering-path module {module.canonical} transitively "
                     f"reaches repro.isomorphism: {' -> '.join(path)}; "
                     "completeness must come from NPV dominance alone "
                     "(Lemma 4.2) — no import chain from the filter may end "
@@ -581,7 +464,7 @@ class WholeGraphLayeringRule(ProjectRule):
 
     @staticmethod
     def _path_via_raw_edge(
-        model: ProjectModel, info: ModuleInfo
+        model: ProjectModel, module: Module
     ) -> list[str] | None:
         """A path whose final hop is a raw (outside-the-model) import of
         a ``repro.isomorphism`` module."""
@@ -589,27 +472,26 @@ class WholeGraphLayeringRule(ProjectRule):
             name
             for name, candidate in model.modules.items()
             if any(
-                resolve_unit(target) == "repro.isomorphism" and not typing_only
-                for target, _, _, typing_only in candidate.repro_imports
+                resolve_unit(edge.target) == "repro.isomorphism"
+                and not edge.typing_only
+                for edge in candidate.repro_imports
             )
         }
         if not bridging:
             return None
-        path = model.import_graph.shortest_path(info.canonical, bridging)
+        path = model.import_graph.shortest_path(module.canonical, bridging)
         if path is None:
             return None
         bridge = model.modules[path[-1]]
-        for target, _, _, typing_only in bridge.repro_imports:
-            if resolve_unit(target) == "repro.isomorphism" and not typing_only:
-                return [*path, target]
+        for edge in bridge.repro_imports:
+            if resolve_unit(edge.target) == "repro.isomorphism" and not edge.typing_only:
+                return [*path, edge.target]
         return None
 
 
 # ----------------------------------------------------------------------
 # RP018 — metric names consumed by dashboards/SLOs must be catalogued
 # ----------------------------------------------------------------------
-
-import re
 
 #: The single source of metric-name truth (a literal dict; RP018 reads
 #: its keys straight out of the AST, never importing the module).
@@ -646,10 +528,10 @@ def _docstring_constants(tree: ast.AST) -> set[int]:
     return out
 
 
-def _catalog_names(info: ModuleInfo) -> set[str] | None:
+def _catalog_names(module: Module) -> set[str] | None:
     """The literal keys of ``CATALOG`` in the catalog module's AST, or
     None when no literal CATALOG dict is found."""
-    for node in ast.walk(info.tree):
+    for node in ast.walk(module.tree):
         if not isinstance(node, (ast.Assign, ast.AnnAssign)):
             continue
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -668,33 +550,23 @@ def _catalog_names(info: ModuleInfo) -> set[str] | None:
     return None
 
 
-@register_project
-class MetricCatalogRule(ProjectRule):
-    """Dashboard/SLO metric names must exist in the central catalog."""
+@register
+class MetricCatalogRule(Rule):
+    """Dashboard/SLO metric names must exist in the central catalog: a
+    typo'd name evaluates against *no data*, so the panel renders empty
+    and the SLO reports "ok" forever."""
 
     rule_id = "RP018"
     title = "metric names consumed by dashboards/SLOs must be catalogued"
-    rationale = (
-        "A metric-name typo in a dashboard panel or SLO rule does not "
-        "fail — it evaluates against *no data*, so the panel renders "
-        "empty and the SLO reports 'ok' forever (the no-data state is "
-        "deliberately healthy: an idle subsystem is not burning).  The "
-        "mint sites cannot catch this: they happily create whatever "
-        "name they are given, and the consumer never meets the minted "
-        "series.  The only place the two spellings can be diffed is a "
-        "central catalog; repro.obs.catalog.CATALOG is that catalog, "
-        "kept literal precisely so this rule can read its keys from "
-        "the AST without importing anything."
-    )
 
-    def check(self, model: ProjectModel) -> Iterator[Finding]:
-        catalog_info = model.modules.get(_CATALOG_MODULE)
-        if catalog_info is None:
+    def check_project(self, model: ProjectModel) -> Iterator[Finding]:
+        catalog = model.modules.get(_CATALOG_MODULE)
+        if catalog is None:
             return  # partial tree (fixtures, single-package runs)
-        names = _catalog_names(catalog_info)
+        names = _catalog_names(catalog)
         if names is None:
-            yield catalog_info.finding(
-                catalog_info.tree,
+            yield catalog.finding(
+                catalog.tree,
                 self.rule_id,
                 "repro.obs.catalog defines no literal CATALOG dict; the "
                 "catalog must stay a literal so metric names can be "
@@ -702,16 +574,16 @@ class MetricCatalogRule(ProjectRule):
             )
             return
         for consumer in _METRIC_CONSUMERS:
-            info = model.modules.get(consumer)
-            if info is None:
+            module = model.modules.get(consumer)
+            if module is None:
                 continue
-            yield from self._check_consumer(info, names)
+            yield from self._check_consumer(module, names)
 
     def _check_consumer(
-        self, info: ModuleInfo, names: set[str]
+        self, module: Module, names: set[str]
     ) -> Iterator[Finding]:
-        docstrings = _docstring_constants(info.tree)
-        for node in ast.walk(info.tree):
+        docstrings = _docstring_constants(module.tree)
+        for node in ast.walk(module.tree):
             if not isinstance(node, ast.Constant) or not isinstance(node.value, str):
                 continue
             if id(node) in docstrings:
@@ -721,7 +593,7 @@ class MetricCatalogRule(ProjectRule):
                 continue
             if text in names:
                 continue
-            yield info.finding(
+            yield module.finding(
                 node,
                 self.rule_id,
                 f"metric name {text!r} is not in repro.obs.catalog.CATALOG; "

@@ -1,13 +1,15 @@
-"""The per-module rule pack (RP001-RP010, RP016-RP017), grounded in the paper.
+"""The per-module rule pack (RP001-RP010, RP013, RP016-RP017).
 
-Each rule protects one invariant the reproduction depends on:
+Each rule protects one invariant the paper's reproduction depends on:
 
 ========  ==========================================================
 RP001     import layering / no isomorphism in the filtering path
           (Section II problem statement + Lemma 4.2 completeness)
 RP002     no unseeded RNG in dataset/experiment code (Section V:
           experiments must be reproducible run-to-run)
-RP003     no float ``==``/``!=`` in numeric filtering code
+RP003     no float ``==``/``!=`` in numeric filtering code (NPVs and
+          dominance counters are integer-exact in the paper; float
+          equality silently mis-classifies near-ties)
 RP004     no mutable default arguments (shared-state corruption of
           long-lived monitor/index objects)
 RP005     no set-ordered iteration feeding returned/yielded
@@ -28,6 +30,12 @@ RP010     only ``repro.obs.trace`` may mint trace/span ids (no
           instrumented packages) — distributed traces only assemble
           into one tree if every id comes from the single minting
           site and its deterministic pid+counter scheme
+RP013     no swallowed exceptions: bare or ``except Exception``/
+          ``BaseException`` handlers whose body does nothing, anywhere
+          in ``repro.*`` — the runtime's failure model is
+          crash-and-recover (a worker dies loudly, the coordinator
+          respawns it and re-seeds it from its live graphs), and a
+          swallowed error turns that into silent state divergence
 RP016     ``multiprocessing.shared_memory`` (and its
           ``resource_tracker``) may only be touched by
           ``repro.runtime.shm`` — segment naming, generation tags
@@ -53,52 +61,12 @@ from .layering import (
     is_import_allowed,
     resolve_unit,
 )
-from .rules import ModuleContext, Rule, register
+from .project import Module, flatten_attribute
+from .rules import Rule, register
 
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-
-
-def _resolve_relative(module_name: str, level: int, target: str | None) -> str | None:
-    """Absolute dotted name of a relative import, or None if it escapes
-    the package tree (``from .. import x`` at the top level)."""
-    parts = module_name.split(".")
-    # Module "repro.nnt.tree": level 1 is package "repro.nnt", level 2
-    # is "repro" — i.e. drop the module stem plus (level - 1) packages.
-    if level >= len(parts):
-        return None
-    base = parts[: len(parts) - level]
-    if target:
-        base = base + target.split(".")
-    return ".".join(base)
-
-
-def _imported_repro_modules(
-    context: ModuleContext, node: ast.Import | ast.ImportFrom
-) -> Iterator[str]:
-    """Absolute ``repro.*`` module names referenced by an import node."""
-    if isinstance(node, ast.Import):
-        for alias in node.names:
-            if alias.name == "repro" or alias.name.startswith("repro."):
-                yield alias.name
-        return
-    if node.level == 0:
-        if node.module and (
-            node.module == "repro" or node.module.startswith("repro.")
-        ):
-            yield node.module
-        return
-    base = _resolve_relative(context.module_name, node.level, node.module)
-    if base is None:
-        return
-    if base == "repro" or base.startswith("repro."):
-        if node.module is None:
-            # ``from . import x, y`` — each name may be a submodule.
-            for alias in node.names:
-                yield f"{base}.{alias.name}"
-        else:
-            yield base
 
 
 def _is_set_expression(node: ast.expr) -> bool:
@@ -137,6 +105,68 @@ def _is_float_constant(node: ast.expr) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, float)
 
 
+class ClockReadRule(Rule):
+    """Direct reads of the ``clocks`` a subclass bans: ``time.<fn>()``
+    calls and ``from time import <fn>``, one finding per call / name.
+    The advice templates are formatted with ``{fn}``."""
+
+    clocks: frozenset[str] = frozenset()
+    call_advice = ""
+    import_advice = ""
+
+    def check(self, module: Module) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (
+                    isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "time"
+                    and func.attr in self.clocks
+                ):
+                    yield module.finding(
+                        node, self.rule_id, self.call_advice.format(fn=func.attr)
+                    )
+            elif isinstance(node, ast.ImportFrom) and node.module == "time":
+                for alias in node.names:
+                    if alias.name in self.clocks:
+                        yield module.finding(
+                            node, self.rule_id, self.import_advice.format(fn=alias.name)
+                        )
+
+
+class ConfinedImportRule(Rule):
+    """The ``confined`` stdlib modules (and their submodules) may be
+    imported only by their one owner: a subclass names them, scopes
+    itself to everything but the owner (``units`` / ``exempt``) and
+    gives the advice, formatted with ``{name}``.  One finding per
+    import statement."""
+
+    confined: frozenset[str] = frozenset()
+    advice = ""
+
+    def check(self, module: Module) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                if node.level:
+                    continue  # relative imports cannot reach the stdlib
+                base = node.module or ""
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                if any(
+                    name == owned or name.startswith(owned + ".")
+                    for owned in self.confined
+                ):
+                    yield module.finding(
+                        node, self.rule_id, self.advice.format(name=name)
+                    )
+                    break
+
+
 # ----------------------------------------------------------------------
 # RP001 — import layering / isomorphism-free filtering path
 # ----------------------------------------------------------------------
@@ -149,38 +179,33 @@ class LayeringRule(Rule):
 
     rule_id = "RP001"
     title = "import layering (isomorphism-free filtering path)"
-    rationale = (
-        "Lemma 4.2 completeness: the per-timestamp filter must answer "
-        "from NPV dominance alone; subgraph isomorphism may only appear "
-        "in the optional verification stage (Section II)."
-    )
     units = None  # checks everything; the matrix scopes per unit
 
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        source_unit = context.unit
-        for node in ast.walk(context.tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+    def check(self, module: Module) -> Iterator[Finding]:
+        source_unit = module.unit
+        for edge in module.repro_imports:
+            target = edge.target
+            target_unit = resolve_unit(target)
+            if is_import_allowed(source_unit, target_unit):
                 continue
-            for target in _imported_repro_modules(context, node):
-                target_unit = resolve_unit(target)
-                if is_import_allowed(source_unit, target_unit):
-                    continue
-                if (
-                    source_unit in FILTERING_PATH_UNITS
-                    and target_unit == "repro.isomorphism"
-                ):
-                    message = (
-                        f"filtering-path package {source_unit} must never import "
-                        f"{target}: completeness comes from NPV dominance "
-                        "(Lemma 4.2), not hidden isomorphism tests"
-                    )
-                else:
-                    message = (
-                        f"layering violation: {source_unit} may not import "
-                        f"{target} (unit {target_unit}); see the matrix in "
-                        "repro/analysis/layering.py"
-                    )
-                yield context.finding(node, self.rule_id, message)
+            if (
+                source_unit in FILTERING_PATH_UNITS
+                and target_unit == "repro.isomorphism"
+            ):
+                message = (
+                    f"filtering-path package {source_unit} must never import "
+                    f"{target}: completeness comes from NPV dominance "
+                    "(Lemma 4.2), not hidden isomorphism tests"
+                )
+            else:
+                message = (
+                    f"layering violation: {source_unit} may not import "
+                    f"{target} (unit {target_unit}); see the matrix in "
+                    "repro/analysis/layering.py"
+                )
+            yield Finding(
+                module.path, edge.lineno, edge.column + 1, self.rule_id, message
+            )
 
 
 # ----------------------------------------------------------------------
@@ -198,15 +223,10 @@ class UnseededRandomRule(Rule):
 
     rule_id = "RP002"
     title = "no unseeded randomness in datasets/experiments"
-    rationale = (
-        "Section V: figures are reproduced from synthetic datasets; an "
-        "unseeded draw anywhere in generation silently changes every "
-        "downstream number between runs."
-    )
     units = frozenset({"repro.datasets", "repro.experiments"})
 
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+    def check(self, module: Module) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -218,14 +238,14 @@ class UnseededRandomRule(Rule):
             if isinstance(owner, ast.Name) and owner.id == "random":
                 if func.attr in _SEEDABLE_FACTORIES:
                     if not node.args and not node.keywords:
-                        yield context.finding(
+                        yield module.finding(
                             node,
                             self.rule_id,
                             f"random.{func.attr}() without a seed is "
                             "nondeterministic; pass an explicit seed",
                         )
                     continue
-                yield context.finding(
+                yield module.finding(
                     node,
                     self.rule_id,
                     f"module-level random.{func.attr}() uses the unseeded "
@@ -241,14 +261,14 @@ class UnseededRandomRule(Rule):
             ):
                 if func.attr in _SEEDABLE_FACTORIES:
                     if not node.args and not node.keywords:
-                        yield context.finding(
+                        yield module.finding(
                             node,
                             self.rule_id,
                             f"numpy random factory {func.attr}() without a "
                             "seed is nondeterministic; pass an explicit seed",
                         )
                     continue
-                yield context.finding(
+                yield module.finding(
                     node,
                     self.rule_id,
                     f"numpy.random.{func.attr}() uses the unseeded global "
@@ -267,15 +287,10 @@ class FloatEqualityRule(Rule):
 
     rule_id = "RP003"
     title = "no float == / != in numeric code"
-    rationale = (
-        "NPV projections, dominance counters and skyline scores are "
-        "integer-exact in the paper; the moment a float sneaks in, "
-        "equality tests silently mis-classify near-ties."
-    )
     units = frozenset({"repro.nnt", "repro.join", "repro.core"})
 
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+    def check(self, module: Module) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -283,7 +298,7 @@ class FloatEqualityRule(Rule):
                 if not isinstance(op, (ast.Eq, ast.NotEq)):
                     continue
                 if _is_float_constant(left) or _is_float_constant(right):
-                    yield context.finding(
+                    yield module.finding(
                         node,
                         self.rule_id,
                         "float equality comparison; use math.isclose() or "
@@ -305,14 +320,10 @@ class MutableDefaultRule(Rule):
 
     rule_id = "RP004"
     title = "no mutable default arguments"
-    rationale = (
-        "Monitors and NNT indexes are long-lived; a mutable default "
-        "shared across calls corrupts per-stream state invisibly."
-    )
     units = None
 
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+    def check(self, module: Module) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):
@@ -331,7 +342,7 @@ class MutableDefaultRule(Rule):
                 )
                 if mutable:
                     name = getattr(node, "name", "<lambda>")
-                    yield context.finding(
+                    yield module.finding(
                         default,
                         self.rule_id,
                         f"mutable default argument in {name}(); default to "
@@ -350,15 +361,10 @@ class SetOrderedResultRule(Rule):
 
     rule_id = "RP005"
     title = "no set-ordered sequences in filtering-path results"
-    rationale = (
-        "Match reporting must be deterministic run-to-run (the paper's "
-        "answer is a *set* of pairs; any sequence we derive from it must "
-        "be explicitly ordered, not hash-ordered)."
-    )
     units = frozenset({"repro.nnt", "repro.join"})
 
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+    def check(self, module: Module) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
             value: ast.expr | None
             if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
                 value = node.value
@@ -366,15 +372,15 @@ class SetOrderedResultRule(Rule):
                 continue
             if value is None:
                 continue
-            for finding in self._check_value(context, node, value):
+            for finding in self._check_value(module, node, value):
                 yield finding
 
     def _check_value(
-        self, context: ModuleContext, node: ast.AST, value: ast.expr
+        self, module: Module, node: ast.AST, value: ast.expr
     ) -> Iterator[Finding]:
         # yield from <set-expr>
         if isinstance(node, ast.YieldFrom) and _is_set_expression(value):
-            yield context.finding(
+            yield module.finding(
                 node,
                 self.rule_id,
                 "yielding directly from a set leaks hash order into the "
@@ -389,7 +395,7 @@ class SetOrderedResultRule(Rule):
             and value.args
             and _is_set_expression(value.args[0])
         ):
-            yield context.finding(
+            yield module.finding(
                 value,
                 self.rule_id,
                 f"{value.func.id}() over a set freezes nondeterministic hash "
@@ -399,7 +405,7 @@ class SetOrderedResultRule(Rule):
         if isinstance(value, ast.ListComp) and value.generators:
             first = value.generators[0]
             if _is_set_expression(first.iter):
-                yield context.finding(
+                yield module.finding(
                     value,
                     self.rule_id,
                     "list comprehension iterating a set produces "
@@ -413,43 +419,17 @@ class SetOrderedResultRule(Rule):
 
 
 @register
-class WallClockTimingRule(Rule):
+class WallClockTimingRule(ClockReadRule):
     """Benchmark timing must use ``time.perf_counter``."""
 
     rule_id = "RP006"
     title = "no wall-clock timing in benchmarks"
-    rationale = (
-        "Section V reports elapsed filtering cost; time.time() is "
-        "NTP-adjustable wall clock with coarse resolution — intervals "
-        "must come from time.perf_counter()."
-    )
     units = frozenset({"benchmarks", "repro.experiments"})
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == "time"
-                    and func.attr in {"time", "clock"}
-                ):
-                    yield context.finding(
-                        node,
-                        self.rule_id,
-                        f"time.{func.attr}() is not a monotonic interval "
-                        "timer; use time.perf_counter()",
-                    )
-            elif isinstance(node, ast.ImportFrom) and node.module == "time":
-                for alias in node.names:
-                    if alias.name in {"time", "clock"}:
-                        yield context.finding(
-                            node,
-                            self.rule_id,
-                            f"importing time.{alias.name} for timing; import "
-                            "perf_counter instead",
-                        )
+    clocks = frozenset({"time", "clock"})
+    call_advice = (
+        "time.{fn}() is not a monotonic interval timer; use time.perf_counter()"
+    )
+    import_advice = "importing time.{fn} for timing; import perf_counter instead"
 
 
 # ----------------------------------------------------------------------
@@ -463,11 +443,6 @@ class PrivateAccessRule(Rule):
 
     rule_id = "RP007"
     title = "no cross-object _private attribute access"
-    rationale = (
-        "StreamMonitor and NNTIndex encapsulate per-stream caches whose "
-        "consistency the incremental procedures (Figures 4-5, 8) depend "
-        "on; foreign code must go through the public API."
-    )
     units = frozenset(
         {
             "repro.graph",
@@ -484,19 +459,19 @@ class PrivateAccessRule(Rule):
         }
     )
 
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
+    def check(self, module: Module) -> Iterator[Finding]:
         # A class "owns" the private names it touches on self/cls; peer
         # instances of the same class may use them (the copy()/__eq__
         # idiom).  Everything else is a foreign reach.
-        yield from self._walk(context, context.tree, owned=frozenset())
+        yield from self._walk(module, module.tree, owned=frozenset())
 
     def _walk(
-        self, context: ModuleContext, node: ast.AST, owned: frozenset[str]
+        self, module: Module, node: ast.AST, owned: frozenset[str]
     ) -> Iterator[Finding]:
         if isinstance(node, ast.ClassDef):
             owned = owned | self._self_private_names(node)
         for child in ast.iter_child_nodes(node):
-            yield from self._walk(context, child, owned)
+            yield from self._walk(module, child, owned)
         if not isinstance(node, ast.Attribute):
             return
         name = node.attr
@@ -507,7 +482,7 @@ class PrivateAccessRule(Rule):
             return
         if name in owned:
             return
-        yield context.finding(
+        yield module.finding(
             node,
             self.rule_id,
             f"access to private attribute .{name} on a foreign object; "
@@ -533,160 +508,82 @@ class PrivateAccessRule(Rule):
 # RP008 — concurrency primitives only inside repro.runtime
 # ----------------------------------------------------------------------
 
-_CONCURRENCY_TOP_MODULES = {
-    "multiprocessing",
-    "threading",
-    "_thread",
-    "queue",
-    "concurrent",
-}
-
 
 @register
-class ConcurrencyContainmentRule(Rule):
+class ConcurrencyContainmentRule(ConfinedImportRule):
     """Process/thread/queue machinery may only appear in the runtime."""
 
     rule_id = "RP008"
     title = "no concurrency primitives outside repro.runtime"
-    rationale = (
-        "The incremental maintenance procedures (Figures 4-5, 8) are "
-        "state machines whose correctness argument assumes sequential "
-        "application; answers must be deterministic run-to-run.  All "
-        "parallelism therefore lives behind the repro.runtime facade, "
-        "which shards *whole streams* across single-threaded workers."
-    )
     # Everywhere the analyzer looks except the runtime itself; the
     # test/example trees may drive the runtime (and thus reach for
     # process tools) without tripping the core invariant.
     units = None
-
-    _EXEMPT_UNITS = frozenset({"repro.runtime", "tests", "examples"})
-
-    def applies_to(self, context: ModuleContext) -> bool:
-        return context.unit not in self._EXEMPT_UNITS
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    continue  # relative imports cannot reach the stdlib
-                names = [node.module or ""]
-            else:
-                continue
-            for name in names:
-                top = name.split(".")[0]
-                if top in _CONCURRENCY_TOP_MODULES:
-                    yield context.finding(
-                        node,
-                        self.rule_id,
-                        f"import of {name!r} outside repro.runtime: the "
-                        "filtering core is deterministic and "
-                        "single-threaded; route parallelism through "
-                        "repro.runtime.ShardedMonitor",
-                    )
-                    break
+    exempt = frozenset({"repro.runtime", "tests", "examples"})
+    confined = frozenset(
+        {"multiprocessing", "threading", "_thread", "queue", "concurrent"}
+    )
+    advice = (
+        "import of {name!r} outside repro.runtime: the filtering core is "
+        "deterministic and single-threaded; route parallelism through "
+        "repro.runtime.ShardedMonitor"
+    )
 
 
 # ----------------------------------------------------------------------
 # RP009 — timing goes through repro.obs, not ad-hoc time.* reads
 # ----------------------------------------------------------------------
 
-_CLOCK_FUNCTIONS = {
-    "time",
-    "clock",
-    "perf_counter",
-    "perf_counter_ns",
-    "monotonic",
-    "monotonic_ns",
-    "process_time",
-    "process_time_ns",
-    "thread_time",
-    "thread_time_ns",
-}
-
 
 @register
-class AdHocTimingRule(Rule):
+class AdHocTimingRule(ClockReadRule):
     """Instrumented packages must not read clocks directly."""
 
     rule_id = "RP009"
     title = "no direct time.* timing in instrumented packages"
-    rationale = (
-        "The observability layer (repro.obs) is the single source of "
-        "timing truth for the filtering and runtime packages: every "
-        "measured interval must flow through spans/instruments (or the "
-        "Stopwatch in repro.core.metrics) so that exposition accounts "
-        "for where each timestamp's milliseconds go.  An ad-hoc "
-        "perf_counter pair is invisible to `repro stats` and drifts "
-        "out of the merged fleet histograms."
-    )
     units = frozenset(
         {"repro.graph", "repro.nnt", "repro.join", "repro.core", "repro.runtime"}
     )
-
-    #: Modules that implement the timing primitives themselves.
-    _EXEMPT_MODULES = frozenset({"repro.core.metrics"})
-
-    def applies_to(self, context: ModuleContext) -> bool:
-        if context.module_name in self._EXEMPT_MODULES:
-            return False
-        return super().applies_to(context)
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == "time"
-                    and func.attr in _CLOCK_FUNCTIONS
-                ):
-                    yield context.finding(
-                        node,
-                        self.rule_id,
-                        f"direct time.{func.attr}() in an instrumented "
-                        "package; time stages with repro.obs.span() / "
-                        "histograms (or repro.core.metrics.Stopwatch) so "
-                        "the interval reaches exposition",
-                    )
-            elif isinstance(node, ast.ImportFrom) and node.module == "time":
-                for alias in node.names:
-                    if alias.name in _CLOCK_FUNCTIONS:
-                        yield context.finding(
-                            node,
-                            self.rule_id,
-                            f"importing time.{alias.name} in an instrumented "
-                            "package; route timing through repro.obs (or "
-                            "repro.core.metrics.Stopwatch)",
-                        )
+    #: The module that implements the timing primitives itself.
+    exempt = frozenset({"repro.core.metrics"})
+    clocks = frozenset(
+        {
+            "time",
+            "clock",
+            "perf_counter",
+            "perf_counter_ns",
+            "monotonic",
+            "monotonic_ns",
+            "process_time",
+            "process_time_ns",
+            "thread_time",
+            "thread_time_ns",
+        }
+    )
+    call_advice = (
+        "direct time.{fn}() in an instrumented package; time stages with "
+        "repro.obs.span() / histograms (or repro.core.metrics.Stopwatch) so "
+        "the interval reaches exposition"
+    )
+    import_advice = (
+        "importing time.{fn} in an instrumented package; route timing "
+        "through repro.obs (or repro.core.metrics.Stopwatch)"
+    )
 
 
 # ----------------------------------------------------------------------
 # RP010 — trace/span ids are minted only by repro.obs.trace
 # ----------------------------------------------------------------------
 
-_ID_MINTING_MODULES = {"uuid", "secrets"}
 _MINT_FUNCTIONS = {"new_trace_id", "new_span_id"}
 
 
 @register
-class TraceIdMintingRule(Rule):
+class TraceIdMintingRule(ConfinedImportRule):
     """Trace identity has exactly one minting site."""
 
     rule_id = "RP010"
     title = "trace/span ids are minted only by repro.obs.trace"
-    rationale = (
-        "A distributed trace is one tree only if every span's ids come "
-        "from the single minting site: repro.obs.trace derives ids from "
-        "pid + a per-process counter, which keeps them unique across "
-        "fork, deterministic for replay, and free of entropy reads on "
-        "the filtering path.  A second id source (uuid/secrets/"
-        "os.urandom, or a re-implemented new_trace_id) silently "
-        "produces spans no exporter can attach to their parents."
-    )
     units = frozenset(
         {
             "repro.graph",
@@ -697,39 +594,18 @@ class TraceIdMintingRule(Rule):
             "repro.obs",
         }
     )
-
     #: The minting site itself.
-    _EXEMPT_MODULES = frozenset({"repro.obs.trace"})
+    exempt = frozenset({"repro.obs.trace"})
+    confined = frozenset({"uuid", "secrets"})
+    advice = (
+        "import of {name!r} in an instrumented package; trace/span ids come "
+        "from repro.obs.trace (new_trace_id/new_span_id), not ad-hoc entropy"
+    )
 
-    def applies_to(self, context: ModuleContext) -> bool:
-        if context.module_name in self._EXEMPT_MODULES:
-            return False
-        return super().applies_to(context)
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in _ID_MINTING_MODULES:
-                        yield context.finding(
-                            node,
-                            self.rule_id,
-                            f"import of {root!r} in an instrumented package; "
-                            "trace/span ids come from repro.obs.trace "
-                            "(new_trace_id/new_span_id), not ad-hoc entropy",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.level == 0 and node.module:
-                    root = node.module.split(".")[0]
-                    if root in _ID_MINTING_MODULES:
-                        yield context.finding(
-                            node,
-                            self.rule_id,
-                            f"import from {root!r} in an instrumented package; "
-                            "trace/span ids come from repro.obs.trace",
-                        )
-            elif isinstance(node, ast.Call):
+    def check(self, module: Module) -> Iterator[Finding]:
+        yield from super().check(module)
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Call):
                 func = node.func
                 if (
                     isinstance(func, ast.Attribute)
@@ -737,14 +613,14 @@ class TraceIdMintingRule(Rule):
                     and func.value.id == "os"
                     and func.attr == "urandom"
                 ):
-                    yield context.finding(
+                    yield module.finding(
                         node,
                         self.rule_id,
                         "os.urandom() in an instrumented package; trace/span "
                         "ids come from repro.obs.trace, not entropy reads",
                     )
             elif isinstance(node, ast.FunctionDef) and node.name in _MINT_FUNCTIONS:
-                yield context.finding(
+                yield module.finding(
                     node,
                     self.rule_id,
                     f"re-definition of {node.name}() outside repro.obs.trace; "
@@ -753,131 +629,118 @@ class TraceIdMintingRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RP016 — shared-memory segments are owned by repro.runtime.shm
+# RP013 — no swallowed exceptions
 # ----------------------------------------------------------------------
 
-_SHM_MODULES = {
-    "multiprocessing.shared_memory",
-    "multiprocessing.resource_tracker",
-}
+_BROAD_EXCEPTIONS = {"Exception", "BaseException"}
 
-#: The one module allowed to allocate/attach/unlink segments.
-_SHM_HOME = "repro.runtime.shm"
+
+def _is_broad_handler(handler: ast.ExceptHandler) -> bool:
+    """Bare ``except:`` or one naming Exception/BaseException."""
+    if handler.type is None:
+        return True
+    candidates: list[ast.expr] = (
+        list(handler.type.elts)
+        if isinstance(handler.type, ast.Tuple)
+        else [handler.type]
+    )
+    for expr in candidates:
+        chain = flatten_attribute(expr)
+        if chain and chain[-1] in _BROAD_EXCEPTIONS:
+            return True
+    return False
+
+
+def _body_does_nothing(handler: ast.ExceptHandler) -> bool:
+    """Only ``pass``, ``...`` or ``continue`` — the caller learns nothing."""
+    for stmt in handler.body:
+        if isinstance(stmt, ast.Pass):
+            continue
+        if isinstance(stmt, ast.Continue):
+            continue
+        if (
+            isinstance(stmt, ast.Expr)
+            and isinstance(stmt.value, ast.Constant)
+            and stmt.value.value is Ellipsis
+        ):
+            continue
+        return False
+    return True
 
 
 @register
-class SharedMemoryContainmentRule(Rule):
+class SwallowedExceptionRule(Rule):
+    """No broad do-nothing ``except`` anywhere in ``repro.*``; narrow,
+    typed handlers (a best-effort close) stay legal."""
+
+    rule_id = "RP013"
+    title = "no swallowed exceptions in repro.*"
+
+    def applies_to(self, module: Module) -> bool:
+        return module.unit.startswith("repro.")
+
+    def check(self, module: Module) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            if _is_broad_handler(node) and _body_does_nothing(node):
+                yield module.finding(
+                    node,
+                    self.rule_id,
+                    "broad do-nothing except: let the error propagate (a "
+                    "worker that crashes loudly is respawned and re-seeded "
+                    "from the coordinator's live graphs; one that swallows "
+                    "it diverges silently), or narrow the handler to the "
+                    "specific exceptions being tolerated",
+                )
+
+
+# ----------------------------------------------------------------------
+# RP016 — shared-memory segments are owned by repro.runtime.shm
+# ----------------------------------------------------------------------
+
+
+@register
+class SharedMemoryContainmentRule(ConfinedImportRule):
     """Shared-memory segment lifecycle has exactly one owner."""
 
     rule_id = "RP016"
     title = "shared-memory segments are touched only by repro.runtime.shm"
-    rationale = (
-        "The payload rings' segments carry pid-scoped names and a "
-        "crash-orphan sweep; those two only "
-        "compose into 'no leaked segments after close()' if every "
-        "allocate/attach/unlink goes through repro.runtime.shm.  A "
-        "second call site would mint segments the sweep cannot name "
-        "and fight the resource_tracker's registration bookkeeping "
-        "(Python 3.11 unlink() already unregisters — double "
-        "bookkeeping causes tracker KeyError spam or early reclaim)."
-    )
     # RP008 already bans multiprocessing outside repro.runtime; this
     # rule tightens the invariant *inside* the runtime (and everywhere
     # else the analyzer looks).  Tests/examples may attach segments to
     # assert on leaks without tripping it.
     units = None
-
-    _EXEMPT_UNITS = frozenset({"tests", "examples"})
-
-    def applies_to(self, context: ModuleContext) -> bool:
-        if context.module_name == _SHM_HOME:
-            return False
-        return context.unit not in self._EXEMPT_UNITS
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    continue  # relative imports cannot reach the stdlib
-                module = node.module or ""
-                names = [module] + [
-                    f"{module}.{alias.name}" for alias in node.names
-                ]
-            else:
-                continue
-            for name in names:
-                if name in _SHM_MODULES or any(
-                    name.startswith(owned + ".") for owned in _SHM_MODULES
-                ):
-                    yield context.finding(
-                        node,
-                        self.rule_id,
-                        f"import of {name!r} outside repro.runtime.shm: "
-                        "segment allocation, attachment and unlink are "
-                        "one protocol with one owner; go through "
-                        "repro.runtime.shm (ShmRing/RingReader/"
-                        "cleanup_segments)",
-                    )
-                    break
+    exempt = frozenset({"repro.runtime.shm", "tests", "examples"})
+    confined = frozenset(
+        {"multiprocessing.shared_memory", "multiprocessing.resource_tracker"}
+    )
+    advice = (
+        "import of {name!r} outside repro.runtime.shm: segment allocation, "
+        "attachment and unlink are one protocol with one owner; go through "
+        "repro.runtime.shm (ShmRing/RingReader/cleanup_segments)"
+    )
 
 
 # ----------------------------------------------------------------------
 # RP017 — asyncio is confined to the serving layer
 # ----------------------------------------------------------------------
 
-#: The one unit allowed to run an event loop.
-_ASYNC_HOME_UNIT = "repro.serve"
-
 
 @register
-class AsyncioContainmentRule(Rule):
+class AsyncioContainmentRule(ConfinedImportRule):
     """Event-loop machinery may only appear in ``repro.serve``."""
 
     rule_id = "RP017"
     title = "asyncio only inside repro.serve"
-    rationale = (
-        "The serving layer multiplexes sessions on one event loop and "
-        "funnels every monitor call through a single writer task; that "
-        "discipline is what makes the sharded coordinator's synchronous "
-        "request/reply protocol safe without locks.  An asyncio import "
-        "anywhere else (filter core, runtime, CLI) would either start a "
-        "second loop or re-enter the first, reintroducing exactly the "
-        "interleaving hazards RP008 removes — and coroutines in the "
-        "filtering path would break the paper's sequential-application "
-        "correctness argument (Figures 4-5, 8)."
-    )
     # Like RP008/RP016: everywhere the analyzer looks except the owner
     # itself; the test/example trees may drive the server with asyncio
     # clients without tripping the invariant.
     units = None
-
-    _EXEMPT_UNITS = frozenset({"tests", "examples"})
-
-    def applies_to(self, context: ModuleContext) -> bool:
-        if context.unit == _ASYNC_HOME_UNIT:
-            return False
-        return context.unit not in self._EXEMPT_UNITS
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    continue  # relative imports cannot reach the stdlib
-                names = [node.module or ""]
-            else:
-                continue
-            for name in names:
-                if name.split(".")[0] == "asyncio":
-                    yield context.finding(
-                        node,
-                        self.rule_id,
-                        f"import of {name!r} outside repro.serve: the "
-                        "serving layer owns the event loop; expose a "
-                        "synchronous entry point (like serve.run_server) "
-                        "instead of importing asyncio here",
-                    )
-                    break
+    exempt = frozenset({"repro.serve", "tests", "examples"})
+    confined = frozenset({"asyncio"})
+    advice = (
+        "import of {name!r} outside repro.serve: the serving layer owns the "
+        "event loop; expose a synchronous entry point (like "
+        "serve.run_server) instead of importing asyncio here"
+    )

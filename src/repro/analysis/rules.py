@@ -1,86 +1,65 @@
-"""Rule framework: the per-module analysis context and the registry.
+"""Rule framework: the one rule base class and the one registry.
 
-A *rule* inspects one parsed module at a time and yields
-:class:`~repro.analysis.findings.Finding` objects.  Rules declare which
-*units* (top-level packages, see :mod:`repro.analysis.layering`) they
-apply to, so e.g. the unseeded-RNG rule only fires inside
-``repro.datasets`` / ``repro.experiments`` while the mutable-default
-rule runs everywhere.
+A *rule* yields :class:`~repro.analysis.findings.Finding` objects from
+either or both of two hooks: :meth:`Rule.check` sees one parsed
+:class:`~repro.analysis.project.Module` at a time, on the modules the
+rule's scope covers; :meth:`Rule.check_project` sees the whole
+:class:`~repro.analysis.project.ProjectModel` once per run (import
+graph, symbols across files).  The scope is declared in *units*
+(top-level packages, see :mod:`repro.analysis.layering`), so e.g. the
+unseeded-RNG rule only fires inside ``repro.datasets`` /
+``repro.experiments`` while the mutable-default rule runs everywhere.
 
-Rules register themselves via :func:`register`; the engine instantiates
+Rules register themselves via :func:`register`; every run instantiates
 every registered rule unless the caller selects a subset.
 """
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .findings import Finding, Severity
+from .findings import Finding
 
-
-@dataclass
-class ModuleContext:
-    """Everything a rule may look at for one source file."""
-
-    path: str  # display path (as given on the command line)
-    module_name: str  # dotted name, e.g. "repro.nnt.tree"; best effort
-    unit: str  # layering unit, e.g. "repro.nnt" or "benchmarks"
-    tree: ast.Module
-    source: str
-    lines: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            self.lines = self.source.splitlines()
-
-    def finding(
-        self,
-        node: ast.AST,
-        rule_id: str,
-        message: str,
-        severity: Severity = Severity.ERROR,
-    ) -> Finding:
-        """A finding anchored at ``node``'s location in this module."""
-        return Finding(
-            path=self.path,
-            line=getattr(node, "lineno", 1),
-            column=getattr(node, "col_offset", 0) + 1,
-            rule_id=rule_id,
-            message=message,
-            severity=severity,
-        )
+if TYPE_CHECKING:
+    from .project import Module, ProjectModel
 
 
 class Rule:
     """Base class for analysis rules.
 
-    Subclasses set the class attributes and implement :meth:`check`.
-    ``units`` restricts where the rule applies: ``None`` means every
-    analyzed module, otherwise a module runs the rule only when its
-    layering unit is in the set.
+    Subclasses set the class attributes and implement :meth:`check`
+    and/or :meth:`check_project`.  ``units`` restricts where
+    :meth:`check` runs: ``None`` means every analyzed module, otherwise
+    a module runs the rule only when its layering unit is in the set.
+    ``exempt`` names the units or modules the rule never runs on —
+    typically the one owner of what the rule confines.
     """
 
     rule_id: str = ""
     title: str = ""
-    rationale: str = ""  # which paper invariant the rule protects
     units: frozenset[str] | None = None
+    exempt: frozenset[str] = frozenset()
 
-    def applies_to(self, context: ModuleContext) -> bool:
-        """Does this rule run on ``context``'s module?"""
-        return self.units is None or context.unit in self.units
+    def applies_to(self, module: Module) -> bool:
+        """Does :meth:`check` run on ``module``?"""
+        if module.unit in self.exempt or module.module_name in self.exempt:
+            return False
+        return self.units is None or module.unit in self.units
 
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
+    def check(self, module: Module) -> Iterator[Finding]:
         """Yield findings for one module."""
-        raise NotImplementedError
+        return iter(())
+
+    def check_project(self, model: ProjectModel) -> Iterator[Finding]:
+        """Yield findings that need more than one module to see."""
+        return iter(())
 
 
 REGISTRY: dict[str, type[Rule]] = {}
 
 
 def register(rule_class: type[Rule]) -> type[Rule]:
-    """Class decorator adding a rule to the global registry."""
+    """Class decorator adding a rule to the registry."""
     rule_id = rule_class.rule_id
     if not rule_id:
         raise ValueError(f"{rule_class.__name__} has no rule_id")
@@ -90,16 +69,8 @@ def register(rule_class: type[Rule]) -> type[Rule]:
     return rule_class
 
 
-def all_rules() -> list[Rule]:
-    """One instance of every registered rule, sorted by id."""
-    return [REGISTRY[rule_id]() for rule_id in sorted(REGISTRY)]
-
-
 def make_rules(select: list[str] | None = None) -> list[Rule]:
-    """Instantiate the selected rules (all when ``select`` is None)."""
-    if select is None:
-        return all_rules()
-    unknown = [rule_id for rule_id in select if rule_id not in REGISTRY]
-    if unknown:
-        raise KeyError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
-    return [REGISTRY[rule_id]() for rule_id in sorted(set(select))]
+    """One instance of each selected rule (every registered rule when
+    ``select`` is None), sorted by id; an unregistered id is a KeyError."""
+    chosen = REGISTRY if select is None else select
+    return [REGISTRY[rule_id]() for rule_id in sorted(set(chosen))]

@@ -14,7 +14,7 @@ Thirteen subcommands::
     python -m repro slo ...         # evaluate the SLO rules (live /slo or a replay)
     python -m repro flight ...      # inspect flight-recorder journals and dumps
     python -m repro experiment ...  # run a paper-figure driver
-    python -m repro lint ...        # static analysis (--project adds cross-file rules)
+    python -m repro lint ...        # static analysis (repro.analysis owns the flags)
 
 Graphs and query sets use the text format of :mod:`repro.graph.io`
 (gSpan-style ``t # / v / e`` blocks); streams add ``op`` blocks.
@@ -456,13 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # -- lint ---------------------------------------------------------------
-    from .analysis.cli import add_lint_arguments
-
-    lint = subparsers.add_parser(
+    # Listed for --help only: main() hands everything after the verb to
+    # repro.analysis.cli before this parser is built, so no other verb
+    # pays for importing the analyzer.
+    subparsers.add_parser(
         "lint",
         help="static analysis of the repo's soundness/layering invariants",
     )
-    add_lint_arguments(lint)
     return parser
 
 
@@ -1171,15 +1171,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.cli import run as run_lint
-
-    return run_lint(args)
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     handlers = {
         "generate": _cmd_generate,
         "search": _cmd_search,
@@ -1193,9 +1187,13 @@ def main(argv: list[str] | None = None) -> int:
         "slo": _cmd_slo,
         "flight": _cmd_flight,
         "experiment": _cmd_experiment,
-        "lint": _cmd_lint,
     }
     try:
+        if argv[:1] == ["lint"]:
+            from .analysis.cli import main as lint_main
+
+            return lint_main(argv[1:])
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except BrokenPipeError:
         # Downstream pipe (e.g. `| head`) closed early: exit quietly.

@@ -15,9 +15,9 @@ from pathlib import Path
 from repro.analysis import (
     ALLOWED_IMPORTS,
     FILTERING_PATH_UNITS,
-    Analyzer,
+    REGISTRY,
+    analyze_paths,
     iter_python_files,
-    make_rules,
     resolve_unit,
 )
 
@@ -26,16 +26,10 @@ LINT_SCOPE = [REPO_ROOT / "src", REPO_ROOT / "benchmarks"]
 
 
 def test_tree_is_clean() -> None:
-    """`python -m repro.analysis src benchmarks` exits 0."""
-    findings = Analyzer().analyze_paths(LINT_SCOPE)
-    assert findings == [], "\n".join(f.render() for f in findings)
-
-
-def test_project_tree_is_clean() -> None:
-    """Whole-program mode too: `repro lint --project src benchmarks`
-    exits 0 with zero suppressions — the cross-file protocol rules
-    (RP011-RP015) hold on the real runtime, not just on fixtures."""
-    findings = Analyzer().analyze_project(LINT_SCOPE)
+    """`python -m repro.analysis src benchmarks` exits 0: all 18 rules —
+    the cross-file protocol ones included — hold on the real tree, not
+    just on fixtures."""
+    findings = analyze_paths(LINT_SCOPE)
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
@@ -91,17 +85,12 @@ def test_filtering_path_units_are_isomorphism_free_in_the_matrix() -> None:
 
 
 def test_every_rule_is_documented() -> None:
-    """docs/static_analysis.md catalogs every registered rule id —
-    per-module and project rules alike."""
-    from repro.analysis import all_project_rules
-
+    """The one registry holds exactly RP001-RP018, and
+    docs/static_analysis.md catalogs every id."""
+    assert sorted(REGISTRY) == [f"RP{number:03d}" for number in range(1, 19)]
     catalog = (REPO_ROOT / "docs" / "static_analysis.md").read_text()
-    for rule in make_rules():
-        assert rule.rule_id in catalog, f"{rule.rule_id} missing from docs"
-    for project_rule in all_project_rules():
-        assert project_rule.rule_id in catalog, (
-            f"{project_rule.rule_id} missing from docs"
-        )
+    for rule_id in REGISTRY:
+        assert rule_id in catalog, f"{rule_id} missing from docs"
 
 
 def test_mutation_version_is_a_public_monotone_counter() -> None:

@@ -1,8 +1,10 @@
-"""Cold-import budget: numpy is paid for by the `matrix` engine alone.
+"""Cold-import budget: numpy is paid for by the `matrix` engine alone,
+and the analyzer by the `lint` verb alone.
 
 Every process of a deployment (runner, each forked worker, the `repro
 serve` child) imports `repro`; only `repro.join.matrix` needs numpy, and
-no default (`dsc`) path may drag it in.
+no default (`dsc`) path may drag it in.  Every CLI verb builds the
+argument parser; only `lint` needs `repro.analysis`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ PROBE = """
 import sys
 import repro
 import repro.cli
+repro.cli.build_parser()
+loaded = sorted(name for name in sys.modules if name.startswith("repro.analysis"))
+assert not loaded, f"building the CLI parser imported {loaded}"
 from repro import LabeledGraph, StreamMonitor
 from repro.join import ENGINES, QuerySet, make_engine
 

@@ -35,9 +35,10 @@ def test_lint_json_is_machine_readable(capsys) -> None:
     code = repro_main(["lint", "--format=json", str(FIXTURES / "rp004_bad.py")])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert payload["summary"]["errors"] == payload["summary"]["total"] > 0
+    assert payload["paths"] == [str(FIXTURES / "rp004_bad.py")]
+    assert payload["summary"]["total"] == len(payload["findings"]) > 0
     finding = payload["findings"][0]
-    assert {"path", "line", "column", "rule", "severity", "message"} <= set(finding)
+    assert set(finding) == {"path", "line", "column", "rule", "message"}
     assert finding["rule"] == "RP004"
 
 
@@ -64,36 +65,13 @@ def test_lint_list_rules_prints_catalog(capsys) -> None:
     code = repro_main(["lint", "--list-rules"])
     out = capsys.readouterr().out
     assert code == 0
-    for rule_id in ("RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP007"):
-        assert rule_id in out
+    for number in range(1, 19):
+        assert f"RP{number:03d}" in out
 
 
-def test_lint_project_clean_tree_exits_zero(capsys) -> None:
-    code = repro_main(
-        [
-            "lint",
-            "--project",
-            "--strict",
-            str(REPO_ROOT / "src"),
-            str(REPO_ROOT / "benchmarks"),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "no violations found" in out
-
-
-def test_lint_project_rule_without_project_flag_is_usage_error(capsys) -> None:
-    code = repro_main(["lint", "--select=RP011", str(FIXTURES / "rp004_bad.py")])
-    assert code == 2
-    assert "--project" in capsys.readouterr().err
-
-
-def test_lint_strict_promotes_warnings_to_exit_one(
-    capsys, tmp_path, monkeypatch
-) -> None:
-    """A span-less hot path is a WARNING: exit 0 normally, 1 under
-    --strict."""
+def test_lint_select_reaches_cross_file_rules(capsys, tmp_path, monkeypatch) -> None:
+    """One run mode: a rule that needs the whole model is selected like
+    any other, and its finding fails the run (no warning tier)."""
     from repro.analysis import project_rules
 
     target = tmp_path / "hotmod.py"
@@ -102,67 +80,10 @@ def test_lint_strict_promotes_warnings_to_exit_one(
         project_rules, "HOT_PATHS", (("hotmod", "Monitor.apply"),)
     )
 
-    code = repro_main(["lint", "--project", str(target)])
+    code = repro_main(["lint", "--select=RP012", str(target)])
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == 1
     assert "RP012" in out
-
-    code = repro_main(["lint", "--project", "--strict", str(target)])
-    assert code == 1
-
-
-def test_lint_sarif_output_is_valid_and_annotated(capsys) -> None:
-    code = repro_main(
-        ["lint", "--format=sarif", str(FIXTURES / "rp004_bad.py")]
-    )
-    document = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert document["version"] == "2.1.0"
-    run = document["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro.analysis"
-    rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {"RP001", "RP011", "RP015"} <= rule_ids
-    result = run["results"][0]
-    assert result["ruleId"] == "RP004"
-    assert result["level"] == "error"
-    region = result["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] > 0
-
-
-def test_lint_baseline_round_trip(capsys, tmp_path) -> None:
-    """--write-baseline records today's findings; --baseline then
-    subtracts them (exit 0), and fixed findings are reported stale."""
-    baseline = tmp_path / "baseline.json"
-    fixture = str(FIXTURES / "rp004_bad.py")
-
-    code = repro_main(["lint", f"--write-baseline={baseline}", fixture])
-    capsys.readouterr()
-    assert code == 0
-    assert json.loads(baseline.read_text())["findings"]
-
-    code = repro_main(["lint", f"--baseline={baseline}", fixture])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "no violations found" in out
-
-    # A clean tree against the same baseline: exit 0, staleness noted.
-    code = repro_main(
-        ["lint", f"--baseline={baseline}", str(FIXTURES / "rp006_bad.py")]
-    )
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "stale" in captured.err
-
-
-def test_lint_missing_baseline_is_usage_error(capsys, tmp_path) -> None:
-    code = repro_main(
-        [
-            "lint",
-            f"--baseline={tmp_path / 'absent.json'}",
-            str(FIXTURES / "rp004_bad.py"),
-        ]
-    )
-    assert code == 2
 
 
 def test_standalone_module_entry_point() -> None:

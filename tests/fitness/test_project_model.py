@@ -1,51 +1,16 @@
-"""The whole-program semantic model itself: import graph, call graph,
-symbol resolution, and the degradation paths the CLI depends on."""
+"""The model every lint run builds: import graph, symbol resolution,
+RP012's same-class span lookup, file discovery, and the degradation
+paths the CLI depends on."""
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
 
-from repro.analysis import Analyzer, ProjectModel, iter_python_files
+import pytest
+
+from repro.analysis import ProjectModel, analyze_paths, analyze_sources, iter_python_files
+from repro.analysis import project_rules
 from repro.analysis.graphs import ImportEdge, ImportGraph
-from repro.analysis.layering import module_name_for_path
-from repro.analysis.rules import ModuleContext
-from repro.analysis.rulepack import _imported_repro_modules
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-LINT_SCOPE = [REPO_ROOT / "src", REPO_ROOT / "benchmarks"]
-
-
-# ----------------------------------------------------------------------
-# property: the model's import view is a superset of RP001's per-file view
-# ----------------------------------------------------------------------
-
-
-def test_import_graph_is_superset_of_per_file_view() -> None:
-    """Every ``repro.*`` import RP001 can see file-by-file also appears
-    in the model's per-module import record, so no whole-graph check can
-    be weaker than the per-file heuristic it upgrades."""
-    model = ProjectModel.build(LINT_SCOPE)
-    by_path = {info.path: info for info in model.infos}
-    for path in iter_python_files(LINT_SCOPE):
-        info = by_path[str(path)]
-        context = ModuleContext(
-            path=str(path),
-            module_name=module_name_for_path(path),
-            unit=info.unit,
-            tree=ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
-            source=info.source,
-        )
-        per_file: set[str] = set()
-        for node in ast.walk(context.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                per_file.update(_imported_repro_modules(context, node))
-        model_view = {target for target, _, _, _ in info.repro_imports}
-        assert per_file <= model_view, (
-            f"{path}: per-file imports {sorted(per_file - model_view)} "
-            "missing from the project model"
-        )
-
 
 # ----------------------------------------------------------------------
 # graphs
@@ -87,7 +52,7 @@ def test_shortest_path_is_deterministic_and_minimal() -> None:
 def test_function_level_imports_are_lazy_not_cyclic() -> None:
     """A function-body import is the canonical cycle *break*; the model
     must not report the broken cycle as if it still existed."""
-    model = ProjectModel.from_sources(
+    model = ProjectModel(
         [
             (
                 "import repro.obs.registry\n",
@@ -107,37 +72,51 @@ def test_function_level_imports_are_lazy_not_cyclic() -> None:
 
 
 # ----------------------------------------------------------------------
-# call graph / span queries
+# RP012: which spans count as covering a hot path
 # ----------------------------------------------------------------------
 
+_DELEGATING = (
+    "from repro import obs\n"
+    "class Inner:\n"
+    "    def work(self):\n"
+    "        with obs.span('inner.work'):\n"
+    "            return 1\n"
+    "class Outer:\n"
+    "    inner: Inner\n"
+    "    def run(self):\n"
+    "        return self.step()\n"
+    "    def step(self):\n"
+    "{step_body}"
+)
 
-def test_call_graph_resolves_self_and_typed_attributes() -> None:
-    source = (
-        "from repro import obs\n"
-        "class Inner:\n"
-        "    def work(self):\n"
-        "        with obs.span('inner.work'):\n"
-        "            return 1\n"
-        "class Outer:\n"
-        "    inner: Inner\n"
-        "    def run(self):\n"
-        "        return self.step()\n"
-        "    def step(self):\n"
-        "        return self.inner.work()\n"
+
+def _rp012_lines(
+    monkeypatch: pytest.MonkeyPatch, source: str, qualname: str
+) -> list[int]:
+    monkeypatch.setattr(
+        project_rules, "HOT_PATHS", (("repro.core.modelmod", qualname),)
     )
-    model = ProjectModel.from_sources(
-        [(source, "m.py", "repro.core.modelmod", None)]
-    )
-    run_key = "repro.core.modelmod:Outer.run"
-    certain = model.call_graph.reachable([run_key], include_dynamic=False)
-    assert "repro.core.modelmod:Outer.step" in certain
-    assert "repro.core.modelmod:Inner.work" in certain
-    # And the span query sees through the whole chain.
-    assert model.opens_span(run_key)
+    entry = (source, "m.py", "repro.core.modelmod", None)
+    return [f.line for f in analyze_sources([entry], ["RP012"])]
 
 
-def test_opens_span_rejects_dynamic_only_coverage() -> None:
-    """A span behind an unresolvable receiver must not count."""
+def test_rp012_follows_self_calls_within_the_class_only(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """``run -> self.step()`` is covered when ``step`` opens the span;
+    ``run -> self.step() -> self.inner.work()`` is not — the span lives
+    in another class, behind a typed attribute."""
+    own_span = "        with obs.span('outer.step'):\n            return 1\n"
+    source = _DELEGATING.format(step_body=own_span)
+    assert _rp012_lines(monkeypatch, source, "Outer.run") == []
+
+    source = _DELEGATING.format(step_body="        return self.inner.work()\n")
+    assert _rp012_lines(monkeypatch, source, "Outer.run") == [8]
+
+
+def test_rp012_rejects_an_unknown_receiver(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
     source = (
         "from repro import obs\n"
         "class Helper:\n"
@@ -151,16 +130,19 @@ def test_opens_span_rejects_dynamic_only_coverage() -> None:
         "    def _pick(self):\n"
         "        return Helper()\n"
     )
-    model = ProjectModel.from_sources(
-        [(source, "m.py", "repro.core.modelmod", None)]
-    )
-    assert not model.opens_span("repro.core.modelmod:Host.run")
+    assert _rp012_lines(monkeypatch, source, "Host.run") == [7]
+
+
+def test_rp012_reports_a_vanished_hot_path(monkeypatch: pytest.MonkeyPatch) -> None:
+    """A HOT_PATHS entry whose function no longer exists fails the run
+    like any other finding, anchored at the top of its module."""
+    assert _rp012_lines(monkeypatch, "class Host:\n    pass\n", "Host.run") == [1]
 
 
 def test_resolve_global_follows_imports_across_modules() -> None:
     defining = "SHARED = []\nFROZEN = ('a', 'b')\n"
     importing = "from repro.core.defs import SHARED, FROZEN\n"
-    model = ProjectModel.from_sources(
+    model = ProjectModel(
         [
             (defining, "defs.py", "repro.core.defs", None),
             (importing, "use.py", "repro.core.use", None),
@@ -169,13 +151,32 @@ def test_resolve_global_follows_imports_across_modules() -> None:
     use = model.modules["repro.core.use"]
     owner, name = model.resolve_global(use, "SHARED")
     assert owner.canonical == "repro.core.defs"
-    assert name in owner.symbols.mutable_globals
+    assert name in owner.mutable_globals
     owner, name = model.resolve_global(use, "FROZEN")
-    assert name not in owner.symbols.mutable_globals
+    assert name not in owner.mutable_globals
 
 
 # ----------------------------------------------------------------------
-# degradation: broken files must not abort the run (satellite)
+# discovery: skip names match below the given root only
+# ----------------------------------------------------------------------
+
+
+def test_skip_dirs_match_below_the_given_root_only(tmp_path: Path) -> None:
+    """A checkout under a directory called ``build`` is still linted;
+    a ``build`` directory *inside* the root is still skipped."""
+    root = tmp_path / "build"
+    bad = root / "pkg" / "bad.py"
+    nested = root / "pkg" / "build" / "x.py"
+    for file in (bad, nested):
+        file.parent.mkdir(parents=True, exist_ok=True)
+        file.write_text("def f(items=[]):\n    return items\n")
+
+    assert iter_python_files([root]) == [bad]
+    assert [(f.path, f.rule_id) for f in analyze_paths([root])] == [(str(bad), "RP004")]
+
+
+# ----------------------------------------------------------------------
+# degradation: broken files must not abort the run
 # ----------------------------------------------------------------------
 
 
@@ -185,7 +186,7 @@ def test_analyze_paths_degrades_non_utf8_files(tmp_path: Path) -> None:
     bad = tmp_path / "bad.py"
     bad.write_bytes(b"x = '\xff\xfe broken'\n")
 
-    findings = Analyzer().analyze_paths([tmp_path])
+    findings = analyze_paths([tmp_path])
 
     rp000 = [f for f in findings if f.rule_id == "RP000"]
     assert len(rp000) == 1
@@ -194,12 +195,16 @@ def test_analyze_paths_degrades_non_utf8_files(tmp_path: Path) -> None:
 
 
 def test_project_model_degrades_broken_files(tmp_path: Path) -> None:
-    (tmp_path / "good.py").write_text("x = 1\n")
+    """One ``RP000`` per unreadable or unparsable file, and the rules
+    still run on the rest."""
+    (tmp_path / "good.py").write_text("def f(items=[]):\n    return items\n")
     (tmp_path / "binary.py").write_bytes(b"\xff\xfe")
     (tmp_path / "syntax.py").write_text("def broken(:\n")
 
-    model = ProjectModel.build([tmp_path])
+    findings = analyze_paths([tmp_path])
 
-    assert len(model.infos) == 1  # the good file still parsed
-    assert {f.rule_id for f in model.errors} == {"RP000"}
-    assert len(model.errors) == 2
+    assert sorted((Path(f.path).name, f.rule_id) for f in findings) == [
+        ("binary.py", "RP000"),
+        ("good.py", "RP004"),
+        ("syntax.py", "RP000"),
+    ]

@@ -16,11 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Analyzer, Finding, ProjectModel, make_project_rules
+from repro.analysis import Finding, analyze_sources
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: fixture file -> (rule id, pretend module name, pretend unit)
+#: single-file fixture -> (rule id, pretend module name, pretend unit).
+#: Every fixture runs under *all* registered rules and must still yield
+#: only its own id.
 CASES = {
     "rp001_bad.py": ("RP001", "repro.nnt.badmod", "repro.nnt"),
     "rp002_bad.py": ("RP002", "repro.datasets.badmod", "repro.datasets"),
@@ -32,9 +34,20 @@ CASES = {
     "rp008_bad.py": ("RP008", "repro.core.badmod", "repro.core"),
     "rp009_bad.py": ("RP009", "repro.join.badmod", "repro.join"),
     "rp010_bad.py": ("RP010", "repro.runtime.badmod", "repro.runtime"),
+    "rp011_bad.py": ("RP011", "repro.runtime.badmod", "repro.runtime"),
+    "rp012_bad.py": ("RP012", "repro.core.monitor", "repro.core"),
+    "rp013_bad.py": ("RP013", "repro.runtime.badmod", "repro.runtime"),
+    "rp014_bad.py": ("RP014", "repro.core.badmod", "repro.core"),
     "rp016_bad.py": ("RP016", "repro.runtime.badmod", "repro.runtime"),
     "rp017_bad.py": ("RP017", "repro.runtime.badmod", "repro.runtime"),
 }
+#: ... except ``rp012_bad.py``, which has to import ``from repro import
+#: obs`` as ``repro.core.monitor`` and trips RP001 doing so.
+SELECT = {"rp012_bad.py": ["RP012"]}
+#: The fixtures of the rules that were once a separate "project" pack
+#: keep their historical test names.
+CROSS_FILE = ["rp011_bad.py", "rp012_bad.py", "rp013_bad.py", "rp014_bad.py"]
+PER_MODULE = sorted(set(CASES) - set(CROSS_FILE))
 
 
 def _expected_lines(path: Path) -> set[int]:
@@ -45,14 +58,15 @@ def _expected_lines(path: Path) -> set[int]:
     }
 
 
-@pytest.mark.parametrize("fixture_name", sorted(CASES))
-def test_rule_fires_on_bad_fixture(fixture_name: str) -> None:
+def _check_fires(fixture_name: str) -> None:
     rule_id, module_name, unit = CASES[fixture_name]
     path = FIXTURES / fixture_name
     expected = _expected_lines(path)
     assert expected, f"fixture {fixture_name} has no expect-violation markers"
 
-    findings = Analyzer().analyze_file(path, module_name=module_name, unit=unit)
+    findings = analyze_sources(
+        [(path.read_text(), str(path), module_name, unit)], SELECT.get(fixture_name)
+    )
 
     assert {f.line for f in findings} == expected
     assert {f.rule_id for f in findings} == {rule_id}
@@ -60,8 +74,7 @@ def test_rule_fires_on_bad_fixture(fixture_name: str) -> None:
     assert len(findings) == len(expected)
 
 
-@pytest.mark.parametrize("fixture_name", sorted(CASES))
-def test_matching_noqa_silences_the_rule(fixture_name: str) -> None:
+def _check_noqa_silences(fixture_name: str) -> None:
     """Appending ``# repro: noqa[RULE-ID]`` to every flagged line mutes
     the fixture completely — proving per-line, per-rule suppression."""
     rule_id, module_name, unit = CASES[fixture_name]
@@ -69,56 +82,58 @@ def test_matching_noqa_silences_the_rule(fixture_name: str) -> None:
     lines = path.read_text().splitlines()
     for lineno in _expected_lines(path):
         lines[lineno - 1] += f"  # repro: noqa[{rule_id}]"
-    silenced = "\n".join(lines) + "\n"
+    entry = ("\n".join(lines) + "\n", str(path), module_name, unit)
 
-    findings = Analyzer().analyze_source(
-        silenced, path=str(path), module_name=module_name, unit=unit
-    )
+    assert analyze_sources([entry], SELECT.get(fixture_name)) == []
 
-    assert findings == []
+
+@pytest.mark.parametrize("fixture_name", PER_MODULE)
+def test_rule_fires_on_bad_fixture(fixture_name: str) -> None:
+    _check_fires(fixture_name)
+
+
+@pytest.mark.parametrize("fixture_name", PER_MODULE)
+def test_matching_noqa_silences_the_rule(fixture_name: str) -> None:
+    _check_noqa_silences(fixture_name)
+
+
+@pytest.mark.parametrize("fixture_name", CROSS_FILE)
+def test_project_rule_fires_on_bad_fixture(fixture_name: str) -> None:
+    _check_fires(fixture_name)
+
+
+@pytest.mark.parametrize("fixture_name", CROSS_FILE)
+def test_noqa_silences_project_rules(fixture_name: str) -> None:
+    _check_noqa_silences(fixture_name)
+
+
+def _analyze_as_core(source: str) -> list[Finding]:
+    return analyze_sources([(source, "<string>", "repro.core.badmod", "repro.core")])
 
 
 def test_bare_noqa_silences_every_rule() -> None:
-    source = "def f(items=[]):  # repro: noqa\n    return items\n"
-    findings = Analyzer().analyze_source(
-        source, module_name="repro.core.badmod", unit="repro.core"
-    )
-    assert findings == []
+    assert _analyze_as_core("def f(items=[]):  # repro: noqa\n    return items\n") == []
 
 
 def test_noqa_is_line_scoped() -> None:
     """A waiver on one line must not leak to the next."""
-    source = (
+    findings = _analyze_as_core(
         "def f(items=[]):  # repro: noqa[RP004]\n"
         "    return items\n"
         "def g(table={}):\n"
         "    return table\n"
-    )
-    findings = Analyzer().analyze_source(
-        source, module_name="repro.core.badmod", unit="repro.core"
     )
     assert [(f.rule_id, f.line) for f in findings] == [("RP004", 3)]
 
 
 def test_noqa_accepts_comma_separated_ids() -> None:
     source = "def f(items=[]):  # repro: noqa[RP001, RP004]\n    return items\n"
-    findings = Analyzer().analyze_source(
-        source, module_name="repro.core.badmod", unit="repro.core"
-    )
-    assert findings == []
+    assert _analyze_as_core(source) == []
 
 
 # ----------------------------------------------------------------------
-# project rules (RP011+): fixtures run through the whole-program model
+# multi-module fixtures: directories of files with ``# module:`` headers
 # ----------------------------------------------------------------------
-
-#: single-file project fixtures -> (rule id, pretend module, pretend unit)
-PROJECT_CASES = {
-    "rp011_bad.py": ("RP011", "repro.runtime.badmod", "repro.runtime"),
-    "rp012_bad.py": ("RP012", "repro.core.monitor", "repro.core"),
-    "rp013_bad.py": ("RP013", "repro.runtime.badmod", "repro.runtime"),
-    "rp014_bad.py": ("RP014", "repro.core.badmod", "repro.core"),
-}
 
 _MODULE_HEADER = re.compile(r"# module: (\S+)")
 
@@ -137,76 +152,28 @@ def _multi_module_entries(
     return entries
 
 
-def _rp015_entries() -> list[tuple[str, str, str | None, str | None]]:
-    return _multi_module_entries("rp015_bad")
-
-
-def _project_findings(
-    rule_id: str, entries: list[tuple[str, str, str | None, str | None]]
-) -> list[Finding]:
-    """Run exactly one project rule over an in-memory model (the other
-    rules — including the per-module pack — would fire on the seeded
-    badness that is not under test)."""
-    model = ProjectModel.from_sources(entries)
-    rules = make_project_rules([rule_id])
-    assert rules, f"project rule {rule_id} is not registered"
-    findings: list[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check(model))
-    return findings
-
-
-@pytest.mark.parametrize("fixture_name", sorted(PROJECT_CASES))
-def test_project_rule_fires_on_bad_fixture(fixture_name: str) -> None:
-    rule_id, module_name, unit = PROJECT_CASES[fixture_name]
-    path = FIXTURES / fixture_name
-    expected = _expected_lines(path)
-    assert expected, f"fixture {fixture_name} has no expect-violation markers"
-
-    findings = _project_findings(
-        rule_id, [(path.read_text(), str(path), module_name, unit)]
-    )
-
-    assert {f.line for f in findings} == expected
-    assert {f.rule_id for f in findings} == {rule_id}
-    assert len(findings) == len(expected)
-
-
-def test_rp015_fires_on_cycle_and_transitive_reach() -> None:
-    """The multi-module fixture seeds one import cycle and one
-    transitive (two-hop) path from the filtering path to the exact
-    matcher; RP015 must report both, anchored at the import lines."""
-    entries = _rp015_entries()
+def _expected_sites(
+    entries: list[tuple[str, str, str | None, str | None]]
+) -> set[tuple[str, int]]:
     expected = {
         (path, lineno)
         for _, path, _, _ in entries
         for lineno in _expected_lines(Path(path))
     }
     assert expected
+    return expected
 
-    findings = _project_findings("RP015", entries)
 
-    assert {(f.path, f.line) for f in findings} == expected
+def test_rp015_fires_on_cycle_and_transitive_reach() -> None:
+    """The multi-module fixture seeds one import cycle and one
+    transitive (two-hop) path from the filtering path to the exact
+    matcher; RP015 must report both, anchored at the import lines."""
+    entries = _multi_module_entries("rp015_bad")
+
+    findings = analyze_sources(entries, ["RP015"])
+
+    assert {(f.path, f.line) for f in findings} == _expected_sites(entries)
     assert {f.rule_id for f in findings} == {"RP015"}
-
-
-@pytest.mark.parametrize("fixture_name", sorted(PROJECT_CASES))
-def test_noqa_silences_project_rules(fixture_name: str) -> None:
-    """Project findings obey the same per-line suppression machinery as
-    per-module ones (analyze_project routes them through it)."""
-    rule_id, module_name, unit = PROJECT_CASES[fixture_name]
-    path = FIXTURES / fixture_name
-    lines = path.read_text().splitlines()
-    for lineno in _expected_lines(path):
-        lines[lineno - 1] += f"  # repro: noqa[{rule_id}]"
-    silenced = "\n".join(lines) + "\n"
-
-    findings = _project_findings(
-        rule_id, [(silenced, str(path), module_name, unit)]
-    )
-    filtered = Analyzer._apply_suppressions(silenced, findings)
-
-    assert filtered == []
 
 
 def test_rp018_fires_on_uncatalogued_metric_name() -> None:
@@ -215,38 +182,23 @@ def test_rp018_fires_on_uncatalogued_metric_name() -> None:
     flag exactly the typo'd line and leave catalogued names and
     docstring look-alikes alone."""
     entries = _multi_module_entries("rp018_bad")
-    expected = {
-        (path, lineno)
-        for _, path, _, _ in entries
-        for lineno in _expected_lines(Path(path))
-    }
-    assert expected
 
-    findings = _project_findings("RP018", entries)
+    findings = analyze_sources(entries, ["RP018"])
 
-    assert {(f.path, f.line) for f in findings} == expected
+    assert {(f.path, f.line) for f in findings} == _expected_sites(entries)
     assert {f.rule_id for f in findings} == {"RP018"}
     assert all("serve.comit.seconds" in f.message for f in findings)
 
 
 def test_rp018_noqa_silences_the_finding() -> None:
-    entries = _multi_module_entries("rp018_bad")
     silenced_entries = []
-    consumer_text = None
-    for text, path, module, unit in entries:
-        if module == "repro.dashboard":
-            lines = text.splitlines()
-            for lineno in _expected_lines(Path(path)):
-                lines[lineno - 1] += "  # repro: noqa[RP018]"
-            text = "\n".join(lines) + "\n"
-            consumer_text = text
-        silenced_entries.append((text, path, module, unit))
-    assert consumer_text is not None
+    for text, path, module, unit in _multi_module_entries("rp018_bad"):
+        lines = text.splitlines()
+        for lineno in _expected_lines(Path(path)):
+            lines[lineno - 1] += "  # repro: noqa[RP018]"
+        silenced_entries.append(("\n".join(lines) + "\n", path, module, unit))
 
-    findings = _project_findings("RP018", silenced_entries)
-    filtered = Analyzer._apply_suppressions(consumer_text, findings)
-
-    assert filtered == []
+    assert analyze_sources(silenced_entries, ["RP018"]) == []
 
 
 def test_rp018_flags_catalog_module_without_literal_dict() -> None:
@@ -263,7 +215,7 @@ def test_rp018_flags_catalog_module_without_literal_dict() -> None:
         (catalog_text, "catalog.py", "repro.obs.catalog", None),
     ]
 
-    findings = _project_findings("RP018", entries)
+    findings = analyze_sources(entries, ["RP018"])
 
     assert {f.rule_id for f in findings} == {"RP018"}
     assert len(findings) == 1
