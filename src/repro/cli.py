@@ -37,6 +37,7 @@ import random
 import sys
 from pathlib import Path
 
+from .core.checkpoint import MANIFEST, load_monitor
 from .core.database import GraphDatabase
 from .core.monitor import StreamMonitor
 from .datasets.ggen import generate_graph_set
@@ -156,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="block",
         help="backpressure policy when a worker inbox is full",
     )
-    replay.add_argument("--checkpoint-dir", help="shard snapshot directory")
+    replay.add_argument("--checkpoint-dir", help="checkpoint export directory")
     replay.add_argument(
         "--checkpoint-every",
         type=int,
@@ -220,7 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_argument(serve)
     serve.add_argument("--queue-capacity", type=int, default=128)
     serve.add_argument("--policy", choices=["block", "drop", "spill"], default="block")
-    serve.add_argument("--checkpoint-dir", help="shard snapshot directory")
+    serve.add_argument(
+        "--checkpoint-dir",
+        help="checkpoint export directory; an export found there is restored at start",
+    )
     serve.add_argument("--checkpoint-every", type=int, default=0)
     serve.add_argument(
         "--stats-every",
@@ -541,38 +545,35 @@ def _read_streams(paths: list[str]) -> dict:
     return streams
 
 
-#: Runtime flag -> ``ShardedMonitor`` parameter; each is passed only by
-#: the subcommands that define the flag.
+#: Flag -> parameter of every monitor / of :class:`ShardedMonitor` alone;
+#: each is passed only by the subcommands that define the flag.
+_MONITOR_OPTIONS = {"checkpoint_dir": "checkpoint_dir", "checkpoint_every": "checkpoint_every"}
 _RUNTIME_OPTIONS = {
+    "workers": "num_workers",
     "queue_capacity": "queue_capacity",
     "policy": "backpressure",
-    "checkpoint_dir": "checkpoint_dir",
-    "checkpoint_every": "checkpoint_every",
     "shm": "shm",
     "flight_dir": "flight_dir",
 }
 
 
-def _open_monitor(args: argparse.Namespace, queries: dict):
+def _open_monitor(args: argparse.Namespace, queries: dict, restore: bool = False):
     """The one place the CLI builds a monitor (use it in a ``with``):
     ``--workers 0``, or a subcommand without the flag, is the in-process
     :class:`StreamMonitor`; ``N >= 1`` is a :class:`ShardedMonitor` over
-    N forked workers."""
-    workers = getattr(args, "workers", 0)
-    if workers < 1:
-        return StreamMonitor(queries, method=args.method, depth_limit=args.depth)
+    N forked workers.  With ``restore`` it starts from the export in
+    ``--checkpoint-dir`` (whose query set, method and depth win)."""
+    factory, flags = StreamMonitor, _MONITOR_OPTIONS
+    if getattr(args, "workers", 0) >= 1:
+        factory, flags = ShardedMonitor, {**_MONITOR_OPTIONS, **_RUNTIME_OPTIONS}
     options = {
         parameter: getattr(args, flag)
-        for flag, parameter in _RUNTIME_OPTIONS.items()
+        for flag, parameter in flags.items()
         if hasattr(args, flag)
     }
-    return ShardedMonitor(
-        queries,
-        method=args.method,
-        depth_limit=args.depth,
-        num_workers=workers,
-        **options,
-    )
+    if restore:
+        return load_monitor(args.checkpoint_dir, factory, **options)
+    return factory(queries, method=args.method, depth_limit=args.depth, **options)
 
 
 def _replay(monitor, streams):
@@ -824,7 +825,10 @@ def _parse_host_port(spec: str) -> tuple[str, int]:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    with _open_monitor(args, dict(read_graph_set(args.queries))) as monitor:
+    # The directory the server writes is the one it starts from.
+    restored = bool(args.checkpoint_dir) and Path(args.checkpoint_dir, MANIFEST).is_file()
+    queries = dict(read_graph_set(args.queries))
+    with _open_monitor(args, queries, restore=restored) as monitor:
         # The serving edge (asyncio, ssl, http, admission) is imported
         # only now that the workers have forked: they never serve, and
         # would carry its pages for life.
@@ -859,6 +863,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ),
                 dlq=dlq,
                 emit=emit,
+                restored=restored,
             )
         else:
             serve_lines(

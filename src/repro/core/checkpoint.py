@@ -1,31 +1,33 @@
-"""Checkpoint / restore for :class:`StreamMonitor`.
+"""Checkpoint / restore: one on-disk format, one writer, one loader.
 
 A checkpoint directory holds a JSON manifest (method, depth, scheme,
-id maps) plus one text file for the query set and one per stream graph
-(the formats of :mod:`repro.graph.io`).  Restoring rebuilds the monitor
-from the snapshots; engine state is re-derived (it is a pure function of
-the graphs), so a restored monitor answers exactly like the original and
-accepts further updates.
+id maps, the names of the data files) plus one text file for the query
+set and one per stream graph (the formats of :mod:`repro.graph.io`).
+Engine state is re-derived — it is a pure function of the graphs and
+the query set — so a monitor of any class, on any number of workers,
+rebuilt from them answers like the original and accepts further updates.
+
+:func:`write_checkpoint` takes that state itself (every monitor exports
+through it) and replaces a previous export atomically: data files go
+under names the current manifest does not use, the new manifest is
+committed last with one ``os.replace``, and only then are the files it
+no longer names unlinked.  A reader, or a writer that dies at any point,
+sees the previous export or the new one, never a mix.  (Nothing is
+fsynced: that holds across a killed process, not across a power cut.)
 
 Note on identifiers: the text format serializes vertex ids and labels
 as strings, so the manifest records each graph's vertex-id *kind* —
 graphs whose ids are all ints restore with int ids (``"int"``), anything
-else round-trips as strings (``"str"``, also the fallback for manifests
-written before the kind was recorded).  Stream/query ids are stored in
+else round-trips as strings (``"str"``).  Stream/query ids are stored in
 the JSON manifest and must be JSON-representable.
-
-Shard-scoped checkpoints: the multi-process runtime
-(:mod:`repro.runtime`) snapshots each worker's private monitor with a
-``shard`` annotation (shard id, shard count, snapshot ordinal) so a
-reader can tell which slice of the fleet it holds; the annotation is
-opaque to this module beyond being stored and returned.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ..graph.io import read_graph_set, write_graph_set
 from ..graph.labeled_graph import LabeledGraph
@@ -33,7 +35,8 @@ from ..nnt.projection import DimensionScheme
 from .monitor import StreamMonitor
 
 MANIFEST = "manifest.json"
-QUERIES = "queries.txt"
+#: Only files named like its own data files are ever unlinked by a writer.
+_DATA_PREFIXES = ("queries-", "stream-")
 
 
 def _id_kind(graph: LabeledGraph) -> str:
@@ -59,94 +62,125 @@ def _coerce_ids(graph: LabeledGraph, kind: str) -> LabeledGraph:
     return restored
 
 
-def save_monitor(
-    monitor: StreamMonitor,
-    directory: str | Path,
-    shard: Mapping[str, Any] | None = None,
-) -> Path:
-    """Write a restorable snapshot of ``monitor`` into ``directory``.
-
-    ``shard`` is an optional JSON-representable annotation (e.g. the
-    runtime's ``{"shard_id": k, "num_shards": n}``) stored verbatim in
-    the manifest and surfaced again by :func:`checkpoint_stats`.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-
-    query_ids = list(monitor.query_set.queries)
-    stream_ids = monitor.stream_ids()
-    manifest: dict[str, Any] = {
-        "format": 1,
-        "method": monitor.method,
-        "depth_limit": monitor.depth_limit,
-        "include_edge_label": monitor.scheme.include_edge_label,
-        "query_ids": query_ids,
-        "stream_ids": stream_ids,
-        "query_id_kinds": [
-            _id_kind(monitor.query_set.queries[query_id]) for query_id in query_ids
-        ],
-        "stream_id_kinds": [
-            _id_kind(monitor.graph(stream_id)) for stream_id in stream_ids
-        ],
-    }
-    if shard is not None:
-        manifest["shard"] = dict(shard)
-    (directory / MANIFEST).write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-    write_graph_set(
-        [monitor.query_set.queries[query_id] for query_id in query_ids],
-        directory / QUERIES,
-        names=[f"q{i}" for i in range(len(query_ids))],
-    )
-    for i, stream_id in enumerate(stream_ids):
-        write_graph_set([monitor.graph(stream_id)], directory / f"stream_{i}.txt")
-    return directory
+def _read_graphs(path: Path, kinds: list[str]) -> list[LabeledGraph]:
+    """One data file's graphs with their vertex-id kinds restored
+    (``ValueError`` when file and manifest disagree on the count)."""
+    blocks = read_graph_set(path)
+    return [_coerce_ids(graph, kind) for (_, graph), kind in zip(blocks, kinds, strict=True)]
 
 
-def load_monitor(directory: str | Path) -> StreamMonitor:
-    """Rebuild a :class:`StreamMonitor` from :func:`save_monitor` output."""
-    directory = Path(directory)
+def _read_manifest(directory: Path) -> dict[str, Any]:
     manifest = json.loads((directory / MANIFEST).read_text(encoding="utf-8"))
     if manifest.get("format") != 1:
         raise ValueError(f"unsupported checkpoint format: {manifest.get('format')!r}")
+    return manifest
 
-    query_graphs = [graph for _, graph in read_graph_set(directory / QUERIES)]
-    query_ids = manifest["query_ids"]
-    if len(query_graphs) != len(query_ids):
-        raise ValueError("checkpoint query count does not match its manifest")
-    query_kinds = manifest.get("query_id_kinds", ["str"] * len(query_ids))
-    monitor = StreamMonitor(
-        {
-            query_id: _coerce_ids(graph, kind)
-            for query_id, graph, kind in zip(query_ids, query_graphs, query_kinds)
-        },
+
+def write_checkpoint(
+    directory: str | Path,
+    queries: Mapping[Any, LabeledGraph],
+    streams: Mapping[Any, LabeledGraph],
+    method: str,
+    depth_limit: int,
+    scheme: DimensionScheme,
+) -> dict[str, Any]:
+    """Replace ``directory``'s export with this state (commit protocol:
+    the module docstring); returns its :func:`checkpoint_stats`."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        generation = _read_manifest(directory)["generation"] + 1
+    except (OSError, ValueError, KeyError):
+        generation = 1  # no export yet (or not one a reader would accept)
+    manifest: dict[str, Any] = {
+        "format": 1,
+        "generation": generation,
+        "method": method,
+        "depth_limit": depth_limit,
+        "include_edge_label": scheme.include_edge_label,
+        "query_ids": list(queries),
+        "stream_ids": list(streams),
+        "query_id_kinds": [_id_kind(graph) for graph in queries.values()],
+        "stream_id_kinds": [_id_kind(graph) for graph in streams.values()],
+        "query_file": f"queries-{generation}.txt",
+        "stream_files": [f"stream-{generation}-{i}.txt" for i in range(len(streams))],
+    }
+    write_graph_set(
+        queries.values(),
+        directory / manifest["query_file"],
+        names=[f"q{i}" for i in range(len(queries))],
+    )
+    for name, graph in zip(manifest["stream_files"], streams.values()):
+        write_graph_set([graph], directory / name)
+    pending = directory / (MANIFEST + ".tmp")
+    pending.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    os.replace(pending, directory / MANIFEST)  # the commit point
+    named = {manifest["query_file"], *manifest["stream_files"]}
+    for path in directory.iterdir():
+        if path.name.startswith(_DATA_PREFIXES) and path.name not in named:
+            path.unlink()
+    return checkpoint_stats(directory)
+
+
+def save_monitor(monitor: StreamMonitor, directory: str | Path) -> dict[str, Any]:
+    """Write a restorable snapshot of ``monitor`` into ``directory``."""
+    return write_checkpoint(
+        directory,
+        monitor.query_set.queries,
+        {stream_id: monitor.graph(stream_id) for stream_id in monitor.stream_ids()},
+        monitor.method,
+        monitor.depth_limit,
+        monitor.scheme,
+    )
+
+
+def load_monitor(
+    directory: str | Path,
+    factory: Callable[..., Any] = StreamMonitor,
+    **options: Any,
+) -> Any:
+    """Rebuild a monitor from a checkpoint directory: ``factory`` (any
+    monitor class; ``options`` are its other keyword parameters) over the
+    exported query set, method, depth limit and scheme, then every
+    stream's graph through ``add_stream`` — a fresh monitor's own path."""
+    directory = Path(directory)
+    manifest = _read_manifest(directory)
+    queries = _read_graphs(directory / manifest["query_file"], manifest["query_id_kinds"])
+    streams = [
+        _read_graphs(directory / name, [kind])[0]
+        for name, kind in zip(manifest["stream_files"], manifest["stream_id_kinds"], strict=True)
+    ]
+    monitor = factory(
+        dict(zip(manifest["query_ids"], queries, strict=True)),
         method=manifest["method"],
         depth_limit=manifest["depth_limit"],
         scheme=DimensionScheme(include_edge_label=manifest["include_edge_label"]),
+        **options,
     )
-    stream_ids = manifest["stream_ids"]
-    stream_kinds = manifest.get("stream_id_kinds", ["str"] * len(stream_ids))
-    for i, (stream_id, kind) in enumerate(zip(stream_ids, stream_kinds)):
-        (_, graph), = read_graph_set(directory / f"stream_{i}.txt")
-        monitor.add_stream(stream_id, _coerce_ids(graph, kind))
+    try:
+        for stream_id, graph in zip(manifest["stream_ids"], streams, strict=True):
+            monitor.add_stream(stream_id, graph)
+    except BaseException:
+        monitor.close()  # a half-restored fleet must not outlive the error
+        raise
     return monitor
 
 
 def checkpoint_stats(directory: str | Path) -> dict[str, Any]:
     """Summarize a checkpoint directory without rebuilding the monitor:
-    manifest essentials, the shard annotation (if any), and on-disk
-    footprint — what the runtime's recovery log and ``repro serve``
-    report after each snapshot."""
+    manifest essentials and on-disk footprint — what ``checkpoint()``
+    returns and ``repro serve`` reports after each export."""
     directory = Path(directory)
-    manifest = json.loads((directory / MANIFEST).read_text(encoding="utf-8"))
-    files = sorted(p for p in directory.iterdir() if p.is_file())
+    manifest = _read_manifest(directory)
+    names = [MANIFEST, manifest["query_file"], *manifest["stream_files"]]
     return {
         "path": str(directory),
-        "format": manifest.get("format"),
-        "method": manifest.get("method"),
-        "depth_limit": manifest.get("depth_limit"),
-        "num_queries": len(manifest.get("query_ids", [])),
-        "num_streams": len(manifest.get("stream_ids", [])),
-        "shard": manifest.get("shard"),
-        "num_files": len(files),
-        "total_bytes": sum(p.stat().st_size for p in files),
+        "format": manifest["format"],
+        "generation": manifest["generation"],
+        "method": manifest["method"],
+        "depth_limit": manifest["depth_limit"],
+        "num_queries": len(manifest["query_ids"]),
+        "num_streams": len(manifest["stream_ids"]),
+        "num_files": len(names),
+        "total_bytes": sum((directory / name).stat().st_size for name in names),
     }

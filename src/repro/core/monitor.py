@@ -25,6 +25,7 @@ subgraph isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Iterable, Literal, Mapping
 
 from .. import obs
@@ -71,6 +72,10 @@ class StreamMonitor:
         NNT depth ``l``; the paper's self-test settles on 3.
     scheme:
         NPV dimension scheme (the paper's label-pair scheme by default).
+    checkpoint_dir:
+        Where :meth:`checkpoint` writes its export; required for it.
+    checkpoint_every:
+        Auto-checkpoint every this many applied updates (0 = never).
     """
 
     def __init__(
@@ -79,7 +84,13 @@ class StreamMonitor:
         method: str = "dsc",
         depth_limit: int = 3,
         scheme: DimensionScheme = PAPER_SCHEME,
+        checkpoint_dir: str | Path | None = None,
+        checkpoint_every: int = 0,
     ) -> None:
+        if checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
+        if checkpoint_every and checkpoint_dir is None:
+            raise ValueError("checkpoint_every requires checkpoint_dir")
         self.query_set = QuerySet(queries, depth_limit, scheme)
         self.method = method.lower()
         self.engine = make_engine(self.method, self.query_set)
@@ -88,6 +99,9 @@ class StreamMonitor:
         self._indexes: dict[StreamId, NNTIndex] = {}
         self._adapters: dict[StreamId, StreamListenerAdapter] = {}
         self._last_poll: set[Pair] = set()
+        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
+        self.checkpoint_every = checkpoint_every
+        self._updates_since_checkpoint = 0
 
     # ------------------------------------------------------------------
     # stream lifecycle
@@ -208,6 +222,9 @@ class StreamMonitor:
                 "monitor.changes",
                 help="individual edge changes applied across all streams",
             ).inc(num_changes)
+        self._updates_since_checkpoint += 1
+        if 0 < self.checkpoint_every <= self._updates_since_checkpoint:
+            self.checkpoint()
 
     def apply_many(
         self, updates: Mapping[StreamId, GraphChangeOperation | EdgeChange]
@@ -311,6 +328,17 @@ class StreamMonitor:
     def trace_spans(self) -> list[obs.SpanRecord]:
         """Every span collected so far (all in this process)."""
         return list(obs.spans())
+
+    def checkpoint(self) -> dict[str, Any]:
+        """Export the live query set and every stream's current graph to
+        ``checkpoint_dir``, replacing the previous export atomically;
+        returns its :func:`~repro.core.checkpoint.checkpoint_stats`."""
+        from .checkpoint import save_monitor  # it imports this module
+
+        if self.checkpoint_dir is None:
+            raise RuntimeError("checkpoint() requires checkpoint_dir")
+        self._updates_since_checkpoint = 0
+        return save_monitor(self, self.checkpoint_dir)
 
     # ------------------------------------------------------------------
     # lifecycle

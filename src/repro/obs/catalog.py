@@ -31,7 +31,6 @@ CATALOG: dict[str, tuple[str, str]] = {
     "monitor.deregister_query.seconds": ("histogram", "seconds per live query retirement"),
     "monitor.events": ("counter", "appeared/disappeared transitions reported"),
     "monitor.events.seconds": ("histogram", "seconds per events() poll"),
-    "monitor.matches": ("counter", "candidate pairs returned by matches()"),
     "monitor.matches.seconds": ("histogram", "seconds per matches() poll"),
     "monitor.polls": ("counter", "matches() poll calls"),
     "monitor.probe.seconds": ("histogram", "seconds per sampled precision-probe pass"),
@@ -41,7 +40,7 @@ CATALOG: dict[str, tuple[str, str]] = {
     "monitor.verifier_calls": ("counter", "exact isomorphism checks performed"),
     "monitor.verify.seconds": ("histogram", "seconds per exact verification call"),
     # -- NNT / join engines ---------------------------------------------
-    "nnt.batch_size": ("histogram", "edge changes per coalesced NNT batch"),
+    "nnt.batch_size": ("histogram", "net NPV deltas per coalesced batch delivery"),
     "nnt.batch_update.seconds": ("histogram", "seconds per incremental NNT batch update"),
     "nnt.deltas_delivered": ("counter", "NPV deltas delivered to join engines"),
     "join.candidates.seconds": ("histogram", "seconds per dominance-filter candidate scan"),
@@ -60,11 +59,12 @@ CATALOG: dict[str, tuple[str, str]] = {
     "filter.probe.false_positive": ("counter", "probed pairs that failed exact isomorphism"),
     "filter.probe.skipped": ("counter", "pairs the probe skipped (sampling or budget)"),
     # -- query churn ------------------------------------------------------
+    "queries_registered": ("gauge", "currently monitored queries"),
     "query.register.seconds": ("histogram", "seconds per live query registration"),
     # -- sharded runtime --------------------------------------------------
     "runtime.add_stream.seconds": ("histogram", "seconds per worker-side stream index build"),
     "runtime.bytes_pickled": ("counter", "payload bytes pickled onto worker queues"),
-    "runtime.checkpoint.seconds": ("histogram", "seconds per shard checkpoint write"),
+    "runtime.checkpoint.seconds": ("histogram", "seconds per checkpoint export"),
     "runtime.deregister_query.seconds": ("histogram", "seconds per fleet query retirement"),
     "runtime.dropped": ("counter", "batches dropped by the drop backpressure policy"),
     "runtime.inbox_depth": ("gauge", "deepest worker inbox at last submit"),

@@ -12,8 +12,7 @@ respawns with no false negatives.
 
 See ``docs/runtime.md`` for the architecture, routing, backpressure and
 recovery protocols; :mod:`repro.runtime.worker` for the command
-protocol; :mod:`repro.runtime.recovery` for the snapshot export
-layout.
+protocol; :mod:`repro.core.checkpoint` for the export a restart reads.
 
 This is the only package in the tree allowed to touch process/thread
 machinery (analysis rule RP008), and :mod:`repro.runtime.shm` is the
@@ -28,13 +27,12 @@ from .coordinator import (
     WorkerCrashed,
     WorkerDied,
 )
-from .recovery import CheckpointStore, RecoveryLog
+from .recovery import RecoveryLog
 from .router import ShardRouter, stable_hash
 from .shm import RingReader, RingRef, ShmError, ShmRing, cleanup_segments
 from .worker import ShardState, WorkerSpec
 
 __all__ = [
-    "CheckpointStore",
     "POLICIES",
     "RecoveryLog",
     "RingReader",

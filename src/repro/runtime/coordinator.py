@@ -19,8 +19,8 @@ the configured policy decides what ``apply`` does:
   trades memory for caller latency.
 * ``"drop"`` — discard the update and count it.  The only lossy policy:
   the no-false-negative guarantee then holds w.r.t. the *accepted*
-  sub-stream only.  Control traffic (stream registration, polls,
-  checkpoints) always blocks regardless of policy.
+  sub-stream only.  Control traffic (stream registration, polls)
+  always blocks regardless of policy.
 
 **Consistency.**  A poll is a per-worker FIFO barrier: the poll command
 is enqueued behind every previously accepted update, so the aggregated
@@ -45,8 +45,10 @@ query churn since birth, then ``add_stream(id, current graph)`` for
 every stream it owns.  That is the state the lost worker would have
 reached (no false negatives), at a cost independent of how long the
 streams have run.  With ``auto_recover`` (default) this happens inside
-the call that notices the death.  ``checkpoint()`` is an export, not a
-recovery input (:mod:`repro.runtime.recovery`).
+the call that notices the death.  For the coordinator's own death,
+:meth:`ShardedMonitor.checkpoint` writes the same state of record to a
+directory and :meth:`ShardedMonitor.restore` reads it back through the
+ordinary constructor + ``add_stream`` (:mod:`repro.core.checkpoint`).
 
 **Payload rings** (``shm=True``).  Each shard gets a
 coordinator->worker shared-memory ring (:mod:`repro.runtime.shm`):
@@ -77,6 +79,7 @@ from pathlib import Path
 from typing import Any, Iterable, Literal, Mapping
 
 from .. import obs
+from ..core.checkpoint import load_monitor, write_checkpoint
 from ..core.metrics import Stopwatch
 from ..core.monitor import MatchEvent, diff_polls
 from ..graph.labeled_graph import LabeledGraph
@@ -88,13 +91,12 @@ from ..graph.operations import (
 )
 from ..join.base import Pair, QueryId, StreamId
 from ..nnt.projection import DimensionScheme, PAPER_SCHEME
-from .recovery import CheckpointStore, RecoveryLog
+from .recovery import RecoveryLog
 from .router import ShardRouter
 from .shm import DEFAULT_RING_CAPACITY, ShmRing, cleanup_segments
 from .worker import (
     CMD_ADD_STREAM,
     CMD_APPLY,
-    CMD_CHECKPOINT,
     CMD_DEREGISTER_QUERY,
     CMD_POLL,
     CMD_REGISTER_QUERY,
@@ -165,8 +167,7 @@ class ShardedMonitor:
         ``"block"`` / ``"drop"`` / ``"spill"`` — see the module
         docstring.
     checkpoint_dir:
-        Root directory for shard snapshots; required for
-        ``checkpoint()``.
+        Where ``checkpoint()`` writes its export; required for it.
     checkpoint_every:
         Auto-checkpoint after this many accepted change batches
         (0 = manual checkpoints only).
@@ -241,7 +242,7 @@ class ShardedMonitor:
             start_method = "fork"
         self._ctx = multiprocessing.get_context(start_method)
         self.router = ShardRouter(num_workers)
-        self.store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
+        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.recovery_log = RecoveryLog()
         self._spill: dict[int, deque[tuple]] = {
             shard: deque() for shard in range(num_workers)
@@ -470,10 +471,7 @@ class ShardedMonitor:
         if accepted:
             self._accepted_batches += 1
             self._batches_since_checkpoint += 1
-            if (
-                self.checkpoint_every
-                and self._batches_since_checkpoint >= self.checkpoint_every
-            ):
+            if 0 < self.checkpoint_every <= self._batches_since_checkpoint:
                 self.checkpoint()
         return accepted
 
@@ -995,39 +993,40 @@ class ShardedMonitor:
             if ring is not None:
                 ring.close(unlink=True)
             del self._spill[shard]
-            if self.store is not None:
-                # Its last export describes a shard that no longer exists.
-                self.store.invalidate(shard)
         return moved
 
     # ------------------------------------------------------------------
     # checkpointing and recovery
     # ------------------------------------------------------------------
-    def checkpoint(self) -> list[dict[str, Any]]:
-        """Export a snapshot of every shard under ``checkpoint_dir``;
-        returns one :func:`~repro.core.checkpoint.checkpoint_stats` dict
-        per shard.  Recovery does not read it."""
+    def checkpoint(self) -> dict[str, Any]:
+        """Export the state of record — the live query set and every
+        stream's current graph, updates parked in spill included — to
+        ``checkpoint_dir``, replacing the previous export atomically; no
+        worker is asked anything.  Returns its
+        :func:`~repro.core.checkpoint.checkpoint_stats`."""
         self._ensure_open()
-        if self.store is None:
+        if self.checkpoint_dir is None:
             raise RuntimeError("checkpoint() requires checkpoint_dir")
-        self._barrier()
-        results = []
-        for shard in self._workers:
-            # The ordinal of this snapshot: every one gets a directory
-            # of its own, so ``LATEST`` never names one being written.
-            sequence = self.recovery_log.checkpoints
-            target = self.store.prepare(shard, sequence)
-            note = {
-                "shard_id": shard,
-                "num_shards": self.num_workers,
-                "sequence": sequence,
-            }
-            response = self._request(shard, CMD_CHECKPOINT, str(target), note)
-            self.store.commit(shard, sequence)
-            self.recovery_log.checkpoints += 1
-            results.append(response[3])
-        self._batches_since_checkpoint = 0
-        return results
+        self._batches_since_checkpoint = 0  # a failed export waits a full cadence too
+        spec = self.spec
+        with obs.span("runtime.checkpoint"):
+            export = write_checkpoint(
+                self.checkpoint_dir,
+                self._queries,
+                self._graphs,
+                spec.method,
+                spec.depth_limit,
+                spec.scheme,
+            )
+        self.recovery_log.checkpoints += 1
+        return export
+
+    @classmethod
+    def restore(cls, directory: str | Path, **runtime_options: Any) -> "ShardedMonitor":
+        """A fleet rebuilt from any monitor's checkpoint directory: its
+        query set, method, depth and scheme, ``runtime_options`` for the
+        other constructor parameters, every stream via :meth:`add_stream`."""
+        return load_monitor(directory, cls, **runtime_options)
 
     def recover(self, shard: int) -> None:
         """Respawn one shard's worker from the birth spec and bring it

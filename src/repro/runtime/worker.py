@@ -5,8 +5,7 @@ coordinator's :class:`~repro.runtime.router.ShardRouter`) over the full
 shared query set.  It drains its bounded inbox in FIFO order — which is
 what makes a poll a consistent barrier: the poll command is enqueued
 after every update it must observe — and pushes tagged responses on its
-outbox.  All answering state is the monitor's; the worker adds only
-the checkpoint export glue.
+outbox.  All answering state is the monitor's.
 
 Workers never share *mutable* memory with the coordinator: commands and
 responses are picklable values (graphs, change operations, frozen
@@ -27,8 +26,6 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .. import obs
-from ..core.checkpoint import checkpoint_stats, save_monitor
-from ..core.metrics import Stopwatch
 from ..core.monitor import StreamMonitor
 from ..graph.labeled_graph import LabeledGraph
 from ..nnt.projection import PAPER_SCHEME, DimensionScheme
@@ -43,7 +40,6 @@ CMD_DEREGISTER_QUERY = "deregister_query"
 CMD_POLL = "poll"
 CMD_STATS = "stats"
 CMD_TRACE = "trace"
-CMD_CHECKPOINT = "checkpoint"
 CMD_STOP = "stop"
 
 #: Commands that mutate shard state (the ones the flight recorder notes).
@@ -122,16 +118,6 @@ class ShardState:
             # Ship the process-local span ring (records carry this
             # worker's trace/span/parent ids and process label).
             return (CMD_TRACE, command[1], self.shard_id, obs.spans())
-        if kind == CMD_CHECKPOINT:
-            _, request_id, directory, shard_note = command
-            timer = Stopwatch()
-            with timer:
-                save_monitor(self.monitor, Path(directory), shard=shard_note)
-            obs.histogram(
-                "runtime.checkpoint.seconds",
-                help="wall-clock seconds to write one shard checkpoint",
-            ).observe(timer.total)
-            return (CMD_CHECKPOINT, request_id, self.shard_id, checkpoint_stats(directory))
         if kind == CMD_STOP:
             self.shutdown()
             return (CMD_STOP, command[1], self.shard_id, None)

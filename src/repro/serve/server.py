@@ -253,13 +253,14 @@ class ReproServer:
             self._drain_task = asyncio.get_running_loop().create_task(self.drain())
 
     async def drain(self) -> None:
-        """Graceful shutdown: stop accepting, notify, flush, checkpoint."""
+        """Graceful shutdown: stop accepting, notify, flush, checkpoint
+        (a failed export is reported, not fatal)."""
         if not self.lifecycle.begin_drain():
             return
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        notice = encode_reply(
+        await self._broadcast(
             {
                 "ok": True,
                 "notice": "draining",
@@ -267,12 +268,6 @@ class ReproServer:
                 "accepted_batches": self.bridge.accepted_batches,
             }
         )
-        for _, writer in list(self._sessions.values()):
-            try:
-                writer.write(notice.encode() + b"\n")
-                await writer.drain()
-            except (ConnectionError, RuntimeError, OSError):
-                continue
         if self.config.drain_grace > 0:
             # Hold with /readyz already 503 so load balancers deroute
             # before the writer stops taking work.
@@ -283,13 +278,12 @@ class ReproServer:
         self._queue.put_nowait(None)
         if self._writer_task is not None:
             await self._writer_task
-        if hasattr(self.monitor, "checkpoint") and getattr(
-            self.monitor, "store", None
-        ) is not None:
-            try:
-                self.monitor.checkpoint()
-            except RuntimeError:
-                pass  # already closed or mid-recovery: nothing to snapshot
+        if self.monitor.checkpoint_dir is not None:
+            reply = self.bridge.checkpoint()
+            if not reply["ok"]:
+                # The drain still finishes; it says what a restart will find.
+                self.flight.note("checkpoint_failed", error=reply["error"])
+                await self._broadcast({**reply, "notice": "checkpoint_failed"})
         for _, writer in list(self._sessions.values()):
             try:
                 writer.close()
@@ -305,6 +299,16 @@ class ReproServer:
             await self.http.stop()
         self.flight.close()
         self.lifecycle.mark_stopped()
+
+    async def _broadcast(self, notice: dict[str, Any]) -> None:
+        """Write one notice line to every connected session."""
+        line = encode_reply(notice).encode() + b"\n"
+        for _, writer in list(self._sessions.values()):
+            try:
+                writer.write(line)
+                await writer.drain()
+            except (ConnectionError, RuntimeError, OSError):
+                continue
 
     async def wait_stopped(self) -> None:
         """Block until a drain has fully stopped the server."""
@@ -521,12 +525,14 @@ def run_server(
     emit: Callable[[dict[str, Any]], None] | None = None,
     install_signals: bool = True,
     ready: Callable[[ReproServer], object] | None = None,
+    restored: bool = False,
 ) -> dict[str, Any]:
     """Run a server until drained; returns its final edge stats.
 
     This is the synchronous entry the CLI calls — ``asyncio`` stays
     confined to :mod:`repro.serve` (rule RP017).  ``emit`` receives the
-    ``listening`` notice (default: nothing); ``ready`` is a test hook
+    ``listening`` notice (default: nothing; ``restored`` says whether
+    the monitor came from a checkpoint); ``ready`` is a test hook
     called with the live server once the port is bound.
     """
 
@@ -543,6 +549,7 @@ def run_server(
                 "notice": "listening",
                 "host": config.host,
                 "port": server.port,
+                "restored": restored,
             }
             if server.http is not None:
                 notice["http_host"], notice["http_port"] = server.http.address

@@ -188,7 +188,7 @@ class MonitorBridge:
             stats["serve"] = self.serve_stats()
             return {"ok": True, "cmd": command.verb, "stats": stats}
         if isinstance(command, Checkpoint):
-            return self._checkpoint(command)
+            return self.checkpoint(command.verb)
         if isinstance(command, Quit):
             return {"ok": True, "cmd": command.verb}
         raise ProtocolError(f"unhandled command {type(command).__name__}")
@@ -381,14 +381,14 @@ class MonitorBridge:
             reply["error"] = errors[0]["error"]
         return reply
 
-    def _checkpoint(self, command: Command) -> dict[str, Any]:
-        if not hasattr(self.monitor, "checkpoint"):
-            return {"ok": False, "error": "checkpoint requires --workers >= 1"}
+    def checkpoint(self, verb: str = "checkpoint") -> dict[str, Any]:
+        """The ``checkpoint`` verb (the server's drain runs it too): a
+        failed export is a reply, never an exception."""
         try:
-            notes = self.monitor.checkpoint()
-        except RuntimeError as exc:
-            return {"ok": False, "cmd": command.verb, "error": str(exc)}
-        return {"ok": True, "cmd": command.verb, "shards": notes}
+            export = self.monitor.checkpoint()
+        except (RuntimeError, OSError) as exc:  # no directory / unwritable
+            return {"ok": False, "cmd": verb, "error": f"{type(exc).__name__}: {exc}"}
+        return {"ok": True, "cmd": verb, "checkpoint": export}
 
     def _session_events(self, session: Session) -> list[dict[str, Any]]:
         current = set(self.monitor.matches())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core import load_monitor
 from repro.graph.io import read_graph_set, read_stream
 
 
@@ -267,7 +268,9 @@ class TestReplay:
             ]
         ) == 0
         assert "final possible pairs:" in capsys.readouterr().out
-        assert (tmp_path / "ckpt" / "shard_0" / "LATEST").exists()
+        # One export whatever the worker count, and it opens in process.
+        assert not list((tmp_path / "ckpt").glob("shard_*"))
+        assert load_monitor(tmp_path / "ckpt").stream_ids()
 
 
 class TestServe:
@@ -319,7 +322,29 @@ class TestServe:
         )
         assert all(r["ok"] for r in responses)
         checkpoint = next(r for r in responses if r["cmd"] == "checkpoint")
-        assert len(checkpoint["shards"]) == 2
+        assert checkpoint["checkpoint"]["path"] == str(tmp_path / "ck")
+        assert checkpoint["checkpoint"]["num_streams"] == 1
+        assert load_monitor(tmp_path / "ck").graph("a").has_edge("1", "2")
+
+    def test_in_process_serve_checkpoints_and_restarts(self, monkeypatch, capsys, tmp_path):
+        """``--workers 0`` used to drop ``--checkpoint-dir`` and refuse
+        the verb.  Now the verb and ``--checkpoint-every`` write it, and
+        the next start on the same directory reads it."""
+        flags = ["--workers", "0", "--checkpoint-dir", str(tmp_path / "ck")]
+        script = (
+            "stream a\nins a 1 2 - X Y\ntick\ncheckpoint\n"
+            "ins a 2 3 - Y X\ntick\nins a 3 4 - X Y\ntick\nquit\n"
+        )
+        first = self._serve(
+            monkeypatch, capsys, script, extra_args=[*flags, "--checkpoint-every", "2"]
+        )
+        assert all(r["ok"] for r in first)
+        assert [r["checkpoint"]["generation"] for r in first if r["cmd"] == "checkpoint"] == [1]
+        # Two ticks after the verb reach the cadence: generation 2, three edges.
+        again = self._serve(monkeypatch, capsys, "stream a\nmatches\nstats\nquit\n", extra_args=flags)
+        assert "already monitored" in again[0]["error"]
+        assert again[2]["stats"]["streams"]["a"]["num_edges"] == 3
+        assert again[1]["matches"] == [list(pair) for pair in sorted(load_monitor(tmp_path / "ck").matches())]
 
     def test_errors_are_reported_not_fatal(self, monkeypatch, capsys):
         script = (

@@ -240,9 +240,9 @@ class TestCheckpointRoundTrip:
         assert restored.verified_matches() == monitor.verified_matches()
 
     def test_sharded_recovery_prefers_checkpointed_membership(self, tmp_path):
-        """Churn, checkpoint (journals truncate), churn again, massacre:
-        recovery = checkpointed membership + journal replay of the
-        post-checkpoint churn — exact on both sides of the snapshot."""
+        """Churn, checkpoint, churn again, massacre: every respawn is
+        seeded with the *live* membership (recovery never reads the
+        export), so churn on both sides of the checkpoint survives."""
         rng = random.Random(4009)
         queries = small_queries(rng)
         mirrors = small_mirrors(rng)

@@ -1,7 +1,8 @@
 """Elastic live resharding: ``ShardedMonitor.rescale`` must preserve
 the exact union answer at every poll while the worker pool grows or
-shrinks — including through worker deaths mid-rescale (recovery from
-journal + checkpoint) and with the shared-memory payload rings on."""
+shrinks — including through worker deaths mid-rescale (respawns seeded
+from the coordinator's graphs) and with the shared-memory payload rings
+on."""
 
 from __future__ import annotations
 
@@ -197,9 +198,9 @@ class TestRescale:
 class TestRescaleRecovery:
     def test_sigkill_during_rescale_recovers_exactly(self, tmp_path):
         """Workers SIGKILLed as a rescale begins: the deaths surface
-        inside the rescale's export requests, recovery replays journal
-        tails on top of the last checkpoint, and the handoff completes
-        with zero false negatives."""
+        inside the rescale's own commands, every respawn is seeded from
+        the coordinator's graphs (the checkpoint is never read), and the
+        handoff completes with zero false negatives."""
         rng = random.Random(91)
         queries = small_queries(rng)
         streams = small_streams(rng, count=6, timestamps=6)
@@ -233,7 +234,7 @@ class TestRescaleRecovery:
                     sharded.rescale(2)
                 assert sharded.matches() == oracle.matches(), f"t={t + 1}"
             summary = sharded.recovery_log.summary()
-            assert summary["checkpoints"] == 2
+            assert summary["checkpoints"] == 1
             assert summary["replayed_commands"] >= 1
 
     def test_kill_all_after_rescale_recovers_from_journals(self):
@@ -252,9 +253,8 @@ class TestRescaleRecovery:
             assert sharded.recovery_log.recoveries >= 4
 
     def test_checkpoint_after_rescale_restores_new_layout(self, tmp_path):
-        """Snapshots taken before a rescale describe a stale slice;
-        recovery after the rescale must use the post-rescale checkpoint
-        (the old pointer is invalidated)."""
+        """An export says nothing about the fleet that wrote it: taken
+        at 4 workers, again after shrinking to 2, it restores on 3."""
         rng = random.Random(93)
         queries = small_queries(rng)
         streams = small_streams(rng, count=6, timestamps=3)
@@ -268,20 +268,21 @@ class TestRescaleRecovery:
             for stream_id, stream in streams.items():
                 sharded.add_stream(stream_id, stream.initial)
                 oracle.add_stream(stream_id, stream.initial)
-            sharded.checkpoint()
-            sharded.rescale(2)  # shards 2..3 retire; their LATEST is retracted
-            assert (tmp_path / "ckpt" / "shard_0" / "LATEST").exists()
-            assert not (tmp_path / "ckpt" / "shard_3" / "LATEST").exists()
-            sharded.checkpoint()
+            before = sharded.checkpoint()
+            sharded.rescale(2)
             horizon = min(len(s.operations) for s in streams.values())
             for t in range(horizon):
                 for stream_id, stream in streams.items():
                     sharded.apply(stream_id, stream.operations[t])
                     oracle.apply(stream_id, stream.operations[t])
-            for pid in sharded.worker_pids().values():
-                os.kill(pid, signal.SIGKILL)
-            time.sleep(0.05)
-            assert sharded.matches() == oracle.matches()
+            after = sharded.checkpoint()
+            assert (after["generation"], after["num_files"]) == (2, before["num_files"])
+            assert not list((tmp_path / "ckpt").glob("shard_*"))
+        with ShardedMonitor.restore(tmp_path / "ckpt", num_workers=3) as restored:
+            assert restored.num_workers == 3
+            assert restored.matches() == oracle.matches()
+            for stream_id in streams:
+                assert restored.graph(stream_id) == oracle.graph(stream_id)
 
 
 @needs_shm_dir

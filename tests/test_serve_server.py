@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.core import load_monitor
 from repro.core.monitor import StreamMonitor
 from repro.datasets.stream_gen import synthesize_stream
 from repro.graph import LabeledGraph
@@ -685,6 +686,48 @@ class TestDraining:
         assert server.bridge.accepted_batches >= len(acked)
         assert server.lifecycle.stopped
 
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_failed_export_is_reported_and_the_drain_finishes(self, tmp_path, workers):
+        """A checkpoint directory that cannot be written (a file where
+        the directory should be): the verb answers ``ok: false`` and the
+        writer lives on; the drain says so, on the wire and on the
+        flight recorder, and still stops."""
+        blocked = tmp_path / "ckpt"
+        blocked.write_text("not a directory")
+
+        from repro.runtime import ShardedMonitor
+
+        async def scenario():
+            if workers:
+                monitor = ShardedMonitor(
+                    {"q": edge_query()}, num_workers=workers, checkpoint_dir=blocked
+                )
+            else:
+                monitor = StreamMonitor({"q": edge_query()}, checkpoint_dir=blocked)
+            with monitor:
+                server = ReproServer(monitor)
+                await server.start()
+                reader, writer, _ = await connect(server.port)
+                assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))["ok"]
+                refused = await send_cmd(reader, writer, {"cmd": "checkpoint"})
+                assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
+                committed = await send_cmd(reader, writer, {"cmd": "commit"})
+                await server.drain()
+                notices = []
+                while line := await reader.readline():
+                    notices.append(json.loads(line))
+                return server, refused, committed, notices
+
+        server, refused, committed, notices = asyncio.run(scenario())
+        assert refused["ok"] is False and refused["cmd"] == "checkpoint"
+        assert "FileExistsError" in refused["error"]
+        assert committed["ok"] and committed["applied"] == 1
+        assert server.lifecycle.stopped
+        assert [n["notice"] for n in notices] == ["draining", "checkpoint_failed"]
+        assert "FileExistsError" in notices[1]["error"]
+        assert [e["kind"] for e in server.flight.events()] == ["checkpoint_failed"]
+        assert blocked.read_text() == "not a directory"
+
     def test_sigterm_drains_checkpoint_and_exits_cleanly(self, tmp_path):
         from repro.graph.io import write_graph_set
 
@@ -757,9 +800,11 @@ class TestDraining:
                 assert drained["accepted_batches"] >= 1
 
             assert proc.wait(timeout=60) == 0
-            # The drain checkpointed every shard before exiting.
-            assert (ckpt / "shard_0" / "LATEST").exists()
-            assert (ckpt / "shard_1" / "LATEST").exists()
+            # The drain exported the acked state before exiting: one
+            # directory, which a restart (or anyone) can open.
+            assert listening["restored"] is False
+            assert not list(ckpt.glob("shard_*"))
+            assert load_monitor(ckpt).graph("s").has_edge(1, 2)
         finally:
             if proc.poll() is None:
                 proc.kill()
