@@ -1,0 +1,185 @@
+"""Alternating pairs of two checkouts on one workload; one ``BENCH_e2e.json`` row.
+
+    python benchmarks/pair.py <rev-or-dir-a> <rev-or-dir-b> --workload W --pairs N [--seconds S]
+
+Each side is a directory, used as it is, or anything ``git archive``
+takes (a commit, a tag, the ``git write-tree`` of the index), exported
+to a temporary directory — committed files only, so no ``__pycache__``,
+which a directory side must not have either.  Every run is the
+``BENCHMARK.json`` command of this checkout, untraced, started inside
+the side's directory with ``PYTHONDONTWRITEBYTECODE=1``; pair ``i``
+runs ``a`` first when ``i`` is even and ``b`` first when it is odd.
+
+Printed and appended to ``BENCH_e2e.json`` at the repo root: each side
+as given plus the id of its ``src`` tree (``git rev-parse <commit>:src``
+finds the commit again, also when the side was an unreachable
+``write-tree``), per end-to-end metric and side the median, the quartiles and every run;
+per metric the pairs each side won (a tie counts for neither); per side
+the operations attempted and ``failed``.  A run that prints no result
+object aborts the comparison, and no row is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TRAJECTORY = ROOT / "BENCH_e2e.json"
+
+
+def checkout(side: str, scratch: Path, name: str) -> Path:
+    """The directory one side runs in."""
+    if Path(side).is_dir():
+        directory = Path(side).resolve()
+        stale = next(directory.rglob("__pycache__"), None)
+        if stale is not None:
+            raise SystemExit(f"{side}: not __pycache__-free ({stale})")
+        return directory
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", side],
+        stdout=subprocess.PIPE,
+        check=True,
+    )
+    directory = scratch / name
+    # ``filter=`` came with 3.10.12 / 3.11.4; the archive is git's own.
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(directory, **safe)
+    return directory
+
+
+def src_tree(side: str) -> str | None:
+    """The object id of a revision side's ``src`` tree — the program the
+    frozen harness drives — or ``None`` for a directory side.  It is what
+    ties a row to a commit: ``git rev-parse <commit>:src`` prints the same
+    id, whether the side was given as a commit or as a ``git write-tree``."""
+    if Path(side).is_dir():
+        return None
+    found = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{side}:src"],
+        stdout=subprocess.PIPE,
+        text=True,
+        check=True,
+    )
+    return found.stdout.strip()
+
+
+def run_once(command: list[str], directory: Path) -> dict:
+    """One run's result object (the last stdout line), plus its exit status."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(command, cwd=directory, env=env, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        outcome = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        raise SystemExit(
+            f"{directory}: exit {done.returncode}, no result object\n{done.stderr}"
+        ) from None
+    return {**outcome, "exit": done.returncode}
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles of one side's runs, and the runs."""
+    q1, _, q3 = (
+        statistics.quantiles(values, n=4, method="inclusive")
+        if len(values) > 1
+        else values * 3
+    )
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
+
+
+def main(argv: list[str] | None = None) -> int:
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("a", help="a directory, or a revision for git archive")
+    parser.add_argument("b", help="the same, for the other side")
+    parser.add_argument(
+        "--workload", required=True, choices=[w["name"] for w in contract["workloads"]]
+    )
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=contract["run_seconds"])
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    command = [*contract["command"], "--workload", args.workload]
+    command += ["--seconds", f"{args.seconds:g}", "--trace", "0"]
+
+    runs: dict[str, list[dict]] = {"a": [], "b": []}
+    with tempfile.TemporaryDirectory(prefix="pair-") as scratch:
+        directories = {
+            side: checkout(getattr(args, side), Path(scratch), side) for side in runs
+        }
+        for pair in range(args.pairs):
+            for side in ("a", "b") if pair % 2 == 0 else ("b", "a"):
+                last = run_once(command, directories[side])
+                runs[side].append(last)
+                print(
+                    f"pair {pair + 1}/{args.pairs} {side}: exit {last['exit']} "
+                    f"failed {last['failed']}/{last['attempted']}",
+                    file=sys.stderr,
+                )
+
+    row: dict = {
+        "a": args.a,
+        "b": args.b,
+        "workload": args.workload,
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "metrics": {},
+    }
+    for side, results in runs.items():
+        row[f"{side}_src_tree"] = src_tree(getattr(args, side))
+        row[f"{side}_attempted"] = [r["attempted"] for r in results]
+        row[f"{side}_failed"] = sum(r["failed"] for r in results)
+        row[f"{side}_bad_exits"] = sum(r["exit"] != 0 for r in results)
+    for metric in contract["end_to_end"]:
+        name = metric["name"]
+        values = {
+            side: [r["metrics"][name]["value"] for r in results]
+            for side, results in runs.items()
+        }
+        sign = -1 if metric["better"] == "lower" else 1
+        gains = [sign * (b - a) for a, b in zip(values["a"], values["b"])]  # > 0: b won
+        row["metrics"][name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "bound": metric["bound"],
+            "a": spread(values["a"]),
+            "b": spread(values["b"]),
+            "a_wins": sum(gain < 0 for gain in gains),
+            "b_wins": sum(gain > 0 for gain in gains),
+        }
+
+    print(f"{args.workload}: {args.pairs} pairs x {args.seconds:g} s, a={args.a} b={args.b}")
+    for name, cell in row["metrics"].items():
+        for side in ("a", "b"):
+            s = cell[side]
+            print(
+                f"  {name} [{cell['unit']}] {side}: median {s['median']:.6g} "
+                f"[{s['q1']:.6g}, {s['q3']:.6g}]  wins {cell[f'{side}_wins']}/{args.pairs}"
+            )
+        change = cell["b"]["median"] / cell["a"]["median"] - 1.0
+        print(f"    b vs a: {change:+.1%} ({cell['better']} is better, bound {cell['bound']:.0%})")
+    for side in ("a", "b"):
+        print(
+            f"  {side}: attempted {row[f'{side}_attempted']}  failed {row[f'{side}_failed']}  "
+            f"non-zero exits {row[f'{side}_bad_exits']}"
+        )
+
+    rows = json.loads(TRAJECTORY.read_text()) if TRAJECTORY.exists() else []
+    rows.append(row)
+    TRAJECTORY.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
+    return 0 if not (row["a_bad_exits"] or row["b_bad_exits"]) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

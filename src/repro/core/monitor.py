@@ -36,7 +36,6 @@ from ..join import QuerySet, StreamListenerAdapter, make_engine
 from ..join.base import Pair, QueryId, StreamId
 from ..nnt.incremental import NNTIndex
 from ..nnt.projection import DimensionScheme, PAPER_SCHEME
-from .metrics import Stopwatch
 
 
 @dataclass(frozen=True)
@@ -140,23 +139,11 @@ class StreamMonitor:
         """
         if query_id in self.query_set.queries:
             raise ValueError(f"query {query_id!r} is already monitored")
-        with Stopwatch() as timer:
-            with obs.span("monitor.register_query", query=str(query_id)):
-                stream_npvs = {
-                    stream_id: index.npvs for stream_id, index in self._indexes.items()
-                }
-                self.engine.add_query(query_id, query, stream_npvs)
-        if obs.enabled():
-            obs.histogram(
-                "query.register.seconds",
-                help="live query registration latency",
-            ).observe(timer.total)
-            obs.counter(
-                "monitor.query_registrations", help="queries registered live"
-            ).inc()
-            obs.gauge(
-                "queries_registered", help="currently monitored queries"
-            ).set(len(self.query_set))
+        with obs.span("monitor.register_query", query=str(query_id)):
+            stream_npvs = {
+                stream_id: index.npvs for stream_id, index in self._indexes.items()
+            }
+            self.engine.add_query(query_id, query, stream_npvs)
 
     def deregister_query(self, query_id: QueryId) -> None:
         """Drop a pattern, retiring its rows/counters (the engine keeps
@@ -166,13 +153,6 @@ class StreamMonitor:
         with obs.span("monitor.deregister_query", query=str(query_id)):
             self.engine.remove_query(query_id)
         self._last_poll = {pair for pair in self._last_poll if pair[1] != query_id}
-        if obs.enabled():
-            obs.counter(
-                "monitor.query_deregistrations", help="queries deregistered live"
-            ).inc()
-            obs.gauge(
-                "queries_registered", help="currently monitored queries"
-            ).set(len(self.query_set))
 
     def query_ids(self) -> list[QueryId]:
         """Ids of the currently monitored patterns."""
@@ -218,10 +198,7 @@ class StreamMonitor:
                 index.apply(update)
                 num_changes = len(update)
         if obs.enabled():
-            obs.counter(
-                "monitor.changes",
-                help="individual edge changes applied across all streams",
-            ).inc(num_changes)
+            obs.counter("monitor.changes").inc(num_changes)
         self._updates_since_checkpoint += 1
         if 0 < self.checkpoint_every <= self._updates_since_checkpoint:
             self.checkpoint()
@@ -245,9 +222,7 @@ class StreamMonitor:
         with obs.span("monitor.matches", engine=self.method):
             result = self.engine.candidates()
         if obs.enabled():
-            obs.counter(
-                "monitor.polls", help="candidate-set reads answered"
-            ).inc()
+            obs.counter("monitor.polls").inc()
             obs.quality.record_candidates(result)
         return result
 
@@ -290,9 +265,7 @@ class StreamMonitor:
             events = diff_polls(self._last_poll, current)
             self._last_poll = current
         if obs.enabled() and events:
-            obs.counter(
-                "monitor.events", help="appeared/vanished transitions reported"
-            ).inc(len(events))
+            obs.counter("monitor.events").inc(len(events))
         return events
 
     def verified_matches(self, pairs: Iterable[Pair] | None = None) -> set[Pair]:
@@ -314,10 +287,7 @@ class StreamMonitor:
                 if matcher.is_subgraph(self.query_set.queries[query_id]):
                     confirmed.add((stream_id, query_id))
         if obs.enabled() and checked:
-            obs.counter(
-                "monitor.verifier_calls",
-                help="exact subgraph-isomorphism checks performed",
-            ).inc(checked)
+            obs.counter("monitor.verifier_calls").inc(checked)
         return confirmed
 
     def obs_summary(self) -> dict[str, Any]:

@@ -74,10 +74,7 @@ class CachingVerifier:
                 if verdict:
                     confirmed.add(pair)
         if obs.enabled() and checked:
-            obs.counter(
-                "monitor.verifier_calls",
-                help="exact subgraph-isomorphism checks performed",
-            ).inc(checked)
+            obs.counter("monitor.verifier_calls").inc(checked)
         # Drop verdicts for pairs no longer in the candidate set so the
         # cache cannot grow beyond streams x queries.
         self._verdicts = {

@@ -28,8 +28,9 @@ depths and backpressure drops/spills (sharded runs), the payload rings
 and rescale status (``shm=True`` runs: ring count, ring-overflow
 counter, queue bytes pickled, last-rescale duration and whether one is
 in flight), live query churn (registered count,
-registration/retirement totals, dedup group count, and the
-``query.register.seconds`` latency percentiles), the serving edge when the stats
+registration/retirement totals, dedup group count, and the latency
+percentiles of the outermost ``<layer>.register_query`` span that
+ran), the serving edge when the stats
 came from a ``repro serve`` server (active sessions, admission queue
 depth, breaker state, admit/reject/shed/dead-letter counts and commit
 latency percentiles), per-dimension pruning power
@@ -43,7 +44,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Mapping, TextIO
 
-from .obs.timeline import Timeline
+from .obs.timeline import Timeline, bucket_quantile
 
 ANSI_CLEAR = "\x1b[2J\x1b[H"
 
@@ -53,37 +54,19 @@ PERCENTILES = (0.50, 0.90, 0.99)
 #: Glyph ramp for rate sparklines, lowest to highest.
 _SPARK_LEVELS = " .:-=+*#%@"
 
+#: A registration is timed by every layer it crosses, outermost first.
+_REGISTER_SPANS = (
+    "serve.register_query.seconds",
+    "runtime.register_query.seconds",
+    "monitor.register_query.seconds",
+)
+
 
 def histogram_quantile(entry: Mapping[str, Any], q: float) -> float | None:
-    """Approximate the q-quantile of a histogram summary entry.
-
-    Standard Prometheus-style estimation: find the bucket where the
-    cumulative count crosses ``q * count`` and interpolate linearly
-    inside it (the overflow bucket reports its lower bound — there is
-    no upper edge to interpolate towards).  Returns None for an empty
-    histogram.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    total = entry.get("count", 0)
-    if not total:
-        return None
-    bounds = list(entry["bounds"])
-    counts = list(entry["counts"])
-    target = q * total
-    cumulative = 0.0
-    for i, count in enumerate(counts):
-        previous = cumulative
-        cumulative += count
-        if cumulative >= target:
-            if i >= len(bounds):  # overflow bucket: no upper edge
-                return bounds[-1]
-            lower = bounds[i - 1] if i else 0.0
-            upper = bounds[i]
-            if not count:
-                return upper
-            return lower + (upper - lower) * (target - previous) / count
-    return bounds[-1]
+    """Approximate the q-quantile of a histogram summary entry
+    (:func:`repro.obs.timeline.bucket_quantile` of its buckets; None
+    for an empty histogram)."""
+    return bucket_quantile(entry["bounds"], entry["counts"], q)
 
 
 def _fmt_seconds(value: float | None) -> str:
@@ -286,11 +269,11 @@ def render_dashboard(
             f"drops={churn.get('deregistrations', 0)}  "
             f"dedup_groups={churn.get('groups', 0)}"
         )
-        register_line = _latency_line(
-            "register latency ", summary, timeline, "query.register.seconds"
-        )
-        if register_line:
-            lines.append(register_line)
+        for name in _REGISTER_SPANS:
+            register_line = _latency_line("register latency ", summary, timeline, name)
+            if register_line:
+                lines.append(register_line)
+                break
 
     # -- serving edge ------------------------------------------------------
     serve = stats.get("serve")

@@ -61,16 +61,21 @@ def __getattr__(name: str) -> type[JoinEngine]:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def check_engine_name(name: str) -> str:
+    """The key of ``name`` in :data:`ENGINES`; ``ValueError`` for an unknown
+    name.  Imports nothing (``in ENGINES`` would look ``matrix`` up)."""
+    key = name.lower()
+    if key not in tuple(ENGINES):
+        raise ValueError(
+            f"unknown engine {name!r}; expected one of {sorted(ENGINES)}"
+        )
+    return key
+
+
 def make_engine(name: str, query_set: QuerySet) -> JoinEngine:
     """Instantiate a join engine by name (nl/dsc/skyline from the paper,
     plus the vectorized matrix backend)."""
-    try:
-        engine_cls = ENGINES[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of {sorted(ENGINES)}"
-        ) from None
-    return engine_cls(query_set)
+    return ENGINES[check_engine_name(name)](query_set)
 
 
 __all__ = [
@@ -87,6 +92,7 @@ __all__ = [
     "SkylineEarlyStopJoin",
     "StreamId",
     "StreamListenerAdapter",
+    "check_engine_name",
     "dominated_count",
     "is_bichromatic_skyline",
     "make_engine",

@@ -246,10 +246,7 @@ class JoinEngine(ABC):
         self._answer: dict[Pair, Pair] = {}
         # Cached once so the per-probe cost is one gated ``inc()``, not a
         # registry lookup; every concrete ``is_candidate`` bumps this.
-        self._obs_checks = obs.counter(
-            f"join.{self.name}.dominance_checks",
-            help=f"dominance-filter probes answered by the {self.name} engine",
-        )
+        self._obs_checks = obs.counter(f"join.{self.name}.dominance_checks")
 
     # -- query lifecycle ---------------------------------------------------
     def add_query(

@@ -216,15 +216,8 @@ class NNTIndex:
                     for (vertex, dim), net in deltas.items():
                         listener.on_dimension_delta(vertex, dim, net)
         if obs.enabled():
-            obs.counter(
-                "nnt.deltas_delivered",
-                help="net NPV deltas delivered to listeners after coalescing",
-            ).inc(len(deltas))
-            obs.histogram(
-                "nnt.batch_size",
-                help="net NPV deltas per coalesced batch delivery",
-                buckets=(1, 2, 5, 10, 25, 50, 100, 250, 1000),
-            ).observe(len(deltas))
+            obs.counter("nnt.deltas_delivered").inc(len(deltas))
+            obs.histogram("nnt.batch_size").observe(len(deltas))
 
     def _purge_pending(self, vertex: VertexId) -> None:
         """Drop queued deltas owned by a vertex being removed mid-batch."""

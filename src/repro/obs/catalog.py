@@ -1,48 +1,60 @@
 """The central metric catalog: every metric name this project mints.
 
+This is the one place a metric's kind, help text and (where they are
+not the default latency buckets) histogram buckets are written.
+:class:`~repro.obs.instruments.Registry` creates a catalogued name
+from its row here — so a mint site passes a name and labels and
+nothing else, and the text a ``/metrics`` scrape shows is the text
+below — and refuses to create it as another kind.
+
 A dashboard panel or SLO rule that references a metric which nothing
 mints does not fail — it silently evaluates against *no data*, so the
 panel renders empty and the SLO reports "ok" forever.  That failure
 mode is invisible in tests that only exercise the happy path, which is
 why rule RP018 cross-checks every metric-name string literal consumed
 by :mod:`repro.dashboard` and :mod:`repro.obs.slo` against this
-catalog at lint time.
+catalog at lint time (``tests/fitness/test_metric_catalog.py`` checks
+the mint sites).
 
-The catalog maps each dotted metric name to its ``(kind, help)`` pair.
-It MUST stay a literal dict: RP018 reads the keys straight out of this
-module's AST (no import, no execution), the same way the checkpoint
-round-trip rule (RP014) diffs manifest keys.
+The catalog maps each dotted metric name to ``(kind, help)`` or
+``(kind, help, buckets)``.  It MUST stay a literal dict: RP018 reads
+the keys straight out of this module's AST (no import, no execution),
+the same way the checkpoint round-trip rule (RP014) diffs manifest
+keys.
 
 Span names are listed through the histograms they feed
-(``<span>.seconds``); per-engine pruning counters
+(``<span>.seconds``); per-engine counters
 (``join.<engine>.pruned``) are enumerated per concrete engine because
-the name is assembled with an f-string at the mint site.
+the name is assembled with an f-string at the mint site.  A gauge has
+one owning process: merged fleet summaries *sum* gauges.
 """
 
 from __future__ import annotations
 
-__all__ = ["CATALOG", "known", "kind_of", "help_of"]
+__all__ = ["CATALOG", "known"]
 
-#: name -> (kind, help).  Keys sorted by family, then name.
-CATALOG: dict[str, tuple[str, str]] = {
+#: name -> (kind, help[, buckets]).  Keys sorted by family, then name.
+CATALOG: dict[str, tuple] = {
     # -- library monitor ------------------------------------------------
     "monitor.apply.seconds": ("histogram", "seconds per apply() batch"),
-    "monitor.changes": ("counter", "edge change operations folded in"),
+    "monitor.changes": ("counter", "individual edge changes applied across all streams"),
     "monitor.deregister_query.seconds": ("histogram", "seconds per live query retirement"),
-    "monitor.events": ("counter", "appeared/disappeared transitions reported"),
+    "monitor.events": ("counter", "appeared/vanished transitions reported"),
     "monitor.events.seconds": ("histogram", "seconds per events() poll"),
     "monitor.matches.seconds": ("histogram", "seconds per matches() poll"),
     "monitor.polls": ("counter", "matches() poll calls"),
     "monitor.probe.seconds": ("histogram", "seconds per sampled precision-probe pass"),
-    "monitor.query_deregistrations": ("counter", "live query retirements"),
-    "monitor.query_registrations": ("counter", "live query registrations"),
     "monitor.register_query.seconds": ("histogram", "seconds per live query registration"),
-    "monitor.verifier_calls": ("counter", "exact isomorphism checks performed"),
+    "monitor.verifier_calls": ("counter", "exact subgraph-isomorphism checks performed"),
     "monitor.verify.seconds": ("histogram", "seconds per exact verification call"),
     # -- NNT / join engines ---------------------------------------------
-    "nnt.batch_size": ("histogram", "net NPV deltas per coalesced batch delivery"),
+    "nnt.batch_size": (
+        "histogram",
+        "net NPV deltas per coalesced batch delivery",
+        (1, 2, 5, 10, 25, 50, 100, 250, 1000),
+    ),
     "nnt.batch_update.seconds": ("histogram", "seconds per incremental NNT batch update"),
-    "nnt.deltas_delivered": ("counter", "NPV deltas delivered to join engines"),
+    "nnt.deltas_delivered": ("counter", "net NPV deltas delivered to listeners after coalescing"),
     "join.candidates.seconds": ("histogram", "seconds per dominance-filter candidate scan"),
     "join.dsc.dominance_checks": ("counter", "dominance-filter probes answered by the dsc engine"),
     "join.matrix.dominance_checks": ("counter", "dominance-filter probes answered by the matrix engine"),
@@ -58,28 +70,22 @@ CATALOG: dict[str, tuple[str, str]] = {
     "filter.probe.checked": ("counter", "candidate pairs verified by the precision probe"),
     "filter.probe.false_positive": ("counter", "probed pairs that failed exact isomorphism"),
     "filter.probe.skipped": ("counter", "pairs the probe skipped (sampling or budget)"),
-    # -- query churn ------------------------------------------------------
-    "queries_registered": ("gauge", "currently monitored queries"),
-    "query.register.seconds": ("histogram", "seconds per live query registration"),
     # -- sharded runtime --------------------------------------------------
     "runtime.add_stream.seconds": ("histogram", "seconds per worker-side stream index build"),
-    "runtime.bytes_pickled": ("counter", "payload bytes pickled onto worker queues"),
+    "runtime.bytes_pickled": ("counter", "envelope bytes pickled onto worker inboxes by apply traffic"),
     "runtime.checkpoint.seconds": ("histogram", "seconds per checkpoint export"),
-    "runtime.deregister_query.seconds": ("histogram", "seconds per fleet query retirement"),
+    "runtime.deregister_query.seconds": ("histogram", "seconds per fleet-wide query retirement fan-out"),
     "runtime.dropped": ("counter", "batches dropped by the drop backpressure policy"),
-    "runtime.inbox_depth": ("gauge", "deepest worker inbox at last submit"),
+    "runtime.inbox_depth": ("gauge", "deepest worker inbox at the last stats() call"),
     "runtime.matches.seconds": ("histogram", "seconds per fleet-wide poll"),
-    "runtime.query_deregistrations": ("counter", "fleet query retirements"),
-    "runtime.query_registrations": ("counter", "fleet query registrations"),
-    "runtime.register_query.seconds": ("histogram", "seconds per fleet query registration"),
+    "runtime.register_query.seconds": ("histogram", "seconds per fleet-wide query registration fan-out"),
     "runtime.rescale.active": ("gauge", "1 while a pool rescale is in flight"),
     "runtime.rescale.last_seconds": ("gauge", "duration of the last completed rescale"),
     "runtime.rescale.seconds": ("histogram", "seconds per live pool rescale"),
-    "runtime.rescales": ("counter", "completed live pool rescales"),
     "runtime.spilled": ("counter", "batches parked by the spill backpressure policy"),
     "runtime.streams_moved": ("counter", "streams migrated between shards by rescales"),
     "runtime.submit.seconds": ("histogram", "seconds per coordinator submit"),
-    "runtime.workers": ("gauge", "current worker pool size"),
+    "runtime.workers": ("gauge", "worker pool size after the last rescale"),
     # -- shared-memory payload rings --------------------------------------
     "shm.ring_bytes": ("counter", "payload bytes carried by the shared rings"),
     "shm.ring_overflow": ("counter", "payloads that fell back inline on a full ring"),
@@ -87,15 +93,12 @@ CATALOG: dict[str, tuple[str, str]] = {
     "serve.admitted": ("counter", "commands admitted"),
     "serve.batches_applied": ("counter", "staged batches applied by commit"),
     "serve.breaker_state": ("gauge", "0=closed 1=half-open 2=open"),
-    "serve.commands": ("counter", "commands executed by the writer task"),
+    "serve.commands": ("counter", "protocol commands executed"),
     "serve.commit.seconds": ("histogram", "seconds per serve commit"),
-    "serve.commits": ("counter", "successful commits"),
-    "serve.deregister_query.seconds": ("histogram", "seconds per serve query retirement"),
+    "serve.deregister_query.seconds": ("histogram", "seconds per delq command; a refused one feeds the error-labelled series"),
     "serve.dlq": ("counter", "poison batches journaled to the dead-letter queue"),
-    "serve.query_deregistrations": ("counter", "queries retired over the wire"),
-    "serve.query_registrations": ("counter", "queries registered over the wire"),
     "serve.queue_depth": ("gauge", "data commands waiting in the admission queue"),
-    "serve.register_query.seconds": ("histogram", "seconds per serve query registration"),
+    "serve.register_query.seconds": ("histogram", "seconds per addq command; a refused one feeds the error-labelled series"),
     "serve.rejected": ("counter", "commands rejected at the edge, by reason"),
     "serve.sessions": ("gauge", "connected sessions"),
     "serve.shed": ("counter", "queued commands shed under overload"),
@@ -112,14 +115,3 @@ def known(name: str) -> bool:
     """Is ``name`` a minted metric (exact catalog match)?"""
     return name in CATALOG
 
-
-def kind_of(name: str) -> str | None:
-    """The catalogued instrument kind of ``name`` (None when unknown)."""
-    entry = CATALOG.get(name)
-    return entry[0] if entry else None
-
-
-def help_of(name: str) -> str | None:
-    """The catalogued help string of ``name`` (None when unknown)."""
-    entry = CATALOG.get(name)
-    return entry[1] if entry else None

@@ -87,7 +87,7 @@ class FlightRecorder:
         self._seq += 1
         event = {"seq": self._seq, "wall": self._clock(), "kind": kind, **fields}
         self._ring.append(event)
-        counter("flight.events", help="events appended to the flight recorder").inc()
+        counter("flight.events").inc()
         if self._file is not None:
             self._file.write(json.dumps(event, default=_jsonable) + "\n")
             self._file.flush()

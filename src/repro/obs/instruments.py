@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from . import state
+from .catalog import CATALOG
 
 #: Prometheus label-name alphabet.
 _LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -253,41 +254,72 @@ class Registry:
     """Process-local, name-keyed instrument store.
 
     ``counter()`` / ``gauge()`` / ``histogram()`` get-or-create, so
-    instrumentation sites never need registration boilerplate; asking
-    for an existing name with a different kind (or different histogram
-    buckets) is a programming error and raises.  Each distinct label
-    set of a name is its own instrument (keyed by the canonical
-    ``name{key="value"}`` form of :func:`instrument_key`).
+    instrumentation sites never need registration boilerplate.  A name
+    in :data:`repro.obs.catalog.CATALOG` takes its help text (and its
+    buckets) from its row there, whatever the caller passed, and asking
+    for it as another kind raises; an uncatalogued name (tests, ad-hoc
+    series) is created from the caller's ``help`` / ``buckets``.  Asking
+    for an existing name with a different kind (or an uncatalogued
+    histogram with different buckets) is a programming error and
+    raises.  Each distinct label set of a name is its own instrument
+    (keyed by the canonical ``name{key="value"}`` form of
+    :func:`instrument_key`).
     """
 
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
 
+    def _get_or_create(
+        self,
+        cls: type,
+        name: str,
+        help: str,
+        labels: Mapping[str, str] | None,
+        buckets: Sequence[float] | None = None,
+    ) -> Any:
+        """The one get-or-create behind the three public methods
+        (``buckets`` is given for histograms only)."""
+        key = instrument_key(name, validate_labels(name, labels))
+        instrument = self._instruments.get(key)
+        if instrument is None:
+            row = CATALOG.get(name)
+            if row is not None:
+                if row[0] != cls.kind:
+                    raise TypeError(
+                        f"{name!r} is catalogued as a {row[0]}, not a {cls.kind}"
+                    )
+                help = row[1]
+                if buckets is not None:
+                    buckets = row[2] if len(row) > 2 else DEFAULT_LATENCY_BUCKETS
+            if buckets is None:
+                instrument = cls(name, help, labels)
+            else:
+                instrument = cls(name, help, buckets, labels)
+            self._instruments[key] = instrument
+        elif not isinstance(instrument, cls):
+            raise TypeError(f"{key!r} is a {instrument.kind}, not a {cls.kind}")
+        elif (
+            buckets is not None
+            and name not in CATALOG
+            and instrument.bounds != tuple(float(b) for b in buckets)
+        ):
+            raise ValueError(
+                f"histogram {key!r} already registered with bounds "
+                f"{instrument.bounds}, not {tuple(buckets)}"
+            )
+        return instrument
+
     def counter(
         self, name: str, help: str = "", labels: Mapping[str, str] | None = None
     ) -> Counter:
         """Get or create the named counter."""
-        key = instrument_key(name, validate_labels(name, labels))
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = Counter(name, help, labels)
-            self._instruments[key] = instrument
-        elif not isinstance(instrument, Counter):
-            raise TypeError(f"{key!r} is a {instrument.kind}, not a counter")
-        return instrument
+        return self._get_or_create(Counter, name, help, labels)
 
     def gauge(
         self, name: str, help: str = "", labels: Mapping[str, str] | None = None
     ) -> Gauge:
         """Get or create the named gauge."""
-        key = instrument_key(name, validate_labels(name, labels))
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = Gauge(name, help, labels)
-            self._instruments[key] = instrument
-        elif not isinstance(instrument, Gauge):
-            raise TypeError(f"{key!r} is a {instrument.kind}, not a gauge")
-        return instrument
+        return self._get_or_create(Gauge, name, help, labels)
 
     def histogram(
         self,
@@ -297,19 +329,7 @@ class Registry:
         labels: Mapping[str, str] | None = None,
     ) -> Histogram:
         """Get or create the named histogram."""
-        key = instrument_key(name, validate_labels(name, labels))
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = Histogram(name, help, buckets, labels)
-            self._instruments[key] = instrument
-        elif not isinstance(instrument, Histogram):
-            raise TypeError(f"{key!r} is a {instrument.kind}, not a histogram")
-        elif instrument.bounds != tuple(float(b) for b in buckets):
-            raise ValueError(
-                f"histogram {key!r} already registered with bounds "
-                f"{instrument.bounds}, not {tuple(buckets)}"
-            )
-        return instrument
+        return self._get_or_create(Histogram, name, help, labels, buckets)
 
     def names(self) -> list[str]:
         """Registered instrument keys (name plus canonical labels), sorted."""

@@ -56,7 +56,6 @@ def record_candidates(pairs: Iterable[tuple[Any, Any]]) -> None:
     for stream_id, query_id in pairs:
         counter(
             "filter.candidates",
-            help="(stream, query) pairs emitted by the dominance filter",
             labels={"stream": str(stream_id), "query": str(query_id)},
         ).inc()
 
@@ -70,11 +69,7 @@ def record_pruned(engine: str, dim: str) -> None:
     """
     if not state.ENABLED:
         return
-    counter(
-        f"join.{engine}.pruned",
-        help=f"candidate probes rejected by the {engine} engine, by blamed dimension",
-        labels={"dim": dim},
-    ).inc()
+    counter(f"join.{engine}.pruned", labels={"dim": dim}).inc()
 
 
 def blame_dimension(
@@ -147,22 +142,12 @@ def record_probe(checked: int, false_positives: int, skipped: int = 0) -> None:
     """
     if not state.ENABLED:
         return
-    checked_counter = counter(
-        "filter.probe.checked",
-        help="candidate pairs verified exactly by the sampled precision probe",
-    )
-    fp_counter = counter(
-        "filter.probe.false_positive",
-        help="probed candidate pairs that failed exact subgraph isomorphism",
-    )
-    counter(
-        "filter.probe.skipped",
-        help="candidate pairs the probe skipped (rate sampling or time budget)",
-    ).inc(skipped)
+    checked_counter = counter("filter.probe.checked")
+    fp_counter = counter("filter.probe.false_positive")
+    counter("filter.probe.skipped").inc(skipped)
     checked_counter.inc(checked)
     fp_counter.inc(false_positives)
     if checked_counter.value:
-        gauge(
-            "filter.fp_ratio_estimate",
-            help="sampled estimate of the NPV filter false-positive ratio",
-        ).set(fp_counter.value / checked_counter.value)
+        gauge("filter.fp_ratio_estimate").set(
+            fp_counter.value / checked_counter.value
+        )

@@ -233,17 +233,11 @@ class SloEngine:
                 status.changed_at = now
                 if status.state == BREACH:
                     status.breaches += 1
-                    counter(
-                        "slo.breaches",
-                        help="transitions into the breach state, by rule",
-                        labels={"rule": rule.name},
-                    ).inc()
+                    counter("slo.breaches", labels={"rule": rule.name}).inc()
             status.value = value
-            gauge(
-                "slo.state",
-                help="per-rule SLO state: 0=ok 1=warn 2=breach",
-                labels={"rule": rule.name},
-            ).set(STATE_CODES[status.state])
+            gauge("slo.state", labels={"rule": rule.name}).set(
+                STATE_CODES[status.state]
+            )
             results.append(self._snapshot_rule(rule, status))
         return results
 

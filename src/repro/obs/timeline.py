@@ -69,11 +69,11 @@ def bucket_quantile(
 ) -> float | None:
     """The q-quantile of one (bounds, per-bucket counts) pair.
 
-    Same estimator as :func:`repro.dashboard.histogram_quantile`, kept
-    here as well because layering runs the other way — the dashboard may
-    import ``repro.obs``, never vice versa.  ``counts`` has one more
-    entry than ``bounds`` (the overflow bucket, which reports the last
-    finite bound since it has no upper edge).  None for empty data.
+    Standard Prometheus-style estimation: find the bucket where the
+    cumulative count crosses ``q * total`` and interpolate linearly
+    inside it.  ``counts`` has one more entry than ``bounds`` (the
+    overflow bucket, which reports the last finite bound since it has
+    no upper edge).  None for empty data.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -310,10 +310,7 @@ class Timeline:
         self._latest_summary = summary
         self._sampled += 1
         if state.ENABLED:
-            _counter(
-                "timeline.samples",
-                help="registry snapshots folded into the timeline",
-            ).inc()
+            _counter("timeline.samples").inc()
         return recorded
 
     def window(self, seconds: float | None = None) -> Window:

@@ -89,6 +89,7 @@ from ..graph.operations import (
     apply_batch_validated,
     undo_batch,
 )
+from ..join import check_engine_name
 from ..join.base import Pair, QueryId, StreamId
 from ..nnt.projection import DimensionScheme, PAPER_SCHEME
 from .recovery import RecoveryLog
@@ -210,6 +211,7 @@ class ShardedMonitor:
         flight_dir: str | Path | None = None,
     ) -> None:
         global _INSTANCE_COUNTER
+        check_engine_name(method)  # refused here, not in a worker; imports no engine
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if queue_capacity < 1:
@@ -406,23 +408,11 @@ class ShardedMonitor:
         self._ensure_open()
         if query_id in self._queries:
             raise ValueError(f"query {query_id!r} is already monitored")
-        with Stopwatch() as timer:
-            with obs.span("runtime.register_query", query=str(query_id)):
-                for shard in sorted(self._workers):
-                    self._submit_control(shard, (CMD_REGISTER_QUERY, query_id, query))
+        with obs.span("runtime.register_query", query=str(query_id)):
+            for shard in sorted(self._workers):
+                self._submit_control(shard, (CMD_REGISTER_QUERY, query_id, query))
         self._queries[query_id] = query
         self._query_registrations += 1
-        if obs.enabled():
-            obs.histogram(
-                "query.register.seconds",
-                help="live query registration latency",
-            ).observe(timer.total)
-            obs.counter(
-                "runtime.query_registrations", help="queries registered live"
-            ).inc()
-            obs.gauge(
-                "queries_registered", help="currently monitored queries"
-            ).set(len(self._queries))
 
     def deregister_query(self, query_id: QueryId) -> None:
         """Drop a pattern on every shard, retiring its engine rows and
@@ -436,13 +426,6 @@ class ShardedMonitor:
         del self._queries[query_id]
         self._query_deregistrations += 1
         self._last_poll = {pair for pair in self._last_poll if pair[1] != query_id}
-        if obs.enabled():
-            obs.counter(
-                "runtime.query_deregistrations", help="queries deregistered live"
-            ).inc()
-            obs.gauge(
-                "queries_registered", help="currently monitored queries"
-            ).set(len(self._queries))
 
     def shard_of(self, stream_id: StreamId) -> int:
         """Which shard owns a registered stream."""
@@ -545,21 +528,12 @@ class ShardedMonitor:
             if ref is not None:
                 wire = (command[0], command[1], ref)
                 if obs.enabled():
-                    obs.counter(
-                        "shm.ring_bytes",
-                        help="payload bytes shipped via shared-memory rings",
-                    ).inc(len(payload))
+                    obs.counter("shm.ring_bytes").inc(len(payload))
             elif obs.enabled():
-                obs.counter(
-                    "shm.ring_overflow",
-                    help="apply payloads sent inline because the ring was full",
-                ).inc()
+                obs.counter("shm.ring_overflow").inc()
         envelope = obs.stamp_envelope(wire)
         if obs.enabled():
-            obs.counter(
-                "runtime.bytes_pickled",
-                help="bytes pickled onto worker inboxes by apply traffic",
-            ).inc(len(pickle.dumps(envelope)))
+            obs.counter("runtime.bytes_pickled").inc(len(pickle.dumps(envelope)))
         return envelope, ref
 
     def _submit_update(
@@ -609,10 +583,7 @@ class ShardedMonitor:
                     self._rings[shard].rollback(ref)
                 self._dropped += 1
                 if obs.enabled():
-                    obs.counter(
-                        "runtime.dropped",
-                        help="updates discarded by the drop backpressure policy",
-                    ).inc()
+                    obs.counter("runtime.dropped").inc()
                 return False
         else:  # spill
             spill = self._spill[shard]
@@ -633,10 +604,7 @@ class ShardedMonitor:
     @staticmethod
     def _record_spilled() -> None:
         if obs.enabled():
-            obs.counter(
-                "runtime.spilled",
-                help="updates parked in the coordinator spill buffer",
-            ).inc()
+            obs.counter("runtime.spilled").inc()
 
     def _drain_spill(self, shard: int, block: bool) -> None:
         """Move parked commands into the worker inbox, preserving order.
@@ -798,10 +766,8 @@ class ShardedMonitor:
             shard_streams[shard] += 1
         depths = self.inbox_depths()
         if obs.enabled():
-            obs.gauge(
-                "runtime.inbox_depth",
-                help="pending commands across all worker inboxes",
-            ).set(sum(depth for depth in depths.values() if depth > 0))
+            # -1 marks a platform without qsize(), not a depth.
+            obs.gauge("runtime.inbox_depth").set(max(0, *depths.values()))
         shm_section = None
         if self.shm:
             shm_section = {
@@ -877,10 +843,7 @@ class ShardedMonitor:
         timer = Stopwatch()
         self._rescaling = True
         if obs.enabled():
-            obs.gauge(
-                "runtime.rescale.active",
-                help="1 while a pool rescale is in flight",
-            ).set(1)
+            obs.gauge("runtime.rescale.active").set(1)
         try:
             with timer, obs.span(
                 "runtime.rescale", source=source, target=num_workers
@@ -889,23 +852,12 @@ class ShardedMonitor:
         finally:
             self._rescaling = False
             if obs.enabled():
-                obs.gauge(
-                    "runtime.rescale.active",
-                    help="1 while a pool rescale is in flight",
-                ).set(0)
+                obs.gauge("runtime.rescale.active").set(0)
         self._rescales += 1
         self._last_rescale_seconds = timer.total
         if obs.enabled():
-            obs.counter(
-                "runtime.rescales", help="completed worker-pool rescales"
-            ).inc()
-            obs.gauge(
-                "runtime.rescale.last_seconds",
-                help="wall-clock seconds of the most recent rescale",
-            ).set(timer.total)
-            obs.gauge(
-                "runtime.workers", help="current worker-pool size"
-            ).set(num_workers)
+            obs.gauge("runtime.rescale.last_seconds").set(timer.total)
+            obs.gauge("runtime.workers").set(num_workers)
         return {
             "from": source,
             "to": num_workers,
@@ -974,10 +926,7 @@ class ShardedMonitor:
             self._streams[stream_id] = destination
             moved += 1
             if obs.enabled():
-                obs.counter(
-                    "runtime.streams_moved",
-                    help="stream handoffs performed by rescales",
-                ).inc()
+                obs.counter("runtime.streams_moved").inc()
         self.router = router
         self.num_workers = target
         for shard in range(target, source):  # shrink: retire empty shards

@@ -175,15 +175,11 @@ class ReproServer:
             "rejected_draining": 0,
             "shed": 0,
         }
-        self._admitted = obs.counter("serve.admitted", "commands admitted")
-        self._shed = obs.counter("serve.shed", "queued commands shed under overload")
-        self._sessions_gauge = obs.gauge("serve.sessions", "connected sessions")
-        self._depth_gauge = obs.gauge(
-            "serve.queue_depth", "data commands waiting in the admission queue"
-        )
-        self._breaker_gauge = obs.gauge(
-            "serve.breaker_state", "0=closed 1=half-open 2=open"
-        )
+        self._admitted = obs.counter("serve.admitted")
+        self._shed = obs.counter("serve.shed")
+        self._sessions_gauge = obs.gauge("serve.sessions")
+        self._depth_gauge = obs.gauge("serve.queue_depth")
+        self._breaker_gauge = obs.gauge("serve.breaker_state")
         self.timeline = obs.Timeline(capacity=self.config.timeline_capacity)
         self.slo = obs.SloEngine(
             rules=self.config.slo_rules or None, timeline=self.timeline
@@ -243,9 +239,7 @@ class ReproServer:
                 # A failed sample must never kill the sampler (a sharded
                 # monitor mid-rescale can transiently refuse stats); the
                 # failure stays visible as a counter.
-                obs.counter(
-                    "timeline.sample_errors", "timeline collection failures"
-                ).inc()
+                obs.counter("timeline.sample_errors").inc()
 
     def request_drain(self) -> None:
         """Signal-handler entry: schedule a drain on the running loop."""
@@ -329,11 +323,7 @@ class ReproServer:
 
     def _reject(self, code: str, reason: str, error: str, retry: float) -> dict:
         self.counters[f"rejected_{reason}"] += 1
-        obs.counter(
-            "serve.rejected",
-            "commands rejected at the edge",
-            labels={"reason": reason},
-        ).inc()
+        obs.counter("serve.rejected", labels={"reason": reason}).inc()
         self.flight.note("refusal", code=code, reason=reason)
         return {
             "ok": False,
@@ -419,11 +409,7 @@ class ReproServer:
                     "code": "internal",
                     "error": f"{type(exc).__name__}: {exc}",
                 }
-                obs.counter(
-                    "serve.rejected",
-                    "commands rejected at the edge",
-                    labels={"reason": "internal"},
-                ).inc()
+                obs.counter("serve.rejected", labels={"reason": "internal"}).inc()
             if item.is_data:
                 elapsed = max(loop.time() - started, 1e-6)
                 self._service_ema = 0.8 * self._service_ema + 0.2 * elapsed

@@ -120,20 +120,9 @@ class MonitorBridge:
         self.timestamp = 0
         self.accepted_batches = 0
         self.dead_letters = 0
-        self._commits = obs.counter("serve.commits", "commits executed")
-        self._batches = obs.counter(
-            "serve.batches_applied", "stream batches applied by commits"
-        )
-        self._dlq_counter = obs.counter(
-            "serve.dlq", "poison batches journaled to the dead-letter queue"
-        )
-        self._commands = obs.counter("serve.commands", "protocol commands executed")
-        self._registrations = obs.counter(
-            "serve.query_registrations", "live query registrations via addq"
-        )
-        self._deregistrations = obs.counter(
-            "serve.query_deregistrations", "live query retirements via delq"
-        )
+        self._batches = obs.counter("serve.batches_applied")
+        self._dlq_counter = obs.counter("serve.dlq")
+        self._commands = obs.counter("serve.commands")
         #: The last graph-set file read, as ``((path, mtime_ns, size),
         #: parsed)``: registering n streams out of one file parses it once.
         self._graph_file: tuple[tuple, dict[str, LabeledGraph]] | None = None
@@ -256,73 +245,75 @@ class MonitorBridge:
         return pattern
 
     def _add_query(self, session: Session, command: AddQuery) -> dict[str, Any]:
-        with obs.span(
-            "serve.register_query",
-            session=session.label,
-            query=str(command.query_id),
-        ):
-            ctx = obs.current_context()
-            trace_id = ctx.trace_id if ctx is not None else None
-            try:
+        trace_id = None
+        try:
+            # A refusal leaves the span as an error, so it lands in the
+            # {error=...} series and the unlabelled count is accepted addqs.
+            with obs.span(
+                "serve.register_query",
+                session=session.label,
+                query=str(command.query_id),
+            ):
+                ctx = obs.current_context()
+                trace_id = ctx.trace_id if ctx is not None else None
                 pattern = self._load_pattern(command)
                 self.monitor.register_query(command.query_id, pattern)
-            except POISON_ERRORS + (OSError, TypeError) as exc:
-                dlq_id = self.dlq.record(
-                    session=session.session_id,
-                    stream=None,
-                    changes=[{"cmd": command.verb, "query": command.query_id}],
-                    error=f"{type(exc).__name__}: {exc}",
-                    kind="query",
-                    trace_id=trace_id,
-                )
-                self.dead_letters += 1
-                self._dlq_counter.inc()
-                reply: dict[str, Any] = {
-                    "ok": False,
-                    "cmd": command.verb,
-                    "query": command.query_id,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "dlq_id": dlq_id,
-                }
-            else:
-                self._registrations.inc()
-                reply = {
-                    "ok": True,
-                    "cmd": command.verb,
-                    "query": command.query_id,
-                    "queries": len(self.monitor.query_ids()),
-                }
+        except POISON_ERRORS + (OSError, TypeError) as exc:
+            dlq_id = self.dlq.record(
+                session=session.session_id,
+                stream=None,
+                changes=[{"cmd": command.verb, "query": command.query_id}],
+                error=f"{type(exc).__name__}: {exc}",
+                kind="query",
+                trace_id=trace_id,
+            )
+            self.dead_letters += 1
+            self._dlq_counter.inc()
+            reply: dict[str, Any] = {
+                "ok": False,
+                "cmd": command.verb,
+                "query": command.query_id,
+                "error": f"{type(exc).__name__}: {exc}",
+                "dlq_id": dlq_id,
+            }
+        else:
+            reply = {
+                "ok": True,
+                "cmd": command.verb,
+                "query": command.query_id,
+                "queries": len(self.monitor.query_ids()),
+            }
         if trace_id is not None:
             reply["trace"] = trace_id
         return reply
 
     def _del_query(self, session: Session, command: DelQuery) -> dict[str, Any]:
-        with obs.span(
-            "serve.deregister_query",
-            session=session.label,
-            query=str(command.query_id),
-        ):
-            ctx = obs.current_context()
-            trace_id = ctx.trace_id if ctx is not None else None
-            try:
+        trace_id = None
+        try:
+            with obs.span(
+                "serve.deregister_query",
+                session=session.label,
+                query=str(command.query_id),
+            ):
+                ctx = obs.current_context()
+                trace_id = ctx.trace_id if ctx is not None else None
                 self.monitor.deregister_query(command.query_id)
-            except POISON_ERRORS as exc:
-                # Nothing to replay — an unknown id is refused, not
-                # dead-lettered.
-                reply: dict[str, Any] = {
-                    "ok": False,
-                    "cmd": command.verb,
-                    "query": command.query_id,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            else:
-                self._deregistrations.inc()
-                reply = {
-                    "ok": True,
-                    "cmd": command.verb,
-                    "query": command.query_id,
-                    "queries": len(self.monitor.query_ids()),
-                }
+        except POISON_ERRORS as exc:
+            # Nothing to replay — an unknown id is refused, not
+            # dead-lettered.
+            reply: dict[str, Any] = {
+                "ok": False,
+                "cmd": command.verb,
+                "query": command.query_id,
+                "error": f"{type(exc).__name__}: {exc}",
+            }
+        else:
+            reply = {
+                "ok": True,
+                "cmd": command.verb,
+                "query": command.query_id,
+                "queries": len(self.monitor.query_ids()),
+            }
         if trace_id is not None:
             reply["trace"] = trace_id
         return reply
@@ -366,7 +357,6 @@ class MonitorBridge:
                     )
                 changes.clear()
             events = self._session_events(session)
-        self._commits.inc()
         reply: dict[str, Any] = {
             "ok": not errors,
             "cmd": command.verb,

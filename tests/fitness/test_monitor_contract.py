@@ -4,14 +4,15 @@
 them interchangeable for the CLI and the serve bridge is pinned here:
 equal parameter names on every shared public method, one scripted
 scenario that must read the same on both (an all-or-nothing ``apply``
-included), and a source check that the code which used to tell them
-apart has not come back.
+included), one refusal of an unknown engine name, and a source check
+that the code which used to tell them apart has not come back.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,21 @@ def test_scripted_scenario_reads_the_same(flavour: str, tmp_path: Path) -> None:
             assert restored.query_ids() == ["bc"]
     with MONITORS[flavour]({}) as bare, pytest.raises(RuntimeError):
         bare.checkpoint()  # no checkpoint_dir
+
+
+@pytest.mark.parametrize("flavour", sorted(MONITORS))
+def test_unknown_engine_is_refused_at_construction(flavour: str, tmp_path: Path) -> None:
+    """Before anything is built or forked — and so is an export naming one."""
+    with pytest.raises(ValueError, match="unknown engine 'matrx'"):
+        MONITORS[flavour]({"ab": _edge("A", "B")}, method="matrx")
+    with MONITORS[flavour]({"ab": _edge("A", "B")}, checkpoint_dir=tmp_path) as monitor:
+        monitor.checkpoint()
+    manifest = tmp_path / "manifest.json"
+    export = json.loads(manifest.read_text())
+    export["method"] = "matrx"
+    manifest.write_text(json.dumps(export))
+    with pytest.raises(ValueError, match="unknown engine 'matrx'"):
+        load_monitor(tmp_path, MONITORS[flavour])
 
 
 def _attribute_probes(attribute: str) -> list[tuple[str, str]]:

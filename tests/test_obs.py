@@ -142,6 +142,29 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.histogram("h", buckets=(1.0, 3.0))
 
+    def test_catalogued_name_is_defined_by_its_catalog_row(self):
+        """Kind, help and buckets come from ``repro.obs.catalog``; what
+        the caller passes only defines uncatalogued names."""
+        from repro.obs.catalog import CATALOG
+
+        registry = Registry()
+        polls = registry.counter("monitor.polls", help="ignored")
+        assert polls.help == CATALOG["monitor.polls"][1]
+        labelled = registry.counter("serve.rejected", labels={"reason": "rate"})
+        assert labelled.help == CATALOG["serve.rejected"][1]
+        sizes = registry.histogram("nnt.batch_size")
+        assert sizes.bounds == tuple(float(b) for b in CATALOG["nnt.batch_size"][2])
+        assert registry.histogram("nnt.batch_size", buckets=(1.0,)) is sizes
+        apply = registry.histogram("monitor.apply.seconds", buckets=(1.0,))
+        assert apply.bounds == obs.DEFAULT_LATENCY_BUCKETS
+        with pytest.raises(TypeError, match="is a histogram, not a counter"):
+            registry.counter("monitor.apply.seconds")
+        with pytest.raises(TypeError, match="catalogued as a histogram"):
+            registry.counter("monitor.matches.seconds")
+        with pytest.raises(TypeError, match="catalogued as a gauge"):
+            registry.histogram("runtime.inbox_depth")
+        assert registry.counter("adhoc", help="mine").help == "mine"
+
     def test_reset_zeroes_but_keeps_registrations(self):
         registry = Registry()
         registry.counter("c").inc(5)

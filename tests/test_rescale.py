@@ -167,7 +167,7 @@ class TestRescale:
                 report = sharded.rescale(4)
                 assert report["seconds"] > 0
                 summary = obs.get_registry().summary()
-                assert summary["runtime.rescales"]["value"] == 1
+                assert summary["runtime.rescale.seconds"]["count"] == 1
                 assert summary["runtime.workers"]["value"] == 4
                 assert summary["runtime.rescale.active"]["value"] == 0
                 assert (

@@ -229,6 +229,16 @@ class TestLifecycle:
             "replayed_commands": 0,
         }
 
+    def test_inbox_depth_gauge_is_the_deepest_inbox(self, monkeypatch):
+        """What the catalog row, the ``inbox-depth`` SLO rule and
+        ``--breaker-threshold`` say it is — not the fleet total."""
+        rng = random.Random(7)
+        with ShardedMonitor(small_queries(rng), num_workers=2) as sharded:
+            monkeypatch.setattr(sharded, "inbox_depths", lambda: {0: 3, 1: 5})
+            stats = sharded.stats()
+        assert stats["inbox_depths"] == {0: 3, 1: 5}
+        assert stats["merged_obs"]["runtime.inbox_depth"]["value"] == 5
+
 
 # ----------------------------------------------------------------------
 # backpressure policies

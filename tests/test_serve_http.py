@@ -164,7 +164,7 @@ class TestServerEndpoint:
         # carries the serve-layer series the scrape contract promises.
         samples = parse_prometheus_text(results["/metrics"][2].decode())
         assert "repro_serve_admitted_total" in samples
-        assert "repro_serve_commits_total" in samples
+        assert "repro_serve_commit_seconds_count" in samples
         assert any(name.startswith("repro_slo_state") for name in samples)
 
         assert results["/healthz"][2] == b"ok\n"

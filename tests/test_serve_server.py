@@ -934,3 +934,34 @@ class TestQueryChurnOverTcp:
         assert refused["trace"]
         assert still["ok"] and still["queries"] == 0
         assert dlq.get(1) is None  # nothing was journaled
+
+    def test_churn_histograms_count_accepted_commands_only(self):
+        """A refused addq/delq raises out of its span, so it feeds the
+        {error=...} series: the unlabelled count is accepted commands."""
+        queries = {"q": edge_query()}
+
+        async def run():
+            server = ReproServer(StreamMonitor(queries, method="dsc"))
+            await server.start()
+            reader, writer, _ = await connect(server.port)
+            replies = [
+                await send_cmd(reader, writer, command)
+                for command in (
+                    {"cmd": "addq", "query": "broken",
+                     "vertices": [[0, "A"]], "edges": [[0, 7, "x"]]},
+                    {"cmd": "addq", "query": "late",
+                     "vertices": [[0, "A"], [1, "B"]], "edges": [[0, 1, "x"]]},
+                    {"cmd": "delq", "query": "never-was"},
+                    {"cmd": "delq", "query": "late"},
+                )
+            ]
+            await server.drain()
+            return [reply["ok"] for reply in replies]
+
+        assert asyncio.run(run()) == [False, True, False, True]
+        summary = obs.get_registry().summary()
+        for verb in ("register", "deregister"):
+            name = f"serve.{verb}_query.seconds"
+            assert summary[name]["count"] == 1
+            refused = [key for key in summary if key.startswith(name + "{error=")]
+            assert len(refused) == 1 and summary[refused[0]]["count"] == 1
