@@ -1,6 +1,6 @@
 """Alternating pairs of two checkouts on one workload; one ``BENCH_e2e.json`` row.
 
-    python benchmarks/pair.py <rev-or-dir-a> <rev-or-dir-b> --workload W --pairs N [--seconds S]
+    python benchmarks/pair.py <rev-or-dir-a> <rev-or-dir-b> --workload W --pairs N [--seconds S] [--seed N]
 
 Each side is a directory, used as it is, or anything ``git archive``
 takes (a commit, a tag, the ``git write-tree`` of the index), exported
@@ -9,14 +9,20 @@ which a directory side must not have either.  Every run is the
 ``BENCHMARK.json`` command of this checkout, untraced, started inside
 the side's directory with ``PYTHONDONTWRITEBYTECODE=1``; pair ``i``
 runs ``a`` first when ``i`` is even and ``b`` first when it is odd.
+``--seed`` goes to the command as its workload seed (the command's own
+default when absent), so a claim can be run again on a seed not used
+while the change was written.
 
 Printed and appended to ``BENCH_e2e.json`` at the repo root: each side
 as given plus the id of its ``src`` tree (``git rev-parse <commit>:src``
 finds the commit again, also when the side was an unreachable
 ``write-tree``), per end-to-end metric and side the median, the quartiles and every run;
-per metric the pairs each side won (a tie counts for neither); per side
-the operations attempted and ``failed``.  A run that prints no result
-object aborts the comparison, and no row is written.
+per metric the pairs each side won (a tie counts for neither); the seed;
+per side the operations attempted, ``failed`` and the ticks each run
+reached inside its window (read from the command's ``--detail`` record:
+``peak_rss_mb`` on the in-process workloads is a base plus a slope times
+ticks reached, so a memory reading means little without them).  A run
+that prints no result object aborts the comparison, and no row is written.
 """
 
 from __future__ import annotations
@@ -73,18 +79,23 @@ def src_tree(side: str) -> str | None:
     return found.stdout.strip()
 
 
-def run_once(command: list[str], directory: Path) -> dict:
-    """One run's result object (the last stdout line), plus its exit status."""
+def run_once(command: list[str], directory: Path, detail: Path) -> dict:
+    """One run's result object (the last stdout line), plus its exit status
+    and, from the ``--detail`` record it wrote, its seed and ticks reached."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run(command, cwd=directory, env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [*command, "--detail", str(detail)],
+        cwd=directory, env=env, capture_output=True, text=True,
+    )
     lines = done.stdout.strip().splitlines()
     try:
         outcome = json.loads(lines[-1])
-    except (IndexError, ValueError):
+        record = json.loads(detail.read_text())
+    except (IndexError, ValueError, OSError):
         raise SystemExit(
             f"{directory}: exit {done.returncode}, no result object\n{done.stderr}"
         ) from None
-    return {**outcome, "exit": done.returncode}
+    return {**outcome, "exit": done.returncode, "seed": record["seed"], "ticks": record["ticks"]}
 
 
 def spread(values: list[float]) -> dict:
@@ -107,11 +118,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=contract["run_seconds"])
+    parser.add_argument("--seed", type=int, help="workload seed (default: the command's own)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     command = [*contract["command"], "--workload", args.workload]
     command += ["--seconds", f"{args.seconds:g}", "--trace", "0"]
+    if args.seed is not None:
+        command += ["--seed", str(args.seed)]
 
     runs: dict[str, list[dict]] = {"a": [], "b": []}
     with tempfile.TemporaryDirectory(prefix="pair-") as scratch:
@@ -120,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         for pair in range(args.pairs):
             for side in ("a", "b") if pair % 2 == 0 else ("b", "a"):
-                last = run_once(command, directories[side])
+                last = run_once(command, directories[side], Path(scratch) / "detail.json")
                 runs[side].append(last)
                 print(
                     f"pair {pair + 1}/{args.pairs} {side}: exit {last['exit']} "
@@ -134,11 +148,13 @@ def main(argv: list[str] | None = None) -> int:
         "workload": args.workload,
         "pairs": args.pairs,
         "seconds": args.seconds,
+        "seed": runs["a"][0]["seed"],
         "metrics": {},
     }
     for side, results in runs.items():
         row[f"{side}_src_tree"] = src_tree(getattr(args, side))
         row[f"{side}_attempted"] = [r["attempted"] for r in results]
+        row[f"{side}_ticks"] = [r["ticks"] for r in results]
         row[f"{side}_failed"] = sum(r["failed"] for r in results)
         row[f"{side}_bad_exits"] = sum(r["exit"] != 0 for r in results)
     for metric in contract["end_to_end"]:
@@ -159,7 +175,10 @@ def main(argv: list[str] | None = None) -> int:
             "b_wins": sum(gain > 0 for gain in gains),
         }
 
-    print(f"{args.workload}: {args.pairs} pairs x {args.seconds:g} s, a={args.a} b={args.b}")
+    print(
+        f"{args.workload}: {args.pairs} pairs x {args.seconds:g} s, seed {row['seed']}, "
+        f"a={args.a} b={args.b}"
+    )
     for name, cell in row["metrics"].items():
         for side in ("a", "b"):
             s = cell[side]
@@ -171,8 +190,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"    b vs a: {change:+.1%} ({cell['better']} is better, bound {cell['bound']:.0%})")
     for side in ("a", "b"):
         print(
-            f"  {side}: attempted {row[f'{side}_attempted']}  failed {row[f'{side}_failed']}  "
-            f"non-zero exits {row[f'{side}_bad_exits']}"
+            f"  {side}: ticks {row[f'{side}_ticks']}  attempted {row[f'{side}_attempted']}  "
+            f"failed {row[f'{side}_failed']}  non-zero exits {row[f'{side}_bad_exits']}"
         )
 
     rows = json.loads(TRAJECTORY.read_text()) if TRAJECTORY.exists() else []

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Hashable, Mapping
 
 from .. import obs
@@ -121,9 +122,13 @@ class QuerySet:
         self.depth_limit = depth_limit
         self.scheme = scheme
         self.queries: dict[QueryId, LabeledGraph] = {}
-        #: Append-only; records of retired groups stay tombstoned (no live
-        #: group references them), so indices are stable for engine state.
+        #: One slot per query vector.  A live group's indices are stable;
+        #: a retired group's slots keep their stale records (no live group
+        #: references them) until the next new group takes them over, so
+        #: the list is bounded by the peak live vector count.
         self.vectors: list[QueryVector] = []
+        #: Slots of retired groups, a heap: lowest slot is reused first.
+        self._free_slots: list[int] = []
         #: Per query, the *shared* index list of its group.
         self.by_query: dict[QueryId, list[int]] = {}
         self.groups: dict[int, QueryGroup] = {}
@@ -159,9 +164,14 @@ class QuerySet:
             self._next_group += 1
             indices: list[int] = []
             for vertex, vector in projected:
-                record = QueryVector(len(self.vectors), query_id, vertex, vector, group_id)
-                self.vectors.append(record)
-                indices.append(record.index)
+                reused = bool(self._free_slots)
+                index = heappop(self._free_slots) if reused else len(self.vectors)
+                record = QueryVector(index, query_id, vertex, vector, group_id)
+                if reused:
+                    self.vectors[index] = record
+                else:
+                    self.vectors.append(record)
+                indices.append(index)
                 for dim in vector:
                     if not self._dim_refs.get(dim):
                         added_dims.add(dim)
@@ -200,6 +210,7 @@ class QuerySet:
             del self.groups[group_id]
             del self._fingerprints[group.fingerprint]
             for index in group.indices:
+                heappush(self._free_slots, index)
                 for dim in self.vectors[index].vector:
                     self._dim_refs[dim] -= 1
                     if not self._dim_refs[dim]:

@@ -3,27 +3,32 @@
 Query vectors are projected once into each of their non-zero single
 dimensions and kept sorted there.  For every stream vector the engine
 derives, per dimension, a *position counter* (how many query values it is
->= of, recovered by binary search) and, per query vector it has ever
-covered in some dimension, a *dominant counter* (in how many of that
-query vector's non-zero dimensions it currently dominates it).  A query
-vector whose dominant counter reaches its non-zero-dimension count is
-dominated in the full space; a (stream, query) pair is a candidate when
-every vector of the query is dominated by some vector of the stream —
-tracked by per-group uncovered counts (queries with identical projected
-fingerprints share one group, :class:`repro.join.base.QueryGroup`) so
-the answer set is read off in O(streams x queries).
+>= of, recovered by binary search) and, per query vector, a *dominant
+counter* (in how many of that query vector's non-zero dimensions it
+currently dominates it).  The dominant counters of one stream vertex are
+one flat typed row with a slot per :attr:`QuerySet.vectors` index, zero
+meaning "dominates it in no dimension".  A query vector whose dominant
+counter reaches its non-zero-dimension count is dominated in the full
+space; a (stream, query) pair is a candidate when every vector of the
+query is dominated by some vector of the stream — tracked by per-group
+uncovered counts (queries with identical projected fingerprints share
+one group, :class:`repro.join.base.QueryGroup`) so the answer set is
+read off in O(streams x queries).
 
 When one NPV entry changes, only the query vectors whose sorted position
 the stream value crossed have their counters touched — this is the
 incremental update illustrated around Figure 9.  Query churn is equally
 incremental: a new group splices its values into the sorted projections
 (no counters move — insertion cannot change any other vector's dominant
-count) and scans each stream once to seed its own counters; a retired
-group filters its entries back out and drops its counters.
+count) and scans each stream once to seed its own slots, lengthening the
+rows only when the query set had no retired slot to hand it; a retired
+group filters its entries back out and zeroes its slots, so the next
+group to take them over starts from zero in every row.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from typing import Mapping
 
@@ -31,6 +36,15 @@ from .. import obs
 from ..graph.labeled_graph import VertexId
 from ..nnt.projection import Dimension, NPV
 from .base import BatchDeltas, JoinEngine, QueryChange, QueryId, QuerySet, StreamId, StreamNpvs
+
+
+#: Type code of a dominant-counter row: 4 bytes a slot, far above any
+#: vector's ``num_dims``; a count outside it raises ``OverflowError``.
+_COUNTER = "I"
+
+
+def _zero_row(slots: int) -> array:
+    return array(_COUNTER, (0,)) * slots  # repeat allocates exactly
 
 
 class _StreamState:
@@ -41,8 +55,10 @@ class _StreamState:
     def __init__(self, uncovered: dict) -> None:
         self.vectors: dict[VertexId, NPV] = {}
         # dominant[vertex][qv_index] -> in how many of qv's non-zero dims
-        # this stream vertex currently dominates it (zeros dropped).
-        self.dominant: dict[VertexId, dict[int, int]] = {}
+        # this stream vertex currently dominates it; every row is as long
+        # as the engine's ``_required`` and zero in every slot no live
+        # group owns.
+        self.dominant: dict[VertexId, array] = {}
         # cover[qv_index] -> number of stream vertices fully dominating it.
         self.cover: dict[int, int] = {}
         # uncovered[group_id] -> number of the group's (non-trivial) query
@@ -60,8 +76,8 @@ class DominatedSetCoverJoin(JoinEngine):
         # Sorted per-dimension projections of the query vectors.
         self._dim_values: dict[Dimension, list[int]] = {}
         self._dim_entries: dict[Dimension, list[int]] = {}
-        # Indexed by global qv index; extended (never shrunk) on churn so
-        # retired indices keep a harmless stale entry.
+        # Indexed by qv slot, as long as every dominant row; a retired
+        # slot keeps a harmless stale entry until a new group rewrites it.
         self._required: list[int] = [record.num_dims for record in query_set.vectors]
         # Trivial (all-zero) query vectors are dominated by any existing
         # vertex; they are excluded from the counter machinery and handled
@@ -105,8 +121,16 @@ class DominatedSetCoverJoin(JoinEngine):
                         vector[dim] = value
 
     def _on_group_added(self, change: QueryChange, stream_npvs: StreamNpvs) -> None:
-        while len(self._required) < len(self.query_set.vectors):
-            self._required.append(self.query_set.vectors[len(self._required)].num_dims)
+        grown = len(self.query_set.vectors) - len(self._required)
+        if grown > 0:
+            # No retired slot was left to reuse: lengthen every row.
+            self._required.extend([0] * grown)
+            pad = _zero_row(grown)
+            for state in self._streams.values():
+                for row in state.dominant.values():
+                    row.extend(pad)
+        for index in change.indices:
+            self._required[index] = self.query_set.vectors[index].num_dims
         self._index_group(change.group_id, change.indices)
         base = self._base_uncovered[change.group_id]
         records = [
@@ -147,9 +171,9 @@ class DominatedSetCoverJoin(JoinEngine):
                 del self._dim_values[dim]
                 del self._dim_entries[dim]
         for state in self._streams.values():
-            for dominant in state.dominant.values():
+            for row in state.dominant.values():
                 for index in retired:
-                    dominant.pop(index, None)
+                    row[index] = 0
             for index in retired:
                 state.cover.pop(index, None)
             state.uncovered.pop(change.group_id, None)
@@ -169,11 +193,16 @@ class DominatedSetCoverJoin(JoinEngine):
     def register_stream(self, stream_id: StreamId, npvs: Mapping[VertexId, NPV]) -> None:
         if stream_id in self._streams:
             raise ValueError(f"stream {stream_id!r} is already registered")
-        self._streams[stream_id] = _StreamState(dict(self._base_uncovered))
+        state = self._streams[stream_id] = _StreamState(dict(self._base_uncovered))
+        dim_values = self._dim_values
         for vertex, vector in npvs.items():
             self.on_vertex_added(stream_id, vertex)
+            mirror = state.vectors[vertex]
+            row = state.dominant[vertex]
             for dim, value in vector.items():
-                self.on_dimension_delta(stream_id, vertex, dim, value)
+                if dim in dim_values:
+                    mirror[dim] = value
+                    self._value_changed(state, row, dim, 0, value)
 
     def remove_stream(self, stream_id: StreamId) -> None:
         del self._streams[stream_id]
@@ -185,15 +214,15 @@ class DominatedSetCoverJoin(JoinEngine):
     def on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
         state = self._streams[stream_id]
         state.vectors[vertex] = {}
-        state.dominant[vertex] = {}
+        state.dominant[vertex] = _zero_row(len(self._required))
 
     def on_vertex_removed(self, stream_id: StreamId, vertex: VertexId) -> None:
         state = self._streams[stream_id]
         vector = state.vectors.pop(vertex, None)
+        row = state.dominant.pop(vertex, None)
         if vector:
             for dim, value in vector.items():
-                self._value_changed(state, vertex, dim, value, 0)
-        state.dominant.pop(vertex, None)
+                self._value_changed(state, row, dim, value, 0)
 
     def on_dimension_delta(
         self, stream_id: StreamId, vertex: VertexId, dim: Dimension, delta: int
@@ -209,7 +238,7 @@ class DominatedSetCoverJoin(JoinEngine):
             vector[dim] = new
         else:
             vector.pop(dim, None)
-        self._value_changed(state, vertex, dim, old, new)
+        self._value_changed(state, state.dominant[vertex], dim, old, new)
 
     def batch_update(self, stream_id: StreamId, deltas: BatchDeltas) -> None:
         """Apply a coalesced batch: one value transition — hence at most
@@ -218,6 +247,7 @@ class DominatedSetCoverJoin(JoinEngine):
         state = self._streams[stream_id]
         dim_values = self._dim_values
         vectors = state.vectors
+        rows = state.dominant
         for (vertex, dim), delta in deltas.items():
             if dim not in dim_values:
                 continue
@@ -228,36 +258,34 @@ class DominatedSetCoverJoin(JoinEngine):
                 vector[dim] = new
             else:
                 vector.pop(dim, None)
-            self._value_changed(state, vertex, dim, old, new)
+            self._value_changed(state, rows[vertex], dim, old, new)
 
     # -- counter maintenance ----------------------------------------------
     def _value_changed(
-        self, state: _StreamState, vertex: VertexId, dim: Dimension, old: int, new: int
+        self, state: _StreamState, row: array, dim: Dimension, old: int, new: int
     ) -> None:
         """Walk the sorted query projection of ``dim`` between the old and
-        new positions of this stream value, adjusting dominant counters."""
+        new positions of this stream value, adjusting the dominant counters
+        in ``row``, the row of the vertex whose value moved."""
         values = self._dim_values[dim]
         old_pos = bisect_right(values, old) if old > 0 else 0
         new_pos = bisect_right(values, new) if new > 0 else 0
         if new_pos == old_pos:
             return
         entries = self._dim_entries[dim]
-        dominant = state.dominant[vertex]
+        required = self._required
         if new_pos > old_pos:
             for qv_index in entries[old_pos:new_pos]:
-                count = dominant.get(qv_index, 0) + 1
-                dominant[qv_index] = count
-                if count == self._required[qv_index]:
+                count = row[qv_index] + 1
+                row[qv_index] = count
+                if count == required[qv_index]:
                     self._cover_gained(state, qv_index)
         else:
             for qv_index in entries[new_pos:old_pos]:
-                count = dominant[qv_index]
-                if count == self._required[qv_index]:
+                count = row[qv_index]
+                if count == required[qv_index]:
                     self._cover_lost(state, qv_index)
-                if count == 1:
-                    del dominant[qv_index]
-                else:
-                    dominant[qv_index] = count - 1
+                row[qv_index] = count - 1
 
     def _cover_gained(self, state: _StreamState, qv_index: int) -> None:
         count = state.cover.get(qv_index, 0) + 1

@@ -4,6 +4,8 @@ their definitions after arbitrary churn."""
 
 import random
 
+import pytest
+
 from repro.graph import LabeledGraph
 from repro.join import QuerySet, StreamListenerAdapter
 from repro.join.dominated_set_cover import DominatedSetCoverJoin
@@ -35,6 +37,40 @@ def churn(rng, index, steps=60):
             index.insert_edge(0, 1, "x", "A", "B")
 
 
+def live_records(query_set):
+    """The query vectors some live group owns (a retired group's slots
+    keep stale records until a new group reuses them)."""
+    return [
+        query_set.vectors[index]
+        for group in query_set.groups.values()
+        for index in group.indices
+    ]
+
+
+def assert_dominant_rows_match_definition(query_set, engine):
+    records = live_records(query_set)
+    for state in engine._streams.values():
+        for vertex, mirror in state.vectors.items():
+            row = state.dominant[vertex]
+            for record in records:
+                expected = sum(
+                    1
+                    for dim, value in record.vector.items()
+                    if mirror.get(dim, 0) >= value
+                )
+                assert row[record.index] == expected, (vertex, record.index)
+
+
+def assert_retired_slots_read_zero(query_set, engine):
+    """Every slot no live group owns is zero in every row; returns them."""
+    live = {record.index for record in live_records(query_set)}
+    free = [slot for slot in range(len(engine._required)) if slot not in live]
+    for state in engine._streams.values():
+        for vertex, row in state.dominant.items():
+            assert not any(row[slot] for slot in free), (vertex, free)
+    return free
+
+
 class TestDSCCounters:
     def setup_engine(self, seed):
         rng = random.Random(seed)
@@ -50,17 +86,40 @@ class TestDSCCounters:
         """dominant[v][qv] must equal the number of qv's non-zero dims in
         which the (restricted) stream vector value is >= the query's."""
         query_set, engine, index = self.setup_engine(11)
+        assert_dominant_rows_match_definition(query_set, engine)
+
+    def churned_queries(self, seed):
+        """``setup_engine`` plus query churn against the live stream:
+        retire two of the three queries, register one, churn the stream."""
+        query_set, engine, index = self.setup_engine(seed)
+        rng = random.Random(seed + 1000)
+        engine.remove_query("q0")
+        engine.remove_query("q2")
+        engine.add_query("late", random_labeled_graph(rng, 2, extra_edges=0), {0: index.npvs})
+        churn(rng, index, steps=20)
+        return query_set, engine
+
+    def test_slots_outside_live_groups_read_zero(self):
+        query_set, engine = self.churned_queries(15)
+        assert_dominant_rows_match_definition(query_set, engine)
+        assert assert_retired_slots_read_zero(query_set, engine)  # and there are some
+
+    def test_rows_are_as_long_as_required(self):
+        query_set, engine = self.churned_queries(16)
+        assert len(engine._required) == len(query_set.vectors)
+        for state in engine._streams.values():
+            assert state.dominant.keys() == state.vectors.keys()
+            for row in state.dominant.values():
+                assert len(row) == len(engine._required)
+
+    def test_counter_below_zero_raises_instead_of_wrapping(self):
+        query_set, engine, index = self.setup_engine(17)
         state = engine._streams[0]
-        universe = query_set.dimension_universe
-        for vertex, mirror in state.vectors.items():
-            dominant = state.dominant[vertex]
-            for record in query_set.vectors:
-                expected = sum(
-                    1
-                    for dim, value in record.vector.items()
-                    if mirror.get(dim, 0) >= value
-                )
-                assert dominant.get(record.index, 0) == expected, (vertex, record.index)
+        vertex = next(v for v, row in state.dominant.items() if any(row))
+        for slot in range(len(engine._required)):
+            state.dominant[vertex][slot] = 0  # corrupt: counters lost
+        with pytest.raises(OverflowError):
+            engine.on_vertex_removed(0, vertex)  # replays the mirror downwards
 
     def test_cover_counts_match_definition(self):
         query_set, engine, index = self.setup_engine(12)

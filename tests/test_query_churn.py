@@ -9,6 +9,9 @@ shards.  Deregistration retires the query's dominance rows; cycling
 queries must not accumulate shared-memory segments.
 Fingerprint dedup lets identical NPV projections share one group of
 dominance rows while every query id keeps its own exact verdicts.
+A retired group's query-vector slots go to the next new group, so the
+index space every engine keys by is bounded by the peak live vector
+count, not by lifetime registrations.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from repro.runtime import ShardedMonitor
 from repro.runtime.shm import live_segments
 
 from .conftest import random_labeled_graph
-from .test_soak_differential import random_query
+from .test_engine_internals import assert_retired_slots_read_zero
+from .test_soak_differential import random_batch, random_query
 from .test_vf2 import nx_subgraph_iso
 
 needs_shm_dir = pytest.mark.skipif(
@@ -213,6 +217,72 @@ class TestFingerprintDedup:
         assert {s for s, q in reported if q == "a"} == {
             s for s, q in reported if q == "b"
         }
+
+
+class TestSlotReuse:
+    """Register/deregister cycles against live streams: the slots of
+    :attr:`QuerySet.vectors` are recycled, and an engine that lived
+    through the cycles answers as one built fresh."""
+
+    CYCLES = 200
+
+    def cycles(self, method: str, after_cycle=None):
+        """One new query in, one stream batch, one random query out, 200
+        times (``after_cycle(query_set, engine)`` after each).  Returns the
+        monitor and the peak ``live_vector_count()``."""
+        rng = random.Random(4012)
+        monitor = StreamMonitor(small_queries(rng, count=6), method=method)
+        for stream_id, mirror in small_mirrors(rng).items():
+            monitor.add_stream(stream_id, mirror)
+        peak = monitor.query_set.live_vector_count()
+        next_vertex = 100
+        for cycle in range(self.CYCLES):
+            shape = random_labeled_graph(rng, rng.randint(2, 5), extra_edges=rng.randint(0, 2))
+            monitor.register_query(f"c{cycle}", shape)
+            peak = max(peak, monitor.query_set.live_vector_count())
+            stream_id = rng.choice(monitor.stream_ids())
+            batch, next_vertex = random_batch(rng, monitor.graph(stream_id), next_vertex)
+            monitor.apply(stream_id, batch)
+            monitor.deregister_query(rng.choice(monitor.query_ids()))
+            if after_cycle:
+                after_cycle(monitor.query_set, monitor.engine)
+        return monitor, peak
+
+    def test_index_space_is_bounded_by_peak_live_vectors(self):
+        monitor, peak = self.cycles("dsc", assert_retired_slots_read_zero)
+        query_set, engine = monitor.query_set, monitor.engine
+        assert query_set.live_vector_count() <= len(query_set.vectors) <= peak
+        assert len(engine._required) == len(query_set.vectors)
+        for state in engine._streams.values():
+            assert all(len(row) <= peak for row in state.dominant.values())
+
+    def test_one_query_cycled_takes_its_own_slots_back(self):
+        rng = random.Random(4013)
+        shape = random_labeled_graph(rng, 3, extra_edges=1)
+        monitor = StreamMonitor({}, method="dsc")
+        monitor.add_stream("s", random_labeled_graph(rng, 6, extra_edges=2))
+        for cycle in range(self.CYCLES):
+            monitor.register_query(f"c{cycle}", shape.copy())
+            monitor.deregister_query(f"c{cycle}")
+        assert monitor.query_set.live_vector_count() == 0
+        assert len(monitor.query_set.vectors) == len(monitor.engine._required) == 3
+
+    @pytest.mark.parametrize("method", ("nl", "dsc", "skyline", "matrix"))
+    def test_cycled_engine_answers_as_a_fresh_one(self, method):
+        cycled, _ = self.cycles(method)
+        fresh = StreamMonitor(dict(cycled.query_set.queries), method=method)
+        for stream_id in cycled.stream_ids():
+            fresh.add_stream(stream_id, cycled.graph(stream_id).copy())
+        assert cycled.matches() == fresh.matches()
+        # ... and keeps doing so as the streams move on.
+        rng = random.Random(4014)
+        next_vertex = 10_000
+        for _ in range(20):
+            stream_id = rng.choice(cycled.stream_ids())
+            batch, next_vertex = random_batch(rng, cycled.graph(stream_id), next_vertex)
+            cycled.apply(stream_id, batch)
+            fresh.apply(stream_id, batch)
+            assert cycled.matches() == fresh.matches()
 
 
 class TestCheckpointRoundTrip:
