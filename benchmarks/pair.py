@@ -1,6 +1,6 @@
 """Alternating pairs of two checkouts on one workload; one ``BENCH_e2e.json`` row.
 
-    python benchmarks/pair.py <rev-or-dir-a> <rev-or-dir-b> --workload W --pairs N [--seconds S] [--seed N]
+    python benchmarks/pair.py <rev-or-dir-a> <rev-or-dir-b> --workload W --pairs N [--seconds S] [--seed N] [--trace]
 
 Each side is a directory, used as it is, or anything ``git archive``
 takes (a commit, a tag, the ``git write-tree`` of the index), exported
@@ -23,6 +23,14 @@ reached inside its window (read from the command's ``--detail`` record:
 ``peak_rss_mb`` on the in-process workloads is a base plus a slope times
 ticks reached, so a memory reading means little without them).  A run
 that prints no result object aborts the comparison, and no row is written.
+
+``--trace`` adds, after the pairs, one run per side of the same command
+with ``--trace 1`` at the same seed — a fixed tick count, so what the
+program counts repeats exactly — and prints, side by side, every
+``per_layer`` metric whose unit is ``count`` plus ``bench.candidate_ratio``
+and ``core.recall``, each marked identical or different.  The table goes
+into the row, and any difference makes the exit status non-zero: two
+sides that should do the same work did not.
 """
 
 from __future__ import annotations
@@ -79,6 +87,10 @@ def src_tree(side: str) -> str | None:
     return found.stdout.strip()
 
 
+#: Compared by ``--trace`` beside the ``count`` metrics: ratios of counts.
+TRACED_RATIOS = ("bench.candidate_ratio", "core.recall")
+
+
 def run_once(command: list[str], directory: Path, detail: Path) -> dict:
     """One run's result object (the last stdout line), plus its exit status
     and, from the ``--detail`` record it wrote, its seed and ticks reached."""
@@ -119,11 +131,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=contract["run_seconds"])
     parser.add_argument("--seed", type=int, help="workload seed (default: the command's own)")
+    parser.add_argument(
+        "--trace", action="store_true", help="then diff the traced counts, one run per side"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     command = [*contract["command"], "--workload", args.workload]
-    command += ["--seconds", f"{args.seconds:g}", "--trace", "0"]
+    command += ["--seconds", f"{args.seconds:g}"]
     if args.seed is not None:
         command += ["--seed", str(args.seed)]
 
@@ -134,13 +149,22 @@ def main(argv: list[str] | None = None) -> int:
         }
         for pair in range(args.pairs):
             for side in ("a", "b") if pair % 2 == 0 else ("b", "a"):
-                last = run_once(command, directories[side], Path(scratch) / "detail.json")
+                last = run_once(
+                    [*command, "--trace", "0"], directories[side], Path(scratch) / "detail.json"
+                )
                 runs[side].append(last)
                 print(
                     f"pair {pair + 1}/{args.pairs} {side}: exit {last['exit']} "
                     f"failed {last['failed']}/{last['attempted']}",
                     file=sys.stderr,
                 )
+        traced = {
+            side: run_once(
+                [*command, "--trace", "1"], directories[side], Path(scratch) / "detail.json"
+            )
+            for side in runs
+            if args.trace
+        }
 
     row: dict = {
         "a": args.a,
@@ -194,10 +218,24 @@ def main(argv: list[str] | None = None) -> int:
             f"failed {row[f'{side}_failed']}  non-zero exits {row[f'{side}_bad_exits']}"
         )
 
+    differing = 0
+    if traced:
+        names = [m["name"] for m in contract["per_layer"] if m["unit"] == "count"]
+        row["trace"] = {}
+        print(f"  traced counts, one run per side at seed {row['seed']}:")
+        for name in (*names, *TRACED_RATIOS):
+            a, b = (traced[side]["metrics"][name]["value"] for side in ("a", "b"))
+            row["trace"][name] = {"a": a, "b": b, "identical": a == b}
+            differing += a != b
+            print(f"    {name}: {a:.10g} | {b:.10g}  {'identical' if a == b else 'DIFFERENT'}")
+        row["trace_bad_exits"] = sum(run["exit"] != 0 for run in traced.values())
+        print(f"    {differing} different, non-zero exits {row['trace_bad_exits']}")
+
     rows = json.loads(TRAJECTORY.read_text()) if TRAJECTORY.exists() else []
     rows.append(row)
     TRAJECTORY.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
-    return 0 if not (row["a_bad_exits"] or row["b_bad_exits"]) else 1
+    bad_exits = row["a_bad_exits"] + row["b_bad_exits"] + row.get("trace_bad_exits", 0)
+    return 0 if not (bad_exits or differing) else 1
 
 
 if __name__ == "__main__":

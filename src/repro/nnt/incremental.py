@@ -1,4 +1,4 @@
-"""Incremental NNT maintenance (Section III, Figures 4-5 of the paper).
+"""The NNT index: bulk load (Def 3.1) and incremental maintenance (Section III, Figs 4-5).
 
 :class:`NNTIndex` keeps, for one evolving graph, the NNT of every vertex
 *to depth* ``l - 1``.  Level ``l`` — where most of Def 3.1's tree sits and
@@ -21,6 +21,11 @@ subtree removal empties every removed inner node's ``children``, so a
 detached subtree points upwards only, holds no reference cycle and is
 freed by reference count at once instead of at the collector's next full
 pass.
+
+An index over a given graph is bulk-loaded, silently (Def 3.1: each stored
+node created once, the implied level booked from per-vertex neighbour
+profiles); Figs 4-5 take over from there, and a differential test in
+``tests/test_nnt_incremental.py`` holds the two to one end state.
 
 An appearance of a graph edge is thus of one of two kinds.  Deleting
 edge ``(a, b)`` removes the subtree under each materialised appearance,
@@ -56,7 +61,7 @@ back to one ``on_dimension_delta`` call per *net* entry.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
@@ -183,8 +188,7 @@ class NNTIndex:
                 self._flush_pending()
 
     def _emit_delta(self, vertex: VertexId, dim: Dimension, delta: int) -> None:
-        """Net one NPV delta into the open batch scope (every notifying
-        entry point opens one)."""
+        """Net one NPV delta into the open batch scope."""
         key = (vertex, dim)
         net = self._pending.get(key, 0) + delta
         if net:
@@ -229,17 +233,79 @@ class NNTIndex:
     # initial build
     # ------------------------------------------------------------------
     def _build_initial(self, initial: LabeledGraph) -> None:
-        """Bulk-load: copy the graph, then grow every NNT edge by edge.
-
-        Reuses the same splice primitives as the streaming path (so the
-        initial state is by construction consistent with incremental
-        updates) but without listener notifications: consumers attach
-        afterwards and read the finished NPVs.
-        """
-        for vertex, label in initial.vertex_items():
-            self._create_vertex(vertex, label, notify=False)
-        for u, v, label in initial.edges():
-            self._insert_edge_internal(u, v, label, notify=False)
+        """Bulk-load (Def 3.1): one expansion per vertex over a private
+        copy of the finished graph.  Every stored node is created, linked
+        and indexed once and each root's NPV is assigned once; no listener
+        hears of it (consumers attach afterwards and read the finished
+        NPVs) and only ``tree_nodes_added`` moves in ``stats``.  The end
+        state is the one Procedure *Insert-Edge* reaches from the empty
+        index over the same edges in any order."""
+        graph = self.graph = initial.copy()
+        labels, limit, deepest = graph.labels, self.depth_limit, self._deepest
+        for vertex in labels:
+            self._plant_root(vertex)
+        node_index, edge_index = self.node_index, self.edge_index
+        # By child depth, then vertex: a row per neighbour with the tree
+        # edge's label, interned dimension and ``I_edge`` key.  The last
+        # level is implied: a deepest node on ``vertex`` stands for that
+        # level's dimension counts there (the vertex's neighbour profile)
+        # minus the edges its own root path already crosses.
+        rows = [
+            {
+                vertex: [
+                    (other, edge_label, self._dim(depth, label, labels[other], edge_label),
+                     edge_key(vertex, other))
+                    for other, edge_label in graph.neighbor_items(vertex)
+                ]
+                for vertex, label in labels.items()
+            }
+            for depth in range(1, limit + 1)
+        ]
+        implied_dim = {v: {row[0]: row[2] for row in level} for v, level in rows.pop().items()}
+        profile = {v: list(Counter(dims.values()).items()) for v, dims in implied_dim.items()}
+        added = 0
+        for root_vertex, tree in self.trees.items():
+            npv: NPV = {}
+            stack = [tree.root]
+            while stack:
+                node = stack.pop()
+                vertex, depth = node.graph_vertex, node.depth + 1
+                # Neighbours whose edge is already on the root path (a
+                # simple path may come back to a vertex, never to an edge).
+                used = []
+                below, above = node, node.parent
+                while above is not None:
+                    if below.graph_vertex == vertex:
+                        used.append(above.graph_vertex)
+                    elif above.graph_vertex == vertex:
+                        used.append(below.graph_vertex)
+                    below, above = above, above.parent
+                if node.depth == deepest:
+                    for dim, count in profile[vertex]:
+                        npv[dim] = npv.get(dim, 0) + count
+                    dims = implied_dim[vertex]
+                    for other in used:
+                        npv[dims[other]] -= 1
+                    added += len(dims) - len(used)
+                    continue
+                for other, edge_label, dim, key in rows[node.depth][vertex]:
+                    if other not in used:
+                        child = TreeNode(other, node, depth, edge_label, depth == deepest)
+                        node.children[other] = child
+                        occurrences, appearances = node_index[other], edge_index.setdefault(key, [])
+                        child.vpos = len(occurrences)
+                        occurrences.append(child)
+                        child.epos = len(appearances)
+                        appearances.append(child)
+                        child.root_vertex = root_vertex
+                        child.dim = dim
+                        npv[dim] = npv.get(dim, 0) + 1
+                        stack.append(child)
+                        added += 1
+            # A profile entry taken back in full is a zero, and NPVs are sparse.
+            self.npvs[root_vertex] = {dim: count for dim, count in npv.items() if count}
+        self.num_tree_nodes += added
+        self.stats["tree_nodes_added"] += added
 
     # ------------------------------------------------------------------
     # change application
@@ -298,13 +364,11 @@ class NNTIndex:
         with self.batch():
             for vertex, label in endpoints:
                 if not self.graph.has_vertex(vertex):
-                    self._create_vertex(vertex, label, notify=True)
-            self._insert_edge_internal(a, b, edge_label, notify=True)
+                    self._create_vertex(vertex, label)
+            self._insert_edge_internal(a, b, edge_label)
             self.stats["edges_inserted"] += 1
 
-    def _insert_edge_internal(
-        self, a: VertexId, b: VertexId, edge_label: Label, notify: bool
-    ) -> None:
+    def _insert_edge_internal(self, a: VertexId, b: VertexId, edge_label: Label) -> None:
         # Snapshot the pre-existing appearances of both endpoints above
         # the deepest level before touching anything: the expansion below
         # creates new appearances of a and b that are already complete
@@ -319,27 +383,25 @@ class NNTIndex:
         self.graph.add_edge(a, b, edge_label)
         # At the deepest level the new depth-l tree edge is implied: an NPV
         # +1, nothing created.  Above it, hang the edge and its subtree.
-        self._book_implied_edge(a, b, edge_label, +1, notify)
+        self._book_implied_edge(a, b, edge_label, +1)
         for node, other in hang_below:
-            self._splice_subtree(node, other, edge_label, notify)
+            self._splice_subtree(node, other, edge_label)
 
-    def _splice_subtree(
-        self, parent: TreeNode, graph_vertex: VertexId, edge_label: Label, notify: bool
-    ) -> None:
+    def _splice_subtree(self, parent: TreeNode, graph_vertex: VertexId, edge_label: Label) -> None:
         """Hang one new tree edge below ``parent`` (above the deepest
         level) and expand it BFS-style down to the depth limit."""
         deepest = self._deepest
         added = 1
-        queue = deque([self._add_tree_edge(parent, graph_vertex, edge_label, notify)])
+        queue = deque([self._add_tree_edge(parent, graph_vertex, edge_label)])
         while queue:
             node = queue.popleft()
             if node.depth == deepest:
-                added += self._book_implied(node, +1, notify)
+                added += self._book_implied(node, +1)
                 continue
             vertex = node.graph_vertex
             for neighbor, neighbor_label in self.graph.neighbor_items(vertex):
                 if not node.edge_on_root_path(vertex, neighbor):
-                    queue.append(self._add_tree_edge(node, neighbor, neighbor_label, notify))
+                    queue.append(self._add_tree_edge(node, neighbor, neighbor_label))
                     added += 1
         self.num_tree_nodes += added
         self.stats["tree_nodes_added"] += added
@@ -358,17 +420,17 @@ class NNTIndex:
             # exactly its own top out of this bucket: drain it from the tail.
             appearances = self.edge_index.get(key)
             while appearances:
-                self._remove_subtree(appearances[-1], notify=True)
+                self._remove_subtree(appearances[-1])
             # What is left of a and b at the deepest level no longer has
             # the edge on its root path: each implied one appearance of it.
-            self._book_implied_edge(a, b, self.graph.edge_label(a, b), -1, notify=True)
+            self._book_implied_edge(a, b, self.graph.edge_label(a, b), -1)
             self.graph.remove_edge(a, b)
             self.stats["edges_deleted"] += 1
             for vertex in (a, b):
                 if self.graph.has_vertex(vertex) and self.graph.degree(vertex) == 0:
                     self._remove_vertex(vertex)
 
-    def _remove_subtree(self, top: TreeNode, notify: bool) -> None:
+    def _remove_subtree(self, top: TreeNode) -> None:
         """Detach ``top`` (a non-root tree node) and its whole subtree,
         unindexing every node and reversing every NPV contribution, implied
         ones included.  Removed inner nodes lose their children (``top`` its
@@ -386,7 +448,7 @@ class NNTIndex:
         while stack:
             node = stack.pop()
             if node.depth == deepest:  # root path intact: parent links stay
-                removed += self._book_implied(node, -1, notify)
+                removed += self._book_implied(node, -1)
             elif node.children:
                 stack.extend(node.children.values())
                 node.children.clear()
@@ -405,7 +467,7 @@ class NNTIndex:
                 last.epos = node.epos
             elif not bucket:
                 del edge_index[key]
-            self._book(root_vertex, node.dim, -1, notify)  # dim cached at creation
+            self._book(root_vertex, node.dim, -1)  # dim cached at creation
             removed += 1
         del parent.children[top.graph_vertex]
         top.parent = None
@@ -415,8 +477,14 @@ class NNTIndex:
     # ------------------------------------------------------------------
     # vertex lifecycle
     # ------------------------------------------------------------------
-    def _create_vertex(self, vertex: VertexId, label: Label, notify: bool) -> None:
+    def _create_vertex(self, vertex: VertexId, label: Label) -> None:
         self.graph.add_vertex(vertex, label)
+        self._plant_root(vertex)
+        for listener in self.listeners:
+            listener.on_vertex_added(vertex)
+
+    def _plant_root(self, vertex: VertexId) -> None:
+        """A graph vertex's bare NNT: a root in slot 0 of its ``I_node`` bucket, an empty NPV."""
         tree = NNT(vertex, self.depth_limit)
         tree.root.root_vertex = vertex
         tree.root.vpos = 0
@@ -424,9 +492,6 @@ class NNTIndex:
         self.node_index[vertex] = [tree.root]
         self.npvs[vertex] = {}
         self.num_tree_nodes += 1
-        if notify:
-            for listener in self.listeners:
-                listener.on_vertex_added(vertex)
 
     def _remove_vertex(self, vertex: VertexId) -> None:
         """Drop a now-isolated vertex.
@@ -460,7 +525,7 @@ class NNTIndex:
     # tree-edge splice primitive
     # ------------------------------------------------------------------
     def _add_tree_edge(
-        self, parent: TreeNode, graph_vertex: VertexId, edge_label: Label, notify: bool
+        self, parent: TreeNode, graph_vertex: VertexId, edge_label: Label
     ) -> TreeNode:
         """Create, link and index one tree node above the depth limit (the
         caller counts it)."""
@@ -480,7 +545,7 @@ class NNTIndex:
         child.root_vertex = root_vertex
         labels = self.graph.labels
         child.dim = self._dim(depth, labels[parent.graph_vertex], labels[graph_vertex], edge_label)
-        self._book(root_vertex, child.dim, +1, notify)
+        self._book(root_vertex, child.dim, +1)
         return child
 
     def _dim(self, depth: int, parent_label: Label, label: Label, edge_label: Label) -> Dimension:
@@ -491,15 +556,12 @@ class NNTIndex:
             dim = self.scheme.dimension(depth, parent_label, label, edge_label)
         return self._dims.setdefault(dim, dim)
 
-    def _book(self, root_vertex: VertexId, dim: Dimension, delta: int, notify: bool) -> None:
+    def _book(self, root_vertex: VertexId, dim: Dimension, delta: int) -> None:
         """Apply ``delta`` tree edges on ``dim`` to ``NPV(root_vertex)``."""
         add_to_vector(self.npvs[root_vertex], dim, delta)
-        if notify:
-            self._emit_delta(root_vertex, dim, delta)
+        self._emit_delta(root_vertex, dim, delta)
 
-    def _book_implied_edge(
-        self, a: VertexId, b: VertexId, edge_label: Label, sign: int, notify: bool
-    ) -> None:
+    def _book_implied_edge(self, a: VertexId, b: VertexId, edge_label: Label, sign: int) -> None:
         """Every deepest-level occurrence of ``a`` (of ``b``) now indexed
         gains or loses the depth-``l`` tree edge to ``b`` (to ``a``)."""
         labels = self.graph.labels
@@ -510,11 +572,11 @@ class NNTIndex:
             for node in self.node_index[vertex]:
                 if node.depth == deepest:
                     count += 1
-                    self._book(node.root_vertex, dim, sign, notify)
+                    self._book(node.root_vertex, dim, sign)
         self.num_tree_nodes += sign * count
         self.stats["tree_nodes_added" if sign > 0 else "tree_nodes_removed"] += count
 
-    def _book_implied(self, node: TreeNode, sign: int, notify: bool) -> int:
+    def _book_implied(self, node: TreeNode, sign: int) -> int:
         """Add (``sign=+1``) or reverse (``-1``) the depth-``l`` tree edges
         that ``node``, at the deepest materialised level, stands for — one
         per graph neighbour whose edge is not on its root path — as one
@@ -528,7 +590,7 @@ class NNTIndex:
                 counts[key] = counts.get(key, 0) + 1
         for (label, edge_label), count in counts.items():
             dim = self._dim(self.depth_limit, labels[vertex], label, edge_label)
-            self._book(node.root_vertex, dim, sign * count, notify)
+            self._book(node.root_vertex, dim, sign * count)
         return sum(counts.values())
 
     # ------------------------------------------------------------------

@@ -363,11 +363,11 @@ class ShardedMonitor:
         if stream_id in self._streams:
             raise ValueError(f"stream {stream_id!r} is already monitored")
         shard = self.router.shard_for(stream_id)
-        self._submit_control(shard, (CMD_ADD_STREAM, stream_id, initial))
+        graph = initial.copy() if initial is not None else LabeledGraph()
+        # The inbox pickles later, on its feeder thread: it gets a copy of its own.
+        self._submit_control(shard, (CMD_ADD_STREAM, stream_id, graph.copy()))
         self._streams[stream_id] = shard
-        self._graphs[stream_id] = (
-            initial.copy() if initial is not None else LabeledGraph()
-        )
+        self._graphs[stream_id] = graph
 
     def remove_stream(self, stream_id: StreamId) -> None:
         """Stop monitoring a stream and free its shard-local state."""

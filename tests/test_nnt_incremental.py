@@ -16,7 +16,8 @@ from repro import StreamMonitor
 from repro.graph import EdgeChange, GraphChangeOperation, GraphError, LabeledGraph
 from repro.graph.operations import apply_change, apply_operation
 from repro.nnt import NNTIndex, build_all_nnts, project_graph
-from repro.nnt.projection import DimensionScheme
+from repro.nnt.projection import PAPER_SCHEME, DimensionScheme
+from repro.nnt.tree import NNT
 
 from .conftest import random_labeled_graph
 
@@ -67,6 +68,18 @@ class TestInitialBuild:
         graph = paper_graph()
         index = NNTIndex(graph, depth_limit=2)
         graph.remove_edge(1, 2)  # external mutation must not desync
+        index.check_integrity()
+
+    def test_later_changes_to_the_callers_graph_do_not_reach_the_index(self):
+        graph = paper_graph()
+        index = NNTIndex(graph, depth_limit=3)
+        built_from = graph.copy()
+        graph.add_vertex(6, "A")
+        graph.add_edge(6, 1, "-")
+        graph.remove_edge(4, 5)
+        graph.remove_vertex(5)
+        assert index.graph is not graph and index.graph == built_from
+        assert index.npvs == project_graph(built_from, 3)
         index.check_integrity()
 
     def test_empty_start(self):
@@ -218,6 +231,20 @@ class TestListeners:
         # Listener attached before any change: sees everything from zero.
         index.insert_edge(1, 2, "-", "A", "B")
         assert listener.vectors == index.npvs
+
+    def test_no_notifications_during_a_build_from_a_graph(self):
+        """The bulk load delivers and queues nothing; a listener attached
+        afterwards starts from the finished NPVs and needs nothing else."""
+        index = NNTIndex(paper_graph(), depth_limit=3)
+        assert index.stats["deltas_delivered"] == 0 and not index._pending
+        listener = RecordingListener()
+        listener.vectors = {vertex: dict(npv) for vertex, npv in index.npvs.items()}
+        index.add_listener(listener)
+        rng = random.Random(214)
+        for _ in range(30):
+            _random_step(rng, index)
+            assert listener.vectors == index.npvs
+        index.check_integrity()
 
 
 def _random_step(rng: random.Random, index: NNTIndex) -> None:
@@ -401,3 +428,98 @@ def test_property_refused_batches_reach_no_listener(depth, edge_labels, seeds):
             assert index.graph == expected
         assert listener.vectors == index.npvs == project_graph(index.graph, depth, scheme)
     index.check_integrity()
+
+
+class NetDeltaRecorder:
+    """Keeps every coalesced mapping it is handed."""
+
+    def __init__(self):
+        self.batches = []
+
+    def on_vertex_added(self, vertex):
+        pass
+
+    def on_vertex_removed(self, vertex):
+        pass
+
+    def on_batch_update(self, deltas):
+        self.batches.append(dict(deltas))
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Up to 8 vertices over 3 labels, any set of edges over 1-3 edge
+    labels: several components and isolated vertices are the common case."""
+    size = draw(st.integers(1, 8))
+    vertex_labels = draw(st.lists(st.sampled_from("ABC"), min_size=size, max_size=size))
+    edge_labels = "-=~"[: draw(st.integers(1, 3))]
+    pairs = draw(
+        st.sets(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=12)
+    )
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    return LabeledGraph.from_vertices_and_edges(
+        enumerate(vertex_labels),
+        [(u, v, draw(st.sampled_from(edge_labels))) for u, v in edges],
+    )
+
+
+def _valid_random_batch(rng: random.Random, graph: LabeledGraph) -> GraphChangeOperation:
+    while True:
+        batch = _random_batch(rng, graph)
+        try:
+            apply_operation(graph.copy(), batch)
+        except GraphError:
+            continue
+        return batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    labelled_graphs(),
+    st.sampled_from((1, 2, 3, 4)),
+    st.sampled_from((PAPER_SCHEME, DimensionScheme(include_edge_label=True))),
+    st.integers(0, 10_000),
+)
+def test_property_bulk_load_equals_edge_by_edge_growth(graph, depth, scheme, seed):
+    """Def 3.1 over the finished graph and Procedure Insert-Edge over its
+    edges in any order build the same index (the latter cannot hold an
+    isolated vertex, whose bulk-built tree is a bare root), and one batch
+    applied to both delivers the same net deltas."""
+    rng = random.Random(seed)
+    bulk = NNTIndex(graph, depth, scheme)
+    grown = NNTIndex(depth_limit=depth, scheme=scheme)
+    edges = list(graph.edges())
+    rng.shuffle(edges)
+    for u, v, label in edges:
+        grown.insert_edge(u, v, label, graph.vertex_label(u), graph.vertex_label(v))
+    isolated = [vertex for vertex in graph.vertices() if not graph.degree(vertex)]
+
+    assert bulk.graph == graph and set(bulk.trees) == set(grown.trees) | set(isolated)
+    reference = project_graph(graph, depth, scheme)
+    label_of = graph.vertex_label
+    for vertex in isolated:
+        assert bulk.npvs[vertex] == reference[vertex] == {}
+        bare = NNT(vertex, depth).canonical_form(label_of)
+        assert bulk.tree(vertex).canonical_form(label_of) == bare
+        assert len(bulk.node_index[vertex]) == 1
+    for vertex, tree in grown.trees.items():
+        assert bulk.npvs[vertex] == grown.npvs[vertex]
+        assert bulk.tree(vertex).canonical_form(label_of) == tree.canonical_form(label_of)
+        assert len(bulk.node_index[vertex]) == len(grown.node_index[vertex])
+    assert {key: len(bucket) for key, bucket in bulk.edge_index.items()} == {
+        key: len(bucket) for key, bucket in grown.edge_index.items()
+    }
+    assert bulk.num_tree_nodes == grown.num_tree_nodes + len(isolated)
+    assert bulk.stats == {**grown.stats, "edges_inserted": 0, "deltas_delivered": 0}
+    bulk.check_integrity()
+    grown.check_integrity()
+
+    batch = _valid_random_batch(rng, bulk.graph)
+    heard = []
+    for index in (bulk, grown):
+        heard.append(NetDeltaRecorder())
+        index.add_listener(heard[-1])
+        index.apply(batch)
+        index.check_integrity()
+    assert heard[0].batches == heard[1].batches
+    assert all(bulk.npvs[vertex] == npv for vertex, npv in grown.npvs.items())

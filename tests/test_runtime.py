@@ -24,6 +24,7 @@ from repro.runtime import (
     WorkerDied,
     stable_hash,
 )
+from repro.runtime.worker import CMD_ADD_STREAM
 
 from .conftest import random_labeled_graph
 
@@ -168,6 +169,26 @@ class TestLifecycle:
             sharded.add_stream("s0", random_labeled_graph(rng, 3))
             with pytest.raises(ValueError):
                 sharded.add_stream("s0", random_labeled_graph(rng, 3))
+
+    def test_add_stream_enqueues_a_graph_of_its_own(self, monkeypatch):
+        """The inbox pickles on its feeder thread, maybe after
+        ``add_stream`` has returned: what it is handed must be neither
+        the caller's graph nor the state of record."""
+        rng = random.Random(8)
+        initial = random_labeled_graph(rng, 5, extra_edges=2)
+        with ShardedMonitor(small_queries(rng), num_workers=1) as sharded:
+            submit, submitted = sharded._submit_control, []
+
+            def recording(shard, command):
+                submitted.append(command)
+                submit(shard, command)
+
+            monkeypatch.setattr(sharded, "_submit_control", recording)
+            sharded.add_stream("s0", initial)
+            ((kind, stream_id, sent),) = submitted
+            assert (kind, stream_id) == (CMD_ADD_STREAM, "s0")
+            assert sent is not initial and sent is not sharded.graph("s0")
+            assert sent == initial == sharded.graph("s0")
 
     def test_apply_to_unknown_stream_rejected(self):
         rng = random.Random(2)
