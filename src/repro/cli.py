@@ -151,12 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--queue-capacity", type=int, default=128, help="worker inbox bound"
     )
-    replay.add_argument(
-        "--policy",
-        choices=["block", "drop", "spill"],
-        default="block",
-        help="backpressure policy when a worker inbox is full",
-    )
     replay.add_argument("--checkpoint-dir", help="checkpoint export directory")
     replay.add_argument(
         "--checkpoint-every",
@@ -220,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queries", required=True, help="graph-set file of patterns")
     _add_workers_argument(serve)
     serve.add_argument("--queue-capacity", type=int, default=128)
-    serve.add_argument("--policy", choices=["block", "drop", "spill"], default="block")
     serve.add_argument(
         "--checkpoint-dir",
         help="checkpoint export directory; an export found there is restored at start",
@@ -551,7 +544,6 @@ _MONITOR_OPTIONS = {"checkpoint_dir": "checkpoint_dir", "checkpoint_every": "che
 _RUNTIME_OPTIONS = {
     "workers": "num_workers",
     "queue_capacity": "queue_capacity",
-    "policy": "backpressure",
     "shm": "shm",
     "flight_dir": "flight_dir",
 }
@@ -800,13 +792,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         )
         if args.workers >= 1:
             stats = monitor.stats()
-            pressure = stats["backpressure"]
             line = (
                 f"workers: {stats['num_workers']}  "
-                f"policy: {pressure['policy']}  "
-                f"batches: {pressure['accepted_batches']}  "
-                f"dropped: {pressure['dropped']}  "
-                f"spilled: {pressure['spilled']}"
+                f"batches: {stats['backpressure']['accepted_batches']}"
             )
             rescale = stats.get("rescale") or {}
             if rescale.get("count"):

@@ -24,7 +24,7 @@ rejected / shed rate sparklines plus the circuit-breaker state strip.
 
 Shown per frame: apply-latency percentiles (from the
 ``monitor.apply.seconds`` histogram), poll/event counters, worker inbox
-depths and backpressure drops/spills (sharded runs), the payload rings
+depths, inbox capacity and accepted batches (sharded runs), the payload rings
 and rescale status (``shm=True`` runs: ring count, ring-overflow
 counter, queue bytes pickled, last-rescale duration and whether one is
 in flight), live query churn (registered count,
@@ -238,8 +238,8 @@ def render_dashboard(
     backpressure = stats.get("backpressure")
     if isinstance(backpressure, Mapping):
         lines.append(
-            "backpressure    policy={policy}  accepted={accepted_batches}  "
-            "dropped={dropped}  spilled={spilled}  parked={parked}".format(**backpressure)
+            "backpressure    capacity={queue_capacity}  "
+            "accepted={accepted_batches}".format(**backpressure)
         )
 
     # -- payload rings & resharding ------------------------------------------

@@ -142,7 +142,8 @@ class QuerySet:
 
     # -- dynamic membership ------------------------------------------------
     def add_query(self, query_id: QueryId, graph: LabeledGraph) -> QueryChange:
-        """Project and register one query, deduplicating by fingerprint."""
+        """Project and register one query, deduplicating by fingerprint;
+        the set keeps a copy of ``graph``."""
         if query_id in self.queries:
             raise ValueError(f"query {query_id!r} is already monitored")
         projected = sorted(
@@ -155,7 +156,7 @@ class QuerySet:
                 for _, vector in projected
             )
         )
-        self.queries[query_id] = graph
+        self.queries[query_id] = graph.copy()  # the caller may reuse theirs
         group_id = self._fingerprints.get(fingerprint)
         added_dims: set[Dimension] = set()
         group_added = group_id is None

@@ -75,14 +75,12 @@ CATALOG: dict[str, tuple] = {
     "runtime.bytes_pickled": ("counter", "envelope bytes pickled onto worker inboxes by apply traffic"),
     "runtime.checkpoint.seconds": ("histogram", "seconds per checkpoint export"),
     "runtime.deregister_query.seconds": ("histogram", "seconds per fleet-wide query retirement fan-out"),
-    "runtime.dropped": ("counter", "batches dropped by the drop backpressure policy"),
     "runtime.inbox_depth": ("gauge", "deepest worker inbox at the last stats() call"),
     "runtime.matches.seconds": ("histogram", "seconds per fleet-wide poll"),
     "runtime.register_query.seconds": ("histogram", "seconds per fleet-wide query registration fan-out"),
     "runtime.rescale.active": ("gauge", "1 while a pool rescale is in flight"),
     "runtime.rescale.last_seconds": ("gauge", "duration of the last completed rescale"),
     "runtime.rescale.seconds": ("histogram", "seconds per live pool rescale"),
-    "runtime.spilled": ("counter", "batches parked by the spill backpressure policy"),
     "runtime.streams_moved": ("counter", "streams migrated between shards by rescales"),
     "runtime.submit.seconds": ("histogram", "seconds per coordinator submit"),
     "runtime.workers": ("gauge", "worker pool size after the last rescale"),

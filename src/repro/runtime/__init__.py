@@ -5,10 +5,10 @@ makes the *system* keep up with stream rates by scaling across cores:
 :class:`ShardedMonitor` shards registered streams over N worker
 processes (consistent hash on stream id — streams are independent by
 Definition 2.8, so sharding preserves the answer), routes change
-batches to bounded worker inboxes under a configurable backpressure
-policy, aggregates per-worker candidate sets into one global answer at
-poll time, and keeps each stream's current graph so a killed worker
-respawns with no false negatives.
+batches to bounded worker inboxes (a full one makes the caller wait),
+aggregates per-worker candidate sets into one global answer at poll
+time, and keeps each stream's current graph so a killed worker respawns
+with no false negatives.
 
 See ``docs/runtime.md`` for the architecture, routing, backpressure and
 recovery protocols; :mod:`repro.runtime.worker` for the command
@@ -21,19 +21,13 @@ RP016): the filtering core stays deterministic and single-threaded,
 and all parallelism lives behind this facade.
 """
 
-from .coordinator import (
-    POLICIES,
-    ShardedMonitor,
-    WorkerCrashed,
-    WorkerDied,
-)
+from .coordinator import ShardedMonitor, WorkerCrashed, WorkerDied
 from .recovery import RecoveryLog
 from .router import ShardRouter, stable_hash
 from .shm import RingReader, RingRef, ShmError, ShmRing, cleanup_segments
 from .worker import ShardState, WorkerSpec
 
 __all__ = [
-    "POLICIES",
     "RecoveryLog",
     "RingReader",
     "RingRef",

@@ -9,18 +9,11 @@ query set.  Because streams are independent (Definition 2.8), the union
 of per-worker candidate sets *is* the global candidate set — sharding
 changes where the work happens, never the answer.
 
-**Backpressure.**  Worker inboxes are bounded queues.  When one fills,
-the configured policy decides what ``apply`` does:
-
-* ``"block"`` (default) — wait for the worker; lossless, applies source
-  backpressure to the caller.
-* ``"spill"`` — park overflow in an unbounded coordinator-side buffer,
-  drained opportunistically and fully at every poll barrier; lossless,
-  trades memory for caller latency.
-* ``"drop"`` — discard the update and count it.  The only lossy policy:
-  the no-false-negative guarantee then holds w.r.t. the *accepted*
-  sub-stream only.  Control traffic (stream registration, polls)
-  always blocks regardless of policy.
+**Backpressure.**  Worker inboxes are bounded queues
+(``queue_capacity`` commands each).  A call that meets a full inbox
+waits for the worker: no update is ever discarded or parked on the
+coordinator side.  Overload is refused where a client can see it, at
+the serving edge (``repro serve --admission-policy``).
 
 **Consistency.**  A poll is a per-worker FIFO barrier: the poll command
 is enqueued behind every previously accepted update, so the aggregated
@@ -59,12 +52,11 @@ Recovery never reads a ring (the state of record is the coordinator's
 own graphs), so the loss guarantees are unchanged.
 
 **Elastic resharding.**  :meth:`rescale` grows or shrinks the worker
-pool live: behind a routing barrier, every stream whose consistent-hash
-owner changes is registered on its new shard from the coordinator's
-graph of it (every accepted update is folded in; no worker round trip)
-and removed from its old one.  The union-of-shards answer is preserved
-at every poll, and a worker killed mid-rescale recovers exactly like
-any other death.
+pool live: every stream whose consistent-hash owner changes is
+registered on its new shard from the coordinator's graph of it (every
+accepted update is folded in; no worker round trip) and removed from
+its old one.  The union-of-shards answer is preserved at every poll,
+and a worker killed mid-rescale recovers exactly like any other death.
 """
 
 from __future__ import annotations
@@ -73,10 +65,9 @@ import multiprocessing
 import os
 import pickle
 import queue as queue_module
-from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Literal, Mapping
+from typing import Any, Mapping
 
 from .. import obs
 from ..core.checkpoint import load_monitor, write_checkpoint
@@ -112,9 +103,6 @@ from .worker import (
 #: Distinguishes shared-memory namespaces when one process hosts several
 #: coordinators (pid alone is not enough); plain counter per RP010.
 _INSTANCE_COUNTER = 0
-
-BackpressurePolicy = Literal["block", "drop", "spill"]
-POLICIES: tuple[str, ...] = ("block", "drop", "spill")
 
 #: How long a single response may take before we declare the runtime
 #: wedged (workers answer polls in milliseconds; this only trips when
@@ -163,10 +151,8 @@ class ShardedMonitor:
         with one worker the runtime degenerates to a supervised
         single-process monitor (still recoverable).
     queue_capacity:
-        Bound on each worker inbox, in commands.
-    backpressure:
-        ``"block"`` / ``"drop"`` / ``"spill"`` — see the module
-        docstring.
+        Bound on each worker inbox, in commands; a call that meets a
+        full inbox waits for the worker.
     checkpoint_dir:
         Where ``checkpoint()`` writes its export; required for it.
     checkpoint_every:
@@ -201,7 +187,6 @@ class ShardedMonitor:
         scheme: DimensionScheme = PAPER_SCHEME,
         num_workers: int = 2,
         queue_capacity: int = 128,
-        backpressure: str = "block",
         checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 0,
         auto_recover: bool = True,
@@ -216,18 +201,18 @@ class ShardedMonitor:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if queue_capacity < 1:
             raise ValueError(f"queue_capacity must be >= 1, got {queue_capacity}")
-        if backpressure not in POLICIES:
-            raise ValueError(
-                f"backpressure must be one of {POLICIES}, got {backpressure!r}"
-            )
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if checkpoint_every and checkpoint_dir is None:
             raise ValueError("checkpoint_every requires checkpoint_dir")
         if ring_capacity < 1:
             raise ValueError(f"ring_capacity must be >= 1, got {ring_capacity}")
+        # One private copy per pattern, shared by the birth spec and the
+        # live set: ``_seed`` tells a birth query from a re-registered
+        # one by identity.
+        queries = {query_id: graph.copy() for query_id, graph in queries.items()}
         self.spec = WorkerSpec(
-            queries=dict(queries),
+            queries=queries,
             method=method.lower(),
             depth_limit=depth_limit,
             scheme=scheme,
@@ -235,7 +220,6 @@ class ShardedMonitor:
         )
         self.num_workers = num_workers
         self.queue_capacity = queue_capacity
-        self.backpressure = backpressure
         self.checkpoint_every = checkpoint_every
         self.auto_recover = auto_recover
         self.shm = shm
@@ -246,9 +230,6 @@ class ShardedMonitor:
         self.router = ShardRouter(num_workers)
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.recovery_log = RecoveryLog()
-        self._spill: dict[int, deque[tuple]] = {
-            shard: deque() for shard in range(num_workers)
-        }
         self._streams: dict[StreamId, int] = {}
         # The state of record: each stream's current graph — private to
         # this process; what crosses a queue is a copy, because queues
@@ -260,8 +241,6 @@ class ShardedMonitor:
         self._query_deregistrations = 0
         self._last_poll: set[Pair] = set()
         self._request_counter = 0
-        self._dropped = 0
-        self._spilled = 0
         self._accepted_batches = 0
         self._batches_since_checkpoint = 0
         self._closed = False
@@ -408,6 +387,9 @@ class ShardedMonitor:
         self._ensure_open()
         if query_id in self._queries:
             raise ValueError(f"query {query_id!r} is already monitored")
+        # Recorded and enqueued (the inboxes pickle it later, on their
+        # feeder threads) as one copy nothing here mutates.
+        query = query.copy()
         with obs.span("runtime.register_query", query=str(query_id)):
             for shard in sorted(self._workers):
                 self._submit_control(shard, (CMD_REGISTER_QUERY, query_id, query))
@@ -436,37 +418,35 @@ class ShardedMonitor:
     # ------------------------------------------------------------------
     def apply(
         self, stream_id: StreamId, update: GraphChangeOperation | EdgeChange
-    ) -> bool:
-        """Route one edge change / timestamp batch to the owning shard.
+    ) -> None:
+        """Route one edge change / timestamp batch to the owning shard,
+        waiting for room when its inbox is full.
 
-        Returns True when the update was accepted (always, except under
-        the ``"drop"`` policy with a full inbox).  A batch the stream's
-        current graph refuses (duplicate insert, missing delete,
-        unlabeled new vertex) raises :class:`~repro.graph.GraphError`:
-        nothing of it is applied, sent or recorded.
+        A batch the stream's current graph refuses (duplicate insert,
+        missing delete, unlabeled new vertex) raises
+        :class:`~repro.graph.GraphError`: nothing of it is applied,
+        sent or recorded.
         """
         self._ensure_open()
         if stream_id not in self._streams:
             raise KeyError(f"stream {stream_id!r} is not monitored")
         shard = self._streams[stream_id]
         with obs.span("runtime.submit", shard=shard):
-            accepted = self._submit_update(shard, stream_id, update)
-        if accepted:
-            self._accepted_batches += 1
-            self._batches_since_checkpoint += 1
-            if 0 < self.checkpoint_every <= self._batches_since_checkpoint:
-                self.checkpoint()
-        return accepted
+            self._submit_update(shard, stream_id, update)
+        self._accepted_batches += 1
+        self._batches_since_checkpoint += 1
+        if 0 < self.checkpoint_every <= self._batches_since_checkpoint:
+            self.checkpoint()
 
     def apply_many(
         self, updates: Mapping[StreamId, GraphChangeOperation | EdgeChange]
-    ) -> int:
-        """Apply one timestamp's updates across streams; returns how
-        many were accepted."""
-        return sum(1 for sid, update in updates.items() if self.apply(sid, update))
+    ) -> None:
+        """Apply one timestamp's updates across streams."""
+        for stream_id, update in updates.items():
+            self.apply(stream_id, update)
 
     # ------------------------------------------------------------------
-    # submission / backpressure
+    # submission
     # ------------------------------------------------------------------
     def _next_request(self) -> int:
         self._request_counter += 1
@@ -494,7 +474,7 @@ class ShardedMonitor:
                     ) from None
 
     def _submit_control(self, shard: int, command: tuple) -> None:
-        """Control traffic: always lossless and blocking.  Callers
+        """Control traffic, put like data (blocking).  Callers
         update the state of record only once this returns, so a respawn
         in here rebuilds the worker *without* the command's effect and
         the command then lands on it exactly once."""
@@ -510,7 +490,7 @@ class ShardedMonitor:
                 # _handle_for will respawn on the retry.
 
     def _wire_apply(self, shard: int, command: tuple) -> tuple:
-        """The wire form of one apply: ``(envelope, ring_ref)``.
+        """The stamped wire form of one apply.
 
         With ``shm=True`` the payload is pickled once into the
         shard's ring and the queue carries a fixed-size
@@ -520,7 +500,6 @@ class ShardedMonitor:
         queue either way — the quantity the shm bench gates on.
         """
         wire = command
-        ref = None
         ring = self._rings.get(shard) if self.shm else None
         if ring is not None:
             payload = pickle.dumps(command[2])
@@ -534,111 +513,40 @@ class ShardedMonitor:
         envelope = obs.stamp_envelope(wire)
         if obs.enabled():
             obs.counter("runtime.bytes_pickled").inc(len(pickle.dumps(envelope)))
-        return envelope, ref
+        return envelope
 
     def _submit_update(
         self,
         shard: int,
         stream_id: StreamId,
         update: GraphChangeOperation | EdgeChange,
-    ) -> bool:
+    ) -> None:
         """Data traffic: fold the update into the stream's graph, then
-        send it under the backpressure policy.  The fold comes after the
-        liveness check (a respawn must not be built from a batch it is
-        about to be sent) and is taken back when the update is not
-        accepted — dropped, or the send raised."""
+        send it.  The fold comes after the liveness check (a respawn
+        must not be built from a batch it is about to be sent) and is
+        taken back when the send raises."""
         handle = self._handle_for(shard)
         graph = self._graphs[stream_id]
         undo = apply_batch_validated(graph, update)
-        accepted = False
         try:
-            accepted = self._send_update(shard, handle, (CMD_APPLY, stream_id, update))
-        finally:
-            if not accepted:
-                undo_batch(graph, undo)
-        return accepted
+            self._send_update(shard, handle, (CMD_APPLY, stream_id, update))
+        except BaseException:
+            undo_batch(graph, undo)
+            raise
 
-    def _send_update(self, shard: int, handle: _WorkerHandle, command: tuple) -> bool:
-        """Put one folded apply on the wire; False when dropped.
+    def _send_update(self, shard: int, handle: _WorkerHandle, command: tuple) -> None:
+        """Put one folded apply on the wire, waiting out a full inbox.
 
-        Stamped envelopes travel the wire (and wait in the spill buffer,
-        keeping the submit-time trace context).  A worker that dies
-        under the send is re-sent nothing: its respawn is built from
-        graphs that already hold the update.  Ring-borne payloads are
-        rolled back when dropped.
+        The stamped envelope keeps the submit-time trace context.  A
+        worker that dies under the send is re-sent nothing: its respawn
+        is built from graphs that already hold the update.
         """
-        envelope, ref = self._wire_apply(shard, command)
-        if self.backpressure == "block":
-            try:
-                self._put_blocking(handle, envelope)
-            except WorkerDied:
-                if not self.auto_recover:
-                    raise
-                self.recover(shard)
-        elif self.backpressure == "drop":
-            try:
-                handle.inbox.put_nowait(envelope)
-            except queue_module.Full:
-                if ref is not None:
-                    self._rings[shard].rollback(ref)
-                self._dropped += 1
-                if obs.enabled():
-                    obs.counter("runtime.dropped").inc()
-                return False
-        else:  # spill
-            spill = self._spill[shard]
-            if spill:
-                spill.append(envelope)
-                self._spilled += 1
-                self._record_spilled()
-                self._drain_spill(shard, block=False)
-                return True
-            try:
-                handle.inbox.put_nowait(envelope)
-            except queue_module.Full:
-                spill.append(envelope)
-                self._spilled += 1
-                self._record_spilled()
-        return True
-
-    @staticmethod
-    def _record_spilled() -> None:
-        if obs.enabled():
-            obs.counter("runtime.spilled").inc()
-
-    def _drain_spill(self, shard: int, block: bool) -> None:
-        """Move parked commands into the worker inbox, preserving order.
-
-        Drains the whole buffer in one call whenever the inbox has room
-        (``deque`` keeps the per-envelope cost O(1) however deep the
-        backlog got); a full inbox ends the non-blocking drain early.
-        Parked updates are already folded into the graphs of record;
-        recovery empties the buffer and rebuilds the worker from those,
-        so death mid-drain loses nothing.
-        """
-        spill = self._spill[shard]
-        if not spill:
-            return
-        handle = self._handle_for(shard)  # a respawn here empties the buffer
-        while spill:
-            try:
-                if block:
-                    self._put_blocking(handle, spill[0])
-                else:
-                    handle.inbox.put_nowait(spill[0])
-            except queue_module.Full:
-                return
-            except WorkerDied:
-                if not self.auto_recover:
-                    raise
-                self.recover(shard)
-                return
-            spill.popleft()
-
-    def _barrier(self) -> None:
-        """Make every accepted update deliverable: drain all spill buffers."""
-        for shard in self._spill:
-            self._drain_spill(shard, block=True)
+        try:
+            self._put_blocking(handle, self._wire_apply(shard, command))
+        except WorkerDied:
+            if not self.auto_recover:
+                raise
+            self.recover(shard)
 
     # ------------------------------------------------------------------
     # request/response
@@ -697,7 +605,6 @@ class ShardedMonitor:
         (poll = FIFO barrier per worker)."""
         self._ensure_open()
         with obs.span("runtime.matches"):
-            self._barrier()
             aggregated: set[Pair] = set()
             for shard in self._workers:
                 response = self._request(shard, CMD_POLL)
@@ -753,7 +660,6 @@ class ShardedMonitor:
         instruments plus the coordinator's own, combined with
         :func:`repro.obs.merge_summaries`)."""
         self._ensure_open()
-        self._barrier()
         workers: dict[int, dict[str, Any]] = {}
         for shard in self._workers:
             response = self._request(shard, CMD_STATS)
@@ -798,12 +704,11 @@ class ShardedMonitor:
                 "active": self._rescaling,
             },
             "backpressure": {
-                "policy": self.backpressure,
                 "queue_capacity": self.queue_capacity,
                 "accepted_batches": self._accepted_batches,
-                "dropped": self._dropped,
-                "spilled": self._spilled,
-                "parked": sum(len(spill) for spill in self._spill.values()),
+                # Always 0: kept only because benchmarks/e2e/lane.py reads them.
+                "dropped": 0,
+                "spilled": 0,
             },
             "recovery": self.recovery_log.summary(),
             "streams_per_shard": shard_streams,
@@ -821,10 +726,8 @@ class ShardedMonitor:
     def rescale(self, num_workers: int) -> dict[str, Any]:
         """Grow or shrink the worker pool to ``num_workers``, live.
 
-        Runs behind a routing barrier (all spill drained, so every
-        accepted update is delivered before ownership moves).  Each
-        stream whose consistent-hash owner changes is registered on its
-        new owner from the coordinator's graph of it — which holds
+        Each stream whose consistent-hash owner changes is registered
+        on its new owner from the coordinator's graph of it — which holds
         every accepted update, so no worker is asked for anything — and
         removed from its old one; shrinking stops the excess shards
         only after their streams have moved out.  Polls issued after
@@ -901,9 +804,7 @@ class ShardedMonitor:
         """The rescale body: spawn, move, install, retire.  Returns the
         number of streams that changed owner."""
         source = self.num_workers
-        self._barrier()
         for shard in range(source, target):  # grow: new empty shards
-            self._spill[shard] = deque()
             self._workers[shard] = self._spawn(shard, self.spec)
             # Built from the birth spec and owning no stream yet: this
             # brings it up to the live query set.
@@ -941,7 +842,6 @@ class ShardedMonitor:
             ring = self._rings.pop(shard, None)
             if ring is not None:
                 ring.close(unlink=True)
-            del self._spill[shard]
         return moved
 
     # ------------------------------------------------------------------
@@ -949,9 +849,9 @@ class ShardedMonitor:
     # ------------------------------------------------------------------
     def checkpoint(self) -> dict[str, Any]:
         """Export the state of record — the live query set and every
-        stream's current graph, updates parked in spill included — to
-        ``checkpoint_dir``, replacing the previous export atomically; no
-        worker is asked anything.  Returns its
+        stream's current graph, updates a worker has not read yet
+        included — to ``checkpoint_dir``, replacing the previous export
+        atomically; no worker is asked anything.  Returns its
         :func:`~repro.core.checkpoint.checkpoint_stats`."""
         self._ensure_open()
         if self.checkpoint_dir is None:
@@ -982,8 +882,6 @@ class ShardedMonitor:
         to the state of record (:meth:`_seed`)."""
         self._ensure_open()
         self._workers[shard].dispose()
-        # Parked updates are already in the graphs the respawn is seeded with.
-        self._spill[shard].clear()
         self._workers[shard] = self._spawn(shard, self.spec)
         self.recovery_log.recoveries += 1
         self.recovery_log.replayed_commands += self._seed(shard)

@@ -151,12 +151,6 @@ class ShmRing:
         self._head += length
         return ref
 
-    def rollback(self, ref: RingRef) -> None:
-        """Un-push the most recent payload (drop policy rejected it)."""
-        if ref.offset + ref.length != self._head:
-            raise ShmError("can only roll back the most recent push")
-        self._head = ref.offset
-
     def close(self, unlink: bool = True) -> None:
         """Close the ring segment; the producer owns the unlink."""
         self._segment.close()

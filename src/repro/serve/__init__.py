@@ -32,7 +32,7 @@ from .server import (
     replay_dead_letters_async,
     run_server,
 )
-from .session import MonitorBridge, Session, collect_obs_summary, serve_lines
+from .session import MonitorBridge, Session, serve_lines
 
 __all__ = [
     "CircuitBreaker",
@@ -45,7 +45,6 @@ __all__ = [
     "ServeConfig",
     "Session",
     "TokenBucket",
-    "collect_obs_summary",
     "parse_json_line",
     "parse_text_line",
     "replay_dead_letters",

@@ -69,7 +69,6 @@ __all__ = [
     "Session",
     "MonitorBridge",
     "apply_batch_validated",
-    "collect_obs_summary",
     "serve_lines",
 ]
 
@@ -398,11 +397,6 @@ class MonitorBridge:
         if self._extra_stats is not None:
             stats.update(self._extra_stats())
         return stats
-
-
-def collect_obs_summary(monitor: Any) -> dict[str, Any]:
-    """``monitor.obs_summary()``, kept as a function for its importers."""
-    return monitor.obs_summary()
 
 
 def serve_lines(

@@ -4,8 +4,10 @@
 them interchangeable for the CLI and the serve bridge is pinned here:
 equal parameter names on every shared public method, one scripted
 scenario that must read the same on both (an all-or-nothing ``apply``
-included), one refusal of an unknown engine name, and a source check
-that the code which used to tell them apart has not come back.
+included), ``apply`` / ``apply_many`` returning nothing on both,
+query graphs the monitor owns rather than borrows, one refusal of an
+unknown engine name, and a source check that the code which used to
+tell them apart has not come back.
 """
 
 from __future__ import annotations
@@ -122,6 +124,41 @@ def test_scripted_scenario_reads_the_same(flavour: str, tmp_path: Path) -> None:
             assert restored.query_ids() == ["bc"]
     with MONITORS[flavour]({}) as bare, pytest.raises(RuntimeError):
         bare.checkpoint()  # no checkpoint_dir
+
+
+@pytest.mark.parametrize("flavour", sorted(MONITORS))
+def test_apply_and_apply_many_return_none(flavour: str) -> None:
+    with MONITORS[flavour]({"ab": _edge("A", "B")}) as monitor:
+        monitor.add_stream("s")
+        monitor.add_stream("t")
+        assert monitor.apply("s", EdgeChange.insert(1, 2, "-", "A", "B")) is None
+        updates = {
+            "s": EdgeChange.insert(2, 3, "-", None, "A"),
+            "t": GraphChangeOperation([EdgeChange.insert(1, 2, "-", "A", "B")]),
+        }
+        assert monitor.apply_many(updates) is None
+        assert monitor.matches() == {("s", "ab"), ("t", "ab")}
+
+
+@pytest.mark.parametrize("flavour", sorted(MONITORS))
+def test_a_reused_query_graph_changes_nothing(flavour: str, tmp_path: Path) -> None:
+    """The monitor keeps its own copy of every pattern it is handed, at
+    construction and at registration: a caller that goes on editing its
+    graphs changes neither the live answer nor the checkpoint export."""
+    born, late = _edge("A", "B"), _edge("B", "C")
+    with MONITORS[flavour]({"b": born}, checkpoint_dir=tmp_path) as monitor:
+        monitor.add_stream("s")
+        monitor.apply("s", EdgeChange.insert(1, 2, "-", "A", "B"))
+        monitor.apply("s", EdgeChange.insert(2, 3, "-", None, "C"))
+        monitor.register_query("late", late)
+        for pattern in (born, late):  # now needs a Z neighbour "s" lacks
+            pattern.add_vertex(9, "Z")
+            pattern.add_edge(0, 9, "-")
+        live = monitor.matches()
+        monitor.checkpoint()
+    assert live == {("s", "b"), ("s", "late")}
+    with load_monitor(tmp_path, MONITORS[flavour]) as restored:
+        assert restored.matches() == live
 
 
 @pytest.mark.parametrize("flavour", sorted(MONITORS))

@@ -200,7 +200,7 @@ class TestReplay:
         sharded = capsys.readouterr().out
         event_lines = [line for line in sharded.splitlines() if not line.startswith("workers:")]
         assert "\n".join(event_lines) + "\n" == single
-        assert "policy: block" in sharded
+        assert "batches:" in sharded
 
     def test_replay_with_live_rescale_same_events(self, replay_inputs, capsys):
         queries, streams = replay_inputs
@@ -249,6 +249,16 @@ class TestReplay:
         with pytest.raises(SystemExit):
             main(["replay", "--queries", queries, "--streams", *streams, "--shm"])
 
+    def test_policy_flag_is_gone(self, replay_inputs):
+        """A full worker inbox always blocks: there is no policy to pick."""
+        queries, streams = replay_inputs
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["replay", "--queries", queries, "--streams", *streams,
+                 "--workers", "1", "--policy", "block"]
+            )
+        assert excinfo.value.code == 2
+
     @pytest.mark.parametrize("spec", ("nope", "2", "x:3", "2:y", "0:2", "2:0"))
     def test_malformed_rescale_spec_rejected(self, replay_inputs, spec):
         queries, streams = replay_inputs
@@ -264,7 +274,7 @@ class TestReplay:
             [
                 "replay", "--queries", queries, "--streams", *streams,
                 "--workers", "2", "--checkpoint-dir", str(tmp_path / "ckpt"),
-                "--checkpoint-every", "3", "--policy", "spill",
+                "--checkpoint-every", "3",
             ]
         ) == 0
         assert "final possible pairs:" in capsys.readouterr().out

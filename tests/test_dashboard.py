@@ -76,13 +76,7 @@ def synthetic_stats() -> dict:
         "num_queries": 3,
         "method": "nl",
         "inbox_depths": {0: 1, 1: 0},
-        "backpressure": {
-            "policy": "spill",
-            "accepted_batches": 12,
-            "dropped": 1,
-            "spilled": 2,
-            "parked": 0,
-        },
+        "backpressure": {"queue_capacity": 128, "accepted_batches": 12},
         "obs": {
             "monitor.apply.seconds": dict(HIST),
             "monitor.polls": {"kind": "counter", "help": "", "value": 4},
@@ -121,7 +115,7 @@ class TestRenderDashboard:
         assert "p50=" in frame and "p90=" in frame and "p99=" in frame
         assert "changes=20  polls=4  events=3" in frame
         assert "shard0=1  shard1=0" in frame
-        assert "policy=spill" in frame and "dropped=1" in frame
+        assert "capacity=128  accepted=12" in frame
         assert "candidates=5" in frame
         assert "fp_ratio~0.250" in frame
         assert "probed=8" in frame and "probe_skipped=2" in frame

@@ -148,25 +148,27 @@ def test_restart_reads_like_an_uninterrupted_twin(before, after, ids, tmp_path):
                 assert sizes["num_vertices"] == twin.graph(stream_id).num_vertices
 
 
-def test_export_includes_updates_still_parked_in_spill(tmp_path):
+def test_export_includes_updates_a_worker_has_not_read(tmp_path):
     """No barrier: the coordinator exports its own folded graphs, so an
-    update a stopped worker has not even received is in the export."""
+    update still waiting in a stopped worker's inbox is in the export."""
     patterns, ticks = scenario(str)
     queries = {key: patterns[key] for key in INITIAL}
+    twin = StreamMonitor(queries)
+    twin.add_stream("cards")
     with ShardedMonitor(
-        queries, num_workers=1, queue_capacity=1, backpressure="spill", checkpoint_dir=tmp_path
+        queries, num_workers=1, queue_capacity=8, checkpoint_dir=tmp_path
     ) as sharded:
         sharded.add_stream("cards")
         sharded.matches()
         os.kill(sharded.worker_pids()[0], signal.SIGSTOP)
         try:
-            for tick in ticks[:6]:
+            for tick in ticks[:6]:  # six applies fit the eight-slot inbox
                 sharded.apply("cards", tick["cards"])
-            assert sharded._spilled > 0
+                twin.apply("cards", tick["cards"])
             sharded.checkpoint()
         finally:
             os.kill(sharded.worker_pids()[0], signal.SIGCONT)
-        assert load_monitor(tmp_path).graph("cards") == sharded.graph("cards")
+        assert load_monitor(tmp_path).graph("cards") == twin.graph("cards")
 
 
 def test_checkpoint_every_counts_applied_updates_in_process(tmp_path):

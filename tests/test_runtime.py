@@ -1,13 +1,14 @@
 """The sharded runtime must be a behavioural drop-in for the
 single-process monitor: identical answers at every poll for every worker
-count, lossless recovery after a worker is killed, and the documented
-backpressure semantics."""
+count, lossless recovery after a worker is killed, and bounded inboxes
+that make the caller wait."""
 
 from __future__ import annotations
 
 import os
 import random
 import signal
+import threading
 import time
 
 import pytest
@@ -15,9 +16,8 @@ import pytest
 from repro.core import checkpoint_stats, load_monitor
 from repro.core.monitor import StreamMonitor
 from repro.datasets.stream_gen import synthesize_stream
-from repro.graph import EdgeChange, GraphChangeOperation
+from repro.graph import EdgeChange, GraphChangeOperation, LabeledGraph
 from repro.runtime import (
-    POLICIES,
     ShardRouter,
     ShardedMonitor,
     WorkerCrashed,
@@ -25,6 +25,8 @@ from repro.runtime import (
     stable_hash,
 )
 from repro.runtime.worker import CMD_ADD_STREAM
+from repro.serve.protocol import parse_text_line
+from repro.serve.session import MonitorBridge, Session
 
 from .conftest import random_labeled_graph
 
@@ -209,8 +211,8 @@ class TestLifecycle:
         queries = small_queries(rng)
         with pytest.raises(ValueError):
             ShardedMonitor(queries, num_workers=0)
-        with pytest.raises(ValueError):
-            ShardedMonitor(queries, backpressure="yolo")
+        with pytest.raises(TypeError):  # a full inbox always blocks: no knob
+            ShardedMonitor(queries, backpressure="block")
         with pytest.raises(ValueError):
             ShardedMonitor(queries, checkpoint_every=5)  # no checkpoint_dir
 
@@ -241,7 +243,7 @@ class TestLifecycle:
             stats = sharded.stats()
         assert stats["num_workers"] == 2
         assert stats["num_streams"] == 1
-        assert stats["backpressure"]["policy"] == "block"
+        assert stats["backpressure"]["queue_capacity"] == 128
         assert stats["backpressure"]["accepted_batches"] == 1
         assert set(stats["workers"]) == {0, 1}
         assert stats["recovery"] == {
@@ -262,7 +264,7 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# backpressure policies
+# backpressure: a full inbox blocks the caller
 # ----------------------------------------------------------------------
 def _pause_worker(sharded: ShardedMonitor, shard: int) -> int:
     pid = sharded.worker_pids()[shard]
@@ -272,99 +274,45 @@ def _pause_worker(sharded: ShardedMonitor, shard: int) -> int:
 
 
 class TestBackpressure:
-    def test_policies_constant(self):
-        assert POLICIES == ("block", "drop", "spill")
-
-    def test_drop_counts_rejected_updates(self):
-        rng = random.Random(21)
-        queries = small_queries(rng)
-        with ShardedMonitor(
-            queries, num_workers=1, queue_capacity=1, backpressure="drop"
-        ) as sharded:
-            sharded.add_stream("s0", random_labeled_graph(rng, 4))
-            pid = _pause_worker(sharded, 0)
-            try:
-                results = [
-                    sharded.apply(
-                        "s0", EdgeChange.insert(50 + i, 60 + i, "-", "A", "B")
-                    )
-                    for i in range(6)
-                ]
-            finally:
-                os.kill(pid, signal.SIGCONT)
-            assert not all(results)
-            stats = sharded.stats()
-            assert stats["backpressure"]["dropped"] >= 1
-            assert stats["backpressure"]["dropped"] == results.count(False)
-
-    def test_spill_is_lossless(self):
-        rng = random.Random(22)
-        queries = small_queries(rng)
-        streams = small_streams(rng, count=2, timestamps=4)
-        oracle = StreamMonitor(queries, method="dsc")
-        with ShardedMonitor(
-            queries, num_workers=2, queue_capacity=1, backpressure="spill"
-        ) as sharded:
-            for stream_id, stream in streams.items():
-                sharded.add_stream(stream_id, stream.initial)
-                oracle.add_stream(stream_id, stream.initial)
-            pids = [_pause_worker(sharded, shard) for shard in (0, 1)]
-            try:
-                horizon = min(len(s.operations) for s in streams.values())
-                for t in range(horizon):
-                    for stream_id, stream in streams.items():
-                        assert sharded.apply(stream_id, stream.operations[t])
-                        oracle.apply(stream_id, stream.operations[t])
-            finally:
-                for pid in pids:
-                    os.kill(pid, signal.SIGCONT)
-            # The poll barrier drains every parked command first.
-            assert sharded.matches() == oracle.matches()
-            stats = sharded.stats()
-            assert stats["backpressure"]["spilled"] >= 1
-            assert stats["backpressure"]["parked"] == 0
-            assert stats["backpressure"]["dropped"] == 0
-
-    def test_deep_spill_drains_fully_once_inbox_has_room(self):
-        """Regression: a deep spill backlog must drain completely on
-        the next submission when the inbox has capacity — not one
-        envelope per tick, which would starve a recovered shard for as
-        many ticks as the backlog is deep."""
-        rng = random.Random(24)
-        queries = small_queries(rng)
-        with ShardedMonitor(
-            queries, num_workers=1, queue_capacity=8, backpressure="spill"
-        ) as sharded:
-            sharded.add_stream("s0", random_labeled_graph(rng, 4))
-            pid = _pause_worker(sharded, 0)
-            try:
-                # Fill the inbox, then park a backlog behind it.
-                for i in range(14):
-                    assert sharded.apply(
-                        "s0", EdgeChange.insert(200 + i, 300 + i, "-", "A", "B")
-                    )
-                assert len(sharded._spill[0]) >= 4
-            finally:
-                os.kill(pid, signal.SIGCONT)
-            deadline = time.monotonic() + 10
-            while sharded.inbox_depths()[0] > 0:
-                assert time.monotonic() < deadline, "worker never drained inbox"
-                time.sleep(0.01)
-            assert len(sharded._spill[0]) >= 4  # still parked: no tick yet
-            # One submission; the whole backlog fits the empty inbox.
-            assert sharded.apply("s0", EdgeChange.insert(900, 901, "-", "A", "B"))
-            assert len(sharded._spill[0]) == 0
-            assert sharded.stats()["backpressure"]["parked"] == 0
-
     def test_block_is_lossless_under_tiny_queue(self):
         rng = random.Random(23)
         queries = small_queries(rng)
         streams = small_streams(rng, count=2, timestamps=3)
-        with ShardedMonitor(
-            queries, num_workers=2, queue_capacity=1, backpressure="block"
-        ) as sharded:
+        with ShardedMonitor(queries, num_workers=2, queue_capacity=1) as sharded:
             drive_both(sharded, streams)
-            assert sharded.stats()["backpressure"]["dropped"] == 0
+            horizon = min(len(stream.operations) for stream in streams.values())
+            assert sharded.stats()["backpressure"]["accepted_batches"] == 2 * horizon
+
+    def test_served_commit_waits_out_a_full_inbox(self):
+        """A served ``tick`` over more staged streams than a paused
+        worker's inbox holds is acked once the worker has room again,
+        with every batch applied: nothing is dropped behind an ``ok``."""
+        edge = LabeledGraph.from_vertices_and_edges([(0, "A"), (1, "B")], [(0, 1, "-")])
+        streams = [f"s{i}" for i in range(6)]
+        with ShardedMonitor({"q": edge}, num_workers=1, queue_capacity=1) as sharded:
+            bridge, session = MonitorBridge(sharded), Session(1)
+            for stream_id in streams:
+                for line in (f"stream {stream_id}", f"ins {stream_id} 1 2 - A B"):
+                    assert bridge.execute(session, parse_text_line(line))["ok"]
+            sharded.matches()  # every registration read: the inbox is empty
+            pid = _pause_worker(sharded, 0)
+            resume = threading.Timer(1.0, os.kill, (pid, signal.SIGCONT))
+            resume.start()
+            started = time.monotonic()
+            try:
+                reply = bridge.execute(session, parse_text_line("tick"))
+            finally:
+                resume.cancel()
+                os.kill(pid, signal.SIGCONT)
+            # One slot, six batches: the commit had to wait for the resume.
+            assert time.monotonic() - started >= 0.5
+            assert reply["ok"] and reply["applied"] == 6, reply
+            assert sorted((e["kind"], e["stream"]) for e in reply["events"]) == [
+                ("appeared", stream_id) for stream_id in streams
+            ]
+            for stream_id in streams:
+                assert sharded.graph(stream_id).has_edge("1", "2")  # text ids
+            assert sharded.matches() == {(stream_id, "q") for stream_id in streams}
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.dashboard import render_dashboard
 from repro.graph.operations import EdgeChange, GraphChangeOperation
 from repro.obs import Registry, SloRule
 from repro.serve import ObservabilityEndpoint, ReproServer, ServeConfig
-from repro.serve.session import collect_obs_summary
 
 from .test_obs import parse_prometheus_text
 from .test_serve_server import connect, edge_query, ins, send_cmd
@@ -267,7 +266,7 @@ class TestOverloadScript:
                 rejected += 0 if reply["ok"] else 1
             await asyncio.sleep(0.3)  # several sample+evaluate ticks
             _, _, slo_body = await http_get(server.http_port, "/slo")
-            summary = collect_obs_summary(monitor)
+            summary = monitor.obs_summary()
             frame = render_dashboard(summary, timeline=server.timeline)
             await send_cmd(reader, writer, {"cmd": "quit"})
             await server.drain()
@@ -302,7 +301,7 @@ class TestMergedScrapeAfterChurn:
             )
             sharded.matches()
             before = parse_prometheus_text(
-                obs.render_prometheus(collect_obs_summary(sharded), prefix="repro")
+                obs.render_prometheus(sharded.obs_summary(), prefix="repro")
             )
             sharded.deregister_query("q0")
             sharded.register_query("q2", edge_query())
@@ -312,7 +311,7 @@ class TestMergedScrapeAfterChurn:
             )
             sharded.matches()
             after_text = obs.render_prometheus(
-                collect_obs_summary(sharded), prefix="repro"
+                sharded.obs_summary(), prefix="repro"
             )
             # The golden parser enforces the structural rules (TYPE-
             # before-samples, cumulative buckets, +Inf == _count) over
@@ -335,5 +334,5 @@ class TestMergedScrapeAfterChurn:
             assert 'query="q0"' in queries_seen  # pre-removal history kept
             # Rendering is deterministic: a second render is identical.
             assert after_text == obs.render_prometheus(
-                collect_obs_summary(sharded), prefix="repro"
+                sharded.obs_summary(), prefix="repro"
             )

@@ -129,20 +129,6 @@ class TestRing:
             reader.close()
             ring.close()
 
-    def test_rollback_unpushes_only_the_latest(self):
-        ring, reader = self.make_ring(64)
-        try:
-            first = ring.push(b"keep")
-            second = ring.push(b"drop")
-            with pytest.raises(ShmError):
-                ring.rollback(first)
-            ring.rollback(second)
-            assert ring.free_bytes() == 64 - len(b"keep")
-            assert reader.read(first) == b"keep"
-        finally:
-            reader.close()
-            ring.close()
-
     def test_corruption_fails_the_crc_loudly(self):
         ring, reader = self.make_ring(64)
         try:

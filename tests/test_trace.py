@@ -376,8 +376,24 @@ class TestTraceCli:
         from repro.cli import main
 
         qpath, spaths = self._write_workload(tmp_path)
-        assert main(["trace", "--queries", qpath, "--streams", *spaths,
-                     "--format", "text", "--top", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "critical spans" in out
-        assert "monitor.apply" in out
+
+        def rows(top: int) -> tuple[int, list[tuple[float, str]]]:
+            """The collected count and the ``(TOTAL_MS, NAME)`` of each
+            table row of one text export."""
+            assert main(["trace", "--queries", qpath, "--streams", *spaths,
+                         "--format", "text", "--top", str(top)]) == 0
+            title, header, *table = capsys.readouterr().out.splitlines()
+            assert "critical spans" in title and "TOTAL_MS" in header
+            collected = int(title.split(" of ")[1].split()[0])
+            return collected, [(float(line.split()[0]), line.split()[3]) for line in table]
+
+        # Which spans are longest is timing; how many and in what order is not.
+        _, top3 = rows(3)
+        assert len(top3) == 3
+        totals = [total for total, _ in top3]
+        assert totals == sorted(totals, reverse=True)
+        collected, everything = rows(10**6)
+        assert len(everything) == collected  # every span shown
+        names = {name for _, name in everything}
+        assert {name for _, name in top3} <= names
+        assert "monitor.apply" in names
