@@ -1,13 +1,12 @@
 """Command-line interface.
 
-Thirteen subcommands::
+Twelve subcommands::
 
     python -m repro generate ...    # write synthetic datasets to files
     python -m repro search ...      # static filter-and-verify search
     python -m repro monitor ...     # replay streams, print match events
     python -m repro replay ...      # same, with live rescale/churn and runtime knobs
     python -m repro serve ...       # serving layer: stdin lines or --tcp JSON
-    python -m repro dlq ...         # inspect/replay the dead-letter journal
     python -m repro stats ...       # render an observability dump (Prometheus/JSON)
     python -m repro trace ...       # export a replay's span tree (Perfetto/text)
     python -m repro top ...         # live dashboard over stats()
@@ -233,43 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(PORT 0 picks a free port, announced in the listening notice)",
     )
     serve.add_argument(
-        "--rate",
-        type=float,
-        default=0.0,
-        help="per-session data commands per second (0 = unlimited)",
-    )
-    serve.add_argument(
-        "--burst", type=float, default=8.0, help="token-bucket burst size"
-    )
-    serve.add_argument(
         "--admission-capacity",
         type=int,
         default=64,
         help="max data commands queued ahead of the writer task",
-    )
-    serve.add_argument(
-        "--admission-policy",
-        choices=["reject", "shed"],
-        default="reject",
-        help="full-queue behavior: refuse the newcomer, or shed the oldest",
-    )
-    serve.add_argument(
-        "--breaker-threshold",
-        type=float,
-        default=0.0,
-        help="circuit breaker trips when the deepest worker inbox stays "
-        "at/above this (0 = disabled)",
-    )
-    serve.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=1.0,
-        help="seconds an open breaker waits before going half-open",
-    )
-    serve.add_argument(
-        "--dlq-dir",
-        help="directory for the poison-batch dead-letter journal "
-        "(dlq.jsonl; omit for in-memory only)",
     )
     serve.add_argument(
         "--http",
@@ -293,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--flight-dir",
-        help="flight-recorder directory (refusals/sheds/dead-letters "
-        "journaled to flight-serve.jsonl)",
+        help="flight-recorder directory (refusals journaled to "
+        "flight-serve.jsonl)",
     )
 
     # -- slo --------------------------------------------------------------
@@ -335,27 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     flight.add_argument("--file", help="journal (.jsonl) or dump (.json) to show")
     flight.add_argument(
         "--pid", type=int, help="process to SIGUSR2 (signal action)"
-    )
-
-    # -- dlq --------------------------------------------------------------
-    dlq = subparsers.add_parser(
-        "dlq",
-        help="inspect or replay the serve dead-letter journal",
-    )
-    dlq.add_argument("action", choices=["list", "show", "replay"])
-    dlq.add_argument(
-        "--dir", required=True, help="journal directory (serve's --dlq-dir)"
-    )
-    dlq.add_argument("--id", type=int, help="dead-letter id (show / replay)")
-    dlq.add_argument(
-        "--tcp",
-        metavar="HOST:PORT",
-        help="live server to replay against (required for replay)",
-    )
-    dlq.add_argument(
-        "--include-replayed",
-        action="store_true",
-        help="also list entries already replayed",
     )
 
     # -- stats ------------------------------------------------------------
@@ -817,16 +762,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     restored = bool(args.checkpoint_dir) and Path(args.checkpoint_dir, MANIFEST).is_file()
     queries = dict(read_graph_set(args.queries))
     with _open_monitor(args, queries, restore=restored) as monitor:
-        # The serving edge (asyncio, ssl, http, admission) is imported
+        # The serving edge (asyncio, ssl, http) is imported
         # only now that the workers have forked: they never serve, and
         # would carry its pages for life.
-        from .serve import DeadLetterQueue, ServeConfig, run_server, serve_lines
+        from .serve import ServeConfig, run_server, serve_lines
         from .serve.protocol import encode_reply
 
         def emit(payload: dict) -> None:
             print(encode_reply(payload), flush=True)
 
-        dlq = DeadLetterQueue(args.dlq_dir)
         if args.tcp:
             host, port = _parse_host_port(args.tcp)
             http_host, http_port = (None, 0)
@@ -837,68 +781,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ServeConfig(
                     host=host,
                     port=port,
-                    rate=args.rate,
-                    burst=args.burst,
                     admission_capacity=args.admission_capacity,
-                    admission_policy=args.admission_policy,
-                    breaker_threshold=args.breaker_threshold,
-                    breaker_cooldown=args.breaker_cooldown,
                     http_host=http_host,
                     http_port=http_port,
                     drain_grace=args.drain_grace,
                     timeline_interval=args.timeline_interval,
                     flight_dir=args.flight_dir,
                 ),
-                dlq=dlq,
                 emit=emit,
                 restored=restored,
             )
         else:
-            serve_lines(
-                monitor, sys.stdin, emit, dlq=dlq, stats_every=args.stats_every
-            )
-    return 0
-
-
-def _cmd_dlq(args: argparse.Namespace) -> int:
-    import json
-
-    from .serve import DeadLetterQueue, replay_dead_letters
-
-    dlq = DeadLetterQueue(args.dir)
-    if args.action == "list":
-        entries = dlq.entries(include_replayed=args.include_replayed)
-        for entry in entries:
-            flag = "replayed" if entry.replayed else "pending"
-            print(
-                f"{entry.dlq_id}\t{flag}\tstream={entry.stream}\t"
-                f"changes={len(entry.changes)}\t{entry.error}"
-            )
-        print(f"total: {len(entries)}")
-        return 0
-    if args.action == "show":
-        if args.id is None:
-            print("dlq show needs --id", file=sys.stderr)
-            return 2
-        entry = dlq.get(args.id)
-        if entry is None:
-            print(f"no dead letter with id {args.id}", file=sys.stderr)
-            return 2
-        print(json.dumps(entry.to_dict(), indent=2, sort_keys=True))
-        return 0
-    # replay
-    if not args.tcp:
-        print("dlq replay needs --tcp HOST:PORT of a live server", file=sys.stderr)
-        return 2
-    host, port = _parse_host_port(args.tcp)
-    if args.id is not None and dlq.get(args.id) is None:
-        print(f"no dead letter with id {args.id}", file=sys.stderr)
-        return 2
-    replayed = replay_dead_letters(dlq, host, port)
-    if args.id is not None and args.id not in replayed:
-        print(f"dead letter {args.id} was not replayed", file=sys.stderr)
-        return 1
-    print(f"replayed: {' '.join(map(str, replayed)) or '-'}")
+            serve_lines(monitor, sys.stdin, emit, stats_every=args.stats_every)
     return 0
 
 
@@ -1173,7 +1067,6 @@ def main(argv: list[str] | None = None) -> int:
         "monitor": _cmd_monitor,
         "replay": _cmd_replay,
         "serve": _cmd_serve,
-        "dlq": _cmd_dlq,
         "stats": _cmd_stats,
         "trace": _cmd_trace,
         "top": _cmd_top,

@@ -19,8 +19,8 @@ one internally): quantiles come from histogram-bucket *deltas* over the
 trailing window, so one early spike no longer skews the numbers
 forever; without a timeline (single ``--dump`` frames) they fall back
 to the lifetime-cumulative histogram, marked ``lifetime``.  The
-timeline also powers the overload panel — per-sample admitted /
-rejected / shed rate sparklines plus the circuit-breaker state strip.
+timeline also powers the overload panel — per-sample admitted and
+rejected rate sparklines.
 
 Shown per frame: apply-latency percentiles (from the
 ``monitor.apply.seconds`` histogram), poll/event counters, worker inbox
@@ -32,8 +32,8 @@ registration/retirement totals, dedup group count, and the latency
 percentiles of the outermost ``<layer>.register_query`` span that
 ran), the serving edge when the stats
 came from a ``repro serve`` server (active sessions, admission queue
-depth, breaker state, admit/reject/shed/dead-letter counts and commit
-latency percentiles), per-dimension pruning power
+depth, admit/reject/refused counts and commit latency percentiles),
+per-dimension pruning power
 (the ``join.<engine>.pruned{dim=...}`` counters of
 :mod:`repro.obs.quality`), and the live false-positive-ratio estimate
 gauge when the precision probe is running.
@@ -151,24 +151,18 @@ def _latency_line(
     return f"{label}{quantiles}  (n={entry.get('count', 0)}, {scope})"
 
 
-#: Breaker gauge codes (``serve.breaker_state``) -> strip glyph.
-_BREAKER_GLYPHS = {0: ".", 1: "?", 2: "!"}
-
-
 def _overload_panel(timeline: Timeline | None, width: int) -> list[str]:
     """The serving-edge overload timeline: per-sample rate sparklines
-    for admitted/rejected/shed plus the breaker state strip, with the
-    transitions called out.  Empty when there is no timeline or the
-    edge has seen no admission traffic yet."""
+    for admitted/rejected.  Empty when there is no timeline or the edge
+    has seen no admission traffic yet."""
     if timeline is None or len(timeline) < 2:
         return []
     spark_width = max(min(width - 26, 60), 10)
     series = {
         name: timeline.series(f"serve.{name}", points=spark_width)
-        for name in ("admitted", "rejected", "shed")
+        for name in ("admitted", "rejected")
     }
-    breaker = timeline.series("serve.breaker_state", points=spark_width)
-    if not any(any(values) for values in series.values()) and not any(breaker):
+    if not any(any(values) for values in series.values()):
         return []
     lines = ["overload timeline (per-sample rates, newest right)"]
     for name, values in series.items():
@@ -176,14 +170,6 @@ def _overload_panel(timeline: Timeline | None, width: int) -> list[str]:
         lines.append(
             f"  {name:<9} [{_sparkline(values, spark_width)}]  peak={peak:.1f}/s"
         )
-    strip = "".join(_BREAKER_GLYPHS.get(int(code), "?") for code in breaker)
-    transitions = sum(
-        1 for prev, cur in zip(breaker, breaker[1:]) if int(prev) != int(cur)
-    )
-    lines.append(
-        f"  {'breaker':<9} [{strip.rjust(spark_width)}]  "
-        f"transitions={transitions} (.=closed ?=half-open !=open)"
-    )
     return lines
 
 
@@ -196,7 +182,7 @@ def render_dashboard(
 
     With a ``timeline``, latency percentiles are computed over the
     trailing window's histogram-bucket deltas and the overload panel
-    (admitted/rejected/shed sparklines + breaker strip) is rendered.
+    (admitted/rejected sparklines) is rendered.
     """
     summary = _obs_summary(stats)
     lines: list[str] = []
@@ -286,13 +272,12 @@ def render_dashboard(
         lines.append(
             f"serve           sessions={serve.get('sessions', 0)}  "
             f"queue={serve.get('queue_depth', 0)}  "
-            f"breaker={serve.get('breaker', 'closed')}  "
             f"t={serve.get('timestamp', 0)}"
         )
         lines.append(
             f"admission       admitted={serve.get('admitted', 0)}  "
-            f"rejected={rejected:.0f}  shed={serve.get('shed', 0)}  "
-            f"dlq={serve.get('dead_letters', 0)}  "
+            f"rejected={rejected:.0f}  "
+            f"refused={serve.get('dead_letters', 0)}  "
             f"batches={serve.get('accepted_batches', 0)}"
         )
         commit_line = _latency_line(

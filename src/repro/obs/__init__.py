@@ -40,10 +40,9 @@ Three historically-aware layers build on the snapshots:
 * **SLOs** — :class:`SloEngine` evaluates declarative :class:`SloRule`
   objectives over the timeline with ok/warn/breach hysteresis,
   exporting ``slo.state`` / ``slo.breaches`` back into the registry.
-* **Flight recorder** — :class:`FlightRecorder` journals refusals,
-  sheds, dead letters, and worker command notes to a bounded ring and
-  an eagerly-flushed JSONL file that survives SIGKILL; full snapshots
-  dump on crash or SIGUSR2 (:func:`install_signal_dump`).  Every
+* **Flight recorder** — :class:`FlightRecorder` journals refusals and
+  worker command notes to a bounded ring and an eagerly-flushed JSONL
+  file that survives SIGKILL; full snapshots dump on crash or SIGUSR2 (:func:`install_signal_dump`).  Every
   metric name these layers reference must exist in
   :mod:`repro.obs.catalog` (rule RP018).
 

@@ -90,16 +90,14 @@ CATALOG: dict[str, tuple] = {
     # -- serving edge ------------------------------------------------------
     "serve.admitted": ("counter", "commands admitted"),
     "serve.batches_applied": ("counter", "staged batches applied by commit"),
-    "serve.breaker_state": ("gauge", "0=closed 1=half-open 2=open"),
     "serve.commands": ("counter", "protocol commands executed"),
     "serve.commit.seconds": ("histogram", "seconds per serve commit"),
     "serve.deregister_query.seconds": ("histogram", "seconds per delq command; a refused one feeds the error-labelled series"),
-    "serve.dlq": ("counter", "poison batches journaled to the dead-letter queue"),
     "serve.queue_depth": ("gauge", "data commands waiting in the admission queue"),
+    "serve.refused": ("counter", "poison batches and queries refused by commit or addq"),
     "serve.register_query.seconds": ("histogram", "seconds per addq command; a refused one feeds the error-labelled series"),
     "serve.rejected": ("counter", "commands rejected at the edge, by reason"),
     "serve.sessions": ("gauge", "connected sessions"),
-    "serve.shed": ("counter", "queued commands shed under overload"),
     # -- timeline / SLO / flight (this layer's own telemetry) -------------
     "flight.events": ("counter", "events appended to the flight recorder"),
     "slo.breaches": ("counter", "transitions into the breach state, by rule"),

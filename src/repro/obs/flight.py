@@ -4,9 +4,8 @@ Post-mortem debugging of a SIGKILLed worker has nothing to work with —
 the registry dies with the process and the span ring is in its heap.
 The flight recorder fixes that with two complementary channels:
 
-* an **in-memory ring** of the last ``capacity`` events (refusals,
-  sheds, dead-letter envelopes, per-command worker notes), cheap enough
-  to keep always-on;
+* an **in-memory ring** of the last ``capacity`` events (refusals and
+  per-command worker notes), cheap enough to keep always-on;
 * an optional **eagerly-flushed JSONL journal** on disk.  Every
   :meth:`FlightRecorder.note` appends one line and flushes, so even a
   SIGKILL — which runs no handlers — leaves the journal readable up to

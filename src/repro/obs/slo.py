@@ -144,14 +144,6 @@ DEFAULT_RULES: tuple[SloRule, ...] = (
         breach_after=2,
         description="edge rejections stay under 5/s over the window",
     ),
-    SloRule(
-        "shed-rate",
-        "serve.shed",
-        "rate_max",
-        1.0,
-        breach_after=2,
-        description="load shedding stays under 1/s over the window",
-    ),
 )
 
 

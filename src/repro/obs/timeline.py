@@ -23,8 +23,7 @@ after it is pure between-sample activity.
 All clock reads stay in this module (``repro.obs`` is the single source
 of timing truth — rule RP009 keeps ``time.*`` out of the instrumented
 packages); callers can inject a fake
-clock for deterministic tests, the same pattern as
-:class:`repro.serve.admission.TokenBucket`.
+clock for deterministic tests.
 
 :class:`TimelineSampler` adapts the timeline to synchronous poll loops
 (``repro top``, benchmarks) and to the serve layer's periodic asyncio

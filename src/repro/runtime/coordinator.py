@@ -13,7 +13,8 @@ changes where the work happens, never the answer.
 (``queue_capacity`` commands each).  A call that meets a full inbox
 waits for the worker: no update is ever discarded or parked on the
 coordinator side.  Overload is refused where a client can see it, at
-the serving edge (``repro serve --admission-policy``).
+the serving edge's bounded admission queue (``repro serve
+--admission-capacity``).
 
 **Consistency.**  A poll is a per-worker FIFO barrier: the poll command
 is enqueued behind every previously accepted update, so the aggregated

@@ -93,8 +93,8 @@ class AddQuery(Command):
     (``graph_file`` + optional ``graph_key``) or inline as
     ``vertices``/``edges`` tuples (JSON protocol only).  Semantic
     problems — unreadable file, missing key, malformed pattern,
-    duplicate id — are *poison queries*: the executor dead-letters them
-    (``kind: "query"``) instead of crashing the session.
+    duplicate id — are *poison queries*: the executor refuses them
+    instead of crashing the session.
     """
 
     query_id: Any
@@ -281,7 +281,7 @@ def parse_text_line(line: str) -> Command | None:
 
 
 def change_to_dict(change: EdgeChange) -> dict[str, Any]:
-    """Loss-free JSON shape of one edge change (also the DLQ format)."""
+    """Loss-free JSON shape of one edge change."""
     doc: dict[str, Any] = {"op": change.op, "u": change.u, "v": change.v}
     if change.op == INSERT:
         doc["edge_label"] = change.edge_label
@@ -354,7 +354,7 @@ def parse_json_line(line: str) -> Command | None:
             )
         try:
             # Shape only; pattern *content* problems are poison queries,
-            # handled (dead-lettered) by the executor, not the parser.
+            # refused by the executor, not the parser.
             inline_vertices = tuple(tuple(item) for item in vertices)
             inline_edges = tuple(tuple(item) for item in edges)
         except TypeError as exc:

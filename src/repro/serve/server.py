@@ -14,14 +14,12 @@ One ``asyncio`` event loop runs:
   the only task that touches the monitor, which makes the sharded
   coordinator's synchronous request/reply protocol safe without locks.
 
-Admission control happens *before* a command is queued: per-session
-token bucket, then circuit breaker (keyed on worker inbox depth), then
-the bounded admission queue.  Every rejection is a structured reply
-with a ``retry_after`` hint — the edge never silently blocks and never
-drops an *acked* batch (only never-admitted or explicitly ``shed``
-commands are refused, and the client is told).  Control commands
-(``matches``/``stats``/...) bypass admission so a congested server
-stays observable.
+Admission happens *before* a data command is queued: a draining
+server refuses it, then one bounded FIFO admission queue refuses it
+when full.  Every rejection is a structured reply with a
+``retry_after`` hint — the edge never silently blocks and never drops
+an admitted command.  Control commands (``matches``/``stats``/...)
+bypass admission so a congested server stays observable.
 
 Draining (SIGTERM or :meth:`ReproServer.drain`) stops the listener,
 tells every session ``{"notice": "draining"}``, holds ``drain_grace``
@@ -34,24 +32,21 @@ Observability rides the same loop: an optional HTTP endpoint
 health probes, a periodic sampler folds the merged registry summary
 into a :class:`~repro.obs.timeline.Timeline` and re-evaluates the
 :class:`~repro.obs.slo.SloEngine`, and a
-:class:`~repro.obs.flight.FlightRecorder` journals every refusal,
-shed, and dead-letter so overload incidents are reconstructable.  The
-sampler only reads snapshots between writer commands (no awaits inside
-the monitor critical section), so it can never interleave with a
-half-executed command.
+:class:`~repro.obs.flight.FlightRecorder` journals every refusal so
+overload incidents are reconstructable.  The sampler only reads
+snapshots between writer commands (no awaits inside the monitor
+critical section), so it can never interleave with a half-executed
+command.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 from .. import obs
-from .admission import CircuitBreaker, TokenBucket
-from .dlq import DeadLetterQueue
 from .http import ObservabilityEndpoint
 from .lifecycle import Lifecycle, install_signal_handlers
 from .protocol import (
@@ -63,13 +58,7 @@ from .protocol import (
 )
 from .session import MonitorBridge, Session
 
-__all__ = [
-    "ServeConfig",
-    "ReproServer",
-    "run_server",
-    "replay_dead_letters",
-    "replay_dead_letters_async",
-]
+__all__ = ["ServeConfig", "ReproServer", "run_server"]
 
 #: Floor for computed retry hints so clients never busy-spin.
 _MIN_RETRY = 0.05
@@ -81,19 +70,9 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    #: Per-session token bucket: data commands/second (0 = unlimited).
-    rate: float = 0.0
-    burst: float = 8.0
-    #: Bounded admission queue: max data commands queued but unexecuted.
+    #: Bounded admission queue: max data commands queued but
+    #: unexecuted; a data command that finds it full is refused.
     admission_capacity: int = 64
-    #: ``reject`` refuses the newcomer; ``shed`` refuses the oldest
-    #: queued data command to make room for it.
-    admission_policy: str = "reject"
-    #: Circuit breaker: trip when the load probe (deepest worker inbox)
-    #: stays at/above this for ``breaker_trip_after`` samples (0 = off).
-    breaker_threshold: float = 0.0
-    breaker_cooldown: float = 1.0
-    breaker_trip_after: int = 3
     #: Observability endpoint bind (None = no HTTP endpoint).
     http_host: str | None = None
     http_port: int = 0
@@ -110,11 +89,6 @@ class ServeConfig:
     slo_rules: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.admission_policy not in ("reject", "shed"):
-            raise ValueError(
-                f"admission_policy must be 'reject' or 'shed', "
-                f"got {self.admission_policy!r}"
-            )
         if self.admission_capacity < 1:
             raise ValueError("admission_capacity must be >= 1")
         if self.drain_grace < 0:
@@ -131,34 +105,18 @@ class _WorkItem:
     command: Command
     future: asyncio.Future
     is_data: bool
-    shed: bool = field(default=False)
 
 
 class ReproServer:
     """Async TCP front-end over one monitor (library or sharded)."""
 
-    def __init__(
-        self,
-        monitor: Any,
-        config: ServeConfig | None = None,
-        dlq: DeadLetterQueue | None = None,
-        load_probe: Callable[[], float] | None = None,
-    ) -> None:
+    def __init__(self, monitor: Any, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
         self.monitor = monitor
-        self.dlq = dlq if dlq is not None else DeadLetterQueue()
-        self.bridge = MonitorBridge(
-            monitor, dlq=self.dlq, extra_stats=self._edge_stats
-        )
+        self.bridge = MonitorBridge(monitor, extra_stats=self._edge_stats)
         self.lifecycle = Lifecycle()
-        self.breaker = CircuitBreaker(
-            self.config.breaker_threshold,
-            cooldown=self.config.breaker_cooldown,
-            trip_after=self.config.breaker_trip_after,
-        )
-        self._load_probe = load_probe
         self._queue: asyncio.Queue[_WorkItem | None] = asyncio.Queue()
-        self._sheddable: deque[_WorkItem] = deque()
+        #: Data commands admitted but not yet taken by the writer.
         self._data_depth = 0
         self._sessions: dict[int, tuple[Session, asyncio.StreamWriter]] = {}
         self._next_session = 1
@@ -169,17 +127,12 @@ class ReproServer:
         self._service_ema = _MIN_RETRY
         self.counters = {
             "admitted": 0,
-            "rejected_rate": 0,
-            "rejected_breaker": 0,
             "rejected_queue": 0,
             "rejected_draining": 0,
-            "shed": 0,
         }
         self._admitted = obs.counter("serve.admitted")
-        self._shed = obs.counter("serve.shed")
         self._sessions_gauge = obs.gauge("serve.sessions")
         self._depth_gauge = obs.gauge("serve.queue_depth")
-        self._breaker_gauge = obs.gauge("serve.breaker_state")
         self.timeline = obs.Timeline(capacity=self.config.timeline_capacity)
         self.slo = obs.SloEngine(
             rules=self.config.slo_rules or None, timeline=self.timeline
@@ -310,14 +263,6 @@ class ReproServer:
 
     # -- admission ---------------------------------------------------------
 
-    def _load(self) -> float:
-        if self._load_probe is not None:
-            return float(self._load_probe())
-        if hasattr(self.monitor, "inbox_depths"):
-            depths = self.monitor.inbox_depths()
-            return float(max(depths.values(), default=0))
-        return float(self._data_depth)
-
     def _retry_hint(self) -> float:
         return round(max(self._service_ema * (self._data_depth + 1), _MIN_RETRY), 4)
 
@@ -332,7 +277,7 @@ class ReproServer:
             "retry_after": round(max(retry, _MIN_RETRY), 4),
         }
 
-    def _admit(self, session: Session, bucket: TokenBucket, command: Command) -> dict | None:
+    def _admit(self, command: Command) -> dict | None:
         """Admission decision: ``None`` admits, else the rejection reply."""
         if not command.is_data:
             return None  # control plane bypasses admission
@@ -340,42 +285,10 @@ class ReproServer:
             return self._reject(
                 "draining", "draining", "server is draining", _MIN_RETRY
             )
-        retry = bucket.try_acquire()
-        if retry > 0:
-            return self._reject(
-                "rate_limited", "rate", "per-session rate limit exceeded", retry
-            )
-        self.breaker.observe(self._load())
-        self._breaker_gauge.set(self.breaker.state_code())
-        retry = self.breaker.allow()
-        if retry > 0:
-            return self._reject(
-                "overloaded", "breaker", "circuit breaker open", retry
-            )
         if self._data_depth >= self.config.admission_capacity:
-            if self.config.admission_policy == "reject" or not self._sheddable:
-                return self._reject(
-                    "overloaded", "queue", "admission queue full", self._retry_hint()
-                )
-            victim = self._sheddable.popleft()
-            victim.shed = True
-            self._data_depth -= 1
-            self.counters["shed"] += 1
-            self._shed.inc()
-            self.flight.note(
-                "shed",
-                session=victim.session.session_id,
-                verb=victim.command.verb,
+            return self._reject(
+                "overloaded", "queue", "admission queue full", self._retry_hint()
             )
-            if not victim.future.done():
-                victim.future.set_result(
-                    {
-                        "ok": False,
-                        "code": "shed",
-                        "error": "shed by a newer command under overload",
-                        "retry_after": self._retry_hint(),
-                    }
-                )
         self.counters["admitted"] += 1
         self._admitted.inc()
         return None
@@ -388,14 +301,11 @@ class ReproServer:
             item = await self._queue.get()
             if item is None:
                 break
-            if item.shed:
-                continue
             if item.is_data:
                 self._data_depth -= 1
-                if self._sheddable and self._sheddable[0] is item:
-                    self._sheddable.popleft()
                 self._depth_gauge.set(self._data_depth)
             started = loop.time()
+            refused = self.bridge.refused
             try:
                 reply = self.bridge.execute(item.session, item.command)
             except ProtocolError as exc:
@@ -413,12 +323,9 @@ class ReproServer:
             if item.is_data:
                 elapsed = max(loop.time() - started, 1e-6)
                 self._service_ema = 0.8 * self._service_ema + 0.2 * elapsed
-            if isinstance(reply, dict) and "dlq_id" in reply:
+            if self.bridge.refused > refused:
                 self.flight.note(
-                    "dead_letter",
-                    dlq_id=reply["dlq_id"],
-                    code=reply.get("code"),
-                    verb=item.command.verb,
+                    "refused", verb=item.command.verb, error=reply["error"]
                 )
             if not item.future.done():
                 item.future.set_result(reply)
@@ -430,7 +337,6 @@ class ReproServer:
     ) -> None:
         session = Session(self._next_session)
         self._next_session += 1
-        bucket = TokenBucket(self.config.rate, self.config.burst)
         self._sessions[session.session_id] = (session, writer)
         self._sessions_gauge.set(len(self._sessions))
         loop = asyncio.get_running_loop()
@@ -464,7 +370,7 @@ class ReproServer:
                 if isinstance(command, Quit):
                     await send({"ok": True, "cmd": command.verb})
                     break
-                rejection = self._admit(session, bucket, command)
+                rejection = self._admit(command)
                 if rejection is not None:
                     await send(rejection)
                     continue
@@ -473,7 +379,6 @@ class ReproServer:
                 )
                 if item.is_data:
                     self._data_depth += 1
-                    self._sheddable.append(item)
                     self._depth_gauge.set(self._data_depth)
                 self._queue.put_nowait(item)
                 reply = await item.future
@@ -494,8 +399,6 @@ class ReproServer:
         return {
             "sessions": len(self._sessions),
             "queue_depth": self._data_depth,
-            "breaker": self.breaker.state,
-            "policy": self.config.admission_policy,
             **self.counters,
         }
 
@@ -507,7 +410,6 @@ class ReproServer:
 def run_server(
     monitor: Any,
     config: ServeConfig,
-    dlq: DeadLetterQueue | None = None,
     emit: Callable[[dict[str, Any]], None] | None = None,
     install_signals: bool = True,
     ready: Callable[[ReproServer], object] | None = None,
@@ -523,7 +425,7 @@ def run_server(
     """
 
     async def _amain() -> dict[str, Any]:
-        server = ReproServer(monitor, config, dlq=dlq)
+        server = ReproServer(monitor, config)
         await server.start()
         if install_signals:
             install_signal_handlers(
@@ -546,66 +448,3 @@ def run_server(
         return server._edge_stats()
 
     return asyncio.run(_amain())
-
-
-async def _roundtrip(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    command: dict[str, Any],
-) -> dict[str, Any]:
-    import json
-
-    writer.write(encode_reply(command).encode() + b"\n")
-    await writer.drain()
-    line = await reader.readline()
-    if not line:
-        raise ConnectionError("server closed the connection mid-replay")
-    reply = json.loads(line)
-    assert isinstance(reply, dict)
-    return reply
-
-
-async def replay_dead_letters_async(
-    dlq: DeadLetterQueue, host: str, port: int
-) -> list[int]:
-    """Async flavor of :func:`replay_dead_letters` for callers already
-    inside the serve event loop (tests, embedded tooling)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    replayed: list[int] = []
-    try:
-        await reader.readline()  # hello notice
-        for entry in dlq.entries(include_replayed=False):
-            # The stream may already exist server-side; an error reply
-            # here is fine (the batch commands carry the real payload).
-            await _roundtrip(
-                reader, writer, {"cmd": "stream", "stream": entry.stream}
-            )
-            batch = await _roundtrip(
-                reader,
-                writer,
-                {
-                    "cmd": "batch",
-                    "stream": entry.stream,
-                    "changes": entry.changes,
-                },
-            )
-            if not batch.get("ok"):
-                continue
-            commit = await _roundtrip(reader, writer, {"cmd": "commit"})
-            if commit.get("ok"):
-                dlq.mark_replayed(entry.dlq_id)
-                replayed.append(entry.dlq_id)
-        await _roundtrip(reader, writer, {"cmd": "quit"})
-    finally:
-        writer.close()
-    return replayed
-
-
-def replay_dead_letters(dlq: DeadLetterQueue, host: str, port: int) -> list[int]:
-    """Re-apply un-replayed dead letters against a live server.
-
-    Each entry becomes ``stream`` + ``batch`` + ``commit``; entries whose
-    commit succeeds are marked replayed in the journal.  Returns the ids
-    replayed.  Synchronous wrapper so the CLI never imports asyncio.
-    """
-    return asyncio.run(replay_dead_letters_async(dlq, host, port))

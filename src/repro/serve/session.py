@@ -17,10 +17,10 @@ the id back to the client so one request is followable end-to-end in
 ``repro trace``.
 
 Poison batches (:class:`~repro.graph.labeled_graph.GraphError`,
-value/key errors, worker crashes) are journaled to the dead-letter
-queue and *cleared from the stage*: the historical stdin loop kept the
-failing batch staged, so every subsequent tick re-failed it forever.
-Healthy streams in the same commit still apply.
+value/key errors, worker crashes) are refused — an ``ok: false`` reply
+plus a ``serve.refused`` count — and *cleared from the stage*: a batch
+left staged would re-fail every later commit.  Nothing keeps a refused
+batch.  Healthy streams in the same commit still apply.
 
 The bridge does no validation of its own.  ``apply`` on every monitor
 is all-or-nothing and synchronous about refusal: the in-process monitor
@@ -48,7 +48,6 @@ from ..graph.operations import (
 )
 from ..runtime import WorkerCrashed
 from . import protocol
-from .dlq import DeadLetterQueue
 from .protocol import (
     AddQuery,
     AddStream,
@@ -72,7 +71,7 @@ __all__ = [
     "serve_lines",
 ]
 
-#: Exceptions that make a batch *poison* (journaled, never retried).
+#: Exceptions that make a batch *poison* (refused, never retried).
 POISON_ERRORS: tuple[type[BaseException], ...] = (
     GraphError,
     ValueError,
@@ -110,17 +109,16 @@ class MonitorBridge:
     def __init__(
         self,
         monitor: Any,
-        dlq: DeadLetterQueue | None = None,
         extra_stats: Callable[[], Mapping[str, Any]] | None = None,
     ) -> None:
         self.monitor = monitor
-        self.dlq = dlq if dlq is not None else DeadLetterQueue()
         self._extra_stats = extra_stats
         self.timestamp = 0
         self.accepted_batches = 0
-        self.dead_letters = 0
+        #: Poison batches and queries refused so far.
+        self.refused = 0
         self._batches = obs.counter("serve.batches_applied")
-        self._dlq_counter = obs.counter("serve.dlq")
+        self._refused = obs.counter("serve.refused")
         self._commands = obs.counter("serve.commands")
         #: The last graph-set file read, as ``((path, mtime_ns, size),
         #: parsed)``: registering n streams out of one file parses it once.
@@ -193,7 +191,12 @@ class MonitorBridge:
 
     def _add_stream(self, session: Session, command: AddStream) -> dict[str, Any]:
         if command.graph_file is not None:
-            graph_set = self._graph_set(command.graph_file)
+            try:
+                graph_set = self._graph_set(command.graph_file)
+            except OSError as exc:
+                raise ProtocolError(f"{type(exc).__name__}: {exc}") from exc
+            if not graph_set:
+                raise ProtocolError(f"empty graph set {command.graph_file}")
             key = (
                 command.graph_key
                 if command.graph_key is not None
@@ -258,22 +261,12 @@ class MonitorBridge:
                 pattern = self._load_pattern(command)
                 self.monitor.register_query(command.query_id, pattern)
         except POISON_ERRORS + (OSError, TypeError) as exc:
-            dlq_id = self.dlq.record(
-                session=session.session_id,
-                stream=None,
-                changes=[{"cmd": command.verb, "query": command.query_id}],
-                error=f"{type(exc).__name__}: {exc}",
-                kind="query",
-                trace_id=trace_id,
-            )
-            self.dead_letters += 1
-            self._dlq_counter.inc()
+            self._refuse()
             reply: dict[str, Any] = {
                 "ok": False,
                 "cmd": command.verb,
                 "query": command.query_id,
                 "error": f"{type(exc).__name__}: {exc}",
-                "dlq_id": dlq_id,
             }
         else:
             reply = {
@@ -298,8 +291,7 @@ class MonitorBridge:
                 trace_id = ctx.trace_id if ctx is not None else None
                 self.monitor.deregister_query(command.query_id)
         except POISON_ERRORS as exc:
-            # Nothing to replay — an unknown id is refused, not
-            # dead-lettered.
+            # An unknown id is a plain error, not a counted refusal.
             reply: dict[str, Any] = {
                 "ok": False,
                 "cmd": command.verb,
@@ -338,21 +330,9 @@ class MonitorBridge:
                     self.accepted_batches += 1
                     self._batches.inc()
                 except POISON_ERRORS as exc:
-                    dlq_id = self.dlq.record(
-                        session=session.session_id,
-                        stream=stream_id,
-                        changes=[protocol.change_to_dict(c) for c in changes],
-                        error=f"{type(exc).__name__}: {exc}",
-                        trace_id=trace_id,
-                    )
-                    self.dead_letters += 1
-                    self._dlq_counter.inc()
+                    self._refuse()
                     errors.append(
-                        {
-                            "stream": stream_id,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "dlq_id": dlq_id,
-                        }
+                        {"stream": stream_id, "error": f"{type(exc).__name__}: {exc}"}
                     )
                 changes.clear()
             events = self._session_events(session)
@@ -369,6 +349,10 @@ class MonitorBridge:
             reply["errors"] = errors
             reply["error"] = errors[0]["error"]
         return reply
+
+    def _refuse(self) -> None:
+        self.refused += 1
+        self._refused.inc()
 
     def checkpoint(self, verb: str = "checkpoint") -> dict[str, Any]:
         """The ``checkpoint`` verb (the server's drain runs it too): a
@@ -392,7 +376,9 @@ class MonitorBridge:
         stats: dict[str, Any] = {
             "timestamp": self.timestamp,
             "accepted_batches": self.accepted_batches,
-            "dead_letters": self.dead_letters,
+            # Counts refusals under its old name: benchmarks/e2e/lane.py
+            # reads this key (ROADMAP 1(a) renames it).
+            "dead_letters": self.refused,
         }
         if self._extra_stats is not None:
             stats.update(self._extra_stats())
@@ -403,7 +389,6 @@ def serve_lines(
     monitor: Any,
     lines: Iterable[str],
     emit: Callable[[dict[str, Any]], None],
-    dlq: DeadLetterQueue | None = None,
     stats_every: int = 0,
 ) -> int:
     """The stdin front-end: a thin synchronous adapter over the same
@@ -413,7 +398,7 @@ def serve_lines(
     stops at ``quit`` or end of input.  Returns the number of commands
     executed.
     """
-    bridge = MonitorBridge(monitor, dlq=dlq)
+    bridge = MonitorBridge(monitor)
     session = Session(0, label="stdin")
     executed = 0
     for raw in lines:
@@ -426,6 +411,9 @@ def serve_lines(
             continue
         try:
             reply = bridge.execute(session, command)
+        except ProtocolError as exc:
+            emit({"ok": False, "error": str(exc), "code": "bad_request"})
+            continue
         except POISON_ERRORS + (OSError,) as exc:
             # Non-batch failures (e.g. unreadable graph-set file) are
             # reported in the historical `Type: message` shape.

@@ -199,10 +199,10 @@ def _attribute_probes(attribute: str) -> list[tuple[str, str]]:
 
 
 def test_nothing_tells_the_two_monitors_apart_by_probing() -> None:
-    """No shadow graph, and the only type proxy left is the load probe
-    of the admission breaker (``checkpoint`` is in the contract)."""
+    """No shadow graph and no capability probe: the serving edge reads
+    neither monitor's inboxes (``checkpoint`` is in the contract)."""
     for path in sorted(SRC.rglob("*.py")):
         assert "_shadow" not in path.read_text(), path
-    assert _attribute_probes("inbox_depths") == [("serve/server.py", "_load")]
+    assert _attribute_probes("inbox_depths") == []
     assert _attribute_probes("graph") == []
     assert _attribute_probes("checkpoint") == []

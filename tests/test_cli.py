@@ -298,6 +298,27 @@ class TestServe:
     def _queries(self, replay_inputs):
         self._queries_path = replay_inputs[0]
 
+    @pytest.mark.parametrize(
+        "flag",
+        (
+            ["--rate", "1"],
+            ["--breaker-threshold", "1"],
+            ["--admission-policy", "shed"],
+            ["--dlq-dir", "d"],
+        ),
+        ids=lambda flag: flag[0],
+    )
+    def test_overload_and_dead_letter_flags_are_gone(self, flag):
+        """One bounded admission queue, and nothing keeps a refused batch."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--queries", self._queries_path, *flag])
+        assert excinfo.value.code == 2
+
+    def test_dlq_verb_is_gone(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dlq", "list"])
+        assert excinfo.value.code == 2
+
     def test_line_protocol_in_process(self, monkeypatch, capsys):
         script = (
             "stream a\n"

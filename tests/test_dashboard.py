@@ -150,19 +150,14 @@ class TestRenderDashboard:
             "dead_letters": 2,
             "sessions": 3,
             "queue_depth": 5,
-            "breaker": "half_open",
-            "policy": "shed",
             "admitted": 50,
-            "rejected_rate": 4,
-            "rejected_breaker": 1,
-            "rejected_queue": 2,
-            "rejected_draining": 0,
-            "shed": 6,
+            "rejected_queue": 4,
+            "rejected_draining": 3,
         }
         stats["obs"]["serve.commit.seconds"] = dict(HIST)
         frame = render_dashboard(stats)
-        assert "serve           sessions=3  queue=5  breaker=half_open  t=7" in frame
-        assert "admitted=50  rejected=7  shed=6  dlq=2  batches=40" in frame
+        assert "serve           sessions=3  queue=5  t=7" in frame
+        assert "admitted=50  rejected=7  refused=2  batches=40" in frame
         assert "commit latency  p50=" in frame
 
     def test_serve_panel_absent_without_server(self):
@@ -246,17 +241,16 @@ class TestOverloadPanel:
     def overload_timeline(self) -> "Timeline":
         timeline = Timeline()
 
-        def summary(admitted, rejected, breaker):
+        def summary(admitted, rejected):
             return {
                 "serve.admitted": {"kind": "counter", "help": "", "value": admitted},
                 "serve.rejected": {"kind": "counter", "help": "", "value": rejected},
-                "serve.breaker_state": {"kind": "gauge", "help": "", "value": breaker},
             }
 
-        timeline.sample(summary(0, 0, 0), t=0.0)
-        timeline.sample(summary(10, 0, 0), t=1.0)
-        timeline.sample(summary(12, 30, 2), t=2.0)
-        timeline.sample(summary(12, 31, 0), t=3.0)
+        timeline.sample(summary(0, 0), t=0.0)
+        timeline.sample(summary(10, 0), t=1.0)
+        timeline.sample(summary(12, 30), t=2.0)
+        timeline.sample(summary(12, 31), t=3.0)
         return timeline
 
     def test_panel_shows_sparklines_and_breaker_transitions(self):
@@ -269,10 +263,8 @@ class TestOverloadPanel:
         }
         assert "peak=10.0/s" in lines["admitted"]
         assert "peak=30.0/s" in lines["rejected"]
-        assert "peak=0.0/s" in lines["shed"]
-        # closed -> open -> closed: two transitions, glyphs . and !.
-        assert "transitions=2" in lines["breaker"]
-        assert "!" in lines["breaker"]
+        # One bounded queue: no breaker strip and no shed row.
+        assert set(lines) == {"admitted", "rejected"}
 
     def test_panel_absent_without_timeline_or_traffic(self):
         assert "overload timeline" not in render_dashboard(synthetic_stats())

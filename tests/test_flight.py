@@ -122,14 +122,14 @@ class TestJournal:
 class TestDump:
     def test_dump_carries_events_spans_and_metrics(self, tmp_path):
         recorder = FlightRecorder(capacity=8, clock=FakeClock())
-        recorder.note("shed", session="s-1")
+        recorder.note("refusal", session="s-1")
         with obs.span("unit.work"):
             pass
         target = recorder.dump(tmp_path / "flight.json", reason="test")
         doc = FlightRecorder.read(target)
         assert doc["reason"] == "test"
         assert doc["pid"] == os.getpid()
-        assert [event["kind"] for event in doc["events"]] == ["shed"]
+        assert [event["kind"] for event in doc["events"]] == ["refusal"]
         assert any(span["name"] == "unit.work" for span in doc["spans"])
         assert "flight.events" in doc["metrics"]
 

@@ -253,8 +253,8 @@ class TestLifecycle:
         }
 
     def test_inbox_depth_gauge_is_the_deepest_inbox(self, monkeypatch):
-        """What the catalog row, the ``inbox-depth`` SLO rule and
-        ``--breaker-threshold`` say it is — not the fleet total."""
+        """What the catalog row and the ``inbox-depth`` SLO rule say it
+        is — not the fleet total."""
         rng = random.Random(7)
         with ShardedMonitor(small_queries(rng), num_workers=2) as sharded:
             monkeypatch.setattr(sharded, "inbox_depths", lambda: {0: 3, 1: 5})

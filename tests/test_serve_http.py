@@ -6,8 +6,9 @@ scraped over a raw socket — the responses must parse as HTTP/1.0 and
 that pins ``render_prometheus`` (``tests/test_obs.py``).  The drain test
 asserts the split-brain health contract: ``/healthz`` stays 200 (the
 process lives) while ``/readyz`` turns 503 (take it out of rotation).
-The overload test scripts a rejection storm and reads the breach back
-out of ``/slo`` and the ``repro top`` overload panel.
+The overload test scripts a rejection storm — data commands sent while
+a drain is held open — and reads the breach back out of ``/slo`` and
+the ``repro top`` overload panel.
 """
 
 from __future__ import annotations
@@ -250,8 +251,7 @@ class TestOverloadScript:
             server = ReproServer(
                 monitor,
                 http_config(
-                    rate=0.5,
-                    burst=1.0,
+                    drain_grace=2.0,
                     timeline_interval=0.05,
                     slo_rules=tight_rules,
                 ),
@@ -260,20 +260,24 @@ class TestOverloadScript:
             reader, writer, _ = await connect(server.port)
             assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))["ok"]
             await asyncio.sleep(0.12)  # let the baseline sample land first
-            rejected = 0
-            for _ in range(8):  # tokens accrue at 0.5/s: almost all rejected
+            # The grace holds the drain open: the sampler and /slo keep
+            # running while every data command is refused.
+            drain = asyncio.get_running_loop().create_task(server.drain())
+            await asyncio.sleep(0)
+            reasons = []
+            for _ in range(8):
                 reply = await send_cmd(reader, writer, ins("s", 1, 2))
-                rejected += 0 if reply["ok"] else 1
+                reasons.append(reply.get("code"))
             await asyncio.sleep(0.3)  # several sample+evaluate ticks
             _, _, slo_body = await http_get(server.http_port, "/slo")
             summary = monitor.obs_summary()
             frame = render_dashboard(summary, timeline=server.timeline)
-            await send_cmd(reader, writer, {"cmd": "quit"})
-            await server.drain()
-            return rejected, json.loads(slo_body), frame
+            await drain
+            return reasons, server.counters, json.loads(slo_body), frame
 
-        rejected, slo_doc, frame = asyncio.run(scenario())
-        assert rejected >= 5
+        reasons, counters, slo_doc, frame = asyncio.run(scenario())
+        assert reasons == ["draining"] * 8
+        assert counters["rejected_draining"] == 8
         assert slo_doc["worst"] == "breach"
         (rule,) = slo_doc["rules"]
         assert rule["state"] == "breach"
@@ -281,7 +285,7 @@ class TestOverloadScript:
         # The scripted breach reaches the top panel too.
         assert "overload timeline" in frame
         assert "rejected" in frame
-        assert "breaker" in frame
+        assert "breaker" not in frame
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,8 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -31,16 +33,8 @@ from repro.graph import LabeledGraph
 from repro.graph.io import write_graph_set
 from repro.graph.operations import EdgeChange, GraphChangeOperation
 from repro.obs import Registry
-from repro.serve import (
-    DeadLetterQueue,
-    ReproServer,
-    ServeConfig,
-    Session,
-    TokenBucket,
-    replay_dead_letters_async,
-)
+from repro.serve import ReproServer, ServeConfig, Session, run_server, serve_lines
 from repro.serve.protocol import AddQuery, AddStream, Commit, Edit, change_to_dict
-from repro.serve.server import _WorkItem
 from repro.serve.session import apply_batch_validated
 
 from .conftest import random_labeled_graph
@@ -64,7 +58,34 @@ def clean_obs():
         obs.disable()
 
 
-# -- async client helpers --------------------------------------------------
+# -- client helpers ----------------------------------------------------------
+
+
+class _LineClient:
+    """A blocking socket client, for servers that run on another thread."""
+
+    def __init__(self, port: int) -> None:
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=60)
+        self.stream = self.sock.makefile("rw", encoding="utf-8", newline="\n")
+        assert json.loads(self.stream.readline())["notice"] == "hello"
+
+    def send(self, doc: dict) -> None:
+        self.stream.write(json.dumps(doc) + "\n")
+        self.stream.flush()
+
+    def recv(self) -> dict:
+        while True:
+            reply = json.loads(self.stream.readline())
+            if "notice" not in reply:
+                return reply
+
+    def roundtrip(self, doc: dict) -> dict:
+        self.send(doc)
+        return self.recv()
+
+    def close(self) -> None:
+        self.stream.close()
+        self.sock.close()
 
 
 async def connect(port: int):
@@ -219,158 +240,130 @@ class TestConcurrentClients:
             assert all(reply.get("trace") for reply in replies)
 
 
-# -- admission: rate limiting, breaker, queue policies ---------------------
+# -- admission: one bounded queue -----------------------------------------
 
 
 class TestAdmission:
-    def test_rate_limited_session_gets_retry_after(self):
-        rng = random.Random(7)
-        queries = small_queries(rng)
-
-        async def scenario():
-            monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(monitor, ServeConfig(rate=5.0, burst=1.0))
-            await server.start()
-            reader, writer, _ = await connect(server.port)
-            first = await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"})
-            second = await send_cmd(reader, writer, ins("s", 1, 2))
-            control = await send_cmd(reader, writer, {"cmd": "matches"})
-            await asyncio.sleep(0.5)  # tokens accrue at 5/s
-            third = await send_cmd(reader, writer, ins("s", 1, 2))
-            await server.drain()
-            return first, second, control, third
-
-        first, second, control, third = asyncio.run(scenario())
-        assert first["ok"]
-        assert second["ok"] is False
-        assert second["code"] == "rate_limited"
-        assert second["retry_after"] > 0
-        assert control["ok"]  # control plane bypasses admission
-        assert third["ok"]
-
-    def test_breaker_cycles_open_half_open_closed(self):
-        rng = random.Random(8)
-        queries = small_queries(rng)
-        load = {"value": 0.0}
-
-        async def scenario():
-            monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(
-                monitor,
-                ServeConfig(
-                    breaker_threshold=5.0,
-                    breaker_cooldown=0.05,
-                    breaker_trip_after=2,
-                ),
-                load_probe=lambda: load["value"],
-            )
-            await server.start()
-            reader, writer, _ = await connect(server.port)
-            assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
-                "ok"
-            ]
-            states = []
-
-            load["value"] = 10.0
-            hot1 = await send_cmd(reader, writer, ins("s", 1, 2))
-            hot2 = await send_cmd(reader, writer, ins("s", 2, 3))
-            states.append(server.breaker.state)
-            rejected = await send_cmd(reader, writer, ins("s", 3, 4))
-
-            # Cooldown with load still hot: the half-open trial is
-            # admitted, and its own load sample re-opens the breaker.
-            await asyncio.sleep(0.08)
-            trial = await send_cmd(reader, writer, ins("s", 4, 5))
-            reopened = await send_cmd(reader, writer, ins("s", 5, 6))
-            states.append(server.breaker.state)
-
-            # Load recovers: cooldown, trial admitted, next sample closes.
-            load["value"] = 0.0
-            await asyncio.sleep(0.08)
-            recovery = await send_cmd(reader, writer, ins("s", 6, 7))
-            states.append(server.breaker.state)
-            closing = await send_cmd(reader, writer, ins("s", 7, 8))
-            states.append(server.breaker.state)
-            trips = server.breaker.trips
-            await server.drain()
-            return hot1, hot2, rejected, trial, reopened, recovery, closing, states, trips
-
-        hot1, hot2, rejected, trial, reopened, recovery, closing, states, trips = (
-            asyncio.run(scenario())
-        )
-        assert hot1["ok"]  # first hot sample is still under trip_after
-        # The sample that trips the breaker is itself refused: admission
-        # observes load *before* asking the breaker for permission.
-        assert hot2["ok"] is False and hot2["code"] == "overloaded"
-        assert states[0] == "open"
-        assert rejected["ok"] is False
-        assert rejected["code"] == "overloaded"
-        assert rejected["error"] == "circuit breaker open"
-        assert rejected["retry_after"] > 0
-        assert trial["ok"]  # half-open admits trial traffic
-        assert reopened["ok"] is False and states[1] == "open"
-        assert recovery["ok"] and states[2] == "half_open"
-        assert closing["ok"] and states[3] == "closed"
-        assert trips == 2
-
     def test_full_queue_reject_policy_refuses_newcomer(self):
         rng = random.Random(9)
         server = ReproServer(
             StreamMonitor(small_queries(rng)),
-            ServeConfig(admission_capacity=1, admission_policy="reject"),
+            ServeConfig(admission_capacity=1),
         )
         server._data_depth = 1  # one data command already queued
-        rejection = server._admit(
-            Session(1), TokenBucket(0.0), Commit(verb="commit")
-        )
+        rejection = server._admit(Commit(verb="commit"))
         assert rejection["code"] == "overloaded"
         assert rejection["error"] == "admission queue full"
         assert rejection["retry_after"] >= 0.05
         assert server.counters["rejected_queue"] == 1
 
-    def test_full_queue_shed_policy_evicts_oldest(self):
-        rng = random.Random(10)
+    def test_a_flooding_session_holds_one_slot(self):
+        """Why the edge needs no per-session rate limit: a session awaits
+        each reply before it reads its next line, so it holds at most one
+        admission slot however hard it floods.  Three sessions against a
+        paused one-worker runtime with ``admission_capacity=2``: the
+        queue never holds more than one command per session, the quiet
+        sessions are admitted or refused by the queue alone, and every
+        admitted commit applies once the worker resumes."""
+        from repro.runtime import ShardedMonitor
 
-        async def scenario():
-            server = ReproServer(
-                StreamMonitor(small_queries(rng)),
-                ServeConfig(admission_capacity=1, admission_policy="shed"),
+        flood_pairs = 30
+        depths: list[int] = []
+        started = threading.Event()
+        live: dict = {}
+
+        def ready(server):
+            live["server"], live["loop"] = server, asyncio.get_running_loop()
+            admit = server._admit
+
+            def recording(command):
+                rejection = admit(command)
+                depths.append(server._data_depth + (rejection is None and command.is_data))
+                return rejection
+
+            server._admit = recording
+            started.set()
+
+        def batch(stream, k) -> dict:
+            change = EdgeChange.insert(k, k + 1000, "x", "A", "B")
+            return {"cmd": "batch", "stream": stream, "changes": [change_to_dict(change)]}
+
+        with ShardedMonitor({"q": edge_query()}, num_workers=1) as monitor:
+            thread = threading.Thread(
+                target=run_server,
+                args=(monitor, ServeConfig(admission_capacity=2)),
+                kwargs={"install_signals": False, "ready": ready},
+                daemon=True,
             )
-            loop = asyncio.get_running_loop()
-            victim = _WorkItem(
-                Session(1), Commit(verb="commit"), loop.create_future(), True
-            )
-            server._data_depth = 1
-            server._sheddable.append(victim)
-            rejection = server._admit(
-                Session(2), TokenBucket(0.0), Commit(verb="commit")
-            )
-            return server, victim, rejection
+            thread.start()
+            assert started.wait(30)
+            server = live["server"]
+            clients = {name: _LineClient(server.port) for name in ("flood", "a", "b")}
+            try:
+                for name, client in clients.items():
+                    assert client.roundtrip({"cmd": "stream", "stream": name})["ok"]
+                assert clients["a"].roundtrip({"cmd": "matches"})["ok"]
+                pid = monitor.worker_pids()[0]
+                os.kill(pid, signal.SIGSTOP)
+                try:
+                    for k in range(flood_pairs):
+                        clients["flood"].send(batch("flood", k))
+                        clients["flood"].send({"cmd": "commit"})
+                    time.sleep(0.3)  # the writer is now stuck on the paused worker
+                    for name in ("a", "b"):
+                        clients[name].send(batch(name, 0))
+                        clients[name].send({"cmd": "commit"})
+                    time.sleep(0.3)
+                finally:
+                    os.kill(pid, signal.SIGCONT)
+                sent = {"flood": 2 * flood_pairs, "a": 2, "b": 2}
+                replies = {
+                    name: [clients[name].recv() for _ in range(count)]
+                    for name, count in sent.items()
+                }
+                # Whatever a session left staged, a final admitted commit applies.
+                for name, client in clients.items():
+                    while (final := client.roundtrip({"cmd": "commit"}))["ok"] is False:
+                        assert final["error"] == "admission queue full"
+                        time.sleep(final["retry_after"])
+            finally:
+                for client in clients.values():
+                    client.close()
+                live["loop"].call_soon_threadsafe(server.request_drain)
+                thread.join(60)
 
-        async def run():
-            server, victim, rejection = await scenario()
-            assert rejection is None  # the newcomer is admitted
-            assert victim.shed
-            shed_reply = victim.future.result()
-            assert shed_reply["code"] == "shed"
-            assert shed_reply["retry_after"] >= 0.05
-            assert server.counters["shed"] == 1
-            assert server.counters["admitted"] == 1
+            assert not thread.is_alive()
+            assert max(depths) <= len(clients)
+            assert set(server.counters) == {"admitted", "rejected_queue", "rejected_draining"}
+            assert server.counters["rejected_draining"] == 0
+            for name in ("a", "b"):
+                for reply in replies[name]:
+                    assert reply["ok"] or reply["error"] == "admission queue full", reply
+            for name, session_replies in replies.items():
+                admitted = [
+                    k
+                    for k, reply in enumerate(session_replies[0::2])
+                    if reply["ok"]
+                ]
+                for reply in session_replies[1::2]:
+                    assert reply["ok"] or reply["error"] == "admission queue full", reply
+                graph = monitor.graph(name)
+                assert sorted(graph.edges()) == sorted((k, k + 1000, "x") for k in admitted)
 
-        asyncio.run(run())
+# -- poison batches: refused, counted, cleared from the stage ---------------
 
 
-# -- dead-lettering and replay ---------------------------------------------
+def refused_count() -> float:
+    return obs.get_registry().summary().get("serve.refused", {}).get("value", 0)
 
 
 class TestDeadLettering:
-    def test_poison_batch_is_journaled_and_replayable(self, tmp_path):
+    def test_poison_batch_is_refused_and_the_session_recovers(self):
         queries = {"q": edge_query()}
-        dlq = DeadLetterQueue(tmp_path)
 
         async def poison_phase():
             monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(monitor, dlq=dlq)
+            server = ReproServer(monitor)
             await server.start()
             reader, writer, _ = await connect(server.port)
             assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
@@ -383,54 +376,34 @@ class TestDeadLettering:
             bad = await send_cmd(reader, writer, {"cmd": "commit"})
             # Poison is cleared from the stage, so the session recovers.
             after = await send_cmd(reader, writer, {"cmd": "commit"})
+            stats = await send_cmd(reader, writer, {"cmd": "stats"})
             await server.drain()
-            return good, bad, after
+            return server, good, bad, after, stats
 
-        good, bad, after = asyncio.run(poison_phase())
+        server, good, bad, after, stats = asyncio.run(poison_phase())
         assert good["ok"] and good["applied"] == 1
         assert bad["ok"] is False
-        assert bad["errors"][0]["dlq_id"] == 1
+        assert bad["errors"] == [{"stream": "s", "error": bad["error"]}]
         assert "GraphError" in bad["errors"][0]["error"]
+        assert bad["trace"]  # the refusal is followable like any commit
         assert after["ok"] and after["applied"] == 0
+        assert refused_count() == 1
+        assert stats["stats"]["serve"]["dead_letters"] == 1
+        events = [e for e in server.flight.events() if e["kind"] == "refused"]
+        assert len(events) == 1 and events[0]["error"] == bad["error"]
 
-        entry = dlq.get(1)
-        assert entry is not None and not entry.replayed
-        assert entry.stream == "s"
-        assert entry.trace_id  # journaled with the commit's trace id
-        assert entry.changes == [change_to_dict(EdgeChange.insert(1, 2, "x", "A", "B"))]
-
-        async def replay_phase():
-            monitor = StreamMonitor(queries, method="dsc")  # fresh server
-            server = ReproServer(monitor, dlq=dlq)
-            await server.start()
-            replayed = await replay_dead_letters_async(dlq, "127.0.0.1", server.port)
-            matches = monitor.matches()
-            await server.drain()
-            return replayed, matches
-
-        replayed, matches = asyncio.run(replay_phase())
-        assert replayed == [1]
-        assert matches == {("s", "q")}  # the dead batch applied cleanly
-
-        # The replay marker survives the journal round-trip.
-        assert DeadLetterQueue(tmp_path).get(1).replayed
-
-    def test_sharded_poison_is_dead_lettered_and_worker_stays_healthy(
-        self, tmp_path
-    ):
-        """Against the sharded runtime ``apply`` is asynchronous, so a
-        poison batch that reached a worker would crash it *after* the
-        commit reply (and journal replay would re-crash it forever).
-        The bridge's shadow validation must refuse the batch up front:
-        a structured dead-letter reply, never ``code: internal``, and
-        the stream keeps serving afterwards."""
+    def test_sharded_poison_is_dead_lettered_and_worker_stays_healthy(self):
+        """Against the sharded runtime a poison batch that reached a
+        worker would crash it *after* the commit reply.  The graph of
+        record must refuse the batch up front: a structured ``ok: false``
+        reply, never ``code: internal``, and the stream keeps serving
+        afterwards."""
         from repro.runtime import ShardedMonitor
 
         queries = {"q": edge_query()}
-        dlq = DeadLetterQueue(tmp_path)
 
         async def scenario(monitor):
-            server = ReproServer(monitor, dlq=dlq)
+            server = ReproServer(monitor)
             await server.start()
             reader, writer, _ = await connect(server.port)
             assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
@@ -456,23 +429,17 @@ class TestDeadLettering:
 
         assert good["ok"] and good["applied"] == 1
         assert bad["ok"] is False and "code" not in bad
-        assert bad["errors"][0]["dlq_id"] == 1
+        assert bad["errors"][0]["stream"] == "s"
         assert "GraphError" in bad["errors"][0]["error"]
         assert after["ok"] and after["applied"] == 1
         assert matched["matches"] == [["s", "q"]]
-
-        entry = dlq.get(1)
-        assert entry is not None and entry.stream == "s"
-        assert entry.changes == [change_to_dict(EdgeChange.insert(1, 2, "x", "A", "B"))]
+        assert refused_count() == 1
 
     def test_poison_third_change_leaves_the_stream_as_it_was(self):
         """In-process, no shadow: the monitor itself refuses the whole
         commit, so the two good changes ahead of the poison one leave
         no trace and the following commit applies."""
-        from repro.serve import serve_lines
-
         monitor = StreamMonitor({"q": edge_query()}, method="dsc")
-        dlq = DeadLetterQueue()
         replies: list[dict] = []
         script = [
             "stream s",
@@ -483,40 +450,17 @@ class TestDeadLettering:
             "ins s 1 2 x A B",  # duplicate edge: poison, third of three
             "tick",
         ]
-        serve_lines(monitor, script, replies.append, dlq=dlq)
+        serve_lines(monitor, script, replies.append)
         bad = replies[-1]
         assert bad["ok"] is False and bad["applied"] == 0
         assert "GraphError" in bad["errors"][0]["error"]
-        assert len(dlq.get(bad["errors"][0]["dlq_id"]).changes) == 3
+        assert refused_count() == 1
         assert sorted(monitor.graph("s").edges()) == [("1", "2", "x")]
 
         replies.clear()
-        serve_lines(monitor, ["ins s 3 4 x A B", "tick"], replies.append, dlq=dlq)
+        serve_lines(monitor, ["ins s 3 4 x A B", "tick"], replies.append)
         assert replies[-1]["ok"] and replies[-1]["applied"] == 1
         assert monitor.graph("s").num_edges == 2
-
-    def test_cli_dlq_list_and_show(self, tmp_path, capsys):
-        from repro.cli import main
-
-        dlq = DeadLetterQueue(tmp_path)
-        dlq.record(
-            session=1,
-            stream="s0",
-            changes=[{"op": "ins", "u": 1, "v": 2, "edge_label": "x"}],
-            error="GraphError: duplicate edge",
-        )
-
-        assert main(["dlq", "list", "--dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "pending" in out and "stream=s0" in out and "total: 1" in out
-
-        assert main(["dlq", "show", "--dir", str(tmp_path), "--id", "1"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["dlq_id"] == 1 and doc["error"] == "GraphError: duplicate edge"
-
-        assert main(["dlq", "show", "--dir", str(tmp_path)]) == 2
-        assert main(["dlq", "show", "--dir", str(tmp_path), "--id", "9"]) == 2
-
 
 # -- shadow validation ------------------------------------------------------
 
@@ -631,6 +575,60 @@ class TestGraphSetFileParsedOnce:
         assert reply["ok"], reply
         assert len(parses) == 2
         assert bridge.monitor.graph(100).num_vertices == 6
+
+
+class TestStreamGraphFile:
+    """``stream <id> <file>`` naming an empty or a missing graph-set file
+    is a bad request, and the session lives on."""
+
+    def _paths(self, tmp_path: Path) -> tuple[str, str]:
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        return str(empty), str(tmp_path / "missing.txt")
+
+    def test_stdin_refuses_empty_and_missing_files(self, tmp_path):
+        empty, missing = self._paths(tmp_path)
+        replies: list[dict] = []
+        script = [
+            f"stream s {empty}",
+            f"stream t {missing}",
+            "stream u",
+            "ins u 1 2 x A B",
+            "tick",
+        ]
+        serve_lines(StreamMonitor({"q": edge_query()}), script, replies.append)
+        assert [reply.get("code") for reply in replies[:2]] == ["bad_request"] * 2
+        assert "empty graph set" in replies[0]["error"]
+        assert "FileNotFoundError" in replies[1]["error"]
+        assert replies[-1]["ok"] and replies[-1]["applied"] == 1
+
+    def test_tcp_refuses_empty_and_missing_files(self, tmp_path):
+        empty, missing = self._paths(tmp_path)
+
+        async def run():
+            server = ReproServer(StreamMonitor({"q": edge_query()}))
+            await server.start()
+            reader, writer, _ = await connect(server.port)
+            replies = [
+                await send_cmd(reader, writer, command)
+                for command in (
+                    {"cmd": "stream", "stream": "s", "graph_file": empty},
+                    {"cmd": "stream", "stream": "t", "graph_file": missing},
+                    {"cmd": "stream", "stream": "u"},
+                    ins("u", 1, 2),
+                    {"cmd": "commit"},
+                )
+            ]
+            await server.drain()
+            return replies
+
+        replies = asyncio.run(run())
+        assert [reply.get("code") for reply in replies[:2]] == ["bad_request"] * 2
+        assert "empty graph set" in replies[0]["error"]
+        assert "FileNotFoundError" in replies[1]["error"]
+        assert replies[-1]["ok"] and replies[-1]["applied"] == 1
+        summary = obs.get_registry().summary()
+        assert not [key for key in summary if "internal" in key]
 
 
 # -- draining ---------------------------------------------------------------
@@ -751,8 +749,6 @@ class TestDraining:
                 "2",
                 "--checkpoint-dir",
                 str(ckpt),
-                "--dlq-dir",
-                str(tmp_path / "dlq"),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -858,14 +854,13 @@ class TestQueryChurnOverTcp:
 
     def test_poison_addq_dead_letters_and_session_survives(self, tmp_path):
         """A malformed registration — bad inline pattern or a missing
-        graph-set file — must dead-letter with kind='query' and a trace
-        id, not crash the worker; the session keeps serving."""
+        graph-set file — must be refused with a trace id and counted in
+        serve.refused, not crash the worker; the session keeps serving."""
         queries = {"q": edge_query()}
-        dlq = DeadLetterQueue(tmp_path)
 
         async def run():
             monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(monitor, dlq=dlq)
+            server = ReproServer(monitor)
             await server.start()
             reader, writer, _ = await connect(server.port)
             bad_inline = await send_cmd(
@@ -902,24 +897,20 @@ class TestQueryChurnOverTcp:
             assert bad["ok"] is False
             assert "code" not in bad  # poison, not an internal error
             assert bad["trace"]
-        assert bad_inline["dlq_id"] == 1 and bad_file["dlq_id"] == 2
+        assert bad_inline["query"] == "broken" and bad_file["query"] == "ghost"
+        assert "FileNotFoundError" in bad_file["error"]
+        assert refused_count() == 2
         assert committed["ok"] and committed["applied"] == 1
         assert sorted(map(tuple, flagged["matches"])) == [("s", "q")]
 
-        entry = dlq.get(1)
-        assert entry is not None and entry.kind == "query"
-        assert entry.trace_id
-        assert entry.changes == [{"cmd": "addq", "query": "broken"}]
-
-    def test_unknown_delq_is_refused_without_dead_letter(self, tmp_path):
-        """delq of an id that was never registered is a refusal, not a
-        poison batch: nothing to replay, so nothing is journaled."""
+    def test_unknown_delq_is_refused_without_dead_letter(self):
+        """delq of an id that was never registered is a plain error, not
+        a poison query: serve.refused does not count it."""
         queries = {"q": edge_query()}
-        dlq = DeadLetterQueue(tmp_path)
 
         async def run():
             monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(monitor, dlq=dlq)
+            server = ReproServer(monitor)
             await server.start()
             reader, writer, _ = await connect(server.port)
             refused = await send_cmd(
@@ -930,10 +921,10 @@ class TestQueryChurnOverTcp:
             return refused, still
 
         refused, still = asyncio.run(run())
-        assert refused["ok"] is False and "dlq_id" not in refused
+        assert refused["ok"] is False
         assert refused["trace"]
         assert still["ok"] and still["queries"] == 0
-        assert dlq.get(1) is None  # nothing was journaled
+        assert refused_count() == 0
 
     def test_churn_histograms_count_accepted_commands_only(self):
         """A refused addq/delq raises out of its span, so it feeds the
