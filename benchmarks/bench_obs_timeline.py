@@ -1,6 +1,6 @@
 """Micro-benchmarks: what the metrics timeline sampler costs.
 
-The serving layer runs a 1 Hz :class:`~repro.obs.TimelineSampler` next
+The serving layer runs a 1 Hz :class:`~repro.obs.timeline.TimelineSampler` next
 to live traffic (``ServeConfig.timeline_interval``), and ``repro top``
 polls one per frame.  The claim pinned here: with the sampler attached
 at its production cadence, the stream-efficiency replay (the Figure 15
@@ -22,7 +22,8 @@ from __future__ import annotations
 import time
 
 from repro import obs
-from repro.obs import Registry, Timeline, TimelineSampler
+from repro.obs import Registry
+from repro.obs.timeline import Timeline, TimelineSampler
 
 from benchmarks.bench_obs_overhead import build_workload, replay
 

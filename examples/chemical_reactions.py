@@ -11,7 +11,8 @@ Run with:  python examples/chemical_reactions.py
 
 import random
 
-from repro import GraphDatabase, LabeledGraph, StreamMonitor
+from repro import LabeledGraph, StreamMonitor
+from repro.core.database import GraphDatabase
 from repro.datasets import generate_molecule_set
 from repro.graph import EdgeChange, GraphChangeOperation, diff_graphs
 

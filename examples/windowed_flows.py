@@ -12,7 +12,8 @@ Run with:  python examples/windowed_flows.py
 import random
 import tempfile
 
-from repro import LabeledGraph, SlidingWindowMonitor
+from repro import LabeledGraph
+from repro.core.window import SlidingWindowMonitor
 from repro.core.checkpoint import load_monitor, save_monitor
 from repro.core.verify import CachingVerifier
 

@@ -18,14 +18,21 @@ Quickstart::
     monitor.apply("net0", EdgeChange.insert(7, 8, "-", "A", "B"))
     monitor.apply("net0", EdgeChange.insert(8, 9, "-", None, "C"))
     assert monitor.matches() == {("net0", "triangle-feed")}
+
+The root exports the filtering path only.  The serving edge
+(:mod:`repro.serve.server`), the historical observability layers
+(:mod:`repro.obs.timeline`, :mod:`repro.obs.slo`,
+:mod:`repro.obs.flight`) and the offline tools
+(:class:`repro.core.database.GraphDatabase`,
+:class:`repro.core.window.SlidingWindowMonitor`, :mod:`repro.isomorphism`)
+are imported from their own modules, so a process that only filters
+never loads them.
 """
 
 from .core import (
     Confusion,
-    GraphDatabase,
     MatchEvent,
     RunningStats,
-    SlidingWindowMonitor,
     Stopwatch,
     StreamMonitor,
     candidate_ratio,
@@ -38,7 +45,6 @@ from .graph import (
     GraphStream,
     LabeledGraph,
 )
-from .isomorphism import SubgraphMatcher, is_subgraph_isomorphic
 from .join import QuerySet, make_engine
 from .nnt import NNTIndex, build_nnt, project_graph
 from .runtime import ShardedMonitor
@@ -49,7 +55,6 @@ __all__ = [
     "Confusion",
     "EdgeChange",
     "GraphChangeOperation",
-    "GraphDatabase",
     "GraphError",
     "GraphStream",
     "LabeledGraph",
@@ -58,14 +63,11 @@ __all__ = [
     "QuerySet",
     "RunningStats",
     "ShardedMonitor",
-    "SlidingWindowMonitor",
     "Stopwatch",
     "StreamMonitor",
-    "SubgraphMatcher",
     "build_nnt",
     "candidate_ratio",
     "compare_with_truth",
-    "is_subgraph_isomorphic",
     "make_engine",
     "project_graph",
     "__version__",

@@ -37,14 +37,9 @@ import sys
 from pathlib import Path
 
 from .core.checkpoint import MANIFEST, load_monitor
-from .core.database import GraphDatabase
 from .core.monitor import StreamMonitor
-from .datasets.ggen import generate_graph_set
-from .datasets.molecules import generate_molecule_set
-from .datasets.queries import make_query_set
-from .datasets.reality import RealityConfig, generate_reality_stream
-from .datasets.stream_gen import DENSE, SPARSE, synthesize_stream
 from .graph.io import read_graph_set, read_stream, write_graph_set, write_stream
+from .graph.labeled_graph import GraphError
 from .runtime import ShardedMonitor
 
 
@@ -412,6 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand implementations
 # ----------------------------------------------------------------------
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .datasets.ggen import generate_graph_set
+    from .datasets.molecules import generate_molecule_set
+    from .datasets.queries import make_query_set
+    from .datasets.reality import RealityConfig, generate_reality_stream
+    from .datasets.stream_gen import DENSE, SPARSE, synthesize_stream
+
     out = Path(args.out)
     if args.kind == "molecules":
         graphs = generate_molecule_set(args.count, seed=args.seed)
@@ -462,6 +463,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .core.database import GraphDatabase
+
     database = GraphDatabase(dict(read_graph_set(args.db)), depth_limit=args.depth)
     for name, query in read_graph_set(args.queries):
         if args.no_verify:
@@ -589,7 +592,7 @@ def _replay_and_report(
     :func:`_parse_churn`), executed right after that timestamp's events
     and any rescale — both monitor flavours support them live.
     """
-    from .obs import render_prometheus
+    from .obs.exposition import render_prometheus
 
     for timestamp, events in _replay(monitor, streams):
         for event in events:
@@ -765,8 +768,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # The serving edge (asyncio, ssl, http) is imported
         # only now that the workers have forked: they never serve, and
         # would carry its pages for life.
-        from .serve import ServeConfig, run_server, serve_lines
         from .serve.protocol import encode_reply
+        from .serve.server import ServeConfig, run_server
+        from .serve.session import serve_lines
 
         def emit(payload: dict) -> None:
             print(encode_reply(payload), flush=True)
@@ -799,7 +803,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     import json
 
-    from .obs import render_json, render_prometheus
+    from .obs.exposition import render_json, render_prometheus
 
     if args.dump:
         text = Path(args.dump).read_text()
@@ -949,17 +953,17 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     if not (args.queries and args.streams):
         print("slo needs --url or --queries/--streams to replay", file=sys.stderr)
         return 2
-    from . import obs
-
-    obs.enable()
     import dataclasses
 
+    from . import obs
+    from .obs.slo import DEFAULT_RULES, SloEngine
+    from .obs.timeline import Timeline
+
+    obs.enable()
     streams = _read_streams(args.streams)
-    rules = tuple(
-        dataclasses.replace(rule, window=args.window) for rule in obs.DEFAULT_RULES
-    )
-    timeline = obs.Timeline()
-    engine = obs.SloEngine(rules=rules, timeline=timeline)
+    rules = tuple(dataclasses.replace(rule, window=args.window) for rule in DEFAULT_RULES)
+    timeline = Timeline()
+    engine = SloEngine(rules=rules, timeline=timeline)
     with _open_monitor(args, dict(read_graph_set(args.queries))) as monitor:
         for timestamp, _ in _replay(monitor, streams):
             timeline.sample(monitor.obs_summary())
@@ -974,7 +978,7 @@ def _cmd_flight(args: argparse.Namespace) -> int:
     import json
     import signal as signal_module
 
-    from .obs import FlightRecorder
+    from .obs.flight import FlightRecorder
 
     if args.action == "signal":
         if args.pid is None:
@@ -1081,6 +1085,9 @@ def main(argv: list[str] | None = None) -> int:
             return lint_main(argv[1:])
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)
+    except GraphError as exc:  # a malformed graph, query or stream file
+        print(f"repro: GraphError: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pipe (e.g. `| head`) closed early: exit quietly.
         try:

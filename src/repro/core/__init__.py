@@ -1,6 +1,12 @@
-"""Public API: the streaming monitor, static database, and metrics."""
+"""Public API: the streaming monitor, its metrics and its checkpoint.
 
-from .database import GraphDatabase
+The offline tools are imported from their own modules, so a monitor
+process never loads them: :mod:`repro.core.database` (static
+filter-and-verify search), :mod:`repro.core.window` (sliding-window
+monitoring) and :mod:`repro.core.verify` (verification caching and the
+precision probe).
+"""
+
 from .metrics import (
     Confusion,
     RunningStats,
@@ -10,16 +16,11 @@ from .metrics import (
 )
 from .checkpoint import checkpoint_stats, load_monitor, save_monitor
 from .monitor import MatchEvent, StreamMonitor, diff_polls
-from .verify import CachingVerifier
-from .window import SlidingWindowMonitor
 
 __all__ = [
-    "CachingVerifier",
     "Confusion",
-    "GraphDatabase",
     "MatchEvent",
     "RunningStats",
-    "SlidingWindowMonitor",
     "Stopwatch",
     "StreamMonitor",
     "candidate_ratio",

@@ -31,7 +31,6 @@ from typing import Any, Iterable, Literal, Mapping
 from .. import obs
 from ..graph.labeled_graph import LabeledGraph
 from ..graph.operations import EdgeChange, GraphChangeOperation
-from ..isomorphism.vf2 import SubgraphMatcher
 from ..join import QuerySet, StreamListenerAdapter, make_engine
 from ..join.base import Pair, QueryId, StreamId
 from ..nnt.incremental import NNTIndex
@@ -272,6 +271,8 @@ class StreamMonitor:
         """Exact joinable pairs: the filter's candidates confirmed by
         subgraph isomorphism checking (expensive; for when exactness
         matters more than latency)."""
+        from ..isomorphism.vf2 import SubgraphMatcher  # only exactness pays for VF2
+
         if pairs is None:
             pairs = self.matches()
         confirmed: set[Pair] = set()

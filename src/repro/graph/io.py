@@ -58,14 +58,24 @@ def graph_to_string(graph: LabeledGraph, name: str = "g") -> str:
 def write_graph_set(
     graphs: Iterable[LabeledGraph], path: str | Path, names: Iterable[str] | None = None
 ) -> None:
-    """Write many graphs to one file, one ``t #`` block each."""
+    """Write many graphs to one file, one ``t #`` block each; block
+    names are keys, so they must be distinct."""
     graphs = list(graphs)
     block_names = list(names) if names is not None else [f"g{i}" for i in range(len(graphs))]
     if len(block_names) != len(graphs):
         raise GraphError("names and graphs must have equal length")
+    _check_unique(map(str, block_names), path)
     with open(path, "w", encoding="utf-8") as out:
         for name, graph in zip(block_names, graphs):
             write_graph(graph, out, name)
+
+
+def _check_unique(names: Iterable[str], where: object) -> None:
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise GraphError(f"duplicate graph block name {name!r} in {where}")
+        seen.add(name)
 
 
 def _parse_blocks(lines: Iterable[str]) -> list[tuple[str, list[list[str]]]]:
@@ -104,9 +114,11 @@ def _graph_from_rows(rows: list[list[str]]) -> LabeledGraph:
 
 
 def read_graph_set(path: str | Path) -> list[tuple[str, LabeledGraph]]:
-    """Read all ``(name, graph)`` blocks from a graph-set file."""
+    """Read all ``(name, graph)`` blocks from a graph-set file; a block
+    name that repeats is refused, since callers key graphs by name."""
     with open(path, "r", encoding="utf-8") as source:
         blocks = _parse_blocks(source)
+    _check_unique((name for name, _ in blocks), path)
     return [(name, _graph_from_rows(rows)) for name, rows in blocks]
 
 

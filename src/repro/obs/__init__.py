@@ -10,9 +10,10 @@ Three primitives, one switch:
   :class:`Registry`; per-worker registries merge losslessly with
   :func:`merge_summaries` (the runtime coordinator does this at poll
   time).
-* **Exposition** — :func:`render_prometheus` / :func:`render_json` turn
-  any summary (live, dumped, or merged) into scrapeable text; surfaced
-  as ``repro stats`` and the ``--stats-every`` replay/serve flags.
+* **Exposition** — :func:`repro.obs.exposition.render_prometheus` /
+  :func:`~repro.obs.exposition.render_json` turn any summary (live,
+  dumped, or merged) into scrapeable text; surfaced as ``repro stats``
+  and the ``--stats-every`` replay/serve flags.
 
 Two further layers ride on the same switch:
 
@@ -30,20 +31,25 @@ Two further layers ride on the same switch:
   precision probe that feeds the live ``filter.fp_ratio_estimate``
   gauge (``repro_filter_fp_ratio_estimate`` in Prometheus text).
 
-Three historically-aware layers build on the snapshots:
+Three historically-aware layers build on the snapshots.  Only the
+serving edge, the dashboard and their CLI verbs run them, so the package
+root does not import them (nor :mod:`repro.obs.exposition`): import each
+from its own module.
 
-* **Timeline** — :class:`Timeline` keeps a bounded delta-encoded ring
-  of periodic registry snapshots; :class:`Window` answers windowed
-  rates and *windowed* histogram quantiles from bucket deltas (what
-  ``repro top`` and the SLO engine consume instead of
-  lifetime-cumulative values).
-* **SLOs** — :class:`SloEngine` evaluates declarative :class:`SloRule`
-  objectives over the timeline with ok/warn/breach hysteresis,
-  exporting ``slo.state`` / ``slo.breaches`` back into the registry.
-* **Flight recorder** — :class:`FlightRecorder` journals refusals and
-  worker command notes to a bounded ring and an eagerly-flushed JSONL
-  file that survives SIGKILL; full snapshots dump on crash or SIGUSR2 (:func:`install_signal_dump`).  Every
-  metric name these layers reference must exist in
+* **Timeline** — :class:`repro.obs.timeline.Timeline` keeps a bounded
+  delta-encoded ring of periodic registry snapshots;
+  :class:`~repro.obs.timeline.Window` answers windowed rates and
+  *windowed* histogram quantiles from bucket deltas (what ``repro top``
+  and the SLO engine consume instead of lifetime-cumulative values).
+* **SLOs** — :class:`repro.obs.slo.SloEngine` evaluates declarative
+  :class:`~repro.obs.slo.SloRule` objectives over the timeline with
+  ok/warn/breach hysteresis, exporting ``slo.state`` / ``slo.breaches``
+  back into the registry.
+* **Flight recorder** — :class:`repro.obs.flight.FlightRecorder`
+  journals refusals and worker command notes to a bounded ring and an
+  eagerly-flushed JSONL file that survives SIGKILL; full snapshots dump
+  on crash or SIGUSR2 (:func:`~repro.obs.flight.install_signal_dump`).
+  Every metric name these layers reference must exist in
   :mod:`repro.obs.catalog` (rule RP018).
 
 :func:`disable` flips the whole subsystem to a near-zero-overhead
@@ -55,8 +61,6 @@ stays the single source of timing truth — see ``docs/observability.md``.
 """
 
 from . import catalog, quality, trace
-from .exposition import metric_name, render_json, render_prometheus
-from .flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder, install_signal_dump
 from .instruments import (
     Counter,
     DEFAULT_LATENCY_BUCKETS,
@@ -69,7 +73,6 @@ from .instruments import (
     validate_labels,
 )
 from .registry import counter, gauge, get_registry, histogram, set_registry
-from .slo import DEFAULT_RULES, SloEngine, SloRule
 from .spans import (
     DEFAULT_SPAN_CAPACITY,
     SpanRecord,
@@ -82,14 +85,6 @@ from .spans import (
     spans,
 )
 from .state import disable, enable, enabled
-from .timeline import (
-    DEFAULT_TIMELINE_CAPACITY,
-    Timeline,
-    TimelineSample,
-    TimelineSampler,
-    Window,
-    bucket_quantile,
-)
 from .trace import (
     TraceContext,
     attached,
@@ -106,25 +101,14 @@ from .trace import (
 
 __all__ = [
     "Counter",
-    "DEFAULT_FLIGHT_CAPACITY",
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_RULES",
     "DEFAULT_SPAN_CAPACITY",
-    "DEFAULT_TIMELINE_CAPACITY",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "Registry",
-    "SloEngine",
-    "SloRule",
     "SpanRecord",
-    "Timeline",
-    "TimelineSample",
-    "TimelineSampler",
     "TraceContext",
-    "Window",
     "attached",
-    "bucket_quantile",
     "catalog",
     "clear_spans",
     "counter",
@@ -136,19 +120,15 @@ __all__ = [
     "gauge",
     "get_registry",
     "histogram",
-    "install_signal_dump",
     "instrument_key",
     "iter_spans",
     "last_span",
     "merge_summaries",
-    "metric_name",
     "new_span_id",
     "new_trace_id",
     "process_label",
     "quality",
     "render_critical_spans",
-    "render_json",
-    "render_prometheus",
     "set_process_label",
     "set_registry",
     "set_span_capacity",

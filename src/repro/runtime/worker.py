@@ -169,10 +169,10 @@ def worker_main(shard_id: int, spec: WorkerSpec, inbox, outbox) -> None:
     # (``repro flight signal``).
     flight = None
     if spec.flight_dir is not None:
-        flight = obs.FlightRecorder(
-            Path(spec.flight_dir) / f"flight-shard{shard_id}.jsonl"
-        )
-        obs.install_signal_dump(flight, spec.flight_dir)
+        from ..obs.flight import FlightRecorder, install_signal_dump
+
+        flight = FlightRecorder(Path(spec.flight_dir) / f"flight-shard{shard_id}.jsonl")
+        install_signal_dump(flight, spec.flight_dir)
     try:
         ring = RingReader(spec.ring) if spec.ring is not None else None
         state = ShardState(shard_id, spec.build_monitor(), ring=ring)

@@ -17,24 +17,13 @@ drain-aware ``/readyz``, ``/slo``, ``/timeline.json``, and a
 ``/trace`` Perfetto download — see the endpoint table in
 ``docs/serving.md``.
 
+The package root imports nothing, so a process that only parses the
+wire protocol never loads :mod:`asyncio`.  Import each piece from its
+module: ``ReproServer``/``ServeConfig``/``run_server`` from
+:mod:`repro.serve.server`, ``MonitorBridge``/``Session``/``serve_lines``
+from :mod:`repro.serve.session`, ``ObservabilityEndpoint`` from
+:mod:`repro.serve.http` and the parsers from :mod:`repro.serve.protocol`.
+
 This is the only unit allowed to use :mod:`asyncio` (rule RP017); see
 ``docs/serving.md`` for the protocol specification.
 """
-
-from .http import ObservabilityEndpoint
-from .protocol import ProtocolError, parse_json_line, parse_text_line
-from .server import ReproServer, ServeConfig, run_server
-from .session import MonitorBridge, Session, serve_lines
-
-__all__ = [
-    "MonitorBridge",
-    "ObservabilityEndpoint",
-    "ProtocolError",
-    "ReproServer",
-    "ServeConfig",
-    "Session",
-    "parse_json_line",
-    "parse_text_line",
-    "run_server",
-    "serve_lines",
-]

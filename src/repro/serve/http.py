@@ -34,9 +34,10 @@ import asyncio
 import json
 from typing import Any, Callable
 
-from repro.obs.timeline import Timeline
-
 from .. import obs
+from ..obs.exposition import render_prometheus
+from ..obs.timeline import Timeline
+from ..obs.trace import to_chrome
 
 __all__ = ["ObservabilityEndpoint"]
 
@@ -126,7 +127,7 @@ class ObservabilityEndpoint:
     def _route(self, path: str) -> tuple[int, dict[str, str], bytes]:
         path = path.split("?", 1)[0]
         if path == "/metrics":
-            text = obs.render_prometheus(self._summary(), prefix=self._prefix)
+            text = render_prometheus(self._summary(), prefix=self._prefix)
             return (
                 200,
                 {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"},
@@ -147,7 +148,7 @@ class ObservabilityEndpoint:
                 return self._error(404, "timeline not configured")
             return self._json(self._timeline.to_json())
         if path == "/trace":
-            doc = obs.to_chrome(self._spans())
+            doc = to_chrome(self._spans())
             body = json.dumps(doc).encode("utf-8")
             return (
                 200,

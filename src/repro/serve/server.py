@@ -47,6 +47,9 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .. import obs
+from ..obs.flight import FlightRecorder
+from ..obs.slo import SloEngine
+from ..obs.timeline import Timeline
 from .http import ObservabilityEndpoint
 from .lifecycle import Lifecycle, install_signal_handlers
 from .protocol import (
@@ -133,8 +136,8 @@ class ReproServer:
         self._admitted = obs.counter("serve.admitted")
         self._sessions_gauge = obs.gauge("serve.sessions")
         self._depth_gauge = obs.gauge("serve.queue_depth")
-        self.timeline = obs.Timeline(capacity=self.config.timeline_capacity)
-        self.slo = obs.SloEngine(
+        self.timeline = Timeline(capacity=self.config.timeline_capacity)
+        self.slo = SloEngine(
             rules=self.config.slo_rules or None, timeline=self.timeline
         )
         flight_path = (
@@ -142,7 +145,7 @@ class ReproServer:
             if self.config.flight_dir
             else None
         )
-        self.flight = obs.FlightRecorder(path=flight_path)
+        self.flight = FlightRecorder(path=flight_path)
         self.http: ObservabilityEndpoint | None = None
         self._sampler_task: asyncio.Task | None = None
 

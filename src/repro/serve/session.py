@@ -193,7 +193,7 @@ class MonitorBridge:
         if command.graph_file is not None:
             try:
                 graph_set = self._graph_set(command.graph_file)
-            except OSError as exc:
+            except (OSError, GraphError) as exc:
                 raise ProtocolError(f"{type(exc).__name__}: {exc}") from exc
             if not graph_set:
                 raise ProtocolError(f"empty graph set {command.graph_file}")

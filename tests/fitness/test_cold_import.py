@@ -1,5 +1,6 @@
 """Cold-import budget: numpy is paid for by the `matrix` engine alone,
-and the analyzer by the `lint` verb alone.
+the analyzer by the `lint` verb alone, and the serving edge, the
+historical obs layers and the offline tools by their own callers alone.
 
 Every process of a deployment (runner, each forked worker, the `repro
 serve` child) imports `repro`; only `repro.join.matrix` needs numpy, and
@@ -13,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -46,3 +49,70 @@ def test_numpy_is_imported_by_the_matrix_engine_only() -> None:
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+# The set-up closures: what importing a filtering module pays for.
+# ``socket``, ``subprocess`` and ``multiprocessing`` are still in all of
+# them, because the package root re-exports ``ShardedMonitor`` for the
+# benchmark harness; they are left for ROADMAP item 1(a), which
+# re-points the harness's imports.
+SERVING_EDGE = {"asyncio", "ssl"} | {
+    f"repro.serve.{name}" for name in ("server", "session", "http", "lifecycle")
+}
+OFFLINE_AND_HISTORICAL = {
+    f"repro.obs.{name}" for name in ("slo", "flight", "timeline", "exposition")
+} | {f"repro.core.{name}" for name in ("database", "window", "verify")}
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    probe = code + "\nimport sys\nprint(' '.join(sys.modules))\n"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def _under(loaded: set[str], *packages: str) -> set[str]:
+    return {
+        name for name in loaded for package in packages
+        if name == package or name.startswith(package + ".")
+    }
+
+
+def test_parsing_the_wire_protocol_loads_no_serving_edge() -> None:
+    loaded = _modules_after("import repro.serve.protocol")
+    assert not loaded & SERVING_EDGE
+    repro_modules = _under(loaded, "repro")
+    assert len(repro_modules) <= 40, sorted(repro_modules)
+
+
+@pytest.mark.parametrize("module", ["repro.core.monitor", "repro.runtime.worker"])
+def test_a_monitor_process_loads_no_offline_tool(module: str) -> None:
+    loaded = _modules_after(f"import {module}")
+    assert not loaded & OFFLINE_AND_HISTORICAL
+    assert not _under(loaded, "repro.isomorphism", "repro.datasets")
+
+
+def test_building_the_cli_parser_loads_no_generator_database_or_loop() -> None:
+    loaded = _modules_after("import repro.cli\nrepro.cli.build_parser()")
+    assert not loaded & {"asyncio", "repro.core.database"}
+    assert not _under(loaded, "repro.datasets")
+
+
+def test_vf2_is_loaded_by_verified_matches_only() -> None:
+    _modules_after(
+        """
+import sys
+from repro import LabeledGraph, StreamMonitor
+
+query = LabeledGraph.from_vertices_and_edges([(0, "A"), (1, "B")], [(0, 1, "-")])
+monitor = StreamMonitor({"ab": query})
+monitor.add_stream("s", query)
+assert "repro.isomorphism.vf2" not in sys.modules
+assert monitor.verified_matches() == {("s", "ab")}
+assert "repro.isomorphism.vf2" in sys.modules
+"""
+    )

@@ -22,6 +22,7 @@ import pytest
 from repro import EdgeChange, LabeledGraph, ShardedMonitor, StreamMonitor, obs
 from repro.join import ENGINES
 from repro.obs.catalog import CATALOG
+from repro.obs.exposition import metric_name, render_prometheus
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 INSTRUMENTS = {"counter", "gauge", "histogram", "span"}
@@ -128,11 +129,11 @@ def test_a_scrape_carries_the_catalog_text_of_every_series_it_touched(workers: i
     assert summary["monitor.register_query.seconds"]["count"] == max(workers, 1)
     if workers:
         assert summary["runtime.register_query.seconds"]["count"] == 1
-    scrape = obs.render_prometheus(summary).splitlines()
+    scrape = render_prometheus(summary).splitlines()
     touched = {key.split("{", 1)[0] for key in summary}
     assert touched <= set(CATALOG), touched - set(CATALOG)
     assert any(name.endswith(".seconds") for name in touched)
     for name in sorted(touched):
         kind, text = CATALOG[name][:2]
-        metric = obs.metric_name(name) + ("_total" if kind == "counter" else "")
+        metric = metric_name(name) + ("_total" if kind == "counter" else "")
         assert f"# HELP {metric} {text}" in scrape, name

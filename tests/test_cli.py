@@ -94,6 +94,18 @@ class TestSearch:
         ) == 0
         assert "candidates" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("verb", ["search", "replay"])
+    def test_duplicate_block_names_are_refused(self, tmp_path, capsys, verb):
+        # Two blocks named q (A-B, then C-D): keyed by name, the A-B
+        # query would vanish and its true match with it.
+        dup = tmp_path / "dup.txt"
+        dup.write_text("t # q\nv 0 A\nv 1 B\ne 0 1 -\nt # q\nv 0 C\nv 1 D\ne 0 1 -\n")
+        flags = {"search": ["--db", str(dup)], "replay": ["--streams", str(dup)]}[verb]
+        assert main([verb, "--queries", str(dup), *flags]) == 2
+        captured = capsys.readouterr()
+        assert "duplicate graph block name 'q'" in captured.err
+        assert "matches" not in captured.out
+
 
 class TestMonitor:
     def test_monitor_replay(self, tmp_path, capsys):

@@ -16,7 +16,8 @@ from repro.dashboard import (
     render_dashboard,
     run_top,
 )
-from repro.obs import Registry, Timeline
+from repro.obs import Registry
+from repro.obs.timeline import Timeline
 
 from .conftest import random_labeled_graph
 

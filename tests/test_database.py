@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro import GraphDatabase, LabeledGraph
+from repro import LabeledGraph
+from repro.core.database import GraphDatabase
 from repro.isomorphism import SubgraphMatcher
 from repro.nnt.projection import DimensionScheme
 

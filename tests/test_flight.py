@@ -19,7 +19,8 @@ import pytest
 
 from repro import obs
 from repro.graph.operations import EdgeChange, GraphChangeOperation
-from repro.obs import FlightRecorder, Registry, install_signal_dump
+from repro.obs import Registry
+from repro.obs.flight import FlightRecorder, install_signal_dump
 from repro.runtime import ShardedMonitor
 
 from .conftest import random_labeled_graph

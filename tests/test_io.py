@@ -63,6 +63,20 @@ class TestGraphRoundTrip:
         with pytest.raises(GraphError):
             write_graph_set([string_graph()], tmp_path / "x.txt", names=["a", "b"])
 
+    def test_duplicate_block_name_rejected_on_read(self, tmp_path):
+        # Callers key graphs by block name: a repeat would silently keep
+        # only the last block under it.
+        path = tmp_path / "dup.txt"
+        path.write_text("t # q\nv 0 A\nv 1 B\ne 0 1 -\nt # q\nv 0 C\nv 1 D\ne 0 1 -\n")
+        with pytest.raises(GraphError, match="duplicate graph block name 'q'"):
+            read_graph_set(path)
+
+    def test_duplicate_block_name_rejected_on_write(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        with pytest.raises(GraphError, match="duplicate graph block name 'q'"):
+            write_graph_set([string_graph(), LabeledGraph()], path, names=["q", "q"])
+        assert not path.exists()
+
 
 class TestStreamRoundTrip:
     def test_round_trip(self, tmp_path):

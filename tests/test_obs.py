@@ -25,10 +25,8 @@ from repro.obs import (
     Histogram,
     Registry,
     merge_summaries,
-    metric_name,
-    render_json,
-    render_prometheus,
 )
+from repro.obs.exposition import metric_name, render_json, render_prometheus
 
 
 @pytest.fixture(autouse=True)

@@ -18,6 +18,7 @@ from repro.core.monitor import StreamMonitor
 from repro.core.verify import PrecisionProbe
 from repro.graph.operations import EdgeChange
 from repro.obs import Registry
+from repro.obs.exposition import render_prometheus
 from repro.obs.quality import ProbeBudget, blame_dimension
 
 from .conftest import random_labeled_graph
@@ -118,7 +119,7 @@ class TestRecorders:
 
     def test_gauge_renders_with_the_documented_prometheus_name(self):
         obs.quality.record_probe(checked=2, false_positives=1)
-        text = obs.render_prometheus(obs.get_registry().summary())
+        text = render_prometheus(obs.get_registry().summary())
         assert "repro_filter_fp_ratio_estimate 0.5" in text
 
 

@@ -30,7 +30,7 @@ from repro.core.monitor import StreamMonitor
 from repro.dashboard import histogram_quantile
 from repro.graph.io import read_graph_set
 from repro.obs import Registry
-from repro.serve import serve_lines
+from repro.serve.session import serve_lines
 
 SCENARIO_DIR = Path(__file__).parent / "fixtures" / "scenarios"
 SCENARIOS = sorted(path.name for path in (SCENARIO_DIR / "scenarios").glob("*.json"))

@@ -22,8 +22,11 @@ from repro import obs
 from repro.core.monitor import StreamMonitor
 from repro.dashboard import render_dashboard
 from repro.graph.operations import EdgeChange, GraphChangeOperation
-from repro.obs import Registry, SloRule
-from repro.serve import ObservabilityEndpoint, ReproServer, ServeConfig
+from repro.obs import Registry
+from repro.obs.exposition import render_prometheus
+from repro.obs.slo import SloRule
+from repro.serve.http import ObservabilityEndpoint
+from repro.serve.server import ReproServer, ServeConfig
 
 from .test_obs import parse_prometheus_text
 from .test_serve_server import connect, edge_query, ins, send_cmd
@@ -305,7 +308,7 @@ class TestMergedScrapeAfterChurn:
             )
             sharded.matches()
             before = parse_prometheus_text(
-                obs.render_prometheus(sharded.obs_summary(), prefix="repro")
+                render_prometheus(sharded.obs_summary(), prefix="repro")
             )
             sharded.deregister_query("q0")
             sharded.register_query("q2", edge_query())
@@ -314,7 +317,7 @@ class TestMergedScrapeAfterChurn:
                 GraphChangeOperation([EdgeChange("ins", 50, 51, "x", "A", "B")]),
             )
             sharded.matches()
-            after_text = obs.render_prometheus(
+            after_text = render_prometheus(
                 sharded.obs_summary(), prefix="repro"
             )
             # The golden parser enforces the structural rules (TYPE-
@@ -337,6 +340,6 @@ class TestMergedScrapeAfterChurn:
             assert 'query="q2"' in queries_seen
             assert 'query="q0"' in queries_seen  # pre-removal history kept
             # Rendering is deterministic: a second render is identical.
-            assert after_text == obs.render_prometheus(
+            assert after_text == render_prometheus(
                 sharded.obs_summary(), prefix="repro"
             )

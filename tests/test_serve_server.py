@@ -33,9 +33,9 @@ from repro.graph import LabeledGraph
 from repro.graph.io import write_graph_set
 from repro.graph.operations import EdgeChange, GraphChangeOperation
 from repro.obs import Registry
-from repro.serve import ReproServer, ServeConfig, Session, run_server, serve_lines
 from repro.serve.protocol import AddQuery, AddStream, Commit, Edit, change_to_dict
-from repro.serve.session import apply_batch_validated
+from repro.serve.server import ReproServer, ServeConfig, run_server
+from repro.serve.session import Session, apply_batch_validated, serve_lines
 
 from .conftest import random_labeled_graph
 from .test_vf2 import nx_subgraph_iso
@@ -601,6 +601,17 @@ class TestStreamGraphFile:
         assert "empty graph set" in replies[0]["error"]
         assert "FileNotFoundError" in replies[1]["error"]
         assert replies[-1]["ok"] and replies[-1]["applied"] == 1
+
+    def test_stdin_refuses_duplicate_block_names(self, tmp_path):
+        dup = tmp_path / "dup.txt"
+        dup.write_text("t # q\nv 0 A\nv 1 B\ne 0 1 x\nt # q\nv 0 C\nv 1 D\ne 0 1 x\n")
+        replies: list[dict] = []
+        script = [f"stream s {dup} q", f"addq p {dup} q", "stream u", "ins u 1 2 x A B", "tick"]
+        monitor = StreamMonitor({"q": edge_query()})
+        serve_lines(monitor, script, replies.append)
+        assert [reply["ok"] for reply in replies] == [False, False, True, True, True]
+        assert all("duplicate graph block name 'q'" in r["error"] for r in replies[:2])
+        assert monitor.stream_ids() == ["u"] and monitor.query_ids() == ["q"]
 
     def test_tcp_refuses_empty_and_missing_files(self, tmp_path):
         empty, missing = self._paths(tmp_path)

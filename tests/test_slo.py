@@ -12,8 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.obs import Registry, SloEngine, SloRule, Timeline
-from repro.obs.slo import BREACH, DEFAULT_RULES, OK, STATE_CODES, WARN
+from repro.obs import Registry
+from repro.obs.slo import BREACH, DEFAULT_RULES, OK, STATE_CODES, WARN, SloEngine, SloRule
+from repro.obs.timeline import Timeline
 
 
 @pytest.fixture(autouse=True)

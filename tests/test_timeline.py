@@ -15,7 +15,8 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs import Registry, Timeline, TimelineSampler, bucket_quantile
+from repro.obs import Registry
+from repro.obs.timeline import Timeline, TimelineSampler, bucket_quantile
 
 
 @pytest.fixture(autouse=True)

@@ -329,7 +329,7 @@ class TestShardedTraces:
             replay(sharded, streams)
             merged = sharded.stats()["merged_obs"]
         assert merged["monitor.apply.seconds"]["count"] > 0
-        from repro.obs import render_prometheus
+        from repro.obs.exposition import render_prometheus
 
         render_prometheus(merged)  # labelled entries must render cleanly
 
