@@ -61,6 +61,17 @@ def _add_probe_arguments(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _depth_limit(text: str) -> int:
+    """``--depth``: an NNT depth ``l >= 1``, refused by argparse otherwise."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if depth < 1:
+        raise argparse.ArgumentTypeError(f"NNT depth must be >= 1, got {depth}")
+    return depth
+
+
 def _add_workers_argument(sub: argparse.ArgumentParser) -> None:
     """``--workers``, meaning the same thing wherever it is accepted."""
     sub.add_argument(
@@ -86,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     filtering.add_argument(
         "--method", choices=["nl", "dsc", "skyline", "matrix"], default="dsc"
     )
-    filtering.add_argument("--depth", type=int, default=3, help="NNT depth l")
+    filtering.add_argument("--depth", type=_depth_limit, default=3, help="NNT depth l")
     recorded = argparse.ArgumentParser(add_help=False)
     recorded.add_argument("--queries", required=True, help="graph-set file of patterns")
     recorded.add_argument("--streams", nargs="+", required=True, help="stream files")
@@ -118,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     search = subparsers.add_parser("search", help="static subgraph search over a graph set")
     search.add_argument("--db", required=True, help="graph-set file")
     search.add_argument("--queries", required=True, help="graph-set file of patterns")
-    search.add_argument("--depth", type=int, default=3, help="NNT depth l")
+    search.add_argument("--depth", type=_depth_limit, default=3, help="NNT depth l")
     search.add_argument(
         "--no-verify", action="store_true", help="report filter candidates only"
     )

@@ -85,6 +85,8 @@ class StreamMonitor:
         checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 0,
     ) -> None:
+        if depth_limit < 1:
+            raise ValueError(f"depth_limit must be >= 1, got {depth_limit}")
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if checkpoint_every and checkpoint_dir is None:

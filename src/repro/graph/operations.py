@@ -197,8 +197,16 @@ def diff_graphs(old: LabeledGraph, new: LabeledGraph) -> GraphChangeOperation:
 
     Edges present only in ``old`` become deletions; edges present only in
     ``new`` (or whose label changed) become insertions (label changes are a
-    delete+insert pair).  Vertex labels of shared ids must agree.
+    delete+insert pair).  Vertex labels of shared ids must agree: a batch
+    of edge changes cannot relabel a vertex, so a relabel raises
+    :class:`GraphError` naming the vertex.
     """
+    for vertex, label in old.vertex_items():
+        if vertex in new and new.vertex_label(vertex) != label:
+            raise GraphError(
+                f"vertex {vertex!r} is labelled {label!r} in old and "
+                f"{new.vertex_label(vertex)!r} in new; edge changes cannot relabel it"
+            )
     old_edges = {frozenset((u, v)): label for u, v, label in old.edges()}
     new_edges = {frozenset((u, v)): label for u, v, label in new.edges()}
     changes: list[EdgeChange] = []

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from itertools import compress
+from operator import eq
 from typing import Mapping
 
 from .. import obs
@@ -194,15 +196,27 @@ class DominatedSetCoverJoin(JoinEngine):
         if stream_id in self._streams:
             raise ValueError(f"stream {stream_id!r} is already registered")
         state = self._streams[stream_id] = _StreamState(dict(self._base_uncovered))
-        dim_values = self._dim_values
+        dim_values, dim_entries = self._dim_values, self._dim_entries
+        width = len(self._required)
+        # The count a slot's vector is covered at; trivial and retired
+        # slots (no sorted entry, so always 0) can never reach -1.
+        targets = [required or -1 for required in self._required]
+        # One pass per vertex: what Thm 4.1's counters read after every
+        # value rose from 0, with each row written once.
         for vertex, vector in npvs.items():
-            self.on_vertex_added(stream_id, vertex)
-            mirror = state.vectors[vertex]
-            row = state.dominant[vertex]
+            mirror: NPV = {}
+            counts = [0] * width
             for dim, value in vector.items():
-                if dim in dim_values:
+                values = dim_values.get(dim)
+                if values is not None:
                     mirror[dim] = value
-                    self._value_changed(state, row, dim, 0, value)
+                    for index in dim_entries[dim][: bisect_right(values, value)]:
+                        counts[index] += 1
+            row = array(_COUNTER, counts)
+            state.vectors[vertex] = mirror
+            state.dominant[vertex] = row
+            for index in compress(range(width), map(eq, row, targets)):
+                self._cover_gained(state, index)
 
     def remove_stream(self, stream_id: StreamId) -> None:
         del self._streams[stream_id]

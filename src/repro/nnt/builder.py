@@ -3,17 +3,18 @@
 :func:`build_nnt` is the reference constructor: a breadth-first expansion
 that, at each tree node, follows every incident graph edge not already
 used on the path from the root.  The incremental index
-(:mod:`repro.nnt.incremental`) must always agree with it — the test suite
-checks exactly that after random update sequences.
+(:mod:`repro.nnt.incremental`) counts trails instead of building trees,
+and must always agree with the projection of these trees — the test
+suite checks exactly that after random update sequences.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
 
 from ..graph.labeled_graph import LabeledGraph, VertexId
-from .projection import NPV, DimensionScheme, PAPER_SCHEME, project_tree
+from .projection import NPV, DimensionScheme, PAPER_SCHEME
+from .trails import TrailWalk
 from .tree import NNT, TreeNode
 
 
@@ -47,12 +48,9 @@ def project_graph(
     depth_limit: int,
     scheme: DimensionScheme = PAPER_SCHEME,
 ) -> dict[VertexId, NPV]:
-    """One-shot NPVs for every vertex (build + project, no index kept)."""
-    label_of: Callable[[VertexId], object] = graph.vertex_label
-    return {
-        vertex: project_tree(build_nnt(graph, vertex, depth_limit), label_of, scheme)
-        for vertex in graph.vertices()
-    }
+    """One-shot NPVs for every vertex: the trail count of an index's bulk
+    load (:meth:`repro.nnt.trails.TrailWalk.project`), no index kept."""
+    return TrailWalk(graph, depth_limit, scheme, {}).project()[0]
 
 
 def enumerate_simple_paths(

@@ -6,22 +6,15 @@ the host graph.  Each tree node corresponds to one occurrence of a graph
 vertex at the end of one such path; a tree edge ``parent -> child``
 corresponds to one occurrence of a graph edge.
 
-The structure here is deliberately pointer-based (parent links, children
-keyed by graph vertex) because the incremental maintenance of Section III
-(:mod:`repro.nnt.incremental`) splices subtrees in and out in place and
-indexes individual tree nodes in its inverted indexes.
+The structure is pointer-based (parent links, children keyed by graph
+vertex).  It is the reference form: :func:`~repro.nnt.builder.build_nnt`
+builds it, and the incremental index (:mod:`repro.nnt.incremental`),
+which stores no tree, is checked against its projection.
 
 Memory layout: with branching factor ``r`` about ``(r-1)/r`` of a tree's
 nodes sit at the depth limit, where no child can ever hang, so a node
 created as a *leaf* shares one read-only empty ``children`` mapping and
-only inner nodes own a dict.  The index goes one step further and stores
-its trees to depth ``l - 1`` only — its leaves are the depth-``l - 1``
-nodes, each standing for the depth-``l`` children the graph implies (see
-:mod:`repro.nnt.incremental`); :func:`~repro.nnt.builder.build_nnt`
-always builds the full tree.  The index-owned slots (``root_vertex``, the
-interned ``dim``, the positions ``vpos`` / ``epos`` in the node's
-``I_node`` / ``I_edge`` buckets) are never assigned on trees built by
-:func:`repro.nnt.builder.build_nnt`.
+only inner nodes own a dict.
 """
 
 from __future__ import annotations
@@ -46,26 +39,7 @@ class TreeNode:
     tree stores): ``children`` is then the shared :data:`NO_CHILDREN`.
     """
 
-    __slots__ = (
-        "graph_vertex",
-        "parent",
-        "children",
-        "depth",
-        "edge_label",
-        "root_vertex",
-        "dim",
-        "vpos",
-        "epos",
-    )
-
-    # Hot-path bookkeeping assigned by NNTIndex as it splices the node in:
-    # the owning tree's root vertex, the interned NPV dimension of the
-    # incoming tree edge and the node's slots in its I_node / I_edge buckets
-    # (a root has no incoming edge, hence neither ``dim`` nor ``epos``).
-    root_vertex: VertexId
-    dim: tuple
-    vpos: int
-    epos: int
+    __slots__ = ("graph_vertex", "parent", "children", "depth", "edge_label")
 
     def __init__(
         self,

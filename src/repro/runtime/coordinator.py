@@ -198,6 +198,8 @@ class ShardedMonitor:
     ) -> None:
         global _INSTANCE_COUNTER
         check_engine_name(method)  # refused here, not in a worker; imports no engine
+        if depth_limit < 1:
+            raise ValueError(f"depth_limit must be >= 1, got {depth_limit}")
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if queue_capacity < 1:

@@ -6,8 +6,8 @@ equal parameter names on every shared public method, one scripted
 scenario that must read the same on both (an all-or-nothing ``apply``
 included), ``apply`` / ``apply_many`` returning nothing on both,
 query graphs the monitor owns rather than borrows, one refusal of an
-unknown engine name, and a source check that the code which used to
-tell them apart has not come back.
+unknown engine name and one of a depth limit below 1, and a source
+check that the code which used to tell them apart has not come back.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import ast
 import inspect
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,17 @@ def test_unknown_engine_is_refused_at_construction(flavour: str, tmp_path: Path)
     manifest.write_text(json.dumps(export))
     with pytest.raises(ValueError, match="unknown engine 'matrx'"):
         load_monitor(tmp_path, MONITORS[flavour])
+
+
+@pytest.mark.parametrize("flavour", sorted(MONITORS))
+@pytest.mark.parametrize("depth_limit", [0, -1])
+def test_depth_limit_below_one_is_refused_at_construction(flavour: str, depth_limit: int) -> None:
+    """With no query to project and no stream to index, and before any
+    worker is forked — not at the first ``add_stream`` or ``matches()``."""
+    before = set(multiprocessing.active_children())
+    with pytest.raises(ValueError, match="depth_limit must be >= 1"):
+        MONITORS[flavour]({}, depth_limit=depth_limit)
+    assert set(multiprocessing.active_children()) == before
 
 
 def _attribute_probes(attribute: str) -> list[tuple[str, str]]:

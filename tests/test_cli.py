@@ -271,6 +271,16 @@ class TestReplay:
             )
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("verb", ("replay", "search"))
+    def test_depth_below_one_is_a_usage_error(self, replay_inputs, verb, capsys):
+        """Refused by argparse (exit 2), not by a ValueError traceback."""
+        queries, streams = replay_inputs
+        inputs = ["--streams", *streams] if verb == "replay" else ["--db", streams[0]]
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--queries", queries, *inputs, "--depth", "0"])
+        assert excinfo.value.code == 2
+        assert "--depth: NNT depth must be >= 1, got 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ("nope", "2", "x:3", "2:y", "0:2", "2:0"))
     def test_malformed_rescale_spec_rejected(self, replay_inputs, spec):
         queries, streams = replay_inputs

@@ -70,7 +70,8 @@ class TestComplexityLemmas:
         """Inserting edge (a,b) touches O(appearances * r^(l-1)) tree
         nodes: the created node count is bounded by the number of
         pre-existing appearances of a and b times the per-appearance
-        subtree bound sum_{k<l} r^k."""
+        subtree bound sum_{k<l} r^k.  An appearance is an occurrence
+        above depth l, counted in the reference trees of ``build_nnt``."""
         rng = random.Random(1221)
         for _ in range(10):
             graph = random_labeled_graph(rng, 8, extra_edges=rng.randint(0, 5))
@@ -79,8 +80,10 @@ class TestComplexityLemmas:
             u, v = rng.sample(vertices, 2)
             if index.graph.has_edge(u, v):
                 continue
-            appearances = len(index.node_index.get(u, ())) + len(
-                index.node_index.get(v, ())
+            appearances = sum(
+                node.graph_vertex in (u, v)
+                for root in vertices
+                for node in build_nnt(graph, root, index.depth_limit - 1).nodes()
             )
             before = index.stats["tree_nodes_added"]
             index.insert_edge(u, v, "-")
@@ -95,8 +98,7 @@ class TestComplexityLemmas:
         rng = random.Random(909)
         graph = random_labeled_graph(rng, 7, extra_edges=3)
         index = NNTIndex(graph, depth_limit=3)
-        total_nodes = lambda: sum(len(b) for b in index.node_index.values())
-        baseline = total_nodes()
+        baseline = index.num_tree_nodes
         vertices = list(graph.vertices())
         for _ in range(5):
             u, v = rng.sample(vertices, 2)
@@ -104,7 +106,7 @@ class TestComplexityLemmas:
                 continue
             index.insert_edge(u, v, "-")
             index.delete_edge(u, v)
-            assert total_nodes() == baseline
+            assert index.num_tree_nodes == baseline
 
     def test_nnt_size_bound(self):
         """|NNT(u)| <= sum_{k<=l} r^k (Definition 3.1's worst case)."""

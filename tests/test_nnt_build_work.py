@@ -1,10 +1,11 @@
-"""Work the initial NNT build does per node it stores (ISSUE 24).
+"""Work the initial NNT build does per logical tree node.
 
 A guard without a clock: `NNTIndex(graph, l)` bulk-loads the finished
-graph (Def 3.1), creating each stored node once; replaying the graph edge
-by edge through the Figs 4-5 splice path reaches the same state at about
-three times the calls.  A change that quietly routes the build back that
-way fails here, in tier-1, instead of in the benchmark's `setup_s`.
+graph (Def 3.1) by walking each root's trails once, with no per-node
+object and level `l` booked from neighbour profiles.  A change that
+quietly routes the build back through a stored tree, or through the
+Figs 4-5 procedures edge by edge, fails here, in tier-1, instead of in
+the benchmark's `setup_s`.
 """
 
 import cProfile
@@ -14,22 +15,18 @@ import random
 from repro.datasets.reality import generate_reality_stream
 from repro.nnt import NNTIndex
 
-#: Profiled calls (Python and builtin) per stored node on a 97-device
-#: proximity graph at depth limit 3: 48.8 edge by edge (one deque per
-#: splice, a neighbour walk and `edge_on_root_path` per deepest node, one
-#: `_book` -> `add_to_vector` per tree edge), 24.8 in the issue's sizing
-#: prototype, 16.9 as merged (rows of plain data per depth and vertex, the
-#: implied level booked from the neighbour profile).
-CALLS_PER_STORED_NODE_CEILING = 32
+#: Profiled calls (Python and builtin) per logical tree node on a 97-device
+#: proximity graph at depth limit 3: 2.75 while the build stored every NNT
+#: to depth l - 1 (one `TreeNode` per stored node), 1.30 walking trails.
+CALLS_PER_TREE_NODE_CEILING = 2
 
 
-def test_calls_per_stored_node_of_the_initial_build():
+def test_calls_per_logical_tree_node_of_the_initial_build():
     graph = generate_reality_stream(random.Random(7), 2).initial
     assert graph.num_vertices == 97
     profile = cProfile.Profile()
     index = profile.runcall(NNTIndex, graph, 3)
-    stored = sum(map(len, index.node_index.values()))
-    assert stored > 4_000  # a build worth counting
+    assert index.num_tree_nodes > 20_000  # a build worth counting
     calls = pstats.Stats(profile).total_calls
-    assert calls / stored <= CALLS_PER_STORED_NODE_CEILING
+    assert calls / index.num_tree_nodes <= CALLS_PER_TREE_NODE_CEILING
     index.check_integrity()

@@ -17,7 +17,6 @@ from repro.graph import EdgeChange, GraphChangeOperation, GraphError, LabeledGra
 from repro.graph.operations import apply_change, apply_operation
 from repro.nnt import NNTIndex, build_all_nnts, project_graph
 from repro.nnt.projection import PAPER_SCHEME, DimensionScheme
-from repro.nnt.tree import NNT
 
 from .conftest import random_labeled_graph
 
@@ -104,7 +103,7 @@ class TestInsert:
         index.insert_edge(5, 6, "-", b_label="D")
         index.check_integrity()
         assert index.graph.vertex_label(6) == "D"
-        assert 6 in index.trees
+        assert 6 in index.npvs
 
     def test_insert_new_vertex_without_label_fails(self):
         index = NNTIndex(paper_graph(), depth_limit=2)
@@ -132,7 +131,7 @@ class TestInsert:
         with pytest.raises(GraphError):
             index.insert_edge(*refused)
         assert index.graph.num_vertices == 0 and index.num_tree_nodes == 0
-        assert not index.trees and not index.npvs and not listener.vectors
+        assert not index.npvs and not listener.vectors
         index.check_integrity()
 
     def test_refused_insert_does_not_flip_the_trivial_query(self):
@@ -170,7 +169,6 @@ class TestDelete:
         index.delete_edge(4, 5)
         index.check_integrity()
         assert not index.graph.has_vertex(5)
-        assert 5 not in index.trees
         assert 5 not in index.npvs
 
     def test_delete_last_edge_empties_index(self):
@@ -483,7 +481,7 @@ def _valid_random_batch(rng: random.Random, graph: LabeledGraph) -> GraphChangeO
 def test_property_bulk_load_equals_edge_by_edge_growth(graph, depth, scheme, seed):
     """Def 3.1 over the finished graph and Procedure Insert-Edge over its
     edges in any order build the same index (the latter cannot hold an
-    isolated vertex, whose bulk-built tree is a bare root), and one batch
+    isolated vertex, whose bulk-built NPV is empty), and one batch
     applied to both delivers the same net deltas."""
     rng = random.Random(seed)
     bulk = NNTIndex(graph, depth, scheme)
@@ -494,21 +492,12 @@ def test_property_bulk_load_equals_edge_by_edge_growth(graph, depth, scheme, see
         grown.insert_edge(u, v, label, graph.vertex_label(u), graph.vertex_label(v))
     isolated = [vertex for vertex in graph.vertices() if not graph.degree(vertex)]
 
-    assert bulk.graph == graph and set(bulk.trees) == set(grown.trees) | set(isolated)
+    assert bulk.graph == graph and set(bulk.npvs) == set(grown.npvs) | set(isolated)
     reference = project_graph(graph, depth, scheme)
-    label_of = graph.vertex_label
     for vertex in isolated:
         assert bulk.npvs[vertex] == reference[vertex] == {}
-        bare = NNT(vertex, depth).canonical_form(label_of)
-        assert bulk.tree(vertex).canonical_form(label_of) == bare
-        assert len(bulk.node_index[vertex]) == 1
-    for vertex, tree in grown.trees.items():
-        assert bulk.npvs[vertex] == grown.npvs[vertex]
-        assert bulk.tree(vertex).canonical_form(label_of) == tree.canonical_form(label_of)
-        assert len(bulk.node_index[vertex]) == len(grown.node_index[vertex])
-    assert {key: len(bucket) for key, bucket in bulk.edge_index.items()} == {
-        key: len(bucket) for key, bucket in grown.edge_index.items()
-    }
+    for vertex, npv in grown.npvs.items():
+        assert bulk.npvs[vertex] == npv
     assert bulk.num_tree_nodes == grown.num_tree_nodes + len(isolated)
     assert bulk.stats == {**grown.stats, "edges_inserted": 0, "deltas_delivered": 0}
     bulk.check_integrity()

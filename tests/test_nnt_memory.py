@@ -1,19 +1,15 @@
-"""Memory layout of the NNT store (ISSUEs 12 and 15).
+"""Memory of the NNT index, and what `check_integrity` holds it to.
 
-What the layout promises, each checked where it can be observed: removed
-subtrees are acyclic and die by reference count, churn leaves nothing for
-the cycle collector, a live *logical* tree node (materialised above the
-depth limit, implied at it) costs a bounded number of bytes, and
-`NNTIndex.check_integrity` notices when any of the layout's own invariants
-(slot back-pointers, no empty edge bucket, interned dimensions, a
-dict-free deepest materialised level, the implied level's NPV counts, the
-logical node counter) is broken.
+The index keeps the graph and the NPVs and no tree: churn leaves nothing
+for the cycle collector, a live NPV entry costs a bounded number of
+bytes, and `NNTIndex.check_integrity` notices a wrong NPV, a wrong
+logical node counter, an NPV for a vertex the graph lacks and a check run
+inside an open delta batch.
 """
 
 import gc
 import random
 import tracemalloc
-import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -21,15 +17,12 @@ import pytest
 from repro.datasets.reality import generate_reality_stream
 from repro.graph import LabeledGraph
 from repro.nnt import NNTIndex, build_nnt
-from repro.nnt import incremental
 from repro.nnt.tree import NO_CHILDREN, TreeNode
 
-#: tracemalloc bytes per live logical tree node after the churn below: 530
-#: with set buckets, a dict per node and a tuple per node; ~215 with every
-#: level materialised; 61 with the depth-limit level implied (44 at build:
-#: the churn drains a third of the graph, and the per-vertex NPV dicts and
-#: inner nodes' children dicts keep their high-water tables).
-BYTES_PER_NODE_CEILING = 64
+#: tracemalloc bytes the index holds per live NPV entry after the churn
+#: below (graph copy, NPV dicts and interned dimensions included): 190
+#: while every NNT was stored to depth l - 1, 72 with NPVs alone.
+BYTES_PER_NPV_ENTRY_CEILING = 96
 
 
 @contextmanager
@@ -50,26 +43,6 @@ def path_graph() -> LabeledGraph:
         [(1, "A"), (2, "B"), (3, "C"), (4, "B")],
         [(1, 2, "-"), (2, 3, "-"), (3, 4, "-")],
     )
-
-
-class WeakNode(TreeNode):
-    """A TreeNode a test can hold a weak reference to."""
-
-    __slots__ = ("__weakref__",)
-
-
-def test_deleted_subtree_dies_without_the_collector(monkeypatch):
-    monkeypatch.setattr(incremental, "TreeNode", WeakNode)
-    index = NNTIndex(path_graph(), depth_limit=4)
-    # NNT(1) is the path 1 -> 2 -> 3 -> 4, materialised to its end at
-    # depth limit 4; deleting (1, 2) detaches the subtree topped by 2,
-    # whose inner node 3 has a parent and a child.
-    inner = weakref.ref(index.tree(1).root.children[2].children[3])
-    assert inner().children and inner().parent is not None
-    with collector_off():
-        index.delete_edge(1, 2)
-        assert inner() is None
-    index.check_integrity()
 
 
 @pytest.fixture(scope="module")
@@ -103,49 +76,26 @@ def test_churn_leaves_nothing_for_the_collector(churned):
     index.check_integrity()
 
 
-def test_bytes_per_live_tree_node(churned):
+def test_bytes_per_live_npv_entry(churned):
     index, held, _ = churned
-    assert held / index.num_tree_nodes <= BYTES_PER_NODE_CEILING
+    entries = sum(map(len, index.npvs.values()))
+    assert entries > 5_000
+    assert held / entries <= BYTES_PER_NPV_ENTRY_CEILING
 
 
-def test_reference_and_indexed_trees_share_one_shape():
-    graph = path_graph()
-    # The index stores NNT(1) to depth l - 1: at l = 3 that is the shape
-    # of the depth-2 reference tree, deepest level dict-free in both.
-    index = NNTIndex(graph, depth_limit=3)
-    for tree in (build_nnt(graph, 1, 2), index.tree(1)):
-        leaf = tree.root.children[2].children[3]
-        assert leaf.children is NO_CHILDREN and not list(leaf.descendants(include_self=False))
-        assert type(tree.root.children) is dict and type(tree.root.children[2].children) is dict
-        with pytest.raises(TypeError):
-            leaf.children[4] = TreeNode(4, leaf, 3, "-")
-
-
-def _swap_node_slots(index):
-    bucket = index.node_index[3]
-    bucket[0], bucket[1] = bucket[1], bucket[0]
-
-
-def _forget_edge_slot(index):
-    index.edge_index[(2, 3)][0].epos += 1
-
-
-def _leave_empty_edge_bucket(index):
-    index.edge_index[(1, 4)] = []
-
-
-def _copy_a_dimension(index):
-    node = index.tree(1).root.children[2]
-    node.dim = tuple(list(node.dim))
-
-
-def _private_dict_on_a_leaf(index):
-    # The stored tree's leaves: depth l - 1 = 2, where 1 -> 2 -> 3 ends.
-    index.tree(1).root.children[2].children[3].children = {}
+def test_reference_tree_leaves_share_one_read_only_mapping():
+    # build_nnt(graph, 1, 2) is 1 -> 2 -> 3: the depth-limit level shares
+    # the read-only empty mapping, the levels above own a dict.
+    tree = build_nnt(path_graph(), 1, 2)
+    leaf = tree.root.children[2].children[3]
+    assert leaf.children is NO_CHILDREN and not list(leaf.descendants(include_self=False))
+    assert type(tree.root.children) is dict and type(tree.root.children[2].children) is dict
+    with pytest.raises(TypeError):
+        leaf.children[4] = TreeNode(4, leaf, 3, "-")
 
 
 def _implied_leaf_count_off_by_one(index):
-    # NNT(1) = 1 -> 2 -> 3 -> 4: the depth-3 edge C -> B exists only as a count.
+    # NNT(1) = 1 -> 2 -> 3 -> 4: one depth-3 tree edge, C -> B.
     assert index.npvs[1][(3, "C", "B")] == 1
     index.npvs[1][(3, "C", "B")] = 2
 
@@ -154,16 +104,21 @@ def _logical_counter_off_by_one(index):
     index.num_tree_nodes += 1
 
 
+def _npv_of_a_vertex_not_in_the_graph(index):
+    index.npvs[9] = {}
+
+
+def _batch_left_open(index):
+    index._batch_depth += 1  # what a `with index.batch():` holds until it exits
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
-        _swap_node_slots,
-        _forget_edge_slot,
-        _leave_empty_edge_bucket,
-        _copy_a_dimension,
-        _private_dict_on_a_leaf,
         _implied_leaf_count_off_by_one,
         _logical_counter_off_by_one,
+        _npv_of_a_vertex_not_in_the_graph,
+        _batch_left_open,
     ],
 )
 def test_check_integrity_sees_layout_corruption(corrupt):

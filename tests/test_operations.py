@@ -198,6 +198,16 @@ class TestDiffGraphs:
         assert len(delta.deletions) == 1
         assert len(delta.insertions) == 1
 
+    def test_relabelled_vertex_is_refused(self):
+        """No batch of edge changes relabels a vertex, so an empty one
+        would leave ``old != new``: refused, naming the vertex."""
+        old = base_graph()
+        new = LabeledGraph.from_vertices_and_edges(
+            [(v, "C" if v == 1 else label) for v, label in old.vertex_items()], old.edges()
+        )
+        with pytest.raises(GraphError, match="vertex 1 "):
+            diff_graphs(old, new)
+
 
 @settings(max_examples=40, deadline=None)
 @given(graph_strategy(), graph_strategy(min_vertices=2))
