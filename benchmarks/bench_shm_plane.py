@@ -12,8 +12,9 @@ not.
 
 ``test_shm_bytes_pickled_gate`` pins the claim: on a dense fig16-style
 workload the shm ring ships at least 5x fewer bytes per apply than
-the pickled-payload queue path (target ~10x; the measured ratio lands
-in ``BENCH_shm.json``'s ``extra_info`` for trending).
+the pickled-payload queue path (~5.6x since changes pickle as their
+fields, ~10x before; the measured bytes land in ``BENCH_shm.json``'s
+``extra_info`` for trending).
 """
 
 import os

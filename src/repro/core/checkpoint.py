@@ -17,9 +17,13 @@ fsynced: that holds across a killed process, not across a power cut.)
 
 Note on identifiers: the text format serializes vertex ids and labels
 as strings, so the manifest records each graph's vertex-id *kind* —
-graphs whose ids are all ints restore with int ids (``"int"``), anything
-else round-trips as strings (``"str"``).  Stream/query ids are stored in
-the JSON manifest and must be JSON-representable.
+``"int"`` when every id is an int, ``"str"`` when none is, and for a
+graph that mixes the two the list of its int ids — and the restore is
+exact.  What the text cannot carry is refused with ``ValueError``
+before any file is written: an id that is neither a ``str`` nor an
+``int``, two ids with the same text (``1`` and ``"1"``), a label that
+is not a ``str``.  Stream/query ids are stored in the JSON manifest and
+must be JSON-representable.
 """
 
 from __future__ import annotations
@@ -37,32 +41,64 @@ from .monitor import StreamMonitor
 MANIFEST = "manifest.json"
 #: Only files named like its own data files are ever unlinked by a writer.
 _DATA_PREFIXES = ("queries-", "stream-")
+#: A graph's vertex-id kind in the manifest: ``"int"``, ``"str"``, or the
+#: int ids of a graph that mixes the two.
+IdKind = str | list[int]
 
 
-def _id_kind(graph: LabeledGraph) -> str:
-    """``"int"`` when every vertex id is an int (bools excluded), else
-    ``"str"`` — the two kinds the text format can round-trip exactly."""
-    vertices = list(graph.vertices())
-    if vertices and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in vertices
-    ):
-        return "int"
-    return "str"
+def _is_int(vertex: Any) -> bool:
+    return isinstance(vertex, int) and not isinstance(vertex, bool)
 
 
-def _coerce_ids(graph: LabeledGraph, kind: str) -> LabeledGraph:
-    """Rebuild ``graph`` with vertex ids converted back to ``kind``."""
-    if kind != "int":
+def _check_writable(role: str, graph_id: Any, graph: LabeledGraph) -> None:
+    """Refuse (``ValueError``) a graph the text format cannot restore."""
+    texts: dict[str, Any] = {}
+    for vertex, label in graph.vertex_items():
+        where = f"{role} {graph_id!r}: vertex {vertex!r}"
+        if not (isinstance(vertex, str) or _is_int(vertex)):
+            raise ValueError(f"{where} is neither a str nor an int id")
+        text = str(vertex)
+        if text in texts:
+            raise ValueError(f"{where} and vertex {texts[text]!r} write as the same text")
+        texts[text] = vertex
+        if not isinstance(label, str):
+            raise ValueError(f"{where} has label {label!r}, which is not a str")
+    for u, v, label in graph.edges():
+        if not isinstance(label, str):
+            raise ValueError(
+                f"{role} {graph_id!r}: edge ({u!r}, {v!r}) has label {label!r}, "
+                "which is not a str"
+            )
+
+
+def _id_kind(graph: LabeledGraph) -> IdKind:
+    """``"int"`` when every vertex id is an int, ``"str"`` when none is,
+    else the sorted int ids of a graph that mixes the two."""
+    ints = sorted(v for v in graph.vertices() if _is_int(v))
+    if not ints:
+        return "str"
+    return "int" if len(ints) == graph.num_vertices else ints
+
+
+def _coerce_ids(graph: LabeledGraph, kind: IdKind) -> LabeledGraph:
+    """Rebuild ``graph`` with its int ids (all of them, or those ``kind``
+    lists) converted back from text."""
+    if kind == "str":
         return graph
+    ints = None if kind == "int" else {str(i) for i in kind}
+
+    def restore(vertex: str) -> Any:
+        return int(vertex) if ints is None or vertex in ints else vertex
+
     restored = LabeledGraph()
     for vertex, label in graph.vertex_items():
-        restored.add_vertex(int(vertex), label)
+        restored.add_vertex(restore(vertex), label)
     for u, v, label in graph.edges():
-        restored.add_edge(int(u), int(v), label)
+        restored.add_edge(restore(u), restore(v), label)
     return restored
 
 
-def _read_graphs(path: Path, kinds: list[str]) -> list[LabeledGraph]:
+def _read_graphs(path: Path, kinds: list[IdKind]) -> list[LabeledGraph]:
     """One data file's graphs with their vertex-id kinds restored
     (``ValueError`` when file and manifest disagree on the count)."""
     blocks = read_graph_set(path)
@@ -86,6 +122,9 @@ def write_checkpoint(
 ) -> dict[str, Any]:
     """Replace ``directory``'s export with this state (commit protocol:
     the module docstring); returns its :func:`checkpoint_stats`."""
+    for role, graphs in (("query", queries), ("stream", streams)):
+        for graph_id, graph in graphs.items():
+            _check_writable(role, graph_id, graph)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     try:

@@ -9,6 +9,11 @@ A :class:`GraphChangeOperation` is a batch of edge changes applied at one
 timestamp.  Following Section III of the paper, a batch is sequentialized
 with **all deletions first, then all insertions**; vertices left isolated
 by deletions are dropped (the paper never keeps isolated vertices).
+
+Both types are fixed-layout records (frozen, slotted, no ``__dict__``)
+that pickle as their constructor arguments: a change is held, buffered
+and shipped to workers by the hundred thousand, and a load re-runs the
+constructor's checks.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ INSERT: Op = "ins"
 DELETE: Op = "del"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeChange:
     """One edge insertion or deletion, ``<op, u, v>`` plus labels.
 
@@ -45,6 +50,15 @@ class EdgeChange:
         if self.u == self.v:
             raise ValueError("self loops are not supported")
 
+    def __reduce__(self) -> tuple:
+        # The fields, not slot state: about a third of the dump time of
+        # the generated __getstate__ path, and a load that re-runs
+        # __post_init__.
+        return (
+            EdgeChange,
+            (self.op, self.u, self.v, self.edge_label, self.u_label, self.v_label),
+        )
+
     @staticmethod
     def insert(
         u: VertexId,
@@ -60,7 +74,7 @@ class EdgeChange:
         return EdgeChange(DELETE, u, v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphChangeOperation:
     """A batch of edge changes applied atomically at one timestamp (Def 2.4)."""
 
@@ -68,6 +82,9 @@ class GraphChangeOperation:
 
     def __init__(self, changes: Iterable[EdgeChange] = ()) -> None:
         object.__setattr__(self, "changes", tuple(changes))
+
+    def __reduce__(self) -> tuple:
+        return (GraphChangeOperation, (self.changes,))
 
     def __iter__(self) -> Iterator[EdgeChange]:
         return iter(self.changes)

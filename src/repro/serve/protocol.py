@@ -292,33 +292,46 @@ def change_to_dict(change: EdgeChange) -> dict[str, Any]:
     return doc
 
 
+def _id(doc: Mapping[str, Any], key: str, what: str) -> str | int:
+    """``doc[key]`` as a stream/query/vertex id: a JSON string or integer.
+    Anything else (a list cannot even be hashed) would only fail later,
+    inside the monitor, where it is no longer the client's bad line."""
+    if key not in doc:
+        raise ProtocolError(f"{what} needs a {key!r} field")
+    value = doc[key]
+    if not isinstance(value, (str, int)) or isinstance(value, bool):
+        raise ProtocolError(f"{key!r} must be a string or an integer, got {value!r}")
+    return value
+
+
+def _label(value: Any, key: str, nullable: bool = False) -> str | None:
+    if isinstance(value, str) or (nullable and value is None):
+        return value
+    raise ProtocolError(f"{key!r} must be a string, got {value!r}")
+
+
 def change_from_dict(doc: Mapping[str, Any]) -> EdgeChange:
-    """Parse one wire/DLQ change object back into an :class:`EdgeChange`."""
+    """Parse one wire change object back into an :class:`EdgeChange`.
+    Ids are strings or integers, labels strings (``u_label``/``v_label``
+    may be ``null``)."""
     if not isinstance(doc, Mapping):
         raise ProtocolError(f"change must be an object, got {type(doc).__name__}")
     op = doc.get("op")
     if op not in (INSERT, DELETE):
         raise ProtocolError(f"change op must be 'ins' or 'del', got {op!r}")
-    if "u" not in doc or "v" not in doc:
-        raise ProtocolError("change needs 'u' and 'v'")
+    u, v = _id(doc, "u", "change"), _id(doc, "v", "change")
     try:
         if op == INSERT:
             return EdgeChange.insert(
-                doc["u"],
-                doc["v"],
-                doc.get("edge_label", "-"),
-                doc.get("u_label"),
-                doc.get("v_label"),
+                u,
+                v,
+                _label(doc.get("edge_label", "-"), "edge_label"),
+                _label(doc.get("u_label"), "u_label", nullable=True),
+                _label(doc.get("v_label"), "v_label", nullable=True),
             )
-        return EdgeChange.delete(doc["u"], doc["v"])
+        return EdgeChange.delete(u, v)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
-
-
-def _require_stream(doc: Mapping[str, Any], verb: str) -> Any:
-    if "stream" not in doc:
-        raise ProtocolError(f"{verb!r} needs a 'stream' field")
-    return doc["stream"]
 
 
 def parse_json_line(line: str) -> Command | None:
@@ -336,14 +349,13 @@ def parse_json_line(line: str) -> Command | None:
         raise ProtocolError("command object needs a string 'cmd' field")
     if verb == "stream":
         return AddStream(
-            _require_stream(doc, verb),
+            _id(doc, "stream", repr(verb)),
             doc.get("graph_file"),
             doc.get("graph_key"),
             verb=verb,
         )
     if verb == "addq":
-        if "query" not in doc:
-            raise ProtocolError("'addq' needs a 'query' field")
+        query_id = _id(doc, "query", repr(verb))
         vertices = doc.get("vertices", [])
         edges = doc.get("edges", [])
         if not isinstance(vertices, list) or not isinstance(edges, list):
@@ -360,7 +372,7 @@ def parse_json_line(line: str) -> Command | None:
         except TypeError as exc:
             raise ProtocolError(f"malformed inline pattern: {exc}") from exc
         return AddQuery(
-            doc["query"],
+            query_id,
             doc.get("graph_file"),
             doc.get("graph_key"),
             inline_vertices,
@@ -368,21 +380,19 @@ def parse_json_line(line: str) -> Command | None:
             verb=verb,
         )
     if verb == "delq":
-        if "query" not in doc:
-            raise ProtocolError("'delq' needs a 'query' field")
-        return DelQuery(doc["query"], verb=verb)
+        return DelQuery(_id(doc, "query", repr(verb)), verb=verb)
     if verb in ("ins", "del"):
         change_doc = dict(doc)
         change_doc["op"] = verb
         return Edit(
-            _require_stream(doc, verb), change_from_dict(change_doc), verb=verb
+            _id(doc, "stream", repr(verb)), change_from_dict(change_doc), verb=verb
         )
     if verb == "batch":
         changes = doc.get("changes")
         if not isinstance(changes, list):
             raise ProtocolError("'batch' needs a 'changes' list")
         return BatchEdit(
-            _require_stream(doc, verb),
+            _id(doc, "stream", repr(verb)),
             tuple(change_from_dict(c) for c in changes),
             verb=verb,
         )

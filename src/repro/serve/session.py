@@ -334,7 +334,10 @@ class MonitorBridge:
                     errors.append(
                         {"stream": stream_id, "error": f"{type(exc).__name__}: {exc}"}
                     )
-                changes.clear()
+                finally:
+                    # Even an unexpected error must not leave the batch
+                    # staged to re-fail every later commit.
+                    changes.clear()
             events = self._session_events(session)
         reply: dict[str, Any] = {
             "ok": not errors,
@@ -356,10 +359,11 @@ class MonitorBridge:
 
     def checkpoint(self, verb: str = "checkpoint") -> dict[str, Any]:
         """The ``checkpoint`` verb (the server's drain runs it too): a
-        failed export is a reply, never an exception."""
+        failed export (no directory, an unwritable one, a graph the text
+        format cannot carry) is a reply, never an exception."""
         try:
             export = self.monitor.checkpoint()
-        except (RuntimeError, OSError) as exc:  # no directory / unwritable
+        except (RuntimeError, OSError, ValueError) as exc:
             return {"ok": False, "cmd": verb, "error": f"{type(exc).__name__}: {exc}"}
         return {"ok": True, "cmd": verb, "checkpoint": export}
 

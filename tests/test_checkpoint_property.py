@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,14 +113,76 @@ class TestIntIdRoundTrip:
         restored = load_monitor(tmp_path / "ckpt")
         assert set(restored.graph("s").vertices()) == {"a", "b"}
 
-    def test_mixed_ids_fall_back_to_strings(self, tmp_path):
+    def test_mixed_ids_restore_exactly(self, tmp_path):
+        """A graph mixing int and str ids records its int ids, so the
+        restore is exact and an update addressing ``1`` applies to both
+        twins alike."""
         graph = LabeledGraph.from_vertices_and_edges(
-            [(1, "A"), ("x", "B")], [(1, "x", "-")]
+            [(1, "A"), ("x", "B"), ("y", "A")], [(1, "x", "-"), ("x", "y", "-")]
         )
-        monitor = StreamMonitor({"q": graph.copy()}, method="dsc")
+        monitor = StreamMonitor(
+            {"q": graph.copy()}, method="dsc", checkpoint_dir=tmp_path / "ckpt"
+        )
         monitor.add_stream("s", graph)
-        save_monitor(monitor, tmp_path / "ckpt")
+        monitor.checkpoint()
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        assert manifest["stream_id_kinds"] == ["str"]
+        assert manifest["stream_id_kinds"] == [[1]]
         restored = load_monitor(tmp_path / "ckpt")
-        assert set(restored.graph("s").vertices()) == {"1", "x"}
+        assert restored.graph("s") == monitor.graph("s")
+        # The delete isolates 1, which is dropped; the insert brings it back.
+        for update in (EdgeChange.delete(1, "x"), EdgeChange.insert(1, "y", "-", "A")):
+            monitor.apply("s", update)
+            restored.apply("s", update)
+            assert restored.graph("s") == monitor.graph("s")
+            assert restored.matches() == monitor.matches()
+
+
+class TestUnrepresentableGraphsAreRefused:
+    """What the text format cannot carry is refused before any file is
+    written, naming the graph and the vertex."""
+
+    def _refused(self, tmp_path, graph, match):
+        directory = tmp_path / "ckpt"
+        monitor = StreamMonitor({}, method="dsc", checkpoint_dir=directory)
+        monitor.add_stream("s", graph)
+        with pytest.raises(ValueError, match=match):
+            monitor.checkpoint()
+        assert not directory.exists() or not any(directory.iterdir())
+
+    def test_two_ids_with_the_same_text(self, tmp_path):
+        graph = LabeledGraph.from_vertices_and_edges(
+            [(1, "A"), ("1", "B")], [(1, "1", "-")]
+        )
+        self._refused(tmp_path, graph, r"stream 's': vertex .* same text")
+
+    def test_an_int_vertex_label(self, tmp_path):
+        graph = LabeledGraph.from_vertices_and_edges(
+            [("a", 1), ("b", "B")], [("a", "b", "-")]
+        )
+        self._refused(tmp_path, graph, r"stream 's': vertex 'a' has label 1")
+
+    def test_an_int_edge_label(self, tmp_path):
+        graph = LabeledGraph.from_vertices_and_edges(
+            [("a", "A"), ("b", "B")], [("a", "b", 7)]
+        )
+        self._refused(tmp_path, graph, r"stream 's': edge .* label 7")
+
+    def test_an_id_that_is_neither_str_nor_int(self, tmp_path):
+        graph = LabeledGraph.from_vertices_and_edges(
+            [(1.5, "A"), ("b", "B")], [(1.5, "b", "-")]
+        )
+        self._refused(tmp_path, graph, r"vertex 1\.5 is neither")
+
+    def test_a_refused_export_keeps_the_previous_one(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        graph = LabeledGraph.from_vertices_and_edges(
+            [("a", "A"), ("b", "B")], [("a", "b", "-")]
+        )
+        monitor = StreamMonitor({}, method="dsc", checkpoint_dir=directory)
+        monitor.add_stream("s", graph)
+        monitor.checkpoint()
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        monitor.apply("s", EdgeChange.insert("b", "c", "-", v_label=3))
+        with pytest.raises(ValueError, match="vertex 'c' has label 3"):
+            monitor.checkpoint()
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before

@@ -1,5 +1,8 @@
 """Unit tests for graph change operations (Definitions 2.4-2.5)."""
 
+import json
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from repro.graph import (
     diff_graphs,
     undo_batch,
 )
+from repro.serve.protocol import change_from_dict, change_to_dict
 
 from .conftest import graph_strategy
 
@@ -51,6 +55,59 @@ class TestEdgeChange:
         change = EdgeChange.delete(1, 2)
         with pytest.raises(AttributeError):
             change.u = 9
+
+
+_ids = st.one_of(st.text(min_size=1, max_size=6), st.integers(-(10**9), 10**9))
+_labels = st.text(max_size=4)
+
+
+@st.composite
+def _changes(draw):
+    u = draw(_ids)
+    v = draw(_ids.filter(lambda v: v != u))
+    if draw(st.booleans()):
+        return EdgeChange.delete(u, v)
+    return EdgeChange.insert(
+        u, v, draw(_labels), draw(st.none() | _labels), draw(st.none() | _labels)
+    )
+
+
+class TestRecord:
+    """The change types are fixed-layout records that pickle as their
+    constructor arguments."""
+
+    def test_no_instance_dict(self):
+        change = EdgeChange.insert(1, 2, "x", "A", "B")
+        batch = GraphChangeOperation([change])
+        for record in (change, batch):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                object.__setattr__(record, "note", 1)
+        pickle.dumps(batch)
+        assert not hasattr(change, "__dict__")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_changes(), max_size=8))
+    def test_pickle_and_wire_round_trips(self, changes):
+        batch = GraphChangeOperation(changes)
+        over_wire = GraphChangeOperation(
+            change_from_dict(json.loads(json.dumps(change_to_dict(c)))) for c in changes
+        )
+        for copy in (pickle.loads(pickle.dumps(batch)), over_wire):
+            assert copy == batch and hash(copy) == hash(batch)
+            for mine, theirs in zip(copy, batch, strict=True):
+                assert mine == theirs and hash(mine) == hash(theirs)
+                assert type(mine.u) is type(theirs.u) and type(mine.v) is type(theirs.v)
+
+    def test_a_forged_self_loop_payload_is_refused_on_load(self):
+        class Forged:
+            def __reduce__(self):
+                return (EdgeChange, (INSERT, 7, 7, "-", "A", "A"))
+
+        forged = pickle.dumps(Forged())
+        assert b"EdgeChange" in forged
+        with pytest.raises(ValueError, match="self loops"):
+            pickle.loads(forged)
 
 
 class TestGraphChangeOperation:

@@ -165,6 +165,49 @@ class TestParseJsonLine:
         with pytest.raises(ProtocolError):
             parse_json_line(line)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"cmd": "ins", "stream": "s", "u": [1], "v": 2},
+            {"cmd": "ins", "stream": "s", "u": 1, "v": {"a": 2}},
+            {"cmd": "del", "stream": "s", "u": True, "v": 2},
+            {"cmd": "del", "stream": "s", "u": 1.5, "v": 2},
+            {"cmd": "ins", "stream": [1], "u": 1, "v": 2},
+            {"cmd": "batch", "stream": None, "changes": []},
+            {"cmd": "batch", "stream": "s", "changes": [{"op": "del", "u": [1], "v": 2}]},
+            {"cmd": "stream", "stream": [1]},
+            {"cmd": "stream", "stream": False},
+            {"cmd": "addq", "query": [1], "vertices": [[0, "A"]]},
+            {"cmd": "delq", "query": [1]},
+            {"cmd": "delq", "query": {"q": 1}},
+        ],
+    )
+    def test_ids_that_are_not_str_or_int_are_refused(self, doc):
+        """A list id parses fine as JSON and cannot be hashed: it must be
+        a ``bad_request`` here, not a ``TypeError`` out of the monitor."""
+        with pytest.raises(ProtocolError, match="must be a string or an integer"):
+            parse_json_line(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            {"edge_label": None},
+            {"edge_label": 1},
+            {"u_label": 1},
+            {"v_label": ["B"]},
+            {"u_label": {"x": 1}},
+        ],
+    )
+    def test_labels_that_are_not_str_are_refused(self, labels):
+        doc = {"cmd": "ins", "stream": "s", "u": 1, "v": 2, **labels}
+        with pytest.raises(ProtocolError, match="must be a string"):
+            parse_json_line(json.dumps(doc))
+
+    def test_vertex_labels_may_be_null_or_absent(self):
+        doc = {"cmd": "ins", "stream": "s", "u": 1, "v": 2, "u_label": None}
+        cmd = parse_json_line(json.dumps(doc))
+        assert cmd.change == EdgeChange.insert(1, 2, "-", None, None)
+
 
 class TestChangeDictRoundTrip:
     def test_insert_round_trips(self):

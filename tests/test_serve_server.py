@@ -33,9 +33,22 @@ from repro.graph import LabeledGraph
 from repro.graph.io import write_graph_set
 from repro.graph.operations import EdgeChange, GraphChangeOperation
 from repro.obs import Registry
-from repro.serve.protocol import AddQuery, AddStream, Commit, Edit, change_to_dict
+from repro.serve.protocol import (
+    AddQuery,
+    AddStream,
+    Commit,
+    Edit,
+    ProtocolError,
+    change_to_dict,
+    parse_json_line,
+)
 from repro.serve.server import ReproServer, ServeConfig, run_server
-from repro.serve.session import Session, apply_batch_validated, serve_lines
+from repro.serve.session import (
+    MonitorBridge,
+    Session,
+    apply_batch_validated,
+    serve_lines,
+)
 
 from .conftest import random_labeled_graph
 from .test_vf2 import nx_subgraph_iso
@@ -461,6 +474,60 @@ class TestDeadLettering:
         serve_lines(monitor, ["ins s 3 4 x A B", "tick"], replies.append)
         assert replies[-1]["ok"] and replies[-1]["applied"] == 1
         assert monitor.graph("s").num_edges == 2
+
+
+class TestUnhashableInputDoesNotWedgeASession:
+    """A JSON id that cannot be hashed is refused at parse time, and an
+    apply that raises anyway leaves nothing staged: neither may fail the
+    session's later, valid commits."""
+
+    def _execute(self, bridge, session, doc: dict) -> dict:
+        """The TCP writer's path: parse, then execute."""
+        try:
+            return bridge.execute(session, parse_json_line(json.dumps(doc)))
+        except ProtocolError as exc:
+            return {"ok": False, "code": "bad_request", "error": str(exc)}
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            ins("s", [1], 2),
+            {**ins("s", 1, 2), "edge_label": [1]},
+            {"cmd": "stream", "stream": [1]},
+            {"cmd": "delq", "query": [1]},
+        ],
+    )
+    def test_refused_then_a_valid_commit_applies(self, doc):
+        bridge = MonitorBridge(StreamMonitor({"q": edge_query()}, method="dsc"))
+        session = Session(0)
+        assert self._execute(bridge, session, {"cmd": "stream", "stream": "s"})["ok"]
+        refused = self._execute(bridge, session, doc)
+        assert refused["ok"] is False and refused["code"] == "bad_request"
+        assert self._execute(bridge, session, ins("s", 1, 2))["ok"]
+        committed = self._execute(bridge, session, {"cmd": "commit"})
+        assert committed["ok"] and committed["applied"] == 1
+        assert bridge.monitor.matches() == {("s", "q")}
+
+    def test_a_commit_that_raises_still_clears_the_stage(self):
+        bridge = MonitorBridge(StreamMonitor({"q": edge_query()}, method="dsc"))
+        session = Session(0)
+        assert self._execute(bridge, session, {"cmd": "stream", "stream": "s"})["ok"]
+        # Staged past the parser: the apply fails with an unexpected error.
+        bridge.execute(session, Edit("s", EdgeChange.insert([1], 2, "x", "A", "B")))
+        with pytest.raises(TypeError):
+            bridge.execute(session, Commit())
+        assert session.staged_changes == 0
+        assert self._execute(bridge, session, ins("s", 1, 2))["ok"]
+        committed = self._execute(bridge, session, {"cmd": "commit"})
+        assert committed["ok"] and committed["applied"] == 1
+
+    def test_an_export_the_text_format_cannot_carry_is_a_reply(self, tmp_path):
+        monitor = StreamMonitor({"q": edge_query()}, checkpoint_dir=tmp_path)
+        bridge, session = MonitorBridge(monitor), Session(0)
+        for doc in ({"cmd": "stream", "stream": "s"}, ins("s", 1, "1"), {"cmd": "commit"}):
+            assert self._execute(bridge, session, doc)["ok"]
+        reply = self._execute(bridge, session, {"cmd": "checkpoint"})
+        assert reply["ok"] is False and "same text" in reply["error"]
 
 # -- shadow validation ------------------------------------------------------
 
