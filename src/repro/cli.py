@@ -678,6 +678,8 @@ def _parse_rescales(specs) -> dict[int, int]:
             raise SystemExit(f"--rescale-at expects T:N, got {spec!r}") from None
         if timestamp < 1 or target < 1:
             raise SystemExit(f"--rescale-at needs T >= 1 and N >= 1, got {spec!r}")
+        if timestamp in rescales:
+            raise SystemExit(f"--rescale-at repeats timestamp {timestamp}, got {spec!r}")
         rescales[timestamp] = target
     return rescales
 

@@ -53,8 +53,8 @@ from its own module.
   :mod:`repro.obs.catalog` (rule RP018).
 
 :func:`disable` flips the whole subsystem to a near-zero-overhead
-no-op path (one flag check per site; quantified in
-``benchmarks/bench_obs_overhead.py``); ``REPRO_OBS=0`` in the
+no-op path (one flag check per site; the end-to-end benchmark's
+``obs.enabled_cost_ratio`` measures on against off); ``REPRO_OBS=0`` in the
 environment starts a process disabled.  Rule RP009 keeps ad-hoc
 ``time.*`` timing out of the instrumented packages so this module
 stays the single source of timing truth — see ``docs/observability.md``.

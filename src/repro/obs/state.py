@@ -3,7 +3,8 @@
 Everything in :mod:`repro.obs` is gated on one module-level flag so a
 disabled deployment pays a single attribute load and branch per
 instrumentation site — no timer reads, no dict traffic, no allocation
-(``benchmarks/bench_obs_overhead.py`` quantifies this).  The flag is
+(the end-to-end benchmark's ``obs.enabled_cost_ratio`` measures what the
+enabled layer costs against ``REPRO_OBS=0``).  The flag is
 process-local; worker processes forked by :mod:`repro.runtime` inherit
 the coordinator's setting at spawn time.
 

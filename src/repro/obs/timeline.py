@@ -25,10 +25,10 @@ of timing truth — rule RP009 keeps ``time.*`` out of the instrumented
 packages); callers can inject a fake
 clock for deterministic tests.
 
-:class:`TimelineSampler` adapts the timeline to synchronous poll loops
-(``repro top``, benchmarks) and to the serve layer's periodic asyncio
-task: ``maybe_sample()`` is cheap when called early and samples when the
-interval has elapsed.
+A counter or histogram that goes *down* between two summaries was
+reset — a respawned worker's registry restarts from zero, a retired
+one drops out of the merge — so, as Prometheus ``rate()`` reads it,
+its current value is the delta.  No sample ever holds a negative delta.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "DEFAULT_TIMELINE_CAPACITY",
     "Timeline",
     "TimelineSample",
-    "TimelineSampler",
     "Window",
     "bucket_quantile",
 ]
@@ -278,7 +277,11 @@ class Timeline:
                 value = float(entry["value"])
                 reference[key] = value
                 if not baseline:
-                    delta = value - float(self._previous.get(key, 0.0))
+                    previous = float(self._previous.get(key, 0.0))
+                    # A counter that went down was reset (a respawned or
+                    # retired worker): count its current value, as
+                    # Prometheus rate() does.
+                    delta = value - previous if value >= previous else value
                     if delta:
                         counters[key] = delta
             elif kind == "gauge":
@@ -289,9 +292,13 @@ class Timeline:
                 reference[key] = (counts, float(entry["sum"]), total)
                 if baseline:
                     continue
-                prev_counts, prev_sum, prev_total = self._previous.get(
-                    key, ([0] * len(counts), 0.0, 0)
-                )
+                empty = ([0] * len(counts), 0.0, 0)
+                prev_counts, prev_sum, prev_total = self._previous.get(key, empty)
+                if total < prev_total or any(
+                    a < b for a, b in zip(counts, prev_counts)
+                ):
+                    # Reset, as for counters: the current buckets are the delta.
+                    prev_counts, prev_sum, prev_total = empty
                 delta_total = total - prev_total
                 if delta_total:
                     histograms[key] = {
@@ -372,44 +379,3 @@ class Timeline:
             "samples": [sample.to_dict() for sample in self._samples],
         }
 
-
-class TimelineSampler:
-    """Interval-driven sampling for poll loops and periodic tasks.
-
-    ``collect`` produces the summary to fold in (a monitor's
-    ``obs_summary`` method, for instance); ``interval`` is the target
-    sampling period.  :meth:`maybe_sample` is safe to call
-    much more often than the interval — it reads the clock once and
-    returns None until the period has elapsed.
-    """
-
-    def __init__(
-        self,
-        timeline: Timeline,
-        collect: Callable[[], Mapping[str, Any]],
-        interval: float = 1.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError(f"sampler interval must be > 0, got {interval}")
-        self.timeline = timeline
-        self.interval = interval
-        self._collect = collect
-        self._clock = clock
-        self._due: float | None = None
-
-    def maybe_sample(self, now: float | None = None) -> TimelineSample | None:
-        """Sample when the interval has elapsed (or never sampled yet)."""
-        if now is None:
-            now = self._clock()
-        if self._due is not None and now < self._due:
-            return None
-        self._due = now + self.interval
-        return self.timeline.sample(self._collect(), t=now)
-
-    def force(self, now: float | None = None) -> TimelineSample:
-        """Sample immediately, resetting the cadence."""
-        if now is None:
-            now = self._clock()
-        self._due = now + self.interval
-        return self.timeline.sample(self._collect(), t=now)

@@ -290,6 +290,15 @@ class TestReplay:
                  "--workers", "2", "--rescale-at", spec]
             )
 
+    def test_repeated_rescale_timestamp_rejected(self, replay_inputs):
+        """Two targets for one timestamp are refused, not last-one-wins."""
+        queries, streams = replay_inputs
+        with pytest.raises(SystemExit, match="repeats timestamp 3"):
+            main(
+                ["replay", "--queries", queries, "--streams", *streams,
+                 "--workers", "2", "--rescale-at", "3:2", "--rescale-at", "3:4"]
+            )
+
     def test_sharded_replay_with_checkpoints(self, replay_inputs, tmp_path, capsys):
         queries, streams = replay_inputs
         assert main(

@@ -337,6 +337,14 @@ class TestSpans:
         finally:
             obs.set_span_capacity(obs.DEFAULT_SPAN_CAPACITY)
 
+    def test_wrapped_ring_keeps_ids_on_every_record(self):
+        for _ in range(obs.DEFAULT_SPAN_CAPACITY + 64):
+            with obs.span("ring"):
+                pass
+        records = obs.spans()
+        assert len(records) == obs.DEFAULT_SPAN_CAPACITY
+        assert all(record.trace_id and record.span_id for record in records)
+
     def test_set_span_capacity_rejects_non_positive(self):
         with pytest.raises(ValueError):
             obs.set_span_capacity(0)

@@ -1,4 +1,4 @@
-"""The metrics timeline: delta encoding, windows, series, sampling.
+"""The metrics timeline: delta encoding, windows, series, resets.
 
 Everything here runs on hand-built summaries and explicit ``t=``
 timestamps — no real clock, no monitor — so the delta-encoding and
@@ -16,7 +16,7 @@ import pytest
 
 from repro import obs
 from repro.obs import Registry
-from repro.obs.timeline import Timeline, TimelineSampler, bucket_quantile
+from repro.obs.timeline import Timeline, bucket_quantile
 
 
 @pytest.fixture(autouse=True)
@@ -261,26 +261,80 @@ class TestSeries:
 
 
 # ----------------------------------------------------------------------
-# sampler cadence
+# resets: a merged summary that goes backwards
 # ----------------------------------------------------------------------
-class TestTimelineSampler:
-    def test_maybe_sample_honours_interval(self):
-        timeline = Timeline()
-        sampler = TimelineSampler(timeline, lambda: {}, interval=1.0)
-        assert sampler.maybe_sample(now=0.0) is not None
-        assert sampler.maybe_sample(now=0.5) is None
-        assert sampler.maybe_sample(now=0.99) is None
-        assert sampler.maybe_sample(now=1.0) is not None
-        assert timeline.sampled == 2
+class TestResets:
+    """A respawned worker's registry restarts from zero and a retired
+    one drops out of the merge; a decrease is a reset, never a negative
+    delta."""
 
-    def test_force_resets_cadence(self):
+    def test_counter_decrease_counts_the_current_value(self):
         timeline = Timeline()
-        sampler = TimelineSampler(timeline, lambda: {}, interval=1.0)
-        sampler.maybe_sample(now=0.0)
-        sampler.force(now=0.5)
-        assert sampler.maybe_sample(now=1.0) is None  # due moved to 1.5
-        assert sampler.maybe_sample(now=1.5) is not None
+        timeline.sample({"c": counter_entry(10)}, t=0.0)
+        timeline.sample({"c": counter_entry(15)}, t=1.0)
+        sample = timeline.sample({"c": counter_entry(3)}, t=2.0)
+        assert sample.counters == {"c": 3.0}
+        assert timeline.window(0.5).rate("c") == pytest.approx(3.0)
 
-    def test_rejects_non_positive_interval(self):
-        with pytest.raises(ValueError):
-            TimelineSampler(Timeline(), lambda: {}, interval=0.0)
+    def test_counter_reset_to_zero_stores_nothing(self):
+        timeline = Timeline()
+        timeline.sample({"c": counter_entry(4)}, t=0.0)
+        assert timeline.sample({"c": counter_entry(0)}, t=1.0).counters == {}
+
+    def test_histogram_count_decrease_takes_the_current_buckets(self):
+        timeline = Timeline()
+        timeline.sample({"h": hist_entry([5, 5, 0], 3.0)}, t=0.0)
+        entry = timeline.sample({"h": hist_entry([1, 1, 0], 0.6)}, t=1.0).histograms["h"]
+        assert entry["counts"] == [1, 1, 0]
+        assert entry["count"] == 2
+        assert entry["sum"] == pytest.approx(0.6)
+
+    def test_histogram_bucket_decrease_is_a_reset_too(self):
+        # One worker reset while another grew: the total still rose.
+        timeline = Timeline()
+        timeline.sample({"h": hist_entry([4, 0, 0], 0.2)}, t=0.0)
+        entry = timeline.sample({"h": hist_entry([1, 6, 0], 3.1)}, t=1.0).histograms["h"]
+        assert entry["counts"] == [1, 6, 0]
+        assert entry["count"] == 7
+
+    def test_windowed_quantile_after_a_reset_reads_the_new_buckets(self):
+        timeline = Timeline()
+        bounds = (0.001, 0.01)
+        timeline.sample({"h": hist_entry([0, 10, 0], 0.05, bounds)}, t=0.0)
+        timeline.sample({"h": hist_entry([0, 4, 0], 0.02, bounds)}, t=1.0)
+        p95 = timeline.window(0.5).quantile("h", 0.95)
+        assert 0.001 < p95 <= 0.01
+
+    def test_sharded_rescale_leaves_no_negative_delta(self):
+        import random
+
+        from repro.datasets.ggen import generate_graph_set
+        from repro.datasets.queries import make_query_set
+        from repro.datasets.stream_gen import DENSE, synthesize_stream
+        from repro.runtime import ShardedMonitor
+
+        rng = random.Random(7)
+        bases = generate_graph_set(6, graph_size=12.0, num_vertex_labels=3, seed=7)
+        queries = {
+            f"q{i}": query for i, query in enumerate(make_query_set(bases, 3, 3, seed=8))
+        }
+        streams = {
+            f"s{i}": synthesize_stream(base, *DENSE, 6, rng, all_pairs=True, name=f"s{i}")
+            for i, base in enumerate(bases)
+        }
+        timeline = Timeline()
+        with ShardedMonitor(queries, num_workers=2) as monitor:
+            for stream_id, stream in streams.items():
+                monitor.add_stream(stream_id, stream.initial)
+            for t in range(5):
+                for stream_id, stream in streams.items():
+                    monitor.apply(stream_id, stream.operations[t])
+                monitor.matches()
+            timeline.sample(monitor.obs_summary(), t=0.0)
+            timeline.sample(monitor.obs_summary(), t=1.0)
+            monitor.rescale(1)
+            sample = timeline.sample(monitor.obs_summary(), t=2.0)
+        assert all(delta > 0 for delta in sample.counters.values())
+        for entry in sample.histograms.values():
+            assert entry["count"] > 0
+            assert min(entry["counts"]) >= 0
