@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Twelve subcommands::
+Eleven subcommands::
 
     python -m repro generate ...    # write synthetic datasets to files
     python -m repro search ...      # static filter-and-verify search
@@ -13,7 +13,6 @@ Twelve subcommands::
     python -m repro slo ...         # evaluate the SLO rules (live /slo or a replay)
     python -m repro flight ...      # inspect flight-recorder journals and dumps
     python -m repro experiment ...  # run a paper-figure driver
-    python -m repro lint ...        # static analysis (repro.analysis owns the flags)
 
 Graphs and query sets use the text format of :mod:`repro.graph.io`
 (gSpan-style ``t # / v / e`` blocks); streams add ``op`` blocks.
@@ -72,6 +71,13 @@ def _depth_limit(text: str) -> int:
     return depth
 
 
+def _input_file(text: str) -> str:
+    """An input file path, refused by argparse when no file is there."""
+    if not Path(text).is_file():
+        raise argparse.ArgumentTypeError(f"no such file: {text!r}")
+    return text
+
+
 def _add_workers_argument(sub: argparse.ArgumentParser) -> None:
     """``--workers``, meaning the same thing wherever it is accepted."""
     sub.add_argument(
@@ -99,8 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     filtering.add_argument("--depth", type=_depth_limit, default=3, help="NNT depth l")
     recorded = argparse.ArgumentParser(add_help=False)
-    recorded.add_argument("--queries", required=True, help="graph-set file of patterns")
-    recorded.add_argument("--streams", nargs="+", required=True, help="stream files")
+    recorded.add_argument(
+        "--queries", type=_input_file, required=True, help="graph-set file of patterns"
+    )
+    recorded.add_argument(
+        "--streams", type=_input_file, nargs="+", required=True, help="stream files"
+    )
 
     # -- generate ---------------------------------------------------------
     gen = subparsers.add_parser("generate", help="write synthetic datasets to files")
@@ -114,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--size", type=float, default=20.0, help="mean graph size (ggen T)")
     gen.add_argument("--labels", type=int, default=4, help="vertex label count (ggen V)")
     gen.add_argument("--query-edges", type=int, default=8, help="edges per query")
-    gen.add_argument("--from-db", help="source graph set for 'queries'")
+    gen.add_argument("--from-db", type=_input_file, help="source graph set for 'queries'")
     gen.add_argument("--timestamps", type=int, default=100, help="stream length")
     gen.add_argument("--devices", type=int, default=97, help="reality-stream devices")
     gen.add_argument(
@@ -123,12 +133,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="dense",
         help="synthetic-stream coin-flip regime (p1/p2 of the paper)",
     )
-    gen.add_argument("--base", help="base graph set for 'synthetic-stream' (first block)")
+    gen.add_argument(
+        "--base", type=_input_file, help="base graph set for 'synthetic-stream' (first block)"
+    )
 
     # -- search -----------------------------------------------------------
     search = subparsers.add_parser("search", help="static subgraph search over a graph set")
-    search.add_argument("--db", required=True, help="graph-set file")
-    search.add_argument("--queries", required=True, help="graph-set file of patterns")
+    search.add_argument("--db", type=_input_file, required=True, help="graph-set file")
+    search.add_argument(
+        "--queries", type=_input_file, required=True, help="graph-set file of patterns"
+    )
     search.add_argument("--depth", type=_depth_limit, default=3, help="NNT depth l")
     search.add_argument(
         "--no-verify", action="store_true", help="report filter candidates only"
@@ -216,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="monitoring server: line protocol on stdin, or an asyncio TCP "
         "server with sessions + admission control via --tcp HOST:PORT",
     )
-    serve.add_argument("--queries", required=True, help="graph-set file of patterns")
+    serve.add_argument(
+        "--queries", type=_input_file, required=True, help="graph-set file of patterns"
+    )
     _add_workers_argument(serve)
     serve.add_argument("--queue-capacity", type=int, default=128)
     serve.add_argument(
@@ -281,8 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="base URL of a live observability endpoint "
         "(e.g. http://127.0.0.1:9100); mutually exclusive with replay mode",
     )
-    slo.add_argument("--queries", help="graph-set file of patterns (replay mode)")
-    slo.add_argument("--streams", nargs="+", help="stream files (replay mode)")
+    slo.add_argument(
+        "--queries", type=_input_file, help="graph-set file of patterns (replay mode)"
+    )
+    slo.add_argument(
+        "--streams", type=_input_file, nargs="+", help="stream files (replay mode)"
+    )
     _add_workers_argument(slo)
     slo.add_argument(
         "--window",
@@ -361,8 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="stats JSON file to poll each frame (e.g. refreshed by "
         "`replay --stats-json`); omit to drive a replay directly",
     )
-    top.add_argument("--queries", help="graph-set file of patterns (replay mode)")
-    top.add_argument("--streams", nargs="+", help="stream files (replay mode)")
+    top.add_argument(
+        "--queries", type=_input_file, help="graph-set file of patterns (replay mode)"
+    )
+    top.add_argument(
+        "--streams", type=_input_file, nargs="+", help="stream files (replay mode)"
+    )
     _add_workers_argument(top)
     top.add_argument("--queue-capacity", type=int, default=128)
     top.add_argument(
@@ -401,15 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="replay engine methods through the sharded runtime "
         "(figures that support it: fig16, fig17)",
-    )
-
-    # -- lint ---------------------------------------------------------------
-    # Listed for --help only: main() hands everything after the verb to
-    # repro.analysis.cli before this parser is built, so no other verb
-    # pays for importing the analyzer.
-    subparsers.add_parser(
-        "lint",
-        help="static analysis of the repo's soundness/layering invariants",
     )
     return parser
 
@@ -623,14 +638,12 @@ def _replay_and_report(
                 f"{report['from']}->{report['to']} "
                 f"moved={report['moved_streams']} in {report['seconds']:.3f}s"
             )
-        for operation in (churn or {}).get(timestamp, ()):
-            if operation[0] == "register":
-                _, query_id, pattern = operation
+        for kind, query_id, pattern, _ in (churn or {}).get(timestamp, ()):
+            if kind == "register":
                 monitor.register_query(query_id, pattern)
-                print(f"t={timestamp}: register query {query_id}")
             else:
-                monitor.deregister_query(operation[1])
-                print(f"t={timestamp}: deregister query {operation[1]}")
+                monitor.deregister_query(query_id)
+            print(f"t={timestamp}: {kind} query {query_id}")
         if probe is not None:
             probe.sample()
         if stats_every and timestamp % stats_every == 0:
@@ -686,7 +699,8 @@ def _parse_rescales(specs) -> dict[int, int]:
 
 def _parse_churn(register_specs, deregister_specs) -> dict[int, list[tuple]]:
     """``--register-at T:ID:FILE[:KEY]`` / ``--deregister-at T:ID``
-    occurrences -> ``{timestamp: [churn operations]}``.
+    occurrences -> ``{timestamp: [(kind, ID, pattern or None, flag)]}``,
+    registers before deregisters, ``flag`` the option as given.
 
     Patterns are loaded eagerly so a missing file or key fails before
     the replay starts, not halfway through it.
@@ -694,7 +708,7 @@ def _parse_churn(register_specs, deregister_specs) -> dict[int, list[tuple]]:
     churn: dict[int, list[tuple]] = {}
     for spec in register_specs or []:
         parts = spec.split(":")
-        if len(parts) not in (3, 4):
+        if len(parts) not in (3, 4) or not parts[1]:
             raise SystemExit(
                 f"--register-at expects T:ID:FILE[:KEY], got {spec!r}"
             )
@@ -708,6 +722,8 @@ def _parse_churn(register_specs, deregister_specs) -> dict[int, list[tuple]]:
             ) from None
         if timestamp < 1:
             raise SystemExit(f"--register-at needs T >= 1, got {spec!r}")
+        if not Path(graph_file).is_file():
+            raise SystemExit(f"--register-at {spec}: no such file: {graph_file!r}")
         graph_set = dict(read_graph_set(graph_file))
         if key is None:
             if not graph_set:
@@ -716,7 +732,7 @@ def _parse_churn(register_specs, deregister_specs) -> dict[int, list[tuple]]:
         if key not in graph_set:
             raise SystemExit(f"--register-at: graph {key!r} not in {graph_file}")
         churn.setdefault(timestamp, []).append(
-            ("register", query_id, graph_set[key])
+            ("register", query_id, graph_set[key], f"--register-at {spec}")
         )
     for spec in deregister_specs or []:
         timestamp_text, separator, query_id = spec.partition(":")
@@ -728,8 +744,29 @@ def _parse_churn(register_specs, deregister_specs) -> dict[int, list[tuple]]:
             raise SystemExit(f"--deregister-at expects T:ID, got {spec!r}") from None
         if timestamp < 1:
             raise SystemExit(f"--deregister-at needs T >= 1, got {spec!r}")
-        churn.setdefault(timestamp, []).append(("deregister", query_id))
+        churn.setdefault(timestamp, []).append(
+            ("deregister", query_id, None, f"--deregister-at {spec}")
+        )
     return churn
+
+
+def _check_plan(rescales: dict, churn: dict, query_ids, horizon: int) -> None:
+    """Refuse a live plan the replay cannot carry out, before any worker
+    forks: walk it in the replay loop's order (per timestamp the rescale,
+    then registers, then deregisters) over the live query ids."""
+    live = set(query_ids)
+    for timestamp in sorted({*rescales, *churn}):
+        if timestamp > horizon:
+            if timestamp in rescales:
+                flag = f"--rescale-at {timestamp}:{rescales[timestamp]}"
+            else:
+                flag = churn[timestamp][0][3]
+            raise SystemExit(f"{flag}: the streams end at timestamp {horizon}")
+        for kind, query_id, _, flag in churn.get(timestamp, ()):
+            if (kind == "register") == (query_id in live):
+                state = "already" if kind == "register" else "not"
+                raise SystemExit(f"{flag}: query {query_id!r} is {state} registered")
+            live ^= {query_id}
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -742,6 +779,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             raise SystemExit("--rescale-at requires --workers >= 1")
         if args.shm:
             raise SystemExit("--shm requires --workers >= 1")
+    horizon = min(len(stream.operations) for stream in streams.values())
+    _check_plan(rescales, churn, queries, horizon)
     with _open_monitor(args, queries) as monitor:
         _replay_and_report(
             monitor,
@@ -1092,10 +1131,6 @@ def main(argv: list[str] | None = None) -> int:
         "experiment": _cmd_experiment,
     }
     try:
-        if argv[:1] == ["lint"]:
-            from .analysis.cli import main as lint_main
-
-            return lint_main(argv[1:])
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except GraphError as exc:  # a malformed graph, query or stream file

@@ -15,8 +15,8 @@ candidate pairs — strictly off the filtering path, the filter's output
 is never altered — and feeds the cumulative false-positive tallies to
 :func:`repro.obs.quality.record_probe`, which keeps the live
 ``filter.fp_ratio_estimate`` gauge.  Deadline arithmetic lives in
-:class:`repro.obs.quality.ProbeBudget` because rule RP009 keeps clocks
-out of this package.
+:class:`repro.obs.quality.ProbeBudget` because clock reads stay out of
+this package (``tests/fitness/test_invariants.py``).
 """
 
 from __future__ import annotations

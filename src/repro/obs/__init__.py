@@ -18,7 +18,7 @@ Three primitives, one switch:
 Two further layers ride on the same switch:
 
 * **Traces** — every span carries trace/span/parent ids minted by
-  :mod:`repro.obs.trace` (the only minting site, rule RP010) and
+  :mod:`repro.obs.trace` (the only minting site) and
   propagated across the runtime's process boundary by
   :func:`stamp_envelope` / :func:`split_envelope` / :func:`attached`,
   so one coordinator ``apply`` and all worker-side work it causes form
@@ -50,14 +50,14 @@ from its own module.
   eagerly-flushed JSONL file that survives SIGKILL; full snapshots dump
   on crash or SIGUSR2 (:func:`~repro.obs.flight.install_signal_dump`).
   Every metric name these layers reference must exist in
-  :mod:`repro.obs.catalog` (rule RP018).
+  :mod:`repro.obs.catalog` (``tests/fitness/test_metric_catalog.py``).
 
 :func:`disable` flips the whole subsystem to a near-zero-overhead
 no-op path (one flag check per site; the end-to-end benchmark's
 ``obs.enabled_cost_ratio`` measures on against off); ``REPRO_OBS=0`` in the
-environment starts a process disabled.  Rule RP009 keeps ad-hoc
-``time.*`` timing out of the instrumented packages so this module
-stays the single source of timing truth — see ``docs/observability.md``.
+environment starts a process disabled.  The instrumented packages
+never read ``time.*`` themselves, so this module stays the single
+source of timing truth — see ``docs/observability.md``.
 """
 
 from . import catalog, quality, trace

@@ -11,16 +11,12 @@ A dashboard panel or SLO rule that references a metric which nothing
 mints does not fail — it silently evaluates against *no data*, so the
 panel renders empty and the SLO reports "ok" forever.  That failure
 mode is invisible in tests that only exercise the happy path, which is
-why rule RP018 cross-checks every metric-name string literal consumed
-by :mod:`repro.dashboard` and :mod:`repro.obs.slo` against this
-catalog at lint time (``tests/fitness/test_metric_catalog.py`` checks
-the mint sites).
+why ``tests/fitness/test_metric_catalog.py`` cross-checks every
+metric-name string literal consumed by :mod:`repro.dashboard` and
+:mod:`repro.obs.slo`, and every mint site, against this catalog.
 
 The catalog maps each dotted metric name to ``(kind, help)`` or
-``(kind, help, buckets)``.  It MUST stay a literal dict: RP018 reads
-the keys straight out of this module's AST (no import, no execution),
-the same way the checkpoint round-trip rule (RP014) diffs manifest
-keys.
+``(kind, help, buckets)``.
 
 Span names are listed through the histograms they feed
 (``<span>.seconds``); per-engine counters

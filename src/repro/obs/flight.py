@@ -18,7 +18,7 @@ For crashes that *do* unwind (a raising worker loop) or on demand
 a full snapshot — events, the span ring, and the registry summary — as
 one atomic JSON document.
 
-Wall-clock timestamps are deliberate here (rule RP009 exempts
+Wall-clock timestamps are deliberate here (clock reads are confined to
 ``repro.obs``): flight dumps are correlated across processes and with
 external logs, where monotonic clocks are meaningless.
 """

@@ -24,8 +24,8 @@ three families of instruments:
   text and is the live counterpart of the offline fig13/fig14 ratio.
 
 The probe's rate/time budget lives here too (:class:`ProbeBudget`),
-because rule RP009 bars the instrumented packages — including
-``repro.core`` — from reading clocks directly: the deadline arithmetic
+because the instrumented packages — including ``repro.core`` — never
+read clocks directly: the deadline arithmetic
 happens in this module, on :func:`time.perf_counter`, and the core only
 asks ``budget.expired()``.
 
@@ -102,8 +102,8 @@ class ProbeBudget:
     ``budget_seconds`` caps how long one probe pass may spend before it
     starts skipping (``None`` = no time cap).  The deadline is armed by
     :meth:`start` and consulted with :meth:`expired` — the only clock
-    reads in the whole probe path, kept in ``repro.obs`` because rule
-    RP009 bars ``repro.core`` from ``time.*``.
+    reads in the whole probe path, kept in ``repro.obs`` because
+    ``repro.core`` never reads ``time.*``.
     """
 
     __slots__ = ("rate", "budget_seconds", "_deadline")

@@ -2,7 +2,7 @@
 
 One :class:`~repro.obs.instruments.Registry` per process is the right
 granularity for this codebase: the filtering core is single-threaded
-(rule RP008) and the sharded runtime isolates shards in worker
+(threads are confined to ``repro.runtime``) and the sharded runtime isolates shards in worker
 processes, so "process" and "shard" coincide — each worker accumulates
 into its own copy of this module's registry and ships
 :meth:`~repro.obs.instruments.Registry.summary` snapshots to the

@@ -25,9 +25,9 @@ series they were computed from.
 Rules with no data (the metric has never been observed inside the
 window) evaluate to ``ok`` — an SLO over an idle subsystem is not
 burning.  The typo-shaped failure mode this invites (a misspelled
-metric name is *permanently* idle) is exactly what rule RP018 guards
-against: every metric name referenced here must exist in
-:mod:`repro.obs.catalog`.
+metric name is *permanently* idle) is exactly what
+``tests/fitness/test_metric_catalog.py`` guards against: every metric
+name referenced here must exist in :mod:`repro.obs.catalog`.
 """
 
 from __future__ import annotations

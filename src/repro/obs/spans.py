@@ -14,7 +14,7 @@ context manager: no timer read, no allocation beyond the call itself.
 
 Every span also carries *trace identity* — a trace id shared by the
 whole tree it belongs to, its own span id, and its parent's span id —
-assigned by :mod:`repro.obs.trace` (the only minting site, rule RP010).
+assigned by :mod:`repro.obs.trace` (the only minting site).
 Root spans adopt the remote context installed by
 :func:`repro.obs.trace.attached` when one is present, which is how a
 worker-side ``monitor.apply`` span joins the coordinator-side trace of
@@ -26,8 +26,8 @@ the exception type name, and its duration lands in a separate
 failing apply is distinguishable from a merely slow one in both the
 trace view and the metrics.
 
-The span stack is process-local and deliberately not thread-aware: per
-rule RP008 everything outside :mod:`repro.runtime` is single-threaded,
+The span stack is process-local and deliberately not thread-aware:
+everything outside :mod:`repro.runtime` is single-threaded,
 and the runtime parallelises with *processes*, each carrying its own
 copy of this module's state.
 """

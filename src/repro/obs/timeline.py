@@ -21,7 +21,7 @@ deltas, because the interval it would cover is unknown.  Everything
 after it is pure between-sample activity.
 
 All clock reads stay in this module (``repro.obs`` is the single source
-of timing truth — rule RP009 keeps ``time.*`` out of the instrumented
+of timing truth — ``time.*`` stays out of the instrumented
 packages); callers can inject a fake
 clock for deterministic tests.
 

@@ -1,7 +1,7 @@
 """Trace identity: ids, cross-process propagation, and trace export.
 
-This module is the **only minting site** for trace and span ids (rule
-RP010): every id in the system is either created here or copied from a
+This module is the **only minting site** for trace and span ids
+(``tests/fitness/test_invariants.py``): every id in the system is either created here or copied from a
 value that was.  :mod:`repro.obs.spans` calls :func:`push_span` /
 :func:`pop_span` around each live span, which assigns the span a fresh
 span id, ties it to the active trace (minting a new trace id when the
@@ -34,7 +34,7 @@ process label) or into a plain-text top-N critical-spans table
 (:func:`render_critical_spans`).  Both are surfaced as ``repro trace``.
 
 Like the span stack, all state here is process-local and single-
-threaded by design (rule RP008).
+threaded by design.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ recovery protocols; :mod:`repro.runtime.worker` for the command
 protocol; :mod:`repro.core.checkpoint` for the export a restart reads.
 
 This is the only package in the tree allowed to touch process/thread
-machinery (analysis rule RP008), and :mod:`repro.runtime.shm` is the
-only module allowed to touch ``multiprocessing.shared_memory`` (rule
-RP016): the filtering core stays deterministic and single-threaded,
+machinery, and :mod:`repro.runtime.shm` is the only module allowed to
+touch ``multiprocessing.shared_memory`` (``CONFINED_IMPORTS`` in
+``tests/fitness/test_invariants.py``): the filtering core stays deterministic and single-threaded,
 and all parallelism lives behind this facade.
 """
 

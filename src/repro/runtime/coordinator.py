@@ -102,7 +102,7 @@ from .worker import (
 )
 
 #: Distinguishes shared-memory namespaces when one process hosts several
-#: coordinators (pid alone is not enough); plain counter per RP010.
+#: coordinators (pid alone is not enough); a plain counter, no entropy.
 _INSTANCE_COUNTER = 0
 
 #: How long a single response may take before we declare the runtime

@@ -22,7 +22,7 @@ interpreter exit; the sweep unregisters the names it removes so the
 tracker stays quiet.
 
 Segment names are deterministic (coordinator pid + shard + spawn epoch
-— rule RP010's pid+counter scheme), which is what makes the prefix
+— the pid+counter scheme of trace ids), which is what makes the prefix
 sweep safe: a name collision would mean two live coordinators share a
 pid.
 """
@@ -205,7 +205,7 @@ class RingReader:
 
 def make_prefix(role: str, shard_id: int, epoch: int) -> str:
     """Deterministic segment-name prefix: coordinator pid + shard +
-    spawn epoch (RP010's pid+counter scheme — no random ids)."""
+    spawn epoch (a pid+counter scheme — no random ids)."""
     return f"repro-{os.getpid()}-{role}{shard_id}e{epoch}"
 
 

@@ -24,6 +24,6 @@ module: ``ReproServer``/``ServeConfig``/``run_server`` from
 from :mod:`repro.serve.session`, ``ObservabilityEndpoint`` from
 :mod:`repro.serve.http` and the parsers from :mod:`repro.serve.protocol`.
 
-This is the only unit allowed to use :mod:`asyncio` (rule RP017); see
+This is the only package allowed to import :mod:`asyncio`; see
 ``docs/serving.md`` for the protocol specification.
 """

@@ -1,7 +1,7 @@
 """Asyncio HTTP observability endpoint for the serving layer.
 
-A deliberately minimal HTTP/1.0-style server (stdlib asyncio only, rule
-RP017 keeps all of it inside ``repro.serve``) exposing the operational
+A deliberately minimal HTTP/1.0-style server (stdlib asyncio only, and
+all of it inside ``repro.serve``) exposing the operational
 surface a scraper or orchestrator needs:
 
 ========== =============================================================

@@ -421,7 +421,7 @@ def run_server(
     """Run a server until drained; returns its final edge stats.
 
     This is the synchronous entry the CLI calls — ``asyncio`` stays
-    confined to :mod:`repro.serve` (rule RP017).  ``emit`` receives the
+    confined to :mod:`repro.serve`.  ``emit`` receives the
     ``listening`` notice (default: nothing; ``restored`` says whether
     the monitor came from a checkpoint); ``ready`` is a test hook
     called with the live server once the port is bound.

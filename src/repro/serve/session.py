@@ -11,7 +11,7 @@ session, and from the stdin adapter — funnels through
 the monitor.  The asyncio server enforces the single-writer discipline
 by calling it from one writer task; the stdin loop is trivially single
 writer.  Commits open an ``serve.commit`` span, which is what mints the
-trace id (rule RP010: only :mod:`repro.obs.trace` mints) and lets the
+trace id (only :mod:`repro.obs.trace` mints) and lets the
 coordinator stamp it onto runtime command envelopes — the reply carries
 the id back to the client so one request is followable end-to-end in
 ``repro trace``.

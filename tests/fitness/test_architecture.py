@@ -1,10 +1,9 @@
-"""The real tree satisfies every invariant the analyzer enforces.
+"""Structural properties the paper's correctness argument needs: an
+isomorphism-free filtering path and encapsulated monitor state.
 
-These are the repo's "fitness functions": they run the full rule pack
-against ``src/`` and ``benchmarks/`` (the same scope CI lints) and pin
-the specific structural properties the paper's correctness argument
-needs — an isomorphism-free filtering path and encapsulated monitor
-state.
+The import, clock, trace-id and exception invariants are in
+``test_invariants.py``; the transitive import closure of the filtering
+path is pinned in ``test_cold_import.py``.
 """
 
 from __future__ import annotations
@@ -12,25 +11,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.analysis import (
-    ALLOWED_IMPORTS,
-    FILTERING_PATH_UNITS,
-    REGISTRY,
-    analyze_paths,
-    iter_python_files,
-    resolve_unit,
-)
-
 REPO_ROOT = Path(__file__).resolve().parents[2]
-LINT_SCOPE = [REPO_ROOT / "src", REPO_ROOT / "benchmarks"]
-
-
-def test_tree_is_clean() -> None:
-    """`python -m repro.analysis src benchmarks` exits 0: all 18 rules —
-    the cross-file protocol ones included — hold on the real tree, not
-    just on fixtures."""
-    findings = analyze_paths(LINT_SCOPE)
-    assert findings == [], "\n".join(f.render() for f in findings)
 
 
 def test_filtering_path_never_mentions_isomorphism() -> None:
@@ -55,42 +36,11 @@ def test_filtering_path_never_mentions_isomorphism() -> None:
 
 def test_monitor_private_state_is_not_reached_into() -> None:
     """No file outside core/monitor.py mentions ``._indexes``."""
-    for path in iter_python_files([REPO_ROOT / "src"]):
+    for path in (REPO_ROOT / "src").rglob("*.py"):
         if path.name == "monitor.py":
             continue
         for lineno, text in enumerate(path.read_text().splitlines(), start=1):
             assert "._indexes" not in text, f"{path}:{lineno}: {text.strip()}"
-
-
-def test_layering_matrix_covers_every_unit_in_tree() -> None:
-    """Every analyzed module resolves to a unit the matrix knows about,
-    so a newly added package cannot silently bypass RP001."""
-    from repro.analysis.layering import module_name_for_path
-
-    for path in iter_python_files(LINT_SCOPE):
-        unit = resolve_unit(module_name_for_path(path))
-        assert unit in ALLOWED_IMPORTS, (
-            f"{path} resolves to unit {unit!r} which is absent from "
-            "ALLOWED_IMPORTS — add it to the layering matrix"
-        )
-
-
-def test_filtering_path_units_are_isomorphism_free_in_the_matrix() -> None:
-    """The matrix itself never grants the filtering path access to the
-    exact matcher (guards against a careless matrix edit)."""
-    for unit in FILTERING_PATH_UNITS:
-        allowed = ALLOWED_IMPORTS[unit]
-        assert allowed != "*", f"{unit} must not import arbitrary units"
-        assert "repro.isomorphism" not in allowed
-
-
-def test_every_rule_is_documented() -> None:
-    """The one registry holds exactly RP001-RP018, and
-    docs/static_analysis.md catalogs every id."""
-    assert sorted(REGISTRY) == [f"RP{number:03d}" for number in range(1, 19)]
-    catalog = (REPO_ROOT / "docs" / "static_analysis.md").read_text()
-    for rule_id in REGISTRY:
-        assert rule_id in catalog, f"{rule_id} missing from docs"
 
 
 def test_mutation_version_is_a_public_monotone_counter() -> None:

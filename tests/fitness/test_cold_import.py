@@ -1,11 +1,10 @@
 """Cold-import budget: numpy is paid for by the `matrix` engine alone,
-the analyzer by the `lint` verb alone, and the serving edge, the
-historical obs layers and the offline tools by their own callers alone.
+and the serving edge, the historical obs layers and the offline tools
+by their own callers alone; the exact matcher by no filtering module.
 
 Every process of a deployment (runner, each forked worker, the `repro
 serve` child) imports `repro`; only `repro.join.matrix` needs numpy, and
-no default (`dsc`) path may drag it in.  Every CLI verb builds the
-argument parser; only `lint` needs `repro.analysis`.
+no default (`dsc`) path may drag it in.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ import sys
 import repro
 import repro.cli
 repro.cli.build_parser()
-loaded = sorted(name for name in sys.modules if name.startswith("repro.analysis"))
-assert not loaded, f"building the CLI parser imported {loaded}"
 from repro import LabeledGraph, StreamMonitor
 from repro.join import ENGINES, QuerySet, make_engine
 
@@ -116,3 +113,52 @@ assert monitor.verified_matches() == {("s", "ab")}
 assert "repro.isomorphism.vf2" in sys.modules
 """
     )
+
+
+# Lemma 4.2: the filter is complete without an isomorphism test, so no
+# filtering module may load the exact matcher, however many hops away.
+ISOMORPHISM_PROBE = """
+import importlib, pkgutil, sys
+
+class Witness:  # finds nothing; prints who first asks for the exact matcher
+    def find_spec(self, name, path=None, target=None):
+        if name == "repro.isomorphism":
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename.startswith("<"):  # importlib's own frames
+                frame = frame.f_back
+            print(importing, f"{frame.f_code.co_filename}:{frame.f_lineno}")
+
+sys.meta_path.insert(0, Witness())
+for package in ("repro.graph", "repro.nnt", "repro.join"):
+    importing = package
+    for module in pkgutil.walk_packages(importlib.import_module(package).__path__, package + "."):
+        importing = module.name
+        importlib.import_module(module.name)
+print("repro.isomorphism" in sys.modules)
+"""
+
+
+def isomorphism_importers(src: Path) -> list[str]:
+    """``module path:line``: each filtering module imported from ``src``
+    whose closure loads ``repro.isomorphism``, and the import that does."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", ISOMORPHISM_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    *sites, loaded = result.stdout.splitlines()
+    assert loaded == str(bool(sites)), "loaded, but no import was witnessed"
+    return sites
+
+
+def test_the_filtering_path_never_loads_the_exact_matcher() -> None:
+    assert isomorphism_importers(SRC) == []
+
+
+def test_a_transitive_isomorphism_import_is_found(tmp_path: Path) -> None:
+    for package in ("", "graph", "nnt", "join", "core", "isomorphism"):
+        (tmp_path / "repro" / package).mkdir(exist_ok=True)
+        (tmp_path / "repro" / package / "__init__.py").write_text("")
+    (tmp_path / "repro/core/helper.py").write_text('"""Helper."""\nimport repro.isomorphism\n')
+    (tmp_path / "repro/join/engine.py").write_text("from repro.core import helper\n")
+    assert isomorphism_importers(tmp_path) == [f"repro.join.engine {tmp_path}/repro/core/helper.py:2"]

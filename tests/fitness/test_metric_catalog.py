@@ -1,9 +1,9 @@
 """``repro.obs.catalog.CATALOG`` and the mint sites agree, both ways.
 
-RP018 checks the *consumers* (dashboard panels, SLO rules) against the
-catalog; nothing checked the *emitters*, so a gauge could be minted at
+The *consumers* (dashboard panels, SLO rules) read only catalogued
+names; nothing checked the *emitters*, so a gauge could be minted at
 four sites without a row, and a row could outlive its last minter.
-Read from the AST, like RP018: every literal name passed to
+Read from the AST: every literal name passed to
 ``counter`` / ``gauge`` / ``histogram`` / ``span`` under ``src/repro``
 (a span feeds the histogram ``<name>.seconds``), plus the f-string
 names with one ``{engine}`` hole, enumerated over the join engines.
@@ -15,6 +15,7 @@ name and labels, and what a scrape says about a series is its row.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from repro.obs.exposition import metric_name, render_prometheus
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 INSTRUMENTS = {"counter", "gauge", "histogram", "span"}
+METRIC_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 
 
 def _names(argument: ast.expr) -> list[str]:
@@ -94,6 +96,34 @@ def test_mint_sites_pass_a_name_and_labels_only() -> None:
         )
     ]
     assert restating == []
+
+
+def uncatalogued(source: str) -> list[str]:
+    """``line: name`` of each dotted-name string literal in ``source``,
+    docstrings aside, that is not a ``CATALOG`` key: a name nothing mints
+    evaluates against no data, so its panel is empty and its SLO "ok"."""
+    nodes = list(ast.walk(ast.parse(source)))
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {
+        id(node.body[0].value)
+        for node in nodes if isinstance(node, scopes) and ast.get_docstring(node, False)
+    }
+    return [
+        f"{node.lineno}: {node.value}" for node in nodes
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+        and METRIC_NAME.match(node.value) and node.value not in CATALOG
+    ]
+
+
+@pytest.mark.parametrize("consumer", ["dashboard.py", "obs/slo.py"])
+def test_every_consumed_metric_name_is_catalogued(consumer: str) -> None:
+    assert uncatalogued((SRC / consumer).read_text()) == []
+
+
+def test_an_uncatalogued_consumed_name_is_found(tmp_path: Path) -> None:
+    planted = tmp_path / "dashboard.py"
+    planted.write_text('"""serve.commit.nope"""\nPANELS = ["serve.commit.nope"]\n')
+    assert uncatalogued(planted.read_text()) == ["2: serve.commit.nope"]
 
 
 def _edge(a: str, b: str) -> LabeledGraph:

@@ -1,4 +1,4 @@
-"""Type-checks the analyzer package with mypy --strict.
+"""Type-checks ``src/repro`` with the mypy profile in pyproject.toml.
 
 Skipped when mypy is not installed (the container images used for
 tier-1 runs do not ship it); CI installs mypy and runs this for real.
@@ -18,16 +18,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 pytestmark = pytest.mark.skipif(
     importlib.util.find_spec("mypy") is None, reason="mypy not installed"
 )
-
-
-def test_analysis_package_is_strictly_typed() -> None:
-    result = subprocess.run(
-        [sys.executable, "-m", "mypy", "--strict", "src/repro/analysis"],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_baseline_config_passes() -> None:

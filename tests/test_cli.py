@@ -299,6 +299,37 @@ class TestReplay:
                  "--workers", "2", "--rescale-at", "3:2", "--rescale-at", "3:4"]
             )
 
+    @pytest.mark.parametrize(
+        "plan, refusal",
+        (
+            (["--deregister-at", "2:nope"], "--deregister-at 2:nope: query 'nope' is not registered"),
+            (
+                ["--register-at", "2:x:{q}", "--register-at", "3:x:{q}"],
+                "--register-at 3:x:{q}: query 'x' is already registered",
+            ),
+            (
+                ["--deregister-at", "1:q0", "--deregister-at", "2:q0"],
+                "--deregister-at 2:q0: query 'q0' is not registered",
+            ),
+            (["--register-at", "2::{q}"], "--register-at expects T:ID:FILE[:KEY], got '2::{q}'"),
+            (
+                ["--workers", "1", "--rescale-at", "99:2", "--deregister-at", "99:q0"],
+                "--rescale-at 99:2: the streams end at timestamp 4",
+            ),
+        ),
+        ids=("unknown-id", "register-twice", "deregister-twice", "empty-id", "past-horizon"),
+    )
+    def test_live_plan_is_refused_before_the_first_timestamp(
+        self, replay_inputs, capsys, plan, refusal
+    ):
+        """One line naming the spec, and no timestamp replayed first."""
+        queries, streams = replay_inputs
+        plan = [arg.format(q=queries) for arg in plan]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", "--queries", queries, "--streams", *streams, *plan])
+        assert excinfo.value.code == refusal.format(q=queries)
+        assert capsys.readouterr().out == ""
+
     def test_sharded_replay_with_checkpoints(self, replay_inputs, tmp_path, capsys):
         queries, streams = replay_inputs
         assert main(
@@ -423,3 +454,31 @@ class TestServe:
         # keeps going and still answers the final commands.
         assert responses[-1]["cmd"] == "quit"
         assert any(not r["ok"] for r in responses)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["replay", "--queries", "{missing}", "--streams", "{stream}"],
+        ["replay", "--queries", "{queries}", "--streams", "{stream}", "{missing}"],
+        ["replay", "--queries", "{queries}", "--streams", "{stream}", "--register-at", "2:x:{missing}"],
+        ["search", "--db", "{missing}", "--queries", "{queries}"],
+        ["serve", "--queries", "{missing}"],
+        ["generate", "queries", "--out", "{stream}.out", "--from-db", "{missing}"],
+    ),
+    ids=("replay-queries", "replay-streams", "replay-register-at", "search-db", "serve", "generate"),
+)
+def test_missing_input_file_is_a_usage_error(replay_inputs, tmp_path, capsys, argv):
+    queries, streams = replay_inputs
+    missing = str(tmp_path / "missing.txt")
+    argv = [arg.format(missing=missing, queries=queries, stream=streams[0]) for arg in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code not in (0, None)
+    assert f"no such file: {missing!r}" in capsys.readouterr().err + str(excinfo.value.code)
+
+
+def test_lint_verb_is_gone():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint"])
+    assert excinfo.value.code == 2

@@ -289,7 +289,7 @@ class TestCheckpointRoundTrip:
     def test_in_process_checkpoint_carries_churned_membership(self, tmp_path):
         """save/load round-trip after churn: the manifest's query list
         *is* the membership — registered queries restore, deregistered
-        ones stay gone (RP014 symmetry, no side-channel keys)."""
+        ones stay gone (no side-channel keys)."""
         rng = random.Random(4008)
         queries = small_queries(rng)
         mirrors = small_mirrors(rng)
