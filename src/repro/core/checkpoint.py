@@ -22,7 +22,8 @@ graph that mixes the two the list of its int ids — and the restore is
 exact.  What the text cannot carry is refused with ``ValueError``
 before any file is written: an id that is neither a ``str`` nor an
 ``int``, two ids with the same text (``1`` and ``"1"``), a label that
-is not a ``str``.  Stream/query ids are stored in the JSON manifest and
+is not a ``str``, an empty string or one with whitespace (the text
+format's tokens).  Stream/query ids are stored in the JSON manifest and
 must be JSON-representable.
 """
 
@@ -33,7 +34,7 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from ..graph.io import read_graph_set, write_graph_set
+from ..graph.io import is_token, read_graph_set, write_graph_set
 from ..graph.labeled_graph import LabeledGraph
 from ..nnt.projection import DimensionScheme
 from .monitor import StreamMonitor
@@ -61,13 +62,15 @@ def _check_writable(role: str, graph_id: Any, graph: LabeledGraph) -> None:
         if text in texts:
             raise ValueError(f"{where} and vertex {texts[text]!r} write as the same text")
         texts[text] = vertex
-        if not isinstance(label, str):
-            raise ValueError(f"{where} has label {label!r}, which is not a str")
+        if not (isinstance(label, str) and is_token(label)):
+            raise ValueError(f"{where} has label {label!r}, which is not a token str")
+        if not is_token(text):
+            raise ValueError(f"{where} is not a token: empty or has whitespace")
     for u, v, label in graph.edges():
-        if not isinstance(label, str):
+        if not (isinstance(label, str) and is_token(label)):
             raise ValueError(
                 f"{role} {graph_id!r}: edge ({u!r}, {v!r}) has label {label!r}, "
-                "which is not a str"
+                "which is not a token str"
             )
 
 

@@ -6,11 +6,10 @@ from .operations import (
     INSERT,
     EdgeChange,
     GraphChangeOperation,
-    apply_batch_validated,
     apply_change,
     apply_operation,
+    check_batch,
     diff_graphs,
-    undo_batch,
 )
 from .stream import GraphStream
 
@@ -23,10 +22,9 @@ __all__ = [
     "GraphError",
     "GraphStream",
     "LabeledGraph",
-    "apply_batch_validated",
     "apply_change",
     "apply_operation",
+    "check_batch",
     "diff_graphs",
     "edge_key",
-    "undo_batch",
 ]

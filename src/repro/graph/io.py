@@ -29,9 +29,14 @@ from .operations import DELETE, INSERT, EdgeChange, GraphChangeOperation
 from .stream import GraphStream
 
 
+def is_token(text: str) -> bool:
+    """Is ``text`` one token of the format: non-empty, without whitespace?"""
+    return bool(text) and not any(ch.isspace() for ch in text)
+
+
 def _token(value: object) -> str:
     text = str(value)
-    if not text or any(ch.isspace() for ch in text):
+    if not is_token(text):
         raise GraphError(f"cannot serialize token {value!r}: empty or has whitespace")
     return text
 

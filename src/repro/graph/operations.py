@@ -122,16 +122,13 @@ def apply_change(graph: LabeledGraph, change: EdgeChange) -> None:
 
 def _apply_insert(graph: LabeledGraph, change: EdgeChange) -> None:
     """Refused inserts (duplicate edge, new endpoint without a label)
-    raise before anything is touched, like ``NNTIndex.insert_edge``."""
+    raise before anything is touched."""
     if graph.has_edge(change.u, change.v):
         raise GraphError(f"edge ({change.u!r}, {change.v!r}) already exists")
     endpoints = ((change.u, change.u_label), (change.v, change.v_label))
     for vertex, label in endpoints:
         if label is None and not graph.has_vertex(vertex):
-            raise GraphError(
-                f"insertion of edge ({change.u!r}, {change.v!r}) creates "
-                f"vertex {vertex!r} but no label was provided"
-            )
+            raise _unlabeled(change, vertex)
     for vertex, label in endpoints:
         if not graph.has_vertex(vertex):
             graph.add_vertex(vertex, label)
@@ -145,68 +142,76 @@ def _apply_delete(graph: LabeledGraph, change: EdgeChange) -> None:
             graph.remove_vertex(vertex)
 
 
+def _unlabeled(change: EdgeChange, vertex: VertexId) -> GraphError:
+    return GraphError(
+        f"insertion of edge ({change.u!r}, {change.v!r}) creates "
+        f"vertex {vertex!r} but no label was provided"
+    )
+
+
 def apply_operation(graph: LabeledGraph, operation: GraphChangeOperation) -> None:
-    """Apply a whole batch in place: deletions first, then insertions."""
+    """Apply a whole batch in place: deletions first, then insertions.
+
+    Not atomic: a refused change raises with the ones before it applied.
+    Run :func:`check_batch` first where that matters."""
     for change in operation.sequentialized():
         apply_change(graph, change)
 
 
+def check_batch(graph: LabeledGraph, batch: GraphChangeOperation | EdgeChange) -> None:
+    """Raise :class:`GraphError` exactly when :func:`apply_operation` (or
+    :func:`apply_change`) would on a copy of ``graph``, with the same
+    message — without touching ``graph``.
+
+    The one statement of what a batch may not do (Def 2.4, deletions
+    first, then insertions): delete an edge that is not there, insert one
+    that is, or create an endpoint without a label.  Each change is judged
+    against the edge presence and endpoint degrees the changes before it
+    leave behind; a vertex whose last edge a deletion takes is gone, as
+    :func:`apply_change` drops it.  Every all-or-nothing ``apply`` calls
+    this once, then mutates once.
+    """
+    if isinstance(batch, EdgeChange):
+        deletions, insertions = ((batch,), ()) if batch.op == DELETE else ((), (batch,))
+    else:
+        deletions, insertions = batch.deletions, batch.insertions
+    deleted: set[frozenset] = set()
+    kept: dict[VertexId, int] = {}  # endpoint of a deletion -> degree it keeps
+    for change in deletions:
+        u, v = change.u, change.v
+        key = frozenset((u, v))
+        if key in deleted or not graph.has_edge(u, v):
+            raise GraphError(f"edge ({u!r}, {v!r}) does not exist")
+        deleted.add(key)
+        for vertex in (u, v):
+            kept[vertex] = kept.get(vertex, graph.degree(vertex)) - 1
+    inserted: set[frozenset] = set()
+    linked: set[VertexId] = set()  # endpoints of the insertions so far: present
+    for change in insertions:
+        u, v = change.u, change.v
+        key = frozenset((u, v))
+        if key in inserted or (key not in deleted and graph.has_edge(u, v)):
+            raise GraphError(f"edge ({u!r}, {v!r}) already exists")
+        for vertex, label in ((u, change.u_label), (v, change.v_label)):
+            if label is None and vertex not in linked:
+                # There unless a deletion above took its last edge.
+                if not graph.has_vertex(vertex) or kept.get(vertex) == 0:
+                    raise _unlabeled(change, vertex)
+        inserted.add(key)
+        linked.update((u, v))
+
+
 def apply_batch_validated(
     graph: LabeledGraph, batch: GraphChangeOperation | EdgeChange
-) -> list[tuple]:
-    """Apply ``batch`` to ``graph``, all or nothing.
-
-    Runs the exact mutation sequence a monitor runs (deletions first,
-    then insertions; endpoints left isolated are dropped), so a batch a
-    monitor would refuse (duplicate insert, missing delete, unlabeled
-    new vertex) raises :class:`GraphError` *here* — with every change of
-    the batch that had already applied undone, leaving ``graph`` exactly
-    as it was.  Returns the undo log of the applied batch, for a caller
-    that has to take it back later (:func:`undo_batch`).
-    """
-    changes = (batch,) if isinstance(batch, EdgeChange) else batch.sequentialized()
-    undo: list[tuple] = []
-    try:
-        for change in changes:
-            u, v = change.u, change.v
-            if change.op == INSERT:
-                created = tuple(w for w in (u, v) if not graph.has_vertex(w))
-                _apply_insert(graph, change)
-                undo.append((INSERT, u, v, created))
-            else:
-                record = (
-                    DELETE,
-                    u,
-                    v,
-                    graph.edge_label(u, v),
-                    graph.vertex_label(u),
-                    graph.vertex_label(v),
-                )
-                _apply_delete(graph, change)
-                undo.append(record)
-    except BaseException:
-        undo_batch(graph, undo)
-        raise
-    return undo
-
-
-def undo_batch(graph: LabeledGraph, undo: list[tuple]) -> None:
-    """Revert a batch :func:`apply_batch_validated` applied to ``graph``
-    (nothing else may have touched the graph in between).  One record per
-    applied change: ``(INSERT, u, v, created_endpoints)`` or
-    ``(DELETE, u, v, edge_label, u_label, v_label)``."""
-    for record in reversed(undo):
-        if record[0] == INSERT:
-            _, u, v, created = record
-            graph.remove_edge(u, v)
-            for vertex in created:
-                graph.remove_vertex(vertex)
-        else:
-            _, u, v, edge_label, u_label, v_label = record
-            for vertex, label in ((u, u_label), (v, v_label)):
-                if not graph.has_vertex(vertex):
-                    graph.add_vertex(vertex, label)
-            graph.add_edge(u, v, edge_label)
+) -> None:
+    """Apply ``batch`` to ``graph``, all or nothing: :func:`check_batch`,
+    then the plain appliers, so a refused batch raises with ``graph``
+    untouched."""
+    check_batch(graph, batch)
+    if isinstance(batch, EdgeChange):
+        apply_change(graph, batch)
+    else:
+        apply_operation(graph, batch)
 
 
 def diff_graphs(old: LabeledGraph, new: LabeledGraph) -> GraphChangeOperation:

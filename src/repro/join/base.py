@@ -392,10 +392,6 @@ class StreamListenerAdapter:
         """Forward with this adapter's stream id."""
         self.engine.on_vertex_removed(self.stream_id, vertex)
 
-    def on_dimension_delta(self, vertex: VertexId, dim: Dimension, delta: int) -> None:
-        """Forward with this adapter's stream id."""
-        self.engine.on_dimension_delta(self.stream_id, vertex, dim, delta)
-
     def on_batch_update(self, deltas: BatchDeltas) -> None:
         """Forward one coalesced delta batch with this adapter's stream id."""
         self.engine.batch_update(self.stream_id, deltas)

@@ -2,7 +2,7 @@
 
 from .builder import build_all_nnts, build_nnt, enumerate_simple_paths, project_graph
 from .branches import BranchFilter, branch_compatible, branch_profile
-from .incremental import BatchNPVListener, NNTIndex, NPVListener, index_graphs
+from .incremental import NNTIndex, NPVListener, index_graphs
 from .projection import (
     PAPER_SCHEME,
     Dimension,
@@ -17,7 +17,6 @@ from .projection import (
 from .tree import NNT, TreeNode
 
 __all__ = [
-    "BatchNPVListener",
     "BranchFilter",
     "Dimension",
     "DimensionScheme",

@@ -33,8 +33,12 @@ netted out, and listeners receive a single
 lifecycle events still fire eagerly, in order).  On temporal-locality
 streams — where a timestamp deletes and re-inserts overlapping edge
 sets — most deltas cancel, so the join engines see a fraction of the raw
-tree-edge churn.  Listeners without an ``on_batch_update`` method fall
-back to one ``on_dimension_delta`` call per *net* entry.
+tree-edge churn.
+
+A batch is refused whole or applied whole: every mutation entry point
+asks :func:`~repro.graph.operations.check_batch` once, which reads the
+graph and never writes it, so a refused change raises before any graph
+edge, NPV or listener moves, and the Figs 4-5 bodies below never refuse.
 """
 
 from __future__ import annotations
@@ -44,20 +48,15 @@ from typing import Iterable, Iterator, Mapping, Protocol
 
 from .. import obs
 from ..graph.labeled_graph import GraphError, Label, LabeledGraph, VertexId
-from ..graph.operations import (
-    INSERT,
-    EdgeChange,
-    GraphChangeOperation,
-    apply_batch_validated,
-    undo_batch,
-)
+from ..graph.operations import INSERT, EdgeChange, GraphChangeOperation, check_batch
 from .builder import build_nnt
 from .projection import NPV, Dimension, DimensionScheme, PAPER_SCHEME, project_tree
 from .trails import Tallies, TrailWalk
 
 
 class NPVListener(Protocol):
-    """Observer of NPV evolution for one evolving graph."""
+    """Observer of NPV evolution for one evolving graph: eager vertex
+    lifecycle events, and one coalesced delta mapping per batch scope."""
 
     def on_vertex_added(self, vertex: VertexId) -> None:
         """A vertex (with an initially empty NPV) entered the graph."""
@@ -70,18 +69,6 @@ class NPVListener(Protocol):
         reverse) whatever its own copy of the vector still holds —
         which is what the join engines do.
         """
-
-    def on_dimension_delta(self, vertex: VertexId, dim: Dimension, delta: int) -> None:
-        """``NPV(vertex)[dim]`` changed by ``delta`` (+1 or -1 per tree edge)."""
-
-
-class BatchNPVListener(NPVListener, Protocol):
-    """Listener that additionally accepts coalesced delta batches.
-
-    :class:`NNTIndex` probes for :meth:`on_batch_update` at flush time;
-    listeners lacking it receive one :meth:`NPVListener.on_dimension_delta`
-    call per *net* ``(vertex, dimension)`` entry instead.
-    """
 
     def on_batch_update(self, deltas: Mapping[tuple[VertexId, Dimension], int]) -> None:
         """One batch's coalesced non-zero NPV deltas (treat as read-only)."""
@@ -153,11 +140,9 @@ class NNTIndex:
                 self._flush_pending()
 
     def _flush_pending(self) -> None:
-        """Deliver the netted deltas of the closing batch scope.
-
-        Listeners exposing ``on_batch_update`` get the whole coalesced
-        mapping in one call; others get one ``on_dimension_delta`` per
-        net entry.  Entries for vertices removed mid-batch were already
+        """Deliver the netted deltas of the closing batch scope: one
+        ``on_batch_update`` call per listener with the whole coalesced
+        mapping.  Entries for vertices removed mid-batch were already
         purged (their listener-side state is torn down by the eager
         ``on_vertex_removed``), so every delivered delta lands on a
         vertex the listener still tracks.
@@ -169,12 +154,7 @@ class NNTIndex:
         self.stats["deltas_delivered"] += len(deltas)
         with obs.span("nnt.batch_update", size=len(deltas)):
             for listener in self.listeners:
-                batch_method = getattr(listener, "on_batch_update", None)
-                if batch_method is not None:
-                    batch_method(deltas)
-                else:
-                    for (vertex, dim), net in deltas.items():
-                        listener.on_dimension_delta(vertex, dim, net)
+                listener.on_batch_update(deltas)
         if obs.enabled():
             obs.counter("nnt.deltas_delivered").inc(len(deltas))
             obs.histogram("nnt.batch_size").observe(len(deltas))
@@ -206,28 +186,22 @@ class NNTIndex:
     def apply(self, operation: GraphChangeOperation) -> None:
         """Apply a batch, all or nothing: deletions first, then insertions.
 
-        The batch is first run against the graph alone and taken back
-        (:func:`~repro.graph.operations.apply_batch_validated`, the one
-        statement of what is refused), so a bad change anywhere in it
-        raises :class:`GraphError` before any NPV or listener sees one,
-        and the Figs 4-5 procedures below cannot refuse.  The whole
-        operation shares one coalescing scope, so deltas that cancel
-        across its changes (e.g. a delete/re-insert pair crossing the
-        same trails) never reach the listeners.
+        :func:`~repro.graph.operations.check_batch` judges the whole batch
+        first, so a bad change anywhere in it raises :class:`GraphError`
+        before any NPV or listener sees one.  The whole operation shares
+        one coalescing scope, so deltas that cancel across its changes
+        (e.g. a delete/re-insert pair crossing the same trails) never
+        reach the listeners.
         """
-        undo_batch(self.graph, apply_batch_validated(self.graph, operation))
+        check_batch(self.graph, operation)
         with self.batch():
             for change in operation.sequentialized():
-                self.apply_change(change)
+                self._apply_checked(change)
 
     def apply_change(self, change: EdgeChange) -> None:
-        """Apply a single edge insertion or deletion."""
-        if change.op == INSERT:
-            self.insert_edge(
-                change.u, change.v, change.edge_label, change.u_label, change.v_label
-            )
-        else:
-            self.delete_edge(change.u, change.v)
+        """Apply a single edge insertion or deletion, all or nothing."""
+        check_batch(self.graph, change)
+        self._apply_checked(change)
 
     def insert_edge(
         self,
@@ -237,40 +211,36 @@ class NNTIndex:
         a_label: Label | None = None,
         b_label: Label | None = None,
     ) -> None:
-        """Insert graph edge ``(a, b)`` (Figure 5), creating missing
-        endpoints.  A refused insert (self loop, duplicate edge, new
-        endpoint without a label) raises before anything is touched."""
+        """Insert graph edge ``(a, b)``, creating missing endpoints.  A
+        refused insert (self loop, duplicate edge, new endpoint without
+        a label) raises :class:`GraphError` before anything is touched."""
         if a == b:
             raise GraphError("self loops are not supported")
-        if self.graph.has_edge(a, b):
-            raise GraphError(f"edge ({a!r}, {b!r}) already exists")
-        endpoints = ((a, a_label), (b, b_label))
-        for vertex, label in endpoints:
-            if label is None and not self.graph.has_vertex(vertex):
-                raise GraphError(
-                    f"inserting edge ({a!r}, {b!r}) creates vertex "
-                    f"{vertex!r} but no label was provided"
-                )
-        with self.batch():
-            for vertex, label in endpoints:
-                if not self.graph.has_vertex(vertex):
-                    self._create_vertex(vertex, label)
-            self.graph.add_edge(a, b, edge_label)
-            self._book_trails(a, b, edge_label, +1)
-            self.stats["edges_inserted"] += 1
+        self.apply_change(EdgeChange.insert(a, b, edge_label, a_label, b_label))
 
     def delete_edge(self, a: VertexId, b: VertexId) -> None:
-        """Delete graph edge ``(a, b)`` (Figure 4); endpoints left
-        isolated are dropped."""
-        if not self.graph.has_edge(a, b):
-            raise GraphError(f"edge ({a!r}, {b!r}) does not exist")
+        """Delete graph edge ``(a, b)``; endpoints left isolated are dropped."""
+        self.apply_change(EdgeChange.delete(a, b))
+
+    def _apply_checked(self, change: EdgeChange) -> None:
+        """One change :func:`check_batch` has accepted: Procedure
+        *Insert-Edge* (Figure 5) or *Delete-Edge* (Figure 4)."""
+        a, b = change.u, change.v
         with self.batch():
-            self._book_trails(a, b, self.graph.edge_label(a, b), -1)
-            self.graph.remove_edge(a, b)
-            self.stats["edges_deleted"] += 1
-            for vertex in (a, b):
-                if self.graph.degree(vertex) == 0:
-                    self._remove_vertex(vertex)
+            if change.op == INSERT:
+                for vertex, label in ((a, change.u_label), (b, change.v_label)):
+                    if not self.graph.has_vertex(vertex):
+                        self._create_vertex(vertex, label)
+                self.graph.add_edge(a, b, change.edge_label)
+                self._book_trails(a, b, change.edge_label, +1)
+                self.stats["edges_inserted"] += 1
+            else:
+                self._book_trails(a, b, self.graph.edge_label(a, b), -1)
+                self.graph.remove_edge(a, b)
+                self.stats["edges_deleted"] += 1
+                for vertex in (a, b):
+                    if self.graph.degree(vertex) == 0:
+                        self._remove_vertex(vertex)
 
     def _book_trails(self, a: VertexId, b: VertexId, edge_label: Label, sign: int) -> None:
         """Book ``sign`` per tree edge of every trail through graph edge

@@ -27,11 +27,14 @@ its streams' *current graphs* and the query set, so that is all the
 coordinator keeps: one :class:`~repro.graph.LabeledGraph` per stream
 (``add_stream`` stores a copy, every accepted ``apply`` is folded in
 with the worker's own semantics, ``remove_stream`` forgets it) next to
-the live query dict — O(sum of |E_i|), whatever the stream length.  The
-fold (:func:`~repro.graph.operations.apply_batch_validated`) is
-all-or-nothing and runs *before* anything is put on a queue or ring: a
-batch a worker would die on raises :class:`~repro.graph.GraphError`
-from ``apply`` with nothing sent and nothing recorded.
+the live query dict — O(sum of |E_i|), whatever the stream length.
+``apply`` checks, sends, then folds.  The check
+(:func:`~repro.graph.operations.check_batch`) reads the stream's graph
+and writes nothing: a batch a worker would refuse raises
+:class:`~repro.graph.GraphError` from ``apply`` with nothing sent and
+nothing recorded.  The send is the control path's put, and the fold
+runs once it returns: a worker respawned during the send is seeded
+without the update and then receives it once.
 
 **Recovery.**  A worker that dies — killed, OOMed, crashed hardware —
 is respawned from the birth spec and sent the state of record: the net
@@ -78,8 +81,9 @@ from ..graph.labeled_graph import LabeledGraph
 from ..graph.operations import (
     EdgeChange,
     GraphChangeOperation,
-    apply_batch_validated,
-    undo_batch,
+    apply_change,
+    apply_operation,
+    check_batch,
 )
 from ..join import check_engine_name
 from ..join.base import Pair, QueryId, StreamId
@@ -347,7 +351,7 @@ class ShardedMonitor:
         shard = self.router.shard_for(stream_id)
         graph = initial.copy() if initial is not None else LabeledGraph()
         # The inbox pickles later, on its feeder thread: it gets a copy of its own.
-        self._submit_control(shard, (CMD_ADD_STREAM, stream_id, graph.copy()))
+        self._submit(shard, (CMD_ADD_STREAM, stream_id, graph.copy()))
         self._streams[stream_id] = shard
         self._graphs[stream_id] = graph
 
@@ -356,7 +360,7 @@ class ShardedMonitor:
         self._ensure_open()
         # Delivered before it is forgotten: a respawn inside the submit
         # still registers the stream the command then removes.
-        self._submit_control(self._streams[stream_id], (CMD_REMOVE_STREAM, stream_id))
+        self._submit(self._streams[stream_id], (CMD_REMOVE_STREAM, stream_id))
         del self._streams[stream_id]
         del self._graphs[stream_id]
         self._last_poll = {pair for pair in self._last_poll if pair[0] != stream_id}
@@ -395,7 +399,7 @@ class ShardedMonitor:
         query = query.copy()
         with obs.span("runtime.register_query", query=str(query_id)):
             for shard in sorted(self._workers):
-                self._submit_control(shard, (CMD_REGISTER_QUERY, query_id, query))
+                self._submit(shard, (CMD_REGISTER_QUERY, query_id, query))
         self._queries[query_id] = query
         self._query_registrations += 1
 
@@ -407,7 +411,7 @@ class ShardedMonitor:
             raise KeyError(f"query {query_id!r} is not monitored")
         with obs.span("runtime.deregister_query", query=str(query_id)):
             for shard in sorted(self._workers):
-                self._submit_control(shard, (CMD_DEREGISTER_QUERY, query_id))
+                self._submit(shard, (CMD_DEREGISTER_QUERY, query_id))
         del self._queries[query_id]
         self._query_deregistrations += 1
         self._last_poll = {pair for pair in self._last_poll if pair[1] != query_id}
@@ -476,32 +480,35 @@ class ShardedMonitor:
                         f"shard {handle.shard_id} worker died with a full inbox"
                     ) from None
 
-    def _submit_control(self, shard: int, command: tuple) -> None:
-        """Control traffic, put like data (blocking).  Callers
-        update the state of record only once this returns, so a respawn
-        in here rebuilds the worker *without* the command's effect and
-        the command then lands on it exactly once."""
-        envelope = obs.stamp_envelope(command)
+    def _submit(self, shard: int, command: tuple) -> None:
+        """Put one command on a shard's inbox, waiting out a full one.
+
+        Callers update the state of record only once this returns, so a
+        respawn in here rebuilds the worker *without* the command's
+        effect and the command then lands on it exactly once.  The wire
+        form is built per attempt: a respawned worker has a new ring."""
         for attempt in (0, 1):
             handle = self._handle_for(shard)
             try:
-                self._put_blocking(handle, envelope)
-                break
+                self._put_blocking(handle, self._wire(shard, command))
+                return
             except WorkerDied:
                 if not self.auto_recover or attempt:
                     raise
                 # _handle_for will respawn on the retry.
 
-    def _wire_apply(self, shard: int, command: tuple) -> tuple:
-        """The stamped wire form of one apply.
+    def _wire(self, shard: int, command: tuple) -> tuple:
+        """The stamped wire form of one command.
 
-        With ``shm=True`` the payload is pickled once into the
+        With ``shm=True`` an apply's payload is pickled once into the
         shard's ring and the queue carries a fixed-size
         :class:`~repro.runtime.shm.RingRef`; a full ring falls back to
         the inline payload (lossless, counted on ``shm.ring_overflow``).
         ``runtime.bytes_pickled`` measures what actually crosses the
-        queue either way — the quantity the shm bench gates on.
+        queue for an apply either way — the quantity the shm bench gates on.
         """
+        if command[0] != CMD_APPLY:
+            return obs.stamp_envelope(command)
         wire = command
         ring = self._rings.get(shard) if self.shm else None
         if ring is not None:
@@ -524,32 +531,15 @@ class ShardedMonitor:
         stream_id: StreamId,
         update: GraphChangeOperation | EdgeChange,
     ) -> None:
-        """Data traffic: fold the update into the stream's graph, then
-        send it.  The fold comes after the liveness check (a respawn
-        must not be built from a batch it is about to be sent) and is
-        taken back when the send raises."""
-        handle = self._handle_for(shard)
+        """Data traffic: check the update against the stream's graph,
+        send it, then fold it in (:meth:`_submit`'s contract)."""
         graph = self._graphs[stream_id]
-        undo = apply_batch_validated(graph, update)
-        try:
-            self._send_update(shard, handle, (CMD_APPLY, stream_id, update))
-        except BaseException:
-            undo_batch(graph, undo)
-            raise
-
-    def _send_update(self, shard: int, handle: _WorkerHandle, command: tuple) -> None:
-        """Put one folded apply on the wire, waiting out a full inbox.
-
-        The stamped envelope keeps the submit-time trace context.  A
-        worker that dies under the send is re-sent nothing: its respawn
-        is built from graphs that already hold the update.
-        """
-        try:
-            self._put_blocking(handle, self._wire_apply(shard, command))
-        except WorkerDied:
-            if not self.auto_recover:
-                raise
-            self.recover(shard)
+        check_batch(graph, update)
+        self._submit(shard, (CMD_APPLY, stream_id, update))
+        if isinstance(update, EdgeChange):
+            apply_change(graph, update)
+        else:
+            apply_operation(graph, update)
 
     # ------------------------------------------------------------------
     # request/response
@@ -823,10 +813,10 @@ class ShardedMonitor:
                 continue
             # The origin keeps owning the stream until both commands are
             # out: a respawn of either shard in between is seeded right.
-            self._submit_control(
+            self._submit(
                 destination, (CMD_ADD_STREAM, stream_id, self._graphs[stream_id].copy())
             )
-            self._submit_control(origin, (CMD_REMOVE_STREAM, stream_id))
+            self._submit(origin, (CMD_REMOVE_STREAM, stream_id))
             self._streams[stream_id] = destination
             moved += 1
             if obs.enabled():

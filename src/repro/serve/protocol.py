@@ -298,7 +298,10 @@ def _id(doc: Mapping[str, Any], key: str, what: str) -> str | int:
     inside the monitor, where it is no longer the client's bad line."""
     if key not in doc:
         raise ProtocolError(f"{what} needs a {key!r} field")
-    value = doc[key]
+    return _typed_id(doc[key], key)
+
+
+def _typed_id(value: Any, key: str) -> str | int:
     if not isinstance(value, (str, int)) or isinstance(value, bool):
         raise ProtocolError(f"{key!r} must be a string or an integer, got {value!r}")
     return value
@@ -308,6 +311,25 @@ def _label(value: Any, key: str, nullable: bool = False) -> str | None:
     if isinstance(value, str) or (nullable and value is None):
         return value
     raise ProtocolError(f"{key!r} must be a string, got {value!r}")
+
+
+def _inline(doc: Mapping[str, Any], key: str) -> tuple:
+    """An ``addq``'s inline ``vertices`` (``[id, label]`` items) or
+    ``edges`` (``[u, v, label]`` items), typed like a change's fields.
+    Content problems (an undeclared endpoint, a repeated vertex) are left
+    to the executor, which refuses them as poison queries."""
+    items = doc.get(key, [])
+    arity = 2 if key == "vertices" else 3
+    if not isinstance(items, list):
+        raise ProtocolError(f"'addq' inline {key!r} must be a list")
+    parsed = []
+    for item in items:
+        if not isinstance(item, list) or len(item) != arity:
+            shape = "[id, label]" if arity == 2 else "[u, v, label]"
+            raise ProtocolError(f"{key!r} items must be {shape}, got {item!r}")
+        *ids, label = item
+        parsed.append((*(_typed_id(i, key) for i in ids), _label(label, key)))
+    return tuple(parsed)
 
 
 def change_from_dict(doc: Mapping[str, Any]) -> EdgeChange:
@@ -347,38 +369,21 @@ def parse_json_line(line: str) -> Command | None:
     verb = doc.get("cmd")
     if not isinstance(verb, str):
         raise ProtocolError("command object needs a string 'cmd' field")
+    if verb in ("stream", "addq"):
+        # Names of a file the server opens: an integer would name a file
+        # descriptor of the server's own.
+        graph_file = _label(doc.get("graph_file"), "graph_file", nullable=True)
+        graph_key = _label(doc.get("graph_key"), "graph_key", nullable=True)
     if verb == "stream":
-        return AddStream(
-            _id(doc, "stream", repr(verb)),
-            doc.get("graph_file"),
-            doc.get("graph_key"),
-            verb=verb,
-        )
+        return AddStream(_id(doc, "stream", repr(verb)), graph_file, graph_key, verb=verb)
     if verb == "addq":
         query_id = _id(doc, "query", repr(verb))
-        vertices = doc.get("vertices", [])
-        edges = doc.get("edges", [])
-        if not isinstance(vertices, list) or not isinstance(edges, list):
-            raise ProtocolError("'addq' inline 'vertices'/'edges' must be lists")
-        if not (doc.get("graph_file") or vertices or edges):
+        vertices, edges = _inline(doc, "vertices"), _inline(doc, "edges")
+        if not (graph_file or vertices or edges):
             raise ProtocolError(
                 "'addq' needs a 'graph_file' or inline 'vertices'/'edges'"
             )
-        try:
-            # Shape only; pattern *content* problems are poison queries,
-            # refused by the executor, not the parser.
-            inline_vertices = tuple(tuple(item) for item in vertices)
-            inline_edges = tuple(tuple(item) for item in edges)
-        except TypeError as exc:
-            raise ProtocolError(f"malformed inline pattern: {exc}") from exc
-        return AddQuery(
-            query_id,
-            doc.get("graph_file"),
-            doc.get("graph_key"),
-            inline_vertices,
-            inline_edges,
-            verb=verb,
-        )
+        return AddQuery(query_id, graph_file, graph_key, vertices, edges, verb=verb)
     if verb == "delq":
         return DelQuery(_id(doc, "query", repr(verb)), verb=verb)
     if verb in ("ins", "del"):

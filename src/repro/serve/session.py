@@ -24,10 +24,10 @@ batch.  Healthy streams in the same commit still apply.
 
 The bridge does no validation of its own.  ``apply`` on every monitor
 is all-or-nothing and synchronous about refusal: the in-process monitor
-validates the batch against the stream's graph before the first splice
+checks the batch against the stream's graph before the first splice
 (:meth:`repro.nnt.incremental.NNTIndex.apply`), the sharded runtime
-folds it into its graph of record before anything is sent to a worker,
-both with :func:`repro.graph.operations.apply_batch_validated` — so a
+against its graph of record before anything is sent to a worker, both
+with the read-only :func:`repro.graph.operations.check_batch` — so a
 refused batch raises here with nothing applied anywhere, and the next
 commit on the stream starts from the state the last good one left.
 """

@@ -1,16 +1,14 @@
 """The batched/coalesced NPV delta pipeline must be invisible to the
 join engines' answers.
 
-Three delivery paths feed the same operation stream to every engine:
+Two delivery paths feed the same operation stream to every engine:
 
 * **per_timestamp** — ``NNTIndex.apply``: one ``on_batch_update`` per
   timestamp batch with cancelling deltas netted out across its changes;
 * **per_change** — ``NNTIndex.apply_change`` for each change in turn:
-  one coalescing scope (and one ``on_batch_update``) per edge change;
-* **fallback** — per-timestamp flushing into a listener without
-  ``on_batch_update``: one ``on_dimension_delta`` per *net* entry.
+  one coalescing scope (and one ``on_batch_update``) per edge change.
 
-All of them must produce candidate sets identical to each other, to the
+Both must produce candidate sets identical to each other, to the
 brute-force dominance oracle, and (completeness, Lemma 4.2) must never
 miss a VF2-confirmed pair.
 """
@@ -23,29 +21,10 @@ from hypothesis import strategies as st
 from repro.graph import EdgeChange, GraphChangeOperation
 from repro.isomorphism.vf2 import SubgraphMatcher
 from repro.join import ENGINES, QuerySet, StreamListenerAdapter, make_engine
-from repro.join.base import JoinEngine
 from repro.nnt import NNTIndex, build_all_nnts
 
 from .conftest import random_labeled_graph
 from .test_join_engines import oracle, small_queries
-
-
-class LegacyAdapter:
-    """Pre-pipeline listener shape: no ``on_batch_update`` — exercises
-    the index's per-net-entry fallback delivery."""
-
-    def __init__(self, engine: JoinEngine, stream_id) -> None:
-        self.engine = engine
-        self.stream_id = stream_id
-
-    def on_vertex_added(self, vertex):
-        self.engine.on_vertex_added(self.stream_id, vertex)
-
-    def on_vertex_removed(self, vertex):
-        self.engine.on_vertex_removed(self.stream_id, vertex)
-
-    def on_dimension_delta(self, vertex, dim, delta):
-        self.engine.on_dimension_delta(self.stream_id, vertex, dim, delta)
 
 
 def temporal_locality_batch(rng: random.Random, index: NNTIndex) -> GraphChangeOperation:
@@ -99,12 +78,6 @@ def apply_per_change(index: NNTIndex, batch: GraphChangeOperation) -> None:
         index.apply_change(change)
 
 
-def _attach(engines, index, adapter_cls):
-    for sid_engine in engines.values():
-        sid_engine.register_stream(0, index.npvs)
-        index.add_listener(adapter_cls(sid_engine, 0))
-
-
 @settings(max_examples=15, deadline=None)
 @given(st.lists(st.integers(0, 100_000), min_size=2, max_size=12))
 def test_property_delivery_paths_agree(seeds):
@@ -113,31 +86,29 @@ def test_property_delivery_paths_agree(seeds):
     base = random_labeled_graph(rng, 6, extra_edges=3)
 
     paths = {
-        "per_timestamp": (NNTIndex(base, depth_limit=2), StreamListenerAdapter),
-        "per_change": (NNTIndex(base, depth_limit=2), StreamListenerAdapter),
-        "fallback": (NNTIndex(base, depth_limit=2), LegacyAdapter),
+        "per_timestamp": NNTIndex(base, depth_limit=2),
+        "per_change": NNTIndex(base, depth_limit=2),
     }
     engines = {
         path: {name: make_engine(name, query_set) for name in ENGINES}
         for path in paths
     }
-    for path, (index, adapter_cls) in paths.items():
-        _attach(engines[path], index, adapter_cls)
+    for path, index in paths.items():
+        for engine in engines[path].values():
+            engine.register_stream(0, index.npvs)
+            index.add_listener(StreamListenerAdapter(engine, 0))
 
     for seed in seeds:
         batches = {
             path: temporal_locality_batch(random.Random(seed), index)
-            for path, (index, _) in paths.items()
+            for path, index in paths.items()
         }
         # Identical graphs produce identical batches; apply each path's own.
         assert len({b.changes for b in batches.values()}) == 1
-        for path, (index, _) in paths.items():
-            if path == "per_change":
-                apply_per_change(index, batches[path])
-            else:
-                index.apply(batches[path])
+        paths["per_timestamp"].apply(batches["per_timestamp"])
+        apply_per_change(paths["per_change"], batches["per_change"])
 
-    reference_index = paths["per_timestamp"][0]
+    reference_index = paths["per_timestamp"]
     reference_index.check_integrity()
     expected = oracle({0: reference_index}, query_set)
     for path, path_engines in engines.items():

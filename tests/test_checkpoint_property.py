@@ -173,6 +173,20 @@ class TestUnrepresentableGraphsAreRefused:
         )
         self._refused(tmp_path, graph, r"vertex 1\.5 is neither")
 
+    @pytest.mark.parametrize(
+        "vertices, edge_label, match",
+        [
+            ([("a", "A B"), ("b", "B")], "-", r"vertex 'a' has label 'A B'"),
+            ([("a", "A"), ("b", "B")], "", r"edge .* has label ''"),
+            ([("a b", "A"), ("b", "B")], "-", r"vertex 'a b' is not a token"),
+        ],
+        ids=["spaced-label", "empty-edge-label", "spaced-id"],
+    )
+    def test_text_that_is_not_one_token(self, tmp_path, vertices, edge_label, match):
+        (u, _), (v, _) = vertices
+        graph = LabeledGraph.from_vertices_and_edges(vertices, [(u, v, edge_label)])
+        self._refused(tmp_path, graph, match)
+
     def test_a_refused_export_keeps_the_previous_one(self, tmp_path):
         directory = tmp_path / "ckpt"
         graph = LabeledGraph.from_vertices_and_edges(

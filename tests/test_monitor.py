@@ -190,6 +190,45 @@ class TestAllOrNothingBatches:
         assert monitor.matches() == twin.matches()
 
 
+def count_calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """Record the arguments of every call to ``owner.name`` from now on."""
+    calls: list[tuple] = []
+    original = getattr(owner, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+class TestOneMutationPerChange:
+    """The batch is judged by a read-only check, then spliced once: no
+    dry run, no undo."""
+
+    def test_apply_writes_each_edge_once_and_checks_once(self, monkeypatch):
+        import repro.nnt.incremental as incremental
+
+        monitor = make_monitor()
+        monitor.add_stream("s", chain(["A", "B", "C", "A"]))
+        batch = GraphChangeOperation(
+            [
+                EdgeChange.delete(2, 3),  # isolates 3, which is dropped
+                EdgeChange.insert(0, 2, "-"),
+                EdgeChange.insert(1, 9, "-", None, "C"),
+                EdgeChange.insert(3, 4, "-", "A", "B"),  # 3 is re-created
+            ]
+        )
+        checks = count_calls(monkeypatch, incremental, "check_batch")
+        added = count_calls(monkeypatch, LabeledGraph, "add_edge")
+        removed = count_calls(monkeypatch, LabeledGraph, "remove_edge")
+        monitor.apply("s", batch)
+        assert (len(checks), len(added), len(removed)) == (1, 3, 1)
+        monitor.apply("s", EdgeChange.delete(0, 2))
+        assert (len(checks), len(added), len(removed)) == (2, 3, 2)
+
+
 class TestVerification:
     def test_verified_subset_of_matches(self):
         monitor = make_monitor()

@@ -46,14 +46,15 @@ class RecordingListener:
     def on_vertex_removed(self, vertex):
         del self.vectors[vertex]
 
-    def on_dimension_delta(self, vertex, dim, delta):
-        vector = self.vectors[vertex]
-        value = vector.get(dim, 0) + delta
-        assert value >= 0
-        if value:
-            vector[dim] = value
-        else:
-            del vector[dim]
+    def on_batch_update(self, deltas):
+        for (vertex, dim), delta in deltas.items():
+            vector = self.vectors[vertex]
+            value = vector.get(dim, 0) + delta
+            assert value >= 0
+            if value:
+                vector[dim] = value
+            else:
+                del vector[dim]
 
 
 class TestInitialBuild:
@@ -303,14 +304,6 @@ def test_property_operation_stream_consistency(seeds):
     index.check_integrity()
 
 
-class BatchRecordingListener(RecordingListener):
-    """The same mirror, fed whole coalesced batches."""
-
-    def on_batch_update(self, deltas):
-        for (vertex, dim), net in deltas.items():
-            self.on_dimension_delta(vertex, dim, net)
-
-
 @settings(max_examples=15, deadline=None)
 @given(
     st.sampled_from((1, 2, 3, 4)),
@@ -324,7 +317,7 @@ def test_property_depth_limit_level_is_derived_from_the_graph(depth, edge_labels
     replaying the delivered deltas equal what full-depth fresh builds give."""
     scheme = DimensionScheme(include_edge_label=edge_labels)
     index = NNTIndex(depth_limit=depth, scheme=scheme)
-    listener = BatchRecordingListener()
+    listener = RecordingListener()
     index.add_listener(listener)
     for seed in seeds:
         _random_step(random.Random(seed), index)
@@ -334,8 +327,8 @@ def test_property_depth_limit_level_is_derived_from_the_graph(depth, edge_labels
     index.check_integrity()
 
 
-class CountingBatchListener(BatchRecordingListener):
-    """The batch mirror, counting every callback it is sent."""
+class CountingBatchListener(RecordingListener):
+    """The mirror, counting every callback it is sent."""
 
     def __init__(self):
         super().__init__()

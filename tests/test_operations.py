@@ -14,12 +14,12 @@ from repro.graph import (
     GraphChangeOperation,
     GraphError,
     LabeledGraph,
-    apply_batch_validated,
     apply_change,
     apply_operation,
+    check_batch,
     diff_graphs,
-    undo_batch,
 )
+from repro.graph.operations import apply_batch_validated
 from repro.serve.protocol import change_from_dict, change_to_dict
 
 from .conftest import graph_strategy
@@ -183,21 +183,29 @@ class TestValidatedBatch:
 
     def test_accepts_a_single_change(self):
         graph = base_graph()
-        undo = apply_batch_validated(graph, EdgeChange.insert(1, 3, "z"))
-        assert graph.has_edge(1, 3)
-        undo_batch(graph, undo)
+        check_batch(graph, EdgeChange.insert(1, 3, "z"))
         assert graph == base_graph()
+        apply_batch_validated(graph, EdgeChange.insert(1, 3, "z"))
+        assert graph.has_edge(1, 3)
 
-    def test_undo_keeps_a_vertex_that_was_isolated_before(self):
+    def test_check_keeps_a_vertex_that_was_isolated_before(self):
         graph = base_graph()
         graph.add_vertex(4, "D")  # isolated from the start (initial graphs may be)
         pristine = graph.copy()
-        undo = apply_batch_validated(
-            graph, GraphChangeOperation([EdgeChange.insert(4, 5, "w", None, "E")])
-        )
-        assert graph.has_edge(4, 5)
-        undo_batch(graph, undo)
-        assert graph == pristine  # 4 kept, 5 gone
+        batch = GraphChangeOperation([EdgeChange.insert(4, 5, "w", None, "E")])
+        check_batch(graph, batch)  # 4 is there: it needs no label
+        assert graph == pristine
+        expected = graph.copy()
+        apply_operation(expected, batch)
+        apply_batch_validated(graph, batch)
+        assert graph == expected and graph.vertex_label(4) == "D"
+
+    def test_a_vertex_a_deletion_isolates_needs_its_label_again(self):
+        graph = base_graph()
+        batch = GraphChangeOperation([EdgeChange.delete(2, 3), EdgeChange.insert(3, 1, "z")])
+        with pytest.raises(GraphError, match="creates vertex 3"):
+            check_batch(graph, batch)
+        assert graph == base_graph()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -211,7 +219,9 @@ class TestValidatedBatch:
             max_size=6,
         ),
     )
-    def test_all_or_nothing_and_undoable(self, graph, specs):
+    def test_check_refuses_iff_apply_on_a_copy_refuses(self, graph, specs):
+        """Same verdict and message as ``apply_operation`` on a copy, no
+        mutation, and check-then-apply equals apply-on-a-copy."""
         batch = GraphChangeOperation(
             EdgeChange.insert(u, v, "x", label, label) if insert else EdgeChange.delete(u, v)
             for insert, (u, v), label in specs
@@ -220,15 +230,16 @@ class TestValidatedBatch:
         expected = graph.copy()
         try:
             apply_operation(expected, batch)
-        except GraphError:
-            with pytest.raises(GraphError):
-                apply_batch_validated(graph, batch)
+        except GraphError as refused:
+            with pytest.raises(GraphError) as excinfo:
+                check_batch(graph, batch)
+            assert str(excinfo.value) == str(refused)
             assert graph == pristine
             return
-        undo = apply_batch_validated(graph, batch)
-        assert graph == expected
-        undo_batch(graph, undo)
+        check_batch(graph, batch)
         assert graph == pristine
+        apply_batch_validated(graph, batch)
+        assert graph == expected
 
 
 class TestDiffGraphs:

@@ -29,6 +29,7 @@ from repro.serve.protocol import parse_text_line
 from repro.serve.session import MonitorBridge, Session
 
 from .conftest import random_labeled_graph
+from .test_monitor import count_calls
 
 ENGINE_METHODS = ("nl", "dsc", "skyline", "matrix")
 
@@ -179,18 +180,34 @@ class TestLifecycle:
         rng = random.Random(8)
         initial = random_labeled_graph(rng, 5, extra_edges=2)
         with ShardedMonitor(small_queries(rng), num_workers=1) as sharded:
-            submit, submitted = sharded._submit_control, []
+            submit, submitted = sharded._submit, []
 
             def recording(shard, command):
                 submitted.append(command)
                 submit(shard, command)
 
-            monkeypatch.setattr(sharded, "_submit_control", recording)
+            monkeypatch.setattr(sharded, "_submit", recording)
             sharded.add_stream("s0", initial)
             ((kind, stream_id, sent),) = submitted
             assert (kind, stream_id) == (CMD_ADD_STREAM, "s0")
             assert sent is not initial and sent is not sharded.graph("s0")
             assert sent == initial == sharded.graph("s0")
+
+    def test_apply_checks_once_then_folds_once(self, monkeypatch):
+        """The coordinator judges a batch without writing its graph, then
+        folds each change in once after the send: no dry run, no undo."""
+        import repro.runtime.coordinator as coordinator
+
+        edge = LabeledGraph.from_vertices_and_edges([(0, "A"), (1, "B")], [(0, 1, "-")])
+        with ShardedMonitor({"q": edge}, num_workers=1) as sharded:
+            sharded.add_stream("s", edge)
+            checks = count_calls(monkeypatch, coordinator, "check_batch")
+            added = count_calls(monkeypatch, LabeledGraph, "add_edge")
+            removed = count_calls(monkeypatch, LabeledGraph, "remove_edge")
+            batch = [EdgeChange.delete(0, 1), EdgeChange.insert(0, 2, "-", "A", "B")]
+            sharded.apply("s", GraphChangeOperation(batch))
+            assert (len(checks), len(added), len(removed)) == (1, 1, 1)
+            assert sharded.matches() == {("s", "q")}
 
     def test_apply_to_unknown_stream_rejected(self):
         rng = random.Random(2)
@@ -313,6 +330,39 @@ class TestBackpressure:
             for stream_id in streams:
                 assert sharded.graph(stream_id).has_edge("1", "2")  # text ids
             assert sharded.matches() == {(stream_id, "q") for stream_id in streams}
+
+    @pytest.mark.parametrize("auto_recover", (True, False))
+    def test_worker_killed_while_apply_waits_on_its_full_inbox(self, auto_recover):
+        """The update an ``apply`` was waiting to put lands exactly once
+        on the respawn, or, with ``auto_recover`` off, nowhere at all."""
+        edge = LabeledGraph.from_vertices_and_edges([(0, "A"), (1, "B")], [(0, 1, "-")])
+        first = EdgeChange.insert(1, 2, "-", "A", "B")  # fills the one slot
+        waiting = EdgeChange.insert(2, 3, "-", None, "A")
+        oracle = StreamMonitor({"q": edge})
+        with ShardedMonitor(
+            {"q": edge}, num_workers=1, queue_capacity=1, shm=True, auto_recover=auto_recover
+        ) as sharded:
+            for monitor in (sharded, oracle):
+                monitor.add_stream("s")
+            sharded.matches()  # the inbox is empty
+            pid = _pause_worker(sharded, 0)
+            for monitor in (sharded, oracle):
+                monitor.apply("s", first)
+            kill = threading.Timer(0.5, os.kill, (pid, signal.SIGKILL))
+            kill.start()
+            try:
+                if auto_recover:
+                    sharded.apply("s", waiting)
+                else:
+                    with pytest.raises(WorkerDied):
+                        sharded.apply("s", waiting)
+            finally:
+                kill.join()
+            if auto_recover:
+                oracle.apply("s", waiting)
+                assert sharded.matches() == oracle.matches() == {("s", "q")}
+                assert sharded.recovery_log.recoveries == 1
+            assert sharded.graph("s") == oracle.graph("s")
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,16 @@ the old ``json.dumps(..., default=str)`` catch-all."""
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core.monitor import MatchEvent
+from repro.core import load_monitor
+from repro.core.monitor import MatchEvent, StreamMonitor
+from repro.graph import LabeledGraph
 from repro.graph.operations import DELETE, INSERT, EdgeChange
 from repro.serve.protocol import (
     AddStream,
@@ -31,6 +36,7 @@ from repro.serve.protocol import (
     parse_text_line,
     to_jsonable,
 )
+from repro.serve.session import MonitorBridge, Session
 
 
 class TestParseTextLine:
@@ -159,6 +165,9 @@ class TestParseJsonLine:
             '{"cmd": "batch", "stream": "s"}',  # missing changes
             '{"cmd": "batch", "stream": "s", "changes": "nope"}',
             '{"cmd": "ins", "stream": "s", "u": 1, "v": 1}',  # self loop
+            '{"cmd": "addq", "query": "q", "vertices": [[0]]}',  # no label
+            '{"cmd": "addq", "query": "q", "vertices": ["AB"]}',  # not a list
+            '{"cmd": "addq", "query": "q", "vertices": [[0, "A"]], "edges": [[0, 1]]}',
         ],
     )
     def test_malformed_json_commands_raise(self, line):
@@ -180,6 +189,11 @@ class TestParseJsonLine:
             {"cmd": "addq", "query": [1], "vertices": [[0, "A"]]},
             {"cmd": "delq", "query": [1]},
             {"cmd": "delq", "query": {"q": 1}},
+            {"cmd": "addq", "query": "q", "vertices": [[1.5, "A"], [2, "B"]],
+             "edges": [[1.5, 2, "x"]]},
+            {"cmd": "addq", "query": "q", "vertices": [[[0], "A"]]},
+            {"cmd": "addq", "query": "q", "vertices": [[0, "A"], [1, "B"]],
+             "edges": [[0, True, "x"]]},
         ],
     )
     def test_ids_that_are_not_str_or_int_are_refused(self, doc):
@@ -196,6 +210,17 @@ class TestParseJsonLine:
             {"u_label": 1},
             {"v_label": ["B"]},
             {"u_label": {"x": 1}},
+            # A 'cmd' of its own replaces the ins (its extra fields are ignored).
+            {"cmd": "addq", "query": "q", "vertices": [[0, None]]},
+            {"cmd": "addq", "query": "q", "vertices": [[0, {"a": 1}]]},
+            {"cmd": "addq", "query": "q", "vertices": [[0, ["A"]]]},
+            {"cmd": "addq", "query": "q", "vertices": [[0, "A"], [1, "B"]],
+             "edges": [[0, 1, 7]]},
+            # A file name, never an integer: that would be a descriptor.
+            {"cmd": "stream", "stream": "x", "graph_file": 1},
+            {"cmd": "addq", "query": "q", "graph_file": 3},
+            {"cmd": "stream", "stream": "x", "graph_file": "f", "graph_key": [1]},
+            {"cmd": "addq", "query": "q", "graph_file": "f", "graph_key": 2},
         ],
     )
     def test_labels_that_are_not_str_are_refused(self, labels):
@@ -269,3 +294,101 @@ class TestTypedSerialization:
         decoded = json.loads(encode_reply(reply))
         assert decoded["t"] == 9
         assert decoded["events"][0]["stream"] == 4
+
+
+# -- generated documents, end to end ------------------------------------------
+
+#: Every JSON scalar type, plus strings a checkpoint cannot write as a token.
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-1, 3),
+    st.sampled_from([0.5, 2.0]),
+    st.sampled_from(["a", "b", "1", "A", "B", "x", "", "a b"]),
+)
+IDS = st.one_of(st.just("s"), st.just(1), SCALARS)
+
+
+def _optional(**fields):
+    """A dict strategy whose keys may each be absent."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+def _items(arity: int):
+    """Inline pattern items: mostly of the right arity, sometimes not."""
+    return st.one_of(
+        st.lists(SCALARS, min_size=arity, max_size=arity),
+        st.lists(SCALARS, max_size=arity + 1),
+    )
+
+
+@st.composite
+def documents(draw, graph_files):
+    """One ``stream``/``addq``/``ins``/``batch``/``commit`` document."""
+    verb = draw(st.sampled_from(["stream", "addq", "ins", "batch", "commit"]))
+    if verb == "commit":
+        return {"cmd": verb}
+    if verb in ("stream", "addq"):
+        key = "stream" if verb == "stream" else "query"
+        doc = {"cmd": verb, key: draw(IDS)}
+        doc.update(draw(_optional(graph_file=st.sampled_from(graph_files),
+                                  graph_key=st.one_of(st.just("g0"), SCALARS))))
+        if verb == "addq" and "graph_file" not in doc:
+            doc["vertices"] = draw(st.lists(_items(2), max_size=3))
+            doc["edges"] = draw(st.lists(_items(3), max_size=2))
+        return doc
+    change = _optional(edge_label=SCALARS, u_label=SCALARS, v_label=SCALARS)
+    endpoints = st.fixed_dictionaries({"u": SCALARS, "v": SCALARS})
+    if verb == "ins":
+        return {"cmd": verb, "stream": draw(IDS), **draw(endpoints), **draw(change)}
+    changes = st.lists(
+        st.tuples(st.sampled_from(["ins", "del"]), endpoints, change).map(
+            lambda parts: {"op": parts[0], **parts[1], **parts[2]}
+        ),
+        max_size=3,
+    )
+    return {"cmd": verb, "stream": draw(IDS), "changes": draw(changes)}
+
+
+def _text_format_carries(graph) -> bool:
+    """What a checkpoint's graph text format can write (anything else it
+    refuses by design): one token per id and label, one id per text."""
+    texts = [str(vertex) for vertex in graph.vertices()]
+    tokens = texts + [label for _, label in graph.vertex_items()]
+    tokens += [label for _, _, label in graph.edges()]
+    return len(set(texts)) == len(texts) and all(
+        text and not any(ch.isspace() for ch in text) for text in tokens
+    )
+
+
+class TestGeneratedDocuments:
+    """Whatever the client sends, a line is a ``ProtocolError`` or a reply,
+    and the monitor it leaves behind checkpoints and restores."""
+
+    @pytest.fixture(scope="class")
+    def graph_files(self, tmp_path_factory):
+        real = tmp_path_factory.mktemp("sets") / "set.txt"
+        real.write_text("t # g0\nv 0 A\nv 1 B\ne 0 1 x\n")
+        return [str(real), str(real.parent / "missing.txt")]
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_every_line_is_refused_or_answered_and_checkpoints(self, graph_files, data):
+        program = data.draw(st.lists(documents(graph_files), min_size=1, max_size=6))
+        pattern = LabeledGraph.from_vertices_and_edges([(0, "A"), (1, "B")], [(0, 1, "x")])
+        with tempfile.TemporaryDirectory() as directory:
+            monitor = StreamMonitor({"q": pattern}, checkpoint_dir=directory)
+            bridge, session = MonitorBridge(monitor), Session(0)
+            for doc in program:
+                try:
+                    reply = bridge.execute(session, parse_json_line(json.dumps(doc)))
+                except ProtocolError:
+                    continue
+                assert isinstance(reply, dict) and reply["cmd"] == doc["cmd"]
+                graphs = [*monitor.query_set.queries.values()]
+                graphs += [monitor.graph(sid) for sid in monitor.stream_ids()]
+                writable = all(map(_text_format_carries, graphs))
+                exported = bridge.checkpoint()
+                assert exported["ok"] is writable, exported
+                if writable:
+                    assert load_monitor(directory).matches() == monitor.matches()

@@ -529,6 +529,31 @@ class TestUnhashableInputDoesNotWedgeASession:
         reply = self._execute(bridge, session, {"cmd": "checkpoint"})
         assert reply["ok"] is False and "same text" in reply["error"]
 
+    def test_an_integer_graph_file_opens_no_descriptor(self):
+        read_end, write_end = os.pipe()
+        try:
+            bridge = MonitorBridge(StreamMonitor({"q": edge_query()}, method="dsc"))
+            session = Session(0)
+            for doc in (
+                {"cmd": "stream", "stream": "a", "graph_file": write_end},
+                {"cmd": "addq", "query": "p", "graph_file": write_end},
+            ):
+                refused = self._execute(bridge, session, doc)
+                assert refused["code"] == "bad_request" and "graph_file" in refused["error"]
+            os.fstat(write_end)  # still open: nothing read or closed it
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
+    def test_a_refused_float_id_pattern_leaves_checkpoints_working(self, tmp_path):
+        monitor = StreamMonitor({"q": edge_query()}, checkpoint_dir=tmp_path)
+        bridge, session = MonitorBridge(monitor), Session(0)
+        doc = {"cmd": "addq", "query": "f", "vertices": [[1.5, "A"], [2, "B"]],
+               "edges": [[1.5, 2, "x"]]}
+        assert self._execute(bridge, session, doc)["code"] == "bad_request"
+        assert self._execute(bridge, session, {"cmd": "checkpoint"})["ok"]
+        assert monitor.query_ids() == ["q"]
+
 # -- shadow validation ------------------------------------------------------
 
 
