@@ -37,6 +37,13 @@ from ..nnt.incremental import NNTIndex
 from ..nnt.projection import DimensionScheme, PAPER_SCHEME
 
 
+class CheckpointError(Exception):
+    """The cadence export (``checkpoint_every``) failed after ``apply``
+    committed its batch: the batch is in, only the export is missing.
+    Not a refusal, so neither a ``ValueError`` nor a ``GraphError``; the
+    message is the export failure's ``Type: message``."""
+
+
 @dataclass(frozen=True)
 class MatchEvent:
     """A transition of one (stream, query) pair between two polls."""
@@ -189,7 +196,9 @@ class StreamMonitor:
         """Apply one edge change or a whole timestamp batch to a stream,
         all or nothing: an update the stream's graph refuses (duplicate
         insert, missing delete, unlabeled new vertex) raises
-        :class:`~repro.graph.GraphError` with nothing of it applied."""
+        :class:`~repro.graph.GraphError` with nothing of it applied.  A
+        cadence checkpoint that fails after the batch went in raises
+        :class:`CheckpointError`."""
         index = self._indexes[stream_id]
         with obs.span("monitor.apply", stream=stream_id):
             if isinstance(update, EdgeChange):
@@ -202,7 +211,10 @@ class StreamMonitor:
             obs.counter("monitor.changes").inc(num_changes)
         self._updates_since_checkpoint += 1
         if 0 < self.checkpoint_every <= self._updates_since_checkpoint:
-            self.checkpoint()
+            try:
+                self.checkpoint()
+            except (OSError, ValueError) as exc:
+                raise CheckpointError(f"{type(exc).__name__}: {exc}") from exc
 
     def apply_many(
         self, updates: Mapping[StreamId, GraphChangeOperation | EdgeChange]

@@ -8,15 +8,15 @@ each pair's verdict on the stream's *mutation version* (derived from
 the NNT index's churn counters), so only pairs whose stream actually
 changed — or which just entered the candidate set — are re-verified.
 
-:class:`PrecisionProbe` reuses the same version-keyed matcher trick for
-a different question: *how precise is the filter right now?*  It runs
-exact VF2 on a rate-sampled, time-budgeted fraction of the emitted
-candidate pairs — strictly off the filtering path, the filter's output
-is never altered — and feeds the cumulative false-positive tallies to
-:func:`repro.obs.quality.record_probe`, which keeps the live
-``filter.fp_ratio_estimate`` gauge.  Deadline arithmetic lives in
-:class:`repro.obs.quality.ProbeBudget` because clock reads stay out of
-this package (``tests/fitness/test_invariants.py``).
+:class:`PrecisionProbe` shares that version-keyed matcher cache
+(:class:`_MatcherCache`) for a different question: *how precise is the
+filter right now?*  It runs exact VF2 on a rate-sampled, time-budgeted
+fraction of the emitted candidate pairs — strictly off the filtering
+path, the filter's output is never altered — and feeds the cumulative
+false-positive tallies to :func:`repro.obs.quality.record_probe`, which
+keeps the live ``filter.fp_ratio_estimate`` gauge.  Deadline arithmetic
+lives in :class:`repro.obs.quality.ProbeBudget` because clock reads stay
+out of this package (``tests/fitness/test_invariants.py``).
 """
 
 from __future__ import annotations
@@ -30,17 +30,13 @@ from ..join.base import Pair, StreamId
 from .monitor import StreamMonitor
 
 
-class CachingVerifier:
-    """Incremental exact verification of a monitor's candidate pairs."""
+class _MatcherCache:
+    """One :class:`SubgraphMatcher` per stream of ``monitor``, rebuilt only
+    when the stream's mutation version moved."""
 
     def __init__(self, monitor: StreamMonitor) -> None:
         self.monitor = monitor
         self._matchers: dict[StreamId, tuple[int, SubgraphMatcher]] = {}
-        self._verdicts: dict[Pair, tuple[int, bool]] = {}
-        self.stats: dict[str, int] = {"verifications": 0, "cache_hits": 0}
-
-    def _version(self, stream_id: StreamId) -> int:
-        return self.monitor.mutation_version(stream_id)
 
     def _matcher(self, stream_id: StreamId, version: int) -> SubgraphMatcher:
         cached = self._matchers.get(stream_id)
@@ -50,6 +46,15 @@ class CachingVerifier:
         self._matchers[stream_id] = (version, matcher)
         return matcher
 
+
+class CachingVerifier(_MatcherCache):
+    """Incremental exact verification of a monitor's candidate pairs."""
+
+    def __init__(self, monitor: StreamMonitor) -> None:
+        super().__init__(monitor)
+        self._verdicts: dict[Pair, tuple[int, bool]] = {}
+        self.stats: dict[str, int] = {"verifications": 0, "cache_hits": 0}
+
     def verified_matches(self) -> set[Pair]:
         """Exact joinable pairs, re-verifying only what changed."""
         confirmed: set[Pair] = set()
@@ -58,7 +63,7 @@ class CachingVerifier:
         with obs.span("monitor.verify", cached=True):
             for pair in candidates:
                 stream_id, query_id = pair
-                version = self._version(stream_id)
+                version = self.monitor.mutation_version(stream_id)
                 cached = self._verdicts.get(pair)
                 if cached is not None and cached[0] == version:
                     self.stats["cache_hits"] += 1
@@ -83,7 +88,7 @@ class CachingVerifier:
         return confirmed
 
 
-class PrecisionProbe:
+class PrecisionProbe(_MatcherCache):
     """Budgeted sampled estimate of the filter's false-positive ratio.
 
     The paper measures filter quality offline (Figs 13-14) as::
@@ -117,20 +122,11 @@ class PrecisionProbe:
         budget_seconds: float | None = 0.050,
         seed: int = 0,
     ) -> None:
-        self.monitor = monitor
+        super().__init__(monitor)
         self.budget = obs.quality.ProbeBudget(rate, budget_seconds)
         self._rng = random.Random(seed)
-        self._matchers: dict[StreamId, tuple[int, SubgraphMatcher]] = {}
         #: Cumulative tallies across every :meth:`sample` pass.
         self.stats: dict[str, int] = {"checked": 0, "false_positives": 0, "skipped": 0}
-
-    def _matcher(self, stream_id: StreamId, version: int) -> SubgraphMatcher:
-        cached = self._matchers.get(stream_id)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        matcher = SubgraphMatcher(self.monitor.graph(stream_id))
-        self._matchers[stream_id] = (version, matcher)
-        return matcher
 
     def sample(self, candidates: Iterable[Pair] | None = None) -> dict[str, Any]:
         """Run one probe pass; returns this pass's tallies.

@@ -11,6 +11,14 @@ engine.  Engines react to stream-side NPV deltas pushed by
 :class:`repro.nnt.NNTIndex` and can report the candidate pair set at any
 timestamp.
 
+The stream side is the same for every engine and lives here once:
+:class:`JoinEngine` keeps the one mirror of each stream's NPVs
+(``_mirror``), folds every delta batch into it, and hands the engine one
+``_value_changed(stream, vertex, dim, old, new)`` per net delta plus the
+stream and vertex lifecycle events.  An engine is its query-side
+algorithm (``matrix``, whose dense rows are its mirror, overrides the
+stream side instead).
+
 Dominance only depends on a query's projected NPV multiset, so queries
 with identical projections are deduplicated into one *query group*: the
 group owns a single set of dominance rows/counters and every member
@@ -23,7 +31,9 @@ Engines only ever consult dimensions that occur in some query vector
 Section IV-B.2) — stream activity on other dimensions cannot change any
 dominance verdict and is dropped at the boundary.  The dimension
 universe is reference-counted across groups, so it grows and shrinks
-exactly with query churn.
+exactly with query churn, and the mirror with it: ``add_query``
+backfills a new dimension from the live NPVs, ``remove_query`` purges a
+retired one.
 """
 
 from __future__ import annotations
@@ -48,8 +58,8 @@ Pair = tuple[StreamId, QueryId]
 BatchDeltas = Mapping[tuple[VertexId, Dimension], int]
 
 #: Live stream NPVs handed to :meth:`JoinEngine.add_query` so the engine
-#: can backfill mirrors for dimensions the newcomer introduced (deltas on
-#: dimensions outside the universe were dropped at the boundary).
+#: can backfill its mirror on dimensions the newcomer introduced (deltas
+#: on dimensions outside the universe were dropped at the boundary).
 StreamNpvs = Mapping[StreamId, Mapping[VertexId, NPV]]
 
 #: Canonical form of a query's projected NPV multiset — the dedup key.
@@ -246,7 +256,12 @@ class QuerySet:
 
 
 class JoinEngine(ABC):
-    """Continuous dominance join between registered streams and the query set."""
+    """Continuous dominance join between registered streams and the query set.
+
+    Only this class writes the stream-side mirror.  An engine overrides
+    :meth:`is_candidate` and whichever no-op ``_on_*`` /
+    :meth:`_value_changed` hooks its algorithm reacts to.
+    """
 
     #: Short engine name (the :data:`repro.join.ENGINES` key); used to
     #: label this engine's observability instruments.
@@ -254,6 +269,8 @@ class JoinEngine(ABC):
 
     def __init__(self, query_set: QuerySet) -> None:
         self.query_set = query_set
+        #: stream -> vertex -> NPV restricted to the dimension universe.
+        self._mirror: dict[StreamId, dict[VertexId, NPV]] = {}
         #: The pairs :meth:`candidates` last returned, each keyed by itself.
         self._answer: dict[Pair, Pair] = {}
         # Cached once so the per-probe cost is one gated ``inc()``, not a
@@ -270,34 +287,125 @@ class JoinEngine(ABC):
         """Register a standing query against the live streams.
 
         ``stream_npvs`` is a snapshot view of every registered stream's
-        current NPVs, used to backfill mirrors for dimensions the
+        current NPVs, used to backfill the mirror on dimensions the
         newcomer introduced (their deltas were dropped at the boundary
-        while no query referenced them).  The hook order is fixed:
-        dimensions first (so mirrors are complete), then the new group's
+        while no query referenced them).  The order is fixed: dimensions
+        first (so the mirror is complete), then the new group's
         dominance state, both before the change is visible to
         :meth:`candidates`.
         """
         change = self.query_set.add_query(query_id, graph)
         npvs = stream_npvs or {}
         if change.added_dims:
-            self._on_dims_added(change.added_dims, npvs)
+            dims = change.added_dims
+            for stream_id, vectors in self._mirror.items():
+                live = npvs.get(stream_id, {})
+                for vertex, vector in vectors.items():
+                    source = live.get(vertex)
+                    if source:
+                        for dim in dims:
+                            value = source.get(dim, 0)
+                            if value:
+                                vector[dim] = value
+            self._on_dims_added(dims)
         if change.group_added:
             self._on_group_added(change, npvs)
         return change
 
     def remove_query(self, query_id: QueryId) -> QueryChange:
         """Deregister a query, retiring group state when it was the last
-        member and purging mirrors of dimensions that left the universe."""
+        member and purging the mirror of dimensions that left the universe."""
         change = self.query_set.remove_query(query_id)
         if change.group_retired:
             self._on_group_retired(change)
         if change.removed_dims:
-            self._on_dims_removed(change.removed_dims)
+            dims = change.removed_dims
+            for vectors in self._mirror.values():
+                for vector in vectors.values():
+                    for dim in dims:
+                        vector.pop(dim, None)
+            self._on_dims_removed(dims)
         return change
 
-    # -- churn hooks (engines override what they need) ---------------------
-    def _on_dims_added(self, dims: frozenset, stream_npvs: StreamNpvs) -> None:
-        """New universe dimensions: backfill stream mirrors from ``stream_npvs``."""
+    # -- stream lifecycle ------------------------------------------------
+    def register_stream(self, stream_id: StreamId, npvs: Mapping[VertexId, NPV]) -> None:
+        """Attach a stream with its current per-vertex NPVs."""
+        if stream_id in self._mirror:
+            raise ValueError(f"stream {stream_id!r} is already registered")
+        universe = self.query_set.dimension_universe
+        vectors = self._mirror[stream_id] = {
+            vertex: {dim: value for dim, value in vector.items() if dim in universe}
+            for vertex, vector in npvs.items()
+        }
+        self._on_stream_added(stream_id, vectors)
+
+    def remove_stream(self, stream_id: StreamId) -> None:
+        """Detach a stream entirely."""
+        del self._mirror[stream_id]
+        self._on_stream_removed(stream_id)
+
+    def stream_ids(self) -> list[StreamId]:
+        """Ids of the currently attached streams."""
+        return list(self._mirror)
+
+    # -- NPV evolution (forwarded from the NNT index) ---------------------
+    def on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
+        """A vertex (empty NPV) joined the stream graph."""
+        self._mirror[stream_id][vertex] = {}
+        self._on_vertex_added(stream_id, vertex)
+
+    def on_vertex_removed(self, stream_id: StreamId, vertex: VertexId) -> None:
+        """A vertex left the stream graph.  The index purged its pending
+        deltas, so the mirror still holds its last vector: the engine
+        gets that vector to retire.  An unknown vertex is a ``KeyError``."""
+        last_vector = self._mirror[stream_id].pop(vertex)
+        self._on_vertex_removed(stream_id, vertex, last_vector)
+
+    def batch_update(self, stream_id: StreamId, deltas: BatchDeltas) -> None:
+        """One coalesced batch of net NPV deltas for a stream.
+
+        Every delta is non-zero and every referenced vertex is currently
+        registered (vertices removed mid-batch had their queued deltas
+        purged at removal time).  Deltas outside the dimension universe
+        are dropped; each other one moves the mirror and reaches the
+        engine as one :meth:`_value_changed` transition.
+        """
+        universe = self.query_set.dimension_universe
+        vectors = self._mirror[stream_id]
+        value_changed = self._value_changed
+        for (vertex, dim), delta in deltas.items():
+            if dim not in universe:
+                continue
+            vector = vectors[vertex]
+            old = vector.get(dim, 0)
+            new = old + delta
+            if new:
+                vector[dim] = new
+            else:
+                del vector[dim]
+            value_changed(stream_id, vertex, dim, old, new)
+
+    # -- engine hooks (override what the algorithm reacts to) --------------
+    def _on_stream_added(self, stream_id: StreamId, vectors: Mapping[VertexId, NPV]) -> None:
+        """A stream was attached; ``vectors`` is its (filtered) mirror."""
+
+    def _on_stream_removed(self, stream_id: StreamId) -> None:
+        """A stream was detached."""
+
+    def _on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
+        """A vertex with an empty mirror vector joined the stream."""
+
+    def _on_vertex_removed(self, stream_id: StreamId, vertex: VertexId, last_vector: NPV) -> None:
+        """A vertex left the stream; ``last_vector`` is what it mirrored."""
+
+    def _value_changed(
+        self, stream_id: StreamId, vertex: VertexId, dim: Dimension, old: int, new: int
+    ) -> None:
+        """One mirrored NPV entry moved from ``old`` to ``new`` (``dim`` is
+        in the universe; the mirror already holds ``new``)."""
+
+    def _on_dims_added(self, dims: frozenset) -> None:
+        """New universe dimensions; the mirror is already backfilled."""
 
     def _on_group_added(self, change: QueryChange, stream_npvs: StreamNpvs) -> None:
         """A new dominance group: build its state against current streams."""
@@ -306,43 +414,7 @@ class JoinEngine(ABC):
         """The group's last member left: retire its rows and counters."""
 
     def _on_dims_removed(self, dims: frozenset) -> None:
-        """Dimensions left the universe: purge them from stream mirrors."""
-
-    # -- stream lifecycle ------------------------------------------------
-    @abstractmethod
-    def register_stream(self, stream_id: StreamId, npvs: Mapping[VertexId, NPV]) -> None:
-        """Attach a stream with its current per-vertex NPVs."""
-
-    @abstractmethod
-    def remove_stream(self, stream_id: StreamId) -> None:
-        """Detach a stream entirely."""
-
-    # -- NPV evolution (forwarded from the NNT index) ---------------------
-    @abstractmethod
-    def on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
-        """A vertex (empty NPV) joined the stream graph."""
-
-    @abstractmethod
-    def on_vertex_removed(self, stream_id: StreamId, vertex: VertexId) -> None:
-        """A vertex (already zeroed) left the stream graph."""
-
-    @abstractmethod
-    def on_dimension_delta(
-        self, stream_id: StreamId, vertex: VertexId, dim: Dimension, delta: int
-    ) -> None:
-        """One NPV entry of a stream vertex changed by ``delta``."""
-
-    def batch_update(self, stream_id: StreamId, deltas: BatchDeltas) -> None:
-        """One coalesced batch of net NPV deltas for a stream.
-
-        Every delta is non-zero and every referenced vertex is currently
-        registered (vertices removed mid-batch had their queued deltas
-        purged at removal time).  The default unrolls the batch into
-        per-delta calls; engines override it with a natively batched
-        update when that is cheaper.
-        """
-        for (vertex, dim), delta in deltas.items():
-            self.on_dimension_delta(stream_id, vertex, dim, delta)
+        """Dimensions left the universe; the mirror is already purged."""
 
     # -- results ----------------------------------------------------------
     @abstractmethod
@@ -370,10 +442,6 @@ class JoinEngine(ABC):
             # retired query is gone after the next call.
             self._answer = answer
             return set(answer)
-
-    @abstractmethod
-    def stream_ids(self) -> list[StreamId]:
-        """Ids of the currently attached streams."""
 
 
 class StreamListenerAdapter:

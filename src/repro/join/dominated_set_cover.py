@@ -37,7 +37,7 @@ from typing import Mapping
 from .. import obs
 from ..graph.labeled_graph import VertexId
 from ..nnt.projection import Dimension, NPV
-from .base import BatchDeltas, JoinEngine, QueryChange, QueryId, QuerySet, StreamId, StreamNpvs
+from .base import JoinEngine, QueryChange, QueryId, QuerySet, StreamId, StreamNpvs
 
 
 #: Type code of a dominant-counter row: 4 bytes a slot, far above any
@@ -52,10 +52,9 @@ def _zero_row(slots: int) -> array:
 class _StreamState:
     """All per-stream counters of the DSC engine."""
 
-    __slots__ = ("vectors", "dominant", "cover", "uncovered")
+    __slots__ = ("dominant", "cover", "uncovered")
 
     def __init__(self, uncovered: dict) -> None:
-        self.vectors: dict[VertexId, NPV] = {}
         # dominant[vertex][qv_index] -> in how many of qv's non-zero dims
         # this stream vertex currently dominates it; every row is as long
         # as the engine's ``_required`` and zero in every slot no live
@@ -108,20 +107,6 @@ class DominatedSetCoverJoin(JoinEngine):
         self._base_uncovered[group_id] = len(indices) - trivial
 
     # -- query churn -------------------------------------------------------
-    def _on_dims_added(self, dims: frozenset, stream_npvs: StreamNpvs) -> None:
-        # Runs before the new group is spliced in, so the mirror writes
-        # cannot cross any sorted position: pure backfill, no counters.
-        for stream_id, state in self._streams.items():
-            npvs = stream_npvs.get(stream_id, {})
-            for vertex, vector in state.vectors.items():
-                source = npvs.get(vertex)
-                if not source:
-                    continue
-                for dim in dims:
-                    value = source.get(dim, 0)
-                    if value:
-                        vector[dim] = value
-
     def _on_group_added(self, change: QueryChange, stream_npvs: StreamNpvs) -> None:
         grown = len(self.query_set.vectors) - len(self._required)
         if grown > 0:
@@ -140,11 +125,12 @@ class DominatedSetCoverJoin(JoinEngine):
             for index in change.indices
             if self.query_set.vectors[index].num_dims > 0
         ]
-        for state in self._streams.values():
+        for stream_id, state in self._streams.items():
             state.uncovered[change.group_id] = base
+            vectors = self._mirror[stream_id]
             for record in records:
                 required = record.num_dims
-                for vertex, vector in state.vectors.items():
+                for vertex, vector in vectors.items():
                     count = sum(
                         1
                         for dim, value in record.vector.items()
@@ -182,19 +168,8 @@ class DominatedSetCoverJoin(JoinEngine):
         del self._trivial_per_group[change.group_id]
         del self._base_uncovered[change.group_id]
 
-    def _on_dims_removed(self, dims: frozenset) -> None:
-        # Purge retired dimensions from the mirrors: ``on_vertex_removed``
-        # replays mirror entries through ``_value_changed``, which expects
-        # every mirrored dimension to still have a sorted projection.
-        for state in self._streams.values():
-            for vector in state.vectors.values():
-                for dim in dims:
-                    vector.pop(dim, None)
-
     # -- stream lifecycle ------------------------------------------------
-    def register_stream(self, stream_id: StreamId, npvs: Mapping[VertexId, NPV]) -> None:
-        if stream_id in self._streams:
-            raise ValueError(f"stream {stream_id!r} is already registered")
+    def _on_stream_added(self, stream_id: StreamId, vectors: Mapping[VertexId, NPV]) -> None:
         state = self._streams[stream_id] = _StreamState(dict(self._base_uncovered))
         dim_values, dim_entries = self._dim_values, self._dim_entries
         width = len(self._required)
@@ -203,89 +178,42 @@ class DominatedSetCoverJoin(JoinEngine):
         targets = [required or -1 for required in self._required]
         # One pass per vertex: what Thm 4.1's counters read after every
         # value rose from 0, with each row written once.
-        for vertex, vector in npvs.items():
-            mirror: NPV = {}
+        for vertex, vector in vectors.items():
             counts = [0] * width
             for dim, value in vector.items():
-                values = dim_values.get(dim)
-                if values is not None:
-                    mirror[dim] = value
-                    for index in dim_entries[dim][: bisect_right(values, value)]:
-                        counts[index] += 1
-            row = array(_COUNTER, counts)
-            state.vectors[vertex] = mirror
-            state.dominant[vertex] = row
+                for index in dim_entries[dim][: bisect_right(dim_values[dim], value)]:
+                    counts[index] += 1
+            row = state.dominant[vertex] = array(_COUNTER, counts)
             for index in compress(range(width), map(eq, row, targets)):
                 self._cover_gained(state, index)
 
-    def remove_stream(self, stream_id: StreamId) -> None:
+    def _on_stream_removed(self, stream_id: StreamId) -> None:
         del self._streams[stream_id]
 
-    def stream_ids(self) -> list[StreamId]:
-        return list(self._streams)
-
     # -- NPV evolution ----------------------------------------------------
-    def on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
-        state = self._streams[stream_id]
-        state.vectors[vertex] = {}
-        state.dominant[vertex] = _zero_row(len(self._required))
+    def _on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
+        self._streams[stream_id].dominant[vertex] = _zero_row(len(self._required))
 
-    def on_vertex_removed(self, stream_id: StreamId, vertex: VertexId) -> None:
-        state = self._streams[stream_id]
-        vector = state.vectors.pop(vertex, None)
-        row = state.dominant.pop(vertex, None)
-        if vector:
-            for dim, value in vector.items():
-                self._value_changed(state, row, dim, value, 0)
-
-    def on_dimension_delta(
-        self, stream_id: StreamId, vertex: VertexId, dim: Dimension, delta: int
-    ) -> None:
-        if dim not in self._dim_values:
-            # Dimension absent from every query vector: cannot matter.
-            return
-        state = self._streams[stream_id]
-        vector = state.vectors[vertex]
-        old = vector.get(dim, 0)
-        new = old + delta
-        if new:
-            vector[dim] = new
-        else:
-            vector.pop(dim, None)
-        self._value_changed(state, state.dominant[vertex], dim, old, new)
-
-    def batch_update(self, stream_id: StreamId, deltas: BatchDeltas) -> None:
-        """Apply a coalesced batch: one value transition — hence at most
-        one pair of bisects — per net-changed ``(vertex, dimension)``,
-        instead of one per spliced tree edge."""
-        state = self._streams[stream_id]
-        dim_values = self._dim_values
-        vectors = state.vectors
-        rows = state.dominant
-        for (vertex, dim), delta in deltas.items():
-            if dim not in dim_values:
-                continue
-            vector = vectors[vertex]
-            old = vector.get(dim, 0)
-            new = old + delta
-            if new:
-                vector[dim] = new
-            else:
-                vector.pop(dim, None)
-            self._value_changed(state, rows[vertex], dim, old, new)
+    def _on_vertex_removed(self, stream_id: StreamId, vertex: VertexId, last_vector: NPV) -> None:
+        for dim, value in last_vector.items():
+            self._value_changed(stream_id, vertex, dim, value, 0)
+        del self._streams[stream_id].dominant[vertex]
 
     # -- counter maintenance ----------------------------------------------
     def _value_changed(
-        self, state: _StreamState, row: array, dim: Dimension, old: int, new: int
+        self, stream_id: StreamId, vertex: VertexId, dim: Dimension, old: int, new: int
     ) -> None:
         """Walk the sorted query projection of ``dim`` between the old and
         new positions of this stream value, adjusting the dominant counters
-        in ``row``, the row of the vertex whose value moved."""
+        in the row of the vertex whose value moved: one transition, hence
+        at most one pair of bisects, per net-changed entry."""
         values = self._dim_values[dim]
         old_pos = bisect_right(values, old) if old > 0 else 0
         new_pos = bisect_right(values, new) if new > 0 else 0
         if new_pos == old_pos:
             return
+        state = self._streams[stream_id]
+        row = state.dominant[vertex]
         entries = self._dim_entries[dim]
         required = self._required
         if new_pos > old_pos:
@@ -322,24 +250,26 @@ class DominatedSetCoverJoin(JoinEngine):
         state = self._streams[stream_id]
         if state.uncovered[group_id]:
             if obs.enabled():
-                obs.quality.record_pruned(self.name, self._blame(state, query_id))
+                obs.quality.record_pruned(self.name, self._blame(stream_id, query_id))
             return False
-        if self._trivial_per_group[group_id] and not state.vectors:
+        if self._trivial_per_group[group_id] and not self._mirror[stream_id]:
             if obs.enabled():
                 # Trivial query vectors only fail on an empty stream.
                 obs.quality.record_pruned(self.name, "combination")
             return False
         return True
 
-    def _blame(self, state: _StreamState, query_id: QueryId) -> str:
+    def _blame(self, stream_id: StreamId, query_id: QueryId) -> str:
         """Which dimension to blame for an uncovered query vector —
         diagnostic only (the verdict already came from the counters).
         Picks the first uncovered vector of the query and delegates to
         :func:`repro.obs.quality.blame_dimension` over the live stream
         vectors."""
+        cover = self._streams[stream_id].cover
         for qv_index in self.query_set.by_query[query_id]:
-            if self._required[qv_index] > 0 and not state.cover.get(qv_index, 0):
+            if self._required[qv_index] > 0 and not cover.get(qv_index, 0):
                 return obs.quality.blame_dimension(
-                    self.query_set.vectors[qv_index].vector, state.vectors.values()
+                    self.query_set.vectors[qv_index].vector,
+                    self._mirror[stream_id].values(),
                 )
         return "combination"

@@ -73,7 +73,12 @@ class _StreamState:
 
 
 class MatrixJoin(JoinEngine):
-    """The ``matrix`` engine: broadcast dominance over dense NPV rows."""
+    """The ``matrix`` engine: broadcast dominance over dense NPV rows.
+
+    Its dense matrix is its stream-side mirror, so it overrides every
+    stream-side method of :class:`~repro.join.base.JoinEngine` and leaves
+    the base mirror empty.
+    """
 
     name = "matrix"
 
@@ -213,16 +218,6 @@ class MatrixJoin(JoinEngine):
     def on_vertex_removed(self, stream_id: StreamId, vertex: VertexId) -> None:
         state = self._streams[stream_id]
         self._drop_row(state, vertex)
-        state.invalidate()
-
-    def on_dimension_delta(
-        self, stream_id: StreamId, vertex: VertexId, dim: Dimension, delta: int
-    ) -> None:
-        col = self._dim_col.get(dim)
-        if col is None:
-            return
-        state = self._streams[stream_id]
-        state.matrix[state.row_of[vertex], col] += delta
         state.invalidate()
 
     def batch_update(self, stream_id: StreamId, deltas: BatchDeltas) -> None:

@@ -1,19 +1,16 @@
 """Nested-loop dominance join — the paper's baseline search strategy.
 
-Keeps a per-stream mirror of the NPVs (restricted to the query dimension
-universe) and, on every candidate probe, compares each query vector
-against the stream vectors pair by pair.  No cross-timestamp state is
-reused, which is precisely why the improved engines of the paper exist.
+On every candidate probe it compares each query vector against the
+stream's mirrored vectors (:class:`~repro.join.base.JoinEngine` keeps
+them) pair by pair.  No cross-timestamp state is reused, which is
+precisely why the improved engines of the paper exist.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .. import obs
-from ..graph.labeled_graph import VertexId
-from ..nnt.projection import Dimension, NPV, dominates
-from .base import BatchDeltas, JoinEngine, QueryId, QuerySet, StreamId, StreamNpvs
+from ..nnt.projection import dominates
+from .base import JoinEngine, QueryId, StreamId
 
 
 class NestedLoopJoin(JoinEngine):
@@ -21,85 +18,9 @@ class NestedLoopJoin(JoinEngine):
 
     name = "nl"
 
-    def __init__(self, query_set: QuerySet) -> None:
-        super().__init__(query_set)
-        self._streams: dict[StreamId, dict[VertexId, NPV]] = {}
-
-    # -- query churn -------------------------------------------------------
-    def _on_dims_added(self, dims: frozenset, stream_npvs: StreamNpvs) -> None:
-        # Mirrors were filtered to the old universe; pull the values the
-        # new dimensions already accumulated from the live NPVs.
-        for stream_id, mirror in self._streams.items():
-            npvs = stream_npvs.get(stream_id, {})
-            for vertex, vector in mirror.items():
-                source = npvs.get(vertex)
-                if not source:
-                    continue
-                for dim in dims:
-                    value = source.get(dim, 0)
-                    if value:
-                        vector[dim] = value
-
-    def _on_dims_removed(self, dims: frozenset) -> None:
-        for mirror in self._streams.values():
-            for vector in mirror.values():
-                for dim in dims:
-                    vector.pop(dim, None)
-
-    # -- stream lifecycle ------------------------------------------------
-    def register_stream(self, stream_id: StreamId, npvs: Mapping[VertexId, NPV]) -> None:
-        if stream_id in self._streams:
-            raise ValueError(f"stream {stream_id!r} is already registered")
-        universe = self.query_set.dimension_universe
-        self._streams[stream_id] = {
-            vertex: {dim: value for dim, value in vector.items() if dim in universe}
-            for vertex, vector in npvs.items()
-        }
-
-    def remove_stream(self, stream_id: StreamId) -> None:
-        del self._streams[stream_id]
-
-    def stream_ids(self) -> list[StreamId]:
-        return list(self._streams)
-
-    # -- NPV evolution ----------------------------------------------------
-    def on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
-        self._streams[stream_id][vertex] = {}
-
-    def on_vertex_removed(self, stream_id: StreamId, vertex: VertexId) -> None:
-        self._streams[stream_id].pop(vertex, None)
-
-    def on_dimension_delta(
-        self, stream_id: StreamId, vertex: VertexId, dim: Dimension, delta: int
-    ) -> None:
-        if dim not in self.query_set.dimension_universe:
-            return
-        vector = self._streams[stream_id][vertex]
-        value = vector.get(dim, 0) + delta
-        if value:
-            vector[dim] = value
-        else:
-            vector.pop(dim, None)
-
-    def batch_update(self, stream_id: StreamId, deltas: BatchDeltas) -> None:
-        """Fold a coalesced batch straight into the mirror (one dict
-        update per net-changed entry, no per-call dispatch)."""
-        universe = self.query_set.dimension_universe
-        vectors = self._streams[stream_id]
-        for (vertex, dim), delta in deltas.items():
-            if dim not in universe:
-                continue
-            vector = vectors[vertex]
-            value = vector.get(dim, 0) + delta
-            if value:
-                vector[dim] = value
-            else:
-                vector.pop(dim, None)
-
-    # -- results ----------------------------------------------------------
     def is_candidate(self, stream_id: StreamId, query_id: QueryId) -> bool:
         self._obs_checks.inc()
-        stream_vectors = list(self._streams[stream_id].values())
+        stream_vectors = list(self._mirror[stream_id].values())
         for index in self.query_set.by_query[query_id]:
             query_vector = self.query_set.vectors[index].vector
             if not any(dominates(v, query_vector) for v in stream_vectors):

@@ -26,17 +26,18 @@ from typing import Mapping
 from .. import obs
 from ..graph.labeled_graph import VertexId
 from ..nnt.projection import Dimension, NPV, dominates, vector_mass
-from .base import BatchDeltas, JoinEngine, QueryChange, QueryId, QuerySet, StreamId, StreamNpvs
+from .base import JoinEngine, QueryChange, QueryId, QuerySet, StreamId, StreamNpvs
 from .dominance import dominated_count, maximal_vectors
 
 
 class _StreamState:
-    """Per-stream mirrors and per-dimension statistics."""
+    """Per-stream per-dimension statistics."""
 
     __slots__ = ("vectors", "members", "max_cache", "version")
 
-    def __init__(self) -> None:
-        self.vectors: dict[VertexId, NPV] = {}
+    def __init__(self, vectors: Mapping[VertexId, NPV]) -> None:
+        #: The engine's mirror of this stream, shared and only read here.
+        self.vectors = vectors
         # members[dim] -> set of vertices with a non-zero entry in dim.
         self.members: dict[Dimension, set[VertexId]] = {}
         # max_cache[dim] -> cached maximum value in dim (None = stale).
@@ -80,17 +81,12 @@ class SkylineEarlyStopJoin(JoinEngine):
         self._probe_order[group_id] = [indices[local] for local in ranked]
 
     # -- query churn -------------------------------------------------------
-    def _on_dims_added(self, dims: frozenset, stream_npvs: StreamNpvs) -> None:
-        for stream_id, state in self._streams.items():
-            npvs = stream_npvs.get(stream_id, {})
-            for vertex in state.vectors:
-                source = npvs.get(vertex)
-                if not source:
-                    continue
+    def _on_dims_added(self, dims: frozenset) -> None:
+        for state in self._streams.values():
+            for vertex, vector in state.vectors.items():
                 for dim in dims:
-                    value = source.get(dim, 0)
-                    if value:
-                        self._apply_delta(state, vertex, dim, value)
+                    if dim in vector:
+                        state.members.setdefault(dim, set()).add(vertex)
             state.version += 1
 
     def _on_group_added(self, change: QueryChange, stream_npvs: StreamNpvs) -> None:
@@ -104,88 +100,49 @@ class SkylineEarlyStopJoin(JoinEngine):
 
     def _on_dims_removed(self, dims: frozenset) -> None:
         for state in self._streams.values():
-            for vector in state.vectors.values():
-                for dim in dims:
-                    vector.pop(dim, None)
             for dim in dims:
                 state.members.pop(dim, None)
                 state.max_cache.pop(dim, None)
             state.version += 1
 
     # -- stream lifecycle ------------------------------------------------
-    def register_stream(self, stream_id: StreamId, npvs: Mapping[VertexId, NPV]) -> None:
-        if stream_id in self._streams:
-            raise ValueError(f"stream {stream_id!r} is already registered")
-        self._streams[stream_id] = _StreamState()
-        for vertex, vector in npvs.items():
-            self.on_vertex_added(stream_id, vertex)
-            for dim, value in vector.items():
-                self.on_dimension_delta(stream_id, vertex, dim, value)
+    def _on_stream_added(self, stream_id: StreamId, vectors: Mapping[VertexId, NPV]) -> None:
+        state = self._streams[stream_id] = _StreamState(vectors)
+        for vertex, vector in vectors.items():
+            for dim in vector:
+                state.members.setdefault(dim, set()).add(vertex)
 
-    def remove_stream(self, stream_id: StreamId) -> None:
+    def _on_stream_removed(self, stream_id: StreamId) -> None:
         del self._streams[stream_id]
         self._verdicts = {key: v for key, v in self._verdicts.items() if key[0] != stream_id}
 
-    def stream_ids(self) -> list[StreamId]:
-        return list(self._streams)
-
     # -- NPV evolution ----------------------------------------------------
-    def on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
-        state = self._streams[stream_id]
-        state.vectors[vertex] = {}
-        state.version += 1
+    def _on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
+        self._streams[stream_id].version += 1
 
-    def on_vertex_removed(self, stream_id: StreamId, vertex: VertexId) -> None:
+    def _on_vertex_removed(self, stream_id: StreamId, vertex: VertexId, last_vector: NPV) -> None:
         state = self._streams[stream_id]
-        vector = state.vectors.pop(vertex, None)
-        if vector:
-            for dim in vector:
-                self._drop_member(state, dim, vertex)
-        state.version += 1
-
-    def on_dimension_delta(
-        self, stream_id: StreamId, vertex: VertexId, dim: Dimension, delta: int
-    ) -> None:
-        if dim not in self.query_set.dimension_universe:
-            return
-        state = self._streams[stream_id]
-        self._apply_delta(state, vertex, dim, delta)
-        state.version += 1
-
-    def batch_update(self, stream_id: StreamId, deltas: BatchDeltas) -> None:
-        """Apply a coalesced batch: per-dimension statistics are updated
-        per net entry and the verdict-cache version is bumped once for
-        the whole batch."""
-        universe = self.query_set.dimension_universe
-        state = self._streams[stream_id]
-        touched = False
-        for (vertex, dim), delta in deltas.items():
-            if dim not in universe:
-                continue
-            self._apply_delta(state, vertex, dim, delta)
-            touched = True
-        if touched:
-            state.version += 1
-
-    def _apply_delta(
-        self, state: _StreamState, vertex: VertexId, dim: Dimension, delta: int
-    ) -> None:
-        vector = state.vectors[vertex]
-        old = vector.get(dim, 0)
-        new = old + delta
-        if new:
-            vector[dim] = new
-            members = state.members.setdefault(dim, set())
-            members.add(vertex)
-            cached = state.max_cache.get(dim)
-            if new > old:
-                if cached is not None and new > cached:
-                    state.max_cache[dim] = new
-            elif cached is not None and old == cached:
-                state.max_cache[dim] = None  # the maximum may have shrunk
-        else:
-            vector.pop(dim, None)
+        for dim in last_vector:
             self._drop_member(state, dim, vertex)
+        state.version += 1
+
+    def _value_changed(
+        self, stream_id: StreamId, vertex: VertexId, dim: Dimension, old: int, new: int
+    ) -> None:
+        """Keep ``dim``'s members and cached maximum, and bump the
+        verdict-cache version: one bump per net-changed entry."""
+        state = self._streams[stream_id]
+        state.version += 1
+        if not new:
+            self._drop_member(state, dim, vertex)
+            return
+        state.members.setdefault(dim, set()).add(vertex)
+        cached = state.max_cache.get(dim)
+        if new > old:
+            if cached is not None and new > cached:
+                state.max_cache[dim] = new
+        elif cached is not None and old == cached:
+            state.max_cache[dim] = None  # the maximum may have shrunk
 
     def _drop_member(self, state: _StreamState, dim: Dimension, vertex: VertexId) -> None:
         members = state.members.get(dim)

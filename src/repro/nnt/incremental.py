@@ -66,8 +66,10 @@ class NPVListener(Protocol):
 
         Under coalesced delivery the zeroing deltas are purged rather
         than flushed, so a listener mirroring NPVs must discard (or
-        reverse) whatever its own copy of the vector still holds —
-        which is what the join engines do.
+        reverse) whatever its own copy of the vector still holds.  The
+        join engines' one mirror lives in
+        :class:`repro.join.base.JoinEngine`, which pops the vector and
+        hands it to the engine to retire.
         """
 
     def on_batch_update(self, deltas: Mapping[tuple[VertexId, Dimension], int]) -> None:

@@ -51,12 +51,6 @@ __all__ = [
 DEFAULT_TIMELINE_CAPACITY = 512
 
 
-def _base_name(key: str) -> str:
-    """Summary key -> bare metric name (labels stripped)."""
-    brace = key.find("{")
-    return key if brace < 0 else key[:brace]
-
-
 def _matches(key: str, name: str) -> bool:
     """Does a summary key belong to metric ``name`` (any label set)?"""
     return key == name or key.startswith(name + "{")

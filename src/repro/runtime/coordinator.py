@@ -76,7 +76,7 @@ from typing import Any, Mapping
 from .. import obs
 from ..core.checkpoint import load_monitor, write_checkpoint
 from ..core.metrics import Stopwatch
-from ..core.monitor import MatchEvent, diff_polls
+from ..core.monitor import CheckpointError, MatchEvent, diff_polls
 from ..graph.labeled_graph import LabeledGraph
 from ..graph.operations import (
     EdgeChange,
@@ -432,7 +432,8 @@ class ShardedMonitor:
         A batch the stream's current graph refuses (duplicate insert,
         missing delete, unlabeled new vertex) raises
         :class:`~repro.graph.GraphError`: nothing of it is applied,
-        sent or recorded.
+        sent or recorded.  A cadence checkpoint that fails after the
+        batch was sent raises :class:`~repro.core.monitor.CheckpointError`.
         """
         self._ensure_open()
         if stream_id not in self._streams:
@@ -443,7 +444,10 @@ class ShardedMonitor:
         self._accepted_batches += 1
         self._batches_since_checkpoint += 1
         if 0 < self.checkpoint_every <= self._batches_since_checkpoint:
-            self.checkpoint()
+            try:
+                self.checkpoint()
+            except (OSError, ValueError) as exc:
+                raise CheckpointError(f"{type(exc).__name__}: {exc}") from exc
 
     def apply_many(
         self, updates: Mapping[StreamId, GraphChangeOperation | EdgeChange]

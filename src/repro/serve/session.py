@@ -38,7 +38,7 @@ import os
 from typing import Any, Callable, Iterable, Mapping
 
 from .. import obs
-from ..core.monitor import diff_polls
+from ..core.monitor import CheckpointError, diff_polls
 from ..graph.io import read_graph_set
 from ..graph.labeled_graph import GraphError, LabeledGraph
 from ..graph.operations import (
@@ -314,6 +314,7 @@ class MonitorBridge:
         session.commits += 1
         applied = 0
         errors: list[dict[str, Any]] = []
+        checkpoint_error = None
         with obs.span(
             "serve.commit", session=session.label, t=self.timestamp
         ):
@@ -326,18 +327,22 @@ class MonitorBridge:
                 try:
                     # All or nothing: a refused batch leaves no trace.
                     self.monitor.apply(stream_id, GraphChangeOperation(changes))
-                    applied += 1
-                    self.accepted_batches += 1
-                    self._batches.inc()
+                except CheckpointError as exc:
+                    # The batch is in; only the cadence export after it failed.
+                    checkpoint_error = str(exc)
                 except POISON_ERRORS as exc:
                     self._refuse()
                     errors.append(
                         {"stream": stream_id, "error": f"{type(exc).__name__}: {exc}"}
                     )
+                    continue
                 finally:
                     # Even an unexpected error must not leave the batch
                     # staged to re-fail every later commit.
                     changes.clear()
+                applied += 1
+                self.accepted_batches += 1
+                self._batches.inc()
             events = self._session_events(session)
         reply: dict[str, Any] = {
             "ok": not errors,
@@ -348,6 +353,8 @@ class MonitorBridge:
         }
         if trace_id is not None:
             reply["trace"] = trace_id
+        if checkpoint_error is not None:
+            reply["checkpoint_error"] = checkpoint_error
         if errors:
             reply["errors"] = errors
             reply["error"] = errors[0]["error"]

@@ -112,6 +112,30 @@ class TestCachingVerifier:
         assert verifier.stats["verifications"] > before
         assert result == monitor.verified_matches()
 
+    def test_churn_quiet_poll_and_eviction(self):
+        """After stream churn it answers as the monitor does; a second poll
+        with no change is all cache hits; a pair that left the candidate
+        set leaves the verdict cache."""
+        monitor = make_monitor()
+        verifier = CachingVerifier(monitor)
+        verifier.verified_matches()
+        monitor.apply("s1", EdgeChange.insert("x", "y", "-", "A", "B"))
+        monitor.apply("s0", EdgeChange.delete("n2", "n3"))
+        assert verifier.verified_matches() == monitor.verified_matches()
+        assert ("s1", "ab") in verifier._verdicts
+
+        before = dict(verifier.stats)
+        verifier.verified_matches()
+        assert verifier.stats == {
+            "verifications": before["verifications"],
+            "cache_hits": before["cache_hits"] + len(monitor.matches()),
+        }
+
+        monitor.apply("s1", EdgeChange.delete("x", "y"))
+        assert ("s1", "ab") not in monitor.matches()
+        verifier.verified_matches()
+        assert ("s1", "ab") not in verifier._verdicts
+
     def test_randomized_equivalence(self):
         rng = random.Random(2024)
         monitor = make_monitor()

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.graph import LabeledGraph
-from repro.join import QuerySet, StreamListenerAdapter
+from repro.join import QuerySet, StreamListenerAdapter, make_engine
 from repro.join.dominated_set_cover import DominatedSetCoverJoin
 from repro.join.skyline import SkylineEarlyStopJoin
 from repro.nnt import NNTIndex, dominates
@@ -49,8 +49,8 @@ def live_records(query_set):
 
 def assert_dominant_rows_match_definition(query_set, engine):
     records = live_records(query_set)
-    for state in engine._streams.values():
-        for vertex, mirror in state.vectors.items():
+    for stream_id, state in engine._streams.items():
+        for vertex, mirror in engine._mirror[stream_id].items():
             row = state.dominant[vertex]
             for record in records:
                 expected = sum(
@@ -107,8 +107,8 @@ class TestDSCCounters:
     def test_rows_are_as_long_as_required(self):
         query_set, engine = self.churned_queries(16)
         assert len(engine._required) == len(query_set.vectors)
-        for state in engine._streams.values():
-            assert state.dominant.keys() == state.vectors.keys()
+        for stream_id, state in engine._streams.items():
+            assert state.dominant.keys() == engine._mirror[stream_id].keys()
             for row in state.dominant.values():
                 assert len(row) == len(engine._required)
 
@@ -127,7 +127,7 @@ class TestDSCCounters:
         for record in query_set.vectors:
             expected = sum(
                 1
-                for mirror in state.vectors.values()
+                for mirror in engine._mirror[0].values()
                 if dominates(mirror, record.vector)
             )
             if record.num_dims == 0:
@@ -144,20 +144,43 @@ class TestDSCCounters:
                 if query_set.vectors[i].num_dims > 0
                 and not any(
                     dominates(mirror, query_set.vectors[i].vector)
-                    for mirror in state.vectors.values()
+                    for mirror in engine._mirror[0].values()
                 )
             )
             assert state.uncovered[query_set.group_of[query_id]] == expected
 
-    def test_mirrors_match_restricted_npvs(self):
-        query_set, engine, index = self.setup_engine(14)
-        state = engine._streams[0]
-        universe = query_set.dimension_universe
-        expected = {
-            vertex: {dim: value for dim, value in vector.items() if dim in universe}
-            for vertex, vector in index.npvs.items()
-        }
-        assert state.vectors == expected
+    @pytest.mark.parametrize("name", ("nl", "dsc", "skyline"))
+    def test_mirrors_match_restricted_npvs(self, name):
+        """The one stream-side mirror is ``index.npvs`` restricted to the
+        universe after stream churn, after a query that brings new
+        dimensions (the backfill) and after it retires them (the purge)."""
+        rng = random.Random(14)
+        query_set = QuerySet(small_queries(rng), depth_limit=2)
+        engine = make_engine(name, query_set)
+        index = NNTIndex(random_labeled_graph(rng, 6, extra_edges=3), depth_limit=2)
+        engine.register_stream(0, index.npvs)
+        index.add_listener(StreamListenerAdapter(engine, 0))
+
+        def assert_mirror_is_restricted_npvs():
+            universe = query_set.dimension_universe
+            expected = {
+                vertex: {dim: value for dim, value in vector.items() if dim in universe}
+                for vertex, vector in index.npvs.items()
+            }
+            assert engine._mirror == {0: expected}
+
+        churn(rng, index)
+        assert_mirror_is_restricted_npvs()
+        added = engine.add_query("whole", index.graph.copy(), {0: index.npvs})
+        backfilled = [
+            dim for vector in index.npvs.values() for dim in vector if dim in added.added_dims
+        ]
+        assert backfilled  # the stream already had values on the new dimensions
+        assert_mirror_is_restricted_npvs()
+        churn(rng, index, steps=20)
+        assert_mirror_is_restricted_npvs()
+        assert engine.remove_query("whole").removed_dims
+        assert_mirror_is_restricted_npvs()
 
 
 class TestSkylineInternals:
@@ -175,7 +198,7 @@ class TestSkylineInternals:
         query_set, engine, index = self.setup_engine(21)
         state = engine._streams[0]
         expected: dict = {}
-        for vertex, mirror in state.vectors.items():
+        for vertex, mirror in engine._mirror[0].items():
             for dim in mirror:
                 expected.setdefault(dim, set()).add(vertex)
         assert state.members == expected
@@ -184,7 +207,7 @@ class TestSkylineInternals:
         query_set, engine, index = self.setup_engine(22)
         state = engine._streams[0]
         for dim, members in state.members.items():
-            true_max = max(state.vectors[v][dim] for v in members)
+            true_max = max(engine._mirror[0][v][dim] for v in members)
             assert state.max_of(dim) == true_max
 
     def test_probe_order_covers_maximal_vectors(self):

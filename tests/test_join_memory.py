@@ -38,7 +38,7 @@ def bytes_of_rows(engine: DominatedSetCoverJoin) -> float:
     engine's rows are dropped (which ends the engine's useful life; the
     collector is off, so nothing else is freed meanwhile), over stream
     vertices x live query vectors."""
-    slots = sum(len(state.vectors) for state in engine._streams.values())
+    slots = sum(len(vectors) for vectors in engine._mirror.values())
     slots *= engine.query_set.live_vector_count()
     before = tracemalloc.get_traced_memory()[0]
     for state in engine._streams.values():

@@ -36,6 +36,7 @@ from repro.serve.protocol import (
     parse_text_line,
     to_jsonable,
 )
+from repro.runtime import ShardedMonitor
 from repro.serve.session import MonitorBridge, Session
 
 
@@ -392,3 +393,34 @@ class TestGeneratedDocuments:
                 assert exported["ok"] is writable, exported
                 if writable:
                     assert load_monitor(directory).matches() == monitor.matches()
+
+
+class TestCadenceCheckpointAfterCommit:
+    """A ``checkpoint_every`` export that fails after ``apply`` committed
+    its batch is reported beside the applied batch, not as a refusal."""
+
+    @pytest.mark.parametrize("workers", (0, 1))
+    def test_a_failed_export_reports_the_batch_applied(self, tmp_path, workers):
+        pattern = LabeledGraph.from_vertices_and_edges([(0, "A"), (1, "B")], [(0, 1, "x")])
+        options = dict(checkpoint_dir=tmp_path / "ck", checkpoint_every=1)
+        if workers:
+            monitor = ShardedMonitor({"q": pattern}, num_workers=workers, **options)
+        else:
+            monitor = StreamMonitor({"q": pattern}, **options)
+        with monitor:
+            bridge, session = MonitorBridge(monitor), Session(0)
+            for doc in (
+                {"cmd": "stream", "stream": "s"},
+                {"cmd": "ins", "stream": "s", "u": 1, "v": 2,
+                 "edge_label": "x", "u_label": "A", "v_label": "B"},
+                {"cmd": "ins", "stream": "s", "u": "1", "v": 3,
+                 "edge_label": "x", "u_label": "A", "v_label": "B"},
+            ):
+                bridge.execute(session, parse_json_line(json.dumps(doc)))
+            reply = bridge.execute(session, parse_json_line('{"cmd": "commit"}'))
+            assert reply["ok"] is True and reply["applied"] == 1, reply
+            assert reply["checkpoint_error"].startswith("ValueError: ")
+            assert "write as the same text" in reply["checkpoint_error"]
+            assert "errors" not in reply and bridge.refused == 0
+            assert [e["kind"] for e in reply["events"]] == ["appeared"]
+            assert monitor.graph("s").has_edge(1, 2) and monitor.graph("s").has_edge("1", 3)
