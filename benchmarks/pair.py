@@ -21,7 +21,11 @@ per metric the pairs each side won (a tie counts for neither); the seed;
 per side the operations attempted, ``failed`` and the ticks each run
 reached inside its window (read from the command's ``--detail`` record:
 ``peak_rss_mb`` on the in-process workloads is a base plus a slope times
-ticks reached, so a memory reading means little without them).  A run
+ticks reached, so a memory reading means little without them).  The
+per-tick timings each run prints as metric lines (``tick_p50_ms``,
+``tick_tail_ms``, ``changes_per_s``, ``cpu_ms_per_change``) get the same
+median, quartiles and wins, under ``info``: information only, never a
+gate, their direction taken from the ``bench.*`` entries of ``per_layer``.  A run
 that prints no result object aborts the comparison, and no row is written.
 
 ``--trace`` adds, after the pairs, one run per side of the same command
@@ -89,11 +93,14 @@ def src_tree(side: str) -> str | None:
 
 #: Compared by ``--trace`` beside the ``count`` metrics: ratios of counts.
 TRACED_RATIOS = ("bench.candidate_ratio", "core.recall")
+#: Paired beside the gated metrics, read from each run's printed metric lines.
+TICK_METRICS = ("tick_p50_ms", "tick_tail_ms", "changes_per_s", "cpu_ms_per_change")
 
 
 def run_once(command: list[str], directory: Path, detail: Path) -> dict:
-    """One run's result object (the last stdout line), plus its exit status
-    and, from the ``--detail`` record it wrote, its seed and ticks reached."""
+    """One run's result object (the last stdout line), plus its exit status,
+    its printed :data:`TICK_METRICS` (``printed``) and, from the ``--detail``
+    record it wrote, its seed and ticks reached."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(
         [*command, "--detail", str(detail)],
@@ -107,7 +114,16 @@ def run_once(command: list[str], directory: Path, detail: Path) -> dict:
         raise SystemExit(
             f"{directory}: exit {done.returncode}, no result object\n{done.stderr}"
         ) from None
-    return {**outcome, "exit": done.returncode, "seed": record["seed"], "ticks": record["ticks"]}
+    # A metric line is ``<workload> <name> <value> <unit>``.
+    printed = {
+        parts[1]: float(parts[2])
+        for parts in (line.split() for line in lines[:-1])
+        if len(parts) == 4 and parts[1] in TICK_METRICS
+    }
+    return {
+        **outcome, "exit": done.returncode, "printed": printed,
+        "seed": record["seed"], "ticks": record["ticks"],
+    }
 
 
 def spread(values: list[float]) -> dict:
@@ -118,6 +134,31 @@ def spread(values: list[float]) -> dict:
         else values * 3
     )
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
+
+
+def paired(values: dict[str, list[float]], unit: str, better: str) -> dict:
+    """Both sides' spreads and the pairs each side won (a tie counts for neither)."""
+    sign = -1 if better == "lower" else 1
+    gains = [sign * (b - a) for a, b in zip(values["a"], values["b"])]  # > 0: b won
+    return {
+        "unit": unit,
+        "better": better,
+        "a": spread(values["a"]),
+        "b": spread(values["b"]),
+        "a_wins": sum(gain < 0 for gain in gains),
+        "b_wins": sum(gain > 0 for gain in gains),
+    }
+
+
+def print_cell(name: str, cell: dict, pairs: int, gate: str) -> None:
+    for side in ("a", "b"):
+        s = cell[side]
+        print(
+            f"  {name} [{cell['unit']}] {side}: median {s['median']:.6g} "
+            f"[{s['q1']:.6g}, {s['q3']:.6g}]  wins {cell[f'{side}_wins']}/{pairs}"
+        )
+    change = cell["b"]["median"] / cell["a"]["median"] - 1.0
+    print(f"    b vs a: {change:+.1%} ({cell['better']} is better, {gate})")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -174,6 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": args.seconds,
         "seed": runs["a"][0]["seed"],
         "metrics": {},
+        "info": {},
     }
     for side, results in runs.items():
         row[f"{side}_src_tree"] = src_tree(getattr(args, side))
@@ -187,31 +229,23 @@ def main(argv: list[str] | None = None) -> int:
             side: [r["metrics"][name]["value"] for r in results]
             for side, results in runs.items()
         }
-        sign = -1 if metric["better"] == "lower" else 1
-        gains = [sign * (b - a) for a, b in zip(values["a"], values["b"])]  # > 0: b won
         row["metrics"][name] = {
-            "unit": metric["unit"],
-            "better": metric["better"],
-            "bound": metric["bound"],
-            "a": spread(values["a"]),
-            "b": spread(values["b"]),
-            "a_wins": sum(gain < 0 for gain in gains),
-            "b_wins": sum(gain > 0 for gain in gains),
+            **paired(values, metric["unit"], metric["better"]), "bound": metric["bound"]
         }
+    per_layer = {metric["name"]: metric for metric in contract["per_layer"]}
+    for name in TICK_METRICS:
+        metric = per_layer[f"bench.{name}"]
+        values = {side: [r["printed"][name] for r in results] for side, results in runs.items()}
+        row["info"][name] = paired(values, metric["unit"], metric["better"])
 
     print(
         f"{args.workload}: {args.pairs} pairs x {args.seconds:g} s, seed {row['seed']}, "
         f"a={args.a} b={args.b}"
     )
     for name, cell in row["metrics"].items():
-        for side in ("a", "b"):
-            s = cell[side]
-            print(
-                f"  {name} [{cell['unit']}] {side}: median {s['median']:.6g} "
-                f"[{s['q1']:.6g}, {s['q3']:.6g}]  wins {cell[f'{side}_wins']}/{args.pairs}"
-            )
-        change = cell["b"]["median"] / cell["a"]["median"] - 1.0
-        print(f"    b vs a: {change:+.1%} ({cell['better']} is better, bound {cell['bound']:.0%})")
+        print_cell(name, cell, args.pairs, f"bound {cell['bound']:.0%}")
+    for name, cell in row["info"].items():
+        print_cell(name, cell, args.pairs, "information only")
     for side in ("a", "b"):
         print(
             f"  {side}: ticks {row[f'{side}_ticks']}  attempted {row[f'{side}_attempted']}  "

@@ -25,19 +25,21 @@ drives them through recorded streams).
 observability registries every N timestamps; ``monitor``/``replay``
 take ``--probe-rate``/``--probe-budget-ms`` to run the sampled
 precision probe alongside the filter (see ``docs/observability.md``).
+
+This module is the parser and the dispatch; each verb's handler lives
+next to the subsystem it drives (:data:`HANDLERS`).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import random
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from .core.checkpoint import MANIFEST, load_monitor
+from .core.checkpoint import load_monitor
 from .core.monitor import StreamMonitor
-from .graph.io import read_graph_set, read_stream, write_graph_set, write_stream
+from .graph.io import read_stream
 from .graph.labeled_graph import GraphError
 from .runtime import ShardedMonitor
 
@@ -429,80 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ----------------------------------------------------------------------
-# subcommand implementations
-# ----------------------------------------------------------------------
-def _cmd_generate(args: argparse.Namespace) -> int:
-    from .datasets.ggen import generate_graph_set
-    from .datasets.molecules import generate_molecule_set
-    from .datasets.queries import make_query_set
-    from .datasets.reality import RealityConfig, generate_reality_stream
-    from .datasets.stream_gen import DENSE, SPARSE, synthesize_stream
-
-    out = Path(args.out)
-    if args.kind == "molecules":
-        graphs = generate_molecule_set(args.count, seed=args.seed)
-        write_graph_set(graphs, out)
-    elif args.kind == "ggen":
-        graphs = generate_graph_set(
-            args.count,
-            graph_size=args.size,
-            num_vertex_labels=args.labels,
-            seed=args.seed,
-        )
-        write_graph_set(graphs, out)
-    elif args.kind == "queries":
-        if not args.from_db:
-            print("generate queries requires --from-db", file=sys.stderr)
-            return 2
-        source = [graph for _, graph in read_graph_set(args.from_db)]
-        queries = make_query_set(source, args.query_edges, args.count, seed=args.seed)
-        write_graph_set(queries, out, names=[f"q{i}" for i in range(len(queries))])
-    elif args.kind == "reality-stream":
-        stream = generate_reality_stream(
-            random.Random(args.seed),
-            args.timestamps,
-            RealityConfig(num_devices=args.devices),
-            name=out.stem,
-        )
-        write_stream(stream, out)
-    elif args.kind == "synthetic-stream":
-        if args.base:
-            base = read_graph_set(args.base)[0][1]
-        else:
-            base = generate_graph_set(
-                1, graph_size=args.size, num_vertex_labels=args.labels, seed=args.seed
-            )[0]
-        p_appear, p_disappear = DENSE if args.density == "dense" else SPARSE
-        stream = synthesize_stream(
-            base,
-            p_appear,
-            p_disappear,
-            args.timestamps,
-            random.Random(args.seed + 1),
-            all_pairs=True,
-            name=out.stem,
-        )
-        write_stream(stream, out)
-    print(f"wrote {out}")
-    return 0
-
-
-def _cmd_search(args: argparse.Namespace) -> int:
-    from .core.database import GraphDatabase
-
-    database = GraphDatabase(dict(read_graph_set(args.db)), depth_limit=args.depth)
-    for name, query in read_graph_set(args.queries):
-        if args.no_verify:
-            hits = database.filter_candidates(query)
-            label = "candidates"
-        else:
-            hits = database.search(query, verify=True)
-            label = "matches"
-        print(f"{name}: {len(hits)} {label}: {' '.join(sorted(map(str, hits)))}")
-    return 0
-
-
 def _read_streams(paths: list[str]) -> dict:
     streams = {}
     for path in paths:
@@ -582,557 +510,26 @@ def _make_probe(monitor, args) -> "object | None":
     )
 
 
-def _report_probe(probe) -> None:
-    estimate = probe.fp_ratio_estimate
-    line = (
-        "probe: checked={checked} false_positives={false_positives} "
-        "skipped={skipped}".format(**probe.stats)
-    )
-    if estimate is not None:
-        line += f"  fp_ratio~{estimate:.3f}"
-    print(line)
-
-
-def _replay_and_report(
-    monitor,
-    streams,
-    verify_with=None,
-    stats_every=0,
-    probe=None,
-    rescales=None,
-    churn=None,
-) -> None:
-    """Drive ``monitor`` (StreamMonitor or ShardedMonitor — same API)
-    through recorded streams, printing one line per match event.
-
-    Both the library and runtime paths report transitions through
-    ``events()``, so the output format is identical regardless of
-    ``--workers``.  With ``stats_every`` > 0, the merged observability
-    metrics are printed as a Prometheus text block every that many
-    timestamps (and once more after the final poll).  A ``probe``
-    samples the candidate set once per timestamp, after events are
-    reported — strictly off the filtering path.  ``rescales`` maps a
-    printed timestamp to a target worker-pool size; the pool is rescaled
-    live right after that timestamp's events (runtime path only).
-    ``churn`` maps a timestamp to live query churn operations (from
-    :func:`_parse_churn`), executed right after that timestamp's events
-    and any rescale — both monitor flavours support them live.
-    """
-    from .obs.exposition import render_prometheus
-
-    for timestamp, events in _replay(monitor, streams):
-        for event in events:
-            line = f"t={timestamp}: {event.kind} {event.query_id} on {event.stream_id}"
-            if verify_with is not None and timestamp and event.kind == "appeared":
-                pair = (event.stream_id, event.query_id)
-                confirmed = pair in verify_with.verified_matches({pair})
-                line += "  [CONFIRMED]" if confirmed else "  [filter only]"
-            print(line)
-        if not timestamp:
-            continue  # the initial graphs: events only
-        target = rescales.get(timestamp) if rescales else None
-        if target is not None:
-            report = monitor.rescale(target)
-            print(
-                f"t={timestamp}: rescale workers "
-                f"{report['from']}->{report['to']} "
-                f"moved={report['moved_streams']} in {report['seconds']:.3f}s"
-            )
-        for kind, query_id, pattern, _ in (churn or {}).get(timestamp, ()):
-            if kind == "register":
-                monitor.register_query(query_id, pattern)
-            else:
-                monitor.deregister_query(query_id)
-            print(f"t={timestamp}: {kind} query {query_id}")
-        if probe is not None:
-            probe.sample()
-        if stats_every and timestamp % stats_every == 0:
-            print(f"# repro stats t={timestamp}")
-            print(render_prometheus(monitor.obs_summary()), end="")
-    final = sorted(monitor.matches())
-    print(f"final possible pairs: {final}")
-    if probe is not None:
-        _report_probe(probe)
-    if stats_every:
-        print("# repro stats final")
-        print(render_prometheus(monitor.obs_summary()), end="")
-
-
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    streams = _read_streams(args.streams)
-    with _open_monitor(args, dict(read_graph_set(args.queries))) as monitor:
-        _replay_and_report(
-            monitor,
-            streams,
-            verify_with=monitor if args.verify else None,
-            probe=_make_probe(monitor, args),
-        )
-    return 0
-
-
-def _write_stats_json(monitor, path: str) -> None:
-    import json
-
-    summary = monitor.obs_summary()
-    Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-
-
-def _parse_rescales(specs) -> dict[int, int]:
-    """``--rescale-at T:N`` occurrences -> ``{timestamp: target}``."""
-    rescales: dict[int, int] = {}
-    for spec in specs or []:
-        timestamp_text, separator, target_text = spec.partition(":")
-        if not separator:
-            raise SystemExit(f"--rescale-at expects T:N, got {spec!r}")
-        try:
-            timestamp, target = int(timestamp_text), int(target_text)
-        except ValueError:
-            raise SystemExit(f"--rescale-at expects T:N, got {spec!r}") from None
-        if timestamp < 1 or target < 1:
-            raise SystemExit(f"--rescale-at needs T >= 1 and N >= 1, got {spec!r}")
-        if timestamp in rescales:
-            raise SystemExit(f"--rescale-at repeats timestamp {timestamp}, got {spec!r}")
-        rescales[timestamp] = target
-    return rescales
-
-
-def _parse_churn(register_specs, deregister_specs) -> dict[int, list[tuple]]:
-    """``--register-at T:ID:FILE[:KEY]`` / ``--deregister-at T:ID``
-    occurrences -> ``{timestamp: [(kind, ID, pattern or None, flag)]}``,
-    registers before deregisters, ``flag`` the option as given.
-
-    Patterns are loaded eagerly so a missing file or key fails before
-    the replay starts, not halfway through it.
-    """
-    churn: dict[int, list[tuple]] = {}
-    for spec in register_specs or []:
-        parts = spec.split(":")
-        if len(parts) not in (3, 4) or not parts[1]:
-            raise SystemExit(
-                f"--register-at expects T:ID:FILE[:KEY], got {spec!r}"
-            )
-        timestamp_text, query_id, graph_file = parts[0], parts[1], parts[2]
-        key = parts[3] if len(parts) == 4 else None
-        try:
-            timestamp = int(timestamp_text)
-        except ValueError:
-            raise SystemExit(
-                f"--register-at expects T:ID:FILE[:KEY], got {spec!r}"
-            ) from None
-        if timestamp < 1:
-            raise SystemExit(f"--register-at needs T >= 1, got {spec!r}")
-        if not Path(graph_file).is_file():
-            raise SystemExit(f"--register-at {spec}: no such file: {graph_file!r}")
-        graph_set = dict(read_graph_set(graph_file))
-        if key is None:
-            if not graph_set:
-                raise SystemExit(f"--register-at: empty graph set {graph_file!r}")
-            key = next(iter(graph_set))
-        if key not in graph_set:
-            raise SystemExit(f"--register-at: graph {key!r} not in {graph_file}")
-        churn.setdefault(timestamp, []).append(
-            ("register", query_id, graph_set[key], f"--register-at {spec}")
-        )
-    for spec in deregister_specs or []:
-        timestamp_text, separator, query_id = spec.partition(":")
-        if not separator or not query_id:
-            raise SystemExit(f"--deregister-at expects T:ID, got {spec!r}")
-        try:
-            timestamp = int(timestamp_text)
-        except ValueError:
-            raise SystemExit(f"--deregister-at expects T:ID, got {spec!r}") from None
-        if timestamp < 1:
-            raise SystemExit(f"--deregister-at needs T >= 1, got {spec!r}")
-        churn.setdefault(timestamp, []).append(
-            ("deregister", query_id, None, f"--deregister-at {spec}")
-        )
-    return churn
-
-
-def _check_plan(rescales: dict, churn: dict, query_ids, horizon: int) -> None:
-    """Refuse a live plan the replay cannot carry out, before any worker
-    forks: walk it in the replay loop's order (per timestamp the rescale,
-    then registers, then deregisters) over the live query ids."""
-    live = set(query_ids)
-    for timestamp in sorted({*rescales, *churn}):
-        if timestamp > horizon:
-            if timestamp in rescales:
-                flag = f"--rescale-at {timestamp}:{rescales[timestamp]}"
-            else:
-                flag = churn[timestamp][0][3]
-            raise SystemExit(f"{flag}: the streams end at timestamp {horizon}")
-        for kind, query_id, _, flag in churn.get(timestamp, ()):
-            if (kind == "register") == (query_id in live):
-                state = "already" if kind == "register" else "not"
-                raise SystemExit(f"{flag}: query {query_id!r} is {state} registered")
-            live ^= {query_id}
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
-    queries = dict(read_graph_set(args.queries))
-    streams = _read_streams(args.streams)
-    rescales = _parse_rescales(args.rescale_at)
-    churn = _parse_churn(args.register_at, args.deregister_at)
-    if args.workers < 1:
-        if rescales:
-            raise SystemExit("--rescale-at requires --workers >= 1")
-        if args.shm:
-            raise SystemExit("--shm requires --workers >= 1")
-    horizon = min(len(stream.operations) for stream in streams.values())
-    _check_plan(rescales, churn, queries, horizon)
-    with _open_monitor(args, queries) as monitor:
-        _replay_and_report(
-            monitor,
-            streams,
-            stats_every=args.stats_every,
-            probe=_make_probe(monitor, args),
-            rescales=rescales,
-            churn=churn,
-        )
-        if args.workers >= 1:
-            stats = monitor.stats()
-            line = (
-                f"workers: {stats['num_workers']}  "
-                f"batches: {stats['backpressure']['accepted_batches']}"
-            )
-            rescale = stats.get("rescale") or {}
-            if rescale.get("count"):
-                line += f"  rescales: {rescale['count']}"
-            print(line)
-        if args.stats_json:
-            _write_stats_json(monitor, args.stats_json)
-    return 0
-
-
-def _parse_host_port(spec: str) -> tuple[str, int]:
-    host, sep, port = spec.rpartition(":")
-    if not sep or not port.isdigit():
-        raise SystemExit(f"--tcp wants HOST:PORT, got {spec!r}")
-    return host or "127.0.0.1", int(port)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    # The directory the server writes is the one it starts from.
-    restored = bool(args.checkpoint_dir) and Path(args.checkpoint_dir, MANIFEST).is_file()
-    queries = dict(read_graph_set(args.queries))
-    with _open_monitor(args, queries, restore=restored) as monitor:
-        # The serving edge (asyncio, ssl, http) is imported
-        # only now that the workers have forked: they never serve, and
-        # would carry its pages for life.
-        from .serve.protocol import encode_reply
-        from .serve.server import ServeConfig, run_server
-        from .serve.session import serve_lines
-
-        def emit(payload: dict) -> None:
-            print(encode_reply(payload), flush=True)
-
-        if args.tcp:
-            host, port = _parse_host_port(args.tcp)
-            http_host, http_port = (None, 0)
-            if args.http:
-                http_host, http_port = _parse_host_port(args.http)
-            run_server(
-                monitor,
-                ServeConfig(
-                    host=host,
-                    port=port,
-                    admission_capacity=args.admission_capacity,
-                    http_host=http_host,
-                    http_port=http_port,
-                    drain_grace=args.drain_grace,
-                    timeline_interval=args.timeline_interval,
-                    flight_dir=args.flight_dir,
-                ),
-                emit=emit,
-                restored=restored,
-            )
-        else:
-            serve_lines(monitor, sys.stdin, emit, stats_every=args.stats_every)
-    return 0
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    import json
-
-    from .obs.exposition import render_json, render_prometheus
-
-    if args.dump:
-        text = Path(args.dump).read_text()
-    else:
-        text = sys.stdin.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"not a JSON summary: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(data, dict):
-        print("summary must be a JSON object", file=sys.stderr)
-        return 2
-    # Accept either a bare registry summary or a full stats() dump that
-    # wraps one under merged_obs/obs.
-    if "merged_obs" in data and not all(
-        isinstance(v, dict) and "kind" in v for v in data.values()
-    ):
-        data = data["merged_obs"]
-    elif "obs" in data and not all(
-        isinstance(v, dict) and "kind" in v for v in data.values()
-    ):
-        data = data["obs"]
-    if args.format == "json":
-        print(render_json(data))
-    else:
-        print(render_prometheus(data, prefix=args.prefix), end="")
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
-    from . import obs
-
-    obs.enable()  # tracing is the whole point; override REPRO_OBS=0
-    streams = _read_streams(args.streams)
-    with _open_monitor(args, dict(read_graph_set(args.queries))) as monitor:
-        for _ in _replay(monitor, streams):
-            pass  # the replay exists only for the spans it leaves behind
-        records = monitor.trace_spans()
-    if args.format == "chrome":
-        text = json.dumps(obs.to_chrome(records), indent=2, sort_keys=True) + "\n"
-    else:
-        text = obs.render_critical_spans(records, top=args.top)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out} ({len(records)} spans)")
-    else:
-        print(text, end="")
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    import json
-
-    from . import obs
-    from .dashboard import run_top
-
-    if args.dump:
-        path = Path(args.dump)
-
-        def poll() -> dict:
-            return json.loads(path.read_text())
-
-        frames = run_top(
-            poll,
-            sys.stdout,
-            interval=args.interval,
-            iterations=args.iterations,
-            clear=not args.no_clear,
-        )
-        print(f"{frames} frames", file=sys.stderr)
-        return 0
-
-    if not (args.queries and args.streams):
-        print(
-            "top needs a stats JSON dump or --queries/--streams to replay",
-            file=sys.stderr,
-        )
-        return 2
-    obs.enable()
-    streams = _read_streams(args.streams)
-    horizon = min(len(stream.operations) for stream in streams.values())
-    iterations = args.iterations if args.iterations is not None else horizon + 1
-    with _open_monitor(args, dict(read_graph_set(args.queries))) as monitor:
-        probe = _make_probe(monitor, args)
-        steps = _replay(monitor, streams)
-        next(steps)  # register the streams; frames start at timestamp 1
-
-        def poll() -> dict:
-            # One frame = one timestamp: the dashboard doubles as the
-            # replay driver, so everything stays single-threaded.
-            next(steps, None)  # frames past the horizon repaint the final state
-            if probe is not None:
-                probe.sample()
-            stats = monitor.stats()
-            if "merged_obs" not in stats:  # in-process: no registry inside
-                stats["obs"] = monitor.obs_summary()
-            return stats
-
-        frames = run_top(
-            poll,
-            sys.stdout,
-            interval=args.interval,
-            iterations=iterations,
-            clear=not args.no_clear,
-        )
-    print(f"{frames} frames", file=sys.stderr)
-    return 0
-
-
-def _print_slo_table(snapshot: dict) -> None:
-    print(f"worst: {snapshot['worst']}")
-    header = f"{'rule':<20} {'state':<7} {'value':>12} {'threshold':>10}  objective"
-    print(header)
-    print("-" * len(header))
-    for rule in snapshot["rules"]:
-        value = rule.get("value")
-        value_text = f"{value:.4g}" if value is not None else "-"
-        objective = rule["objective"]
-        if objective == "quantile":
-            objective = f"p{int(rule['q'] * 100)} quantile"
-        print(
-            f"{rule['name']:<20} {rule['state']:<7} {value_text:>12} "
-            f"{rule['threshold']:>10.4g}  {objective} over {rule['metric']}"
-        )
-
-
-def _cmd_slo(args: argparse.Namespace) -> int:
-    import json
-
-    if args.url:
-        import urllib.error
-        import urllib.request
-
-        url = args.url.rstrip("/") + "/slo"
-        try:
-            with urllib.request.urlopen(url, timeout=10) as response:
-                snapshot = json.loads(response.read())
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
-            print(f"cannot fetch {url}: {exc}", file=sys.stderr)
-            return 2
-        _print_slo_table(snapshot)
-        return 1 if snapshot["worst"] == "breach" else 0
-
-    if not (args.queries and args.streams):
-        print("slo needs --url or --queries/--streams to replay", file=sys.stderr)
-        return 2
-    import dataclasses
-
-    from . import obs
-    from .obs.slo import DEFAULT_RULES, SloEngine
-    from .obs.timeline import Timeline
-
-    obs.enable()
-    streams = _read_streams(args.streams)
-    rules = tuple(dataclasses.replace(rule, window=args.window) for rule in DEFAULT_RULES)
-    timeline = Timeline()
-    engine = SloEngine(rules=rules, timeline=timeline)
-    with _open_monitor(args, dict(read_graph_set(args.queries))) as monitor:
-        for timestamp, _ in _replay(monitor, streams):
-            timeline.sample(monitor.obs_summary())
-            if timestamp:
-                engine.evaluate()
-    snapshot = engine.snapshot()
-    _print_slo_table(snapshot)
-    return 1 if snapshot["worst"] == "breach" else 0
-
-
-def _cmd_flight(args: argparse.Namespace) -> int:
-    import json
-    import signal as signal_module
-
-    from .obs.flight import FlightRecorder
-
-    if args.action == "signal":
-        if args.pid is None:
-            print("flight signal needs --pid", file=sys.stderr)
-            return 2
-        try:
-            os.kill(args.pid, signal_module.SIGUSR2)
-        except (ProcessLookupError, PermissionError) as exc:
-            print(f"cannot signal pid {args.pid}: {exc}", file=sys.stderr)
-            return 2
-        print(f"sent SIGUSR2 to {args.pid}")
-        return 0
-
-    if args.action == "list":
-        if not args.dir:
-            print("flight list needs --dir", file=sys.stderr)
-            return 2
-        directory = Path(args.dir)
-        if not directory.is_dir():
-            print(f"no such directory: {directory}", file=sys.stderr)
-            return 2
-        found = sorted(
-            path
-            for path in directory.iterdir()
-            if path.name.startswith("flight-")
-            and path.suffix in (".jsonl", ".json", ".old")
-        )
-        for path in found:
-            kind = "journal" if ".jsonl" in path.name else "dump"
-            print(f"{path.name}\t{kind}\t{path.stat().st_size} bytes")
-        if not found:
-            print("no flight recordings found", file=sys.stderr)
-        return 0
-
-    # show
-    if not args.file:
-        print("flight show needs --file", file=sys.stderr)
-        return 2
-    path = Path(args.file)
-    if not path.exists():
-        print(f"no such file: {path}", file=sys.stderr)
-        return 2
-    loaded = FlightRecorder.read(path)
-    if isinstance(loaded, list):  # journal: one event per line
-        for event in loaded:
-            print(json.dumps(event, sort_keys=True))
-    else:  # full dump document
-        print(json.dumps(loaded, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    import inspect
-
-    from .experiments import ALL_FIGURES, get_scale
-
-    scale = get_scale(args.scale) if args.scale else get_scale()
-    names = sorted(ALL_FIGURES) if args.figure == "all" else [args.figure]
-    out = Path(args.out) if args.out else None
-    out_is_dir = out is not None and (len(names) > 1 or out.suffix == "")
-    if out_is_dir:
-        out.mkdir(parents=True, exist_ok=True)
-    for name in names:
-        if name not in ALL_FIGURES:
-            print(
-                f"unknown figure {name!r}; choose from {sorted(ALL_FIGURES)} or 'all'",
-                file=sys.stderr,
-            )
-            return 2
-        runner = ALL_FIGURES[name].run
-        kwargs = {}
-        if args.workers and "workers" in inspect.signature(runner).parameters:
-            kwargs["workers"] = args.workers
-        result = runner(scale, **kwargs)
-        print(result.render())
-        print()
-        if out is not None:
-            target = out / f"{name}.{args.format}" if out_is_dir else out
-            result.save(target)
-            print(f"saved {target}")
-    return 0
+#: Verb -> the module whose ``cmd_<verb>(args)`` runs it, imported only when
+#: that verb runs: ``repro serve`` forks its workers without the others' code.
+HANDLERS = {
+    "generate": "repro.offline",
+    "search": "repro.offline",
+    "experiment": "repro.offline",
+    "monitor": "repro.core.commands",
+    "replay": "repro.core.commands",
+    "serve": "repro.serve.commands",
+    **dict.fromkeys(["stats", "trace", "top", "slo", "flight"], "repro.obs.commands"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    handlers = {
-        "generate": _cmd_generate,
-        "search": _cmd_search,
-        "monitor": _cmd_monitor,
-        "replay": _cmd_replay,
-        "serve": _cmd_serve,
-        "stats": _cmd_stats,
-        "trace": _cmd_trace,
-        "top": _cmd_top,
-        "slo": _cmd_slo,
-        "flight": _cmd_flight,
-        "experiment": _cmd_experiment,
-    }
     try:
         args = build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        handler = getattr(import_module(HANDLERS[args.command]), f"cmd_{args.command}")
+        return handler(args)
     except GraphError as exc:  # a malformed graph, query or stream file
         print(f"repro: GraphError: {exc}", file=sys.stderr)
         return 2

@@ -292,10 +292,14 @@ class JoinEngine(ABC):
         while no query referenced them).  The order is fixed: dimensions
         first (so the mirror is complete), then the new group's
         dominance state, both before the change is visible to
-        :meth:`candidates`.
+        :meth:`candidates`.  A stream missing from ``stream_npvs`` is
+        refused before anything changes: the newcomer would miss its pairs.
         """
-        change = self.query_set.add_query(query_id, graph)
         npvs = stream_npvs or {}
+        for stream_id in self.stream_ids():
+            if stream_id not in npvs:
+                raise ValueError(f"add_query needs the NPVs of stream {stream_id!r}")
+        change = self.query_set.add_query(query_id, graph)
         if change.added_dims:
             dims = change.added_dims
             for stream_id, vectors in self._mirror.items():

@@ -99,6 +99,49 @@ def test_building_the_cli_parser_loads_no_generator_database_or_loop() -> None:
     assert not _under(loaded, "repro.datasets")
 
 
+# What ``repro serve --workers 2`` holds when it forks its first worker
+# is what every worker inherits: the worker's run path (so a worker
+# compiles nothing after the fork) and, of the verbs, the serve handler
+# alone -- each handler is compiled only when its verb is dispatched.
+SERVE_FORK_PROBE = """
+import os, sys
+from repro.cli import main
+
+def first_fork():
+    repro = [module for name, module in sys.modules.items() if name.startswith("repro")]
+    print(sorted(a for m in repro for a in vars(m) if a.startswith(("cmd_", "_cmd_"))))
+    print(" ".join(sys.modules), flush=True)
+    os._exit(0)
+
+os.register_at_fork(before=first_fork)
+main(["serve", "--queries", sys.argv[1], "--workers", "2", "--tcp", "127.0.0.1:0"])
+"""
+WORKER_RUN_PATH = {
+    "repro.core.monitor", "repro.nnt.incremental", "repro.join.dominated_set_cover",
+    "repro.runtime.worker",
+}
+
+
+def test_serve_forks_its_workers_from_the_serve_handler_alone(tmp_path: Path) -> None:
+    queries = tmp_path / "queries.txt"
+    queries.write_text("t # q\nv 0 A\nv 1 B\ne 0 1 x\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", SERVE_FORK_PROBE, str(queries)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    *_, handlers, modules = result.stdout.splitlines()
+    loaded = set(modules.split())
+    assert handlers == "['cmd_serve']"
+    from repro.cli import HANDLERS
+
+    assert WORKER_RUN_PATH <= loaded, sorted(WORKER_RUN_PATH - loaded)
+    assert HANDLERS["serve"] in loaded
+    assert not loaded & (set(HANDLERS.values()) - {HANDLERS["serve"]})
+    assert not loaded & SERVING_EDGE  # imported after the fork
+
+
 def test_vf2_is_loaded_by_verified_matches_only() -> None:
     _modules_after(
         """

@@ -116,6 +116,28 @@ class TestAnswerTuplesAreKept:
         assert set(engine._answer) == {("s0", "ab")}
 
 
+class TestLateQueries:
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_a_late_query_needs_every_streams_npvs(self, name):
+        """Lemma 4.2: a query registered after a stream is backfilled from
+        that stream's live NPVs.  Without them the engine would silently
+        miss ``('s', 'q2')``, so it refuses before the query set changes."""
+        stream = LabeledGraph.from_vertices_and_edges(
+            [(0, "A"), (1, "B"), (2, "C"), (3, "D")], [(0, 1, "x"), (2, 3, "x")]
+        )
+        index = NNTIndex(stream, 2)
+        query_set = QuerySet({"q1": stream.subgraph([0, 1])}, depth_limit=2)
+        engine = make_engine(name, query_set)
+        engine.register_stream("s", index.npvs)
+        late = stream.subgraph([2, 3])
+        with pytest.raises(ValueError, match="stream 's'"):
+            engine.add_query("q2", late)
+        assert list(query_set.queries) == ["q1"]
+        assert engine.candidates() == {("s", "q1")}
+        engine.add_query("q2", late, {"s": index.npvs})
+        assert engine.candidates() == {("s", "q1"), ("s", "q2")}
+
+
 class TestStaticAgreement:
     @pytest.mark.parametrize("trial", range(6))
     def test_engines_agree_on_random_snapshots(self, trial):
