@@ -1,6 +1,7 @@
 """Alternating pairs of two checkouts on one workload; one ``BENCH_e2e.json`` row.
 
     python benchmarks/pair.py <rev-or-dir-a> <rev-or-dir-b> --workload W --pairs N [--seconds S] [--seed N] [--trace]
+        [--pr N] [--claim <metric>:<lower|higher>|none]
 
 Each side is a directory, used as it is, or anything ``git archive``
 takes (a commit, a tag, the ``git write-tree`` of the index), exported
@@ -14,9 +15,12 @@ default when absent), so a claim can be run again on a seed not used
 while the change was written.
 
 Printed and appended to ``BENCH_e2e.json`` at the repo root: each side
-as given plus the id of its ``src`` tree (``git rev-parse <commit>:src``
+as given, the commit it resolves to (``null`` for a directory or a
+``write-tree``) and the id of its ``src`` tree (``git rev-parse <commit>:src``
 finds the commit again, also when the side was an unreachable
-``write-tree``), per end-to-end metric and side the median, the quartiles and every run;
+``write-tree``); the change's number (``--pr``) and the gain it claims
+(``--claim``: a metric and its better direction, or ``none``), each
+``null`` when not given; per end-to-end metric and side the median, the quartiles and every run;
 per metric the pairs each side won (a tie counts for neither); the seed;
 per side the operations attempted, ``failed`` and the ticks each run
 reached inside its window (read from the command's ``--detail`` record:
@@ -89,6 +93,30 @@ def src_tree(side: str) -> str | None:
         check=True,
     )
     return found.stdout.strip()
+
+
+def commit_of(side: str) -> str | None:
+    """The commit a revision side resolves to, or ``None`` for a directory
+    or a side that names no commit (a ``git write-tree``)."""
+    if Path(side).is_dir():
+        return None
+    found = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", f"{side}^{{commit}}"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    return found.stdout.strip() or None
+
+
+def claim(text: str) -> dict | str:
+    """``--claim``: ``<metric>:<lower|higher>`` or ``none``."""
+    if text == "none":
+        return text
+    metric, _, better = text.rpartition(":")
+    if not metric or better not in ("lower", "higher"):
+        raise argparse.ArgumentTypeError(f"expected <metric>:<lower|higher> or none, got {text!r}")
+    return {"metric": metric, "better": better}
 
 
 #: Compared by ``--trace`` beside the ``count`` metrics: ratios of counts.
@@ -175,9 +203,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--trace", action="store_true", help="then diff the traced counts, one run per side"
     )
+    parser.add_argument("--pr", type=int, help="the number of the change being measured")
+    parser.add_argument(
+        "--claim", type=claim, help="the gain claimed: <metric>:<lower|higher>, or none"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    metrics = {m["name"] for m in (*contract["end_to_end"], *contract["per_layer"])}
+    if isinstance(args.claim, dict) and args.claim["metric"] not in metrics:
+        parser.error(f"--claim: {args.claim['metric']!r} is not a metric of BENCHMARK.json")
     command = [*contract["command"], "--workload", args.workload]
     command += ["--seconds", f"{args.seconds:g}"]
     if args.seed is not None:
@@ -214,10 +249,13 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "seconds": args.seconds,
         "seed": runs["a"][0]["seed"],
+        "pr": args.pr,
+        "claim": args.claim,
         "metrics": {},
         "info": {},
     }
     for side, results in runs.items():
+        row[f"{side}_commit"] = commit_of(getattr(args, side))
         row[f"{side}_src_tree"] = src_tree(getattr(args, side))
         row[f"{side}_attempted"] = [r["attempted"] for r in results]
         row[f"{side}_ticks"] = [r["ticks"] for r in results]

@@ -46,7 +46,7 @@ from .graph import (
     LabeledGraph,
 )
 from .join import QuerySet, make_engine
-from .nnt import NNTIndex, build_nnt, project_graph
+from .nnt import NNTIndex, project_graph
 from .runtime import ShardedMonitor
 
 __version__ = "1.0.0"
@@ -65,7 +65,6 @@ __all__ = [
     "ShardedMonitor",
     "Stopwatch",
     "StreamMonitor",
-    "build_nnt",
     "candidate_ratio",
     "compare_with_truth",
     "make_engine",

@@ -13,7 +13,7 @@ from typing import Hashable, Mapping
 from ..graph.labeled_graph import LabeledGraph
 from ..isomorphism.vf2 import SubgraphMatcher
 from ..join.dominance import pair_joinable_bruteforce
-from ..nnt.builder import project_graph
+from ..nnt.trails import project_graph
 from ..nnt.projection import DimensionScheme, PAPER_SCHEME
 
 GraphId = Hashable

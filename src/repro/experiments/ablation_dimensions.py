@@ -10,7 +10,7 @@ the dimension-universe growth that the finer scheme costs.
 from __future__ import annotations
 
 from ..core.database import GraphDatabase
-from ..nnt.builder import project_graph
+from ..nnt.trails import project_graph
 from ..nnt.projection import DimensionScheme
 from .config import Scale, get_scale
 from .reporting import FigureResult

@@ -17,7 +17,7 @@ import random
 from ..datasets.ggen import GGenConfig, GGen
 from ..datasets.stream_gen import inflate_graph, synthesize_streams
 from ..graph.operations import apply_operation
-from ..nnt.builder import project_graph
+from ..nnt.trails import project_graph
 from ..nnt.incremental import NNTIndex
 from .config import Scale, get_scale
 from .reporting import FigureResult

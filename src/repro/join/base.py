@@ -45,7 +45,7 @@ from typing import Hashable, Mapping
 
 from .. import obs
 from ..graph.labeled_graph import LabeledGraph, VertexId
-from ..nnt.builder import project_graph
+from ..nnt.trails import project_graph
 from ..nnt.projection import Dimension, DimensionScheme, NPV, PAPER_SCHEME
 
 QueryId = Hashable

@@ -1,8 +1,8 @@
-"""Node-Neighbor Trees: construction, incremental maintenance, projection."""
+"""Node-Neighbor Trees counted as trails: incremental maintenance, projection.
 
-from .builder import build_all_nnts, build_nnt, enumerate_simple_paths, project_graph
-from .branches import BranchFilter, branch_compatible, branch_profile
-from .incremental import NNTIndex, NPVListener, index_graphs
+The Def 3.1 reference and Lemma 4.1's filter are in :mod:`repro.nnt.branches`."""
+
+from .incremental import NNTIndex, NPVListener
 from .projection import (
     PAPER_SCHEME,
     Dimension,
@@ -10,32 +10,21 @@ from .projection import (
     NPV,
     add_to_vector,
     dominates,
-    project_tree,
     strictly_dominates,
     vector_mass,
 )
-from .tree import NNT, TreeNode
+from .trails import project_graph
 
 __all__ = [
-    "BranchFilter",
     "Dimension",
     "DimensionScheme",
-    "NNT",
     "NNTIndex",
     "NPV",
     "NPVListener",
     "PAPER_SCHEME",
-    "TreeNode",
     "add_to_vector",
-    "branch_compatible",
-    "branch_profile",
-    "build_all_nnts",
-    "build_nnt",
     "dominates",
-    "enumerate_simple_paths",
-    "index_graphs",
     "project_graph",
-    "project_tree",
     "strictly_dominates",
     "vector_mass",
 ]

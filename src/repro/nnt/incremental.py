@@ -15,8 +15,8 @@ walking trails (:mod:`repro.nnt.trails`):
   ``-1`` before removing it.  Per appearance of the edge the work is
   ``O(r^(l-1))`` for maximum degree ``r`` (Lemma 3.2).
 
-``num_tree_nodes`` and ``stats`` count the *logical* tree nodes: what a
-full-depth ``build_nnt`` of every vertex would hold.  Dimensions are
+``num_tree_nodes`` and ``stats`` count the *logical* tree nodes: one per
+trail of length ``<= l`` from every vertex, roots included.  Dimensions are
 interned per index (equal NPV keys are one tuple object).
 
 Every booked tree edge is a ``+/-1`` delta on one projection dimension,
@@ -44,13 +44,12 @@ edge, NPV or listener moves, and the Figs 4-5 bodies below never refuse.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping, Protocol
+from typing import Iterator, Mapping, Protocol
 
 from .. import obs
 from ..graph.labeled_graph import GraphError, Label, LabeledGraph, VertexId
 from ..graph.operations import INSERT, EdgeChange, GraphChangeOperation, check_batch
-from .builder import build_nnt
-from .projection import NPV, Dimension, DimensionScheme, PAPER_SCHEME, project_tree
+from .projection import NPV, Dimension, DimensionScheme, PAPER_SCHEME
 from .trails import Tallies, TrailWalk
 
 
@@ -96,7 +95,7 @@ class NNTIndex:
         self._dims: dict[Dimension, Dimension] = {}
         self.listeners: list[NPVListener] = []
         #: Live *logical* tree node count across all NNTs, roots included:
-        #: what a full-depth ``build_nnt`` of every vertex would sum to, in O(1).
+        #: the trails of length <= l from every vertex, in O(1).
         self.num_tree_nodes = 0
         self._batch_depth = 0
         self._pending: dict[tuple[VertexId, Dimension], int] = {}
@@ -306,30 +305,24 @@ class NNTIndex:
     # integrity checking (used heavily by the test suite)
     # ------------------------------------------------------------------
     def check_integrity(self) -> None:
-        """Hold the index to full-depth ``build_nnt`` trees of the live
-        graph; raise AssertionError on any difference.  O(total tree
-        size) — for tests and debugging."""
+        """Hold the index to Def 3.1 by brute force — every simple path of
+        length ``<= l`` from every vertex of the live graph — and raise
+        AssertionError on any difference.  O(total tree size) — for tests
+        and debugging."""
+        from .branches import enumerate_simple_paths, project_paths
+
         if set(self.npvs) != set(self.graph.vertices()):
             raise AssertionError("NPV key set does not match graph vertex set")
         if self._batch_depth or self._pending:
             raise AssertionError("integrity checked inside an open delta batch")
         logical = 0
         for vertex in self.graph.vertices():
-            expected = build_nnt(self.graph, vertex, self.depth_limit)
-            logical += expected.size()
-            if project_tree(expected, self.graph.vertex_label, self.scheme) != self.npvs[vertex]:
+            paths = enumerate_simple_paths(self.graph, vertex, self.depth_limit)
+            logical += len(paths)
+            if project_paths(self.graph, paths, self.scheme) != self.npvs[vertex]:
                 raise AssertionError(f"NPV of {vertex!r} diverged from fresh projection")
         if self.num_tree_nodes != logical:
             raise AssertionError(
                 f"running tree-node counter ({self.num_tree_nodes}) diverged "
-                f"from the fresh full-depth builds ({logical})"
+                f"from the simple paths of the live graph ({logical})"
             )
-
-
-def index_graphs(
-    graphs: Iterable[LabeledGraph],
-    depth_limit: int = 3,
-    scheme: DimensionScheme = PAPER_SCHEME,
-) -> list[NNTIndex]:
-    """Build an :class:`NNTIndex` per graph (bulk helper for experiments)."""
-    return [NNTIndex(graph, depth_limit, scheme) for graph in graphs]

@@ -15,10 +15,9 @@ path of ``G`` from ``f(u)`` with identical depth/label profile, hence
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping
+from typing import Hashable, Mapping
 
-from ..graph.labeled_graph import Label, VertexId
-from .tree import NNT, TreeNode
+from ..graph.labeled_graph import Label
 
 Dimension = tuple
 NPV = dict  # Dimension -> int, sparse (no zero entries stored)
@@ -47,34 +46,8 @@ class DimensionScheme:
             return (depth, parent_label, child_label, edge_label)
         return (depth, parent_label, child_label)
 
-    def dimension_of_node(
-        self, child: TreeNode, label_of: Callable[[VertexId], Label]
-    ) -> Dimension:
-        """Dimension of the tree edge ending at (non-root) ``child``."""
-        if child.parent is None:
-            raise ValueError("the root node has no incoming tree edge")
-        return self.dimension(
-            child.depth,
-            label_of(child.parent.graph_vertex),
-            label_of(child.graph_vertex),
-            child.edge_label,
-        )
-
 
 PAPER_SCHEME = DimensionScheme(include_edge_label=False)
-
-
-def project_tree(
-    tree: NNT,
-    label_of: Callable[[VertexId], Label],
-    scheme: DimensionScheme = PAPER_SCHEME,
-) -> NPV:
-    """Project a whole NNT into its sparse NPV (Procedure TreeProjection)."""
-    vector: NPV = {}
-    for _, child in tree.tree_edges():
-        dim = scheme.dimension_of_node(child, label_of)
-        vector[dim] = vector.get(dim, 0) + 1
-    return vector
 
 
 def add_to_vector(vector: NPV, dim: Dimension, delta: int) -> None:

@@ -24,7 +24,7 @@ for one projection or one edge change.
 from __future__ import annotations
 
 from ..graph.labeled_graph import Label, LabeledGraph, VertexId
-from .projection import NPV, Dimension, DimensionScheme
+from .projection import NPV, Dimension, DimensionScheme, PAPER_SCHEME
 
 #: ``root -> {dimension: count}`` of tree edges, zero counts allowed.
 Tallies = dict
@@ -264,3 +264,13 @@ class TrailWalk:
                     depth,
                 )
         return nodes
+
+
+def project_graph(
+    graph: LabeledGraph,
+    depth_limit: int,
+    scheme: DimensionScheme = PAPER_SCHEME,
+) -> dict[VertexId, NPV]:
+    """One-shot NPVs for every vertex: the trail count of an index's bulk
+    load (:meth:`TrailWalk.project`), no index kept."""
+    return TrailWalk(graph, depth_limit, scheme, {}).project()[0]

@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
+from ..graph.io import is_token
 from ..graph.operations import DELETE, INSERT, EdgeChange
 
 __all__ = [
@@ -313,6 +314,22 @@ def _label(value: Any, key: str, nullable: bool = False) -> str | None:
     raise ProtocolError(f"{key!r} must be a string, got {value!r}")
 
 
+def _token(value: Any, key: str) -> Any:
+    """A string vertex id or label must be one token of the graph files a
+    checkpoint writes (non-empty, no whitespace): the monitor would apply
+    anything else, and every later checkpoint would then fail on it."""
+    if isinstance(value, str) and not is_token(value):
+        raise ProtocolError(f"{key!r} must be non-empty and without whitespace, got {value!r}")
+    return value
+
+
+def _writable(change: EdgeChange) -> EdgeChange:
+    """``change``, once its ids and labels have passed :func:`_token`."""
+    for key in ("u", "v", "edge_label", "u_label", "v_label"):
+        _token(getattr(change, key), key)
+    return change
+
+
 def _inline(doc: Mapping[str, Any], key: str) -> tuple:
     """An ``addq``'s inline ``vertices`` (``[id, label]`` items) or
     ``edges`` (``[u, v, label]`` items), typed like a change's fields.
@@ -328,7 +345,8 @@ def _inline(doc: Mapping[str, Any], key: str) -> tuple:
             shape = "[id, label]" if arity == 2 else "[u, v, label]"
             raise ProtocolError(f"{key!r} items must be {shape}, got {item!r}")
         *ids, label = item
-        parsed.append((*(_typed_id(i, key) for i in ids), _label(label, key)))
+        fields = (*(_typed_id(i, key) for i in ids), _label(label, key))
+        parsed.append(tuple(_token(field, key) for field in fields))
     return tuple(parsed)
 
 
@@ -390,7 +408,7 @@ def parse_json_line(line: str) -> Command | None:
         change_doc = dict(doc)
         change_doc["op"] = verb
         return Edit(
-            _id(doc, "stream", repr(verb)), change_from_dict(change_doc), verb=verb
+            _id(doc, "stream", repr(verb)), _writable(change_from_dict(change_doc)), verb=verb
         )
     if verb == "batch":
         changes = doc.get("changes")
@@ -398,7 +416,7 @@ def parse_json_line(line: str) -> Command | None:
             raise ProtocolError("'batch' needs a 'changes' list")
         return BatchEdit(
             _id(doc, "stream", repr(verb)),
-            tuple(change_from_dict(c) for c in changes),
+            tuple(_writable(change_from_dict(c)) for c in changes),
             verb=verb,
         )
     if verb in ("tick", "commit"):

@@ -93,6 +93,24 @@ def test_a_monitor_process_loads_no_offline_tool(module: str) -> None:
     assert not _under(loaded, "repro.isomorphism", "repro.datasets")
 
 
+def test_filtering_loads_the_trail_count_and_no_def_3_1_reference() -> None:
+    loaded = _modules_after(
+        """
+import repro.core.monitor
+from repro import LabeledGraph, StreamMonitor
+
+query = LabeledGraph.from_vertices_and_edges([(0, "A"), (1, "B")], [(0, 1, "-")])
+monitor = StreamMonitor({"ab": query})
+monitor.add_stream("s", query)
+assert monitor.matches() == {("s", "ab")}
+"""
+    )
+    assert _under(loaded, "repro.nnt") == {
+        "repro.nnt", "repro.nnt.incremental", "repro.nnt.projection", "repro.nnt.trails"
+    }
+    assert "repro.render" not in loaded
+
+
 def test_building_the_cli_parser_loads_no_generator_database_or_loop() -> None:
     loaded = _modules_after("import repro.cli\nrepro.cli.build_parser()")
     assert not loaded & {"asyncio", "repro.core.database"}

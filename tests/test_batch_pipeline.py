@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from repro.graph import EdgeChange, GraphChangeOperation
 from repro.isomorphism.vf2 import SubgraphMatcher
 from repro.join import ENGINES, QuerySet, StreamListenerAdapter, make_engine
-from repro.nnt import NNTIndex, build_all_nnts
+from repro.nnt import NNTIndex
+from repro.nnt.branches import enumerate_simple_paths
 
 from .conftest import random_labeled_graph
 from .test_join_engines import oracle, small_queries
@@ -177,12 +178,13 @@ def test_property_matrix_never_drops_vf2_pair(seeds):
 
 def test_running_tree_node_counter_matches_recount():
     """`num_tree_nodes` (the O(1) stats counter) must track the logical
-    tree size — what full-depth fresh builds sum to — exactly through
+    tree size — the simple paths of the live graph — exactly through
     arbitrary churn."""
     rng = random.Random(13)
     index = NNTIndex(random_labeled_graph(rng, 5, extra_edges=2), depth_limit=3)
     for seed in range(25):
         index.apply(temporal_locality_batch(random.Random(seed), index))
-        recount = sum(tree.size() for tree in build_all_nnts(index.graph, 3).values())
+        graph = index.graph
+        recount = sum(len(enumerate_simple_paths(graph, v, 3)) for v in graph.vertices())
         assert index.num_tree_nodes == recount
     index.check_integrity()

@@ -7,14 +7,8 @@ from hypothesis import given, settings
 
 from repro.graph import LabeledGraph
 from repro.isomorphism import is_subgraph_isomorphic
-from repro.nnt import (
-    BranchFilter,
-    branch_compatible,
-    branch_profile,
-    build_nnt,
-    dominates,
-    project_graph,
-)
+from repro.nnt import dominates, project_graph
+from repro.nnt.branches import BranchFilter, branch_compatible, branch_profile
 
 from .conftest import extract_connected_subgraph, graph_strategy, random_labeled_graph
 
@@ -31,12 +25,12 @@ def chain(labels, edge_label="-"):
 class TestBranchProfile:
     def test_single_edge(self):
         graph = chain(["A", "B"])
-        profile = branch_profile(build_nnt(graph, 0, 2), graph.vertex_label)
+        profile = branch_profile(graph, 0, 2)
         assert profile == {(("-", "B"),): 1}
 
     def test_prefix_closed(self):
         graph = chain(["A", "B", "C"])
-        profile = branch_profile(build_nnt(graph, 0, 2), graph.vertex_label)
+        profile = branch_profile(graph, 0, 2)
         assert (("-", "B"),) in profile
         assert (("-", "B"), ("-", "C")) in profile
 
@@ -44,7 +38,7 @@ class TestBranchProfile:
         star = LabeledGraph.from_vertices_and_edges(
             [(0, "A"), (1, "B"), (2, "B")], [(0, 1, "-"), (0, 2, "-")]
         )
-        profile = branch_profile(build_nnt(star, 0, 1), star.vertex_label)
+        profile = branch_profile(star, 0, 1)
         assert profile == {(("-", "B"),): 2}
 
 
@@ -52,8 +46,8 @@ class TestBranchCompatible:
     def test_root_label_must_match(self):
         g1 = chain(["A", "B"])
         g2 = chain(["C", "B"])
-        p1 = branch_profile(build_nnt(g1, 0, 2), g1.vertex_label)
-        p2 = branch_profile(build_nnt(g2, 0, 2), g2.vertex_label)
+        p1 = branch_profile(g1, 0, 2)
+        p2 = branch_profile(g2, 0, 2)
         assert not branch_compatible(p1, p2, "A", "C")
 
     def test_subset_multiset(self):

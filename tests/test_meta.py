@@ -14,7 +14,8 @@ import pytest
 
 import repro
 from repro.graph import LabeledGraph
-from repro.nnt import NNTIndex, build_nnt
+from repro.nnt import NNTIndex
+from repro.nnt.branches import enumerate_simple_paths
 
 from .conftest import random_labeled_graph
 
@@ -71,7 +72,7 @@ class TestComplexityLemmas:
         nodes: the created node count is bounded by the number of
         pre-existing appearances of a and b times the per-appearance
         subtree bound sum_{k<l} r^k.  An appearance is an occurrence
-        above depth l, counted in the reference trees of ``build_nnt``."""
+        above depth l: a simple path of length < l ending at a or b."""
         rng = random.Random(1221)
         for _ in range(10):
             graph = random_labeled_graph(rng, 8, extra_edges=rng.randint(0, 5))
@@ -81,9 +82,9 @@ class TestComplexityLemmas:
             if index.graph.has_edge(u, v):
                 continue
             appearances = sum(
-                node.graph_vertex in (u, v)
+                path[-1] in (u, v)
                 for root in vertices
-                for node in build_nnt(graph, root, index.depth_limit - 1).nodes()
+                for path in enumerate_simple_paths(graph, root, index.depth_limit - 1)
             )
             before = index.stats["tree_nodes_added"]
             index.insert_edge(u, v, "-")
@@ -116,7 +117,7 @@ class TestComplexityLemmas:
         for depth in (1, 2, 3):
             bound = sum(r**k for k in range(depth + 1))
             for vertex in graph.vertices():
-                assert build_nnt(graph, vertex, depth).size() <= bound
+                assert len(enumerate_simple_paths(graph, vertex, depth)) <= bound
 
 
 class TestDoctests:

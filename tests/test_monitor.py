@@ -12,7 +12,7 @@ from repro import (
     StreamMonitor,
 )
 from repro.isomorphism import SubgraphMatcher
-from repro.nnt import build_all_nnts
+from repro.nnt.branches import enumerate_simple_paths
 from repro.nnt.projection import PAPER_SCHEME, DimensionScheme
 
 from .conftest import extract_connected_subgraph, random_labeled_graph
@@ -103,14 +103,14 @@ class TestUpdates:
 
     def test_stats_tree_nodes_o1_counter(self):
         """stats() must report the running per-stream tree-node counter,
-        matching an explicit recount over fresh full-depth builds."""
+        matching an explicit recount of the simple paths."""
         monitor = make_monitor()
         monitor.add_stream("s", chain(["A", "B", "C"]))
         monitor.apply("s", EdgeChange.insert(0, 2, "-"))
         stats = monitor.stats()
         index = monitor._indexes["s"]
-        fresh = build_all_nnts(index.graph, index.depth_limit)
-        recount = sum(tree.size() for tree in fresh.values())
+        graph, depth = index.graph, index.depth_limit
+        recount = sum(len(enumerate_simple_paths(graph, v, depth)) for v in graph.vertices())
         assert stats["streams"]["s"]["tree_nodes"] == recount > 0
 
     def test_is_match(self):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from repro import StreamMonitor
 from repro.graph import EdgeChange, GraphChangeOperation, GraphError, LabeledGraph
 from repro.graph.operations import apply_change, apply_operation
-from repro.nnt import NNTIndex, build_all_nnts, project_graph
+from repro.nnt import NNTIndex, project_graph
+from repro.nnt.branches import enumerate_simple_paths
 from repro.nnt.projection import PAPER_SCHEME, DimensionScheme
 
 from .conftest import random_labeled_graph
@@ -322,8 +323,8 @@ def test_property_depth_limit_level_is_derived_from_the_graph(depth, edge_labels
     for seed in seeds:
         _random_step(random.Random(seed), index)
         assert index.npvs == project_graph(index.graph, depth, scheme) == listener.vectors
-        fresh = build_all_nnts(index.graph, depth)
-        assert index.num_tree_nodes == sum(tree.size() for tree in fresh.values())
+        paths = (enumerate_simple_paths(index.graph, v, depth) for v in index.graph.vertices())
+        assert index.num_tree_nodes == sum(map(len, paths))
     index.check_integrity()
 
 

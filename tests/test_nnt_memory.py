@@ -16,8 +16,7 @@ import pytest
 
 from repro.datasets.reality import generate_reality_stream
 from repro.graph import LabeledGraph
-from repro.nnt import NNTIndex, build_nnt
-from repro.nnt.tree import NO_CHILDREN, TreeNode
+from repro.nnt import NNTIndex
 
 #: tracemalloc bytes the index holds per live NPV entry after the churn
 #: below (graph copy, NPV dicts and interned dimensions included): 190
@@ -81,17 +80,6 @@ def test_bytes_per_live_npv_entry(churned):
     entries = sum(map(len, index.npvs.values()))
     assert entries > 5_000
     assert held / entries <= BYTES_PER_NPV_ENTRY_CEILING
-
-
-def test_reference_tree_leaves_share_one_read_only_mapping():
-    # build_nnt(graph, 1, 2) is 1 -> 2 -> 3: the depth-limit level shares
-    # the read-only empty mapping, the levels above own a dict.
-    tree = build_nnt(path_graph(), 1, 2)
-    leaf = tree.root.children[2].children[3]
-    assert leaf.children is NO_CHILDREN and not list(leaf.descendants(include_self=False))
-    assert type(tree.root.children) is dict and type(tree.root.children[2].children) is dict
-    with pytest.raises(TypeError):
-        leaf.children[4] = TreeNode(4, leaf, 3, "-")
 
 
 def _implied_leaf_count_off_by_one(index):

@@ -1,13 +1,17 @@
-"""Unit tests for the NNT structure and its reference builder."""
+"""Unit tests for Def 3.1's one reference: `enumerate_simple_paths`.
+
+A node of ``NNT(u)`` is one simple path (no repeated edge) of length at
+most ``l`` from ``u``; the enumeration lists them, the bare root first.
+"""
 
 import random
 
 import pytest
 from hypothesis import given, settings
 
-from repro.graph import LabeledGraph
-from repro.nnt import build_all_nnts, build_nnt, enumerate_simple_paths
-from repro.nnt.tree import NNT, TreeNode
+from repro.graph import GraphError, LabeledGraph
+from repro.nnt import DimensionScheme, NNTIndex, PAPER_SCHEME, project_graph
+from repro.nnt.branches import branch_profile, enumerate_simple_paths, project_paths
 
 from .conftest import graph_strategy, random_labeled_graph
 
@@ -20,91 +24,81 @@ def paper_graph() -> LabeledGraph:
     )
 
 
-class TestTreeNode:
-    def test_root_properties(self):
-        root = TreeNode("v")
-        assert root.is_root()
-        assert root.depth == 0
-        assert root.edge_label is None
-        assert root.root_path_vertices() == ["v"]
+#: NPV(u) of `paper_graph()` at l = 3 under the paper's scheme, by hand:
+#: e.g. from 1 the depth-3 trails are 1-2-3-1, 1-2-3-4, 1-3-2-1 and 1-3-4-5.
+PAPER_GRAPH_NPVS = {
+    1: {
+        (1, "A", "B"): 1, (1, "A", "C"): 1, (2, "B", "C"): 1, (2, "C", "B"): 2,
+        (3, "C", "A"): 1, (3, "C", "B"): 1, (3, "B", "A"): 1, (3, "B", "C"): 1,
+    },
+    3: {
+        (1, "C", "A"): 1, (1, "C", "B"): 2, (2, "A", "B"): 1, (2, "B", "A"): 1,
+        (2, "B", "C"): 1, (3, "B", "C"): 1, (3, "A", "C"): 1,
+    },
+    5: {(1, "C", "B"): 1, (2, "B", "C"): 1, (3, "C", "A"): 1, (3, "C", "B"): 1},
+}
 
-    def test_root_path(self):
-        root = TreeNode(1)
-        child = TreeNode(2, root, 1, "x")
-        grandchild = TreeNode(3, child, 2, "y")
-        assert grandchild.root_path_vertices() == [1, 2, 3]
+
+class TestTreeNode:
+    """A tree node is a path tuple; the root is the path of length 0."""
+
+    def test_root_properties(self):
+        paths = enumerate_simple_paths(paper_graph(), 1, 3)
+        assert paths[0] == (1,)
+        assert [path for path in paths if len(path) == 1] == [(1,)]
 
     def test_edge_on_root_path(self):
-        root = TreeNode(1)
-        child = TreeNode(2, root, 1, "x")
-        grandchild = TreeNode(3, child, 2, "y")
-        assert grandchild.edge_on_root_path(1, 2)
-        assert grandchild.edge_on_root_path(2, 1)
-        assert grandchild.edge_on_root_path(3, 2)
-        assert not grandchild.edge_on_root_path(1, 3)
-
-    def test_descendants(self):
-        root = TreeNode(1)
-        a = TreeNode(2, root, 1, "x")
-        b = TreeNode(3, root, 1, "x")
-        c = TreeNode(4, a, 2, "x")
-        root.children = {2: a, 3: b}
-        a.children = {4: c}
-        assert {n.graph_vertex for n in root.descendants()} == {1, 2, 3, 4}
-        assert {n.graph_vertex for n in root.descendants(include_self=False)} == {2, 3, 4}
+        # Edge {1, 2} is used going 1 -> 2, so no path takes it back 2 -> 1.
+        graph = LabeledGraph.from_vertices_and_edges(
+            [(1, "A"), (2, "B"), (3, "C")], [(1, 2, "x"), (2, 3, "y")]
+        )
+        assert enumerate_simple_paths(graph, 1, 3) == [(1,), (1, 2), (1, 2, 3)]
+        assert sorted(enumerate_simple_paths(graph, 2, 3)) == [(2,), (2, 1), (2, 3)]
 
 
 class TestBuildNNT:
-    def test_depth_limit_validated(self):
-        with pytest.raises(ValueError):
-            NNT("v", 0)
-
     def test_missing_root_rejected(self):
-        with pytest.raises(ValueError):
-            build_nnt(LabeledGraph(), "v", 2)
+        with pytest.raises(GraphError):
+            enumerate_simple_paths(LabeledGraph(), "v", 2)
 
     def test_isolated_vertex_tree_is_root_only(self):
         graph = LabeledGraph()
         graph.add_vertex(1, "A")
-        tree = build_nnt(graph, 1, 3)
-        assert tree.size() == 1
-        assert tree.num_tree_edges() == 0
+        assert enumerate_simple_paths(graph, 1, 3) == [(1,)]
+        assert project_paths(graph, [(1,)]) == {}
 
     def test_nodes_match_simple_paths(self):
         graph = paper_graph()
-        for vertex in graph.vertices():
-            for depth in (1, 2, 3):
-                tree = build_nnt(graph, vertex, depth)
-                paths = enumerate_simple_paths(graph, vertex, depth)
-                assert tree.size() == len(paths), (vertex, depth)
+        assert [len(enumerate_simple_paths(graph, 1, depth)) for depth in (1, 2, 3)] == [3, 6, 10]
+        for depth in (1, 2, 3):
+            index = NNTIndex(graph, depth_limit=depth)
+            paths = sum(len(enumerate_simple_paths(graph, v, depth)) for v in graph.vertices())
+            assert index.num_tree_nodes == paths, depth
 
     def test_tree_paths_are_simple(self):
-        graph = paper_graph()
-        tree = build_nnt(graph, 1, 3)
-        for branch in tree.branches():
-            edges = [
-                frozenset((a.graph_vertex, b.graph_vertex))
-                for a, b in zip(branch, branch[1:])
-            ]
+        for path in enumerate_simple_paths(paper_graph(), 1, 3):
+            edges = [frozenset(step) for step in zip(path, path[1:])]
             assert len(edges) == len(set(edges))  # no repeated edge
 
     def test_depth_respected(self):
-        tree = build_nnt(paper_graph(), 1, 2)
-        assert all(node.depth <= 2 for node in tree.nodes())
+        paths = enumerate_simple_paths(paper_graph(), 1, 2)
+        assert max(len(path) - 1 for path in paths) == 2
 
     def test_edge_labels_recorded(self):
         graph = LabeledGraph.from_vertices_and_edges(
             [(1, "A"), (2, "B")], [(1, 2, "bond")]
         )
-        tree = build_nnt(graph, 1, 1)
-        child = tree.root.children[2]
-        assert child.edge_label == "bond"
+        paths = enumerate_simple_paths(graph, 1, 1)
+        scheme = DimensionScheme(include_edge_label=True)
+        assert project_paths(graph, paths, scheme) == {(1, "A", "B", "bond"): 1}
+        assert branch_profile(graph, 1, 1) == {(("bond", "B"),): 1}
 
     def test_build_all(self):
         graph = paper_graph()
-        trees = build_all_nnts(graph, 2)
-        assert set(trees) == set(graph.vertices())
-        assert all(tree.root_vertex == vertex for vertex, tree in trees.items())
+        for vertex in graph.vertices():
+            paths = enumerate_simple_paths(graph, vertex, 2)
+            assert paths[0] == (vertex,)
+            assert all(path[0] == vertex for path in paths)
 
     def test_triangle_depth3_revisits_vertex(self):
         # In a triangle, the depth-3 path 1-2-3-1 revisits vertex 1 but
@@ -113,23 +107,20 @@ class TestBuildNNT:
             [(1, "A"), (2, "B"), (3, "C")],
             [(1, 2, "-"), (2, 3, "-"), (3, 1, "-")],
         )
-        tree = build_nnt(graph, 1, 3)
-        deep = [n for n in tree.nodes() if n.depth == 3]
-        assert {n.graph_vertex for n in deep} == {1}
-        assert len(deep) == 2  # both directions around the triangle
+        deep = [path for path in enumerate_simple_paths(graph, 1, 3) if len(path) == 4]
+        assert sorted(deep) == [(1, 2, 3, 1), (1, 3, 2, 1)]  # both directions
 
-    def test_canonical_form_isomorphic_roots_equal(self):
-        graph = paper_graph()
-        renamed = graph.relabeled({1: 10, 2: 20, 3: 30, 4: 40, 5: 50})
-        t1 = build_nnt(graph, 1, 3).canonical_form(graph.vertex_label)
-        t2 = build_nnt(renamed, 10, 3).canonical_form(renamed.vertex_label)
-        assert t1 == t2
 
-    def test_canonical_form_differs_for_different_structure(self):
-        graph = paper_graph()
-        t1 = build_nnt(graph, 1, 3).canonical_form(graph.vertex_label)
-        t5 = build_nnt(graph, 5, 3).canonical_form(graph.vertex_label)
-        assert t1 != t5
+@pytest.mark.parametrize("edge_labels", [False, True])
+def test_paper_graph_npvs_by_hand(edge_labels):
+    graph = paper_graph()
+    scheme = DimensionScheme(include_edge_label=edge_labels)
+    tail = ("-",) if edge_labels else ()
+    trail_walk = project_graph(graph, 3, scheme)
+    for root, npv in PAPER_GRAPH_NPVS.items():
+        expected = {dim + tail: count for dim, count in npv.items()}
+        assert project_paths(graph, enumerate_simple_paths(graph, root, 3), scheme) == expected
+        assert trail_walk[root] == expected
 
 
 class TestSizeBound:
@@ -140,7 +131,7 @@ class TestSizeBound:
         r = graph.max_degree()
         depth = 3
         for vertex in graph.vertices():
-            size = build_nnt(graph, vertex, depth).size()
+            size = len(enumerate_simple_paths(graph, vertex, depth))
             bound = sum(r**k for k in range(depth + 1))
             assert size <= bound
 
@@ -148,6 +139,8 @@ class TestSizeBound:
 @settings(max_examples=30, deadline=None)
 @given(graph_strategy(max_vertices=7))
 def test_property_tree_size_equals_path_count(graph):
-    for vertex in list(graph.vertices())[:3]:
-        tree = build_nnt(graph, vertex, 3)
-        assert tree.size() == len(enumerate_simple_paths(graph, vertex, 3))
+    """The index's logical node count and NPVs are the paths' (Def 3.1)."""
+    index = NNTIndex(graph, depth_limit=3)
+    paths = {vertex: enumerate_simple_paths(graph, vertex, 3) for vertex in graph.vertices()}
+    assert index.num_tree_nodes == sum(map(len, paths.values()))
+    assert index.npvs == {v: project_paths(graph, p, PAPER_SCHEME) for v, p in paths.items()}

@@ -7,14 +7,8 @@ from hypothesis import given, settings
 
 from repro.graph import LabeledGraph
 from repro.isomorphism import find_subgraph_isomorphism
-from repro.nnt import (
-    build_nnt,
-    dominates,
-    project_graph,
-    project_tree,
-    strictly_dominates,
-    vector_mass,
-)
+from repro.nnt import dominates, project_graph, strictly_dominates, vector_mass
+from repro.nnt.branches import enumerate_simple_paths, project_paths
 from repro.nnt.projection import (
     DimensionScheme,
     PAPER_SCHEME,
@@ -43,28 +37,25 @@ class TestDimensionScheme:
 
     def test_root_has_no_dimension(self):
         graph = figure7_query()
-        tree = build_nnt(graph, 1, 1)
-        with pytest.raises(ValueError):
-            PAPER_SCHEME.dimension_of_node(tree.root, graph.vertex_label)
+        assert project_paths(graph, [(1,)]) == {}
 
 
 class TestProjectTree:
     def test_depth1_counts_neighbor_labels(self):
         graph = figure7_query()
-        tree = build_nnt(graph, 1, 1)
-        npv = project_tree(tree, graph.vertex_label)
-        assert npv == {(1, "A", "B"): 2, (1, "A", "C"): 1}
+        npv = project_paths(graph, enumerate_simple_paths(graph, 1, 1))
+        assert npv == project_graph(graph, 1)[1] == {(1, "A", "B"): 2, (1, "A", "C"): 1}
 
     def test_counts_sum_to_tree_edges(self):
         graph = figure7_query()
+        npvs = project_graph(graph, 3)
         for vertex in graph.vertices():
-            tree = build_nnt(graph, vertex, 3)
-            npv = project_tree(tree, graph.vertex_label)
-            assert vector_mass(npv) == tree.num_tree_edges()
+            paths = enumerate_simple_paths(graph, vertex, 3)
+            assert vector_mass(npvs[vertex]) == len(paths) - 1  # every node but the root
 
     def test_no_zero_entries_stored(self):
         graph = figure7_query()
-        npv = project_tree(build_nnt(graph, 1, 2), graph.vertex_label)
+        npv = project_graph(graph, 2)[1]
         assert all(value > 0 for value in npv.values())
 
     def test_project_graph_covers_all_vertices(self):

@@ -229,6 +229,33 @@ class TestParseJsonLine:
         with pytest.raises(ProtocolError, match="must be a string"):
             parse_json_line(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"u_label": ""},
+            {"u": "a b"},
+            {"v": ""},
+            {"edge_label": " "},
+            {"v_label": "B\tC"},
+            {"cmd": "batch", "changes": [{"op": "del", "u": "a\nb", "v": 2}]},
+            {"cmd": "addq", "query": "q", "vertices": [[0, "A"], ["x y", "B"]]},
+            {"cmd": "addq", "query": "q", "vertices": [[0, ""]]},
+            {"cmd": "addq", "query": "q", "vertices": [[0, "A"], [1, "B"]],
+             "edges": [[0, 1, "a b"]]},
+        ],
+    )
+    def test_ids_and_labels_no_checkpoint_can_write_are_refused(self, fields):
+        """Applied, such an id or label would make every later checkpoint
+        of the monitor raise (the graph files are whitespace tokens)."""
+        doc = {"cmd": "ins", "stream": "s", "u": 1, "v": 2, **fields}
+        with pytest.raises(ProtocolError, match="without whitespace"):
+            parse_json_line(json.dumps(doc))
+
+    def test_stream_query_ids_and_file_names_may_hold_spaces(self):
+        assert parse_json_line('{"cmd": "stream", "stream": "a b"}').stream_id == "a b"
+        doc = {"cmd": "addq", "query": "q 1", "graph_file": "my set.txt", "graph_key": "g 0"}
+        assert parse_json_line(json.dumps(doc)).graph_key == "g 0"
+
     def test_vertex_labels_may_be_null_or_absent(self):
         doc = {"cmd": "ins", "stream": "s", "u": 1, "v": 2, "u_label": None}
         cmd = parse_json_line(json.dumps(doc))
