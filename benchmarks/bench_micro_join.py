@@ -1,13 +1,23 @@
-"""Micro-benchmarks: the three join engines' answering cost.
+"""Micro-benchmarks: the four join engines' per-poll cost.
 
-Times ``candidates()`` on a prepared state (the pure join phase, no NNT
-maintenance) — the quantity whose growth Figures 16-17 analyze.
+Each timed round touches one stream — deletes one of its edges and
+re-inserts it, so the NNT index splices twice and the engine takes the
+resulting NPV deltas — then calls ``candidates()`` over every
+(stream, query) pair.  The touch keeps cached verdicts from answering
+the poll.  Every leg runs with telemetry off (``obs.disable()``, restored
+afterwards), so the numbers move with the engines' verdict cost, not with
+what ``JoinEngine.candidates`` records.
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_micro_join.py
 """
 
 import random
 
+import pytest
+
+from repro import obs
 from repro.datasets import generate_graph_set
-from repro.join import QuerySet, StreamListenerAdapter, make_engine
+from repro.join import ENGINES, QuerySet, StreamListenerAdapter, make_engine
 from repro.nnt import NNTIndex
 
 
@@ -29,7 +39,17 @@ def _setup(num_queries: int = 12, num_streams: int = 8):
     return query_set, indexes
 
 
-def _bench_engine(benchmark, name: str):
+@pytest.fixture
+def obs_off():
+    was_enabled = obs.enabled()
+    obs.disable()
+    yield
+    if was_enabled:
+        obs.enable()
+
+
+@pytest.mark.parametrize("name", list(ENGINES))
+def test_touch_and_poll(benchmark, obs_off, name: str):
     query_set, indexes = _setup()
     engine = make_engine(name, query_set)
     rng = random.Random(5)
@@ -37,9 +57,7 @@ def _bench_engine(benchmark, name: str):
         engine.register_stream(sid, index.npvs)
         index.add_listener(StreamListenerAdapter(engine, sid))
 
-    def poll_after_touch():
-        # Touch one stream so cached verdicts cannot short-circuit, then
-        # answer for all pairs.
+    def touch_and_poll():
         sid = rng.choice(list(indexes))
         index = indexes[sid]
         edges = list(index.graph.edges())
@@ -51,16 +69,4 @@ def _bench_engine(benchmark, name: str):
             index.insert_edge(u, v, label, u_label, v_label)
         return engine.candidates()
 
-    benchmark(poll_after_touch)
-
-
-def test_nested_loop_poll(benchmark):
-    _bench_engine(benchmark, "nl")
-
-
-def test_dominated_set_cover_poll(benchmark):
-    _bench_engine(benchmark, "dsc")
-
-
-def test_skyline_poll(benchmark):
-    _bench_engine(benchmark, "skyline")
+    benchmark(touch_and_poll)

@@ -34,7 +34,7 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from ..graph.io import is_token, read_graph_set, write_graph_set
+from ..graph.io import is_token, read_graph_set, text_clash, write_graph_set
 from ..graph.labeled_graph import LabeledGraph
 from ..nnt.projection import DimensionScheme
 from .monitor import StreamMonitor
@@ -53,18 +53,16 @@ def _is_int(vertex: Any) -> bool:
 
 def _check_writable(role: str, graph_id: Any, graph: LabeledGraph) -> None:
     """Refuse (``ValueError``) a graph the text format cannot restore."""
-    texts: dict[str, Any] = {}
     for vertex, label in graph.vertex_items():
         where = f"{role} {graph_id!r}: vertex {vertex!r}"
         if not (isinstance(vertex, str) or _is_int(vertex)):
             raise ValueError(f"{where} is neither a str nor an int id")
-        text = str(vertex)
-        if text in texts:
-            raise ValueError(f"{where} and vertex {texts[text]!r} write as the same text")
-        texts[text] = vertex
+        clash = text_clash(vertex, graph)
+        if clash:
+            raise ValueError(f"{role} {graph_id!r}: {clash}")
         if not (isinstance(label, str) and is_token(label)):
             raise ValueError(f"{where} has label {label!r}, which is not a token str")
-        if not is_token(text):
+        if not is_token(str(vertex)):
             raise ValueError(f"{where} is not a token: empty or has whitespace")
     for u, v, label in graph.edges():
         if not (isinstance(label, str) and is_token(label)):

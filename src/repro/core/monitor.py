@@ -236,7 +236,6 @@ class StreamMonitor:
             result = self.engine.candidates()
         if obs.enabled():
             obs.counter("monitor.polls").inc()
-            obs.quality.record_candidates(result)
         return result
 
     def is_match(self, stream_id: StreamId, query_id: QueryId) -> bool:

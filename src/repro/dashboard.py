@@ -34,8 +34,8 @@ ran), the serving edge when the stats
 came from a ``repro serve`` server (active sessions, admission queue
 depth, admit/reject/refused counts and commit latency percentiles),
 per-dimension pruning power
-(the ``join.<engine>.pruned{dim=...}`` counters of
-:mod:`repro.obs.quality`), and the live false-positive-ratio estimate
+(the ``join.<engine>.pruned{dim=...}`` counters
+:meth:`repro.join.base.JoinEngine.candidates` records), and the live false-positive-ratio estimate
 gauge when the precision probe is running.
 """
 

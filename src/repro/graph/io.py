@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Container, Iterable, TextIO
 
 from .labeled_graph import GraphError, LabeledGraph
 from .operations import DELETE, INSERT, EdgeChange, GraphChangeOperation
@@ -32,6 +32,25 @@ from .stream import GraphStream
 def is_token(text: str) -> bool:
     """Is ``text`` one token of the format: non-empty, without whitespace?"""
     return bool(text) and not any(ch.isspace() for ch in text)
+
+
+def text_clash(vertex: object, *holders: Container) -> str | None:
+    """Why ``vertex`` cannot be written beside the ids in ``holders``, or
+    ``None``.  The format writes an int id and its decimal string (``1``
+    and ``"1"``) as the same token, and reading back cannot tell them
+    apart.  The other-typed twin is looked up, not searched for."""
+    twin: object = None
+    if isinstance(vertex, int) and not isinstance(vertex, bool):
+        twin = str(vertex)
+    elif isinstance(vertex, str):
+        try:
+            number = int(vertex)
+        except ValueError:
+            return None
+        twin = number if str(number) == vertex else None
+    if twin is not None and any(twin in holder for holder in holders):
+        return f"vertex {vertex!r} and vertex {twin!r} write as the same text"
+    return None
 
 
 def _token(value: object) -> str:

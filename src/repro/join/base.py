@@ -41,12 +41,12 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Hashable, Mapping
+from typing import Any, Hashable, Iterable, Mapping
 
 from .. import obs
 from ..graph.labeled_graph import LabeledGraph, VertexId
 from ..nnt.trails import project_graph
-from ..nnt.projection import Dimension, DimensionScheme, NPV, PAPER_SCHEME
+from ..nnt.projection import Dimension, DimensionScheme, NPV, PAPER_SCHEME, dominates
 
 QueryId = Hashable
 StreamId = Hashable
@@ -64,6 +64,27 @@ StreamNpvs = Mapping[StreamId, Mapping[VertexId, NPV]]
 
 #: Canonical form of a query's projected NPV multiset — the dedup key.
 Fingerprint = tuple
+
+
+def blame_dimension(
+    query_vector: Mapping[Any, int], stream_vectors: Iterable[Mapping[Any, int]]
+) -> str:
+    """Which dimension killed a failed dominance check, as a string.
+
+    A stream vector dominates the query vector only if it covers it on
+    *every* dimension, so when no stream vector dominates there are two
+    cases: some query dimension is not covered by any stream vector
+    alone (we blame the first such dimension in sorted-by-``str``
+    order), or every dimension is individually coverable but never by
+    one vector at once (``"combination"``).  Diagnostic only; never
+    consulted by the filter itself.
+    """
+    vectors = list(stream_vectors)
+    for dim in sorted(query_vector, key=str):
+        need = query_vector[dim]
+        if not any(vector.get(dim, 0) >= need for vector in vectors):
+            return str(dim)
+    return "combination"
 
 
 @dataclass(frozen=True)
@@ -258,9 +279,11 @@ class QuerySet:
 class JoinEngine(ABC):
     """Continuous dominance join between registered streams and the query set.
 
-    Only this class writes the stream-side mirror.  An engine overrides
-    :meth:`is_candidate` and whichever no-op ``_on_*`` /
-    :meth:`_value_changed` hooks its algorithm reacts to.
+    Only this class writes the stream-side mirror, and only
+    :meth:`candidates` records filter telemetry.  An engine overrides
+    :meth:`is_candidate` (a pure verdict) and whichever no-op ``_on_*`` /
+    :meth:`_value_changed` hooks its algorithm reacts to; it may
+    override :meth:`_blame` only to compute the same answer cheaper.
     """
 
     #: Short engine name (the :data:`repro.join.ENGINES` key); used to
@@ -273,9 +296,7 @@ class JoinEngine(ABC):
         self._mirror: dict[StreamId, dict[VertexId, NPV]] = {}
         #: The pairs :meth:`candidates` last returned, each keyed by itself.
         self._answer: dict[Pair, Pair] = {}
-        # Cached once so the per-probe cost is one gated ``inc()``, not a
-        # registry lookup; every concrete ``is_candidate`` bumps this.
-        self._obs_checks = obs.counter(f"join.{self.name}.dominance_checks")
+        self._checks = obs.counter(f"join.{self.name}.dominance_checks")
 
     # -- query lifecycle ---------------------------------------------------
     def add_query(
@@ -423,7 +444,18 @@ class JoinEngine(ABC):
     # -- results ----------------------------------------------------------
     @abstractmethod
     def is_candidate(self, stream_id: StreamId, query_id: QueryId) -> bool:
-        """Does the pair currently pass the dominance filter?"""
+        """Does the pair currently pass the dominance filter?  A pure
+        verdict: it records nothing."""
+
+    def _blame(self, stream_id: StreamId, query_id: QueryId) -> str:
+        """The dimension a pruned pair is counted under: :func:`blame_dimension`
+        of the first query vector no mirrored stream vector dominates."""
+        stream_vectors = list(self._mirror[stream_id].values())
+        for index in self.query_set.by_query[query_id]:
+            query_vector = self.query_set.vectors[index].vector
+            if not any(dominates(v, query_vector) for v in stream_vectors):
+                return blame_dimension(query_vector, stream_vectors)
+        return "combination"
 
     def candidates(self) -> set[Pair]:
         """All currently passing (stream, query) pairs, as a fresh set.
@@ -432,19 +464,33 @@ class JoinEngine(ABC):
         object* as then, so a caller that keeps answers (a session's
         last poll, a recording of every tick) holds one tuple per pair,
         not one per pair per kept answer.
+
+        The one place filter telemetry is recorded, per call: every
+        pruned pair on ``join.<engine>.pruned{dim=<_blame>}``, the pairs
+        judged on ``join.<engine>.dominance_checks`` and the pairs
+        passed on ``filter.candidates``.
         """
         with obs.span("join.candidates", engine=self.name):
+            recording = obs.enabled()
             previous = self._answer
             answer: dict[Pair, Pair] = {}
-            for stream_id in self.stream_ids():
-                for query_id in self.query_set.query_ids():
+            stream_ids = self.stream_ids()
+            query_ids = self.query_set.query_ids()
+            for stream_id in stream_ids:
+                for query_id in query_ids:
                     if self.is_candidate(stream_id, query_id):
                         pair = (stream_id, query_id)
                         pair = previous.get(pair, pair)
                         answer[pair] = pair
+                    elif recording:
+                        dim = self._blame(stream_id, query_id)
+                        obs.counter(f"join.{self.name}.pruned", labels={"dim": dim}).inc()
             # Replaced, never patched: a pair of a removed stream or a
             # retired query is gone after the next call.
             self._answer = answer
+            if recording:
+                self._checks.inc(len(stream_ids) * len(query_ids))
+                obs.counter("filter.candidates").inc(len(answer))
             return set(answer)
 
 

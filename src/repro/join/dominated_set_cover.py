@@ -34,10 +34,9 @@ from itertools import compress
 from operator import eq
 from typing import Mapping
 
-from .. import obs
 from ..graph.labeled_graph import VertexId
 from ..nnt.projection import Dimension, NPV
-from .base import JoinEngine, QueryChange, QueryId, QuerySet, StreamId, StreamNpvs
+from .base import JoinEngine, QueryChange, QueryId, QuerySet, StreamId, StreamNpvs, blame_dimension
 
 
 #: Type code of a dominant-counter row: 4 bytes a slot, far above any
@@ -245,31 +244,20 @@ class DominatedSetCoverJoin(JoinEngine):
 
     # -- results ----------------------------------------------------------
     def is_candidate(self, stream_id: StreamId, query_id: QueryId) -> bool:
-        self._obs_checks.inc()
         group_id = self.query_set.group_of[query_id]
-        state = self._streams[stream_id]
-        if state.uncovered[group_id]:
-            if obs.enabled():
-                obs.quality.record_pruned(self.name, self._blame(stream_id, query_id))
+        if self._streams[stream_id].uncovered[group_id]:
             return False
-        if self._trivial_per_group[group_id] and not self._mirror[stream_id]:
-            if obs.enabled():
-                # Trivial query vectors only fail on an empty stream.
-                obs.quality.record_pruned(self.name, "combination")
-            return False
-        return True
+        # Trivial query vectors only fail on an empty stream.
+        return not (self._trivial_per_group[group_id] and not self._mirror[stream_id])
 
     def _blame(self, stream_id: StreamId, query_id: QueryId) -> str:
-        """Which dimension to blame for an uncovered query vector —
-        diagnostic only (the verdict already came from the counters).
-        Picks the first uncovered vector of the query and delegates to
-        :func:`repro.obs.quality.blame_dimension` over the live stream
-        vectors."""
+        """The base definition, with the first undominated query vector
+        read off the cover counts instead of a dominance scan."""
         cover = self._streams[stream_id].cover
+        vectors = self._mirror[stream_id]
         for qv_index in self.query_set.by_query[query_id]:
-            if self._required[qv_index] > 0 and not cover.get(qv_index, 0):
-                return obs.quality.blame_dimension(
-                    self.query_set.vectors[qv_index].vector,
-                    self._mirror[stream_id].values(),
+            if not cover.get(qv_index) and (self._required[qv_index] or not vectors):
+                return blame_dimension(
+                    self.query_set.vectors[qv_index].vector, vectors.values()
                 )
         return "combination"

@@ -28,7 +28,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .. import obs
 from ..graph.labeled_graph import VertexId
 from ..nnt.projection import Dimension, NPV
 from .base import (
@@ -275,7 +274,6 @@ class MatrixJoin(JoinEngine):
         return state.verdicts
 
     def is_candidate(self, stream_id: StreamId, query_id: QueryId) -> bool:
-        self._obs_checks.inc()
         state = self._streams[stream_id]
         group_id = self.query_set.group_of[query_id]
         if self._group_rows[group_id].size == 0:
@@ -283,36 +281,23 @@ class MatrixJoin(JoinEngine):
             # engines' per-vector loops agree).
             return True
         if state.count == 0:
-            if obs.enabled():
-                obs.quality.record_pruned(self.name, self._blame(state, query_id))
             return False
-        verdict = bool(self._verdicts(state)[self._group_ord[group_id]])
-        if not verdict and obs.enabled():
-            obs.quality.record_pruned(self.name, self._blame(state, query_id))
-        return verdict
+        return bool(self._verdicts(state)[self._group_ord[group_id]])
 
-    def _blame(self, state: _StreamState, query_id: QueryId) -> str:
-        """Which dimension to blame for a failed verdict — diagnostic
-        only, same convention as :func:`repro.obs.quality.blame_dimension`:
-        the first uncovered query vector's first dimension (``_dims`` is
-        sorted by ``repr``, matching the sorted-by-``str`` blame order)
-        that no stream row covers alone, else ``"combination"``."""
-        query_rows = self._group_rows[self.query_set.group_of[query_id]]
-        if state.count == 0:
-            for row in query_rows:
-                qrow = self._query_matrix[row]
-                nonzero = np.flatnonzero(qrow)
-                if nonzero.size:
-                    return str(self._dims[int(nonzero[0])])
-            return "combination"
+    def _blame(self, stream_id: StreamId, query_id: QueryId) -> str:
+        """The base definition read off the dense rows (the base mirror
+        is empty): the first query vector no row dominates, blamed on its
+        first dimension, by ``str``, that no row covers alone."""
+        state = self._streams[stream_id]
         covered = self._coverage(state)
         active = state.matrix[: state.count]
-        for row in query_rows:
+        rows = self._group_rows[self.query_set.group_of[query_id]]
+        for row, index in zip(rows, self.query_set.by_query[query_id]):
             if covered[row]:
                 continue
-            qrow = self._query_matrix[row]
-            for col in np.flatnonzero(qrow):
-                if not (active[:, col] >= qrow[col]).any():
-                    return str(self._dims[int(col)])
+            vector = self.query_set.vectors[index].vector
+            for dim in sorted(vector, key=str):
+                if not (active[:, self._dim_col[dim]] >= vector[dim]).any():
+                    return str(dim)
             return "combination"
         return "combination"

@@ -8,7 +8,6 @@ precisely why the improved engines of the paper exist.
 
 from __future__ import annotations
 
-from .. import obs
 from ..nnt.projection import dominates
 from .base import JoinEngine, QueryId, StreamId
 
@@ -19,15 +18,9 @@ class NestedLoopJoin(JoinEngine):
     name = "nl"
 
     def is_candidate(self, stream_id: StreamId, query_id: QueryId) -> bool:
-        self._obs_checks.inc()
         stream_vectors = list(self._mirror[stream_id].values())
-        for index in self.query_set.by_query[query_id]:
-            query_vector = self.query_set.vectors[index].vector
-            if not any(dominates(v, query_vector) for v in stream_vectors):
-                if obs.enabled():
-                    obs.quality.record_pruned(
-                        self.name,
-                        obs.quality.blame_dimension(query_vector, stream_vectors),
-                    )
-                return False
-        return True
+        vectors = self.query_set.vectors
+        return all(
+            any(dominates(v, vectors[index].vector) for v in stream_vectors)
+            for index in self.query_set.by_query[query_id]
+        )

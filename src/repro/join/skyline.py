@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .. import obs
 from ..graph.labeled_graph import VertexId
 from ..nnt.projection import Dimension, NPV, dominates, vector_mass
 from .base import JoinEngine, QueryChange, QueryId, QuerySet, StreamId, StreamNpvs
@@ -65,8 +64,9 @@ class SkylineEarlyStopJoin(JoinEngine):
         for group in query_set.groups.values():
             self._rank_group(group.group_id, group.indices)
         self._streams: dict[StreamId, _StreamState] = {}
-        # verdict cache: (stream, group) -> (stream version, verdict)
-        self._verdicts: dict[tuple, tuple[int, bool]] = {}
+        # verdict cache: (stream, group) -> (stream version, verdict,
+        # blame of a pruned verdict once asked for, else None)
+        self._verdicts: dict[tuple, tuple[int, bool, str | None]] = {}
 
     def _rank_group(self, group_id: int, indices: list[int] | tuple[int, ...]) -> None:
         vectors = [self.query_set.vectors[i].vector for i in indices]
@@ -156,7 +156,6 @@ class SkylineEarlyStopJoin(JoinEngine):
 
     # -- results ----------------------------------------------------------
     def is_candidate(self, stream_id: StreamId, query_id: QueryId) -> bool:
-        self._obs_checks.inc()
         state = self._streams[stream_id]
         group_id = self.query_set.group_of[query_id]
         key = (stream_id, group_id)
@@ -164,46 +163,44 @@ class SkylineEarlyStopJoin(JoinEngine):
         if cached is not None and cached[0] == state.version:
             return cached[1]
         verdict = self._evaluate(state, group_id)
-        self._verdicts[key] = (state.version, verdict)
+        self._verdicts[key] = (state.version, verdict, None)
         return verdict
 
+    def _blame(self, stream_id: StreamId, query_id: QueryId) -> str:
+        """The base definition, memoised beside the verdict it explains:
+        computed once per fresh evaluation (group members share it)."""
+        key = (stream_id, self.query_set.group_of[query_id])
+        version, verdict, blame = self._verdicts[key]
+        if blame is None:
+            blame = super()._blame(stream_id, query_id)
+            self._verdicts[key] = (version, verdict, blame)
+        return blame
+
     def _evaluate(self, state: _StreamState, group_id: int) -> bool:
-        # Pruning blame is recorded here (fresh evaluations only): a
-        # verdict replayed from the cache does not recount, so the
-        # pruned{dim=...} counters measure distinct verdict computations.
         for qv_index in self._probe_order[group_id]:
             probe = self.query_set.vectors[qv_index].vector
             if not probe:
                 # Trivial all-zero probe: dominated by any existing vertex.
                 if not state.vectors:
-                    if obs.enabled():
-                        obs.quality.record_pruned(self.name, "combination")
                     return False
                 continue
             best_dim: Dimension | None = None
             best_cardinality = None
-            skyline_dim: Dimension | None = None
             for dim, value in probe.items():
                 members = state.members.get(dim)
                 cardinality = len(members) if members else 0
                 if cardinality == 0 or value > state.max_of(dim):
                     # No stream vector can dominate the probe in this dim:
-                    # the probe is a bichromatic skyline point.
-                    skyline_dim = dim
-                    break
+                    # the probe is a bichromatic skyline point, and the
+                    # pair is pruned (the early stop).
+                    return False
                 if best_cardinality is None or cardinality < best_cardinality:
                     best_cardinality = cardinality
                     best_dim = dim
-            if skyline_dim is not None:
-                if obs.enabled():
-                    obs.quality.record_pruned(self.name, str(skyline_dim))
-                return False  # early stop: the pair is pruned
             assert best_dim is not None
             vectors = state.vectors
             if not any(dominates(vectors[v], probe) for v in state.members[best_dim]):
                 # Every probe dimension is individually covered (the max
                 # checks above passed), just never by one vector at once.
-                if obs.enabled():
-                    obs.quality.record_pruned(self.name, "combination")
                 return False
         return True

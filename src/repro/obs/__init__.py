@@ -25,11 +25,11 @@ Two further layers ride on the same switch:
   a single tree.  :func:`to_chrome` exports collected spans as Chrome
   trace-event / Perfetto JSON; :func:`render_critical_spans` is the
   plain-text top-N view.  Surfaced as ``repro trace``.
-* **Filter quality** — :mod:`repro.obs.quality` counts candidate
-  emissions per (stream, query), blames failed dominance probes on the
-  killing NPV dimension, and hosts the rate/time budget of the sampled
-  precision probe that feeds the live ``filter.fp_ratio_estimate``
-  gauge (``repro_filter_fp_ratio_estimate`` in Prometheus text).
+* **Filter quality** — :mod:`repro.obs.quality` hosts the rate/time
+  budget of the sampled precision probe that feeds the live
+  ``filter.fp_ratio_estimate`` gauge (``repro_filter_fp_ratio_estimate``
+  in Prometheus text).  Candidate and pruning counts are recorded by
+  :meth:`repro.join.base.JoinEngine.candidates`, the one site.
 
 Three historically-aware layers build on the snapshots.  Only the
 serving edge, the dashboard and their CLI verbs run them, so the package

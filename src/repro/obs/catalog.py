@@ -52,16 +52,16 @@ CATALOG: dict[str, tuple] = {
     "nnt.batch_update.seconds": ("histogram", "seconds per incremental NNT batch update"),
     "nnt.deltas_delivered": ("counter", "net NPV deltas delivered to listeners after coalescing"),
     "join.candidates.seconds": ("histogram", "seconds per dominance-filter candidate scan"),
-    "join.dsc.dominance_checks": ("counter", "dominance-filter probes answered by the dsc engine"),
-    "join.matrix.dominance_checks": ("counter", "dominance-filter probes answered by the matrix engine"),
-    "join.nl.dominance_checks": ("counter", "dominance-filter probes answered by the nl engine"),
-    "join.skyline.dominance_checks": ("counter", "dominance-filter probes answered by the skyline engine"),
-    "join.dsc.pruned": ("counter", "probes pruned by the dsc engine, by blamed dimension"),
-    "join.matrix.pruned": ("counter", "probes pruned by the matrix engine, by blamed dimension"),
-    "join.nl.pruned": ("counter", "probes pruned by the nl engine, by blamed dimension"),
-    "join.skyline.pruned": ("counter", "probes pruned by the skyline engine, by blamed dimension"),
+    "join.dsc.dominance_checks": ("counter", "(stream, query) pairs the dsc engine judged, summed over polls"),
+    "join.matrix.dominance_checks": ("counter", "(stream, query) pairs the matrix engine judged, summed over polls"),
+    "join.nl.dominance_checks": ("counter", "(stream, query) pairs the nl engine judged, summed over polls"),
+    "join.skyline.dominance_checks": ("counter", "(stream, query) pairs the skyline engine judged, summed over polls"),
+    "join.dsc.pruned": ("counter", "(stream, query) pairs the dsc engine pruned, summed over polls, by blamed dimension"),
+    "join.matrix.pruned": ("counter", "(stream, query) pairs the matrix engine pruned, summed over polls, by blamed dimension"),
+    "join.nl.pruned": ("counter", "(stream, query) pairs the nl engine pruned, summed over polls, by blamed dimension"),
+    "join.skyline.pruned": ("counter", "(stream, query) pairs the skyline engine pruned, summed over polls, by blamed dimension"),
     # -- filter quality --------------------------------------------------
-    "filter.candidates": ("counter", "(stream, query) pairs emitted by the dominance filter"),
+    "filter.candidates": ("counter", "(stream, query) pairs passed by the dominance filter, summed over polls"),
     "filter.fp_ratio_estimate": ("gauge", "sampled estimate of the filter false-positive ratio"),
     "filter.probe.checked": ("counter", "candidate pairs verified by the precision probe"),
     "filter.probe.false_positive": ("counter", "probed pairs that failed exact isomorphism"),

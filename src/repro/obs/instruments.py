@@ -14,9 +14,8 @@ Instruments live in a :class:`Registry` keyed by dotted name
 (``"monitor.apply.seconds"``).  An instrument may additionally carry a
 small set of **labels** (string keys and values only, validated at
 registration): each distinct label set is its own instrument, keyed by
-the canonical ``name{key="value",...}`` form, so the filter-quality
-counters (``filter.candidates{stream=...,query=...}``,
-``join.dsc.pruned{dim=...}``) and the error-labelled span histograms
+the canonical ``name{key="value",...}`` form, so the pruning counters
+(``join.dsc.pruned{dim=...}``) and the error-labelled span histograms
 stay independent series.  A registry snapshots to a plain-dict
 :meth:`Registry.summary` — picklable and JSON-representable — and
 per-worker summaries merge losslessly with :func:`merge_summaries`

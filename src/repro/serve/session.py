@@ -22,9 +22,13 @@ plus a ``serve.refused`` count — and *cleared from the stage*: a batch
 left staged would re-fail every later commit.  Nothing keeps a refused
 batch.  Healthy streams in the same commit still apply.
 
-The bridge does no validation of its own.  ``apply`` on every monitor
-is all-or-nothing and synchronous about refusal: the in-process monitor
-checks the batch against the stream's graph before the first splice
+The bridge validates one thing of its own, before ``apply``: no batch
+or inline pattern may hold two vertex ids that write as the same text
+(``1`` and ``"1"``, :func:`repro.graph.io.text_clash`), since such a
+graph would fail every later checkpoint.  The rest is the monitor's:
+``apply`` on every monitor is all-or-nothing and synchronous about
+refusal: the in-process monitor checks the batch against the stream's
+graph before the first splice
 (:meth:`repro.nnt.incremental.NNTIndex.apply`), the sharded runtime
 against its graph of record before anything is sent to a worker, both
 with the read-only :func:`repro.graph.operations.check_batch` — so a
@@ -39,9 +43,10 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .. import obs
 from ..core.monitor import CheckpointError, diff_polls
-from ..graph.io import read_graph_set
+from ..graph.io import read_graph_set, text_clash
 from ..graph.labeled_graph import GraphError, LabeledGraph
 from ..graph.operations import (
+    INSERT,
     EdgeChange,
     GraphChangeOperation,
     apply_batch_validated,  # re-exported: the e2e harness imports it from here
@@ -244,6 +249,10 @@ class MonitorBridge:
             pattern.add_edge(u, v, label)
         if pattern.num_vertices == 0:
             raise ValueError("empty query pattern")
+        for vertex in pattern.vertices():
+            clash = text_clash(vertex, pattern)
+            if clash:
+                raise ValueError(clash)
         return pattern
 
     def _add_query(self, session: Session, command: AddQuery) -> dict[str, Any]:
@@ -325,6 +334,7 @@ class MonitorBridge:
                 if not changes:
                     continue
                 try:
+                    self._check_new_ids(stream_id, changes)
                     # All or nothing: a refused batch leaves no trace.
                     self.monitor.apply(stream_id, GraphChangeOperation(changes))
                 except CheckpointError as exc:
@@ -359,6 +369,25 @@ class MonitorBridge:
             reply["errors"] = errors
             reply["error"] = errors[0]["error"]
         return reply
+
+    def _check_new_ids(self, stream_id: Any, changes: list[EdgeChange]) -> None:
+        """Refuse (``ValueError``) a batch whose new endpoints clash in
+        text with the stream's vertices or with each other."""
+        try:
+            graph = self.monitor.graph(stream_id)
+        except KeyError:
+            return  # an unknown stream: ``apply`` refuses it
+        new = {
+            vertex
+            for change in changes
+            if change.op == INSERT
+            for vertex in (change.u, change.v)
+            if vertex not in graph
+        }
+        for vertex in new:
+            clash = text_clash(vertex, graph, new)
+            if clash:
+                raise ValueError(clash)
 
     def _refuse(self) -> None:
         self.refused += 1

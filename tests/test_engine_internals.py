@@ -226,7 +226,8 @@ class TestSkylineInternals:
         group_id = query_set.group_of[query_id]
         first = engine.is_candidate(0, query_id)
         version = engine._streams[0].version
-        assert engine._verdicts[(0, group_id)] == (version, first)
+        # (version, verdict, blame memo): the blame is filled on demand.
+        assert engine._verdicts[(0, group_id)] == (version, first, None)
         # any change invalidates
         vertices = list(index.graph.vertices())
         if len(vertices) >= 2:

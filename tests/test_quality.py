@@ -1,6 +1,11 @@
 """Filter-quality telemetry: candidate counters, pruning-power blame,
 the budgeted precision probe, and the fig13/fig14 reconciliation.
 
+Candidate and pruning counts are recorded in one place,
+:meth:`repro.join.base.JoinEngine.candidates`, under one blame
+definition: :class:`TestOneRecordingSite` requires every engine to
+count the same pruned pairs under the same dimensions at every poll.
+
 The acceptance property lives in :class:`TestFigReconcile`: replaying a
 fig14-style workload with the probe at 100% sampling and no time budget
 must reproduce the offline false-positive ratio *exactly*, and sampled
@@ -12,14 +17,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.monitor import StreamMonitor
 from repro.core.verify import PrecisionProbe
-from repro.graph.operations import EdgeChange
+from repro.graph import LabeledGraph
+from repro.graph.operations import EdgeChange, GraphChangeOperation
+from repro.join.base import blame_dimension
 from repro.obs import Registry
 from repro.obs.exposition import render_prometheus
-from repro.obs.quality import ProbeBudget, blame_dimension
+from repro.obs.quality import ProbeBudget
 
 from .conftest import random_labeled_graph
 
@@ -85,17 +94,45 @@ class TestBlameDimension:
 # ----------------------------------------------------------------------
 # recorders
 # ----------------------------------------------------------------------
+ENGINE_NAMES = ("nl", "dsc", "skyline", "matrix")
+
+
+def edge_graph(a: str, b: str) -> LabeledGraph:
+    return LabeledGraph.from_vertices_and_edges([(0, a), (1, b)], [(0, 1, "x")])
+
+
+def ab_monitor(method: str) -> StreamMonitor:
+    """Queries ``ab`` (passes) and ``ac`` (pruned) over one A-B stream."""
+    monitor = StreamMonitor({"ab": edge_graph("A", "B"), "ac": edge_graph("A", "C")}, method=method)
+    monitor.add_stream("s0", edge_graph("A", "B"))
+    return monitor
+
+
 class TestRecorders:
     def test_record_candidates_counts_per_pair(self):
-        obs.quality.record_candidates([("s0", "q0"), ("s0", "q1"), ("s0", "q0")])
-        assert counter_value("filter.candidates", stream="s0", query="q0") == 2
-        assert counter_value("filter.candidates", stream="s0", query="q1") == 1
+        """``filter.candidates`` is one unlabelled counter: each poll adds
+        the number of pairs it passed."""
+        monitor = ab_monitor("dsc")
+        assert monitor.matches() == {("s0", "ab")}
+        monitor.matches()
+        assert counter_value("filter.candidates") == 2
+        assert not [
+            key for key in obs.get_registry().summary() if key.startswith("filter.candidates{")
+        ]
 
     def test_record_pruned_counts_per_dimension(self):
-        obs.quality.record_pruned("nl", "a")
-        obs.quality.record_pruned("nl", "a")
-        obs.quality.record_pruned("nl", "combination")
-        assert pruned_series("nl") == {"a": 2.0, "combination": 1.0}
+        """Each poll counts each pruned pair once, on every engine, under
+        one blamed dimension, a C dimension the A-B stream cannot cover."""
+        blamed = set()
+        for method in ENGINE_NAMES:
+            monitor = ab_monitor(method)
+            monitor.matches()
+            monitor.matches()
+            (dim,) = pruned_series(method)
+            assert dim.startswith("(") and "C" in dim, (method, dim)
+            assert pruned_series(method) == {dim: 2.0}, method
+            blamed.add(dim)
+        assert len(blamed) == 1, blamed
 
     def test_record_probe_gauge_is_cumulative(self):
         obs.quality.record_probe(checked=4, false_positives=1)
@@ -111,11 +148,13 @@ class TestRecorders:
         assert obs.get_registry().get("filter.fp_ratio_estimate") is None
 
     def test_disabled_recorders_touch_nothing(self):
+        monitor = ab_monitor("dsc")
         obs.disable()
-        obs.quality.record_candidates([("s0", "q0")])
-        obs.quality.record_pruned("nl", "a")
+        before = obs.get_registry().summary()
+        assert monitor.matches() == {("s0", "ab")}
         obs.quality.record_probe(checked=3, false_positives=1)
-        assert obs.get_registry().summary() == {}
+        assert obs.get_registry().summary() == before
+        assert not any(".pruned" in key or key.startswith("filter.") for key in before)
 
     def test_gauge_renders_with_the_documented_prometheus_name(self):
         obs.quality.record_probe(checked=2, false_positives=1)
@@ -248,13 +287,96 @@ class TestEnginePruningCounters:
 
     def test_monitor_matches_records_candidate_counters(self):
         monitor = tiny_monitor()
+        before = counter_value("filter.candidates")
         emitted = monitor.matches()
-        total = sum(
-            entry["value"]
-            for key, entry in obs.get_registry().summary().items()
-            if key.startswith("filter.candidates")
-        )
-        assert total >= len(emitted) > 0
+        assert counter_value("filter.candidates") - before == len(emitted) > 0
+
+
+# ----------------------------------------------------------------------
+# one recording site, one blame definition
+# ----------------------------------------------------------------------
+def _label(vertex: int) -> str:
+    return "ABC"[vertex % 3]
+
+
+def random_batch(rng: random.Random, graph: LabeledGraph) -> GraphChangeOperation:
+    """Deletions first (a vertex whose last edge goes vanishes mid-batch),
+    then insertions, some onto the vertices just removed."""
+    edges = sorted(graph.edges(), key=str)
+    changes = [
+        EdgeChange.delete(u, v) for u, v, _ in rng.sample(edges, rng.randint(0, len(edges)))
+    ]
+    present = {frozenset((u, v)) for u, v, _ in edges}
+    for change in changes:
+        present.discard(frozenset((change.u, change.v)))
+    for _ in range(rng.randint(0, 4)):
+        u, v = rng.sample(range(8), 2)
+        if frozenset((u, v)) not in present:
+            present.add(frozenset((u, v)))
+            changes.append(EdgeChange.insert(u, v, rng.choice("xy"), _label(u), _label(v)))
+    return GraphChangeOperation(changes)
+
+
+def random_query(rng: random.Random) -> LabeledGraph:
+    size = rng.randint(1, 4)
+    graph = LabeledGraph()
+    for vertex in range(size):
+        graph.add_vertex(vertex, rng.choice("ABC"))
+    for vertex in range(1, size):
+        graph.add_edge(vertex, rng.randrange(vertex), rng.choice("xy"))
+    return graph
+
+
+def lone_vertex_query() -> LabeledGraph:
+    """A query whose first vector (vertex 0, isolated) is all-zero."""
+    return LabeledGraph.from_vertices_and_edges([(0, "A"), (1, "A"), (2, "B")], [(1, 2, "x")])
+
+
+class TestOneRecordingSite:
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_every_engine_counts_the_same_pruned_pairs_at_every_poll(self, seed):
+        """Over random streams, churned queries, an empty stream, an
+        all-zero query vector and vertices removed mid-batch, each poll
+        adds the same ``pruned{dim}`` counts on every engine and
+        ``len(answer)`` to ``filter.candidates``, and the answers agree."""
+        rng = random.Random(seed)
+        queries = {f"q{i}": random_query(rng) for i in range(4)}
+        queries["lone"] = lone_vertex_query()
+        monitors = {name: StreamMonitor(queries, method=name) for name in ENGINE_NAMES}
+        initial = {f"s{i}": random_query(rng) for i in range(2)}
+        initial["empty"] = LabeledGraph()
+        for monitor in monitors.values():
+            for stream_id, graph in initial.items():
+                monitor.add_stream(stream_id, graph)
+        for tick in range(8):
+            batches = {
+                stream_id: random_batch(rng, monitors["nl"].graph(stream_id))
+                for stream_id in ("s0", "s1")
+            }
+            churn = rng.random()
+            newcomer = random_query(rng)
+            per_engine = {}
+            for name, monitor in monitors.items():
+                monitor.apply_many(batches)
+                if churn < 0.3:
+                    monitor.register_query(f"t{tick}", newcomer)
+                elif churn < 0.5 and len(monitor.query_ids()) > 1:
+                    monitor.deregister_query(sorted(monitor.query_ids(), key=str)[0])
+                before = pruned_series(name), counter_value("filter.candidates")
+                answer = monitor.matches()
+                after = pruned_series(name), counter_value("filter.candidates")
+                assert after[1] - before[1] == len(answer), name
+                increments = {
+                    dim: count - before[0].get(dim, 0)
+                    for dim, count in after[0].items()
+                    if count != before[0].get(dim, 0)
+                }
+                per_engine[name] = (answer, increments)
+            assert all(entry == per_engine["nl"] for entry in per_engine.values()), (
+                tick,
+                per_engine,
+            )
 
 
 # ----------------------------------------------------------------------

@@ -294,14 +294,29 @@ class TestOverloadScript:
 # ----------------------------------------------------------------------
 # merged cross-worker registries keep scraping after query churn
 # ----------------------------------------------------------------------
+def _pruned_dims(scrape: dict) -> set[str]:
+    """The label sets (``dim`` only) of every engine's ``pruned`` series."""
+    return {
+        labels
+        for name, series in scrape.items()
+        if name.endswith("_pruned_total")
+        for labels in series
+    }
+
+
 class TestMergedScrapeAfterChurn:
     def test_label_sets_and_ordering_survive_query_churn(self):
+        from repro.graph import LabeledGraph
         from repro.runtime import ShardedMonitor
+
+        def edge(a: str, b: str) -> LabeledGraph:
+            return LabeledGraph.from_vertices_and_edges([(0, a), (1, b)], [(0, 1, "x")])
 
         queries = {"q0": edge_query()}
         with ShardedMonitor(queries, num_workers=2) as sharded:
-            sharded.add_stream("s0", edge_query())  # carries a matching edge
-            sharded.register_query("q1", edge_query())
+            for stream_id in ("s0", "s1"):
+                sharded.add_stream(stream_id, edge_query())  # carries a matching edge
+            sharded.register_query("q1", edge("A", "C"))
             sharded.apply(
                 "s0",
                 GraphChangeOperation([EdgeChange("ins", 40, 41, "x", "A", "B")]),
@@ -310,8 +325,8 @@ class TestMergedScrapeAfterChurn:
             before = parse_prometheus_text(
                 render_prometheus(sharded.obs_summary(), prefix="repro")
             )
-            sharded.deregister_query("q0")
-            sharded.register_query("q2", edge_query())
+            sharded.deregister_query("q1")
+            sharded.register_query("q2", edge("A", "D"))
             sharded.apply(
                 "s0",
                 GraphChangeOperation([EdgeChange("ins", 50, 51, "x", "A", "B")]),
@@ -328,17 +343,12 @@ class TestMergedScrapeAfterChurn:
             # cumulative, so churn only adds label sets.
             for name, series in before.items():
                 assert set(series) <= set(after[name]), name
-            # The churned queries mint their own label sets, kept
-            # distinct through the cross-worker merge.
-            candidates = after["repro_filter_candidates_total"]
-            queries_seen = {
-                label
-                for labels in candidates
-                for label in labels.strip("{}").split(",")
-                if label.startswith("query=")
-            }
-            assert 'query="q2"' in queries_seen
-            assert 'query="q0"' in queries_seen  # pre-removal history kept
+            # The churned queries' pruned pairs mint their own blamed
+            # dimensions, kept distinct through the cross-worker merge.
+            dims_before, dims_after = _pruned_dims(before), _pruned_dims(after)
+            assert any("C" in dim for dim in dims_before), dims_before
+            assert dims_before <= dims_after  # pre-removal history kept
+            assert any("D" in dim for dim in dims_after - dims_before), dims_after
             # Rendering is deterministic: a second render is identical.
             assert after_text == render_prometheus(
                 sharded.obs_summary(), prefix="repro"
