@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 
 def candidate_ratio(num_candidates: int, num_streams: int, num_queries: int) -> float:
@@ -27,8 +26,7 @@ def candidate_ratio(num_candidates: int, num_streams: int, num_queries: int) -> 
     return num_candidates / total
 
 
-@dataclass(frozen=True)
-class Confusion:
+class Confusion(NamedTuple):
     """Filter output vs exact truth over the same pair universe."""
 
     true_positives: int
@@ -59,15 +57,17 @@ def compare_with_truth(
     )
 
 
-@dataclass
 class RunningStats:
     """Streaming mean/min/max/stdev accumulator (Welford)."""
 
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = 0.0
-    minimum: float = math.inf
-    maximum: float = -math.inf
+    __slots__ = ("count", "mean", "_m2", "minimum", "maximum")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.mean = 0.0
+        self._m2 = 0.0
+        self.minimum = math.inf
+        self.maximum = -math.inf
 
     def add(self, value: float) -> None:
         """Fold one observation into the accumulator."""
@@ -97,13 +97,15 @@ class RunningStats:
         }
 
 
-@dataclass
 class Stopwatch:
     """Accumulating wall-clock timer; times are in seconds."""
 
-    total: float = 0.0
-    laps: RunningStats = field(default_factory=RunningStats)
-    _started: float | None = None
+    __slots__ = ("total", "laps", "_started")
+
+    def __init__(self) -> None:
+        self.total = 0.0
+        self.laps = RunningStats()
+        self._started: float | None = None
 
     def start(self) -> None:
         """Begin a lap; error if one is already running."""

@@ -24,9 +24,8 @@ subgraph isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Literal, Mapping
+from typing import Any, Iterable, Literal, Mapping, NamedTuple
 
 from .. import obs
 from ..graph.labeled_graph import LabeledGraph
@@ -44,8 +43,7 @@ class CheckpointError(Exception):
     message is the export failure's ``Type: message``."""
 
 
-@dataclass(frozen=True)
-class MatchEvent:
+class MatchEvent(NamedTuple):
     """A transition of one (stream, query) pair between two polls."""
 
     kind: Literal["appeared", "vanished"]

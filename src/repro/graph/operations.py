@@ -18,7 +18,6 @@ constructor's checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal
 
 from .labeled_graph import DEFAULT_EDGE_LABEL, GraphError, Label, LabeledGraph, VertexId
@@ -28,32 +27,72 @@ Op = Literal["ins", "del"]
 INSERT: Op = "ins"
 DELETE: Op = "del"
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class EdgeChange:
+
+class _Frozen:
+    """Equality, hashing, ``repr`` and immutability from the fields a
+    subclass's ``__reduce__`` returns (its ``__slots__``, in order)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__()[1] == other.__reduce__()[1]
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self.__reduce__()[1])
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+
+class EdgeChange(_Frozen):
     """One edge insertion or deletion, ``<op, u, v>`` plus labels.
 
     ``u_label`` / ``v_label`` are only consulted when the endpoint does not
     exist in the target graph at application time (i.e. vertex insertion).
     """
 
+    __slots__ = ("op", "u", "v", "edge_label", "u_label", "v_label")
     op: Op
     u: VertexId
     v: VertexId
-    edge_label: Label = DEFAULT_EDGE_LABEL
-    u_label: Label | None = None
-    v_label: Label | None = None
+    edge_label: Label
+    u_label: Label | None
+    v_label: Label | None
 
-    def __post_init__(self) -> None:
-        if self.op not in (INSERT, DELETE):
-            raise ValueError(f"op must be 'ins' or 'del', got {self.op!r}")
-        if self.u == self.v:
+    def __init__(
+        self,
+        op: Op,
+        u: VertexId,
+        v: VertexId,
+        edge_label: Label = DEFAULT_EDGE_LABEL,
+        u_label: Label | None = None,
+        v_label: Label | None = None,
+    ) -> None:
+        if op not in (INSERT, DELETE):
+            raise ValueError(f"op must be 'ins' or 'del', got {op!r}")
+        if u == v:
             raise ValueError("self loops are not supported")
+        _set(self, "op", op)
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "edge_label", edge_label)
+        _set(self, "u_label", u_label)
+        _set(self, "v_label", v_label)
 
     def __reduce__(self) -> tuple:
         # The fields, not slot state: about a third of the dump time of
-        # the generated __getstate__ path, and a load that re-runs
-        # __post_init__.
+        # the __getstate__ path, and a load that re-runs the checks.
         return (
             EdgeChange,
             (self.op, self.u, self.v, self.edge_label, self.u_label, self.v_label),
@@ -74,14 +113,14 @@ class EdgeChange:
         return EdgeChange(DELETE, u, v)
 
 
-@dataclass(frozen=True, slots=True)
-class GraphChangeOperation:
+class GraphChangeOperation(_Frozen):
     """A batch of edge changes applied atomically at one timestamp (Def 2.4)."""
 
-    changes: tuple[EdgeChange, ...] = field(default_factory=tuple)
+    __slots__ = ("changes",)
+    changes: tuple[EdgeChange, ...]
 
     def __init__(self, changes: Iterable[EdgeChange] = ()) -> None:
-        object.__setattr__(self, "changes", tuple(changes))
+        _set(self, "changes", tuple(changes))
 
     def __reduce__(self) -> tuple:
         return (GraphChangeOperation, (self.changes,))

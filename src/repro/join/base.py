@@ -39,9 +39,8 @@ retired one.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Any, Hashable, Iterable, Mapping
+from typing import Any, Hashable, Iterable, Mapping, NamedTuple
 
 from .. import obs
 from ..graph.labeled_graph import LabeledGraph, VertexId
@@ -87,23 +86,20 @@ def blame_dimension(
     return "combination"
 
 
-@dataclass(frozen=True)
-class QueryVector:
+class QueryVector(NamedTuple):
     """One query vertex's NPV, flattened into the engine-wide vector list.
 
     ``query_id`` is the query that founded the record's group (kept for
     diagnostics); dominance state is shared by every group member.
+    ``num_dims`` is ``len(vector)``.
     """
 
     index: int
     query_id: QueryId
     vertex: VertexId
     vector: NPV
-    group: int = 0
-    num_dims: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "num_dims", len(self.vector))
+    group: int
+    num_dims: int
 
 
 class QueryGroup:
@@ -121,8 +117,7 @@ class QueryGroup:
         self.members: list[QueryId] = []
 
 
-@dataclass(frozen=True)
-class QueryChange:
+class QueryChange(NamedTuple):
     """What one :meth:`QuerySet.add_query` / :meth:`~QuerySet.remove_query`
     did — engines key their incremental reaction off these fields."""
 
@@ -198,7 +193,7 @@ class QuerySet:
             for vertex, vector in projected:
                 reused = bool(self._free_slots)
                 index = heappop(self._free_slots) if reused else len(self.vectors)
-                record = QueryVector(index, query_id, vertex, vector, group_id)
+                record = QueryVector(index, query_id, vertex, vector, group_id, len(vector))
                 if reused:
                     self.vectors[index] = record
                 else:

@@ -14,8 +14,7 @@ path of ``G`` from ``f(u)`` with identical depth/label profile, hence
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, NamedTuple
 
 from ..graph.labeled_graph import Label
 
@@ -23,8 +22,7 @@ Dimension = tuple
 NPV = dict  # Dimension -> int, sparse (no zero entries stored)
 
 
-@dataclass(frozen=True)
-class DimensionScheme:
+class DimensionScheme(NamedTuple):
     """How tree edges map to projection dimensions.
 
     ``include_edge_label=False`` reproduces the paper's Definition 4.1;

@@ -4,7 +4,6 @@ and ``flight``."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import signal
@@ -159,12 +158,14 @@ def cmd_slo(args: argparse.Namespace) -> int:
     if not (args.queries and args.streams):
         print("slo needs --url or --queries/--streams to replay", file=sys.stderr)
         return 2
-    from .slo import DEFAULT_RULES, SloEngine
+    from .slo import DEFAULT_RULES, SloEngine, SloRule
     from .timeline import Timeline
 
     enable()
     streams = _read_streams(args.streams)
-    rules = tuple(dataclasses.replace(rule, window=args.window) for rule in DEFAULT_RULES)
+    rules = tuple(
+        SloRule(**(rule._asdict() | {"window": args.window})) for rule in DEFAULT_RULES
+    )
     timeline = Timeline()
     engine = SloEngine(rules=rules, timeline=timeline)
     with _open_monitor(args, dict(read_graph_set(args.queries))) as monitor:

@@ -25,7 +25,6 @@ external logs, where monotonic clocks are meaningless.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import signal
@@ -46,13 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_FLIGHT_CAPACITY = 256
-
-
-def _jsonable(value: Any) -> Any:
-    """Fallback serializer: span records and exotic attrs become strings."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return dataclasses.asdict(value)
-    return str(value)
 
 
 class FlightRecorder:
@@ -88,7 +80,7 @@ class FlightRecorder:
         self._ring.append(event)
         counter("flight.events").inc()
         if self._file is not None:
-            self._file.write(json.dumps(event, default=_jsonable) + "\n")
+            self._file.write(json.dumps(event, default=str) + "\n")
             self._file.flush()
             self._lines += 1
             if self._lines >= self.capacity * 4:
@@ -126,11 +118,13 @@ class FlightRecorder:
             "process": process_label(),
             "dumped_at": self._clock(),
             "events": self.events(),
-            "spans": [dataclasses.asdict(record) for record in spans()],
+            # Records are NamedTuples, which json writes as arrays:
+            # each span is written as an object explicitly.
+            "spans": [record._asdict() for record in spans()],
             "metrics": get_registry().summary(),
         }
         tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(json.dumps(doc, default=_jsonable, indent=2), encoding="utf-8")
+        tmp.write_text(json.dumps(doc, default=str, indent=2), encoding="utf-8")
         os.replace(tmp, target)
         return target
 

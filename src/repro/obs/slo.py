@@ -33,8 +33,7 @@ name referenced here must exist in :mod:`repro.obs.catalog`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .registry import counter, gauge
 from .timeline import Timeline
@@ -63,10 +62,7 @@ STATE_CODES = {OK: 0, WARN: 1, BREACH: 2}
 OBJECTIVES = ("quantile", "gauge_max", "gauge_min", "rate_max")
 
 
-@dataclass(frozen=True)
-class SloRule:
-    """One declarative objective over one catalogued metric."""
-
+class _SloFields(NamedTuple):
     name: str
     metric: str
     objective: str
@@ -79,22 +75,31 @@ class SloRule:
     complement: bool = False  # evaluate 1 - value (recall from FP ratio)
     description: str = ""
 
-    def __post_init__(self) -> None:
-        if self.objective not in OBJECTIVES:
+
+class SloRule(_SloFields):
+    """One declarative objective over one catalogued metric, checked on
+    construction (``_replace`` skips the checks: build a new rule)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "SloRule":
+        rule = super().__new__(cls, *args, **kwargs)
+        if rule.objective not in OBJECTIVES:
             raise ValueError(
-                f"objective must be one of {OBJECTIVES}, got {self.objective!r}"
+                f"objective must be one of {OBJECTIVES}, got {rule.objective!r}"
             )
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {self.q}")
-        if self.window <= 0:
-            raise ValueError(f"window must be > 0 seconds, got {self.window}")
-        if self.warn_after < 1 or self.breach_after < self.warn_after:
+        if not 0.0 <= rule.q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {rule.q}")
+        if rule.window <= 0:
+            raise ValueError(f"window must be > 0 seconds, got {rule.window}")
+        if rule.warn_after < 1 or rule.breach_after < rule.warn_after:
             raise ValueError(
                 f"need 1 <= warn_after <= breach_after, got "
-                f"{self.warn_after}/{self.breach_after}"
+                f"{rule.warn_after}/{rule.breach_after}"
             )
-        if self.clear_after < 1:
-            raise ValueError(f"clear_after must be >= 1, got {self.clear_after}")
+        if rule.clear_after < 1:
+            raise ValueError(f"clear_after must be >= 1, got {rule.clear_after}")
+        return rule
 
     def violated_by(self, value: float) -> bool:
         """Does one measured value violate this objective?"""

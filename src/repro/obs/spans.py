@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from . import state, trace
 from .instruments import Registry
@@ -47,9 +46,9 @@ DEFAULT_SPAN_CAPACITY = 2048
 _ring: deque["SpanRecord"] = deque(maxlen=DEFAULT_SPAN_CAPACITY)
 
 
-@dataclass(frozen=True)
-class SpanRecord:
-    """One finished span."""
+class SpanRecord(NamedTuple):
+    """One finished span (a tuple: no ``__dict__``, as every process
+    keeps a ring of them)."""
 
     name: str
     started: float  # perf_counter seconds at entry (monotonic, process-local)
@@ -57,12 +56,12 @@ class SpanRecord:
     depth: int  # 0 = top level at close time
     parent: str | None  # enclosing span name, if any
     error: bool  # closed by an exception propagating through?
-    trace_id: str = ""  # shared by every span of one logical operation
-    span_id: str = ""  # this span's own id
-    parent_id: str | None = None  # parent span id (may live in another process)
-    process: str = ""  # trace track label (coordinator / shard-N / pid-N)
-    error_type: str | None = None  # exception type name when error is True
-    attrs: dict[str, Any] = field(default_factory=dict)
+    trace_id: str  # shared by every span of one logical operation
+    span_id: str  # this span's own id
+    parent_id: str | None  # parent span id (may live in another process)
+    process: str  # trace track label (coordinator / shard-N / pid-N)
+    error_type: str | None  # exception type name when error is True
+    attrs: dict[str, Any]
 
 
 class _LiveSpan:

@@ -40,8 +40,7 @@ threaded by design.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 __all__ = [
     "TraceContext",
@@ -58,16 +57,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TraceContext:
+class TraceContext(NamedTuple):
     """A propagatable reference to one live span in one live trace."""
 
     trace_id: str
     span_id: str
 
 
-@dataclass
-class Frame:
+class Frame(NamedTuple):
     """One open span's identity (internal; owned by repro.obs.spans)."""
 
     name: str

@@ -69,7 +69,6 @@ import multiprocessing
 import os
 import pickle
 import queue as queue_module
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -124,14 +123,22 @@ class WorkerCrashed(RuntimeError):
     """A worker raised inside command processing (traceback attached)."""
 
 
-@dataclass
 class _WorkerHandle:
     """One live worker process and its queues."""
 
-    shard_id: int
-    process: multiprocessing.process.BaseProcess
-    inbox: Any  # multiprocessing.Queue (bounded)
-    outbox: Any  # multiprocessing.Queue (unbounded, responses/errors)
+    __slots__ = ("shard_id", "process", "inbox", "outbox")
+
+    def __init__(
+        self,
+        shard_id: int,
+        process: multiprocessing.process.BaseProcess,
+        inbox: Any,  # multiprocessing.Queue (bounded)
+        outbox: Any,  # multiprocessing.Queue (unbounded, responses/errors)
+    ) -> None:
+        self.shard_id = shard_id
+        self.process = process
+        self.inbox = inbox
+        self.outbox = outbox
 
     def is_alive(self) -> bool:
         return self.process.is_alive()
@@ -290,7 +297,7 @@ class ShardedMonitor:
             f"{self._shm_base}-ring{shard_id}e{self._spawn_epoch}", self.ring_capacity
         )
         self._rings[shard_id] = ring
-        return replace(spec, ring=ring.name)
+        return spec._replace(ring=ring.name)
 
     def _spawn(self, shard_id: int, spec: WorkerSpec) -> _WorkerHandle:
         spec = self._shm_spec(shard_id, spec)

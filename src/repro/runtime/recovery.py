@@ -10,19 +10,19 @@ death a respawn cannot cover: the coordinator's own.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 
-
-@dataclass
 class RecoveryLog:
     """Coordinator-side counters describing the fleet's failure history."""
 
-    #: ``checkpoint()`` calls that committed an export.
-    checkpoints: int = 0
-    recoveries: int = 0
-    #: Commands sent to respawned workers to rebuild their state.
-    replayed_commands: int = 0
+    __slots__ = ("checkpoints", "recoveries", "replayed_commands")
+
+    def __init__(self) -> None:
+        #: ``checkpoint()`` calls that committed an export.
+        self.checkpoints = 0
+        self.recoveries = 0
+        #: Commands sent to respawned workers to rebuild their state.
+        self.replayed_commands = 0
 
     def summary(self) -> dict[str, int]:
         """Plain-dict snapshot for ``stats()`` aggregation."""
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}

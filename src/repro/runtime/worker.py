@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import pickle
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .. import obs
 from ..core.monitor import StreamMonitor
@@ -48,8 +47,7 @@ STATE_COMMANDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class WorkerSpec:
+class WorkerSpec(NamedTuple):
     """Everything needed to build (or rebuild) one shard's monitor."""
 
     queries: Mapping[Any, LabeledGraph]
@@ -69,15 +67,19 @@ class WorkerSpec:
         )
 
 
-@dataclass
 class ShardState:
     """The worker's in-process state (also used by the coordinator's
     zero-worker in-process mode and by tests, so the command semantics
     live in exactly one place)."""
 
-    shard_id: int
-    monitor: StreamMonitor
-    ring: RingReader | None = None
+    __slots__ = ("shard_id", "monitor", "ring")
+
+    def __init__(
+        self, shard_id: int, monitor: StreamMonitor, ring: RingReader | None = None
+    ) -> None:
+        self.shard_id = shard_id
+        self.monitor = monitor
+        self.ring = ring
 
     def execute(self, command: tuple) -> tuple | None:
         """Apply one inbox command; return the response to emit (None

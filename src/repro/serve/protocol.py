@@ -9,7 +9,7 @@ Two front-ends share this module:
 * the **JSON** protocol — what TCP clients speak, parsed by
   :func:`parse_json_line` (``{"cmd": "ins", "stream": "a", ...}``).
 
-Both produce the same small command dataclasses, so the session
+Both produce the same small command records, so the session
 executor (:mod:`repro.serve.session`) is front-end agnostic.  Malformed
 input raises :class:`ProtocolError`, which callers turn into a
 structured ``{"ok": false, "error": ...}`` reply — a bad line must
@@ -26,8 +26,7 @@ JSON types, so integer vertex ids and timestamps round-trip typed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence, Union
 
 from ..graph.io import is_token
 from ..graph.operations import DELETE, INSERT, EdgeChange
@@ -60,34 +59,25 @@ class ProtocolError(ValueError):
     """A syntactically or semantically malformed protocol line."""
 
 
-@dataclass(frozen=True)
-class Command:
-    """Base of all parsed protocol commands."""
-
-    #: The verb as the client spelled it (``tick`` vs ``commit``); replies
-    #: echo it back so clients can correlate without tracking aliases.
-    verb: str = field(default="", kw_only=True)
-
-    @property
-    def is_data(self) -> bool:
-        """Does this command feed data into the monitor (and therefore go
-        through admission control), as opposed to reading state?"""
-        return False
+# Each command's ``verb`` is the verb as the client spelled it (``tick``
+# vs ``commit``); replies echo it back so clients can correlate without
+# tracking aliases.  ``is_data``: does the command feed data into the
+# monitor (and therefore go through admission control), as opposed to
+# reading state?
 
 
-@dataclass(frozen=True)
-class AddStream(Command):
+class AddStream(NamedTuple):
     stream_id: Any
     graph_file: str | None = None
     graph_key: str | None = None
+    verb: str = ""
 
     @property
     def is_data(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class AddQuery(Command):
+class AddQuery(NamedTuple):
     """Register a standing query live (verb ``addq``).
 
     The pattern comes from a graph-set file on the server
@@ -103,79 +93,102 @@ class AddQuery(Command):
     graph_key: str | None = None
     vertices: tuple = ()
     edges: tuple = ()
+    verb: str = ""
 
     @property
     def is_data(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class DelQuery(Command):
+class DelQuery(NamedTuple):
     """Deregister a standing query live (verb ``delq``)."""
 
     query_id: Any
+    verb: str = ""
 
     @property
     def is_data(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class Edit(Command):
+class Edit(NamedTuple):
     """Stage one edge change on a session (applied at the next commit)."""
 
     stream_id: Any
     change: EdgeChange
+    verb: str = ""
 
     @property
     def is_data(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class BatchEdit(Command):
+class BatchEdit(NamedTuple):
     """Stage a whole batch of changes in one command (JSON protocol only)."""
 
     stream_id: Any
     changes: tuple[EdgeChange, ...]
+    verb: str = ""
 
     @property
     def is_data(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class Commit(Command):
+class Commit(NamedTuple):
     """Apply every staged batch at the next timestamp (text verb: ``tick``)."""
 
+    verb: str = ""
+
     @property
     def is_data(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class Poll(Command):
-    pass
+class Poll(NamedTuple):
+    verb: str = ""
+
+    @property
+    def is_data(self) -> bool:
+        return False
 
 
-@dataclass(frozen=True)
-class Matches(Command):
-    pass
+class Matches(NamedTuple):
+    verb: str = ""
+
+    @property
+    def is_data(self) -> bool:
+        return False
 
 
-@dataclass(frozen=True)
-class Stats(Command):
-    pass
+class Stats(NamedTuple):
+    verb: str = ""
+
+    @property
+    def is_data(self) -> bool:
+        return False
 
 
-@dataclass(frozen=True)
-class Checkpoint(Command):
-    pass
+class Checkpoint(NamedTuple):
+    verb: str = ""
+
+    @property
+    def is_data(self) -> bool:
+        return False
 
 
-@dataclass(frozen=True)
-class Quit(Command):
-    pass
+class Quit(NamedTuple):
+    verb: str = ""
+
+    @property
+    def is_data(self) -> bool:
+        return False
+
+
+#: Any parsed protocol command.
+Command = Union[
+    AddStream, AddQuery, DelQuery, Edit, BatchEdit, Commit, Poll, Matches, Stats, Checkpoint, Quit
+]
 
 
 _TEXT_VERBS = frozenset(

@@ -42,9 +42,8 @@ command.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .. import obs
 from ..obs.flight import FlightRecorder
@@ -67,10 +66,7 @@ __all__ = ["ServeConfig", "ReproServer", "run_server"]
 _MIN_RETRY = 0.05
 
 
-@dataclass
-class ServeConfig:
-    """Tunables of the serving edge (all CLI-exposed)."""
-
+class _ServeFields(NamedTuple):
     host: str = "127.0.0.1"
     port: int = 0
     #: Bounded admission queue: max data commands queued but
@@ -91,19 +87,27 @@ class ServeConfig:
     #: SLO rule overrides (() = the stock DEFAULT_RULES).
     slo_rules: tuple = ()
 
-    def __post_init__(self) -> None:
-        if self.admission_capacity < 1:
+
+class ServeConfig(_ServeFields):
+    """Tunables of the serving edge (all CLI-exposed), checked on
+    construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "ServeConfig":
+        config = super().__new__(cls, *args, **kwargs)
+        if config.admission_capacity < 1:
             raise ValueError("admission_capacity must be >= 1")
-        if self.drain_grace < 0:
+        if config.drain_grace < 0:
             raise ValueError("drain_grace must be >= 0 seconds")
-        if self.timeline_interval <= 0:
+        if config.timeline_interval <= 0:
             raise ValueError("timeline_interval must be > 0 seconds")
-        if self.timeline_capacity < 2:
+        if config.timeline_capacity < 2:
             raise ValueError("timeline_capacity must be >= 2")
+        return config
 
 
-@dataclass
-class _WorkItem:
+class _WorkItem(NamedTuple):
     session: Session
     command: Command
     future: asyncio.Future

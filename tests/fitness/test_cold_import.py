@@ -111,6 +111,29 @@ assert monitor.matches() == {("s", "ab")}
     assert "repro.render" not in loaded
 
 
+# Records on the served paths are NamedTuples or slotted classes, so no
+# served process pays for ``dataclasses`` (with its ``inspect``, ``ast``
+# and ``dis``) or for the code a dataclass generates at import.  The
+# server loads ``inspect`` through ``asyncio`` anyway; the benchmark
+# harness's own closures are pinned free of ``dataclasses`` alone.
+@pytest.mark.parametrize(
+    "code, inspect_free",
+    [
+        ("import repro", True),
+        ("import repro.runtime.worker", True),
+        ("import repro.cli; import repro.serve.commands", True),  # serve, before the fork
+        ("import repro.serve.server", False),
+        ("import repro.serve.protocol", False),
+        ("import repro.runtime.shm", False),
+    ],
+)
+def test_served_processes_load_no_dataclasses(code: str, inspect_free: bool) -> None:
+    loaded = _modules_after(code)
+    assert "dataclasses" not in loaded
+    if inspect_free:
+        assert "inspect" not in loaded
+
+
 def test_building_the_cli_parser_loads_no_generator_database_or_loop() -> None:
     loaded = _modules_after("import repro.cli\nrepro.cli.build_parser()")
     assert not loaded & {"asyncio", "repro.core.database"}

@@ -482,3 +482,28 @@ def test_lint_verb_is_gone():
     with pytest.raises(SystemExit) as excinfo:
         main(["lint"])
     assert excinfo.value.code == 2
+
+
+def test_slo_window_reaches_every_rule(replay_inputs, monkeypatch):
+    from repro import obs
+    from repro.obs import slo
+
+    seen = []
+
+    class Recording(slo.SloEngine):
+        def __init__(self, rules=None, **kwargs):
+            seen.extend(rules)
+            super().__init__(rules=rules, **kwargs)
+
+    monkeypatch.setattr(slo, "SloEngine", Recording)
+    queries, streams = replay_inputs
+    was_enabled = obs.enabled()
+    try:
+        assert main(["slo", "--queries", queries, "--streams", *streams, "--window", "7.5"]) in (0, 1)
+        with pytest.raises(ValueError, match="window"):  # the rules still check it
+            main(["slo", "--queries", queries, "--streams", *streams, "--window", "0"])
+    finally:
+        if not was_enabled:
+            obs.disable()
+    assert all(type(rule) is slo.SloRule and rule.window == 7.5 for rule in seen)
+    assert [rule._replace(window=60.0) for rule in seen] == list(slo.DEFAULT_RULES)

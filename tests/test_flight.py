@@ -134,6 +134,20 @@ class TestDump:
         assert any(span["name"] == "unit.work" for span in doc["spans"])
         assert "flight.events" in doc["metrics"]
 
+    def test_dumped_spans_are_objects_with_every_field(self, tmp_path):
+        # Span records are NamedTuples, which json would write as arrays.
+        recorder = FlightRecorder(capacity=8, clock=FakeClock())
+        with obs.span("unit.work", stream="s-1"):
+            pass
+        doc = json.loads(recorder.dump(tmp_path / "flight.json", reason="test").read_text())
+        assert all(isinstance(span, dict) for span in doc["spans"])
+        (span,) = [span for span in doc["spans"] if span["name"] == "unit.work"]
+        assert set(span) == {
+            "name", "started", "duration", "depth", "parent", "error", "trace_id",
+            "span_id", "parent_id", "process", "error_type", "attrs",
+        }
+        assert span["attrs"] == {"stream": "s-1"}
+
     def test_dump_is_atomic(self, tmp_path):
         recorder = FlightRecorder(capacity=4)
         target = recorder.dump(tmp_path / "flight.json", reason="x")

@@ -19,7 +19,6 @@ half-way leaves the previous export loadable) and leaves nothing behind
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import signal
@@ -33,7 +32,7 @@ import pytest
 from repro.core import checkpoint as checkpoint_module
 from repro.core import load_monitor
 from repro.core.monitor import StreamMonitor, diff_polls
-from repro.graph import GraphChangeOperation
+from repro.graph import EdgeChange, GraphChangeOperation
 from repro.graph.io import write_graph_set
 from repro.runtime import ShardedMonitor
 from repro.serve.protocol import change_to_dict
@@ -54,7 +53,10 @@ def scenario(ids: type) -> tuple[dict, list[dict]]:
         ticks = [
             {
                 stream_id: GraphChangeOperation(
-                    dataclasses.replace(change, u=int(change.u), v=int(change.v))
+                    EdgeChange(
+                        change.op, int(change.u), int(change.v),
+                        change.edge_label, change.u_label, change.v_label,
+                    )
                     for change in batch
                 )
                 for stream_id, batch in tick.items()

@@ -221,11 +221,9 @@ class TestChromeExport:
             assert event["args"]["trace_id"].startswith("t-")
 
     def test_coordinator_track_is_pid_zero(self):
-        from dataclasses import replace
-
         records = self._records()
         relabeled = [
-            replace(record, process=label)
+            record._replace(process=label)
             for record, label in zip(records, ("shard-1", "coordinator"))
         ]
         data = obs.to_chrome(relabeled)
