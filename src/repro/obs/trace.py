@@ -77,6 +77,8 @@ class Frame(NamedTuple):
 
 _counter = 0
 _process_label: str | None = None
+#: ``(pid, "pid-<pid>")``: the default label, formatted once per process.
+_pid_label: tuple[int, str] = (-1, "")
 _stack: list[Frame] = []
 #: Trace id owned by the current root span (None outside any span).
 _active_trace: str | None = None
@@ -111,9 +113,13 @@ def set_process_label(label: str) -> None:
 
 def process_label() -> str:
     """This process's trace-track label."""
+    global _pid_label
     if _process_label is not None:
         return _process_label
-    return f"pid-{os.getpid()}"
+    pid = os.getpid()  # per call: a forked child without a label has its own
+    if _pid_label[0] != pid:
+        _pid_label = (pid, f"pid-{pid}")
+    return _pid_label[1]
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,13 @@ runtime partitions the workload by stream id: every stream is owned by
 exactly one worker, and the union of per-worker answers is the global
 answer (completeness is preserved shard-locally by Lemma 4.2).
 
-The ring uses a *keyed* stable hash (:func:`hashlib.blake2b`), never
-Python's builtin ``hash``: the builtin is salted per process, and the
+The ring uses a *keyed* stable hash (``blake2b``), never Python's
+builtin ``hash``: the builtin is salted per process, and the
 coordinator, its workers, and a coordinator restarted tomorrow must all
-agree on the same placement.  Virtual nodes (``replicas`` points per
+agree on the same placement.  ``blake2b`` comes from ``_blake2``, the
+builtin module that ``hashlib.blake2b`` already is (hashlib never routes
+blake2 through OpenSSL): same digests, and no process that imports
+``repro`` maps libcrypto.  Virtual nodes (``replicas`` points per
 shard) keep the placement balanced and make it *consistent*: resizing
 from N to N+1 shards moves only ~1/(N+1) of the streams.
 """
@@ -17,7 +20,7 @@ from N to N+1 shards moves only ~1/(N+1) of the streams.
 from __future__ import annotations
 
 import bisect
-import hashlib
+from _blake2 import blake2b
 from typing import Hashable
 
 #: Virtual ring points per shard; 64 keeps the max/min stream-count
@@ -33,7 +36,7 @@ def stable_hash(key: Hashable) -> int:
     record the id kind.
     """
     token = f"{type(key).__name__}:{key!s}".encode("utf-8", "surrogatepass")
-    return int.from_bytes(hashlib.blake2b(token, digest_size=8).digest(), "big")
+    return int.from_bytes(blake2b(token, digest_size=8).digest(), "big")
 
 
 class ShardRouter:

@@ -32,9 +32,11 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from multiprocessing.shared_memory import SharedMemory
 
 #: Bytes reserved at the front of every ring segment for the header.
 HEADER_SIZE = 64
@@ -74,14 +76,21 @@ def _untrack(name: str) -> None:
     A dead tracker is not an error here; cleanup is already
     best-effort beyond the sweep.
     """
+    from multiprocessing import resource_tracker
+
     try:
         resource_tracker.unregister("/" + name, "shared_memory")
     except (OSError, ValueError):
         pass
 
 
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without claiming ownership.
+def _open_segment(name: str, size: int = 0) -> SharedMemory:
+    """Create a ``size``-byte segment, or attach to an existing one
+    (``size`` 0) without claiming ownership.
+
+    ``multiprocessing.shared_memory`` is imported here, not at module
+    import: it loads ``secrets``, and with it ``hashlib`` and OpenSSL,
+    which only a process that has a ring should pay for.
 
     The stdlib registers attaches with the resource tracker too
     (gh-82300), but fork and spawn children share the coordinator's
@@ -89,7 +98,9 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     the creator already registered — a no-op, balanced by the single
     ``unlink()`` when the creator (or the sweep) destroys the segment.
     """
-    return shared_memory.SharedMemory(name=name)
+    from multiprocessing.shared_memory import SharedMemory
+
+    return SharedMemory(name=name, create=size > 0, size=size)
 
 
 class ShmRing:
@@ -102,19 +113,26 @@ class ShmRing:
     capacity only at access time, so FIFO consumption keeps the
     watermark exact and a full ring simply rejects the push (the caller
     falls back to an inline payload — lossless either way).
+
+    A push onto a drained ring (``tail == head``) first moves the head
+    to the next lap boundary, so the payload lands at the front, and
+    free space counts from ``max(tail, lap start)``.  Closed-loop
+    traffic drains the ring every tick, so its resident pages are
+    bounded by the bytes in flight at once: ``capacity`` is a bound,
+    not a standing memory cost.
     """
 
     def __init__(self, name: str, capacity: int = DEFAULT_RING_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"ring capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._segment = shared_memory.SharedMemory(
-            name=name, create=True, size=HEADER_SIZE + capacity
-        )
+        self._segment = _open_segment(name, HEADER_SIZE + capacity)
         _RING_HEADER.pack_into(
             self._segment.buf, 0, _RING_MAGIC, _VERSION, 0, capacity, 0
         )
         self._head = 0
+        #: Where the head last restarted; nothing below it is in flight.
+        self._lap_start = 0
 
     @property
     def name(self) -> str:
@@ -127,11 +145,13 @@ class ShmRing:
     def free_bytes(self) -> int:
         """Payload bytes the ring can accept right now (head-to-tail
         headroom; grows as the consumer advances the watermark)."""
-        return self.capacity - (self._head - self._tail())
+        return self.capacity - (self._head - max(self._tail(), self._lap_start))
 
     def push(self, payload: bytes) -> RingRef | None:
         """Park one payload; None when it does not fit right now."""
         length = len(payload)
+        if self._tail() == self._head:  # drained: restart at the front
+            self._head = self._lap_start = -(-self._head // self.capacity) * self.capacity
         if length > self.free_bytes():
             return None
         position = self._head % self.capacity
@@ -165,7 +185,7 @@ class RingReader:
     """Consumer half of the payload ring (lives in the worker)."""
 
     def __init__(self, name: str) -> None:
-        self._segment = _attach(name)
+        self._segment = _open_segment(name)
         magic, version, _flags, capacity, _tail = _RING_HEADER.unpack_from(
             self._segment.buf, 0
         )

@@ -134,6 +134,35 @@ def test_served_processes_load_no_dataclasses(code: str, inspect_free: bool) -> 
         assert "inspect" not in loaded
 
 
+# Stream placement hashes with the builtin ``_blake2``, and shared
+# memory is imported when a ring is made, so no served process maps
+# OpenSSL (libcrypto) unless it owns or attaches a payload ring.
+OPENSSL = {"hashlib", "_hashlib", "ssl", "secrets", "multiprocessing.shared_memory"}
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import repro",
+        "import repro.runtime.worker",
+        "import repro.cli; import repro.serve.commands",  # serve, before the fork
+    ],
+)
+def test_served_processes_load_no_openssl(code: str) -> None:
+    assert not _modules_after(code) & OPENSSL
+
+
+def test_a_monitor_with_rings_loads_shared_memory() -> None:
+    loaded = _modules_after(
+        """
+from repro.runtime import ShardedMonitor
+
+ShardedMonitor({}, shm=True, num_workers=1).close()
+"""
+    )
+    assert "multiprocessing.shared_memory" in loaded
+
+
 def test_building_the_cli_parser_loads_no_generator_database_or_loop() -> None:
     loaded = _modules_after("import repro.cli\nrepro.cli.build_parser()")
     assert not loaded & {"asyncio", "repro.core.database"}

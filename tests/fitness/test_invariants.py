@@ -20,6 +20,7 @@ CONFINED_IMPORTS = {
     ),
     "multiprocessing.shared_memory": "repro.runtime.shm",
     "multiprocessing.resource_tracker": "repro.runtime.shm",
+    "_blake2": "repro.runtime.router",
     "asyncio": "repro.serve",
 }
 #: Packages whose stages are timed by ``repro.obs`` spans, never by a clock read.

@@ -23,6 +23,7 @@ from repro.join import ENGINES
 from repro.runtime import ShardedMonitor
 from repro.runtime import coordinator as coordinator_module
 from repro.runtime.shm import (
+    HEADER_SIZE,
     RingReader,
     ShmError,
     ShmRing,
@@ -108,12 +109,58 @@ class TestRing:
     def test_wraparound_preserves_bytes(self):
         ring, reader = self.make_ring(64)
         try:
-            first = ring.push(b"a" * 40)
-            assert reader.read(first) == b"a" * 40
+            first = ring.push(b"a" * 30)
+            kept = ring.push(b"k" * 10)  # in flight: the ring is not drained
+            assert reader.read(first) == b"a" * 30
             wrapped = ring.push(bytes(range(50)))  # crosses the seam
             assert wrapped is not None
             assert wrapped.offset == 40
+            assert reader.read(kept) == b"k" * 10
             assert reader.read(wrapped) == bytes(range(50))
+        finally:
+            reader.close()
+            ring.close()
+
+    def test_a_drained_ring_restarts_at_its_front(self):
+        ring, reader = self.make_ring(64)
+        try:
+            assert reader.read(ring.push(b"a" * 40)) == b"a" * 40
+            assert ring.free_bytes() == 64
+            ref = ring.push(b"b" * 50)
+            assert ref is not None
+            assert ref.offset == 64 and ref.offset % ring.capacity == 0
+            assert ring.free_bytes() == 14
+            assert reader.read(ref) == b"b" * 50
+            ref = ring.push(b"payload")
+            assert ref.offset == 128
+            ring._segment.buf[64] ^= 0xFF  # first payload byte, behind the header
+            with pytest.raises(ShmError, match="CRC"):
+                reader.read(ref)
+        finally:
+            reader.close()
+            ring.close()
+
+    def test_closed_loop_traffic_stays_within_its_largest_span(self):
+        # Each round parks up to three payloads and drains them, as a
+        # tick does; the ring never writes past the largest such span.
+        ring, reader = self.make_ring(4096)
+        rng = random.Random(4242)
+        largest = reach = offset = 0
+        try:
+            for _ in range(10_000):
+                payloads = [
+                    rng.randbytes(rng.randint(1, ring.capacity // 4))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                refs = [ring.push(payload) for payload in payloads]
+                assert all(ref is not None and ref.offset >= offset for ref in refs)
+                offset = refs[-1].offset
+                largest = max(largest, sum(map(len, payloads)))
+                reach = max(reach, *(ref.offset % ring.capacity + ref.length for ref in refs))
+                assert reach <= largest
+                assert [reader.read(ref) for ref in refs] == payloads
+            past = bytes(ring._segment.buf[HEADER_SIZE + largest :])
+            assert not any(past)  # never written
         finally:
             reader.close()
             ring.close()

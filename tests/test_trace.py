@@ -121,6 +121,17 @@ class TestIds:
         finally:
             trace_mod._process_label = previous
 
+    def test_default_label_is_formatted_once_per_pid(self, monkeypatch):
+        monkeypatch.setattr(trace_mod, "_process_label", None)
+        for name in ("a", "b"):
+            with obs.span(name):
+                pass
+        first, second = obs.spans()
+        assert first.process == f"pid-{os.getpid()}"
+        assert first.process is second.process  # one string, not one per span
+        monkeypatch.setattr(os, "getpid", lambda: 4242)  # a forked child, unlabelled
+        assert trace_mod.process_label() == "pid-4242"
+
 
 class TestNesting:
     def test_nested_spans_share_a_trace(self):
