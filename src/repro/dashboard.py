@@ -239,11 +239,9 @@ def render_dashboard(
         )
     rescale = stats.get("rescale")
     if isinstance(rescale, Mapping):
-        state = "in-flight" if rescale.get("active") else "idle"
         last = rescale.get("last_seconds") or None
         lines.append(
-            f"rescale         count={rescale.get('count', 0)}  "
-            f"last={_fmt_seconds(last)}  {state}"
+            f"rescale         count={rescale.get('count', 0)}  last={_fmt_seconds(last)}"
         )
 
     # -- live query churn --------------------------------------------------

@@ -74,7 +74,6 @@ CATALOG: dict[str, tuple] = {
     "runtime.inbox_depth": ("gauge", "deepest worker inbox at the last stats() call"),
     "runtime.matches.seconds": ("histogram", "seconds per fleet-wide poll"),
     "runtime.register_query.seconds": ("histogram", "seconds per fleet-wide query registration fan-out"),
-    "runtime.rescale.active": ("gauge", "1 while a pool rescale is in flight"),
     "runtime.rescale.last_seconds": ("gauge", "duration of the last completed rescale"),
     "runtime.rescale.seconds": ("histogram", "seconds per live pool rescale"),
     "runtime.streams_moved": ("counter", "streams migrated between shards by rescales"),

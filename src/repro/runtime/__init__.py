@@ -21,11 +21,11 @@ touch ``multiprocessing.shared_memory`` (``CONFINED_IMPORTS`` in
 and all parallelism lives behind this facade.
 """
 
-from .coordinator import ShardedMonitor, WorkerCrashed, WorkerDied
-from .recovery import RecoveryLog
+from .coordinator import ShardedMonitor
+from .fleet import RecoveryLog
 from .router import ShardRouter, stable_hash
 from .shm import RingReader, RingRef, ShmError, ShmRing, cleanup_segments
-from .worker import ShardState, WorkerSpec
+from .worker import ShardState, WorkerCrashed, WorkerDied, WorkerSpec
 
 __all__ = [
     "RecoveryLog",

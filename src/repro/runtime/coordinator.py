@@ -1,156 +1,47 @@
-"""The sharded stream-monitoring coordinator.
+"""The sharded stream-monitoring coordinator: the production driver.
 
 :class:`ShardedMonitor` presents the :class:`~repro.core.StreamMonitor`
-surface (``add_stream`` / ``apply`` / ``matches`` / ``events`` /
-``stats``) while fanning the work out over N worker processes, each
-owning a disjoint shard of the streams (consistent hash on stream id,
-:mod:`repro.runtime.router`) with a private monitor over the shared
-query set.  Because streams are independent (Definition 2.8), the union
-of per-worker candidate sets *is* the global candidate set — sharding
-changes where the work happens, never the answer.
+surface over N worker processes, each owning a disjoint shard of the
+streams with a private monitor over the shared query set.  Streams are
+independent (Definition 2.8), so the union of the workers' candidate
+sets *is* the global one.
 
-**Backpressure.**  Worker inboxes are bounded queues
-(``queue_capacity`` commands each).  A call that meets a full inbox
-waits for the worker: no update is ever discarded or parked on the
-coordinator side.  Overload is refused where a client can see it, at
-the serving edge's bounded admission queue (``repro serve
---admission-capacity``).
-
-**Consistency.**  A poll is a per-worker FIFO barrier: the poll command
-is enqueued behind every previously accepted update, so the aggregated
-answer reflects exactly the updates accepted before the poll — the same
-semantics as calling ``matches()`` on a single monitor after the same
-``apply`` calls.
-
-**State of record.**  A worker's filter state is a pure function of
-its streams' *current graphs* and the query set, so that is all the
-coordinator keeps: one :class:`~repro.graph.LabeledGraph` per stream
-(``add_stream`` stores a copy, every accepted ``apply`` is folded in
-with the worker's own semantics, ``remove_stream`` forgets it) next to
-the live query dict — O(sum of |E_i|), whatever the stream length.
-``apply`` checks, sends, then folds.  The check
-(:func:`~repro.graph.operations.check_batch`) reads the stream's graph
-and writes nothing: a batch a worker would refuse raises
-:class:`~repro.graph.GraphError` from ``apply`` with nothing sent and
-nothing recorded.  The send is the control path's put, and the fold
-runs once it returns: a worker respawned during the send is seeded
-without the update and then receives it once.
-
-**Recovery.**  A worker that dies — killed, OOMed, crashed hardware —
-is respawned from the birth spec and sent the state of record: the net
-query churn since birth, then ``add_stream(id, current graph)`` for
-every stream it owns.  That is the state the lost worker would have
-reached (no false negatives), at a cost independent of how long the
-streams have run.  With ``auto_recover`` (default) this happens inside
-the call that notices the death.  For the coordinator's own death,
-:meth:`ShardedMonitor.checkpoint` writes the same state of record to a
-directory and :meth:`ShardedMonitor.restore` reads it back through the
-ordinary constructor + ``add_stream`` (:mod:`repro.core.checkpoint`).
-
-**Payload rings** (``shm=True``).  Each shard gets a
-coordinator->worker shared-memory ring (:mod:`repro.runtime.shm`):
-``apply`` pickles the update once into the ring and the inbox queue
-carries a fixed-size :class:`~repro.runtime.shm.RingRef` instead of the
-payload — the ``runtime.bytes_pickled`` counter shows the difference.
-Recovery never reads a ring (the state of record is the coordinator's
-own graphs), so the loss guarantees are unchanged.
-
-**Elastic resharding.**  :meth:`rescale` grows or shrinks the worker
-pool live: every stream whose consistent-hash owner changes is
-registered on its new shard from the coordinator's graph of it (every
-accepted update is folded in; no worker round trip) and removed from
-its old one.  The union-of-shards answer is preserved at every poll,
-and a worker killed mid-rescale recovers exactly like any other death.
+What the coordinator knows and decides — routing, each stream's current
+graph, the live query set, the respawn seed, the rescale plan and the
+send-then-fold rule — is a :class:`~repro.runtime.fleet.Fleet`.  This
+module is the IO around it: worker processes behind bounded inboxes (a
+full one makes the caller wait; a poll is a per-worker FIFO barrier),
+optional per-shard payload rings (``shm=True``, :mod:`repro.runtime.shm`;
+recovery never reads one), and the primitives ``_submit`` (put; a worker
+found dead is respawned and seeded once), ``_request`` (put, then await
+the tagged response) and ``_retire`` (stop a shard, unlink its ring).
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .. import obs
 from ..core.checkpoint import load_monitor, write_checkpoint
 from ..core.metrics import Stopwatch
-from ..core.monitor import CheckpointError, MatchEvent, diff_polls
+from ..core.monitor import CheckpointError, MatchEvent
 from ..graph.labeled_graph import LabeledGraph
-from ..graph.operations import (
-    EdgeChange,
-    GraphChangeOperation,
-    apply_change,
-    apply_operation,
-    check_batch,
-)
+from ..graph.operations import EdgeChange, GraphChangeOperation, check_batch
 from ..join import check_engine_name
 from ..join.base import Pair, QueryId, StreamId
 from ..nnt.projection import DimensionScheme, PAPER_SCHEME
-from .recovery import RecoveryLog
-from .router import ShardRouter
+from .fleet import Fleet, RecoveryLog
 from .shm import DEFAULT_RING_CAPACITY, ShmRing, cleanup_segments
-from .worker import (
-    CMD_ADD_STREAM,
-    CMD_APPLY,
-    CMD_DEREGISTER_QUERY,
-    CMD_POLL,
-    CMD_REGISTER_QUERY,
-    CMD_REMOVE_STREAM,
-    CMD_STATS,
-    CMD_STOP,
-    CMD_TRACE,
-    WorkerSpec,
-    worker_main,
-)
+from .worker import CMD_APPLY, CMD_POLL, CMD_STATS, CMD_TRACE, WorkerDied, WorkerProcess, WorkerSpec
 
 #: Distinguishes shared-memory namespaces when one process hosts several
 #: coordinators (pid alone is not enough); a plain counter, no entropy.
 _INSTANCE_COUNTER = 0
-
-#: How long a single response may take before we declare the runtime
-#: wedged (workers answer polls in milliseconds; this only trips when
-#: something is truly broken and the process is still technically alive).
-RESPONSE_TIMEOUT_SECONDS = 300.0
-_WAIT_SLICE_SECONDS = 0.2
-
-
-class WorkerDied(RuntimeError):
-    """A worker process exited without being asked to."""
-
-
-class WorkerCrashed(RuntimeError):
-    """A worker raised inside command processing (traceback attached)."""
-
-
-class _WorkerHandle:
-    """One live worker process and its queues."""
-
-    __slots__ = ("shard_id", "process", "inbox", "outbox")
-
-    def __init__(
-        self,
-        shard_id: int,
-        process: multiprocessing.process.BaseProcess,
-        inbox: Any,  # multiprocessing.Queue (bounded)
-        outbox: Any,  # multiprocessing.Queue (unbounded, responses/errors)
-    ) -> None:
-        self.shard_id = shard_id
-        self.process = process
-        self.inbox = inbox
-        self.outbox = outbox
-
-    def is_alive(self) -> bool:
-        return self.process.is_alive()
-
-    def dispose(self) -> None:
-        """Tear down a (possibly dead) worker's process and queues."""
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=5)
-        for channel in (self.inbox, self.outbox):
-            channel.cancel_join_thread()
-            channel.close()
 
 
 class ShardedMonitor:
@@ -159,36 +50,29 @@ class ShardedMonitor:
     Parameters mirror the single-process monitor, plus:
 
     num_workers:
-        Worker process count (shard count).  Streams hash onto shards;
-        with one worker the runtime degenerates to a supervised
-        single-process monitor (still recoverable).
+        Worker process (shard) count; one worker is a supervised,
+        recoverable single-process monitor.
     queue_capacity:
-        Bound on each worker inbox, in commands; a call that meets a
-        full inbox waits for the worker.
+        Bound on each worker inbox, in commands; a full one makes the
+        caller wait.
     checkpoint_dir:
         Where ``checkpoint()`` writes its export; required for it.
     checkpoint_every:
-        Auto-checkpoint after this many accepted change batches
-        (0 = manual checkpoints only).
+        Auto-checkpoint after this many accepted batches (0 = manual).
     auto_recover:
-        Respawn dead workers transparently inside the call that notices
-        (default).  ``False`` raises :class:`WorkerDied` instead.
+        Respawn dead workers inside the call that notices (default);
+        ``False`` raises :class:`WorkerDied` instead.
     start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (fast, inherits the query set) and the platform
-        default elsewhere.
+        ``multiprocessing`` start method; ``fork`` where available.
     shm:
-        Ship apply payloads through per-shard shared-memory rings
-        instead of the inbox queues (see the module docstring).
+        Ship apply payloads through per-shard shared-memory rings.
     ring_capacity:
-        Payload bytes per shard ring (``shm=True`` only).  A full ring
-        falls back to inline payloads — lossless, just counted on
-        ``shm.ring_overflow``.
+        Payload bytes per ring; a full ring falls back to inline
+        payloads, counted on ``shm.ring_overflow``.
     flight_dir:
         Directory for per-shard flight-recorder journals
-        (``flight-shard<N>.jsonl``, flushed per command so they survive
-        SIGKILL) and crash/SIGUSR2 dumps.  ``None`` disables the
-        recorder entirely.
+        (``flight-shard<N>.jsonl``, flushed per command) and crash or
+        SIGUSR2 dumps; ``None`` disables the recorder.
     """
 
     def __init__(
@@ -222,8 +106,7 @@ class ShardedMonitor:
         if ring_capacity < 1:
             raise ValueError(f"ring_capacity must be >= 1, got {ring_capacity}")
         # One private copy per pattern, shared by the birth spec and the
-        # live set: ``_seed`` tells a birth query from a re-registered
-        # one by identity.
+        # fleet's live set (Fleet.seed tells them apart by identity).
         queries = {query_id: graph.copy() for query_id, graph in queries.items()}
         self.spec = WorkerSpec(
             queries=queries,
@@ -232,7 +115,6 @@ class ShardedMonitor:
             scheme=scheme,
             flight_dir=str(flight_dir) if flight_dir is not None else None,
         )
-        self.num_workers = num_workers
         self.queue_capacity = queue_capacity
         self.checkpoint_every = checkpoint_every
         self.auto_recover = auto_recover
@@ -241,283 +123,106 @@ class ShardedMonitor:
         if start_method is None and "fork" in multiprocessing.get_all_start_methods():
             start_method = "fork"
         self._ctx = multiprocessing.get_context(start_method)
-        self.router = ShardRouter(num_workers)
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.recovery_log = RecoveryLog()
-        self._streams: dict[StreamId, int] = {}
-        # The state of record: each stream's current graph — private to
-        # this process; what crosses a queue is a copy, because queues
-        # pickle later, on a feeder thread — and the *live* query set
-        # (``self.spec.queries`` stays frozen at birth).
-        self._graphs: dict[StreamId, LabeledGraph] = {}
-        self._queries: dict[QueryId, LabeledGraph] = dict(queries)
-        self._query_registrations = 0
-        self._query_deregistrations = 0
-        self._last_poll: set[Pair] = set()
-        self._request_counter = 0
-        self._accepted_batches = 0
-        self._batches_since_checkpoint = 0
+        self.fleet = Fleet(queries, num_workers)
+        self._request_ids = itertools.count(1)
         self._closed = False
         _INSTANCE_COUNTER += 1
         self._shm_base = f"repro-{os.getpid()}m{_INSTANCE_COUNTER}"
         self._spawn_epoch = 0
         self._rings: dict[int, ShmRing] = {}
-        self._rescales = 0
         self._last_rescale_seconds = 0.0
-        self._rescaling = False
         # Name this process's track in exported traces before workers
         # fork (forked children overwrite the label with shard-<k>).
         obs.set_process_label("coordinator")
-        self._workers: dict[int, _WorkerHandle] = {}
+        self._workers: dict[int, WorkerProcess] = {}
         try:
             for shard in range(num_workers):
-                self._workers[shard] = self._spawn(shard, self.spec)
+                self._spawn(shard)
         except BaseException:
             # A failed spawn never returns the object, so nobody else
             # can stop the workers and unlink the rings already made.
             self.close()
             raise
 
+    @property
+    def num_workers(self) -> int:
+        """The worker pool size."""
+        return self.fleet.shards
+
     # ------------------------------------------------------------------
-    # lifecycle
+    # the primitives: spawn, retire, deliver, request
     # ------------------------------------------------------------------
-    def _shm_spec(self, shard_id: int, spec: WorkerSpec) -> WorkerSpec:
-        """Provision a fresh payload ring for one spawn.
-
-        Per-spawn epochs keep a respawned worker's ring name disjoint
-        from its predecessor's, whose ring is unlinked here.
-        """
-        if not self.shm:
-            return spec
-        self._spawn_epoch += 1
-        old_ring = self._rings.pop(shard_id, None)
-        if old_ring is not None:
-            old_ring.close(unlink=True)
-        ring = ShmRing(
-            f"{self._shm_base}-ring{shard_id}e{self._spawn_epoch}", self.ring_capacity
-        )
-        self._rings[shard_id] = ring
-        return spec._replace(ring=ring.name)
-
-    def _spawn(self, shard_id: int, spec: WorkerSpec) -> _WorkerHandle:
-        spec = self._shm_spec(shard_id, spec)
-        inbox = self._ctx.Queue(maxsize=self.queue_capacity)
-        outbox = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(shard_id, spec, inbox, outbox),
-            name=f"repro-shard-{shard_id}",
-            daemon=True,
-        )
-        process.start()
-        return _WorkerHandle(shard_id, process, inbox, outbox)
-
-    def close(self) -> None:
-        """Stop every worker and release their queues (idempotent).
-
-        With ``shm=True`` this is also the leak boundary: the
-        coordinator unlinks the rings it created, and a final prefix
-        sweep is the net under that.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for handle in self._workers.values():
-            if handle.is_alive():
-                try:
-                    self._put_blocking(handle, (CMD_STOP, self._next_request()))
-                    self._await_response(handle, CMD_STOP)
-                except (WorkerDied, WorkerCrashed, TimeoutError):
-                    pass
-            handle.process.join(timeout=5)
-            handle.dispose()
-        for ring in self._rings.values():
-            ring.close(unlink=True)
-        self._rings.clear()
+    def _spawn(self, shard: int) -> int:
+        """Start ``shard``'s worker from the birth spec (with a fresh ring
+        under ``shm=True``) and put it the fleet's seed, bare (it opens
+        fresh traces); returns the seed's length.  If this worker dies
+        too, the next call to notice seeds its successor."""
+        spec = self.spec
         if self.shm:
-            cleanup_segments(self._shm_base)
+            self._spawn_epoch += 1
+            ring = ShmRing(
+                f"{self._shm_base}-ring{shard}e{self._spawn_epoch}", self.ring_capacity
+            )
+            self._rings[shard] = ring
+            spec = spec._replace(ring=ring.name)
+        worker = self._workers[shard] = WorkerProcess(self._ctx, shard, spec, self.queue_capacity)
+        seed = self.fleet.seed(shard)
+        for command in seed:
+            worker.put(command)
+        return len(seed)
 
-    def __enter__(self) -> "ShardedMonitor":
-        return self
+    def _retire(self, shard: int) -> None:
+        """Stop ``shard``'s worker (asking first if it runs) and unlink its
+        ring: the one teardown of ``close()``, rescale and :meth:`recover`."""
+        worker = self._workers.pop(shard, None)
+        if worker is not None:
+            worker.stop(next(self._request_ids))
+        ring = self._rings.pop(shard, None)
+        if ring is not None:
+            ring.close(unlink=True)
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("ShardedMonitor is closed")
-
-    # ------------------------------------------------------------------
-    # stream lifecycle
-    # ------------------------------------------------------------------
-    def add_stream(self, stream_id: StreamId, initial: LabeledGraph | None = None) -> None:
-        """Start monitoring a stream on its hash-assigned shard."""
-        self._ensure_open()
-        if stream_id in self._streams:
-            raise ValueError(f"stream {stream_id!r} is already monitored")
-        shard = self.router.shard_for(stream_id)
-        graph = initial.copy() if initial is not None else LabeledGraph()
-        # The inbox pickles later, on its feeder thread: it gets a copy of its own.
-        self._submit(shard, (CMD_ADD_STREAM, stream_id, graph.copy()))
-        self._streams[stream_id] = shard
-        self._graphs[stream_id] = graph
-
-    def remove_stream(self, stream_id: StreamId) -> None:
-        """Stop monitoring a stream and free its shard-local state."""
-        self._ensure_open()
-        # Delivered before it is forgotten: a respawn inside the submit
-        # still registers the stream the command then removes.
-        self._submit(self._streams[stream_id], (CMD_REMOVE_STREAM, stream_id))
-        del self._streams[stream_id]
-        del self._graphs[stream_id]
-        self._last_poll = {pair for pair in self._last_poll if pair[0] != stream_id}
-
-    def stream_ids(self) -> list[StreamId]:
-        """Ids of the currently monitored streams."""
-        return list(self._streams)
-
-    def graph(self, stream_id: StreamId) -> LabeledGraph:
-        """The stream's current graph: the initial graph with every
-        accepted update folded in (live — treat as read-only)."""
-        return self._graphs[stream_id]
-
-    def query_ids(self) -> list[QueryId]:
-        """Ids of the currently monitored patterns."""
-        return list(self._queries)
-
-    # ------------------------------------------------------------------
-    # query lifecycle
-    # ------------------------------------------------------------------
-    def register_query(self, query_id: QueryId, query: LabeledGraph) -> None:
-        """Register a pattern live, with no false-negative window.
-
-        The command rides the control path to every shard: each
-        worker's FIFO inbox guarantees its registration snapshot
-        reflects every update accepted before this call returns, and a
-        worker SIGKILLed mid-registration is respawned with the live
-        query set — the query lands fully present or, if the call
-        itself never completed, fully absent.
-        """
-        self._ensure_open()
-        if query_id in self._queries:
-            raise ValueError(f"query {query_id!r} is already monitored")
-        # Recorded and enqueued (the inboxes pickle it later, on their
-        # feeder threads) as one copy nothing here mutates.
-        query = query.copy()
-        with obs.span("runtime.register_query", query=str(query_id)):
-            for shard in sorted(self._workers):
-                self._submit(shard, (CMD_REGISTER_QUERY, query_id, query))
-        self._queries[query_id] = query
-        self._query_registrations += 1
-
-    def deregister_query(self, query_id: QueryId) -> None:
-        """Drop a pattern on every shard, retiring its engine rows and
-        purging its pending per-query poll state."""
-        self._ensure_open()
-        if query_id not in self._queries:
-            raise KeyError(f"query {query_id!r} is not monitored")
-        with obs.span("runtime.deregister_query", query=str(query_id)):
-            for shard in sorted(self._workers):
-                self._submit(shard, (CMD_DEREGISTER_QUERY, query_id))
-        del self._queries[query_id]
-        self._query_deregistrations += 1
-        self._last_poll = {pair for pair in self._last_poll if pair[1] != query_id}
-
-    def shard_of(self, stream_id: StreamId) -> int:
-        """Which shard owns a registered stream."""
-        return self._streams[stream_id]
-
-    # ------------------------------------------------------------------
-    # updates
-    # ------------------------------------------------------------------
-    def apply(
-        self, stream_id: StreamId, update: GraphChangeOperation | EdgeChange
-    ) -> None:
-        """Route one edge change / timestamp batch to the owning shard,
-        waiting for room when its inbox is full.
-
-        A batch the stream's current graph refuses (duplicate insert,
-        missing delete, unlabeled new vertex) raises
-        :class:`~repro.graph.GraphError`: nothing of it is applied,
-        sent or recorded.  A cadence checkpoint that fails after the
-        batch was sent raises :class:`~repro.core.monitor.CheckpointError`.
-        """
-        self._ensure_open()
-        if stream_id not in self._streams:
-            raise KeyError(f"stream {stream_id!r} is not monitored")
-        shard = self._streams[stream_id]
-        with obs.span("runtime.submit", shard=shard):
-            self._submit_update(shard, stream_id, update)
-        self._accepted_batches += 1
-        self._batches_since_checkpoint += 1
-        if 0 < self.checkpoint_every <= self._batches_since_checkpoint:
-            try:
-                self.checkpoint()
-            except (OSError, ValueError) as exc:
-                raise CheckpointError(f"{type(exc).__name__}: {exc}") from exc
-
-    def apply_many(
-        self, updates: Mapping[StreamId, GraphChangeOperation | EdgeChange]
-    ) -> None:
-        """Apply one timestamp's updates across streams."""
-        for stream_id, update in updates.items():
-            self.apply(stream_id, update)
-
-    # ------------------------------------------------------------------
-    # submission
-    # ------------------------------------------------------------------
-    def _next_request(self) -> int:
-        self._request_counter += 1
-        return self._request_counter
-
-    def _handle_for(self, shard: int) -> _WorkerHandle:
-        handle = self._workers[shard]
-        if not handle.is_alive():
-            if not self.auto_recover:
-                raise WorkerDied(f"shard {shard} worker died (auto_recover off)")
-            self.recover(shard)
-            handle = self._workers[shard]
-        return handle
-
-    def _put_blocking(self, handle: _WorkerHandle, command: tuple) -> None:
-        """Enqueue, waiting out a full inbox; detect death while waiting."""
-        while True:
-            try:
-                handle.inbox.put(command, timeout=_WAIT_SLICE_SECONDS)
-                return
-            except queue_module.Full:
-                if not handle.is_alive():
-                    raise WorkerDied(
-                        f"shard {handle.shard_id} worker died with a full inbox"
-                    ) from None
-
-    def _submit(self, shard: int, command: tuple) -> None:
-        """Put one command on a shard's inbox, waiting out a full one.
-
-        Callers update the state of record only once this returns, so a
-        respawn in here rebuilds the worker *without* the command's
-        effect and the command then lands on it exactly once.  The wire
-        form is built per attempt: a respawned worker has a new ring."""
+    def _on_live(self, shard: int, action: Callable[[WorkerProcess], Any]) -> Any:
+        """``action(worker)`` on ``shard``'s worker.  A worker found dead,
+        before the action or by it, is respawned and seeded
+        (:meth:`recover`) and the action runs once more on the new one;
+        without ``auto_recover`` the death raises :class:`WorkerDied`."""
         for attempt in (0, 1):
-            handle = self._handle_for(shard)
+            worker = self._workers.get(shard)
+            if worker is None or not worker.is_alive():
+                if not self.auto_recover:
+                    raise WorkerDied(f"shard {shard} worker died (auto_recover off)")
+                self.recover(shard)
+                worker = self._workers[shard]
             try:
-                self._put_blocking(handle, self._wire(shard, command))
-                return
+                return action(worker)
             except WorkerDied:
                 if not self.auto_recover or attempt:
                     raise
-                # _handle_for will respawn on the retry.
+        raise AssertionError("unreachable")
+
+    def _submit(self, shard: int, command: tuple) -> None:
+        """The delivery primitive: put one command on a shard's inbox.  The
+        fleet folds it only once this returns, so a respawn in here is
+        seeded without it and then gets it once (wire form per attempt:
+        a respawn has a new ring)."""
+        self._on_live(shard, lambda worker: worker.put(self._wire(shard, command)))
+
+    def _request(self, shard: int, kind: str, *extra: object) -> tuple:
+        """The request/response primitive: send one control request and
+        await its tagged response, on a respawn if the worker dies."""
+
+        def ask(worker: WorkerProcess) -> tuple:
+            worker.put(obs.stamp_envelope((kind, next(self._request_ids), *extra)))
+            return worker.receive(kind)
+
+        return self._on_live(shard, ask)
 
     def _wire(self, shard: int, command: tuple) -> tuple:
-        """The stamped wire form of one command.
-
-        With ``shm=True`` an apply's payload is pickled once into the
-        shard's ring and the queue carries a fixed-size
-        :class:`~repro.runtime.shm.RingRef`; a full ring falls back to
-        the inline payload (lossless, counted on ``shm.ring_overflow``).
-        ``runtime.bytes_pickled`` measures what actually crosses the
-        queue for an apply either way — the quantity the shm bench gates on.
-        """
+        """The stamped wire form of one command: an apply's payload goes
+        into the shard's ring when there is one with room, and
+        ``runtime.bytes_pickled`` counts what crosses the queue."""
         if command[0] != CMD_APPLY:
             return obs.stamp_envelope(command)
         wire = command
@@ -536,73 +241,99 @@ class ShardedMonitor:
             obs.counter("runtime.bytes_pickled").inc(len(pickle.dumps(envelope)))
         return envelope
 
-    def _submit_update(
-        self,
-        shard: int,
-        stream_id: StreamId,
-        update: GraphChangeOperation | EdgeChange,
+    def close(self) -> None:
+        """Stop every worker and unlink every ring (idempotent); a final
+        prefix sweep is the net under the rings."""
+        if self._closed:
+            return
+        self._closed = True
+        for shard in sorted(self._workers.keys() | self._rings.keys()):
+            self._retire(shard)
+        if self.shm:
+            cleanup_segments(self._shm_base)
+
+    def __enter__(self) -> "ShardedMonitor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("ShardedMonitor is closed")
+
+    # ------------------------------------------------------------------
+    # the monitor surface
+    # ------------------------------------------------------------------
+    def add_stream(self, stream_id: StreamId, initial: LabeledGraph | None = None) -> None:
+        """Start monitoring a stream on its hash-assigned shard."""
+        self._ensure_open()
+        self.fleet.add_stream(self._submit, stream_id, initial)
+
+    def remove_stream(self, stream_id: StreamId) -> None:
+        """Stop monitoring a stream and free its shard-local state."""
+        self._ensure_open()
+        self.fleet.remove_stream(self._submit, stream_id)
+
+    def stream_ids(self) -> list[StreamId]:
+        """Ids of the currently monitored streams."""
+        return list(self.fleet.streams)
+
+    def graph(self, stream_id: StreamId) -> LabeledGraph:
+        """The stream's current graph: the initial graph with every
+        accepted update folded in (live — treat as read-only)."""
+        return self.fleet.graphs[stream_id]
+
+    def query_ids(self) -> list[QueryId]:
+        """Ids of the currently monitored patterns."""
+        return list(self.fleet.queries)
+
+    def register_query(self, query_id: QueryId, query: LabeledGraph) -> None:
+        """Register a pattern live on every shard's FIFO inbox, so each
+        snapshot reflects every update accepted before the call; a worker
+        killed mid-registration is respawned with the live query set."""
+        self._ensure_open()
+        with obs.span("runtime.register_query", query=str(query_id)):
+            self.fleet.register_query(self._submit, query_id, query)
+
+    def deregister_query(self, query_id: QueryId) -> None:
+        """Drop a pattern on every shard, retiring its engine rows and
+        purging its pending per-query poll state."""
+        self._ensure_open()
+        with obs.span("runtime.deregister_query", query=str(query_id)):
+            self.fleet.deregister_query(self._submit, query_id)
+
+    def shard_of(self, stream_id: StreamId) -> int:
+        """Which shard owns a registered stream."""
+        return self.fleet.streams[stream_id]
+
+    def apply(
+        self, stream_id: StreamId, update: GraphChangeOperation | EdgeChange
     ) -> None:
-        """Data traffic: check the update against the stream's graph,
-        send it, then fold it in (:meth:`_submit`'s contract)."""
-        graph = self._graphs[stream_id]
-        check_batch(graph, update)
-        self._submit(shard, (CMD_APPLY, stream_id, update))
-        if isinstance(update, EdgeChange):
-            apply_change(graph, update)
-        else:
-            apply_operation(graph, update)
-
-    # ------------------------------------------------------------------
-    # request/response
-    # ------------------------------------------------------------------
-    def _await_response(self, handle: _WorkerHandle, kind: str) -> tuple:
-        waited = 0.0
-        while True:
+        """Route one change or batch to the owning shard.  A batch the
+        stream's graph refuses raises :class:`~repro.graph.GraphError`
+        with nothing sent or recorded; a cadence checkpoint that fails
+        after the send raises :class:`~repro.core.monitor.CheckpointError`."""
+        self._ensure_open()
+        fleet = self.fleet
+        if stream_id not in fleet.streams:
+            raise KeyError(f"stream {stream_id!r} is not monitored")
+        with obs.span("runtime.submit", shard=fleet.streams[stream_id]):
+            check_batch(fleet.graphs[stream_id], update)
+            fleet.apply(self._submit, stream_id, update)
+        if 0 < self.checkpoint_every <= fleet.since_checkpoint:
             try:
-                response = handle.outbox.get(timeout=_WAIT_SLICE_SECONDS)
-            except queue_module.Empty:
-                waited += _WAIT_SLICE_SECONDS
-                if not handle.is_alive():
-                    raise WorkerDied(
-                        f"shard {handle.shard_id} worker died before answering {kind}"
-                    ) from None
-                if waited >= RESPONSE_TIMEOUT_SECONDS:
-                    raise TimeoutError(
-                        f"shard {handle.shard_id} did not answer {kind} within "
-                        f"{RESPONSE_TIMEOUT_SECONDS}s"
-                    ) from None
-                continue
-            if response[0] == "error":
-                raise WorkerCrashed(
-                    f"shard {handle.shard_id} worker crashed:\n{response[3]}"
-                )
-            if response[0] == kind:
-                return response
-            # Stale response from a pre-recovery request on a reused
-            # handle cannot happen (queues are per-spawn); anything else
-            # is a protocol bug worth failing loudly on.
-            raise RuntimeError(f"unexpected worker response {response[:2]!r}")
+                self.checkpoint()
+            except (OSError, ValueError) as exc:
+                raise CheckpointError(f"{type(exc).__name__}: {exc}") from exc
 
-    def _request(self, shard: int, kind: str, *extra: object) -> tuple:
-        """Send one control request and await its tagged response,
-        recovering once if the worker dies in between."""
-        for attempt in (0, 1):
-            handle = self._handle_for(shard)
-            request_id = self._next_request()
-            try:
-                self._put_blocking(
-                    handle, obs.stamp_envelope((kind, request_id, *extra))
-                )
-                return self._await_response(handle, kind)
-            except WorkerDied:
-                if not self.auto_recover or attempt:
-                    raise
-                self.recover(shard)
-        raise AssertionError("unreachable")
+    def apply_many(
+        self, updates: Mapping[StreamId, GraphChangeOperation | EdgeChange]
+    ) -> None:
+        """Apply one timestamp's updates across streams."""
+        for stream_id, update in updates.items():
+            self.apply(stream_id, update)
 
-    # ------------------------------------------------------------------
-    # results
-    # ------------------------------------------------------------------
     def matches(self) -> set[Pair]:
         """The global candidate set: the union of every worker's
         *possible joinable* pairs, consistent with all accepted updates
@@ -610,9 +341,8 @@ class ShardedMonitor:
         self._ensure_open()
         with obs.span("runtime.matches"):
             aggregated: set[Pair] = set()
-            for shard in self._workers:
-                response = self._request(shard, CMD_POLL)
-                aggregated.update(response[3])
+            for shard in range(self.fleet.shards):
+                aggregated.update(self._request(shard, CMD_POLL)[3])
         return aggregated
 
     def is_match(self, stream_id: StreamId, query_id: QueryId) -> bool:
@@ -623,22 +353,16 @@ class ShardedMonitor:
         """Appeared/vanished transitions since the previous
         :meth:`events` call — identical semantics and format to
         :meth:`repro.core.StreamMonitor.events`."""
-        current = self.matches()
-        events = diff_polls(self._last_poll, current)
-        self._last_poll = current
-        return events
+        return self.fleet.events(self.matches())
 
     def trace_spans(self) -> list[obs.SpanRecord]:
-        """Every collected span across the fleet: the coordinator's own
-        ring plus each worker's (shipped over :data:`CMD_TRACE`).  All
-        records share the ``perf_counter`` timebase, and worker-side
-        root spans carry the coordinator-side parent ids stamped on the
-        command envelopes — the raw material of ``repro trace``."""
+        """The coordinator's span ring plus each worker's: one
+        ``perf_counter`` timebase, worker root spans parented on the ids
+        stamped on the command envelopes (``repro trace`` reads them)."""
         self._ensure_open()
         records: list[obs.SpanRecord] = list(obs.spans())
-        for shard in self._workers:
-            response = self._request(shard, CMD_TRACE)
-            records.extend(response[3])
+        for shard in range(self.fleet.shards):
+            records.extend(self._request(shard, CMD_TRACE)[3])
         return records
 
     def obs_summary(self) -> dict[str, Any]:
@@ -649,67 +373,49 @@ class ShardedMonitor:
     def inbox_depths(self) -> dict[int, int]:
         """Best-effort pending-command count per worker inbox (``qsize``
         is approximate by nature; -1 where the platform lacks it)."""
-        depths: dict[int, int] = {}
-        for shard, handle in self._workers.items():
-            try:
-                depths[shard] = handle.inbox.qsize()
-            except (NotImplementedError, OSError):
-                depths[shard] = -1
-        return depths
+        return {shard: worker.depth() for shard, worker in sorted(self._workers.items())}
 
     def stats(self) -> dict[str, Any]:
-        """Coordinator + per-worker statistics: routing and backpressure
-        counters, the recovery log, each worker's monitor stats, and the
-        merged observability registries (``merged_obs``: every worker's
-        instruments plus the coordinator's own, combined with
-        :func:`repro.obs.merge_summaries`)."""
+        """Fleet counters, the recovery log, each worker's stats, and
+        ``merged_obs``: every worker's registry plus the coordinator's."""
         self._ensure_open()
+        fleet = self.fleet
         workers: dict[int, dict[str, Any]] = {}
-        for shard in self._workers:
-            response = self._request(shard, CMD_STATS)
-            payload = dict(response[3])
-            payload["pid"] = self._workers[shard].process.pid
-            payload["alive"] = self._workers[shard].is_alive()
-            workers[shard] = payload
-        shard_streams: dict[int, int] = {shard: 0 for shard in self._workers}
-        for shard in self._streams.values():
+        for shard in range(fleet.shards):
+            workers[shard] = self._request(shard, CMD_STATS)[3]
+            worker = self._workers[shard]
+            workers[shard].update(pid=worker.process.pid, alive=worker.is_alive())
+        shard_streams = dict.fromkeys(range(fleet.shards), 0)
+        for shard in fleet.streams.values():
             shard_streams[shard] += 1
         depths = self.inbox_depths()
         if obs.enabled():
             # -1 marks a platform without qsize(), not a depth.
             obs.gauge("runtime.inbox_depth").set(max(0, *depths.values()))
-        shm_section = None
-        if self.shm:
-            shm_section = {
-                "rings": len(self._rings),
-                "ring_capacity": self.ring_capacity,
-            }
         return {
-            "num_workers": self.num_workers,
-            "num_streams": len(self._streams),
-            "num_queries": len(self._queries),
+            "num_workers": fleet.shards,
+            "num_streams": len(fleet.streams),
+            "num_queries": len(fleet.queries),
             "method": self.spec.method,
             "queries": {
-                "registered": len(self._queries),
-                "registrations": self._query_registrations,
-                "deregistrations": self._query_deregistrations,
+                "registered": len(fleet.queries),
+                "registrations": fleet.registrations,
+                "deregistrations": fleet.deregistrations,
                 "groups": max(
-                    (
-                        payload.get("monitor", {}).get("num_query_groups", 0)
-                        for payload in workers.values()
-                    ),
+                    (w.get("monitor", {}).get("num_query_groups", 0) for w in workers.values()),
                     default=0,
                 ),
             },
-            "shm": shm_section,
+            "shm": {"rings": len(self._rings), "ring_capacity": self.ring_capacity}
+            if self.shm
+            else None,
             "rescale": {
-                "count": self._rescales,
+                "count": fleet.rescales,
                 "last_seconds": self._last_rescale_seconds,
-                "active": self._rescaling,
             },
             "backpressure": {
                 "queue_capacity": self.queue_capacity,
-                "accepted_batches": self._accepted_batches,
+                "accepted_batches": fleet.accepted_batches,
                 # Always 0: kept only because benchmarks/e2e/lane.py reads them.
                 "dropped": 0,
                 "spilled": 0,
@@ -724,23 +430,12 @@ class ShardedMonitor:
             ),
         }
 
-    # ------------------------------------------------------------------
-    # elastic resharding
-    # ------------------------------------------------------------------
     def rescale(self, num_workers: int) -> dict[str, Any]:
-        """Grow or shrink the worker pool to ``num_workers``, live.
-
-        Each stream whose consistent-hash owner changes is registered
-        on its new owner from the coordinator's graph of it — which holds
-        every accepted update, so no worker is asked for anything — and
-        removed from its old one; shrinking stops the excess shards
-        only after their streams have moved out.  Polls issued after
-        ``rescale`` returns therefore see exactly the union they would
-        have seen without it: no false negatives, and a worker killed
-        mid-rescale recovers like any other death.
-
-        Returns ``{"from", "to", "moved_streams", "seconds"}``.
-        """
+        """Grow or shrink the pool live (:meth:`Fleet.rescale
+        <repro.runtime.fleet.Fleet.rescale>`): moved streams are added
+        from the coordinator's graphs, no worker is asked for anything,
+        and polls see the same union before and after.  Returns
+        ``{"from", "to", "moved_streams", "seconds"}``."""
         self._ensure_open()
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -748,128 +443,29 @@ class ShardedMonitor:
         if num_workers == source:
             return {"from": source, "to": source, "moved_streams": 0, "seconds": 0.0}
         timer = Stopwatch()
-        self._rescaling = True
-        if obs.enabled():
-            obs.gauge("runtime.rescale.active").set(1)
-        try:
-            with timer, obs.span(
-                "runtime.rescale", source=source, target=num_workers
-            ):
-                moved = self._rescale_locked(num_workers)
-        finally:
-            self._rescaling = False
-            if obs.enabled():
-                obs.gauge("runtime.rescale.active").set(0)
-        self._rescales += 1
+        with timer, obs.span("runtime.rescale", source=source, target=num_workers):
+            moved = self.fleet.rescale(num_workers, self._spawn, self._submit, self._retire)
         self._last_rescale_seconds = timer.total
         if obs.enabled():
             obs.gauge("runtime.rescale.last_seconds").set(timer.total)
             obs.gauge("runtime.workers").set(num_workers)
-        return {
-            "from": source,
-            "to": num_workers,
-            "moved_streams": moved,
-            "seconds": timer.total,
-        }
+            if moved:
+                obs.counter("runtime.streams_moved").inc(moved)
+        return {"from": source, "to": num_workers, "moved_streams": moved, "seconds": timer.total}
 
-    def _seed(self, shard: int) -> int:
-        """Send a worker just spawned from the frozen birth spec the
-        state of record: the net query churn since birth, then the
-        current graph of every stream it owns.  Returns the command
-        count — a function of the live state, not of the history.
-
-        The commands go out bare (the worker opens fresh traces, not
-        children of spans that ended before it was born) and straight
-        onto the new inbox: if this worker dies too, the next call to
-        notice seeds its successor from scratch.
-        """
-        birth = self.spec.queries
-        live = self._queries
-        commands: list[tuple] = [
-            (CMD_DEREGISTER_QUERY, query_id)
-            for query_id in birth
-            if live.get(query_id) is not birth[query_id]
-        ]
-        commands += [
-            (CMD_REGISTER_QUERY, query_id, graph)
-            for query_id, graph in live.items()
-            if birth.get(query_id) is not graph
-        ]
-        commands += [
-            (CMD_ADD_STREAM, stream_id, self._graphs[stream_id].copy())
-            for stream_id, owner in self._streams.items()
-            if owner == shard
-        ]
-        for command in commands:
-            self._put_blocking(self._workers[shard], command)
-        return len(commands)
-
-    def _rescale_locked(self, target: int) -> int:
-        """The rescale body: spawn, move, install, retire.  Returns the
-        number of streams that changed owner."""
-        source = self.num_workers
-        for shard in range(source, target):  # grow: new empty shards
-            self._workers[shard] = self._spawn(shard, self.spec)
-            # Built from the birth spec and owning no stream yet: this
-            # brings it up to the live query set.
-            self._seed(shard)
-        router = ShardRouter(target)
-        moved = 0
-        # Deterministic move order (sorted by stream id) so workers and
-        # tests see the same handoff sequence on every run.
-        for stream_id in sorted(self._streams, key=str):
-            destination = router.shard_for(stream_id)
-            origin = self._streams[stream_id]
-            if destination == origin:
-                continue
-            # The origin keeps owning the stream until both commands are
-            # out: a respawn of either shard in between is seeded right.
-            self._submit(
-                destination, (CMD_ADD_STREAM, stream_id, self._graphs[stream_id].copy())
-            )
-            self._submit(origin, (CMD_REMOVE_STREAM, stream_id))
-            self._streams[stream_id] = destination
-            moved += 1
-            if obs.enabled():
-                obs.counter("runtime.streams_moved").inc()
-        self.router = router
-        self.num_workers = target
-        for shard in range(target, source):  # shrink: retire empty shards
-            handle = self._workers.pop(shard)
-            if handle.is_alive():
-                try:
-                    self._put_blocking(handle, (CMD_STOP, self._next_request()))
-                    self._await_response(handle, CMD_STOP)
-                except (WorkerDied, WorkerCrashed, TimeoutError):
-                    pass
-            handle.dispose()
-            ring = self._rings.pop(shard, None)
-            if ring is not None:
-                ring.close(unlink=True)
-        return moved
-
-    # ------------------------------------------------------------------
-    # checkpointing and recovery
-    # ------------------------------------------------------------------
     def checkpoint(self) -> dict[str, Any]:
-        """Export the state of record — the live query set and every
-        stream's current graph, updates a worker has not read yet
-        included — to ``checkpoint_dir``, replacing the previous export
-        atomically; no worker is asked anything.  Returns its
-        :func:`~repro.core.checkpoint.checkpoint_stats`."""
+        """Export the state of record (live queries, current graphs) to
+        ``checkpoint_dir``, replacing the previous export atomically; no
+        worker is asked anything.  Returns its ``checkpoint_stats``."""
         self._ensure_open()
         if self.checkpoint_dir is None:
             raise RuntimeError("checkpoint() requires checkpoint_dir")
-        self._batches_since_checkpoint = 0  # a failed export waits a full cadence too
-        spec = self.spec
+        self.fleet.since_checkpoint = 0  # a failed export waits a full cadence too
+        fleet, spec = self.fleet, self.spec
         with obs.span("runtime.checkpoint"):
             export = write_checkpoint(
-                self.checkpoint_dir,
-                self._queries,
-                self._graphs,
-                spec.method,
-                spec.depth_limit,
-                spec.scheme,
+                self.checkpoint_dir, fleet.queries, fleet.graphs,
+                spec.method, spec.depth_limit, spec.scheme,
             )
         self.recovery_log.checkpoints += 1
         return export
@@ -882,23 +478,20 @@ class ShardedMonitor:
         return load_monitor(directory, cls, **runtime_options)
 
     def recover(self, shard: int) -> None:
-        """Respawn one shard's worker from the birth spec and bring it
-        to the state of record (:meth:`_seed`)."""
+        """Respawn one shard's worker from the birth spec and seed it."""
         self._ensure_open()
-        self._workers[shard].dispose()
-        self._workers[shard] = self._spawn(shard, self.spec)
+        self._retire(shard)
         self.recovery_log.recoveries += 1
-        self.recovery_log.replayed_commands += self._seed(shard)
+        self.recovery_log.replayed_commands += self._spawn(shard)
 
     def recover_dead(self) -> list[int]:
         """Respawn every dead worker; returns the recovered shard ids."""
-        recovered = []
-        for shard, handle in self._workers.items():
-            if not handle.is_alive():
-                self.recover(shard)
-                recovered.append(shard)
-        return recovered
+        workers = self._workers
+        dead = [s for s in range(self.fleet.shards) if s not in workers or not workers[s].is_alive()]
+        for shard in dead:
+            self.recover(shard)
+        return dead
 
     def worker_pids(self) -> dict[int, int | None]:
         """Shard id -> worker process pid (for supervision and tests)."""
-        return {shard: handle.process.pid for shard, handle in self._workers.items()}
+        return {shard: worker.process.pid for shard, worker in sorted(self._workers.items())}

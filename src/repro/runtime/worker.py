@@ -14,12 +14,14 @@ respawned from the coordinator's graphs of record without corrupting
 anyone else.  The optional payload ring (:mod:`repro.runtime.shm`)
 keeps that property — it is single-producer (the coordinator) /
 single-consumer (this worker), the worker owns no segment, and nothing
-recovery needs lives in it.
+recovery needs lives in it.  :class:`WorkerProcess` is the coordinator's
+end of one worker: start, put, receive, stop.
 """
 
 from __future__ import annotations
 
 import pickle
+import queue as queue_module
 import traceback
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple
@@ -47,6 +49,21 @@ STATE_COMMANDS = frozenset(
 )
 
 
+#: How long one response may take before the runtime is declared wedged
+#: (workers answer polls in milliseconds; this only trips when something
+#: is truly broken and the process is still technically alive).
+RESPONSE_TIMEOUT_SECONDS = 300.0
+_WAIT_SLICE_SECONDS = 0.2
+
+
+class WorkerDied(RuntimeError):
+    """A worker process exited without being asked to."""
+
+
+class WorkerCrashed(RuntimeError):
+    """A worker raised inside command processing (traceback attached)."""
+
+
 class WorkerSpec(NamedTuple):
     """Everything needed to build (or rebuild) one shard's monitor."""
 
@@ -68,9 +85,9 @@ class WorkerSpec(NamedTuple):
 
 
 class ShardState:
-    """The worker's in-process state (also used by the coordinator's
-    zero-worker in-process mode and by tests, so the command semantics
-    live in exactly one place)."""
+    """The worker's in-process state: :func:`worker_main` runs one per
+    worker process, and the test suite's simulated fleet runs N of them
+    in one process, so the command semantics live in exactly one place."""
 
     __slots__ = ("shard_id", "monitor", "ring")
 
@@ -217,3 +234,89 @@ def worker_main(shard_id: int, spec: WorkerSpec, inbox, outbox) -> None:
             if flight is not None:
                 flight.close()
             return
+
+
+class WorkerProcess:
+    """The coordinator's end of one worker: its process and two queues
+    (a bounded inbox of commands, an outbox of tagged responses)."""
+
+    __slots__ = ("shard_id", "process", "inbox", "outbox")
+
+    def __init__(self, context: Any, shard_id: int, spec: WorkerSpec, capacity: int) -> None:
+        self.shard_id = shard_id
+        self.inbox = context.Queue(maxsize=capacity)
+        self.outbox = context.Queue()
+        self.process = context.Process(
+            target=worker_main,
+            args=(shard_id, spec, self.inbox, self.outbox),
+            name=f"repro-shard-{shard_id}",
+            daemon=True,
+        )
+        self.process.start()
+
+    def is_alive(self) -> bool:
+        """Is the process still running?"""
+        return self.process.is_alive()
+
+    def depth(self) -> int:
+        """Pending commands (``qsize`` is approximate; -1 where the
+        platform lacks it)."""
+        try:
+            return self.inbox.qsize()
+        except (NotImplementedError, OSError):
+            return -1
+
+    def put(self, command: tuple) -> None:
+        """Enqueue, waiting out a full inbox; detect death while waiting."""
+        while True:
+            try:
+                self.inbox.put(command, timeout=_WAIT_SLICE_SECONDS)
+                return
+            except queue_module.Full:
+                if not self.is_alive():
+                    raise WorkerDied(
+                        f"shard {self.shard_id} worker died with a full inbox"
+                    ) from None
+
+    def receive(self, kind: str) -> tuple:
+        """The next response, which must answer a ``kind`` request."""
+        waited = 0.0
+        while True:
+            try:
+                response = self.outbox.get(timeout=_WAIT_SLICE_SECONDS)
+            except queue_module.Empty:
+                waited += _WAIT_SLICE_SECONDS
+                if not self.is_alive():
+                    raise WorkerDied(
+                        f"shard {self.shard_id} worker died before answering {kind}"
+                    ) from None
+                if waited >= RESPONSE_TIMEOUT_SECONDS:
+                    raise TimeoutError(
+                        f"shard {self.shard_id} did not answer {kind} within "
+                        f"{RESPONSE_TIMEOUT_SECONDS}s"
+                    ) from None
+                continue
+            if response[0] == "error":
+                raise WorkerCrashed(f"shard {self.shard_id} worker crashed:\n{response[3]}")
+            if response[0] == kind:
+                return response
+            # Queues are per-spawn, so a stale response cannot happen;
+            # anything else is a protocol bug worth failing loudly on.
+            raise RuntimeError(f"unexpected worker response {response[:2]!r}")
+
+    def stop(self, request_id: int) -> None:
+        """Ask a live worker to stop and let it exit, then release the
+        process (terminated if it will not go) and the queues."""
+        if self.is_alive():
+            try:
+                self.put((CMD_STOP, request_id))
+                self.receive(CMD_STOP)
+            except (WorkerDied, WorkerCrashed, TimeoutError):
+                pass  # released below either way
+            self.process.join(timeout=5)
+        if self.is_alive():
+            self.process.terminate()
+        self.process.join(timeout=5)
+        for channel in (self.inbox, self.outbox):
+            channel.cancel_join_thread()
+            channel.close()

@@ -6,6 +6,8 @@ on."""
 
 from __future__ import annotations
 
+import errno
+import multiprocessing
 import os
 import random
 import signal
@@ -19,6 +21,7 @@ from repro.core.monitor import StreamMonitor
 from repro.datasets.stream_gen import synthesize_stream
 from repro.graph import EdgeChange
 from repro.runtime import ShardedMonitor, ShardRouter
+from repro.runtime import coordinator as coordinator_module
 from repro.runtime.shm import live_segments
 
 from .conftest import random_labeled_graph
@@ -169,7 +172,6 @@ class TestRescale:
                 summary = obs.get_registry().summary()
                 assert summary["runtime.rescale.seconds"]["count"] == 1
                 assert summary["runtime.workers"]["value"] == 4
-                assert summary["runtime.rescale.active"]["value"] == 0
                 assert (
                     summary["runtime.rescale.last_seconds"]["value"]
                     == pytest.approx(report["seconds"])
@@ -184,7 +186,6 @@ class TestRescale:
                 )
                 stats = sharded.stats()
                 assert stats["rescale"]["count"] == 1
-                assert stats["rescale"]["active"] is False
                 assert stats["rescale"]["last_seconds"] == pytest.approx(
                     report["seconds"]
                 )
@@ -319,4 +320,51 @@ class TestRescaleWithShmRings:
             assert len(live_segments(prefix)) == 2
         finally:
             sharded.close()
+        assert live_segments(prefix) == []
+
+    def test_a_failed_grow_retires_the_shards_it_spawned(self, monkeypatch):
+        """The second new ring failing (``ENOSPC``) after shard 2 was
+        spawned: ``rescale(4)`` raises with the pool still {0, 1}, no
+        worker or segment of the failed grow left behind, and a retried
+        ``rescale(4)`` is exact."""
+        rng = random.Random(96)
+        queries = small_queries(rng)
+        streams = small_streams(rng, count=8, timestamps=2)
+        oracle = StreamMonitor(queries, method="dsc")
+        before = set(multiprocessing.active_children())
+        sharded = ShardedMonitor(queries, method="dsc", num_workers=2, shm=True)
+        prefix = sharded._shm_base
+        try:
+            for stream_id, stream in streams.items():
+                sharded.add_stream(stream_id, stream.initial)
+                oracle.add_stream(stream_id, stream.initial)
+            pool = set(multiprocessing.active_children())
+            real_ring = coordinator_module.ShmRing
+            created: list[str] = []
+
+            def second_ring_fails(name, capacity):
+                if created:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                created.append(name)
+                return real_ring(name, capacity)
+
+            monkeypatch.setattr(coordinator_module, "ShmRing", second_ring_fails)
+            with pytest.raises(OSError):
+                sharded.rescale(4)
+            monkeypatch.undo()
+            assert created  # shard 2 was spawned before shard 3's ring failed
+            assert sharded.num_workers == 2
+            assert set(sharded.worker_pids()) == {0, 1}
+            assert set(sharded.stats()["streams_per_shard"]) == {0, 1}
+            assert set(multiprocessing.active_children()) == pool
+            assert len(live_segments(prefix)) == 2
+            assert sharded.rescale(4)["to"] == 4
+            for stream_id, stream in streams.items():
+                sharded.apply(stream_id, stream.operations[0])
+                oracle.apply(stream_id, stream.operations[0])
+            assert sharded.matches() == oracle.matches()
+            assert len(live_segments(prefix)) == 4
+        finally:
+            sharded.close()
+        assert set(multiprocessing.active_children()) == before
         assert live_segments(prefix) == []
