@@ -11,13 +11,12 @@ engine.  Engines react to stream-side NPV deltas pushed by
 :class:`repro.nnt.NNTIndex` and can report the candidate pair set at any
 timestamp.
 
-The stream side is the same for every engine and lives here once:
-:class:`JoinEngine` keeps the one mirror of each stream's NPVs
-(``_mirror``), folds every delta batch into it, and hands the engine one
-``_value_changed(stream, vertex, dim, old, new)`` per net delta plus the
-stream and vertex lifecycle events.  An engine is its query-side
-algorithm (``matrix``, whose dense rows are its mirror, overrides the
-stream side instead).
+The stream side is the index's: :class:`JoinEngine` keeps a reference
+to the NPVs each stream was registered with (``NNTIndex.npvs`` when
+served) and hands the engine one ``_value_changed(stream, vertex, dim,
+old, new)`` per payload entry, ``(delta, new)``, with no copy to learn
+``old`` from.  ``dsc`` keeps only counters, ``matrix`` dense rows, and
+``nl``/``skyline`` a universe-restricted copy (:class:`VectorCopyJoin`).
 
 Dominance only depends on a query's projected NPV multiset, so queries
 with identical projections are deduplicated into one *query group*: the
@@ -31,9 +30,8 @@ Engines only ever consult dimensions that occur in some query vector
 Section IV-B.2) — stream activity on other dimensions cannot change any
 dominance verdict and is dropped at the boundary.  The dimension
 universe is reference-counted across groups, so it grows and shrinks
-exactly with query churn, and the mirror with it: ``add_query``
-backfills a new dimension from the live NPVs, ``remove_query`` purges a
-retired one.
+exactly with query churn: ``add_query`` hands the engine the live NPVs
+to seed a new dimension or group from.
 """
 
 from __future__ import annotations
@@ -51,14 +49,13 @@ QueryId = Hashable
 StreamId = Hashable
 Pair = tuple[StreamId, QueryId]
 
-#: One coalesced delta batch: net non-zero NPV changes keyed by
-#: ``(vertex, dimension)``, as flushed by
+#: One coalesced delta batch: ``(net delta, new value)`` of every entry
+#: that changed, keyed by ``(vertex, dimension)``, as flushed by
 #: :meth:`repro.nnt.incremental.NNTIndex.batch`.
-BatchDeltas = Mapping[tuple[VertexId, Dimension], int]
+BatchDeltas = Mapping[tuple[VertexId, Dimension], tuple[int, int]]
 
-#: Live stream NPVs handed to :meth:`JoinEngine.add_query` so the engine
-#: can backfill its mirror on dimensions the newcomer introduced (deltas
-#: on dimensions outside the universe were dropped at the boundary).
+#: Live stream NPVs handed to :meth:`JoinEngine.add_query`, which a new
+#: group (or a copy on new dimensions) is seeded from.
 StreamNpvs = Mapping[StreamId, Mapping[VertexId, NPV]]
 
 #: Canonical form of a query's projected NPV multiset — the dedup key.
@@ -274,11 +271,11 @@ class QuerySet:
 class JoinEngine(ABC):
     """Continuous dominance join between registered streams and the query set.
 
-    Only this class writes the stream-side mirror, and only
+    The registered NPV mappings are read, never written, and only
     :meth:`candidates` records filter telemetry.  An engine overrides
-    :meth:`is_candidate` (a pure verdict) and whichever no-op ``_on_*`` /
-    :meth:`_value_changed` hooks its algorithm reacts to; it may
-    override :meth:`_blame` only to compute the same answer cheaper.
+    :meth:`is_candidate` (a pure verdict) and whichever no-op hooks its
+    algorithm reacts to; it may override :meth:`_blame` only to compute
+    the same answer cheaper.
     """
 
     #: Short engine name (the :data:`repro.join.ENGINES` key); used to
@@ -287,8 +284,9 @@ class JoinEngine(ABC):
 
     def __init__(self, query_set: QuerySet) -> None:
         self.query_set = query_set
-        #: stream -> vertex -> NPV restricted to the dimension universe.
-        self._mirror: dict[StreamId, dict[VertexId, NPV]] = {}
+        #: stream -> vertex -> NPV this engine reads: the mapping the
+        #: stream was registered with, unless the engine keeps a copy.
+        self._vectors: dict[StreamId, Mapping[VertexId, NPV]] = {}
         #: The pairs :meth:`candidates` last returned, each keyed by itself.
         self._answer: dict[Pair, Pair] = {}
         self._checks = obs.counter(f"join.{self.name}.dominance_checks")
@@ -302,14 +300,11 @@ class JoinEngine(ABC):
     ) -> QueryChange:
         """Register a standing query against the live streams.
 
-        ``stream_npvs`` is a snapshot view of every registered stream's
-        current NPVs, used to backfill the mirror on dimensions the
-        newcomer introduced (their deltas were dropped at the boundary
-        while no query referenced them).  The order is fixed: dimensions
-        first (so the mirror is complete), then the new group's
-        dominance state, both before the change is visible to
-        :meth:`candidates`.  A stream missing from ``stream_npvs`` is
-        refused before anything changes: the newcomer would miss its pairs.
+        ``stream_npvs`` is a view of every registered stream's current
+        NPVs: new dimensions, then the new group's dominance state, are
+        seeded from it before the change is visible to :meth:`candidates`.
+        A stream missing from it is refused before anything changes: the
+        newcomer would miss its pairs.
         """
         npvs = stream_npvs or {}
         for stream_id in self.stream_ids():
@@ -317,69 +312,45 @@ class JoinEngine(ABC):
                 raise ValueError(f"add_query needs the NPVs of stream {stream_id!r}")
         change = self.query_set.add_query(query_id, graph)
         if change.added_dims:
-            dims = change.added_dims
-            for stream_id, vectors in self._mirror.items():
-                live = npvs.get(stream_id, {})
-                for vertex, vector in vectors.items():
-                    source = live.get(vertex)
-                    if source:
-                        for dim in dims:
-                            value = source.get(dim, 0)
-                            if value:
-                                vector[dim] = value
-            self._on_dims_added(dims)
+            self._on_dims_added(change.added_dims, npvs)
         if change.group_added:
             self._on_group_added(change, npvs)
         return change
 
     def remove_query(self, query_id: QueryId) -> QueryChange:
         """Deregister a query, retiring group state when it was the last
-        member and purging the mirror of dimensions that left the universe."""
+        member and dimensions that left the universe."""
         change = self.query_set.remove_query(query_id)
         if change.group_retired:
             self._on_group_retired(change)
         if change.removed_dims:
-            dims = change.removed_dims
-            for vectors in self._mirror.values():
-                for vector in vectors.values():
-                    for dim in dims:
-                        vector.pop(dim, None)
-            self._on_dims_removed(dims)
+            self._on_dims_removed(change.removed_dims)
         return change
 
     # -- stream lifecycle ------------------------------------------------
     def register_stream(self, stream_id: StreamId, npvs: Mapping[VertexId, NPV]) -> None:
-        """Attach a stream with its current per-vertex NPVs."""
-        if stream_id in self._mirror:
+        """Attach a stream with its current per-vertex NPVs (kept, not copied)."""
+        if stream_id in self._vectors:
             raise ValueError(f"stream {stream_id!r} is already registered")
-        universe = self.query_set.dimension_universe
-        vectors = self._mirror[stream_id] = {
-            vertex: {dim: value for dim, value in vector.items() if dim in universe}
-            for vertex, vector in npvs.items()
-        }
-        self._on_stream_added(stream_id, vectors)
+        self._vectors[stream_id] = npvs
+        self._on_stream_added(stream_id, npvs)
 
     def remove_stream(self, stream_id: StreamId) -> None:
         """Detach a stream entirely."""
-        del self._mirror[stream_id]
+        del self._vectors[stream_id]
         self._on_stream_removed(stream_id)
 
     def stream_ids(self) -> list[StreamId]:
         """Ids of the currently attached streams."""
-        return list(self._mirror)
+        return list(self._vectors)
 
     # -- NPV evolution (forwarded from the NNT index) ---------------------
     def on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
         """A vertex (empty NPV) joined the stream graph."""
-        self._mirror[stream_id][vertex] = {}
-        self._on_vertex_added(stream_id, vertex)
 
     def on_vertex_removed(self, stream_id: StreamId, vertex: VertexId) -> None:
-        """A vertex left the stream graph.  The index purged its pending
-        deltas, so the mirror still holds its last vector: the engine
-        gets that vector to retire.  An unknown vertex is a ``KeyError``."""
-        last_vector = self._mirror[stream_id].pop(vertex)
-        self._on_vertex_removed(stream_id, vertex, last_vector)
+        """A vertex left the stream graph: retire what its last delivered
+        values built (the index purged its pending deltas)."""
 
     def batch_update(self, stream_id: StreamId, deltas: BatchDeltas) -> None:
         """One coalesced batch of net NPV deltas for a stream.
@@ -387,45 +358,30 @@ class JoinEngine(ABC):
         Every delta is non-zero and every referenced vertex is currently
         registered (vertices removed mid-batch had their queued deltas
         purged at removal time).  Deltas outside the dimension universe
-        are dropped; each other one moves the mirror and reaches the
-        engine as one :meth:`_value_changed` transition.
+        are dropped; each other one reaches the engine as one
+        :meth:`_value_changed` transition, ``old = new - delta``.
         """
         universe = self.query_set.dimension_universe
-        vectors = self._mirror[stream_id]
         value_changed = self._value_changed
-        for (vertex, dim), delta in deltas.items():
-            if dim not in universe:
-                continue
-            vector = vectors[vertex]
-            old = vector.get(dim, 0)
-            new = old + delta
-            if new:
-                vector[dim] = new
-            else:
-                del vector[dim]
-            value_changed(stream_id, vertex, dim, old, new)
+        for (vertex, dim), (delta, new) in deltas.items():
+            if dim in universe:
+                value_changed(stream_id, vertex, dim, new - delta, new)
 
     # -- engine hooks (override what the algorithm reacts to) --------------
-    def _on_stream_added(self, stream_id: StreamId, vectors: Mapping[VertexId, NPV]) -> None:
-        """A stream was attached; ``vectors`` is its (filtered) mirror."""
+    def _on_stream_added(self, stream_id: StreamId, npvs: Mapping[VertexId, NPV]) -> None:
+        """A stream was attached with ``npvs`` (every dimension)."""
 
     def _on_stream_removed(self, stream_id: StreamId) -> None:
         """A stream was detached."""
 
-    def _on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
-        """A vertex with an empty mirror vector joined the stream."""
-
-    def _on_vertex_removed(self, stream_id: StreamId, vertex: VertexId, last_vector: NPV) -> None:
-        """A vertex left the stream; ``last_vector`` is what it mirrored."""
-
     def _value_changed(
         self, stream_id: StreamId, vertex: VertexId, dim: Dimension, old: int, new: int
     ) -> None:
-        """One mirrored NPV entry moved from ``old`` to ``new`` (``dim`` is
-        in the universe; the mirror already holds ``new``)."""
+        """One NPV entry moved from ``old`` to ``new`` (``dim`` is in the
+        universe)."""
 
-    def _on_dims_added(self, dims: frozenset) -> None:
-        """New universe dimensions; the mirror is already backfilled."""
+    def _on_dims_added(self, dims: frozenset, stream_npvs: StreamNpvs) -> None:
+        """New universe dimensions, with the live NPVs to read them from."""
 
     def _on_group_added(self, change: QueryChange, stream_npvs: StreamNpvs) -> None:
         """A new dominance group: build its state against current streams."""
@@ -434,7 +390,7 @@ class JoinEngine(ABC):
         """The group's last member left: retire its rows and counters."""
 
     def _on_dims_removed(self, dims: frozenset) -> None:
-        """Dimensions left the universe; the mirror is already purged."""
+        """Dimensions left the universe."""
 
     # -- results ----------------------------------------------------------
     @abstractmethod
@@ -444,8 +400,8 @@ class JoinEngine(ABC):
 
     def _blame(self, stream_id: StreamId, query_id: QueryId) -> str:
         """The dimension a pruned pair is counted under: :func:`blame_dimension`
-        of the first query vector no mirrored stream vector dominates."""
-        stream_vectors = list(self._mirror[stream_id].values())
+        of the first query vector no stream vector dominates."""
+        stream_vectors = list(self._vectors[stream_id].values())
         for index in self.query_set.by_query[query_id]:
             query_vector = self.query_set.vectors[index].vector
             if not any(dominates(v, query_vector) for v in stream_vectors):
@@ -487,6 +443,48 @@ class JoinEngine(ABC):
                 self._checks.inc(len(stream_ids) * len(query_ids))
                 obs.counter("filter.candidates").inc(len(answer))
             return set(answer)
+
+
+class VectorCopyJoin(JoinEngine):
+    """An engine that reads whole stream vectors (``nl``, ``skyline``): its
+    :attr:`_vectors` is a copy restricted to the universe, written from the
+    payloads' new values, so a registered mapping is only ever read."""
+
+    _vectors: dict[StreamId, dict[VertexId, NPV]]
+
+    def _on_stream_added(self, stream_id: StreamId, npvs: Mapping[VertexId, NPV]) -> None:
+        universe = self.query_set.dimension_universe
+        self._vectors[stream_id] = {
+            vertex: {dim: value for dim, value in vector.items() if dim in universe}
+            for vertex, vector in npvs.items()
+        }
+
+    def on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
+        self._vectors[stream_id][vertex] = {}
+
+    def on_vertex_removed(self, stream_id: StreamId, vertex: VertexId) -> None:
+        del self._vectors[stream_id][vertex]
+
+    def _value_changed(
+        self, stream_id: StreamId, vertex: VertexId, dim: Dimension, old: int, new: int
+    ) -> None:
+        vector = self._vectors[stream_id][vertex]
+        if new:
+            vector[dim] = new
+        else:
+            del vector[dim]
+
+    def _on_dims_added(self, dims: frozenset, stream_npvs: StreamNpvs) -> None:
+        for stream_id, vectors in self._vectors.items():
+            for vertex, vector in vectors.items():
+                source = stream_npvs[stream_id][vertex]
+                vector.update((dim, source[dim]) for dim in dims & source.keys())
+
+    def _on_dims_removed(self, dims: frozenset) -> None:
+        for vectors in self._vectors.values():
+            for vector in vectors.values():
+                for dim in dims & vector.keys():
+                    del vector[dim]
 
 
 class StreamListenerAdapter:

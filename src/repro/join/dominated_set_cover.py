@@ -20,10 +20,13 @@ the stream value crossed have their counters touched — this is the
 incremental update illustrated around Figure 9.  Query churn is equally
 incremental: a new group splices its values into the sorted projections
 (no counters move — insertion cannot change any other vector's dominant
-count) and scans each stream once to seed its own slots, lengthening the
-rows only when the query set had no retired slot to hand it; a retired
-group filters its entries back out and zeroes its slots, so the next
-group to take them over starts from zero in every row.
+count) and scans each stream's live NPVs once to seed its own slots,
+lengthening the rows only when the query set had no retired slot to hand
+it; a retired group filters its entries back out and zeroes its slots,
+so the next group to take them over starts from zero in every row.
+
+The counters are all it keeps: stream NPVs are read only to seed and to
+blame, and a removed vertex is retired from its own row.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ class DominatedSetCoverJoin(JoinEngine):
         ]
         for stream_id, state in self._streams.items():
             state.uncovered[change.group_id] = base
-            vectors = self._mirror[stream_id]
+            vectors = stream_npvs[stream_id]
             for record in records:
                 required = record.num_dims
                 for vertex, vector in vectors.items():
@@ -168,7 +171,7 @@ class DominatedSetCoverJoin(JoinEngine):
         del self._base_uncovered[change.group_id]
 
     # -- stream lifecycle ------------------------------------------------
-    def _on_stream_added(self, stream_id: StreamId, vectors: Mapping[VertexId, NPV]) -> None:
+    def _on_stream_added(self, stream_id: StreamId, npvs: Mapping[VertexId, NPV]) -> None:
         state = self._streams[stream_id] = _StreamState(dict(self._base_uncovered))
         dim_values, dim_entries = self._dim_values, self._dim_entries
         width = len(self._required)
@@ -176,12 +179,15 @@ class DominatedSetCoverJoin(JoinEngine):
         # slots (no sorted entry, so always 0) can never reach -1.
         targets = [required or -1 for required in self._required]
         # One pass per vertex: what Thm 4.1's counters read after every
-        # value rose from 0, with each row written once.
-        for vertex, vector in vectors.items():
+        # value rose from 0, with each row written once.  A dimension no
+        # query has (no sorted projection) is skipped.
+        for vertex, vector in npvs.items():
             counts = [0] * width
             for dim, value in vector.items():
-                for index in dim_entries[dim][: bisect_right(dim_values[dim], value)]:
-                    counts[index] += 1
+                values = dim_values.get(dim)
+                if values is not None:
+                    for index in dim_entries[dim][: bisect_right(values, value)]:
+                        counts[index] += 1
             row = state.dominant[vertex] = array(_COUNTER, counts)
             for index in compress(range(width), map(eq, row, targets)):
                 self._cover_gained(state, index)
@@ -190,13 +196,16 @@ class DominatedSetCoverJoin(JoinEngine):
         del self._streams[stream_id]
 
     # -- NPV evolution ----------------------------------------------------
-    def _on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
+    def on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
         self._streams[stream_id].dominant[vertex] = _zero_row(len(self._required))
 
-    def _on_vertex_removed(self, stream_id: StreamId, vertex: VertexId, last_vector: NPV) -> None:
-        for dim, value in last_vector.items():
-            self._value_changed(stream_id, vertex, dim, value, 0)
-        del self._streams[stream_id].dominant[vertex]
+    def on_vertex_removed(self, stream_id: StreamId, vertex: VertexId) -> None:
+        """Drop the row, losing each cover it gave (count == required)."""
+        state = self._streams[stream_id]
+        row = state.dominant.pop(vertex)
+        for qv_index, required in enumerate(self._required):
+            if row[qv_index] == required > 0:
+                self._cover_lost(state, qv_index)
 
     # -- counter maintenance ----------------------------------------------
     def _value_changed(
@@ -248,16 +257,15 @@ class DominatedSetCoverJoin(JoinEngine):
         if self._streams[stream_id].uncovered[group_id]:
             return False
         # Trivial query vectors only fail on an empty stream.
-        return not (self._trivial_per_group[group_id] and not self._mirror[stream_id])
+        return not (self._trivial_per_group[group_id] and not self._streams[stream_id].dominant)
 
     def _blame(self, stream_id: StreamId, query_id: QueryId) -> str:
         """The base definition, with the first undominated query vector
         read off the cover counts instead of a dominance scan."""
-        cover = self._streams[stream_id].cover
-        vectors = self._mirror[stream_id]
+        state = self._streams[stream_id]
         for qv_index in self.query_set.by_query[query_id]:
-            if not cover.get(qv_index) and (self._required[qv_index] or not vectors):
+            if not state.cover.get(qv_index) and (self._required[qv_index] or not state.dominant):
                 return blame_dimension(
-                    self.query_set.vectors[qv_index].vector, vectors.values()
+                    self.query_set.vectors[qv_index].vector, self._vectors[stream_id].values()
                 )
         return "combination"

@@ -13,7 +13,7 @@ which is exactly sparse dominance: dimensions outside a query vector's
 support are zero in its row, and any stream value is >= 0.  Stream rows
 live in a compact grow-by-doubling matrix (removal swaps the last row
 into the hole), so a coalesced delta batch lands as one fancy-indexed
-scatter-add.  Coverage is recomputed lazily per stream — a stream that
+store of its new values.  Coverage is recomputed lazily per stream — a stream that
 was touched pays one vectorized sweep at the next poll, however many
 deltas arrived — with the stream axis chunked to bound the broadcast
 temporary.  The trade-off versus DSC/Skyline: per-poll cost grows with
@@ -74,9 +74,9 @@ class _StreamState:
 class MatrixJoin(JoinEngine):
     """The ``matrix`` engine: broadcast dominance over dense NPV rows.
 
-    Its dense matrix is its stream-side mirror, so it overrides every
-    stream-side method of :class:`~repro.join.base.JoinEngine` and leaves
-    the base mirror empty.
+    Its dense matrix is its copy of the stream side, so it overrides the
+    vertex events and :meth:`batch_update` of
+    :class:`~repro.join.base.JoinEngine`.
     """
 
     name = "matrix"
@@ -166,11 +166,8 @@ class MatrixJoin(JoinEngine):
         self._rebuild_query_side()
 
     # -- stream lifecycle ------------------------------------------------
-    def register_stream(self, stream_id: StreamId, npvs: Mapping[VertexId, NPV]) -> None:
-        if stream_id in self._streams:
-            raise ValueError(f"stream {stream_id!r} is already registered")
-        state = _StreamState(len(self._dims))
-        self._streams[stream_id] = state
+    def _on_stream_added(self, stream_id: StreamId, npvs: Mapping[VertexId, NPV]) -> None:
+        state = self._streams[stream_id] = _StreamState(len(self._dims))
         for vertex, vector in npvs.items():
             row = self._add_row(state, vertex)
             for dim, value in vector.items():
@@ -178,11 +175,8 @@ class MatrixJoin(JoinEngine):
                 if col is not None:
                     state.matrix[row, col] = value
 
-    def remove_stream(self, stream_id: StreamId) -> None:
+    def _on_stream_removed(self, stream_id: StreamId) -> None:
         del self._streams[stream_id]
-
-    def stream_ids(self) -> list[StreamId]:
-        return list(self._streams)
 
     # -- row management ---------------------------------------------------
     def _add_row(self, state: _StreamState, vertex: VertexId) -> int:
@@ -220,26 +214,23 @@ class MatrixJoin(JoinEngine):
         state.invalidate()
 
     def batch_update(self, stream_id: StreamId, deltas: BatchDeltas) -> None:
-        """Land a coalesced batch as one fancy-indexed scatter-add.
-
-        Batch keys are unique ``(vertex, dimension)`` pairs, so the
-        target cells are distinct and plain ``+=`` indexing is exact.
-        """
+        """Land a coalesced batch's new values as one fancy-indexed store
+        (batch keys are unique ``(vertex, dimension)`` pairs)."""
         state = self._streams[stream_id]
         dim_col = self._dim_col
         row_of = state.row_of
         rows: list[int] = []
         cols: list[int] = []
         values: list[int] = []
-        for (vertex, dim), delta in deltas.items():
+        for (vertex, dim), (_, new) in deltas.items():
             col = dim_col.get(dim)
             if col is None:
                 continue
             rows.append(row_of[vertex])
             cols.append(col)
-            values.append(delta)
+            values.append(new)
         if rows:
-            state.matrix[rows, cols] += np.asarray(values, dtype=np.int64)
+            state.matrix[rows, cols] = values
             state.invalidate()
 
     # -- results ----------------------------------------------------------
@@ -285,9 +276,9 @@ class MatrixJoin(JoinEngine):
         return bool(self._verdicts(state)[self._group_ord[group_id]])
 
     def _blame(self, stream_id: StreamId, query_id: QueryId) -> str:
-        """The base definition read off the dense rows (the base mirror
-        is empty): the first query vector no row dominates, blamed on its
-        first dimension, by ``str``, that no row covers alone."""
+        """The base definition read off the dense rows: the first query
+        vector no row dominates, blamed on its first dimension, by
+        ``str``, that no row covers alone."""
         state = self._streams[stream_id]
         covered = self._coverage(state)
         active = state.matrix[: state.count]

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from ..graph.labeled_graph import VertexId
 from ..nnt.projection import Dimension, NPV, dominates, vector_mass
-from .base import JoinEngine, QueryChange, QueryId, QuerySet, StreamId, StreamNpvs
+from .base import QueryChange, QueryId, QuerySet, StreamId, StreamNpvs, VectorCopyJoin
 from .dominance import dominated_count, maximal_vectors
 
 
@@ -35,7 +35,7 @@ class _StreamState:
     __slots__ = ("vectors", "members", "max_cache", "version")
 
     def __init__(self, vectors: Mapping[VertexId, NPV]) -> None:
-        #: The engine's mirror of this stream, shared and only read here.
+        #: The engine's copy of this stream, shared and only read here.
         self.vectors = vectors
         # members[dim] -> set of vertices with a non-zero entry in dim.
         self.members: dict[Dimension, set[VertexId]] = {}
@@ -52,7 +52,7 @@ class _StreamState:
         return cached
 
 
-class SkylineEarlyStopJoin(JoinEngine):
+class SkylineEarlyStopJoin(VectorCopyJoin):
     """The ``Skyline`` engine (Procedure Skyline_with_Earlystop_Join)."""
 
     name = "skyline"
@@ -81,7 +81,8 @@ class SkylineEarlyStopJoin(JoinEngine):
         self._probe_order[group_id] = [indices[local] for local in ranked]
 
     # -- query churn -------------------------------------------------------
-    def _on_dims_added(self, dims: frozenset) -> None:
+    def _on_dims_added(self, dims: frozenset, stream_npvs: StreamNpvs) -> None:
+        super()._on_dims_added(dims, stream_npvs)
         for state in self._streams.values():
             for vertex, vector in state.vectors.items():
                 for dim in dims:
@@ -99,6 +100,7 @@ class SkylineEarlyStopJoin(JoinEngine):
         }
 
     def _on_dims_removed(self, dims: frozenset) -> None:
+        super()._on_dims_removed(dims)
         for state in self._streams.values():
             for dim in dims:
                 state.members.pop(dim, None)
@@ -106,9 +108,10 @@ class SkylineEarlyStopJoin(JoinEngine):
             state.version += 1
 
     # -- stream lifecycle ------------------------------------------------
-    def _on_stream_added(self, stream_id: StreamId, vectors: Mapping[VertexId, NPV]) -> None:
-        state = self._streams[stream_id] = _StreamState(vectors)
-        for vertex, vector in vectors.items():
+    def _on_stream_added(self, stream_id: StreamId, npvs: Mapping[VertexId, NPV]) -> None:
+        super()._on_stream_added(stream_id, npvs)
+        state = self._streams[stream_id] = _StreamState(self._vectors[stream_id])
+        for vertex, vector in state.vectors.items():
             for dim in vector:
                 state.members.setdefault(dim, set()).add(vertex)
 
@@ -117,20 +120,23 @@ class SkylineEarlyStopJoin(JoinEngine):
         self._verdicts = {key: v for key, v in self._verdicts.items() if key[0] != stream_id}
 
     # -- NPV evolution ----------------------------------------------------
-    def _on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
+    def on_vertex_added(self, stream_id: StreamId, vertex: VertexId) -> None:
+        super().on_vertex_added(stream_id, vertex)
         self._streams[stream_id].version += 1
 
-    def _on_vertex_removed(self, stream_id: StreamId, vertex: VertexId, last_vector: NPV) -> None:
+    def on_vertex_removed(self, stream_id: StreamId, vertex: VertexId) -> None:
         state = self._streams[stream_id]
-        for dim in last_vector:
+        for dim in state.vectors[vertex]:
             self._drop_member(state, dim, vertex)
         state.version += 1
+        super().on_vertex_removed(stream_id, vertex)
 
     def _value_changed(
         self, stream_id: StreamId, vertex: VertexId, dim: Dimension, old: int, new: int
     ) -> None:
-        """Keep ``dim``'s members and cached maximum, and bump the
-        verdict-cache version: one bump per net-changed entry."""
+        """Keep the copy, ``dim``'s members and cached maximum, and bump
+        the verdict-cache version: one bump per net-changed entry."""
+        super()._value_changed(stream_id, vertex, dim, old, new)
         state = self._streams[stream_id]
         state.version += 1
         if not new:

@@ -29,8 +29,8 @@ deltas produced while one edge change (or one whole timestamp batch
 applied through :meth:`NNTIndex.apply` / :meth:`NNTIndex.batch`) is in
 flight are accumulated per ``(vertex, dimension)``, cancelling pairs are
 netted out, and listeners receive a single
-``on_batch_update({(vertex, dim): net_delta})`` call per batch (vertex
-lifecycle events still fire eagerly, in order).  On temporal-locality
+``on_batch_update({(vertex, dim): (net_delta, new_value)})`` call per
+batch (vertex lifecycle events still fire eagerly, in order).  On temporal-locality
 streams — where a timestamp deletes and re-inserts overlapping edge
 sets — most deltas cancel, so the join engines see a fraction of the raw
 tree-edge churn.
@@ -62,17 +62,14 @@ class NPVListener(Protocol):
 
     def on_vertex_removed(self, vertex: VertexId) -> None:
         """A vertex left the graph (its index-side NPV is already empty).
+        Its zeroing deltas are purged rather than flushed, so a listener
+        retires what the vertex's last delivered values built."""
 
-        Under coalesced delivery the zeroing deltas are purged rather
-        than flushed, so a listener mirroring NPVs must discard (or
-        reverse) whatever its own copy of the vector still holds.  The
-        join engines' one mirror lives in
-        :class:`repro.join.base.JoinEngine`, which pops the vector and
-        hands it to the engine to retire.
-        """
-
-    def on_batch_update(self, deltas: Mapping[tuple[VertexId, Dimension], int]) -> None:
-        """One batch's coalesced non-zero NPV deltas (treat as read-only)."""
+    def on_batch_update(
+        self, deltas: Mapping[tuple[VertexId, Dimension], tuple[int, int]]
+    ) -> None:
+        """One batch's coalesced entries, each its non-zero net delta and
+        its post-batch value (treat as read-only)."""
 
 
 class NNTIndex:
@@ -141,16 +138,16 @@ class NNTIndex:
                 self._flush_pending()
 
     def _flush_pending(self) -> None:
-        """Deliver the netted deltas of the closing batch scope: one
-        ``on_batch_update`` call per listener with the whole coalesced
-        mapping.  Entries for vertices removed mid-batch were already
-        purged (their listener-side state is torn down by the eager
-        ``on_vertex_removed``), so every delivered delta lands on a
-        vertex the listener still tracks.
+        """Deliver the netted deltas of the closing batch scope, each as
+        ``(net_delta, new_value)``: one ``on_batch_update`` call per
+        listener.  Entries for vertices removed mid-batch were already
+        purged (the eager ``on_vertex_removed`` tore their listener-side
+        state down), so every delivered delta lands on a tracked vertex.
         """
         if not self._pending:
             return
-        deltas = self._pending
+        npvs, pending = self.npvs, self._pending
+        deltas = {key: (delta, npvs[key[0]].get(key[1], 0)) for key, delta in pending.items()}
         self._pending = {}
         self.stats["deltas_delivered"] += len(deltas)
         with obs.span("nnt.batch_update", size=len(deltas)):

@@ -13,8 +13,9 @@ module is the IO around it: worker processes behind bounded inboxes (a
 full one makes the caller wait; a poll is a per-worker FIFO barrier),
 optional per-shard payload rings (``shm=True``, :mod:`repro.runtime.shm`;
 recovery never reads one), and the primitives ``_submit`` (put; a worker
-found dead is respawned and seeded once), ``_request`` (put, then await
-the tagged response) and ``_retire`` (stop a shard, unlink its ring).
+found dead is respawned and seeded, :func:`~repro.runtime.fleet.on_live`),
+``_request`` (put, then await the tagged response) and ``_retire`` (stop
+a shard, unlink its ring).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from ..graph.operations import EdgeChange, GraphChangeOperation, check_batch
 from ..join import check_engine_name
 from ..join.base import Pair, QueryId, StreamId
 from ..nnt.projection import DimensionScheme, PAPER_SCHEME
-from .fleet import Fleet, RecoveryLog
+from .fleet import Fleet, RecoveryLog, on_live
 from .shm import DEFAULT_RING_CAPACITY, ShmRing, cleanup_segments
 from .worker import CMD_APPLY, CMD_POLL, CMD_STATS, CMD_TRACE, WorkerDied, WorkerProcess, WorkerSpec
 
@@ -184,23 +185,19 @@ class ShardedMonitor:
             ring.close(unlink=True)
 
     def _on_live(self, shard: int, action: Callable[[WorkerProcess], Any]) -> Any:
-        """``action(worker)`` on ``shard``'s worker.  A worker found dead,
-        before the action or by it, is respawned and seeded
-        (:meth:`recover`) and the action runs once more on the new one;
+        """``action(worker)`` on ``shard``'s worker, respawned by
+        :meth:`recover` when found dead (:func:`~repro.runtime.fleet.on_live`);
         without ``auto_recover`` the death raises :class:`WorkerDied`."""
-        for attempt in (0, 1):
-            worker = self._workers.get(shard)
-            if worker is None or not worker.is_alive():
-                if not self.auto_recover:
-                    raise WorkerDied(f"shard {shard} worker died (auto_recover off)")
-                self.recover(shard)
-                worker = self._workers[shard]
-            try:
-                return action(worker)
-            except WorkerDied:
-                if not self.auto_recover or attempt:
-                    raise
-        raise AssertionError("unreachable")
+        return on_live(shard, action, self._live_worker, self._respawn)
+
+    def _live_worker(self, shard: int) -> WorkerProcess | None:
+        worker = self._workers.get(shard)
+        return worker if worker is not None and worker.is_alive() else None
+
+    def _respawn(self, shard: int) -> None:
+        if not self.auto_recover:
+            raise WorkerDied(f"shard {shard} worker died (auto_recover off)")
+        self.recover(shard)
 
     def _submit(self, shard: int, command: tuple) -> None:
         """The delivery primitive: put one command on a shard's inbox.  The
@@ -385,9 +382,6 @@ class ShardedMonitor:
             workers[shard] = self._request(shard, CMD_STATS)[3]
             worker = self._workers[shard]
             workers[shard].update(pid=worker.process.pid, alive=worker.is_alive())
-        shard_streams = dict.fromkeys(range(fleet.shards), 0)
-        for shard in fleet.streams.values():
-            shard_streams[shard] += 1
         depths = self.inbox_depths()
         if obs.enabled():
             # -1 marks a platform without qsize(), not a depth.
@@ -421,7 +415,7 @@ class ShardedMonitor:
                 "spilled": 0,
             },
             "recovery": self.recovery_log.summary(),
-            "streams_per_shard": shard_streams,
+            "streams_per_shard": fleet.streams_per_shard(),
             "inbox_depths": depths,
             "workers": workers,
             "merged_obs": obs.merge_summaries(

@@ -28,7 +28,7 @@ at the driver's boundaries.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Mapping, TypeVar
 
 from ..core.monitor import MatchEvent, diff_polls
 from ..graph.labeled_graph import LabeledGraph
@@ -41,10 +41,45 @@ from .worker import (
     CMD_DEREGISTER_QUERY,
     CMD_REGISTER_QUERY,
     CMD_REMOVE_STREAM,
+    WorkerDied,
 )
 
 #: A driver's delivery primitive: put one command on one shard's inbox.
 Deliver = Callable[[int, tuple], None]
+
+#: Respawns one call may make of one shard: a respawn that dies while it
+#: is seeded is respawned again, and a worker that keeps dying raises.
+RESPAWNS_PER_CALL = 3
+
+Worker = TypeVar("Worker")
+Result = TypeVar("Result")
+
+
+def on_live(
+    shard: int,
+    action: Callable[[Worker], Result],
+    live_worker: Callable[[int], Worker | None],
+    respawn: Callable[[int], None],
+) -> Result:
+    """``action`` on ``shard``'s worker (``live_worker`` returns it, or
+    None when it is dead or missing).  A worker found dead, before the
+    action or by it (:class:`~repro.runtime.worker.WorkerDied`), is
+    respawned and seeded (``respawn``), and so is each fresh respawn that
+    dies in turn, up to :data:`RESPAWNS_PER_CALL`; the death after that
+    raises :class:`~repro.runtime.worker.WorkerDied`."""
+    respawns = 0
+    while True:
+        worker = live_worker(shard)
+        if worker is not None:
+            try:
+                return action(worker)
+            except WorkerDied:
+                if respawns == RESPAWNS_PER_CALL:
+                    raise
+        elif respawns == RESPAWNS_PER_CALL:
+            raise WorkerDied(f"shard {shard} worker died after {respawns} respawns")
+        respawn(shard)
+        respawns += 1
 
 
 class RecoveryLog:
@@ -127,6 +162,13 @@ class Fleet:
             if owner == shard
         ]
         return commands
+
+    def streams_per_shard(self) -> dict[int, int]:
+        """How many streams each shard slot owns."""
+        counts = dict.fromkeys(range(self.shards), 0)
+        for shard in self.streams.values():
+            counts[shard] += 1
+        return counts
 
     def moves(self, router: ShardRouter) -> list[tuple[StreamId, int, int]]:
         """``(stream, origin, destination)`` for every stream whose owner
@@ -214,9 +256,11 @@ class Fleet:
         retires every shard this call spawned before the error goes on,
         so the fleet is left as it was.  Each stream whose owner changes
         is then added on its new shard from its graph of record and
-        removed from its old one, which owns it until both commands are
-        out: a respawn of either in between is seeded right.  Surplus
-        shards are retired last, once nothing is left on them.
+        removed from its old one, which owns it until the remove is out
+        or has failed: a respawn of either in between is seeded right, and
+        a remove that failed because the old owner died leaves the stream
+        with the one shard that holds it.  Surplus shards are retired
+        last, once nothing is left on them.
         """
         source = self.shards
         try:
@@ -231,8 +275,10 @@ class Fleet:
         plan = self.moves(self.router)
         for stream_id, origin, destination in plan:
             deliver(destination, (CMD_ADD_STREAM, stream_id, self.graphs[stream_id].copy()))
-            deliver(origin, (CMD_REMOVE_STREAM, stream_id))
-            self.streams[stream_id] = destination
+            try:
+                deliver(origin, (CMD_REMOVE_STREAM, stream_id))
+            finally:
+                self.streams[stream_id] = destination
         for shard in range(target, source):
             retire(shard)
         self.shards = target

@@ -4,9 +4,10 @@ driven over N in-process :class:`~repro.runtime.worker.ShardState` objects.
 :class:`SimFleet` is a second driver for the same state of record, built
 like :class:`~repro.runtime.coordinator.ShardedMonitor`: the same fleet
 operations behind the same three primitives — deliver (a dead worker is
-respawned and seeded once), request/response, retire — but its workers
-are plain objects and its faults come from a schedule.  So the fleet's
-respawn, rescale and seeding policy runs without a process.
+respawned and seeded by the same :func:`~repro.runtime.fleet.on_live`),
+request/response, retire — but its workers are plain objects and its
+faults come from a schedule.  So the fleet's respawn, rescale and
+seeding policy runs without a process.
 
 A :class:`Fault` lands at one named driver boundary:
 
@@ -32,7 +33,7 @@ from repro.core.checkpoint import load_monitor, write_checkpoint
 from repro.graph.operations import check_batch
 from repro.nnt.projection import PAPER_SCHEME
 from repro.runtime import WorkerDied
-from repro.runtime.fleet import Fleet
+from repro.runtime.fleet import Fleet, on_live
 from repro.runtime.worker import CMD_POLL, CMD_REMOVE_STREAM, ShardState, WorkerSpec
 
 BOUNDARIES = ("put", "after_put", "seed", "move", "poll")
@@ -73,10 +74,12 @@ class SimFleet:
         depth_limit: int = 3,
         scheme=PAPER_SCHEME,
         num_workers: int = 2,
+        auto_recover: bool = True,
     ) -> None:
         queries = {query_id: graph.copy() for query_id, graph in queries.items()}
         self.spec = WorkerSpec(queries, method, depth_limit, scheme)
         self.fleet = Fleet(queries, num_workers)
+        self.auto_recover = auto_recover
         self.workers: dict[int, SimWorker] = {}
         self.faults: list[Fault] = []
         self.crossings: dict[str, int] = {}
@@ -128,18 +131,23 @@ class SimFleet:
         self.recoveries += 1
         self._spawn(shard)
 
+    def recover_dead(self) -> list[int]:
+        dead = [shard for shard in range(self.fleet.shards) if self._live_worker(shard) is None]
+        for shard in dead:
+            self.recover(shard)
+        return dead
+
+    def _live_worker(self, shard: int) -> SimWorker | None:
+        worker = self.workers.get(shard)
+        return worker if worker is not None and worker.state is not None else None
+
+    def _respawn(self, shard: int) -> None:
+        if not self.auto_recover:
+            raise WorkerDied(f"shard {shard} worker died (auto_recover off)")
+        self.recover(shard)
+
     def _on_live(self, shard: int, action: Callable[[SimWorker], Any]) -> Any:
-        for attempt in (0, 1):
-            worker = self.workers.get(shard)
-            if worker is None or worker.state is None:
-                self.recover(shard)
-                worker = self.workers[shard]
-            try:
-                return action(worker)
-            except WorkerDied:
-                if attempt:
-                    raise
-        raise AssertionError("unreachable")
+        return on_live(shard, action, self._live_worker, self._respawn)
 
     def _submit(self, shard: int, command: tuple) -> None:
         self._cross("put", shard)
@@ -197,6 +205,9 @@ class SimFleet:
         for shard in range(self.fleet.shards):
             aggregated.update(self._request(shard, CMD_POLL)[3])
         return aggregated
+
+    def stats(self) -> dict:
+        return {"streams_per_shard": self.fleet.streams_per_shard()}
 
     def events(self) -> list:
         return self.fleet.events(self.matches())

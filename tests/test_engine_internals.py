@@ -5,8 +5,10 @@ their definitions after arbitrary churn."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.graph import LabeledGraph
+from repro.graph import EdgeChange, GraphChangeOperation, LabeledGraph
 from repro.join import QuerySet, StreamListenerAdapter, make_engine
 from repro.join.dominated_set_cover import DominatedSetCoverJoin
 from repro.join.skyline import SkylineEarlyStopJoin
@@ -50,13 +52,13 @@ def live_records(query_set):
 def assert_dominant_rows_match_definition(query_set, engine):
     records = live_records(query_set)
     for stream_id, state in engine._streams.items():
-        for vertex, mirror in engine._mirror[stream_id].items():
+        for vertex, vector in engine._vectors[stream_id].items():
             row = state.dominant[vertex]
             for record in records:
                 expected = sum(
                     1
                     for dim, value in record.vector.items()
-                    if mirror.get(dim, 0) >= value
+                    if vector.get(dim, 0) >= value
                 )
                 assert row[record.index] == expected, (vertex, record.index)
 
@@ -108,18 +110,24 @@ class TestDSCCounters:
         query_set, engine = self.churned_queries(16)
         assert len(engine._required) == len(query_set.vectors)
         for stream_id, state in engine._streams.items():
-            assert state.dominant.keys() == engine._mirror[stream_id].keys()
+            assert state.dominant.keys() == engine._vectors[stream_id].keys()
             for row in state.dominant.values():
                 assert len(row) == len(engine._required)
 
     def test_counter_below_zero_raises_instead_of_wrapping(self):
         query_set, engine, index = self.setup_engine(17)
         state = engine._streams[0]
-        vertex = next(v for v, row in state.dominant.items() if any(row))
+        # An entry whose value reaches past some query value in its dimension.
+        vertex, dim, value = next(
+            (vertex, dim, value)
+            for vertex, vector in index.npvs.items()
+            for dim, value in vector.items()
+            if dim in engine._dim_values and value >= engine._dim_values[dim][0]
+        )
         for slot in range(len(engine._required)):
             state.dominant[vertex][slot] = 0  # corrupt: counters lost
         with pytest.raises(OverflowError):
-            engine.on_vertex_removed(0, vertex)  # replays the mirror downwards
+            engine.batch_update(0, {(vertex, dim): (-value, 0)})  # walks the row downwards
 
     def test_cover_counts_match_definition(self):
         query_set, engine, index = self.setup_engine(12)
@@ -127,8 +135,8 @@ class TestDSCCounters:
         for record in query_set.vectors:
             expected = sum(
                 1
-                for mirror in engine._mirror[0].values()
-                if dominates(mirror, record.vector)
+                for vector in engine._vectors[0].values()
+                if dominates(vector, record.vector)
             )
             if record.num_dims == 0:
                 continue  # trivial vectors excluded from counters
@@ -143,17 +151,19 @@ class TestDSCCounters:
                 for i in indices
                 if query_set.vectors[i].num_dims > 0
                 and not any(
-                    dominates(mirror, query_set.vectors[i].vector)
-                    for mirror in engine._mirror[0].values()
+                    dominates(vector, query_set.vectors[i].vector)
+                    for vector in engine._vectors[0].values()
                 )
             )
             assert state.uncovered[query_set.group_of[query_id]] == expected
 
     @pytest.mark.parametrize("name", ("nl", "dsc", "skyline"))
     def test_mirrors_match_restricted_npvs(self, name):
-        """The one stream-side mirror is ``index.npvs`` restricted to the
-        universe after stream churn, after a query that brings new
-        dimensions (the backfill) and after it retires them (the purge)."""
+        """What an engine reads of the stream side: ``dsc`` reads
+        ``index.npvs`` itself (no copy); ``nl``/``skyline`` keep a copy
+        equal to it restricted to the universe after stream churn, after a
+        query that brings new dimensions (the backfill) and after it
+        retires them (the purge)."""
         rng = random.Random(14)
         query_set = QuerySet(small_queries(rng), depth_limit=2)
         engine = make_engine(name, query_set)
@@ -167,7 +177,10 @@ class TestDSCCounters:
                 vertex: {dim: value for dim, value in vector.items() if dim in universe}
                 for vertex, vector in index.npvs.items()
             }
-            assert engine._mirror == {0: expected}
+            if name == "dsc":
+                assert engine._vectors == {0: index.npvs} and engine._vectors[0] is index.npvs
+            else:
+                assert engine._vectors == {0: expected}
 
         churn(rng, index)
         assert_mirror_is_restricted_npvs()
@@ -181,6 +194,95 @@ class TestDSCCounters:
         assert_mirror_is_restricted_npvs()
         assert engine.remove_query("whole").removed_dims
         assert_mirror_is_restricted_npvs()
+
+
+def counter_state(engine):
+    state = engine._streams[0]
+    return dict(state.dominant), dict(state.cover), dict(state.uncovered)
+
+
+def readd_batch(rng, graph):
+    """Delete every edge of one vertex, so it leaves the graph, and
+    insert one edge that brings it back: a removal and a re-add inside
+    one batch (deletions run first), beside a few other toggles."""
+    vertex = rng.choice([v for v in graph.vertices() if graph.degree(v)])
+    changes = [EdgeChange.delete(vertex, other) for other in graph.neighbors(vertex)]
+    other = rng.choice([v for v in graph.vertices() if v != vertex])
+    changes.append(
+        EdgeChange.insert(vertex, other, "x", graph.vertex_label(vertex), graph.vertex_label(other))
+    )
+    return GraphChangeOperation(changes)
+
+
+def toggle_batch(rng, graph):
+    """Up to three edge toggles among vertices 0..7 (labels ``ABCD``)."""
+    changes, seen = [], set()
+    for _ in range(rng.randint(1, 3)):
+        u, v = sorted(rng.sample(range(8), 2))
+        if (u, v) in seen:
+            continue
+        seen.add((u, v))
+        if graph.has_edge(u, v):
+            changes.append(EdgeChange.delete(u, v))
+        else:
+            changes.append(EdgeChange.insert(u, v, rng.choice("xy"), "ABCD"[u % 4], "ABCD"[v % 4]))
+    return GraphChangeOperation(changes)
+
+
+class RemovalLog(list):
+    """A listener that keeps the vertices it hears leave."""
+
+    def on_vertex_added(self, vertex):
+        pass
+
+    def on_vertex_removed(self, vertex):
+        self.append(vertex)
+
+    def on_batch_update(self, deltas):
+        pass
+
+
+#: A query with ``D``-labelled vertices: only the stream has that label
+#: until it registers, so its registration widens the universe and its
+#: deregistration narrows it back.
+WIDE = LabeledGraph.from_vertices_and_edges(
+    [(0, "D"), (1, "A"), (2, "D")], [(0, 1, "x"), (1, 2, "y")]
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_property_dsc_counters_equal_a_fresh_seed(seed):
+    """After every batch and every query change, a ``dsc`` fed the
+    ``(delta, new)`` payloads holds the ``dominant``, ``cover`` and
+    ``uncovered`` counters a fresh ``dsc`` seeded from ``index.npvs``
+    computes, through a vertex removed and re-added inside one batch, a
+    registration that widens the universe and a deregistration that
+    narrows it."""
+    rng = random.Random(seed)
+    query_set = QuerySet(small_queries(rng), depth_limit=3)
+    engine = DominatedSetCoverJoin(query_set)
+    initial = random_labeled_graph(rng, 6, extra_edges=3, vertex_labels=tuple("ABCD"))
+    index = NNTIndex(initial, depth_limit=3)
+    engine.register_stream(0, index.npvs)
+    index.add_listener(StreamListenerAdapter(engine, 0))
+    removed = RemovalLog()
+    index.add_listener(removed)
+    for kind in ("toggle", "readd", "widen", "toggle", "readd", "narrow") * 2:
+        if kind == "widen":
+            assert engine.add_query("wide", WIDE, {0: index.npvs}).added_dims
+        elif kind == "narrow":
+            assert engine.remove_query("wide").removed_dims
+        else:
+            batch = (readd_batch if kind == "readd" else toggle_batch)(rng, index.graph)
+            removed.clear()
+            index.apply(batch)
+            if kind == "readd":
+                back = batch.changes[-1].u
+                assert back in removed and index.graph.has_vertex(back)
+        fresh = DominatedSetCoverJoin(query_set)
+        fresh.register_stream(0, index.npvs)
+        assert counter_state(engine) == counter_state(fresh), kind
 
 
 class TestSkylineInternals:
@@ -198,8 +300,8 @@ class TestSkylineInternals:
         query_set, engine, index = self.setup_engine(21)
         state = engine._streams[0]
         expected: dict = {}
-        for vertex, mirror in engine._mirror[0].items():
-            for dim in mirror:
+        for vertex, vector in engine._vectors[0].items():
+            for dim in vector:
                 expected.setdefault(dim, set()).add(vertex)
         assert state.members == expected
 
@@ -207,7 +309,7 @@ class TestSkylineInternals:
         query_set, engine, index = self.setup_engine(22)
         state = engine._streams[0]
         for dim, members in state.members.items():
-            true_max = max(engine._mirror[0][v][dim] for v in members)
+            true_max = max(engine._vectors[0][v][dim] for v in members)
             assert state.max_of(dim) == true_max
 
     def test_probe_order_covers_maximal_vectors(self):

@@ -3,7 +3,9 @@
 One flat typed row per stream vertex, one 4-byte slot per query vector:
 what the rows cost is a few bytes per (stream vertex x live query vector)
 slot, and stream churn — counters leaving zero and coming back — does
-not move it, because a row has no table to leave at high water.
+not move it, because a row has no table to leave at high water.  Beside
+its rows the engine keeps a few bytes per stream vertex, not a copy of
+the stream's NPVs: those are the index's.
 """
 
 import random
@@ -32,13 +34,19 @@ CHURN_DRIFT_CEILING = 0.10
 
 CHURN_TICKS = 200
 
+#: tracemalloc bytes per stream vertex that dropping a registered engine
+#: frees beyond its rows and its query side: 305 after the churn below
+#: (the ``dominant`` table's entry, ``cover``/``uncovered``); 3,685 with a
+#: copy of the stream's in-universe NPVs kept beside the counters.
+BYTES_PER_VERTEX_BEYOND_ROWS_CEILING = 1024
+
 
 def bytes_of_rows(engine: DominatedSetCoverJoin) -> float:
     """Traced bytes per dominant slot: what tracemalloc gets back when the
     engine's rows are dropped (which ends the engine's useful life; the
     collector is off, so nothing else is freed meanwhile), over stream
     vertices x live query vectors."""
-    slots = sum(len(vectors) for vectors in engine._mirror.values())
+    slots = sum(len(state.dominant) for state in engine._streams.values())
     slots *= engine.query_set.live_vector_count()
     before = tracemalloc.get_traced_memory()[0]
     for state in engine._streams.values():
@@ -46,10 +54,20 @@ def bytes_of_rows(engine: DominatedSetCoverJoin) -> float:
     return (before - tracemalloc.get_traced_memory()[0]) / slots
 
 
+def bytes_freed(holder: list) -> int:
+    """What tracemalloc gets back when the one object ``holder`` keeps
+    is let go (the collector is off: only refcounts free)."""
+    before = tracemalloc.get_traced_memory()[0]
+    holder.clear()
+    return before - tracemalloc.get_traced_memory()[0]
+
+
 @pytest.fixture(scope="module")
-def bytes_per_slot():
-    """(at build, after churn) for a dsc engine over one 97-device
-    proximity stream and 60 five-edge queries extracted from it."""
+def measured():
+    """For a dsc engine over one 97-device proximity stream and 60
+    five-edge queries extracted from it: bytes per slot at build and
+    after churn, and what dropping the churned engine frees beyond its
+    rows and beyond an unregistered engine's query side, per vertex."""
     stream = generate_reality_stream(random.Random(7), CHURN_TICKS + 1)
     extracted = make_query_set([stream.initial], num_edges=5, count=60, seed=7)
     queries = {f"q{i}": query for i, query in enumerate(extracted)}
@@ -68,11 +86,24 @@ def bytes_per_slot():
             index.add_listener(StreamListenerAdapter(churned, 0))
             for operation in stream.operations:
                 index.apply(operation)
+            vertices = len(churned._streams[0].dominant)
             after_churn = bytes_of_rows(churned)
+            query_set = churned.query_set
+            index.listeners.clear()
+            holder = [churned]
+            del churned
+            registered = bytes_freed(holder)
+            unregistered = bytes_freed([DominatedSetCoverJoin(query_set)])
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    return at_build, after_churn
+    return at_build, after_churn, (registered - unregistered) / vertices
+
+
+@pytest.fixture(scope="module")
+def bytes_per_slot(measured):
+    """(at build, after churn) bytes per dominant slot."""
+    return measured[:2]
 
 
 def test_bytes_per_dominant_slot(bytes_per_slot):
@@ -84,3 +115,11 @@ def test_bytes_per_dominant_slot(bytes_per_slot):
 def test_churn_does_not_grow_the_rows(bytes_per_slot):
     at_build, after_churn = bytes_per_slot
     assert abs(after_churn - at_build) <= CHURN_DRIFT_CEILING * at_build
+
+
+def test_dropping_the_engine_frees_its_rows_and_a_few_bytes_per_vertex(measured):
+    """The engine holds counters, not vectors: after the churn, what it
+    frees beyond its rows is a per-vertex constant, not a copy of the
+    stream's NPVs."""
+    beyond_rows = measured[2]
+    assert 0 < beyond_rows <= BYTES_PER_VERTEX_BEYOND_ROWS_CEILING

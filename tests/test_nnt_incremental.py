@@ -34,7 +34,8 @@ class RecordingListener:
 
     A removed vertex's zeroing deltas are purged instead of flushed, so
     the mirror discards whatever remains — the contract the join
-    engines implement.
+    engines implement.  Each delivered entry's new value must be the
+    mirrored value plus its delta.
     """
 
     def __init__(self):
@@ -48,10 +49,10 @@ class RecordingListener:
         del self.vectors[vertex]
 
     def on_batch_update(self, deltas):
-        for (vertex, dim), delta in deltas.items():
+        for (vertex, dim), (delta, new) in deltas.items():
             vector = self.vectors[vertex]
             value = vector.get(dim, 0) + delta
-            assert value >= 0
+            assert value == new >= 0
             if value:
                 vector[dim] = value
             else:

@@ -32,7 +32,7 @@ from hypothesis.stateful import (
 from repro.core.monitor import StreamMonitor, diff_polls
 from repro.graph import EdgeChange, GraphChangeOperation, GraphError, LabeledGraph
 from repro.runtime import WorkerDied
-from repro.runtime.fleet import Fleet
+from repro.runtime.fleet import RESPAWNS_PER_CALL, Fleet
 from repro.runtime.router import ShardRouter
 from repro.runtime.worker import (
     CMD_ADD_STREAM,
@@ -198,6 +198,56 @@ class TestRefusedBatch:
         assert (fleet.graphs["s"], fleet.accepted_batches, fleet.since_checkpoint) == before
 
 
+class TestRespawn:
+    def _pair(self, **options) -> tuple[StreamMonitor, SimFleet]:
+        oracle, sim = StreamMonitor(BIRTH), SimFleet(BIRTH, num_workers=2, **options)
+        for stream_id, initial in zip(STREAM_IDS, INITIAL + INITIAL):
+            for monitor in (oracle, sim):
+                monitor.add_stream(stream_id, initial)
+        return oracle, sim
+
+    def test_a_poll_kill_then_a_seed_kill_inside_one_matches_returns_the_answer(self):
+        """The poll finds shard 0 dead, and its respawn dies on its first
+        seed command: that fresh respawn is respawned again, inside the
+        same ``matches()``."""
+        oracle, sim = self._pair()
+        sim.schedule([Fault("poll", 0, kill=True), Fault("seed", 0, kill=True)])
+        assert sim.matches() == oracle.matches()
+        assert sim.recoveries == 2
+
+    def test_a_crash_loop_still_raises(self):
+        _, sim = self._pair()
+        sim.schedule([Fault("poll", 0, kill=True)] + [Fault("seed", k, kill=True) for k in range(99)])
+        with pytest.raises(WorkerDied):
+            sim.matches()
+        assert sim.recoveries == RESPAWNS_PER_CALL
+
+    def test_a_rescale_that_fails_in_its_move_phase_keeps_the_answers(self):
+        """Without ``auto_recover`` a worker killed between a move's add
+        and remove fails the rescale, with some streams already on their
+        new owners and the rest on their old ones.  Once the dead worker
+        is recovered the answers are the oracle's, then and after every
+        stream changes, and every stream is counted on one shard."""
+        oracle, sim = self._pair(auto_recover=False)
+        before = dict(sim.fleet.streams)
+        assert sim.fleet.moves(ShardRouter(4))
+        sim.schedule([Fault("move", 0, kill=True)])
+        with pytest.raises(WorkerDied):
+            sim.rescale(4)
+        sim.schedule(())
+        assert sim.recover_dead()
+        for step in range(3):
+            if step:
+                for stream_id in oracle.stream_ids():
+                    change = toggle(oracle.graph(stream_id), step - 1, step)
+                    for monitor in (oracle, sim):
+                        monitor.apply(stream_id, change)
+            assert sim.matches() == oracle.matches()
+            assert sim.events() == oracle.events()
+            assert sum(sim.stats()["streams_per_shard"].values()) == len(oracle.stream_ids())
+        assert sim.fleet.streams != before  # the rescale got part of the way
+
+
 # ----------------------------------------------------------------------
 # part two: the simulated fleet against an in-process oracle
 # ----------------------------------------------------------------------
@@ -226,15 +276,6 @@ def faults_at(*boundaries: str):
 DELIVERY = faults_at("put", "after_put")
 RESCALE = faults_at("put", "after_put", "move", "seed")
 POLL = faults_at("poll")
-
-
-def retried(call):
-    """A request raises WorkerDied only when one worker died twice inside
-    it; it changes no state, so a second try is the caller's remedy."""
-    try:
-        return call()
-    except WorkerDied:
-        return call()
 
 
 class SimFleetMachine(RuleBasedStateMachine):
@@ -344,15 +385,15 @@ class SimFleetMachine(RuleBasedStateMachine):
         self.sim.close()
         self.sim = self.faulted(faults, lambda: SimFleet.restore(self.workdir, num_workers=workers))
         # A restored fleet's first events() reports every pair as appeared.
-        assert retried(self.sim.events) == diff_polls(set(), self.oracle.matches())
+        assert self.sim.events() == diff_polls(set(), self.oracle.matches())
 
     @rule(faults=POLL)
     def matches(self, faults):
-        assert self.faulted(faults, lambda: retried(self.sim.matches)) == self.oracle.matches()
+        assert self.faulted(faults, self.sim.matches) == self.oracle.matches()
 
     @rule(faults=POLL)
     def events(self, faults):
-        assert self.faulted(faults, lambda: retried(self.sim.events)) == self.oracle.events()
+        assert self.faulted(faults, self.sim.events) == self.oracle.events()
 
     @invariant()
     def agrees_with_the_oracle(self):
