@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve",
         parents=[filtering],
-        help="monitoring server: line protocol on stdin, or an asyncio TCP "
+        help="monitoring server: line protocol on stdin, or a single-loop TCP "
         "server with sessions + admission control via --tcp HOST:PORT",
     )
     serve.add_argument(

@@ -434,7 +434,7 @@ class ShardedMonitor:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         source = self.num_workers
-        if num_workers == source:
+        if self.fleet.settled_at(num_workers):
             return {"from": source, "to": source, "moved_streams": 0, "seconds": 0.0}
         timer = Stopwatch()
         with timer, obs.span("runtime.rescale", source=source, target=num_workers):

@@ -170,6 +170,13 @@ class Fleet:
             counts[shard] += 1
         return counts
 
+    def settled_at(self, target: int) -> bool:
+        """Is a rescale to ``target`` a no-op?  Only at ``target`` shards
+        with every stream on its router's shard: a grow that failed in
+        its move phase already counts ``target`` shards, and a retry
+        must still move what it left behind."""
+        return target == self.shards and not self.moves(self.router)
+
     def moves(self, router: ShardRouter) -> list[tuple[StreamId, int, int]]:
         """``(stream, origin, destination)`` for every stream whose owner
         ``router`` changes, sorted by ``str(stream)`` so every run hands

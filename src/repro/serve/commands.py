@@ -25,7 +25,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     restored = bool(args.checkpoint_dir) and Path(args.checkpoint_dir, MANIFEST).is_file()
     queries = dict(read_graph_set(args.queries))
     with _open_monitor(args, queries, restore=restored) as monitor:
-        # The serving edge (asyncio, ssl, http) is imported
+        # The serving edge (server loop, http) is imported
         # only now that the workers have forked: they never serve, and
         # would carry its pages for life.
         from .protocol import encode_reply

@@ -1,7 +1,6 @@
-"""Asyncio HTTP observability endpoint for the serving layer.
+"""HTTP observability routes of the serving layer.
 
-A deliberately minimal HTTP/1.0-style server (stdlib asyncio only, and
-all of it inside ``repro.serve``) exposing the operational
+A deliberately minimal HTTP/1.0 responder exposing the operational
 surface a scraper or orchestrator needs:
 
 ========== =============================================================
@@ -16,12 +15,14 @@ path        body
 /trace      Perfetto / Chrome trace-event download of buffered spans
 ========== =============================================================
 
-Every provider is an injected zero-argument callable, so the endpoint
-is equally servable from :class:`~repro.serve.server.ReproServer`
-(merged cross-worker summaries) and from tests (canned dicts).  The
-endpoint never touches the monitor itself — it only reads snapshots —
-so it can never block or interleave with the single-writer command
-path.
+The server's loop (:mod:`repro.serve.server`) owns the listening socket
+and the connections; :meth:`ObservabilityEndpoint.respond` turns one
+request head into one response.  Every provider is an injected
+zero-argument callable, so the endpoint is equally servable from
+:class:`~repro.serve.server.ReproServer` (merged cross-worker summaries)
+and from tests (canned dicts).  The endpoint never touches the monitor
+itself — it only reads snapshots — so it can never interleave with a
+half-executed command.
 
 Responses always carry ``Content-Length`` and ``Connection: close``:
 one request per connection keeps the parser honest and the sockets
@@ -30,7 +31,6 @@ bounded (observability scrapes are low-rate by construction).
 
 from __future__ import annotations
 
-import asyncio
 import json
 from typing import Any, Callable
 
@@ -39,18 +39,25 @@ from ..obs.exposition import render_prometheus
 from ..obs.timeline import Timeline
 from ..obs.trace import to_chrome
 
-__all__ = ["ObservabilityEndpoint"]
+__all__ = ["MAX_REQUEST_BYTES", "ObservabilityEndpoint"]
 
-_MAX_REQUEST_BYTES = 8192
+#: A request head is answered once it is this long, blank line or not;
+#: a request line alone this long is dropped unanswered.
+MAX_REQUEST_BYTES = 8192
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+    503: "Service Unavailable",
+}
 
 
 class ObservabilityEndpoint:
-    """HTTP scrape/health server over injected snapshot providers."""
+    """HTTP scrape/health responses over injected snapshot providers."""
 
     def __init__(
         self,
-        host: str,
-        port: int,
         *,
         summary: Callable[[], dict[str, Any]],
         ready: Callable[[], bool],
@@ -59,70 +66,35 @@ class ObservabilityEndpoint:
         spans: Callable[[], list[Any]] | None = None,
         prefix: str = "repro",
     ) -> None:
-        self._host = host
-        self._port = port
         self._summary = summary
         self._ready = ready
         self._slo = slo
         self._timeline = timeline
         self._spans = spans if spans is not None else obs.spans
         self._prefix = prefix
-        self._server: asyncio.AbstractServer | None = None
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound (host, port) — resolves port 0 after start()."""
-        if self._server is None or not self._server.sockets:
-            raise RuntimeError("observability endpoint is not started")
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return host, port
-
-    async def start(self) -> None:
-        """Bind and start serving scrapes on the configured address."""
-        self._server = await asyncio.start_server(
-            self._handle, self._host, self._port
-        )
-
-    async def stop(self) -> None:
-        """Close the listening socket and wait for it to release."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    # -- request handling --------------------------------------------------
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            request = await reader.readline()
-            if not request or len(request) > _MAX_REQUEST_BYTES:
-                return
-            # Drain headers until the blank line; their content is unused.
-            consumed = len(request)
-            while True:
-                line = await reader.readline()
-                consumed += len(line)
-                if line in (b"\r\n", b"\n", b"") or consumed > _MAX_REQUEST_BYTES:
-                    break
-            parts = request.decode("latin-1").split()
-            if len(parts) < 2:
-                status, headers, body = self._error(400, "bad request")
-            elif parts[0] != "GET":
-                status, headers, body = self._error(405, "method not allowed")
-            else:
-                status, headers, body = self._route(parts[1])
-            await self._respond(writer, status, headers, body)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # scraper went away mid-exchange; nothing to clean up
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass  # peer reset during close; the socket is gone either way
+    def respond(self, head: bytes) -> bytes:
+        """The response to one request head (request line, headers),
+        or ``b""`` for a request line too empty or too long to answer."""
+        request = head.split(b"\n", 1)[0]
+        if not request or len(request) >= MAX_REQUEST_BYTES:
+            return b""
+        parts = request.decode("latin-1").split()
+        if len(parts) < 2:
+            status, headers, body = self._error(400, "bad request")
+        elif parts[0] != "GET":
+            status, headers, body = self._error(405, "method not allowed")
+        else:
+            status, headers, body = self._route(parts[1])
+        lines = [f"HTTP/1.0 {status} {_REASONS.get(status, 'Unknown')}"]
+        headers = {
+            "Server": "repro-serve",
+            "Connection": "close",
+            "Content-Length": str(len(body)),
+            **headers,
+        }
+        lines.extend(f"{key}: {value}" for key, value in headers.items())
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
     def _route(self, path: str) -> tuple[int, dict[str, str], bytes]:
         path = path.split("?", 1)[0]
@@ -172,28 +144,3 @@ class ObservabilityEndpoint:
             {"Content-Type": "text/plain; charset=utf-8"},
             (message + "\n").encode("utf-8"),
         )
-
-    @staticmethod
-    async def _respond(
-        writer: asyncio.StreamWriter,
-        status: int,
-        headers: dict[str, str],
-        body: bytes,
-    ) -> None:
-        reasons = {
-            200: "OK",
-            400: "Bad Request",
-            404: "Not Found",
-            405: "Method Not Allowed",
-            503: "Service Unavailable",
-        }
-        lines = [f"HTTP/1.0 {status} {reasons.get(status, 'Unknown')}"]
-        headers = {
-            "Server": "repro-serve",
-            "Connection": "close",
-            "Content-Length": str(len(body)),
-            **headers,
-        }
-        lines.extend(f"{key}: {value}" for key, value in headers.items())
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
-        await writer.drain()

@@ -8,8 +8,8 @@ session gets its *own* appeared/vanished deltas via
 A :class:`MonitorBridge` owns the monitor.  Every command — from every
 session, and from the stdin adapter — funnels through
 :meth:`MonitorBridge.execute`, which is the **only** code that touches
-the monitor.  The asyncio server enforces the single-writer discipline
-by calling it from one writer task; the stdin loop is trivially single
+the monitor.  The TCP server enforces the single-writer discipline
+by calling it from its one loop; the stdin loop is trivially single
 writer.  Commits open an ``serve.commit`` span, which is what mints the
 trace id (only :mod:`repro.obs.trace` mints) and lets the
 coordinator stamp it onto runtime command envelopes — the reply carries

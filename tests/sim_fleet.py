@@ -196,7 +196,7 @@ class SimFleet:
         self.fleet.deregister_query(self._submit, query_id)
 
     def rescale(self, num_workers: int) -> int:
-        if num_workers == self.fleet.shards:
+        if self.fleet.settled_at(num_workers):
             return 0
         return self.fleet.rescale(num_workers, self._spawn, self._move, self._retire)
 

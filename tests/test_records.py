@@ -22,7 +22,7 @@ from repro.obs.slo import SloRule
 from repro.runtime import ShardedMonitor
 from repro.runtime.worker import WorkerSpec
 from repro.serve import protocol
-from repro.serve.server import ServeConfig, _WorkItem
+from repro.serve.server import ServeConfig
 
 QUERY = LabeledGraph.from_vertices_and_edges([(0, "A"), (1, "B")], [(0, 1, "x")])
 CHANGE = EdgeChange.insert(1, 2, "x", "A", "B")
@@ -44,7 +44,6 @@ RECORDS = {
     "SloRule": lambda: SloRule("depth", "runtime.inbox_depth", "gauge_max", 10.0),
     "WorkerSpec": lambda: WorkerSpec({"q": QUERY}, ring="ring-0"),
     "ServeConfig": lambda: ServeConfig(admission_capacity=8),
-    "_WorkItem": lambda: _WorkItem(None, protocol.Commit(verb="tick"), None, True),
     **{
         name: (lambda cls=getattr(protocol, name), args=args: cls(*args, verb="v"))
         for name, args in {

@@ -26,10 +26,10 @@ from repro.obs import Registry
 from repro.obs.exposition import render_prometheus
 from repro.obs.slo import SloRule
 from repro.serve.http import ObservabilityEndpoint
-from repro.serve.server import ReproServer, ServeConfig
+from repro.serve.server import ServeConfig
 
 from .test_obs import parse_prometheus_text
-from .test_serve_server import connect, edge_query, ins, send_cmd
+from .test_serve_server import connect, drained, edge_query, ins, launch, send_cmd, stopped
 
 
 @pytest.fixture(autouse=True)
@@ -47,16 +47,24 @@ def clean_obs():
         obs.disable()
 
 
+def http_request(path: str, method: str = "GET") -> bytes:
+    return f"{method} {path} HTTP/1.0\r\nHost: t\r\n\r\n".encode()
+
+
 async def http_get(
     port: int, path: str, method: str = "GET"
 ) -> tuple[int, dict[str, str], bytes]:
     """One raw HTTP exchange against the loopback endpoint."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(f"{method} {path} HTTP/1.0\r\nHost: t\r\n\r\n".encode())
+    writer.write(http_request(path, method))
     await writer.drain()
     raw = await reader.read()
     writer.close()
     await writer.wait_closed()
+    return parse_response(raw)
+
+
+def parse_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
     head, _, body = raw.partition(b"\r\n\r\n")
     lines = head.decode("latin-1").split("\r\n")
     status = int(lines[0].split(" ", 2)[1])
@@ -78,50 +86,43 @@ def http_config(**overrides) -> ServeConfig:
 # ----------------------------------------------------------------------
 class TestEndpoint:
     def run_on(self, check, **kwargs):
-        async def scenario():
-            endpoint = ObservabilityEndpoint(
-                "127.0.0.1",
-                0,
-                summary=lambda: obs.get_registry().summary(),
-                ready=lambda: True,
-                **kwargs,
+        """``check`` gets ``get(path, method)``: the endpoint's parsed
+        response to that request, with no socket in between."""
+        endpoint = ObservabilityEndpoint(
+            summary=lambda: obs.get_registry().summary(),
+            ready=lambda: True,
+            **kwargs,
+        )
+        return check(
+            lambda path, method="GET": parse_response(
+                endpoint.respond(http_request(path, method))
             )
-            await endpoint.start()
-            try:
-                return await check(endpoint.address[1])
-            finally:
-                await endpoint.stop()
-
-        return asyncio.run(scenario())
+        )
 
     def test_unknown_path_is_404(self):
-        status, _, _ = self.run_on(lambda port: http_get(port, "/nope"))
+        status, _, _ = self.run_on(lambda get: get("/nope"))
         assert status == 404
 
     def test_non_get_is_405(self):
-        status, _, _ = self.run_on(
-            lambda port: http_get(port, "/metrics", method="POST")
-        )
+        status, _, _ = self.run_on(lambda get: get("/metrics", method="POST"))
         assert status == 405
 
     def test_unconfigured_slo_and_timeline_are_404(self):
-        async def check(port):
-            return await http_get(port, "/slo"), await http_get(
-                port, "/timeline.json"
-            )
+        def check(get):
+            return get("/slo"), get("/timeline.json")
 
         (slo_status, _, _), (timeline_status, _, _) = self.run_on(check)
         assert slo_status == 404
         assert timeline_status == 404
 
     def test_query_strings_are_stripped(self):
-        status, _, body = self.run_on(lambda port: http_get(port, "/healthz?x=1"))
+        status, _, body = self.run_on(lambda get: get("/healthz?x=1"))
         assert status == 200
         assert body == b"ok\n"
 
     def test_content_length_matches_body(self):
         obs.counter("unit.hits", "test counter").inc(3)
-        status, headers, body = self.run_on(lambda port: http_get(port, "/metrics"))
+        status, headers, body = self.run_on(lambda get: get("/metrics"))
         assert status == 200
         assert int(headers["content-length"]) == len(body)
         assert headers["connection"] == "close"
@@ -137,8 +138,7 @@ class TestServerEndpoint:
 
         async def scenario():
             monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(monitor, http_config(timeline_interval=0.05))
-            await server.start()
+            server = launch(monitor, http_config(timeline_interval=0.05))
             reader, writer, _ = await connect(server.port)
             assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))["ok"]
             assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
@@ -157,7 +157,7 @@ class TestServerEndpoint:
                 )
             }
             await send_cmd(reader, writer, {"cmd": "quit"})
-            await server.drain()
+            await drained(server)
             return results
 
         results = asyncio.run(scenario())
@@ -195,15 +195,14 @@ class TestServerEndpoint:
 
         async def scenario():
             monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(monitor, http_config(drain_grace=0.4))
-            await server.start()
+            server = launch(monitor, http_config(drain_grace=0.4))
             port = server.http_port
             before, _, _ = await http_get(port, "/readyz")
-            drain = asyncio.ensure_future(server.drain())
+            server.request_drain()
             await asyncio.sleep(0.1)  # inside the drain-grace window
             ready_status, _, ready_body = await http_get(port, "/readyz")
             health_status, _, health_body = await http_get(port, "/healthz")
-            await drain
+            await stopped(server)
             return before, ready_status, ready_body, health_status, health_body
 
         before, ready_status, ready_body, health_status, health_body = asyncio.run(
@@ -220,10 +219,9 @@ class TestServerEndpoint:
 
         async def scenario():
             monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(monitor, http_config())
-            await server.start()
+            server = launch(monitor, http_config())
             port = server.http_port
-            await server.drain()
+            await drained(server)
             with pytest.raises((ConnectionError, OSError)):
                 await http_get(port, "/healthz")
 
@@ -251,7 +249,7 @@ class TestOverloadScript:
 
         async def scenario():
             monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(
+            server = launch(
                 monitor,
                 http_config(
                     drain_grace=2.0,
@@ -259,14 +257,12 @@ class TestOverloadScript:
                     slo_rules=tight_rules,
                 ),
             )
-            await server.start()
             reader, writer, _ = await connect(server.port)
             assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))["ok"]
             await asyncio.sleep(0.12)  # let the baseline sample land first
             # The grace holds the drain open: the sampler and /slo keep
             # running while every data command is refused.
-            drain = asyncio.get_running_loop().create_task(server.drain())
-            await asyncio.sleep(0)
+            server.request_drain()
             reasons = []
             for _ in range(8):
                 reply = await send_cmd(reader, writer, ins("s", 1, 2))
@@ -275,7 +271,7 @@ class TestOverloadScript:
             _, _, slo_body = await http_get(server.http_port, "/slo")
             summary = monitor.obs_summary()
             frame = render_dashboard(summary, timeline=server.timeline)
-            await drain
+            await stopped(server)
             return reasons, server.counters, json.loads(slo_body), frame
 
         reasons, counters, slo_doc, frame = asyncio.run(scenario())

@@ -1,7 +1,8 @@
-"""End-to-end tests of the asyncio TCP serving layer.
+"""End-to-end tests of the TCP serving layer.
 
-The async tests drive a real :class:`ReproServer` on a loopback socket
-via ``asyncio.run`` inside synchronous test functions.  Correctness is
+The async tests drive a real :class:`ReproServer`, its loop on a thread
+of its own, from asyncio clients on a loopback socket via
+``asyncio.run`` inside synchronous test functions.  Correctness is
 checked two ways: exact equivalence against a reference
 :class:`StreamMonitor` fed the identical per-stream batch sequence, and
 zero false negatives against the independent networkx monomorphism
@@ -15,8 +16,10 @@ import asyncio
 import json
 import os
 import random
+import select
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -99,6 +102,36 @@ class _LineClient:
     def close(self) -> None:
         self.stream.close()
         self.sock.close()
+
+
+#: Each launched server's loop thread.
+_LOOPS: dict[ReproServer, threading.Thread] = {}
+
+
+def launch(monitor, config: ServeConfig | None = None) -> ReproServer:
+    """Bind a server and run its loop on a thread of its own."""
+    server = ReproServer(monitor, config)
+    server.start()
+    _LOOPS[server] = threading.Thread(target=server.serve, daemon=True)
+    _LOOPS[server].start()
+    return server
+
+
+def joined(server: ReproServer) -> None:
+    """Join the server's loop thread, which a drain ends."""
+    thread = _LOOPS.pop(server)
+    thread.join(60)
+    assert not thread.is_alive()
+
+
+async def stopped(server: ReproServer) -> None:
+    """Wait, off the caller's event loop, until the server's loop ended."""
+    await asyncio.to_thread(joined, server)
+
+
+async def drained(server: ReproServer) -> None:
+    server.request_drain()
+    await stopped(server)
 
 
 async def connect(port: int):
@@ -206,8 +239,7 @@ class TestConcurrentClients:
 
         async def scenario():
             monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(monitor)
-            await server.start()
+            server = launch(monitor)
             commits: dict[int, list] = {i: [] for i in workloads}
             await asyncio.gather(
                 *(
@@ -219,7 +251,7 @@ class TestConcurrentClients:
             matches_reply = await send_cmd(reader, writer, {"cmd": "matches"})
             poll_reply = await send_cmd(reader, writer, {"cmd": "poll"})
             await send_cmd(reader, writer, {"cmd": "quit"})
-            await server.drain()
+            await drained(server)
             return commits, matches_reply, poll_reply
 
         commits, matches_reply, poll_reply = asyncio.run(scenario())
@@ -286,7 +318,7 @@ class TestAdmission:
         live: dict = {}
 
         def ready(server):
-            live["server"], live["loop"] = server, asyncio.get_running_loop()
+            live["server"] = server
             admit = server._admit
 
             def recording(command):
@@ -342,7 +374,7 @@ class TestAdmission:
             finally:
                 for client in clients.values():
                     client.close()
-                live["loop"].call_soon_threadsafe(server.request_drain)
+                server.request_drain()
                 thread.join(60)
 
             assert not thread.is_alive()
@@ -363,6 +395,87 @@ class TestAdmission:
                 graph = monitor.graph(name)
                 assert sorted(graph.edges()) == sorted((k, k + 1000, "x") for k in admitted)
 
+# -- the loop: framing, slow readers, vanished clients ----------------------
+
+
+def _lines(*docs: dict) -> bytes:
+    return "".join(json.dumps(doc) + "\n" for doc in docs).encode()
+
+
+class TestLoop:
+    def test_split_and_coalesced_lines_get_one_reply_each_in_order(self):
+        server = launch(StreamMonitor({"q": edge_query()}))
+        try:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+                wire = sock.makefile("rb")
+                assert json.loads(wire.readline())["notice"] == "hello"
+                line = _lines({"cmd": "stream", "stream": "s"})
+                sock.sendall(line[:9])
+                time.sleep(0.1)  # the loop sees half a line, then the rest
+                sock.sendall(line[9:])
+                sock.sendall(_lines(ins("s", 1, 2), {"cmd": "commit"}, {"cmd": "quit"}))
+                replies = [json.loads(raw) for raw in wire]  # until the server closes
+                wire.close()
+            assert [reply["cmd"] for reply in replies] == ["stream", "ins", "commit", "quit"]
+            assert replies[2]["ok"] and replies[2]["applied"] == 1
+        finally:
+            server.request_drain()
+            joined(server)
+
+    def test_a_session_that_never_reads_stalls_no_other(self):
+        server = launch(StreamMonitor({"q": edge_query()}))
+        flooder = socket.socket()
+        try:
+            flooder.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            flooder.connect(("127.0.0.1", server.port))
+            flooder.setblocking(False)
+            # Pipelined ``stats`` until the server stops taking them: its
+            # replies fill every buffer on the way back, none of them read.
+            burst = _lines(*[{"cmd": "stats"}] * 256)
+            while select.select([], [flooder], [], 1.0)[1]:
+                try:
+                    flooder.send(burst)
+                except BlockingIOError:
+                    continue
+            client = _LineClient(server.port)
+            try:
+                assert client.roundtrip({"cmd": "stream", "stream": "s"})["ok"]
+                for k in range(20):
+                    assert client.roundtrip(ins("s", k, 100 + k))["ok"]
+                    assert client.roundtrip({"cmd": "commit"})["applied"] == 1
+                assert server._sessions[1].outbuf  # the flooder is still backed up
+            finally:
+                client.close()
+        finally:
+            flooder.close()
+            server.request_drain()
+            joined(server)
+
+    def test_a_client_gone_mid_reply_leaves_the_server_serving(self):
+        server = launch(StreamMonitor({"q": edge_query()}))
+        try:
+            gone = socket.socket()
+            gone.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            gone.connect(("127.0.0.1", server.port))
+            gone.sendall(_lines(*[{"cmd": "stats"}] * 2000))
+            gone.recv(64)  # the hello, or part of it: the replies are on their way
+            # Reset, not FIN: the server's next write to it fails.
+            gone.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            gone.close()
+            client = _LineClient(server.port)
+            try:
+                deadline = time.monotonic() + 30
+                while (stats := client.roundtrip({"cmd": "stats"}))["stats"]["serve"]["sessions"] > 1:
+                    assert time.monotonic() < deadline, stats
+                    time.sleep(0.05)
+                assert client.roundtrip({"cmd": "stream", "stream": "s"})["ok"]
+            finally:
+                client.close()
+        finally:
+            server.request_drain()
+            joined(server)
+
+
 # -- poison batches: refused, counted, cleared from the stage ---------------
 
 
@@ -376,8 +489,7 @@ class TestDeadLettering:
 
         async def poison_phase():
             monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(monitor)
-            await server.start()
+            server = launch(monitor)
             reader, writer, _ = await connect(server.port)
             assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
                 "ok"
@@ -390,7 +502,7 @@ class TestDeadLettering:
             # Poison is cleared from the stage, so the session recovers.
             after = await send_cmd(reader, writer, {"cmd": "commit"})
             stats = await send_cmd(reader, writer, {"cmd": "stats"})
-            await server.drain()
+            await drained(server)
             return server, good, bad, after, stats
 
         server, good, bad, after, stats = asyncio.run(poison_phase())
@@ -416,8 +528,7 @@ class TestDeadLettering:
         queries = {"q": edge_query()}
 
         async def scenario(monitor):
-            server = ReproServer(monitor)
-            await server.start()
+            server = launch(monitor)
             reader, writer, _ = await connect(server.port)
             assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
                 "ok"
@@ -431,7 +542,7 @@ class TestDeadLettering:
             assert (await send_cmd(reader, writer, ins("s", 3, 4)))["ok"]
             after = await send_cmd(reader, writer, {"cmd": "commit"})
             matched = await send_cmd(reader, writer, {"cmd": "matches"})
-            await server.drain()
+            await drained(server)
             return good, bad, after, matched
 
         monitor = ShardedMonitor(queries, method="dsc", num_workers=2)
@@ -711,8 +822,7 @@ class TestStreamGraphFile:
         empty, missing = self._paths(tmp_path)
 
         async def run():
-            server = ReproServer(StreamMonitor({"q": edge_query()}))
-            await server.start()
+            server = launch(StreamMonitor({"q": edge_query()}))
             reader, writer, _ = await connect(server.port)
             replies = [
                 await send_cmd(reader, writer, command)
@@ -724,7 +834,7 @@ class TestStreamGraphFile:
                     {"cmd": "commit"},
                 )
             ]
-            await server.drain()
+            await drained(server)
             return replies
 
         replies = asyncio.run(run())
@@ -746,8 +856,7 @@ class TestDraining:
 
         async def scenario():
             monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(monitor)
-            await server.start()
+            server = launch(monitor)
             reader, writer, _ = await connect(server.port)
             assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
                 "ok"
@@ -775,7 +884,7 @@ class TestDraining:
                     break
                 if staged["ok"] and committed["ok"]:
                     acked.append(k)
-            await server.lifecycle.wait_stopped()
+            await stopped(server)
             return monitor, server, acked, notices, saw_draining_reject
 
         monitor, server, acked, notices, rejected = asyncio.run(scenario())
@@ -808,14 +917,13 @@ class TestDraining:
             else:
                 monitor = StreamMonitor({"q": edge_query()}, checkpoint_dir=blocked)
             with monitor:
-                server = ReproServer(monitor)
-                await server.start()
+                server = launch(monitor)
                 reader, writer, _ = await connect(server.port)
                 assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))["ok"]
                 refused = await send_cmd(reader, writer, {"cmd": "checkpoint"})
                 assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
                 committed = await send_cmd(reader, writer, {"cmd": "commit"})
-                await server.drain()
+                await drained(server)
                 notices = []
                 while line := await reader.readline():
                     notices.append(json.loads(line))
@@ -924,8 +1032,7 @@ class TestQueryChurnOverTcp:
 
         async def run():
             monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(monitor)
-            await server.start()
+            server = launch(monitor)
             reader, writer, _ = await connect(server.port)
             assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
                 "ok"
@@ -945,7 +1052,7 @@ class TestQueryChurnOverTcp:
             flagged = await send_cmd(reader, writer, {"cmd": "matches"})
             dropped = await send_cmd(reader, writer, {"cmd": "delq", "query": "late"})
             after = await send_cmd(reader, writer, {"cmd": "matches"})
-            await server.drain()
+            await drained(server)
             return added, flagged, dropped, after
 
         added, flagged, dropped, after = asyncio.run(run())
@@ -965,8 +1072,7 @@ class TestQueryChurnOverTcp:
 
         async def run():
             monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(monitor)
-            await server.start()
+            server = launch(monitor)
             reader, writer, _ = await connect(server.port)
             bad_inline = await send_cmd(
                 reader,
@@ -994,7 +1100,7 @@ class TestQueryChurnOverTcp:
             assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
             committed = await send_cmd(reader, writer, {"cmd": "commit"})
             flagged = await send_cmd(reader, writer, {"cmd": "matches"})
-            await server.drain()
+            await drained(server)
             return bad_inline, bad_file, committed, flagged
 
         bad_inline, bad_file, committed, flagged = asyncio.run(run())
@@ -1015,14 +1121,13 @@ class TestQueryChurnOverTcp:
 
         async def run():
             monitor = StreamMonitor(queries, method="dsc")
-            server = ReproServer(monitor)
-            await server.start()
+            server = launch(monitor)
             reader, writer, _ = await connect(server.port)
             refused = await send_cmd(
                 reader, writer, {"cmd": "delq", "query": "never-was"}
             )
             still = await send_cmd(reader, writer, {"cmd": "delq", "query": "q"})
-            await server.drain()
+            await drained(server)
             return refused, still
 
         refused, still = asyncio.run(run())
@@ -1037,8 +1142,7 @@ class TestQueryChurnOverTcp:
         queries = {"q": edge_query()}
 
         async def run():
-            server = ReproServer(StreamMonitor(queries, method="dsc"))
-            await server.start()
+            server = launch(StreamMonitor(queries, method="dsc"))
             reader, writer, _ = await connect(server.port)
             replies = [
                 await send_cmd(reader, writer, command)
@@ -1051,7 +1155,7 @@ class TestQueryChurnOverTcp:
                     {"cmd": "delq", "query": "late"},
                 )
             ]
-            await server.drain()
+            await drained(server)
             return [reply["ok"] for reply in replies]
 
         assert asyncio.run(run()) == [False, True, False, True]

@@ -247,6 +247,29 @@ class TestRespawn:
             assert sum(sim.stats()["streams_per_shard"].values()) == len(oracle.stream_ids())
         assert sim.fleet.streams != before  # the rescale got part of the way
 
+    def test_a_retried_rescale_moves_what_a_failed_grow_left_behind(self):
+        """The failed grow already counts four shards, so the retried
+        ``rescale(4)`` is to the current size: it must still hand every
+        stream left on its old owner to its router shard."""
+        oracle, sim = self._pair(auto_recover=False)
+        sim.schedule([Fault("move", 0, kill=True)])
+        with pytest.raises(WorkerDied):
+            sim.rescale(4)
+        sim.schedule(())
+        assert sim.recover_dead()
+        fleet = sim.fleet
+        assert fleet.shards == 4 and fleet.moves(fleet.router)  # left behind
+        assert sim.rescale(4) > 0
+        placed = {shard: [] for shard in range(4)}
+        for stream_id in fleet.streams:
+            placed[fleet.router.shard_for(stream_id)].append(stream_id)
+        assert fleet.streams == {sid: fleet.router.shard_for(sid) for sid in fleet.streams}
+        assert sim.stats()["streams_per_shard"] == {s: len(ids) for s, ids in placed.items()}
+        for shard, worker in sim.workers.items():
+            assert sorted(worker.state.monitor.stream_ids(), key=str) == sorted(placed[shard], key=str)
+        assert sim.matches() == oracle.matches()
+        assert sim.rescale(4) == 0  # settled
+
 
 # ----------------------------------------------------------------------
 # part two: the simulated fleet against an in-process oracle
