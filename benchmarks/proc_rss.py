@@ -1,6 +1,7 @@
 """Per-process memory of one workload's system under test after a fixed tick count.
 
-    PYTHONDONTWRITEBYTECODE=1 python benchmarks/proc_rss.py [CHECKOUT] --workload W --ticks N [--seed N]
+    PYTHONDONTWRITEBYTECODE=1 python benchmarks/proc_rss.py [CHECKOUT] --workload W --ticks N
+        [--script-seconds S] [--seed N]
 
 Builds the workload's script with the frozen harness's ``loadgen`` (the
 one in ``CHECKOUT``, this checkout by default), starts the system its
@@ -9,7 +10,11 @@ and prints one JSON row per process of that system: ``VmHWM``,
 ``RssAnon``, ``RssFile`` and ``RssShmem`` from ``/proc/<pid>/status``
 in MB, and whether ``libcrypto`` is mapped.  A tick count, not a clock,
 so a faster tick does not grow the in-process answer recording and move
-the reading.  To compare two trees, run it inside a ``git archive``
+the reading.  By default the script holds just those ticks; with
+``--script-seconds S`` it is the clock-sized script ``run.py --seconds S``
+builds, of which only the first ``--ticks`` are driven, so the rows count
+the whole script the runner holds (and every forked worker maps) the way
+a timed run does.  To compare two trees, run it inside a ``git archive``
 export of each (no ``__pycache__``), or pass the export as ``CHECKOUT``.
 Linux only.
 """
@@ -43,6 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--ticks", type=int, required=True)
+    parser.add_argument("--script-seconds", type=float, default=0.0)
     parser.add_argument("--seed", type=int)
     args = parser.parse_args(argv)
 
@@ -55,13 +61,18 @@ def main(argv: list[str] | None = None) -> int:
     from benchmarks.e2e.harness import Recording, drive
 
     seed = loadgen.DEFAULT_SEED if args.seed is None else args.seed
-    script = loadgen.generate(args.workload, seed, 1.0, max_ticks=args.ticks)
+    if args.script_seconds:
+        script = loadgen.generate(args.workload, seed, args.script_seconds)
+        if len(script.ticks) < args.ticks:
+            parser.error(f"a {args.script_seconds:g} s script holds {len(script.ticks)} ticks")
+    else:
+        script = loadgen.generate(args.workload, seed, 1.0, max_ticks=args.ticks)
     with tempfile.TemporaryDirectory() as workdir:
         depth = DEPTHS[script.workload.depth](script, Path(workdir))
         try:
             depth.start()
             recording = Recording()
-            drive(depth, script.ticks, recording)
+            drive(depth, script.ticks[: args.ticks], recording)
             pids = depth.pids()
             first = "server" if depth.name == "tcp" else "runner"
             roles = [first] + [f"worker {index}" for index in range(len(pids) - 1)]

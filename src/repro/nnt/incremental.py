@@ -48,7 +48,7 @@ from typing import Iterator, Mapping, Protocol
 
 from .. import obs
 from ..graph.labeled_graph import GraphError, Label, LabeledGraph, VertexId
-from ..graph.operations import INSERT, EdgeChange, GraphChangeOperation, check_batch
+from ..graph.operations import EdgeChange, GraphChangeOperation, check_batch
 from .projection import NPV, Dimension, DimensionScheme, PAPER_SCHEME
 from .trails import Tallies, TrailWalk
 
@@ -181,8 +181,9 @@ class NNTIndex:
     # ------------------------------------------------------------------
     # change application
     # ------------------------------------------------------------------
-    def apply(self, operation: GraphChangeOperation) -> None:
-        """Apply a batch, all or nothing: deletions first, then insertions.
+    def apply(self, operation: GraphChangeOperation | EdgeChange) -> None:
+        """Apply a batch (or one change), all or nothing: deletions first,
+        then insertions, read off the batch's columns.
 
         :func:`~repro.graph.operations.check_batch` judges the whole batch
         first, so a bad change anywhere in it raises :class:`GraphError`
@@ -193,13 +194,14 @@ class NNTIndex:
         """
         check_batch(self.graph, operation)
         with self.batch():
-            for change in operation.sequentialized():
-                self._apply_checked(change)
+            for a, b in operation.deletion_pairs():
+                self._delete_checked(a, b)
+            for row in operation.insertion_rows():
+                self._insert_checked(*row)
 
     def apply_change(self, change: EdgeChange) -> None:
         """Apply a single edge insertion or deletion, all or nothing."""
-        check_batch(self.graph, change)
-        self._apply_checked(change)
+        self.apply(change)
 
     def insert_edge(
         self,
@@ -220,25 +222,32 @@ class NNTIndex:
         """Delete graph edge ``(a, b)``; endpoints left isolated are dropped."""
         self.apply_change(EdgeChange.delete(a, b))
 
-    def _apply_checked(self, change: EdgeChange) -> None:
-        """One change :func:`check_batch` has accepted: Procedure
-        *Insert-Edge* (Figure 5) or *Delete-Edge* (Figure 4)."""
-        a, b = change.u, change.v
-        with self.batch():
-            if change.op == INSERT:
-                for vertex, label in ((a, change.u_label), (b, change.v_label)):
-                    if not self.graph.has_vertex(vertex):
-                        self._create_vertex(vertex, label)
-                self.graph.add_edge(a, b, change.edge_label)
-                self._book_trails(a, b, change.edge_label, +1)
-                self.stats["edges_inserted"] += 1
-            else:
-                self._book_trails(a, b, self.graph.edge_label(a, b), -1)
-                self.graph.remove_edge(a, b)
-                self.stats["edges_deleted"] += 1
-                for vertex in (a, b):
-                    if self.graph.degree(vertex) == 0:
-                        self._remove_vertex(vertex)
+    def _insert_checked(
+        self,
+        a: VertexId,
+        b: VertexId,
+        edge_label: Label,
+        a_label: Label | None,
+        b_label: Label | None,
+    ) -> None:
+        """One insertion :func:`check_batch` has accepted: Procedure
+        *Insert-Edge* (Figure 5)."""
+        for vertex, label in ((a, a_label), (b, b_label)):
+            if not self.graph.has_vertex(vertex):
+                self._create_vertex(vertex, label)
+        self.graph.add_edge(a, b, edge_label)
+        self._book_trails(a, b, edge_label, +1)
+        self.stats["edges_inserted"] += 1
+
+    def _delete_checked(self, a: VertexId, b: VertexId) -> None:
+        """One deletion :func:`check_batch` has accepted: Procedure
+        *Delete-Edge* (Figure 4)."""
+        self._book_trails(a, b, self.graph.edge_label(a, b), -1)
+        self.graph.remove_edge(a, b)
+        self.stats["edges_deleted"] += 1
+        for vertex in (a, b):
+            if self.graph.degree(vertex) == 0:
+                self._remove_vertex(vertex)
 
     def _book_trails(self, a: VertexId, b: VertexId, edge_label: Label, sign: int) -> None:
         """Book ``sign`` per tree edge of every trail through graph edge

@@ -32,7 +32,7 @@ from typing import Callable, Mapping, TypeVar
 
 from ..core.monitor import MatchEvent, diff_polls
 from ..graph.labeled_graph import LabeledGraph
-from ..graph.operations import EdgeChange, GraphChangeOperation, apply_change, apply_operation
+from ..graph.operations import EdgeChange, GraphChangeOperation, apply_operation
 from ..join.base import Pair, QueryId, StreamId
 from .router import ShardRouter
 from .worker import (
@@ -220,10 +220,7 @@ class Fleet:
         """Send a batch the caller has checked against the stream's graph
         (:func:`~repro.graph.operations.check_batch`), then fold it in."""
         deliver(self.streams[stream_id], (CMD_APPLY, stream_id, update))
-        if isinstance(update, EdgeChange):
-            apply_change(self.graphs[stream_id], update)
-        else:
-            apply_operation(self.graphs[stream_id], update)
+        apply_operation(self.graphs[stream_id], update)
         self.accepted_batches += 1
         self.since_checkpoint += 1
 

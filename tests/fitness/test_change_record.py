@@ -4,12 +4,19 @@ A run holds, buffers and ships changes by the hundred thousand, and every
 forked worker maps the heap that holds them, so the record's size is
 the workload's memory.  A slotted ``EdgeChange`` is 80 B (a dict-backed
 one was ~128 B, plus ~64 B more once pickled), and it pickles as its
-fields.  Budgets, measured with ``tracemalloc``:
+fields.  A batch holds no ``EdgeChange``: one op-code byte per change,
+two pointers per plain deletion and five per other change, in three flat
+columns that it pickles as.  Budgets, measured with ``tracemalloc``:
 
 * a held change costs at most 88 B;
-* a 25-change batch pickles to at most 720 B;
+* a change held inside a mixed 25-change batch costs at most 40 B
+  (36.2 B measured; it was 91 B as a tuple of ``EdgeChange``);
+* a 25-change batch pickles to at most 360 B (337 B measured; 652 B as
+  per-change reduce tuples);
 * shipping a batch to a worker, over the ring or the queue, leaves the
-  caller's batch exactly as big as it was.
+  caller's batch exactly as big as it was;
+* a pickled batch whose columns no list of changes builds is refused on
+  load, as ``EdgeChange`` refuses a bad change.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from repro.graph.operations import EdgeChange, GraphChangeOperation
 from repro.runtime import ShardedMonitor
 
 HELD_BYTES_PER_CHANGE = 88
-BATCH_PICKLE_BYTES = 720
+HELD_BYTES_PER_BATCHED_CHANGE = 40
+BATCH_PICKLE_BYTES = 360
 
 IDS = [str(i) for i in range(200)]
 
@@ -74,14 +82,88 @@ def test_a_held_change_costs_at_most_88_bytes(traced):
     )
 
 
-def test_a_25_change_batch_pickles_to_at_most_720_bytes():
-    batch = GraphChangeOperation(
+def _mixed_batch() -> GraphChangeOperation:
+    """12 plain deletions and 13 labelled insertions over existing ids."""
+    return GraphChangeOperation(
         [EdgeChange.delete(IDS[i], IDS[i + 1]) for i in range(0, 24, 2)]
         + [EdgeChange.insert(IDS[i], IDS[i + 50], "x", "A", "B") for i in range(13)]
     )
+
+
+def test_a_change_held_in_a_mixed_batch_costs_at_most_40_bytes(traced):
+    count = 400
+    held: list = [None] * count
+    before = _traced()
+    for i in range(count):
+        held[i] = _mixed_batch()
+    per_change = (_traced() - before) / (count * len(held[0]))
+    assert per_change <= HELD_BYTES_PER_BATCHED_CHANGE, per_change
+
+
+def test_a_25_change_batch_pickles_to_at_most_360_bytes():
+    batch = _mixed_batch()
     payload = pickle.dumps(batch)
     assert len(payload) <= BATCH_PICKLE_BYTES, len(payload)
     assert pickle.loads(payload) == batch
+
+
+def _pickled_columns(ops: bytes, pairs: tuple, others: tuple) -> bytes:
+    """A pickle that loads a batch from the columns given, through the
+    loader a real batch pickles with."""
+    load = GraphChangeOperation().__reduce__()[0]
+
+    class Forged:
+        def __reduce__(self):
+            return (load, (ops, pairs, others))
+
+    return pickle.dumps(Forged())
+
+
+def test_well_formed_columns_load_as_the_batch_they_came_from():
+    batch = GraphChangeOperation(
+        [
+            EdgeChange.delete("1", "2"),
+            EdgeChange("del", "3", "4", "x"),
+            EdgeChange.insert("5", "6", "x", "A", None),
+        ]
+    )
+    assert pickle.loads(_pickled_columns(*batch.__reduce__()[1])) == batch
+
+
+@pytest.mark.parametrize(
+    "columns, refusal",
+    [
+        ((b"d", ("7", "7"), ()), "self loops"),
+        ((b"i", (), ("7", "7", "x", "A", "A")), "self loops"),
+        ((b"D", (), ("7", "7", "x", None, None)), "self loops"),
+        ((b"u", (), ("1", "2", "x", "A", "B")), "op code"),
+        ((b"d\x00", ("1", "2"), ()), "op code"),
+        ((b"dd", ("1", "2"), ()), "ragged"),
+        ((b"d", ("1", "2", "3"), ()), "ragged"),
+        ((b"i", (), ("1", "2", "x", "A")), "ragged"),
+        ((b"", ("1", "2"), ()), "ragged"),
+        ((b"D", (), ("1", "2", "-", None, None)), "no label"),
+        ((b"d", ["1", "2"], ()), "columns"),
+        (("d", ("1", "2"), ()), "columns"),
+    ],
+    ids=[
+        "self-loop-pair",
+        "self-loop-insert",
+        "self-loop-labelled-delete",
+        "unknown-op",
+        "unknown-op-nul",
+        "ragged-short-pairs",
+        "ragged-odd-pairs",
+        "ragged-short-row",
+        "ragged-no-ops",
+        "labelled-delete-without-label",
+        "list-column",
+        "str-ops",
+    ],
+)
+def test_a_batch_whose_columns_no_changes_build_is_refused_on_load(columns, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        pickle.loads(_pickled_columns(*columns))
 
 
 def _freed_on_release(holder: list[GraphChangeOperation]) -> int:

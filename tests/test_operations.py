@@ -20,6 +20,7 @@ from repro.graph import (
     diff_graphs,
 )
 from repro.graph.operations import apply_batch_validated
+from repro.nnt import NNTIndex
 from repro.serve.protocol import change_from_dict, change_to_dict
 
 from .conftest import graph_strategy
@@ -126,6 +127,87 @@ class TestGraphChangeOperation:
         assert ops == [DELETE, INSERT, INSERT]
         assert len(operation.deletions) == 1
         assert len(operation.insertions) == 2
+
+
+_edge_labels = st.sampled_from(["-", "x", "y"])
+_vertex_labels = st.sampled_from([None, "A", "A", "B"])
+
+
+@st.composite
+def _mixed_batches(draw):
+    """A graph and a list of changes over its ids in any order: mostly a
+    batch it accepts (deletions of its edges, insertions of pairs those
+    leave free), sometimes one it refuses.  Some deletions carry labels."""
+    graph = draw(graph_strategy())
+    edges = sorted((min(u, v), max(u, v)) for u, v, _ in graph.edges())
+    deleted = draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+    free = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+    free = [pair for pair in free if pair not in edges or pair in deleted]
+    inserted = draw(st.lists(st.sampled_from(free), unique=True, max_size=6))
+    changes = []
+    for u, v in deleted:
+        if draw(st.booleans()):
+            changes.append(EdgeChange.delete(u, v))
+        else:
+            labels = (draw(_edge_labels), draw(_vertex_labels), draw(_vertex_labels))
+            changes.append(EdgeChange(DELETE, u, v, *labels))
+    for u, v in inserted:
+        labels = (draw(_edge_labels), draw(_vertex_labels), draw(_vertex_labels))
+        changes.append(EdgeChange.insert(u, v, *labels))
+    if draw(st.integers(0, 3)) == 0:  # a change that may be refused
+        u, v = draw(st.lists(st.integers(0, 9), min_size=2, max_size=2, unique=True))
+        changes.append(EdgeChange(draw(st.sampled_from([INSERT, DELETE])), u, v))
+    return graph, draw(st.permutations(changes))
+
+
+def _on_a_copy(graph: LabeledGraph, apply) -> tuple[LabeledGraph, str | None]:
+    """``graph`` after ``apply`` on a copy of it, and the refusal if any."""
+    copy = graph.copy()
+    try:
+        apply(copy)
+    except GraphError as refused:
+        return copy, str(refused)
+    return copy, None
+
+
+class TestColumns:
+    """A batch holds its changes as columns; it reads, pickles and applies
+    exactly as the tuple of its changes does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mixed_batches())
+    def test_the_columns_are_the_changes(self, drawn):
+        graph, changes = drawn
+        batch = GraphChangeOperation(changes)
+        assert list(batch) == changes and batch.changes == tuple(changes)
+        for mine, given_change in zip(batch, changes, strict=True):
+            assert mine.__reduce__() == given_change.__reduce__()
+        assert len(batch) == len(changes) and bool(batch) == bool(changes)
+        deletions = tuple(c for c in changes if c.op == DELETE)
+        insertions = tuple(c for c in changes if c.op == INSERT)
+        assert batch.deletions == deletions and batch.insertions == insertions
+        assert batch.sequentialized() == deletions + insertions
+        assert list(batch.deletion_pairs()) == [(c.u, c.v) for c in deletions]
+        assert list(batch.insertion_rows()) == [c.__reduce__()[1][1:] for c in insertions]
+        copy = pickle.loads(pickle.dumps(batch))
+        assert copy == batch and hash(copy) == hash(batch) and list(copy) == changes
+        assert GraphChangeOperation(batch) == batch
+
+        # The tuple form: the changes one by one, deletions first.
+        def one_by_one(target):
+            for change in deletions + insertions:
+                apply_change(target, change)
+
+        expected, refusal = _on_a_copy(graph, one_by_one)
+        applied, refused = _on_a_copy(graph, lambda target: apply_operation(target, batch))
+        assert (applied, refused) == (expected, refusal)
+        checked, verdict = _on_a_copy(graph, lambda target: check_batch(target, batch))
+        assert checked == graph and verdict == refusal
+        if refusal is None:
+            index = NNTIndex(graph)
+            index.apply(batch)
+            index.check_integrity()
+            assert index.graph == expected
 
 
 class TestApply:

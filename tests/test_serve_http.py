@@ -139,26 +139,26 @@ class TestServerEndpoint:
         async def scenario():
             monitor = StreamMonitor(queries, method="dsc")
             server = launch(monitor, http_config(timeline_interval=0.05))
-            reader, writer, _ = await connect(server.port)
-            assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))["ok"]
-            assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
-            assert (await send_cmd(reader, writer, {"cmd": "commit"}))["ok"]
-            await asyncio.sleep(0.15)  # a few sampler ticks
-            port = server.http_port
-            results = {
-                path: await http_get(port, path)
-                for path in (
-                    "/metrics",
-                    "/healthz",
-                    "/readyz",
-                    "/slo",
-                    "/timeline.json",
-                    "/trace",
-                )
-            }
-            await send_cmd(reader, writer, {"cmd": "quit"})
-            await drained(server)
-            return results
+            async with connect(server.port) as (reader, writer, _):
+                assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))["ok"]
+                assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
+                assert (await send_cmd(reader, writer, {"cmd": "commit"}))["ok"]
+                await asyncio.sleep(0.15)  # a few sampler ticks
+                port = server.http_port
+                results = {
+                    path: await http_get(port, path)
+                    for path in (
+                        "/metrics",
+                        "/healthz",
+                        "/readyz",
+                        "/slo",
+                        "/timeline.json",
+                        "/trace",
+                    )
+                }
+                await send_cmd(reader, writer, {"cmd": "quit"})
+                await drained(server)
+                return results
 
         results = asyncio.run(scenario())
         assert all(status == 200 for status, _, _ in results.values())
@@ -257,22 +257,22 @@ class TestOverloadScript:
                     slo_rules=tight_rules,
                 ),
             )
-            reader, writer, _ = await connect(server.port)
-            assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))["ok"]
-            await asyncio.sleep(0.12)  # let the baseline sample land first
-            # The grace holds the drain open: the sampler and /slo keep
-            # running while every data command is refused.
-            server.request_drain()
-            reasons = []
-            for _ in range(8):
-                reply = await send_cmd(reader, writer, ins("s", 1, 2))
-                reasons.append(reply.get("code"))
-            await asyncio.sleep(0.3)  # several sample+evaluate ticks
-            _, _, slo_body = await http_get(server.http_port, "/slo")
-            summary = monitor.obs_summary()
-            frame = render_dashboard(summary, timeline=server.timeline)
-            await stopped(server)
-            return reasons, server.counters, json.loads(slo_body), frame
+            async with connect(server.port) as (reader, writer, _):
+                assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))["ok"]
+                await asyncio.sleep(0.12)  # let the baseline sample land first
+                # The grace holds the drain open: the sampler and /slo keep
+                # running while every data command is refused.
+                server.request_drain()
+                reasons = []
+                for _ in range(8):
+                    reply = await send_cmd(reader, writer, ins("s", 1, 2))
+                    reasons.append(reply.get("code"))
+                await asyncio.sleep(0.3)  # several sample+evaluate ticks
+                _, _, slo_body = await http_get(server.http_port, "/slo")
+                summary = monitor.obs_summary()
+                frame = render_dashboard(summary, timeline=server.timeline)
+                await stopped(server)
+                return reasons, server.counters, json.loads(slo_body), frame
 
         reasons, counters, slo_doc, frame = asyncio.run(scenario())
         assert reasons == ["draining"] * 8

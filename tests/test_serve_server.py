@@ -13,6 +13,7 @@ real ``repro serve --tcp`` CLI as a subprocess.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import random
@@ -134,11 +135,17 @@ async def drained(server: ReproServer) -> None:
     await stopped(server)
 
 
+@contextlib.asynccontextmanager
 async def connect(port: int):
+    """One client connection, ``(reader, writer, hello)``, closed on exit."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    hello = json.loads(await reader.readline())
-    assert hello["notice"] == "hello"
-    return reader, writer, hello
+    try:
+        hello = json.loads(await reader.readline())
+        assert hello["notice"] == "hello"
+        yield reader, writer, hello
+    finally:
+        writer.close()
+        await writer.wait_closed()
 
 
 async def send_cmd(reader, writer, doc: dict, notices: list | None = None) -> dict:
@@ -214,28 +221,27 @@ class TestConcurrentClients:
         workloads = {i: _build_workload(rng, i) for i in range(3)}
 
         async def drive(port: int, stream_id: int, batches, commits: list):
-            reader, writer, _ = await connect(port)
-            reply = await send_cmd(
-                reader, writer, {"cmd": "stream", "stream": stream_id}
-            )
-            assert reply["ok"] and reply["stream"] == stream_id
-            for batch in batches:
+            async with connect(port) as (reader, writer, _):
                 reply = await send_cmd(
-                    reader,
-                    writer,
-                    {
-                        "cmd": "batch",
-                        "stream": stream_id,
-                        "changes": [change_to_dict(c) for c in batch],
-                    },
+                    reader, writer, {"cmd": "stream", "stream": stream_id}
                 )
-                assert reply["ok"], reply
-                reply = await send_cmd(reader, writer, {"cmd": "commit"})
-                assert reply["ok"], reply
-                commits.append(reply)
-                await asyncio.sleep(0)  # let the other clients interleave
-            await send_cmd(reader, writer, {"cmd": "quit"})
-            writer.close()
+                assert reply["ok"] and reply["stream"] == stream_id
+                for batch in batches:
+                    reply = await send_cmd(
+                        reader,
+                        writer,
+                        {
+                            "cmd": "batch",
+                            "stream": stream_id,
+                            "changes": [change_to_dict(c) for c in batch],
+                        },
+                    )
+                    assert reply["ok"], reply
+                    reply = await send_cmd(reader, writer, {"cmd": "commit"})
+                    assert reply["ok"], reply
+                    commits.append(reply)
+                    await asyncio.sleep(0)  # let the other clients interleave
+                await send_cmd(reader, writer, {"cmd": "quit"})
 
         async def scenario():
             monitor = StreamMonitor(queries, method="dsc")
@@ -247,12 +253,12 @@ class TestConcurrentClients:
                     for i, (batches, _) in workloads.items()
                 )
             )
-            reader, writer, _ = await connect(server.port)
-            matches_reply = await send_cmd(reader, writer, {"cmd": "matches"})
-            poll_reply = await send_cmd(reader, writer, {"cmd": "poll"})
-            await send_cmd(reader, writer, {"cmd": "quit"})
-            await drained(server)
-            return commits, matches_reply, poll_reply
+            async with connect(server.port) as (reader, writer, _):
+                matches_reply = await send_cmd(reader, writer, {"cmd": "matches"})
+                poll_reply = await send_cmd(reader, writer, {"cmd": "poll"})
+                await send_cmd(reader, writer, {"cmd": "quit"})
+                await drained(server)
+                return commits, matches_reply, poll_reply
 
         commits, matches_reply, poll_reply = asyncio.run(scenario())
 
@@ -490,20 +496,20 @@ class TestDeadLettering:
         async def poison_phase():
             monitor = StreamMonitor(queries, method="dsc")
             server = launch(monitor)
-            reader, writer, _ = await connect(server.port)
-            assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
-                "ok"
-            ]
-            assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
-            good = await send_cmd(reader, writer, {"cmd": "commit"})
-            # The same insert again is a duplicate edge: poison at commit.
-            assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
-            bad = await send_cmd(reader, writer, {"cmd": "commit"})
-            # Poison is cleared from the stage, so the session recovers.
-            after = await send_cmd(reader, writer, {"cmd": "commit"})
-            stats = await send_cmd(reader, writer, {"cmd": "stats"})
-            await drained(server)
-            return server, good, bad, after, stats
+            async with connect(server.port) as (reader, writer, _):
+                assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
+                    "ok"
+                ]
+                assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
+                good = await send_cmd(reader, writer, {"cmd": "commit"})
+                # The same insert again is a duplicate edge: poison at commit.
+                assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
+                bad = await send_cmd(reader, writer, {"cmd": "commit"})
+                # Poison is cleared from the stage, so the session recovers.
+                after = await send_cmd(reader, writer, {"cmd": "commit"})
+                stats = await send_cmd(reader, writer, {"cmd": "stats"})
+                await drained(server)
+                return server, good, bad, after, stats
 
         server, good, bad, after, stats = asyncio.run(poison_phase())
         assert good["ok"] and good["applied"] == 1
@@ -529,21 +535,21 @@ class TestDeadLettering:
 
         async def scenario(monitor):
             server = launch(monitor)
-            reader, writer, _ = await connect(server.port)
-            assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
-                "ok"
-            ]
-            assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
-            good = await send_cmd(reader, writer, {"cmd": "commit"})
-            # Duplicate edge: poison, but the worker must never see it.
-            assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
-            bad = await send_cmd(reader, writer, {"cmd": "commit"})
-            # The stream still accepts good batches — the worker is alive.
-            assert (await send_cmd(reader, writer, ins("s", 3, 4)))["ok"]
-            after = await send_cmd(reader, writer, {"cmd": "commit"})
-            matched = await send_cmd(reader, writer, {"cmd": "matches"})
-            await drained(server)
-            return good, bad, after, matched
+            async with connect(server.port) as (reader, writer, _):
+                assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
+                    "ok"
+                ]
+                assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
+                good = await send_cmd(reader, writer, {"cmd": "commit"})
+                # Duplicate edge: poison, but the worker must never see it.
+                assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
+                bad = await send_cmd(reader, writer, {"cmd": "commit"})
+                # The stream still accepts good batches — the worker is alive.
+                assert (await send_cmd(reader, writer, ins("s", 3, 4)))["ok"]
+                after = await send_cmd(reader, writer, {"cmd": "commit"})
+                matched = await send_cmd(reader, writer, {"cmd": "matches"})
+                await drained(server)
+                return good, bad, after, matched
 
         monitor = ShardedMonitor(queries, method="dsc", num_workers=2)
         try:
@@ -823,19 +829,19 @@ class TestStreamGraphFile:
 
         async def run():
             server = launch(StreamMonitor({"q": edge_query()}))
-            reader, writer, _ = await connect(server.port)
-            replies = [
-                await send_cmd(reader, writer, command)
-                for command in (
-                    {"cmd": "stream", "stream": "s", "graph_file": empty},
-                    {"cmd": "stream", "stream": "t", "graph_file": missing},
-                    {"cmd": "stream", "stream": "u"},
-                    ins("u", 1, 2),
-                    {"cmd": "commit"},
-                )
-            ]
-            await drained(server)
-            return replies
+            async with connect(server.port) as (reader, writer, _):
+                replies = [
+                    await send_cmd(reader, writer, command)
+                    for command in (
+                        {"cmd": "stream", "stream": "s", "graph_file": empty},
+                        {"cmd": "stream", "stream": "t", "graph_file": missing},
+                        {"cmd": "stream", "stream": "u"},
+                        ins("u", 1, 2),
+                        {"cmd": "commit"},
+                    )
+                ]
+                await drained(server)
+                return replies
 
         replies = asyncio.run(run())
         assert [reply.get("code") for reply in replies[:2]] == ["bad_request"] * 2
@@ -857,35 +863,35 @@ class TestDraining:
         async def scenario():
             monitor = StreamMonitor(queries, method="dsc")
             server = launch(monitor)
-            reader, writer, _ = await connect(server.port)
-            assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
-                "ok"
-            ]
-            notices: list = []
-            acked: list[int] = []
-            saw_draining_reject = False
-            for k in range(100):
-                if k == 10:
-                    server.request_drain()
-                try:
-                    staged = await send_cmd(
-                        reader, writer, ins("s", 1000 + k, 2000 + k), notices
-                    )
-                    if staged.get("code") == "draining":
-                        saw_draining_reject = True
+            async with connect(server.port) as (reader, writer, _):
+                assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
+                    "ok"
+                ]
+                notices: list = []
+                acked: list[int] = []
+                saw_draining_reject = False
+                for k in range(100):
+                    if k == 10:
+                        server.request_drain()
+                    try:
+                        staged = await send_cmd(
+                            reader, writer, ins("s", 1000 + k, 2000 + k), notices
+                        )
+                        if staged.get("code") == "draining":
+                            saw_draining_reject = True
+                            break
+                        committed = await send_cmd(
+                            reader, writer, {"cmd": "commit"}, notices
+                        )
+                        if committed.get("code") == "draining":
+                            saw_draining_reject = True
+                            break
+                    except (ConnectionError, OSError):
                         break
-                    committed = await send_cmd(
-                        reader, writer, {"cmd": "commit"}, notices
-                    )
-                    if committed.get("code") == "draining":
-                        saw_draining_reject = True
-                        break
-                except (ConnectionError, OSError):
-                    break
-                if staged["ok"] and committed["ok"]:
-                    acked.append(k)
-            await stopped(server)
-            return monitor, server, acked, notices, saw_draining_reject
+                    if staged["ok"] and committed["ok"]:
+                        acked.append(k)
+                await stopped(server)
+                return monitor, server, acked, notices, saw_draining_reject
 
         monitor, server, acked, notices, rejected = asyncio.run(scenario())
         assert acked  # some commits were acked before the drain
@@ -918,16 +924,16 @@ class TestDraining:
                 monitor = StreamMonitor({"q": edge_query()}, checkpoint_dir=blocked)
             with monitor:
                 server = launch(monitor)
-                reader, writer, _ = await connect(server.port)
-                assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))["ok"]
-                refused = await send_cmd(reader, writer, {"cmd": "checkpoint"})
-                assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
-                committed = await send_cmd(reader, writer, {"cmd": "commit"})
-                await drained(server)
-                notices = []
-                while line := await reader.readline():
-                    notices.append(json.loads(line))
-                return server, refused, committed, notices
+                async with connect(server.port) as (reader, writer, _):
+                    assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))["ok"]
+                    refused = await send_cmd(reader, writer, {"cmd": "checkpoint"})
+                    assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
+                    committed = await send_cmd(reader, writer, {"cmd": "commit"})
+                    await drained(server)
+                    notices = []
+                    while line := await reader.readline():
+                        notices.append(json.loads(line))
+                    return server, refused, committed, notices
 
         server, refused, committed, notices = asyncio.run(scenario())
         assert refused["ok"] is False and refused["cmd"] == "checkpoint"
@@ -975,38 +981,37 @@ class TestDraining:
             port = listening["port"]
 
             with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-                sock.settimeout(30)
-                stream = sock.makefile("rw", encoding="utf-8", newline="\n")
-                assert json.loads(stream.readline())["notice"] == "hello"
+                with sock.makefile("rw", encoding="utf-8", newline="\n") as stream:
+                    assert json.loads(stream.readline())["notice"] == "hello"
 
-                def roundtrip(doc: dict) -> dict:
-                    stream.write(json.dumps(doc) + "\n")
-                    stream.flush()
+                    def roundtrip(doc: dict) -> dict:
+                        stream.write(json.dumps(doc) + "\n")
+                        stream.flush()
+                        while True:
+                            reply = json.loads(stream.readline())
+                            if "notice" not in reply:
+                                return reply
+
+                    assert roundtrip({"cmd": "stream", "stream": "s"})["ok"]
+                    assert roundtrip(ins("s", 1, 2))["ok"]
+                    committed = roundtrip({"cmd": "commit"})
+                    assert committed["ok"] and committed["applied"] == 1
+
+                    os.kill(proc.pid, signal.SIGTERM)
+
+                    # The drain broadcast reaches connected clients before
+                    # the server closes the socket.
+                    drained = None
                     while True:
-                        reply = json.loads(stream.readline())
-                        if "notice" not in reply:
-                            return reply
-
-                assert roundtrip({"cmd": "stream", "stream": "s"})["ok"]
-                assert roundtrip(ins("s", 1, 2))["ok"]
-                committed = roundtrip({"cmd": "commit"})
-                assert committed["ok"] and committed["applied"] == 1
-
-                os.kill(proc.pid, signal.SIGTERM)
-
-                # The drain broadcast reaches connected clients before
-                # the server closes the socket.
-                drained = None
-                while True:
-                    line = stream.readline()
-                    if not line:
-                        break
-                    doc = json.loads(line)
-                    if doc.get("notice") == "draining":
-                        drained = doc
-                        break
-                assert drained is not None
-                assert drained["accepted_batches"] >= 1
+                        line = stream.readline()
+                        if not line:
+                            break
+                        doc = json.loads(line)
+                        if doc.get("notice") == "draining":
+                            drained = doc
+                            break
+                    assert drained is not None
+                    assert drained["accepted_batches"] >= 1
 
             assert proc.wait(timeout=60) == 0
             # The drain exported the acked state before exiting: one
@@ -1018,6 +1023,8 @@ class TestDraining:
             if proc.poll() is None:
                 proc.kill()
             proc.wait(timeout=30)
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 # -- live query churn over the wire ----------------------------------------
@@ -1033,27 +1040,27 @@ class TestQueryChurnOverTcp:
         async def run():
             monitor = StreamMonitor(queries, method="dsc")
             server = launch(monitor)
-            reader, writer, _ = await connect(server.port)
-            assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
-                "ok"
-            ]
-            assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
-            assert (await send_cmd(reader, writer, {"cmd": "commit"}))["ok"]
-            added = await send_cmd(
-                reader,
-                writer,
-                {
-                    "cmd": "addq",
-                    "query": "late",
-                    "vertices": [[0, "A"], [1, "B"]],
-                    "edges": [[0, 1, "x"]],
-                },
-            )
-            flagged = await send_cmd(reader, writer, {"cmd": "matches"})
-            dropped = await send_cmd(reader, writer, {"cmd": "delq", "query": "late"})
-            after = await send_cmd(reader, writer, {"cmd": "matches"})
-            await drained(server)
-            return added, flagged, dropped, after
+            async with connect(server.port) as (reader, writer, _):
+                assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
+                    "ok"
+                ]
+                assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
+                assert (await send_cmd(reader, writer, {"cmd": "commit"}))["ok"]
+                added = await send_cmd(
+                    reader,
+                    writer,
+                    {
+                        "cmd": "addq",
+                        "query": "late",
+                        "vertices": [[0, "A"], [1, "B"]],
+                        "edges": [[0, 1, "x"]],
+                    },
+                )
+                flagged = await send_cmd(reader, writer, {"cmd": "matches"})
+                dropped = await send_cmd(reader, writer, {"cmd": "delq", "query": "late"})
+                after = await send_cmd(reader, writer, {"cmd": "matches"})
+                await drained(server)
+                return added, flagged, dropped, after
 
         added, flagged, dropped, after = asyncio.run(run())
         assert added["ok"] and added["queries"] == 2
@@ -1073,35 +1080,35 @@ class TestQueryChurnOverTcp:
         async def run():
             monitor = StreamMonitor(queries, method="dsc")
             server = launch(monitor)
-            reader, writer, _ = await connect(server.port)
-            bad_inline = await send_cmd(
-                reader,
-                writer,
-                {
-                    "cmd": "addq",
-                    "query": "broken",
-                    "vertices": [[0, "A"]],
-                    "edges": [[0, 7, "x"]],  # edge endpoint never declared
-                },
-            )
-            bad_file = await send_cmd(
-                reader,
-                writer,
-                {
-                    "cmd": "addq",
-                    "query": "ghost",
-                    "graph_file": str(tmp_path / "no_such_set.txt"),
-                },
-            )
-            # The session is still alive and fully functional.
-            assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
-                "ok"
-            ]
-            assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
-            committed = await send_cmd(reader, writer, {"cmd": "commit"})
-            flagged = await send_cmd(reader, writer, {"cmd": "matches"})
-            await drained(server)
-            return bad_inline, bad_file, committed, flagged
+            async with connect(server.port) as (reader, writer, _):
+                bad_inline = await send_cmd(
+                    reader,
+                    writer,
+                    {
+                        "cmd": "addq",
+                        "query": "broken",
+                        "vertices": [[0, "A"]],
+                        "edges": [[0, 7, "x"]],  # edge endpoint never declared
+                    },
+                )
+                bad_file = await send_cmd(
+                    reader,
+                    writer,
+                    {
+                        "cmd": "addq",
+                        "query": "ghost",
+                        "graph_file": str(tmp_path / "no_such_set.txt"),
+                    },
+                )
+                # The session is still alive and fully functional.
+                assert (await send_cmd(reader, writer, {"cmd": "stream", "stream": "s"}))[
+                    "ok"
+                ]
+                assert (await send_cmd(reader, writer, ins("s", 1, 2)))["ok"]
+                committed = await send_cmd(reader, writer, {"cmd": "commit"})
+                flagged = await send_cmd(reader, writer, {"cmd": "matches"})
+                await drained(server)
+                return bad_inline, bad_file, committed, flagged
 
         bad_inline, bad_file, committed, flagged = asyncio.run(run())
         for bad in (bad_inline, bad_file):
@@ -1122,13 +1129,13 @@ class TestQueryChurnOverTcp:
         async def run():
             monitor = StreamMonitor(queries, method="dsc")
             server = launch(monitor)
-            reader, writer, _ = await connect(server.port)
-            refused = await send_cmd(
-                reader, writer, {"cmd": "delq", "query": "never-was"}
-            )
-            still = await send_cmd(reader, writer, {"cmd": "delq", "query": "q"})
-            await drained(server)
-            return refused, still
+            async with connect(server.port) as (reader, writer, _):
+                refused = await send_cmd(
+                    reader, writer, {"cmd": "delq", "query": "never-was"}
+                )
+                still = await send_cmd(reader, writer, {"cmd": "delq", "query": "q"})
+                await drained(server)
+                return refused, still
 
         refused, still = asyncio.run(run())
         assert refused["ok"] is False
@@ -1143,20 +1150,20 @@ class TestQueryChurnOverTcp:
 
         async def run():
             server = launch(StreamMonitor(queries, method="dsc"))
-            reader, writer, _ = await connect(server.port)
-            replies = [
-                await send_cmd(reader, writer, command)
-                for command in (
-                    {"cmd": "addq", "query": "broken",
-                     "vertices": [[0, "A"]], "edges": [[0, 7, "x"]]},
-                    {"cmd": "addq", "query": "late",
-                     "vertices": [[0, "A"], [1, "B"]], "edges": [[0, 1, "x"]]},
-                    {"cmd": "delq", "query": "never-was"},
-                    {"cmd": "delq", "query": "late"},
-                )
-            ]
-            await drained(server)
-            return [reply["ok"] for reply in replies]
+            async with connect(server.port) as (reader, writer, _):
+                replies = [
+                    await send_cmd(reader, writer, command)
+                    for command in (
+                        {"cmd": "addq", "query": "broken",
+                         "vertices": [[0, "A"]], "edges": [[0, 7, "x"]]},
+                        {"cmd": "addq", "query": "late",
+                         "vertices": [[0, "A"], [1, "B"]], "edges": [[0, 1, "x"]]},
+                        {"cmd": "delq", "query": "never-was"},
+                        {"cmd": "delq", "query": "late"},
+                    )
+                ]
+                await drained(server)
+                return [reply["ok"] for reply in replies]
 
         assert asyncio.run(run()) == [False, True, False, True]
         summary = obs.get_registry().summary()
