@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments import (
     ALL_FIGURES,
+    DEFAULT,
     ENGINE_METHODS,
     SMOKE,
     PROFILES,
@@ -20,6 +21,8 @@ from repro.experiments import (
     run_stream_method,
 )
 from repro.experiments.reporting import FigureResult
+
+from .figure_goldens import golden_rows, load_golden
 
 
 class TestScaleProfiles:
@@ -139,6 +142,13 @@ class TestFigureDrivers:
         assert result.rows
         rendered = result.render()
         assert result.figure_id in rendered
+        assert golden_rows(result) == load_golden(figure, SMOKE)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("figure", sorted(ALL_FIGURES))
+    def test_default_scale_matches_golden(self, figure):
+        result = ALL_FIGURES[figure].run(DEFAULT)
+        assert golden_rows(result) == load_golden(figure, DEFAULT)
 
     def test_fig12_depth_monotone(self):
         result = ALL_FIGURES["fig12"].run(SMOKE)
