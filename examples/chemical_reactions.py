@@ -76,7 +76,7 @@ def main() -> None:
     print("\n## static library search (filter-and-verify)")
     library = GraphDatabase.from_list(generate_molecule_set(60, seed=9))
     for name, pattern in patterns.items():
-        candidates = library.filter_candidates(pattern)
+        candidates = library.candidates_for(pattern)
         hits = library.search(pattern, verify=True)
         print(
             f"{name}: {len(candidates)} candidates after NPV filtering, "

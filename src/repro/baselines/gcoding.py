@@ -146,9 +146,14 @@ class GCodingStreamFilter:
         self._stream_signatures: dict = {}
 
     def update_stream(self, stream_id: Hashable, graph: LabeledGraph) -> None:
-        """Recompute one stream graph's signatures (call per timestamp)."""
+        """Recompute one stream graph's signatures."""
         self._stream_graphs[stream_id] = graph
         self._stream_signatures[stream_id] = graph_signatures(graph, self.radius)
+
+    def refresh(self, stream_graphs: Mapping[Hashable, LabeledGraph]) -> None:
+        """Recompute every given stream's signatures (call per timestamp)."""
+        for stream_id, graph in stream_graphs.items():
+            self.update_stream(stream_id, graph)
 
     def remove_stream(self, stream_id: Hashable) -> None:
         """Forget a stream entirely."""

@@ -60,8 +60,13 @@ class GraphGrepStreamFilter:
         self._stream_fingerprints: dict[StreamId, dict[PathFeature, int]] = {}
 
     def update_stream(self, stream_id: StreamId, graph: LabeledGraph) -> None:
-        """Refresh the fingerprint of one stream graph (call per timestamp)."""
+        """Refresh the fingerprint of one stream graph."""
         self._stream_fingerprints[stream_id] = path_fingerprint(graph, self.max_length)
+
+    def refresh(self, stream_graphs: Mapping[StreamId, LabeledGraph]) -> None:
+        """Recompute every given stream's fingerprint (call per timestamp)."""
+        for stream_id, graph in stream_graphs.items():
+            self.update_stream(stream_id, graph)
 
     def remove_stream(self, stream_id: StreamId) -> None:
         """Forget a stream's fingerprint."""

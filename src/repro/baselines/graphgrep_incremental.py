@@ -179,8 +179,9 @@ class IncrementalGraphGrep:
             self._fingerprints[stream_id], self._query_fingerprints[query_id]
         )
 
-    def candidates(self) -> set[tuple]:
-        """All currently passing (stream, query) pairs."""
+    def matches(self) -> set[tuple]:
+        """All currently passing (stream, query) pairs (the monitors'
+        name for the poll)."""
         return {
             (stream_id, query_id)
             for stream_id in self._fingerprints

@@ -49,7 +49,7 @@ class GraphDatabase:
     def __len__(self) -> int:
         return len(self.graphs)
 
-    def filter_candidates(self, query: LabeledGraph) -> set[GraphId]:
+    def candidates_for(self, query: LabeledGraph) -> set[GraphId]:
         """Data graphs passing the Lemma 4.2 dominance filter: every query
         vector dominated by some data-graph vector.  Sound: a superset of
         the exact answer set."""
@@ -62,7 +62,7 @@ class GraphDatabase:
 
     def search(self, query: LabeledGraph, verify: bool = True) -> set[GraphId]:
         """Subgraph search: the filtered candidates, exact if ``verify``."""
-        candidates = self.filter_candidates(query)
+        candidates = self.candidates_for(query)
         if not verify:
             return candidates
         return {

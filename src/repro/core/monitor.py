@@ -197,16 +197,10 @@ class StreamMonitor:
         :class:`~repro.graph.GraphError` with nothing of it applied.  A
         cadence checkpoint that fails after the batch went in raises
         :class:`CheckpointError`."""
-        index = self._indexes[stream_id]
         with obs.span("monitor.apply", stream=stream_id):
-            if isinstance(update, EdgeChange):
-                index.apply_change(update)
-                num_changes = 1
-            else:
-                index.apply(update)
-                num_changes = len(update)
+            self._indexes[stream_id].apply(update)
         if obs.enabled():
-            obs.counter("monitor.changes").inc(num_changes)
+            obs.counter("monitor.changes").inc(len(update))
         self._updates_since_checkpoint += 1
         if 0 < self.checkpoint_every <= self._updates_since_checkpoint:
             try:

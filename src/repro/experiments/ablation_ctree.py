@@ -9,12 +9,11 @@ so the pruning quality is interpretable).
 
 from __future__ import annotations
 
-import time
-
 from ..baselines.ctree import ClosureTree
 from ..core.database import GraphDatabase
 from ..isomorphism.vf2 import SubgraphMatcher
 from .config import Scale, get_scale
+from .harness import measure_static
 from .reporting import FigureResult
 from .workloads import build_aids_workload
 
@@ -32,31 +31,18 @@ def run(scale: Scale | None = None) -> FigureResult:
         "Closure-tree (CTree) vs NPV flat filter on the static DB",
     )
 
-    build_start = time.perf_counter()
-    database = GraphDatabase(workload.graphs, depth_limit=3)
-    npv_build = time.perf_counter() - build_start
-    query_start = time.perf_counter()
-    npv_candidates = sum(len(database.filter_candidates(query)) for query in queries)
-    npv_query = time.perf_counter() - query_start
-    result.add(
-        index="NPV (flat)",
-        build_s=npv_build,
-        mean_query_ms=npv_query / len(queries) * 1000 if queries else 0.0,
-        candidate_ratio=npv_candidates / total_pairs if total_pairs else 0.0,
-    )
-
-    build_start = time.perf_counter()
-    tree = ClosureTree(workload.graphs, fanout=4, level=2)
-    ctree_build = time.perf_counter() - build_start
-    query_start = time.perf_counter()
-    ctree_candidates = sum(len(tree.candidates_for(query)) for query in queries)
-    ctree_query = time.perf_counter() - query_start
-    result.add(
-        index="closure-tree",
-        build_s=ctree_build,
-        mean_query_ms=ctree_query / len(queries) * 1000 if queries else 0.0,
-        candidate_ratio=ctree_candidates / total_pairs if total_pairs else 0.0,
-    )
+    indexes = {
+        "NPV (flat)": lambda: GraphDatabase(workload.graphs, depth_limit=3),
+        "closure-tree": lambda: ClosureTree(workload.graphs, fanout=4, level=2),
+    }
+    for name, build in indexes.items():
+        _, (row,) = measure_static(build, {query_size: queries}, len(workload.graphs))
+        result.add(
+            index=name,
+            build_s=row.build_seconds,
+            mean_query_ms=row.mean_query_ms,
+            candidate_ratio=row.candidate_ratio,
+        )
 
     truth = 0
     for query in queries:

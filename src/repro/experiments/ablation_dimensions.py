@@ -13,6 +13,7 @@ from ..core.database import GraphDatabase
 from ..nnt.trails import project_graph
 from ..nnt.projection import DimensionScheme
 from .config import Scale, get_scale
+from .harness import measure_static
 from .reporting import FigureResult
 from .workloads import build_aids_workload
 
@@ -27,18 +28,20 @@ def run(scale: Scale | None = None) -> FigureResult:
     )
     for include_edge_labels in (False, True):
         scheme = DimensionScheme(include_edge_label=include_edge_labels)
-        database = GraphDatabase(workload.graphs, depth_limit=3, scheme=scheme)
         universe = set()
         for graph in workload.graphs.values():
             for vector in project_graph(graph, 3, scheme).values():
                 universe.update(vector)
-        for query_size, queries in sorted(workload.query_sets.items()):
-            total_pairs = len(queries) * len(workload.graphs)
-            candidates = sum(len(database.filter_candidates(query)) for query in queries)
+        _, rows = measure_static(
+            lambda: GraphDatabase(workload.graphs, depth_limit=3, scheme=scheme),
+            workload.query_sets,
+            len(workload.graphs),
+        )
+        for row in rows:
             result.add(
                 scheme="with edge labels" if include_edge_labels else "paper (node labels)",
-                query_size=query_size,
-                candidate_ratio=candidates / total_pairs if total_pairs else 0.0,
+                query_size=row.query_size,
+                candidate_ratio=row.candidate_ratio,
                 num_dimensions=len(universe),
             )
     result.notes.append(

@@ -8,10 +8,9 @@ ratio with and without selection (and across gamma values).
 
 from __future__ import annotations
 
-import time
-
 from ..baselines.gindex import GIndex, GIndexConfig
 from .config import Scale, get_scale
+from .harness import measure_static
 from .reporting import FigureResult
 from .workloads import build_aids_workload
 
@@ -21,8 +20,7 @@ def run(scale: Scale | None = None) -> FigureResult:
     scale = scale or get_scale()
     workload = build_aids_workload(scale)
     query_size = scale.static_query_sizes[min(1, len(scale.static_query_sizes) - 1)]
-    queries = workload.query_sets[query_size]
-    total_pairs = len(queries) * len(workload.graphs)
+    queries = {query_size: workload.query_sets[query_size]}
 
     result = FigureResult(
         "Ablation A5",
@@ -34,18 +32,15 @@ def run(scale: Scale | None = None) -> FigureResult:
             min_support_ratio=0.1,
             discriminative_ratio=gamma,
         )
-        build_start = time.perf_counter()
-        index = GIndex(workload.graphs, config)
-        build_seconds = time.perf_counter() - build_start
-        query_start = time.perf_counter()
-        candidates = sum(len(index.candidates_for(query)) for query in queries)
-        query_seconds = time.perf_counter() - query_start
+        index, (row,) = measure_static(
+            lambda: GIndex(workload.graphs, config), queries, len(workload.graphs)
+        )
         result.add(
             gamma="all features" if gamma is None else f"gamma={gamma}",
             num_features=index.num_features,
-            build_s=build_seconds,
-            mean_query_ms=query_seconds / len(queries) * 1000 if queries else 0.0,
-            candidate_ratio=candidates / total_pairs if total_pairs else 0.0,
+            build_s=row.build_seconds,
+            mean_query_ms=row.mean_query_ms,
+            candidate_ratio=row.candidate_ratio,
         )
     result.notes.append(
         "expected shape: selection shrinks the feature set (and per-query "

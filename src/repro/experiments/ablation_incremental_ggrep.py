@@ -12,12 +12,10 @@ equal, property-tested).
 
 from __future__ import annotations
 
-import time
-
 from ..baselines.graphgrep import GraphGrepStreamFilter
 from ..baselines.graphgrep_incremental import IncrementalGraphGrep
-from ..graph.operations import apply_operation
 from .config import Scale, get_scale
+from .harness import Mirrored, replay
 from .reporting import FigureResult
 from .workloads import build_reality_stream_workload
 
@@ -26,48 +24,22 @@ def run(scale: Scale | None = None) -> FigureResult:
     """Execute the experiment at ``scale`` and return its rows."""
     scale = scale or get_scale()
     workload = build_reality_stream_workload(scale, seed=97)
-    timestamps = min(len(stream.operations) for stream in workload.streams.values())
-    pairs = timestamps * len(workload.streams) * len(workload.queries)
     result = FigureResult(
         "Ablation A8",
         "GraphGrep maintenance: incremental path deltas vs full recompute",
     )
-
-    incremental = IncrementalGraphGrep(workload.queries)
-    for stream_id, stream in workload.streams.items():
-        incremental.add_stream(stream_id, stream.initial)
-    candidates = 0
-    start = time.perf_counter()
-    for t in range(timestamps):
-        for stream_id, stream in workload.streams.items():
-            incremental.apply(stream_id, stream.operations[t])
-        candidates += len(incremental.candidates())
-    elapsed = time.perf_counter() - start
-    result.add(
-        strategy="incremental (ours)",
-        avg_time_ms=elapsed / timestamps * 1000 if timestamps else 0.0,
-        candidate_ratio=candidates / pairs if pairs else 0.0,
-    )
-
-    recompute = GraphGrepStreamFilter(workload.queries)
-    mirrors = {
-        stream_id: stream.initial.copy() for stream_id, stream in workload.streams.items()
+    # Both replay every timestamp: the recompute is not capped here.
+    strategies = {
+        "incremental (ours)": IncrementalGraphGrep(workload.queries),
+        "full recompute (classic)": Mirrored(GraphGrepStreamFilter(workload.queries)),
     }
-    for stream_id, mirror in mirrors.items():
-        recompute.update_stream(stream_id, mirror)
-    candidates = 0
-    start = time.perf_counter()
-    for t in range(timestamps):
-        for stream_id, stream in workload.streams.items():
-            apply_operation(mirrors[stream_id], stream.operations[t])
-            recompute.update_stream(stream_id, mirrors[stream_id])
-        candidates += len(recompute.candidates())
-    elapsed = time.perf_counter() - start
-    result.add(
-        strategy="full recompute (classic)",
-        avg_time_ms=elapsed / timestamps * 1000 if timestamps else 0.0,
-        candidate_ratio=candidates / pairs if pairs else 0.0,
-    )
+    for label, method in strategies.items():
+        run_result = replay(workload, method, label)
+        result.add(
+            strategy=label,
+            avg_time_ms=run_result.mean_ms_per_timestamp,
+            candidate_ratio=run_result.candidate_ratio,
+        )
     result.notes.append(
         "identical candidate sets by construction; incremental maintenance "
         "turns GraphGrep's cost churn-proportional, like the paper does "

@@ -8,12 +8,9 @@ the spectral filter vs our NPV/DSC pipeline on the same stream workload.
 
 from __future__ import annotations
 
-import time
-
 from ..baselines.gcoding import GCodingStreamFilter
-from ..graph.operations import apply_operation
 from .config import Scale, get_scale
-from .harness import run_stream_method
+from .harness import Mirrored, replay, run_stream_method
 from .reporting import FigureResult
 from .workloads import build_reality_stream_workload
 
@@ -25,45 +22,24 @@ def run(scale: Scale | None = None) -> FigureResult:
     # incremental maintenance amortizes and full per-timestamp recompute
     # pays its true price; the reality-like workload provides it.
     workload = build_reality_stream_workload(scale, seed=91)
-    timestamps = min(
-        min(len(stream.operations) for stream in workload.streams.values()),
-        scale.baseline_timestamp_cap,
-    )
     result = FigureResult(
         "Ablation A4",
         "Spectral (GCoding-style) filter vs NPV: stream cost and candidates",
     )
-
     npv = run_stream_method(workload, "dsc", scale)
-    result.add(
-        filter="NPV-DSC (ours)",
-        avg_time_ms=npv.mean_ms_per_timestamp,
-        candidate_ratio=npv.ratio_over(timestamps),
-        timestamps=timestamps,
+    spectral = replay(
+        workload,
+        Mirrored(GCodingStreamFilter(workload.queries, radius=2)),
+        "gcoding",
+        timestamps=scale.baseline_timestamp_cap,
     )
-
-    spectral = GCodingStreamFilter(workload.queries, radius=2)
-    mirrors = {
-        stream_id: stream.initial.copy() for stream_id, stream in workload.streams.items()
-    }
-    for stream_id, mirror in mirrors.items():
-        spectral.update_stream(stream_id, mirror)
-    candidates = 0
-    elapsed = 0.0
-    for t in range(timestamps):
-        tick_start = time.perf_counter()
-        for stream_id, stream in workload.streams.items():
-            apply_operation(mirrors[stream_id], stream.operations[t])
-            spectral.update_stream(stream_id, mirrors[stream_id])
-        candidates += len(spectral.candidates())
-        elapsed += time.perf_counter() - tick_start
-    pairs = timestamps * len(workload.streams) * len(workload.queries)
-    result.add(
-        filter="spectral (GCoding-like)",
-        avg_time_ms=elapsed / timestamps * 1000 if timestamps else 0.0,
-        candidate_ratio=candidates / pairs if pairs else 0.0,
-        timestamps=timestamps,
-    )
+    for label, run_result in (("NPV-DSC (ours)", npv), ("spectral (GCoding-like)", spectral)):
+        result.add(
+            filter=label,
+            avg_time_ms=run_result.mean_ms_per_timestamp,
+            candidate_ratio=run_result.ratio_over(spectral.timestamps),
+            timestamps=spectral.timestamps,
+        )
     result.notes.append(
         "expected shape: under temporal locality the spectral refresh "
         "(eigendecompositions per vertex per timestamp) costs far more "

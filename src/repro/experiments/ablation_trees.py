@@ -9,10 +9,9 @@ ratio.
 
 from __future__ import annotations
 
-import time
-
 from ..baselines.gindex import GIndex, GIndexConfig
 from .config import Scale, get_scale
+from .harness import measure_static
 from .reporting import FigureResult
 from .workloads import build_synthetic_static_workload
 
@@ -22,8 +21,7 @@ def run(scale: Scale | None = None) -> FigureResult:
     scale = scale or get_scale()
     workload = build_synthetic_static_workload(scale)
     query_size = scale.static_query_sizes[min(1, len(scale.static_query_sizes) - 1)]
-    queries = workload.query_sets[query_size]
-    total_pairs = len(queries) * len(workload.graphs)
+    queries = {query_size: workload.query_sets[query_size]}
     max_edges = min(5, scale.gindex1_static_max_edges)
 
     result = FigureResult(
@@ -36,15 +34,14 @@ def run(scale: Scale | None = None) -> FigureResult:
             min_support_ratio=0.1,
             trees_only=trees_only,
         )
-        build_start = time.perf_counter()
-        index = GIndex(workload.graphs, config)
-        build_seconds = time.perf_counter() - build_start
-        candidates = sum(len(index.candidates_for(query)) for query in queries)
+        index, (row,) = measure_static(
+            lambda: GIndex(workload.graphs, config), queries, len(workload.graphs)
+        )
         result.add(
             features="trees only" if trees_only else "all graphs",
             num_features=index.num_features,
-            mining_s=build_seconds,
-            candidate_ratio=candidates / total_pairs if total_pairs else 0.0,
+            mining_s=row.build_seconds,
+            candidate_ratio=row.candidate_ratio,
         )
     result.notes.append(
         "expected shape: the tree feature space is smaller and cheaper to "

@@ -10,21 +10,23 @@ from __future__ import annotations
 
 from ..core.database import GraphDatabase
 from .config import Scale, get_scale
+from .harness import measure_static
 from .reporting import FigureResult
 from .workloads import StaticWorkload, build_aids_workload, build_synthetic_static_workload
 
 
 def _sweep(workload: StaticWorkload, scale: Scale, result: FigureResult, query_size: int) -> None:
-    queries = workload.query_sets[query_size]
-    total_pairs = len(queries) * len(workload.graphs)
     for depth in scale.depth_sweep:
-        database = GraphDatabase(workload.graphs, depth_limit=depth)
-        candidates = sum(len(database.filter_candidates(query)) for query in queries)
+        _, (row,) = measure_static(
+            lambda: GraphDatabase(workload.graphs, depth_limit=depth),
+            {query_size: workload.query_sets[query_size]},
+            len(workload.graphs),
+        )
         result.add(
             dataset=workload.name,
             depth=depth,
             query_size=f"Q{query_size}",
-            candidate_ratio=candidates / total_pairs if total_pairs else 0.0,
+            candidate_ratio=row.candidate_ratio,
         )
 
 

@@ -31,43 +31,29 @@ from typing import Any
 
 from ..core.monitor import StreamMonitor
 from ..core.verify import PrecisionProbe
+from .harness import replay
 from .workloads import StreamWorkload
-
-
-def _replay(workload: StreamWorkload, monitor: StreamMonitor, on_tick) -> int:
-    """Apply every timestamp of the workload, calling ``on_tick`` after
-    each one; returns the common horizon replayed."""
-    for stream_id, stream in workload.streams.items():
-        monitor.add_stream(stream_id, stream.initial)
-    timestamps = min(len(stream.operations) for stream in workload.streams.values())
-    for t in range(timestamps):
-        for stream_id, stream in workload.streams.items():
-            monitor.apply(stream_id, stream.operations[t])
-        on_tick()
-    return timestamps
 
 
 def offline_fp_ratio(workload: StreamWorkload, method: str = "dsc") -> dict[str, Any]:
     """The offline (Figures 13-14 style) false-positive ratio: every
     timestamp's full candidate set verified with exact VF2."""
     monitor = StreamMonitor(workload.queries, method=method)
-    tallies = {"candidates": 0, "false_positives": 0}
+    false_positives = 0
 
-    def on_tick() -> None:
-        emitted = monitor.matches()
-        confirmed = monitor.verified_matches(emitted)
-        tallies["candidates"] += len(emitted)
-        tallies["false_positives"] += len(emitted) - len(confirmed)
+    def verify(emitted: set) -> None:
+        nonlocal false_positives
+        false_positives += len(emitted) - len(monitor.verified_matches(emitted))
 
-    timestamps = _replay(workload, monitor, on_tick)
-    candidates = tallies["candidates"]
+    run = replay(workload, monitor, method, on_poll=verify)
+    candidates = sum(run.candidates_per_timestamp)
     return {
         "method": method,
         "workload": workload.name,
-        "timestamps": timestamps,
+        "timestamps": run.timestamps,
         "candidates": candidates,
-        "false_positives": tallies["false_positives"],
-        "fp_ratio": tallies["false_positives"] / candidates if candidates else 0.0,
+        "false_positives": false_positives,
+        "fp_ratio": false_positives / candidates if candidates else 0.0,
     }
 
 
@@ -79,13 +65,13 @@ def probed_fp_ratio(
     seed: int = 0,
 ) -> dict[str, Any]:
     """The live-probe estimate of the same ratio over the same replay:
-    one :meth:`~repro.core.verify.PrecisionProbe.sample` pass per
-    timestamp, nothing else verified."""
+    one :meth:`~repro.core.verify.PrecisionProbe.sample` pass over each
+    timestamp's polled pairs, nothing else verified."""
     monitor = StreamMonitor(workload.queries, method=method)
     probe = PrecisionProbe(
         monitor, rate=rate, budget_seconds=budget_seconds, seed=seed
     )
-    timestamps = _replay(workload, monitor, probe.sample)
+    timestamps = replay(workload, monitor, method, on_poll=probe.sample).timestamps
     checked = probe.stats["checked"]
     estimate = probe.fp_ratio_estimate
     stderr = (

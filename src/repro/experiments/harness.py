@@ -2,36 +2,54 @@
 the paper's two quantities — candidate ratio and average per-timestamp
 processing cost.
 
+Every figure and ablation measures through the two loops here, so each
+method's timed region is stated once:
+
+:func:`replay` (streams)
+    Register each stream's initial graph (timed as set-up), then at
+    every timestamp apply each stream's batch and poll the candidate
+    pairs once.  The apply and the poll are timed apart; their sum is
+    the per-timestamp cost.
+:func:`measure_static` (static databases)
+    Build the filter (timed), then sum its candidates over each query
+    set (timed per set).
+
 Stream methods
 --------------
+A stream method is anything with ``add_stream(stream_id, graph)``,
+``apply(stream_id, batch)`` and ``matches()``:
+
 ``nl`` / ``dsc`` / ``skyline`` / ``matrix``
     Our NPV filter with the corresponding join engine, driven through
     :class:`repro.core.StreamMonitor` (incremental NNT maintenance,
     coalesced delta delivery).
-``ggrep``
-    GraphGrep: mirror graphs + per-timestamp fingerprint refresh.
-``gindex1`` / ``gindex2``
-    gIndex: mirror graphs + per-timestamp feature re-mining (the paper's
-    dominant cost).  Expensive methods honour the scale profile's
+``ggrep`` / ``gindex1`` / ``gindex2``
+    GraphGrep and gIndex behind :class:`Mirrored`: mirror graphs take
+    the batches and every poll recomputes the filter's features
+    (fingerprints; re-mined fragments, the paper's dominant cost).
+    These expensive methods honour the scale profile's
     ``baseline_timestamp_cap``.
 
 Static methods
 --------------
 ``npv`` / ``ggrep`` / ``gindex1`` / ``gindex2`` over a
-:class:`~repro.experiments.workloads.StaticWorkload`.
+:class:`~repro.experiments.workloads.StaticWorkload`; every static
+filter answers a query through ``candidates_for(query)``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Sequence
 
 from ..baselines.gindex import GIndex, GIndexConfig, GIndexStreamFilter
 from ..baselines.graphgrep import GraphGrepFilter, GraphGrepStreamFilter
 from ..core.database import GraphDatabase
 from ..core.metrics import candidate_ratio
 from ..core.monitor import StreamMonitor
-from ..graph.operations import apply_operation
+from ..graph.labeled_graph import LabeledGraph
+from ..graph.operations import GraphChangeOperation, apply_operation
 from .config import Scale
 from .workloads import StaticWorkload, StreamWorkload
 
@@ -49,15 +67,24 @@ class StreamRunResult:
     num_queries: int
     num_streams: int
     timestamps: int
-    mean_ms_per_timestamp: float
-    candidate_ratio: float
     setup_seconds: float
-    candidates_per_timestamp: tuple[int, ...] = ()
-    # Engine runs split the per-timestamp cost into NNT maintenance
-    # (independent of the query count) and join/answering (the part the
-    # paper's scalability figures exercise); baselines leave these at 0.
-    mean_maintain_ms_per_timestamp: float = 0.0
-    mean_join_ms_per_timestamp: float = 0.0
+    candidates_per_timestamp: tuple[int, ...]
+    # The per-timestamp cost split into applying the batches (NNT
+    # maintenance for the engines, independent of the query count) and
+    # polling the answer (the join, the part the paper's scalability
+    # figures exercise; a recompute baseline's refresh).
+    mean_maintain_ms_per_timestamp: float
+    mean_join_ms_per_timestamp: float
+
+    @property
+    def mean_ms_per_timestamp(self) -> float:
+        """Apply + poll, per timestamp."""
+        return self.mean_maintain_ms_per_timestamp + self.mean_join_ms_per_timestamp
+
+    @property
+    def candidate_ratio(self) -> float:
+        """Candidates over all (stream, query) pairs of every timestamp."""
+        return self.ratio_over(self.timestamps)
 
     def ratio_over(self, first_n: int) -> float:
         """Candidate ratio over the first ``first_n`` timestamps only —
@@ -80,6 +107,83 @@ class StaticRunResult:
     build_seconds: float
 
 
+class Mirrored:
+    """A recompute baseline (GraphGrep, GCoding, gIndex stream filters)
+    as a stream method: one mirror graph per stream takes the batches,
+    and every poll hands the filter all mirrors to recompute from
+    (``refresh``) before reading its candidate pairs."""
+
+    def __init__(self, stream_filter: Any) -> None:
+        self.filter = stream_filter
+        self.graphs: dict = {}
+
+    def add_stream(self, stream_id: Any, initial: LabeledGraph) -> None:
+        """Start a mirror of the stream's initial graph."""
+        self.graphs[stream_id] = initial.copy()
+
+    def apply(self, stream_id: Any, operation: GraphChangeOperation) -> None:
+        """Apply one timestamp's batch to the stream's mirror."""
+        apply_operation(self.graphs[stream_id], operation)
+
+    def matches(self) -> set[tuple]:
+        """Recompute the filter from every mirror; its candidate pairs."""
+        self.filter.refresh(self.graphs)
+        return self.filter.candidates()
+
+
+def _ms_per(seconds: float, count: int) -> float:
+    return seconds / count * 1000 if count else 0.0
+
+
+def replay(
+    workload: StreamWorkload,
+    method: Any,
+    name: str,
+    timestamps: int | None = None,
+    on_poll: Callable[[set], object] | None = None,
+) -> StreamRunResult:
+    """Replay ``workload`` through the stream ``method``: register every
+    stream's initial graph, then per timestamp apply each stream's batch
+    and poll ``method.matches()`` once, timing both.
+
+    ``timestamps`` caps the horizon (default: every timestamp all
+    streams have); ``on_poll`` sees each poll's pairs, untimed.
+    """
+    setup_start = time.perf_counter()
+    for stream_id, stream in workload.streams.items():
+        method.add_stream(stream_id, stream.initial)
+    setup_seconds = time.perf_counter() - setup_start
+
+    horizon = min(len(stream.operations) for stream in workload.streams.values())
+    if timestamps is not None:
+        horizon = min(horizon, timestamps)
+    per_timestamp: list[int] = []
+    apply_seconds = poll_seconds = 0.0
+    for t in range(horizon):
+        tick_start = time.perf_counter()
+        for stream_id, stream in workload.streams.items():
+            method.apply(stream_id, stream.operations[t])
+        applied = time.perf_counter()
+        pairs = method.matches()
+        polled = time.perf_counter()
+        per_timestamp.append(len(pairs))
+        apply_seconds += applied - tick_start
+        poll_seconds += polled - applied
+        if on_poll is not None:
+            on_poll(pairs)
+    return StreamRunResult(
+        method=name,
+        workload=workload.name,
+        num_queries=len(workload.queries),
+        num_streams=len(workload.streams),
+        timestamps=horizon,
+        setup_seconds=setup_seconds,
+        candidates_per_timestamp=tuple(per_timestamp),
+        mean_maintain_ms_per_timestamp=_ms_per(apply_seconds, horizon),
+        mean_join_ms_per_timestamp=_ms_per(poll_seconds, horizon),
+    )
+
+
 def _stream_gindex_config(method: str, scale: Scale) -> GIndexConfig:
     if method == "gindex1":
         return GIndexConfig(
@@ -92,8 +196,7 @@ def _stream_gindex_config(method: str, scale: Scale) -> GIndexConfig:
 def run_stream_method(
     workload: StreamWorkload, method: str, scale: Scale, workers: int | None = None
 ) -> StreamRunResult:
-    """Replay a stream workload under one method, timing every timestamp
-    (apply the batch, then read the candidate pair set).
+    """:func:`replay` a stream workload under one named method.
 
     ``workers`` > 1 runs the engine methods through the sharded
     multi-process runtime (:class:`repro.runtime.ShardedMonitor`) instead
@@ -102,143 +205,60 @@ def run_stream_method(
     single-process only and ignore the flag.
     """
     if method in ENGINE_METHODS:
-        return _run_engine(workload, method, workers=workers)
-    if method == "ggrep":
-        return _run_graphgrep(workload, scale)
-    if method in ("gindex1", "gindex2"):
-        return _run_gindex(workload, method, scale)
-    raise ValueError(f"unknown stream method {method!r}; expected {STREAM_METHODS}")
+        if workers is not None and workers > 1:
+            from ..runtime import ShardedMonitor
 
-
-def _replay_timestamps(workload: StreamWorkload) -> int:
-    return min(len(stream.operations) for stream in workload.streams.values())
-
-
-def _run_engine(
-    workload: StreamWorkload, method: str, workers: int | None = None
-) -> StreamRunResult:
-    parallel = workers is not None and workers > 1
-    setup_start = time.perf_counter()
-    if parallel:
-        from ..runtime import ShardedMonitor
-
-        monitor = ShardedMonitor(workload.queries, method=method, num_workers=workers)
-    else:
-        monitor = StreamMonitor(workload.queries, method=method)
-    try:
-        for stream_id, stream in workload.streams.items():
-            monitor.add_stream(stream_id, stream.initial)
-        setup_seconds = time.perf_counter() - setup_start
-
-        timestamps = _replay_timestamps(workload)
-        pairs_total = timestamps * len(workload.streams) * len(workload.queries)
-        per_timestamp: list[int] = []
-        maintain = 0.0
-        join = 0.0
-        for t in range(timestamps):
-            tick_start = time.perf_counter()
-            for stream_id, stream in workload.streams.items():
-                monitor.apply(stream_id, stream.operations[t])
-            maintain_done = time.perf_counter()
-            per_timestamp.append(len(monitor.matches()))
-            join_done = time.perf_counter()
-            maintain += maintain_done - tick_start
-            join += join_done - maintain_done
-        candidates = sum(per_timestamp)
-        elapsed = maintain + join
-    finally:
-        if parallel:
-            monitor.close()
-    return StreamRunResult(
-        method=f"{method}@{workers}w" if parallel else method,
-        workload=workload.name,
-        num_queries=len(workload.queries),
-        num_streams=len(workload.streams),
-        timestamps=timestamps,
-        mean_ms_per_timestamp=elapsed / timestamps * 1000 if timestamps else 0.0,
-        candidate_ratio=candidates / pairs_total if pairs_total else 0.0,
-        setup_seconds=setup_seconds,
-        candidates_per_timestamp=tuple(per_timestamp),
-        mean_maintain_ms_per_timestamp=maintain / timestamps * 1000 if timestamps else 0.0,
-        mean_join_ms_per_timestamp=join / timestamps * 1000 if timestamps else 0.0,
-    )
-
-
-def _run_graphgrep(workload: StreamWorkload, scale: Scale) -> StreamRunResult:
-    setup_start = time.perf_counter()
-    flt = GraphGrepStreamFilter(workload.queries)
-    mirrors = {
-        stream_id: stream.initial.copy() for stream_id, stream in workload.streams.items()
-    }
-    for stream_id, mirror in mirrors.items():
-        flt.update_stream(stream_id, mirror)
-    setup_seconds = time.perf_counter() - setup_start
-
+            with ShardedMonitor(workload.queries, method=method, num_workers=workers) as sharded:
+                return replay(workload, sharded, f"{method}@{workers}w")
+        return replay(workload, StreamMonitor(workload.queries, method=method), method)
     # GraphGrep's per-timestamp fingerprint refresh is cheap on sparse
     # graphs but explodes on dense ones (vertex-simple path enumeration);
-    # it shares the baselines' timestamp cap.
-    timestamps = min(_replay_timestamps(workload), scale.baseline_timestamp_cap)
-    pairs_total = timestamps * len(workload.streams) * len(workload.queries)
-    per_timestamp: list[int] = []
-    elapsed = 0.0
-    for t in range(timestamps):
-        tick_start = time.perf_counter()
-        for stream_id, stream in workload.streams.items():
-            apply_operation(mirrors[stream_id], stream.operations[t])
-            flt.update_stream(stream_id, mirrors[stream_id])
-        per_timestamp.append(len(flt.candidates()))
-        elapsed += time.perf_counter() - tick_start
-    candidates = sum(per_timestamp)
-    return StreamRunResult(
-        method="ggrep",
-        workload=workload.name,
-        num_queries=len(workload.queries),
-        num_streams=len(workload.streams),
-        timestamps=timestamps,
-        mean_ms_per_timestamp=elapsed / timestamps * 1000 if timestamps else 0.0,
-        candidate_ratio=candidates / pairs_total if pairs_total else 0.0,
-        setup_seconds=setup_seconds,
-        candidates_per_timestamp=tuple(per_timestamp),
-    )
-
-
-def _run_gindex(workload: StreamWorkload, method: str, scale: Scale) -> StreamRunResult:
-    config = _stream_gindex_config(method, scale)
-    setup_start = time.perf_counter()
-    flt = GIndexStreamFilter(workload.queries, config)
-    mirrors = {
-        stream_id: stream.initial.copy() for stream_id, stream in workload.streams.items()
-    }
-    setup_seconds = time.perf_counter() - setup_start
-
-    timestamps = min(_replay_timestamps(workload), scale.baseline_timestamp_cap)
-    pairs_total = timestamps * len(workload.streams) * len(workload.queries)
-    per_timestamp: list[int] = []
-    elapsed = 0.0
-    for t in range(timestamps):
-        tick_start = time.perf_counter()
-        for stream_id, stream in workload.streams.items():
-            apply_operation(mirrors[stream_id], stream.operations[t])
-        flt.refresh(mirrors)  # per-timestamp re-mining: gIndex's cost
-        per_timestamp.append(len(flt.candidates()))
-        elapsed += time.perf_counter() - tick_start
-    candidates = sum(per_timestamp)
-    return StreamRunResult(
-        method=method,
-        workload=workload.name,
-        num_queries=len(workload.queries),
-        num_streams=len(workload.streams),
-        timestamps=timestamps,
-        mean_ms_per_timestamp=elapsed / timestamps * 1000 if timestamps else 0.0,
-        candidate_ratio=candidates / pairs_total if pairs_total else 0.0,
-        setup_seconds=setup_seconds,
-        candidates_per_timestamp=tuple(per_timestamp),
-    )
+    # it shares gIndex's timestamp cap.
+    if method == "ggrep":
+        baseline = Mirrored(GraphGrepStreamFilter(workload.queries))
+    elif method in ("gindex1", "gindex2"):
+        baseline = Mirrored(GIndexStreamFilter(workload.queries, _stream_gindex_config(method, scale)))
+    else:
+        raise ValueError(f"unknown stream method {method!r}; expected {STREAM_METHODS}")
+    return replay(workload, baseline, method, timestamps=scale.baseline_timestamp_cap)
 
 
 # ----------------------------------------------------------------------
 # static experiments
 # ----------------------------------------------------------------------
+def measure_static(
+    build: Callable[[], Any],
+    query_sets: Mapping[int, Sequence[LabeledGraph]],
+    num_graphs: int,
+    method: str = "",
+    workload: str = "",
+) -> tuple[Any, list[StaticRunResult]]:
+    """Build a static filter (timed), then sum ``candidates_for`` over
+    each query set (timed per set); returns the filter and one row per
+    set, in query-size order."""
+    build_start = time.perf_counter()
+    index = build()
+    build_seconds = time.perf_counter() - build_start
+    results: list[StaticRunResult] = []
+    for query_size, queries in sorted(query_sets.items()):
+        total_candidates = 0
+        query_start = time.perf_counter()
+        for query in queries:
+            total_candidates += len(index.candidates_for(query))
+        query_seconds = time.perf_counter() - query_start
+        results.append(
+            StaticRunResult(
+                method=method,
+                workload=workload,
+                query_size=query_size,
+                candidate_ratio=candidate_ratio(total_candidates, num_graphs, len(queries)),
+                mean_query_ms=_ms_per(query_seconds, len(queries)),
+                build_seconds=build_seconds,
+            )
+        )
+    return index, results
+
+
 def build_static_filter(workload: StaticWorkload, method: str, scale: Scale, depth_limit: int = 3):
     """Build one static filter over the workload's graph DB."""
     if method == "npv":
@@ -255,35 +275,15 @@ def build_static_filter(workload: StaticWorkload, method: str, scale: Scale, dep
     raise ValueError(f"unknown static method {method!r}; expected {STATIC_METHODS}")
 
 
-def _static_candidates(filter_obj, query) -> set:
-    if isinstance(filter_obj, GraphDatabase):
-        return filter_obj.filter_candidates(query)
-    return filter_obj.candidates_for(query)
-
-
 def run_static_method(
     workload: StaticWorkload, method: str, scale: Scale, depth_limit: int = 3
 ) -> list[StaticRunResult]:
     """Candidate ratio + per-query time of one method over every Q_m set."""
-    build_start = time.perf_counter()
-    filter_obj = build_static_filter(workload, method, scale, depth_limit)
-    build_seconds = time.perf_counter() - build_start
-    results: list[StaticRunResult] = []
-    db_size = len(workload.graphs)
-    for query_size, queries in sorted(workload.query_sets.items()):
-        total_candidates = 0
-        query_start = time.perf_counter()
-        for query in queries:
-            total_candidates += len(_static_candidates(filter_obj, query))
-        query_seconds = time.perf_counter() - query_start
-        results.append(
-            StaticRunResult(
-                method=method,
-                workload=workload.name,
-                query_size=query_size,
-                candidate_ratio=candidate_ratio(total_candidates, db_size, len(queries)),
-                mean_query_ms=query_seconds / len(queries) * 1000 if queries else 0.0,
-                build_seconds=build_seconds,
-            )
-        )
+    _, results = measure_static(
+        lambda: build_static_filter(workload, method, scale, depth_limit),
+        workload.query_sets,
+        len(workload.graphs),
+        method,
+        workload.name,
+    )
     return results

@@ -111,6 +111,10 @@ class EdgeChange(_Frozen):
             (self.op, self.u, self.v, self.edge_label, self.u_label, self.v_label),
         )
 
+    def __len__(self) -> int:
+        """The change read as a batch of one."""
+        return 1
+
     def deletion_pairs(self) -> tuple[tuple, ...]:
         """The change read as a batch of one: see
         :meth:`GraphChangeOperation.deletion_pairs`."""

@@ -72,7 +72,6 @@ class _SloFields(NamedTuple):
     warn_after: int = 1  # consecutive violations before warn
     breach_after: int = 3  # consecutive violations before breach
     clear_after: int = 2  # consecutive OKs before recovery
-    complement: bool = False  # evaluate 1 - value (recall from FP ratio)
     description: str = ""
 
 
@@ -125,14 +124,6 @@ DEFAULT_RULES: tuple[SloRule, ...] = (
         "gauge_max",
         0.5,
         description="sampled filter false-positive ratio stays under 0.5",
-    ),
-    SloRule(
-        "probe-precision",
-        "filter.fp_ratio_estimate",
-        "gauge_min",
-        0.5,
-        complement=True,
-        description="probe-estimated precision (1 - FP ratio) stays over 0.5",
     ),
     SloRule(
         "inbox-depth",
@@ -190,14 +181,10 @@ class SloEngine:
     def _measure(self, rule: SloRule, timeline: Timeline) -> float | None:
         window = timeline.window(rule.window)
         if rule.objective == "quantile":
-            value = window.quantile(rule.metric, rule.q)
-        elif rule.objective == "rate_max":
-            value = window.rate(rule.metric)
-        else:
-            value = window.gauge(rule.metric)
-        if value is None:
-            return None
-        return 1.0 - value if rule.complement else value
+            return window.quantile(rule.metric, rule.q)
+        if rule.objective == "rate_max":
+            return window.rate(rule.metric)
+        return window.gauge(rule.metric)
 
     # -- evaluation --------------------------------------------------------
 
@@ -249,7 +236,6 @@ class SloEngine:
             "threshold": rule.threshold,
             "q": rule.q if rule.objective == "quantile" else None,
             "window": rule.window,
-            "complement": rule.complement,
             "description": rule.description,
             "state": status.state,
             "value": status.value,

@@ -76,7 +76,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     database = GraphDatabase(dict(read_graph_set(args.db)), depth_limit=args.depth)
     for name, query in read_graph_set(args.queries):
         if args.no_verify:
-            hits = database.filter_candidates(query)
+            hits = database.candidates_for(query)
             label = "candidates"
         else:
             hits = database.search(query, verify=True)

@@ -63,8 +63,6 @@ class ShardedMonitor:
     auto_recover:
         Respawn dead workers inside the call that notices (default);
         ``False`` raises :class:`WorkerDied` instead.
-    start_method:
-        ``multiprocessing`` start method; ``fork`` where available.
     shm:
         Ship apply payloads through per-shard shared-memory rings.
     ring_capacity:
@@ -87,7 +85,6 @@ class ShardedMonitor:
         checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 0,
         auto_recover: bool = True,
-        start_method: str | None = None,
         shm: bool = False,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
         flight_dir: str | Path | None = None,
@@ -121,9 +118,8 @@ class ShardedMonitor:
         self.auto_recover = auto_recover
         self.shm = shm
         self.ring_capacity = ring_capacity
-        if start_method is None and "fork" in multiprocessing.get_all_start_methods():
-            start_method = "fork"
-        self._ctx = multiprocessing.get_context(start_method)
+        forks = "fork" in multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork" if forks else None)
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.recovery_log = RecoveryLog()
         self.fleet = Fleet(queries, num_workers)

@@ -84,9 +84,8 @@ class _ServeFields(NamedTuple):
     #: flush, so ``/readyz`` is 503 while work still flows (the
     #: Kubernetes preStop pattern).
     drain_grace: float = 0.0
-    #: Metrics-timeline sampler cadence and ring size.
+    #: Metrics-timeline sampler cadence.
     timeline_interval: float = 1.0
-    timeline_capacity: int = 512
     #: Directory for the flight-recorder journal (None = in-memory only).
     flight_dir: str | None = None
     #: SLO rule overrides (() = the stock DEFAULT_RULES).
@@ -94,8 +93,8 @@ class _ServeFields(NamedTuple):
 
 
 class ServeConfig(_ServeFields):
-    """Tunables of the serving edge (all CLI-exposed), checked on
-    construction."""
+    """Tunables of the serving edge, checked on construction; ``repro
+    serve`` sets every field but ``slo_rules``."""
 
     __slots__ = ()
 
@@ -107,8 +106,6 @@ class ServeConfig(_ServeFields):
             raise ValueError("drain_grace must be >= 0 seconds")
         if config.timeline_interval <= 0:
             raise ValueError("timeline_interval must be > 0 seconds")
-        if config.timeline_capacity < 2:
-            raise ValueError("timeline_capacity must be >= 2")
         return config
 
 
@@ -180,7 +177,7 @@ class ReproServer:
         self._admitted = obs.counter("serve.admitted")
         self._sessions_gauge = obs.gauge("serve.sessions")
         self._depth_gauge = obs.gauge("serve.queue_depth")
-        self.timeline = Timeline(capacity=self.config.timeline_capacity)
+        self.timeline = Timeline()
         self.slo = SloEngine(
             rules=self.config.slo_rules or None, timeline=self.timeline
         )

@@ -32,14 +32,14 @@ class TestConstruction:
             {0: chain(["A", "B"], "x")},
             scheme=DimensionScheme(include_edge_label=True),
         )
-        assert db.filter_candidates(chain(["A", "B"], "x")) == {0}
-        assert db.filter_candidates(chain(["A", "B"], "y")) == set()
+        assert db.candidates_for(chain(["A", "B"], "x")) == {0}
+        assert db.candidates_for(chain(["A", "B"], "y")) == set()
 
 
 class TestFiltering:
     def test_basic_filter(self):
         db = GraphDatabase.from_list([chain(["A", "B", "C"]), chain(["C", "C"])])
-        assert db.filter_candidates(chain(["A", "B"])) == {0}
+        assert db.candidates_for(chain(["A", "B"])) == {0}
 
     def test_search_with_verification(self):
         db = GraphDatabase.from_list([chain(["A", "B", "C"]), chain(["A", "C", "B"])])
@@ -50,7 +50,7 @@ class TestFiltering:
     def test_search_without_verify_is_filter(self):
         db = GraphDatabase.from_list([chain(["A", "B"])])
         query = chain(["A", "B"])
-        assert db.search(query, verify=False) == db.filter_candidates(query)
+        assert db.search(query, verify=False) == db.candidates_for(query)
 
     @pytest.mark.parametrize("trial", range(6))
     def test_filter_is_sound(self, trial):
@@ -64,7 +64,7 @@ class TestFiltering:
         truth = {
             i for i, g in enumerate(graphs) if SubgraphMatcher(g).is_subgraph(query)
         }
-        candidates = db.filter_candidates(query)
+        candidates = db.candidates_for(query)
         assert truth <= candidates
         assert db.search(query, verify=True) == truth
 
@@ -74,12 +74,12 @@ class TestFiltering:
         query = extract_connected_subgraph(rng, graphs[0], 3)
         shallow = GraphDatabase.from_list(graphs, depth_limit=1)
         deep = GraphDatabase.from_list(graphs, depth_limit=3)
-        assert deep.filter_candidates(query) <= shallow.filter_candidates(query)
+        assert deep.candidates_for(query) <= shallow.candidates_for(query)
 
     def test_empty_graph_in_db(self):
         db = GraphDatabase({0: LabeledGraph(), 1: chain(["A", "B"])})
-        assert db.filter_candidates(chain(["A", "B"])) == {1}
+        assert db.candidates_for(chain(["A", "B"])) == {1}
 
     def test_missing_dimension_rejects(self):
         db = GraphDatabase.from_list([chain(["A", "A"])])
-        assert db.filter_candidates(chain(["B", "B"])) == set()
+        assert db.candidates_for(chain(["B", "B"])) == set()

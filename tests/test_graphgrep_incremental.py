@@ -94,13 +94,13 @@ class TestIncrementalFilter:
         assert not inc.is_candidate(0, "abc")
         inc.apply_change(0, EdgeChange.insert(1, 2, "-", v_label="C"))
         assert inc.is_candidate(0, "abc")
-        assert inc.candidates() == {(0, "abc")}
+        assert inc.matches() == {(0, "abc")}
 
     def test_remove_stream(self):
         inc = IncrementalGraphGrep({"q": chain(["A", "B"])})
         inc.add_stream(0, chain(["A", "B"]))
         inc.remove_stream(0)
-        assert inc.candidates() == set()
+        assert inc.matches() == set()
 
     @pytest.mark.parametrize("buckets", (None, 128))
     def test_fuzz_equals_recompute(self, buckets):

@@ -247,7 +247,7 @@ class TestLifecycle:
         # never reaches a worker any more); forked workers inherit it.
         monkeypatch.setattr(StreamMonitor, "apply", boom)
         with ShardedMonitor(
-            small_queries(rng), num_workers=1, auto_recover=False, start_method="fork"
+            small_queries(rng), num_workers=1, auto_recover=False
         ) as sharded:
             sharded.add_stream("s0", random_labeled_graph(rng, 3))
             sharded.apply("s0", EdgeChange.insert(100, 101, "-", "A", "B"))

@@ -235,21 +235,6 @@ class TestObjectives:
         engine.evaluate()  # 10 rejects over 1s >> 1/s
         assert engine.state_of("rejects") == BREACH
 
-    def test_complement_measures_one_minus_value(self):
-        clock = FakeClock()
-        timeline = Timeline(clock=clock)
-        rule = SloRule(
-            "precision", "filter.fp_ratio_estimate", "gauge_min", 0.5,
-            complement=True, warn_after=1, breach_after=1,
-        )
-        engine = SloEngine(rules=[rule], timeline=timeline, clock=clock)
-        timeline.sample(
-            {"filter.fp_ratio_estimate": gauge_entry(0.8)}, t=clock.tick()
-        )
-        engine.evaluate()  # precision = 1 - 0.8 = 0.2 < 0.5
-        assert engine.state_of("precision") == BREACH
-        assert engine.snapshot()["rules"][0]["value"] == pytest.approx(0.2)
-
 
 # ----------------------------------------------------------------------
 # exports + snapshot
