@@ -8,7 +8,8 @@ one in ``CHECKOUT``, this checkout by default), starts the system its
 ``DEPTHS`` entry names, ``drive``s exactly ``--ticks`` ticks through it
 and prints one JSON row per process of that system: ``VmHWM``,
 ``RssAnon``, ``RssFile`` and ``RssShmem`` from ``/proc/<pid>/status``
-in MB, and whether ``libcrypto`` is mapped.  A tick count, not a clock,
+in MB, and whether ``libcrypto`` is mapped; then a ``total`` row, the
+sum of ``VmHWM`` over those processes.  A tick count, not a clock,
 so a faster tick does not grow the in-process answer recording and move
 the reading.  By default the script holds just those ticks; with
 ``--script-seconds S`` it is the clock-sized script ``run.py --seconds S``
@@ -79,6 +80,7 @@ def main(argv: list[str] | None = None) -> int:
             rows = [{"process": role, "pid": pid, **memory(pid)} for role, pid in zip(roles, pids)]
         finally:
             failed = depth.failed + depth.close()
+    rows.append({"process": "total", "VmHWM": round(sum(row["VmHWM"] for row in rows), 2)})
     for row in rows:
         print(json.dumps({"workload": args.workload, "ticks": len(recording.digests), **row}))
     return 1 if failed else 0

@@ -67,7 +67,6 @@ class StreamRunResult:
     num_queries: int
     num_streams: int
     timestamps: int
-    setup_seconds: float
     candidates_per_timestamp: tuple[int, ...]
     # The per-timestamp cost split into applying the batches (NNT
     # maintenance for the engines, independent of the query count) and
@@ -149,10 +148,8 @@ def replay(
     ``timestamps`` caps the horizon (default: every timestamp all
     streams have); ``on_poll`` sees each poll's pairs, untimed.
     """
-    setup_start = time.perf_counter()
     for stream_id, stream in workload.streams.items():
         method.add_stream(stream_id, stream.initial)
-    setup_seconds = time.perf_counter() - setup_start
 
     horizon = min(len(stream.operations) for stream in workload.streams.values())
     if timestamps is not None:
@@ -177,7 +174,6 @@ def replay(
         num_queries=len(workload.queries),
         num_streams=len(workload.streams),
         timestamps=horizon,
-        setup_seconds=setup_seconds,
         candidates_per_timestamp=tuple(per_timestamp),
         mean_maintain_ms_per_timestamp=_ms_per(apply_seconds, horizon),
         mean_join_ms_per_timestamp=_ms_per(poll_seconds, horizon),

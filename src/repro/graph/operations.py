@@ -14,23 +14,29 @@ Both types are frozen and slotted (no ``__dict__``): changes are held,
 buffered and shipped to workers by the hundred thousand, and every forked
 worker maps the heap that holds them.  An :class:`EdgeChange` is one
 80 B record that pickles as its constructor arguments.  A batch holds no
-``EdgeChange`` at all but three flat columns: a byte string of op codes
-in the original order, the ``(u, v)`` of every plain deletion (the
-common case, no labels) in one tuple, and the five fields of every other
-change in another.  A held change costs one byte plus two or five
-pointers, the batch pickles as its columns, and a load checks them as
-``EdgeChange``'s constructor checks one change.  Iterating a batch builds
-its ``EdgeChange`` records on the fly; :func:`check_batch`,
-:func:`apply_operation` and the NNT index read the columns through
-``deletion_pairs()`` / ``insertion_rows()``, which a single
-``EdgeChange`` answers too, so a change is a batch of one wherever a
-batch is applied.
+``EdgeChange`` at all but a **names table**, a tuple of every distinct
+field value of the batch once (vertex ids, labels, ``None``; told apart
+by type as well as value, so ``1``, ``True`` and ``1.0`` stay three
+names), and **one code string**: the change count (where the op codes
+end), the op codes in the original order, then the two refs of every plain deletion (the common
+case, no labels), then the five refs of every other change, where a ref
+is an index into the table.  A unit of the code string is one byte; a
+batch whose table or count passes 256 holds them as a tuple of ints.
+The same few ids and labels repeat through a batch, so a held change
+costs about a byte per field, plus each distinct value once per batch;
+the batch pickles as ``(names, code)``, and a load checks them as
+``EdgeChange``'s constructor checks one change.  Iterating a batch
+builds its ``EdgeChange`` records on the fly; :func:`check_batch`,
+:func:`apply_operation` and the NNT index read it through
+``deletion_pairs()`` / ``insertion_rows()`` (a slice of the code string
+looked up in the table by one ``itemgetter``), which a single ``EdgeChange``
+answers too, so a change is a batch of one wherever a batch is applied.
 """
 
 from __future__ import annotations
 
 import copyreg
-from operator import eq
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Literal
 
 from .labeled_graph import DEFAULT_EDGE_LABEL, GraphError, Label, LabeledGraph, VertexId
@@ -142,21 +148,20 @@ class EdgeChange(_Frozen):
         return EdgeChange(DELETE, u, v)
 
 
-#: Op codes of a batch's ``_ops`` column: a plain deletion (its ``u, v``
-#: in ``_pairs``), a deletion that carries a label and an insertion
-#: (their five fields in ``_others``).
+#: Op codes in a batch's code string: a plain deletion (two refs, ``u,
+#: v``), a deletion that carries a label and an insertion (five refs,
+#: every field).
 _CODES = b"dDi"
 _PLAIN, _LABELLED, _INSERTION = _CODES
 
 
 class GraphChangeOperation(_Frozen):
     """A batch of edge changes applied atomically at one timestamp (Def 2.4),
-    held as three columns (see the module docstring)."""
+    held as a names table and one code string (see the module docstring)."""
 
-    __slots__ = ("_ops", "_pairs", "_others")
-    _ops: bytes
-    _pairs: tuple
-    _others: tuple
+    __slots__ = ("_names", "_code")
+    _names: tuple
+    _code: bytes | tuple
 
     def __init__(self, changes: Iterable[EdgeChange] = ()) -> None:
         ops = bytearray()
@@ -174,33 +179,55 @@ class GraphChangeOperation(_Frozen):
             else:
                 ops.append(_INSERTION if c.op == INSERT else _LABELLED)
                 others += (c.u, c.v, c.edge_label, c.u_label, c.v_label)
-        _set(self, "_ops", bytes(ops))
-        _set(self, "_pairs", tuple(pairs))
-        _set(self, "_others", tuple(others))
+        fields = pairs + others
+        # Keyed by type and value: 1, True and 1.0 are one dict key.
+        keys = list(zip(map(type, fields), fields))
+        table = {key: ref for ref, key in enumerate(dict.fromkeys(keys))}
+        _set(self, "_names", tuple(value for _, value in table))
+        units = [len(ops), *ops, *map(table.__getitem__, keys)]
+        if max(len(table) - 1, len(ops)) < 256:  # the largest ref or count
+            _set(self, "_code", bytes(units))
+        else:
+            _set(self, "_code", tuple(units))
 
     def __reduce__(self) -> tuple:
-        return (_from_columns, (self._ops, self._pairs, self._others))
+        return (_from_code, (self._names, self._code))
+
+    def _layout(self) -> tuple[bytes | tuple, int, int]:
+        """The op codes, and where the pair refs start and end in the code."""
+        code = self._code
+        start = code[0] + 1
+        ops = code[1:start]
+        return ops, start, start + 2 * ops.count(_PLAIN)
+
+    def _decode(self, start: int, end: int | None = None) -> Iterator:
+        """The names the refs ``code[start:end]`` point at, in order."""
+        refs = self._code[start:end]
+        return iter(itemgetter(*refs)(self._names) if refs else ())
 
     def _rows(self) -> Iterator[tuple[int, tuple]]:
         """``(op code, its pair or row)`` of every change, in order."""
-        pairs, others = iter(self._pairs), iter(self._others)
+        ops, start, end = self._layout()
+        pairs, others = self._decode(start, end), self._decode(end)
         pair_rows = zip(pairs, pairs)
         other_rows = zip(others, others, others, others, others)
-        for code in self._ops:
+        for code in ops:
             yield code, next(pair_rows if code == _PLAIN else other_rows)
 
     def deletion_pairs(self) -> Iterator[tuple]:
-        """``(u, v)`` of every deletion, in order, off the columns."""
-        if _LABELLED not in self._ops:
-            pairs = iter(self._pairs)
+        """``(u, v)`` of every deletion, in order, off the code string."""
+        ops, start, end = self._layout()
+        if _LABELLED not in ops:
+            pairs = self._decode(start, end)
             return zip(pairs, pairs)
         return (row[:2] for code, row in self._rows() if code != _INSERTION)
 
     def insertion_rows(self) -> Iterator[tuple]:
         """``(u, v, edge_label, u_label, v_label)`` of every insertion, in
-        order, off the columns."""
-        if _LABELLED not in self._ops:
-            others = iter(self._others)
+        order, off the code string."""
+        ops, _, end = self._layout()
+        if _LABELLED not in ops:
+            others = self._decode(end)
             return zip(others, others, others, others, others)
         return (row for code, row in self._rows() if code == _INSERTION)
 
@@ -209,10 +236,10 @@ class GraphChangeOperation(_Frozen):
             yield EdgeChange(INSERT if code == _INSERTION else DELETE, *row)
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return self._code[0]
 
     def __bool__(self) -> bool:
-        return bool(self._ops)
+        return self._code[0] != 0
 
     @property
     def changes(self) -> tuple[EdgeChange, ...]:
@@ -233,27 +260,39 @@ class GraphChangeOperation(_Frozen):
         return self.deletions + self.insertions
 
 
-def _from_columns(ops: bytes, pairs: tuple, others: tuple) -> GraphChangeOperation:
-    """Load a pickled batch, refusing columns no list of
-    :class:`EdgeChange` records builds: an unknown op code, a self loop,
-    columns of the wrong lengths, or a labelled deletion without a label."""
-    if type(ops) is not bytes or type(pairs) is not tuple or type(others) is not tuple:
-        raise ValueError("a batch's columns are one bytes and two tuples")
+def _from_code(names: tuple, code: bytes | tuple) -> GraphChangeOperation:
+    """Load a pickled batch, refusing a table and code string no list of
+    :class:`EdgeChange` records builds: an unknown op code, a ragged code
+    string, a ref outside the table, a self loop, or a labelled deletion
+    without a label."""
+    if type(names) is not tuple or not (
+        type(code) is bytes
+        or (type(code) is tuple and all(type(unit) is int and unit >= 0 for unit in code))
+    ):
+        raise ValueError("a batch is a names tuple and a code string")
+    if not code:
+        raise ValueError("ragged code string: no change count")
+    batch = GraphChangeOperation.__new__(GraphChangeOperation)
+    _set(batch, "_names", names)
+    _set(batch, "_code", code)
+    ops, start, end = batch._layout()
     plain, labelled = ops.count(_PLAIN), ops.count(_LABELLED)
     if plain + labelled + ops.count(_INSERTION) != len(ops):
-        unknown = next(code for code in ops if code not in _CODES)
-        raise ValueError(f"op code must be one of {_CODES!r}, got {bytes([unknown])!r}")
-    if len(pairs) != 2 * plain or len(others) != 5 * (len(ops) - plain):
+        unknown = next(op for op in ops if op not in (_PLAIN, _LABELLED, _INSERTION))
+        raise ValueError(f"op code must be one of {_CODES!r}, got {unknown}")
+    if len(ops) != code[0] or len(code) != end + 5 * (len(ops) - plain):
         raise ValueError(
-            f"ragged batch columns: {len(ops)} op codes, {len(pairs)} pair "
-            f"fields and {len(others)} other fields"
+            f"ragged code string: {code[0]} changes, {len(ops)} op codes "
+            f"and {len(code) - start} refs"
         )
-    if any(map(eq, pairs[::2], pairs[1::2])) or any(map(eq, others[::5], others[1::5])):
+    if len(code) > start and max(code[start:]) >= len(names):
+        raise ValueError(f"a ref points outside the {len(names)}-name table")
+    get = names.__getitem__
+    pairs, others = code[start:end], code[end:]
+    if any(map(eq, map(get, pairs[::2]), map(get, pairs[1::2]))) or any(
+        map(eq, map(get, others[::5]), map(get, others[1::5]))
+    ):
         raise ValueError("self loops are not supported")
-    batch = GraphChangeOperation.__new__(GraphChangeOperation)
-    _set(batch, "_ops", ops)
-    _set(batch, "_pairs", pairs)
-    _set(batch, "_others", others)
     if labelled and any(
         row[2:] == (DEFAULT_EDGE_LABEL, None, None)
         for code, row in batch._rows()
@@ -264,10 +303,10 @@ def _from_columns(ops: bytes, pairs: tuple, others: tuple) -> GraphChangeOperati
 
 
 # The loader pickles as a two-byte code from copyreg's private-use range
-# (240-255), not as its 36-byte module path: a sharded run ships one
+# (240-255), not as its 34-byte module path: a sharded run ships one
 # batch per stream per tick, and a batch is ~23 changes on the sparse
-# streams, so the path alone was ~1.7 B per change on the ring.
-copyreg.add_extension(__name__, _from_columns.__name__, 241)
+# streams, so the path alone was ~1.5 B per change on the ring.
+copyreg.add_extension(__name__, _from_code.__name__, 241)
 
 
 def apply_change(graph: LabeledGraph, change: EdgeChange) -> None:

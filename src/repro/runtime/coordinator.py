@@ -199,8 +199,15 @@ class ShardedMonitor:
         """The delivery primitive: put one command on a shard's inbox.  The
         fleet folds it only once this returns, so a respawn in here is
         seeded without it and then gets it once (wire form per attempt:
-        a respawn has a new ring)."""
-        self._on_live(shard, lambda worker: worker.put(self._wire(shard, command)))
+        a respawn has a new ring).  ``runtime.bytes_pickled`` counts the
+        pickled envelopes of apply traffic."""
+
+        def put(worker: WorkerProcess) -> None:
+            size = worker.put(self._wire(shard, command))
+            if command[0] == CMD_APPLY and obs.enabled():
+                obs.counter("runtime.bytes_pickled").inc(size)
+
+        self._on_live(shard, put)
 
     def _request(self, shard: int, kind: str, *extra: object) -> tuple:
         """The request/response primitive: send one control request and
@@ -214,25 +221,18 @@ class ShardedMonitor:
 
     def _wire(self, shard: int, command: tuple) -> tuple:
         """The stamped wire form of one command: an apply's payload goes
-        into the shard's ring when there is one with room, and
-        ``runtime.bytes_pickled`` counts what crosses the queue."""
-        if command[0] != CMD_APPLY:
-            return obs.stamp_envelope(command)
-        wire = command
+        into the shard's ring when there is one with room."""
         ring = self._rings.get(shard) if self.shm else None
-        if ring is not None:
+        if command[0] == CMD_APPLY and ring is not None:
             payload = pickle.dumps(command[2])
             ref = ring.push(payload)
             if ref is not None:
-                wire = (command[0], command[1], ref)
+                command = (command[0], command[1], ref)
                 if obs.enabled():
                     obs.counter("shm.ring_bytes").inc(len(payload))
             elif obs.enabled():
                 obs.counter("shm.ring_overflow").inc()
-        envelope = obs.stamp_envelope(wire)
-        if obs.enabled():
-            obs.counter("runtime.bytes_pickled").inc(len(pickle.dumps(envelope)))
-        return envelope
+        return obs.stamp_envelope(command)
 
     def close(self) -> None:
         """Stop every worker and unlink every ring (idempotent); a final

@@ -45,6 +45,8 @@ from .worker import (
 )
 
 #: A driver's delivery primitive: put one command on one shard's inbox.
+#: It takes what it sends before it returns (a process inbox pickles on
+#: the caller's thread), so the fleet sends its graphs of record as they are.
 Deliver = Callable[[int, tuple], None]
 
 #: Respawns one call may make of one shard: a respawn that dies while it
@@ -157,7 +159,7 @@ class Fleet:
             if birth.get(query_id) is not graph
         ]
         commands += [
-            (CMD_ADD_STREAM, stream_id, self.graphs[stream_id].copy())
+            (CMD_ADD_STREAM, stream_id, self.graphs[stream_id])
             for stream_id, owner in self.streams.items()
             if owner == shard
         ]
@@ -199,8 +201,7 @@ class Fleet:
             raise ValueError(f"stream {stream_id!r} is already monitored")
         shard = self.router.shard_for(stream_id)
         graph = initial.copy() if initial is not None else LabeledGraph()
-        # A queue pickles later, on its feeder thread: it gets a copy of its own.
-        deliver(shard, (CMD_ADD_STREAM, stream_id, graph.copy()))
+        deliver(shard, (CMD_ADD_STREAM, stream_id, graph))
         self.streams[stream_id] = shard
         self.graphs[stream_id] = graph
 
@@ -278,7 +279,7 @@ class Fleet:
         self.router = ShardRouter(target)
         plan = self.moves(self.router)
         for stream_id, origin, destination in plan:
-            deliver(destination, (CMD_ADD_STREAM, stream_id, self.graphs[stream_id].copy()))
+            deliver(destination, (CMD_ADD_STREAM, stream_id, self.graphs[stream_id]))
             try:
                 deliver(origin, (CMD_REMOVE_STREAM, stream_id))
             finally:

@@ -205,7 +205,7 @@ def worker_main(shard_id: int, spec: WorkerSpec, inbox, outbox) -> None:
             )
         raise
     while True:
-        envelope = inbox.get()
+        envelope = pickle.loads(inbox.get())
         command, ctx = obs.split_envelope(envelope)
         try:
             with obs.attached(ctx):
@@ -266,12 +266,17 @@ class WorkerProcess:
         except (NotImplementedError, OSError):
             return -1
 
-    def put(self, command: tuple) -> None:
-        """Enqueue, waiting out a full inbox; detect death while waiting."""
+    def put(self, command: tuple) -> int:
+        """Pickle ``command`` now, on the caller's thread, and enqueue the
+        bytes, waiting out a full inbox; detect death while waiting.
+        Returns the pickled size.  The queue's feeder thread only copies
+        bytes, so the caller may change what it sent as soon as this
+        returns."""
+        payload = pickle.dumps(command)
         while True:
             try:
-                self.inbox.put(command, timeout=_WAIT_SLICE_SECONDS)
-                return
+                self.inbox.put(payload, timeout=_WAIT_SLICE_SECONDS)
+                return len(payload)
             except queue_module.Full:
                 if not self.is_alive():
                     raise WorkerDied(

@@ -26,6 +26,7 @@ request to one raises :class:`~repro.runtime.WorkerDied`.
 
 from __future__ import annotations
 
+import pickle
 from collections import deque
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -55,6 +56,12 @@ class SimWorker:
         self.state: ShardState | None = state
         self.inbox: deque[tuple] = deque()
         self.held = False
+
+    def put(self, command: tuple) -> None:
+        """Queue a copy of ``command``, as a process inbox holds the
+        bytes pickled at the put; a dead worker's put is lost."""
+        if self.state is not None:
+            self.inbox.append(pickle.loads(pickle.dumps(command)))
 
     def drain(self) -> Any:
         """Execute every queued command; the last one's response."""
@@ -117,8 +124,7 @@ class SimFleet:
         seed = self.fleet.seed(shard)
         for command in seed:
             self._cross("seed", shard)
-            if worker.state is not None:
-                worker.inbox.append(command)
+            worker.put(command)
             if not worker.held:
                 worker.drain()
         return len(seed)
@@ -153,8 +159,7 @@ class SimFleet:
         self._cross("put", shard)
 
         def put(worker: SimWorker) -> None:
-            if worker.state is not None:
-                worker.inbox.append(command)
+            worker.put(command)
             self._cross("after_put", shard)
             if not worker.held:
                 worker.drain()

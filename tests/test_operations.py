@@ -24,6 +24,7 @@ from repro.nnt import NNTIndex
 from repro.serve.protocol import change_from_dict, change_to_dict
 
 from .conftest import graph_strategy
+from .fitness.test_change_record import _pickled
 
 
 def base_graph() -> LabeledGraph:
@@ -208,6 +209,156 @@ class TestColumns:
             index.apply(batch)
             index.check_integrity()
             assert index.graph == expected
+
+
+#: Equal values of different types: a batch must give back each one as
+#: it was given, never an equal value of another type.
+_TWINS = (1, True, 1.0, "1", 0, False, 0.0, "0", 2, "2")
+_twin_labels = st.sampled_from(("1", "x", 1, True, 1.0, "-"))
+
+
+@st.composite
+def _twin_changes(draw):
+    u = draw(st.sampled_from(_TWINS))
+    v = draw(st.sampled_from(_TWINS).filter(lambda v: v != u))
+    op = draw(st.sampled_from(["plain", "labelled", "insert"]))
+    if op == "plain":
+        return EdgeChange.delete(u, v)
+    labels = (draw(_twin_labels), draw(st.none() | _twin_labels), draw(st.none() | _twin_labels))
+    if op == "labelled" and labels == ("-", None, None):
+        labels = ("x", None, None)
+    return EdgeChange(DELETE if op == "labelled" else INSERT, u, v, *labels)
+
+
+def _on_the_wire(change: EdgeChange) -> bool:
+    """Does the JSON wire carry ``change`` (ids strings or integers,
+    labels strings, no labelled deletion)?"""
+    ids = all(type(field) in (str, int) for field in (change.u, change.v))
+    if change.op == DELETE:
+        return ids and change.__reduce__()[1][3:] == ("-", None, None)
+    labels = (change.edge_label, change.u_label or "", change.v_label or "")
+    return ids and all(type(label) is str for label in labels)
+
+
+def _typed(rows) -> list[tuple]:
+    """Every field of ``rows`` with its type, so ``1`` and ``True`` differ."""
+    return [tuple((type(field), field) for field in row) for row in rows]
+
+
+def _wide_batch(names: int) -> GraphChangeOperation:
+    """Insertions over ``names - 3`` fresh ids (an even count), then
+    deletions of the first ten of them: a table of ``names`` names (the
+    ids, "x", "A", "B")."""
+    ids = list(range(names - 3))
+    return GraphChangeOperation(
+        [EdgeChange.insert(a, b, "x", "A", "B") for a, b in zip(ids[::2], ids[1::2])]
+        + [EdgeChange.delete(a, b) for a, b in zip(ids[:20:2], ids[1:20:2])]
+    )
+
+
+class TestNamesTable:
+    """A batch holds each distinct field value once, in a names table,
+    and every field as a ref into it; it gives back every field as it
+    was given, type included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_twin_changes(), max_size=12))
+    def test_every_field_keeps_its_type(self, changes):
+        batch = GraphChangeOperation(changes)
+        rows = [c.__reduce__()[1] for c in changes]
+        assert _typed(c.__reduce__()[1] for c in batch) == _typed(rows)
+        deletions = [row[1:3] for row in rows if row[0] == DELETE]
+        insertions = [row[1:] for row in rows if row[0] == INSERT]
+        assert _typed(batch.deletion_pairs()) == _typed(deletions)
+        assert _typed(batch.insertion_rows()) == _typed(insertions)
+        copy = pickle.loads(pickle.dumps(batch))
+        assert _typed(c.__reduce__()[1] for c in copy) == _typed(rows)
+        assert _typed(copy.insertion_rows()) == _typed(insertions)
+        wired = [c for c in changes if _on_the_wire(c)]
+        over_wire = GraphChangeOperation(
+            change_from_dict(json.loads(json.dumps(change_to_dict(c)))) for c in wired
+        )
+        assert _typed(c.__reduce__()[1] for c in over_wire) == _typed(
+            c.__reduce__()[1] for c in wired
+        )
+
+    def test_each_name_is_held_once(self):
+        batch = GraphChangeOperation(
+            [EdgeChange.insert("a", "b", "x", "A", "A"), EdgeChange.delete("a", "b")]
+            + [EdgeChange.insert(1, "b", "x", True, 1.0)]
+        )
+        names = batch.__reduce__()[1][0]
+        assert _typed((names,)) == _typed((("a", "b", "x", "A", 1, True, 1.0),))
+
+    @pytest.mark.parametrize("names", [257, 65_537], ids=["past-256", "past-65536"])
+    def test_a_table_past_one_byte_refs(self, names):
+        batch = _wide_batch(names)
+        assert len(batch.__reduce__()[1][0]) == names
+        changes = list(batch)
+        assert changes[-1] == EdgeChange.delete(18, 19)
+        assert changes[(names - 3) // 2 - 1].__reduce__()[1][1:3] == (names - 5, names - 4)
+        copy = pickle.loads(pickle.dumps(batch))
+        assert copy == batch and hash(copy) == hash(batch) and list(copy) == changes
+        assert list(copy.deletion_pairs()) == [(c.u, c.v) for c in changes if c.op == DELETE]
+        graph = LabeledGraph()
+        for first_ten in copy.deletion_pairs():
+            apply_change(graph, EdgeChange.insert(*first_ten, "x", "A", "B"))
+        apply_operation(graph, copy)  # deletions first: the ten go, then come back
+        assert graph.num_edges == (names - 3) // 2
+
+    def test_more_than_255_changes_over_few_names(self):
+        changes = [EdgeChange.insert(0, 1, "x", "A", "B"), EdgeChange.delete(0, 1)] * 200
+        batch = GraphChangeOperation(changes)
+        assert len(batch) == 400 and list(batch) == changes
+        assert pickle.loads(pickle.dumps(batch)) == batch
+
+    @pytest.mark.parametrize(
+        "names, code, refusal",
+        [
+            (("1", "2", "x", "A", "B"), b"\x01u\x00\x01\x02\x03\x04", "op code"),
+            (("1", "2"), b"\x02dd\x00\x01", "ragged"),
+            (("1", "2"), b"\x01d\x00\x01\x01", "ragged"),
+            (("1", "2"), b"\x05dd", "ragged"),
+            (("1", "2"), b"", "ragged"),
+            (("1", "2"), b"\x01d\x00\x02", "outside"),
+            (("1", "2", "x", "A"), b"\x01i\x00\x01\x02\x03\x04", "outside"),
+            (("7",), b"\x01d\x00\x00", "self loops"),
+            (("7", "x", "A"), b"\x01i\x00\x00\x01\x02\x02", "self loops"),
+            ((1, True), b"\x01d\x00\x01", "self loops"),
+            (("1", "2", "-", None), b"\x01D\x00\x01\x02\x03\x03", "no label"),
+            (["1", "2"], b"\x01d\x00\x01", "names tuple"),
+            (("1", "2"), bytearray(b"\x01d\x00\x01"), "names tuple"),
+        ],
+        ids=[
+            "unknown-op",
+            "ragged-pairs",
+            "ragged-extra-ref",
+            "count-past-the-code",
+            "empty-code",
+            "ref-outside-the-table",
+            "row-ref-outside-the-table",
+            "self-loop-equal-refs",
+            "self-loop-insert",
+            "self-loop-equal-names",
+            "labelled-delete-without-label",
+            "list-table",
+            "bytearray-code",
+        ],
+    )
+    def test_a_forged_payload_is_refused_on_load(self, names, code, refusal):
+        with pytest.raises(ValueError, match=refusal):
+            pickle.loads(_pickled(names, code))
+
+    @pytest.mark.parametrize(
+        "last, refusal",
+        [(301, "outside"), (-1, "names tuple"), (True, "names tuple"), ("1", "names tuple")],
+        ids=["ref-outside-the-table", "negative-ref", "bool-ref", "str-ref"],
+    )
+    def test_a_forged_wide_payload_is_refused_on_load(self, last, refusal):
+        names, code = _wide_batch(301).__reduce__()[1]
+        assert pickle.loads(_pickled(names, code)) == _wide_batch(301)
+        with pytest.raises(ValueError, match=refusal):
+            pickle.loads(_pickled(names, code[:-1] + (last,)))
 
 
 class TestApply:

@@ -6,6 +6,7 @@ that make the caller wait."""
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import signal
 import threading
@@ -13,6 +14,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.core import checkpoint_stats, load_monitor
 from repro.core.monitor import StreamMonitor
 from repro.datasets.stream_gen import synthesize_stream
@@ -178,24 +180,28 @@ class TestLifecycle:
                 sharded.add_stream("s0", random_labeled_graph(rng, 3))
 
     def test_add_stream_enqueues_a_graph_of_its_own(self, monkeypatch):
-        """The inbox pickles on its feeder thread, maybe after
-        ``add_stream`` has returned: what it is handed must be neither
-        the caller's graph nor the state of record."""
+        """The inbox holds the command as pickled at the put, on the
+        caller's thread: a change to the caller's graph or to the state of
+        record after ``add_stream`` has returned never reaches the worker."""
         rng = random.Random(8)
         initial = random_labeled_graph(rng, 5, extra_edges=2)
+        expected = initial.copy()
         with ShardedMonitor(small_queries(rng), num_workers=1) as sharded:
-            submit, submitted = sharded._submit, []
+            inbox, payloads = sharded._workers[0].inbox, []
+            put = inbox.put
 
-            def recording(shard, command):
-                submitted.append(command)
-                submit(shard, command)
+            def recording(payload, *args, **kwargs):
+                payloads.append(payload)
+                put(payload, *args, **kwargs)
 
-            monkeypatch.setattr(sharded, "_submit", recording)
+            monkeypatch.setattr(inbox, "put", recording)
             sharded.add_stream("s0", initial)
-            ((kind, stream_id, sent),) = submitted
+            for graph in (initial, sharded.graph("s0")):
+                graph.add_vertex("late", "A")
+            (payload,) = payloads
+            (kind, stream_id, sent), _ = obs.split_envelope(pickle.loads(payload))
             assert (kind, stream_id) == (CMD_ADD_STREAM, "s0")
-            assert sent is not initial and sent is not sharded.graph("s0")
-            assert sent == initial == sharded.graph("s0")
+            assert sent == expected != sharded.graph("s0")
 
     def test_apply_checks_once_then_folds_once(self, monkeypatch):
         """The coordinator judges a batch without writing its graph, then

@@ -109,8 +109,8 @@ class TestSeed:
             assert registered["q0"] is fleet.queries["q0"]
             adds = [cmd for cmd in seed if cmd[0] == CMD_ADD_STREAM]
             assert [cmd[1] for cmd in adds] == owned
-            for _, stream_id, graph in adds:  # a copy of the current graph
-                assert graph == fleet.graphs[stream_id] and graph is not fleet.graphs[stream_id]
+            for _, stream_id, graph in adds:  # the current graph: the put pickles it
+                assert graph is fleet.graphs[stream_id]
 
     def test_without_churn_is_one_add_per_owned_stream(self):
         fleet = Fleet(dict(BIRTH), 3)
