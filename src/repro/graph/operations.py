@@ -362,13 +362,22 @@ def apply_operation(
 
     Not atomic: a refused change raises with the ones before it applied.
     Run :func:`check_batch` first where that matters."""
-    for u, v in operation.deletion_pairs():
+    apply_rows(graph, operation.deletion_pairs(), operation.insertion_rows())
+
+
+def apply_rows(graph: LabeledGraph, pairs: Iterable[tuple], rows: Iterable[tuple]) -> None:
+    """Apply a batch already read off its code string, in place: the
+    deletion pairs, then the insertion rows (what :func:`check_batch`
+    returns, so a checked batch is decoded once)."""
+    for u, v in pairs:
         _apply_delete(graph, u, v)
-    for row in operation.insertion_rows():
+    for row in rows:
         _apply_insert(graph, *row)
 
 
-def check_batch(graph: LabeledGraph, batch: GraphChangeOperation | EdgeChange) -> None:
+def check_batch(
+    graph: LabeledGraph, batch: GraphChangeOperation | EdgeChange
+) -> tuple[list[tuple], list[tuple]]:
     """Raise :class:`GraphError` exactly when :func:`apply_operation` (or
     :func:`apply_change`) would on a copy of ``graph``, with the same
     message — without touching ``graph``.
@@ -379,11 +388,13 @@ def check_batch(graph: LabeledGraph, batch: GraphChangeOperation | EdgeChange) -
     against the edge presence and endpoint degrees the changes before it
     leave behind; a vertex whose last edge a deletion takes is gone, as
     :func:`apply_change` drops it.  Every all-or-nothing ``apply`` calls
-    this once, then mutates once.
+    this once, then mutates once, from the deletion pairs and insertion
+    rows returned here: the batch is decoded once.
     """
+    pairs, rows = list(batch.deletion_pairs()), list(batch.insertion_rows())
     deleted: set[frozenset] = set()
     kept: dict[VertexId, int] = {}  # endpoint of a deletion -> degree it keeps
-    for u, v in batch.deletion_pairs():
+    for u, v in pairs:
         key = frozenset((u, v))
         if key in deleted or not graph.has_edge(u, v):
             raise GraphError(f"edge ({u!r}, {v!r}) does not exist")
@@ -392,7 +403,7 @@ def check_batch(graph: LabeledGraph, batch: GraphChangeOperation | EdgeChange) -
             kept[vertex] = kept.get(vertex, graph.degree(vertex)) - 1
     inserted: set[frozenset] = set()
     linked: set[VertexId] = set()  # endpoints of the insertions so far: present
-    for u, v, _, u_label, v_label in batch.insertion_rows():
+    for u, v, _, u_label, v_label in rows:
         key = frozenset((u, v))
         if key in inserted or (key not in deleted and graph.has_edge(u, v)):
             raise GraphError(f"edge ({u!r}, {v!r}) already exists")
@@ -403,6 +414,7 @@ def check_batch(graph: LabeledGraph, batch: GraphChangeOperation | EdgeChange) -
                     raise _unlabeled(u, v, vertex)
         inserted.add(key)
         linked.update((u, v))
+    return pairs, rows
 
 
 def apply_batch_validated(
@@ -411,8 +423,7 @@ def apply_batch_validated(
     """Apply ``batch`` to ``graph``, all or nothing: :func:`check_batch`,
     then the plain appliers, so a refused batch raises with ``graph``
     untouched."""
-    check_batch(graph, batch)
-    apply_operation(graph, batch)
+    apply_rows(graph, *check_batch(graph, batch))
 
 
 def diff_graphs(old: LabeledGraph, new: LabeledGraph) -> GraphChangeOperation:

@@ -192,11 +192,11 @@ class NNTIndex:
         (e.g. a delete/re-insert pair crossing the same trails) never
         reach the listeners.
         """
-        check_batch(self.graph, operation)
+        pairs, rows = check_batch(self.graph, operation)
         with self.batch():
-            for a, b in operation.deletion_pairs():
+            for a, b in pairs:
                 self._delete_checked(a, b)
-            for row in operation.insertion_rows():
+            for row in rows:
                 self._insert_checked(*row)
 
     def apply_change(self, change: EdgeChange) -> None:

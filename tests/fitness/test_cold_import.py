@@ -9,12 +9,17 @@ no default (`dsc`) path may drag it in.
 
 from __future__ import annotations
 
+import json
 import os
+import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ..processes import children, threads
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -49,10 +54,6 @@ def test_numpy_is_imported_by_the_matrix_engine_only() -> None:
 
 
 # The set-up closures: what importing a filtering module pays for.
-# ``socket``, ``subprocess`` and ``multiprocessing`` are still in all of
-# them, because the package root re-exports ``ShardedMonitor`` for the
-# benchmark harness; they are left for ROADMAP item 1(a), which
-# re-points the harness's imports.
 SERVING_EDGE = {"asyncio", "ssl"} | {
     f"repro.serve.{name}" for name in ("server", "session", "http", "lifecycle")
 }
@@ -186,6 +187,74 @@ def test_a_listening_server_holds_no_framework_and_maps_no_openssl(tmp_path: Pat
     assert '"notice": "listening"' in listening
     assert crypto == "False"
     assert not set(modules.split()) & (OPENSSL | FRAMEWORK)
+
+
+def test_the_package_root_loads_no_multiprocessing() -> None:
+    """``ShardedMonitor`` forks its workers itself; only a payload ring
+    imports ``multiprocessing`` (its ``shared_memory``)."""
+    assert not _under(_modules_after("import repro"), "multiprocessing")
+
+
+# ``repro serve --tcp --workers 2`` with rings off, after a few commits:
+# each worker, once its inbox is closed, and the server, once drained,
+# print the ``multiprocessing`` modules they hold; the test reads each
+# process's threads from /proc while the server listens.
+SERVE_PROCESSES_PROBE = """
+import sys
+import repro.runtime.worker as worker
+from repro.cli import main
+
+def loaded(role):
+    print(role, sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"), flush=True)
+
+run = worker.worker_main
+
+def reporting(*args):  # runs in each forked worker
+    run(*args)
+    loaded("worker")
+
+worker.worker_main = reporting
+try:
+    main(["serve", "--queries", sys.argv[1], "--workers", "2", "--tcp", "127.0.0.1:0"])
+finally:
+    loaded("server")
+"""
+
+
+def test_served_processes_run_one_thread_and_load_no_multiprocessing(tmp_path: Path) -> None:
+    queries = tmp_path / "queries.txt"
+    queries.write_text("t # q\nv 0 A\nv 1 B\ne 0 1 x\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    server = subprocess.Popen(
+        [sys.executable, "-c", SERVE_PROCESSES_PROBE, str(queries)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        port = json.loads(server.stdout.readline())["port"]
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            with sock.makefile("rw", encoding="utf-8", newline="\n") as wire:
+                assert json.loads(wire.readline())["notice"] == "hello"
+                for u in range(3):
+                    for doc in (
+                        {"cmd": "stream", "stream": f"s{u}"},
+                        {"cmd": "ins", "stream": f"s{u}", "u": u, "v": u + 1,
+                         "edge_label": "x", "u_label": "A", "v_label": "B"},
+                        {"cmd": "commit"},
+                    ):
+                        wire.write(json.dumps(doc) + "\n")
+                        wire.flush()
+                        assert json.loads(wire.readline())["ok"]
+                workers = children(server.pid)
+                assert len(workers) == 2
+                assert {pid: threads(pid) for pid in (server.pid, *workers)} == dict.fromkeys(
+                    (server.pid, *workers), 1
+                )
+    finally:
+        server.send_signal(signal.SIGTERM)
+        out, err = server.communicate(timeout=60)
+    assert server.returncode == 0, err
+    reports = sorted(line for line in out.splitlines() if line.startswith(("worker", "server")))
+    assert reports == ["server []", "worker []", "worker []"], out
 
 
 def test_a_monitor_with_rings_loads_shared_memory() -> None:

@@ -12,12 +12,12 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Imported module -> the one module prefix that may import it (None: no
-#: module may).  Every matching entry applies: ``repro.runtime.coordinator``
-#: may import ``multiprocessing`` but not ``multiprocessing.shared_memory``.
+#: module may).  Every matching entry applies: ``repro.runtime.worker``
+#: may import ``threading`` but not ``multiprocessing``, which only the
+#: payload rings use (workers are forked, not ``multiprocessing`` children).
 CONFINED_IMPORTS = {
-    **dict.fromkeys(
-        ["multiprocessing", "threading", "_thread", "queue", "concurrent"], "repro.runtime"
-    ),
+    **dict.fromkeys(["threading", "_thread", "queue", "concurrent"], "repro.runtime"),
+    "multiprocessing": "repro.runtime.shm",
     "multiprocessing.shared_memory": "repro.runtime.shm",
     "multiprocessing.resource_tracker": "repro.runtime.shm",
     "_blake2": "repro.runtime.router",
@@ -114,6 +114,7 @@ PLANTED = (
     (confined_import, "benchmarks/x.py", "import os\nfrom concurrent import futures\n", 2),
     (confined_import, "src/repro/runtime/x.py", "from multiprocessing import shared_memory\n", 1),
     (confined_import, "src/repro/runtime/shm.py", "import multiprocessing.shared_memory\n", None),
+    (confined_import, "src/repro/runtime/coordinator.py", "import multiprocessing\n", 1),
     (confined_import, "src/repro/obs/x.py", "import asyncio\n", 1),
     (confined_import, "src/repro/serve/x.py", "import asyncio\n", 1),
     (clock_read, "src/repro/nnt/x.py", "import time\nstart = time.perf_counter()\n", 2),

@@ -15,7 +15,6 @@ from __future__ import annotations
 import ast
 import inspect
 import json
-import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -29,6 +28,8 @@ from repro import (
     StreamMonitor,
 )
 from repro.core import load_monitor
+
+from ..processes import children
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -182,10 +183,10 @@ def test_unknown_engine_is_refused_at_construction(flavour: str, tmp_path: Path)
 def test_depth_limit_below_one_is_refused_at_construction(flavour: str, depth_limit: int) -> None:
     """With no query to project and no stream to index, and before any
     worker is forked — not at the first ``add_stream`` or ``matches()``."""
-    before = set(multiprocessing.active_children())
+    before = children()
     with pytest.raises(ValueError, match="depth_limit must be >= 1"):
         MONITORS[flavour]({}, depth_limit=depth_limit)
-    assert set(multiprocessing.active_children()) == before
+    assert children() == before
 
 
 def _attribute_probes(attribute: str) -> list[tuple[str, str]]:

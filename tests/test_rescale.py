@@ -7,7 +7,6 @@ on."""
 from __future__ import annotations
 
 import errno
-import multiprocessing
 import os
 import random
 import signal
@@ -25,6 +24,7 @@ from repro.runtime import coordinator as coordinator_module
 from repro.runtime.shm import live_segments
 
 from .conftest import random_labeled_graph
+from .processes import children
 
 needs_shm_dir = pytest.mark.skipif(
     not Path("/dev/shm").is_dir(), reason="no /dev/shm to scan"
@@ -331,14 +331,14 @@ class TestRescaleWithShmRings:
         queries = small_queries(rng)
         streams = small_streams(rng, count=8, timestamps=2)
         oracle = StreamMonitor(queries, method="dsc")
-        before = set(multiprocessing.active_children())
+        before = children()
         sharded = ShardedMonitor(queries, method="dsc", num_workers=2, shm=True)
         prefix = sharded._shm_base
         try:
             for stream_id, stream in streams.items():
                 sharded.add_stream(stream_id, stream.initial)
                 oracle.add_stream(stream_id, stream.initial)
-            pool = set(multiprocessing.active_children())
+            pool = children()
             real_ring = coordinator_module.ShmRing
             created: list[str] = []
 
@@ -356,7 +356,7 @@ class TestRescaleWithShmRings:
             assert sharded.num_workers == 2
             assert set(sharded.worker_pids()) == {0, 1}
             assert set(sharded.stats()["streams_per_shard"]) == {0, 1}
-            assert set(multiprocessing.active_children()) == pool
+            assert children() == pool
             assert len(live_segments(prefix)) == 2
             assert sharded.rescale(4)["to"] == 4
             for stream_id, stream in streams.items():
@@ -366,5 +366,5 @@ class TestRescaleWithShmRings:
             assert len(live_segments(prefix)) == 4
         finally:
             sharded.close()
-        assert set(multiprocessing.active_children()) == before
+        assert children() == before
         assert live_segments(prefix) == []

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import errno
 import itertools
-import multiprocessing
 import os
 import random
 import signal
@@ -33,6 +32,7 @@ from repro.runtime.shm import (
 )
 
 from .conftest import random_labeled_graph
+from .processes import children
 
 #: Leak assertions scan /dev/shm directly; skip them where it is absent.
 HAS_SHM_DIR = Path("/dev/shm").is_dir()
@@ -320,9 +320,9 @@ class TestShardedShm:
             return real_ring(name, capacity)
 
         monkeypatch.setattr(coordinator_module, "ShmRing", second_ring_fails)
-        before = set(multiprocessing.active_children())
+        before = children()
         with pytest.raises(OSError):
             ShardedMonitor(small_queries(random.Random(78)), num_workers=2, shm=True)
-        assert set(multiprocessing.active_children()) == before
+        assert children() == before
         prefix = created[0].rsplit("-ring", 1)[0]
         assert live_segments(prefix) == []
