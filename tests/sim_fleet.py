@@ -31,7 +31,6 @@ from collections import deque
 from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.core.checkpoint import load_monitor, write_checkpoint
-from repro.graph.operations import check_batch
 from repro.nnt.projection import PAPER_SCHEME
 from repro.runtime import WorkerDied
 from repro.runtime.fleet import Fleet, on_live
@@ -191,7 +190,6 @@ class SimFleet:
         self.fleet.remove_stream(self._submit, stream_id)
 
     def apply(self, stream_id, update) -> None:
-        check_batch(self.fleet.graphs[stream_id], update)
         self.fleet.apply(self._submit, stream_id, update)
 
     def register_query(self, query_id, query) -> None:
