@@ -23,8 +23,7 @@ The root exports the filtering path only.  The serving edge
 (:mod:`repro.serve.server`), the historical observability layers
 (:mod:`repro.obs.timeline`, :mod:`repro.obs.slo`,
 :mod:`repro.obs.flight`) and the offline tools
-(:class:`repro.core.database.GraphDatabase`,
-:class:`repro.core.window.SlidingWindowMonitor`, :mod:`repro.isomorphism`)
+(:class:`repro.core.database.GraphDatabase`, :mod:`repro.isomorphism`)
 are imported from their own modules, so a process that only filters
 never loads them.
 """

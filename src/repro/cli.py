@@ -33,6 +33,7 @@ next to the subsystem it drives (:data:`HANDLERS`).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -48,18 +49,45 @@ def _add_probe_arguments(sub: argparse.ArgumentParser) -> None:
     """The precision-probe knobs shared by replaying subcommands."""
     sub.add_argument(
         "--probe-rate",
-        type=float,
+        type=_probe_rate,
         default=0.0,
         help="fraction of emitted candidate pairs to verify with exact "
         "isomorphism per timestamp (0 = probe off, 1 = verify every pair)",
     )
     sub.add_argument(
         "--probe-budget-ms",
-        type=float,
+        type=_probe_budget_ms,
         default=50.0,
         help="wall-clock budget per probe pass in milliseconds "
         "(0 = unbudgeted; pairs beyond the budget are skipped and counted)",
     )
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _probe_rate(text: str) -> float:
+    """``--probe-rate``: a fraction in [0, 1], refused by argparse otherwise."""
+    rate = _finite(text)
+    if not 0.0 <= rate <= 1.0:
+        raise argparse.ArgumentTypeError(f"probe rate must be in [0, 1], got {rate}")
+    return rate
+
+
+def _probe_budget_ms(text: str) -> float:
+    """``--probe-budget-ms``: milliseconds >= 0 (0 = unbudgeted), refused by
+    argparse otherwise."""
+    budget = _finite(text)
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"probe budget must be >= 0 ms, got {budget}")
+    return budget
 
 
 def _depth_limit(text: str) -> int:

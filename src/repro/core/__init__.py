@@ -2,9 +2,8 @@
 
 The offline tools are imported from their own modules, so a monitor
 process never loads them: :mod:`repro.core.database` (static
-filter-and-verify search), :mod:`repro.core.window` (sliding-window
-monitoring) and :mod:`repro.core.verify` (verification caching and the
-precision probe).
+filter-and-verify search) and :mod:`repro.core.verify` (the precision
+probe).
 """
 
 from .metrics import (

@@ -1,22 +1,16 @@
-"""Caching exact verification on top of a :class:`StreamMonitor`.
+"""The precision probe: a live estimate of the filter's false-positive
+ratio on top of a :class:`StreamMonitor`.
 
-``monitor.verified_matches()`` rebuilds a matcher per stream and
-re-verifies every candidate pair on each call.  When verification is
-polled frequently but most streams are quiet between polls,
-:class:`CachingVerifier` avoids that: it keys each stream's matcher and
-each pair's verdict on the stream's *mutation version* (derived from
-the NNT index's churn counters), so only pairs whose stream actually
-changed — or which just entered the candidate set — are re-verified.
-
-:class:`PrecisionProbe` shares that version-keyed matcher cache
-(:class:`_MatcherCache`) for a different question: *how precise is the
-filter right now?*  It runs exact VF2 on a rate-sampled, time-budgeted
+:class:`PrecisionProbe` runs exact VF2 on a rate-sampled, time-budgeted
 fraction of the emitted candidate pairs — strictly off the filtering
 path, the filter's output is never altered — and feeds the cumulative
 false-positive tallies to :func:`repro.obs.quality.record_probe`, which
-keeps the live ``filter.fp_ratio_estimate`` gauge.  Deadline arithmetic
-lives in :class:`repro.obs.quality.ProbeBudget` because clock reads stay
-out of this package (``tests/fitness/test_invariants.py``).
+keeps the live ``filter.fp_ratio_estimate`` gauge.  It keeps one
+matcher per stream, keyed on the stream's *mutation version* (derived
+from the NNT index's churn counters), so a quiet stream's matcher is not
+rebuilt between passes.  Deadline arithmetic lives in
+:class:`repro.obs.quality.ProbeBudget` because clock reads stay out of
+this package (``tests/fitness/test_invariants.py``).
 """
 
 from __future__ import annotations
@@ -30,65 +24,7 @@ from ..join.base import Pair, StreamId
 from .monitor import StreamMonitor
 
 
-class _MatcherCache:
-    """One :class:`SubgraphMatcher` per stream of ``monitor``, rebuilt only
-    when the stream's mutation version moved."""
-
-    def __init__(self, monitor: StreamMonitor) -> None:
-        self.monitor = monitor
-        self._matchers: dict[StreamId, tuple[int, SubgraphMatcher]] = {}
-
-    def _matcher(self, stream_id: StreamId, version: int) -> SubgraphMatcher:
-        cached = self._matchers.get(stream_id)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        matcher = SubgraphMatcher(self.monitor.graph(stream_id))
-        self._matchers[stream_id] = (version, matcher)
-        return matcher
-
-
-class CachingVerifier(_MatcherCache):
-    """Incremental exact verification of a monitor's candidate pairs."""
-
-    def __init__(self, monitor: StreamMonitor) -> None:
-        super().__init__(monitor)
-        self._verdicts: dict[Pair, tuple[int, bool]] = {}
-        self.stats: dict[str, int] = {"verifications": 0, "cache_hits": 0}
-
-    def verified_matches(self) -> set[Pair]:
-        """Exact joinable pairs, re-verifying only what changed."""
-        confirmed: set[Pair] = set()
-        candidates = self.monitor.matches()
-        checked = 0
-        with obs.span("monitor.verify", cached=True):
-            for pair in candidates:
-                stream_id, query_id = pair
-                version = self.monitor.mutation_version(stream_id)
-                cached = self._verdicts.get(pair)
-                if cached is not None and cached[0] == version:
-                    self.stats["cache_hits"] += 1
-                    verdict = cached[1]
-                else:
-                    matcher = self._matcher(stream_id, version)
-                    verdict = matcher.is_subgraph(
-                        self.monitor.query_set.queries[query_id]
-                    )
-                    self._verdicts[pair] = (version, verdict)
-                    self.stats["verifications"] += 1
-                    checked += 1
-                if verdict:
-                    confirmed.add(pair)
-        if obs.enabled() and checked:
-            obs.counter("monitor.verifier_calls").inc(checked)
-        # Drop verdicts for pairs no longer in the candidate set so the
-        # cache cannot grow beyond streams x queries.
-        self._verdicts = {
-            pair: value for pair, value in self._verdicts.items() if pair in candidates
-        }
-        return confirmed
-
-
-class PrecisionProbe(_MatcherCache):
+class PrecisionProbe:
     """Budgeted sampled estimate of the filter's false-positive ratio.
 
     The paper measures filter quality offline (Figs 13-14) as::
@@ -122,11 +58,23 @@ class PrecisionProbe(_MatcherCache):
         budget_seconds: float | None = 0.050,
         seed: int = 0,
     ) -> None:
-        super().__init__(monitor)
+        self.monitor = monitor
         self.budget = obs.quality.ProbeBudget(rate, budget_seconds)
         self._rng = random.Random(seed)
         #: Cumulative tallies across every :meth:`sample` pass.
         self.stats: dict[str, int] = {"checked": 0, "false_positives": 0, "skipped": 0}
+        self._matchers: dict[StreamId, tuple[int, SubgraphMatcher]] = {}
+
+    def _matcher(self, stream_id: StreamId) -> SubgraphMatcher:
+        """``stream_id``'s matcher, rebuilt only when the stream's
+        mutation version moved since it was built."""
+        version = self.monitor.mutation_version(stream_id)
+        cached = self._matchers.get(stream_id)
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        matcher = SubgraphMatcher(self.monitor.graph(stream_id))
+        self._matchers[stream_id] = (version, matcher)
+        return matcher
 
     def sample(self, candidates: Iterable[Pair] | None = None) -> dict[str, Any]:
         """Run one probe pass; returns this pass's tallies.
@@ -148,8 +96,7 @@ class PrecisionProbe(_MatcherCache):
                 if self.budget.expired():
                     skipped += 1
                     continue
-                version = self.monitor.mutation_version(stream_id)
-                matcher = self._matcher(stream_id, version)
+                matcher = self._matcher(stream_id)
                 checked += 1
                 if not matcher.is_subgraph(self.monitor.query_set.queries[query_id]):
                     false_positives += 1

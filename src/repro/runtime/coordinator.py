@@ -37,7 +37,7 @@ from ..join.base import Pair, QueryId, StreamId
 from ..nnt.projection import DimensionScheme, PAPER_SCHEME
 from .fleet import Fleet, RecoveryLog, on_live
 from .shm import DEFAULT_RING_CAPACITY, ShmRing, cleanup_segments
-from .worker import CMD_APPLY, CMD_POLL, CMD_STATS, CMD_TRACE, WorkerDied, WorkerProcess, WorkerSpec
+from .worker import CMD_APPLY, CMD_POLL, CMD_STATS, CMD_TRACE, WorkerProcess, WorkerSpec
 
 #: Distinguishes shared-memory namespaces when one process hosts several
 #: coordinators (pid alone is not enough); a plain counter, no entropy.
@@ -59,14 +59,10 @@ class ShardedMonitor:
         Where ``checkpoint()`` writes its export; required for it.
     checkpoint_every:
         Auto-checkpoint after this many accepted batches (0 = manual).
-    auto_recover:
-        Respawn dead workers inside the call that notices (default);
-        ``False`` raises :class:`WorkerDied` instead.
     shm:
-        Ship apply payloads through per-shard shared-memory rings.
-    ring_capacity:
-        Payload bytes per ring; a full ring falls back to inline
-        payloads, counted on ``shm.ring_overflow``.
+        Ship apply payloads through per-shard shared-memory rings of
+        :data:`~repro.runtime.shm.DEFAULT_RING_CAPACITY` bytes; a full ring
+        falls back to inline payloads, counted on ``shm.ring_overflow``.
     flight_dir:
         Directory for per-shard flight-recorder journals
         (``flight-shard<N>.jsonl``, flushed per command) and crash or
@@ -83,9 +79,7 @@ class ShardedMonitor:
         queue_capacity: int = 128,
         checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 0,
-        auto_recover: bool = True,
         shm: bool = False,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
         flight_dir: str | Path | None = None,
     ) -> None:
         global _INSTANCE_COUNTER
@@ -102,8 +96,6 @@ class ShardedMonitor:
             raise ValueError("checkpoint_every must be >= 0")
         if checkpoint_every and checkpoint_dir is None:
             raise ValueError("checkpoint_every requires checkpoint_dir")
-        if ring_capacity < 1:
-            raise ValueError(f"ring_capacity must be >= 1, got {ring_capacity}")
         # One private copy per pattern, shared by the birth spec and the
         # fleet's live set (Fleet.seed tells them apart by identity).
         queries = {query_id: graph.copy() for query_id, graph in queries.items()}
@@ -116,9 +108,7 @@ class ShardedMonitor:
         )
         self.queue_capacity = queue_capacity
         self.checkpoint_every = checkpoint_every
-        self.auto_recover = auto_recover
         self.shm = shm
-        self.ring_capacity = ring_capacity
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.recovery_log = RecoveryLog()
         self.fleet = Fleet(queries, num_workers)
@@ -159,7 +149,7 @@ class ShardedMonitor:
         if self.shm:
             self._spawn_epoch += 1
             ring = ShmRing(
-                f"{self._shm_base}-ring{shard}e{self._spawn_epoch}", self.ring_capacity
+                f"{self._shm_base}-ring{shard}e{self._spawn_epoch}", DEFAULT_RING_CAPACITY
             )
             self._rings[shard] = ring
             spec = spec._replace(ring=ring.name)
@@ -181,18 +171,12 @@ class ShardedMonitor:
 
     def _on_live(self, shard: int, action: Callable[[WorkerProcess], Any]) -> Any:
         """``action(worker)`` on ``shard``'s worker, respawned by
-        :meth:`recover` when found dead (:func:`~repro.runtime.fleet.on_live`);
-        without ``auto_recover`` the death raises :class:`WorkerDied`."""
-        return on_live(shard, action, self._live_worker, self._respawn)
+        :meth:`recover` when found dead (:func:`~repro.runtime.fleet.on_live`)."""
+        return on_live(shard, action, self._live_worker, self.recover)
 
     def _live_worker(self, shard: int) -> WorkerProcess | None:
         worker = self._workers.get(shard)
         return worker if worker is not None and worker.is_alive() else None
-
-    def _respawn(self, shard: int) -> None:
-        if not self.auto_recover:
-            raise WorkerDied(f"shard {shard} worker died (auto_recover off)")
-        self.recover(shard)
 
     def _submit(self, shard: int, command: tuple) -> None:
         """The delivery primitive: put one command on a shard's inbox.  The
@@ -393,7 +377,7 @@ class ShardedMonitor:
                     default=0,
                 ),
             },
-            "shm": {"rings": len(self._rings), "ring_capacity": self.ring_capacity}
+            "shm": {"rings": len(self._rings), "ring_capacity": DEFAULT_RING_CAPACITY}
             if self.shm
             else None,
             "rescale": {

@@ -51,7 +51,7 @@ def test_monitor_private_state_is_not_reached_into() -> None:
 
 
 def test_mutation_version_is_a_public_monotone_counter() -> None:
-    """The satellite API CachingVerifier depends on: versions advance
+    """The API PrecisionProbe's matcher cache keys on: versions advance
     exactly with graph mutations."""
     from repro import EdgeChange, LabeledGraph, StreamMonitor
 

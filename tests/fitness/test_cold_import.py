@@ -59,7 +59,7 @@ SERVING_EDGE = {"asyncio", "ssl"} | {
 }
 OFFLINE_AND_HISTORICAL = {
     f"repro.obs.{name}" for name in ("slo", "flight", "timeline", "exposition")
-} | {f"repro.core.{name}" for name in ("database", "window", "verify")}
+} | {f"repro.core.{name}" for name in ("database", "verify")}
 
 
 def _modules_after(code: str) -> set[str]:

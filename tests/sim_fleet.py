@@ -80,12 +80,10 @@ class SimFleet:
         depth_limit: int = 3,
         scheme=PAPER_SCHEME,
         num_workers: int = 2,
-        auto_recover: bool = True,
     ) -> None:
         queries = {query_id: graph.copy() for query_id, graph in queries.items()}
         self.spec = WorkerSpec(queries, method, depth_limit, scheme)
         self.fleet = Fleet(queries, num_workers)
-        self.auto_recover = auto_recover
         self.workers: dict[int, SimWorker] = {}
         self.faults: list[Fault] = []
         self.crossings: dict[str, int] = {}
@@ -146,13 +144,8 @@ class SimFleet:
         worker = self.workers.get(shard)
         return worker if worker is not None and worker.state is not None else None
 
-    def _respawn(self, shard: int) -> None:
-        if not self.auto_recover:
-            raise WorkerDied(f"shard {shard} worker died (auto_recover off)")
-        self.recover(shard)
-
     def _on_live(self, shard: int, action: Callable[[SimWorker], Any]) -> Any:
-        return on_live(shard, action, self._live_worker, self._respawn)
+        return on_live(shard, action, self._live_worker, self.recover)
 
     def _submit(self, shard: int, command: tuple) -> None:
         self._cross("put", shard)

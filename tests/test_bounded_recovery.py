@@ -121,7 +121,6 @@ class TestPoisonRefusedAtApply:
         sharded = ShardedMonitor(
             {"q": EDGE_QUERY},
             num_workers=1,
-            auto_recover=True,
             **options,
         )
         sharded.add_stream("s")

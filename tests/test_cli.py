@@ -281,6 +281,26 @@ class TestReplay:
         assert excinfo.value.code == 2
         assert "--depth: NNT depth must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--probe-rate", "1.5", "probe rate must be in [0, 1], got 1.5"),
+            ("--probe-rate", "-0.5", "probe rate must be in [0, 1], got -0.5"),
+            ("--probe-rate", "nan", "must be a finite number, got 'nan'"),
+            ("--probe-rate", "x", "invalid float value: 'x'"),
+            ("--probe-budget-ms", "-1", "probe budget must be >= 0 ms, got -1.0"),
+            ("--probe-budget-ms", "inf", "must be a finite number, got 'inf'"),
+        ],
+    )
+    def test_bad_probe_flag_is_a_usage_error(self, replay_inputs, flag, value, message, capsys):
+        """Refused by argparse (exit 2), not by a ValueError traceback or
+        by running an unbudgeted probe."""
+        queries, streams = replay_inputs
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", "--queries", queries, "--streams", *streams, flag, value])
+        assert excinfo.value.code == 2
+        assert f"{flag}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ("nope", "2", "x:3", "2:y", "0:2", "2:0"))
     def test_malformed_rescale_spec_rejected(self, replay_inputs, spec):
         queries, streams = replay_inputs

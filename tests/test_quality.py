@@ -1,20 +1,21 @@
 """Filter-quality telemetry: candidate counters, pruning-power blame,
-the budgeted precision probe, and the fig13/fig14 reconciliation.
+and the budgeted precision probe.
 
 Candidate and pruning counts are recorded in one place,
 :meth:`repro.join.base.JoinEngine.candidates`, under one blame
 definition: :class:`TestOneRecordingSite` requires every engine to
 count the same pruned pairs under the same dimensions at every poll.
 
-The acceptance property lives in :class:`TestFigReconcile`: replaying a
-fig14-style workload with the probe at 100% sampling and no time budget
-must reproduce the offline false-positive ratio *exactly*, and sampled
-rates must agree within the documented Bernoulli confidence bound.
+The acceptance property lives in :class:`TestPrecisionProbe`: at 100%
+sampling and no time budget the probe reproduces the offline
+false-positive ratio *exactly*, and over a fig14-style replay a sampled
+rate agrees with it within the documented Bernoulli confidence bound.
 """
 
 from __future__ import annotations
 
 import random
+from math import sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,61 @@ class TestPrecisionProbe:
             tallies.append(probe.sample())
         assert tallies[0] == tallies[1]
 
+    def test_matcher_cache_reused_until_the_stream_changes(self):
+        monitor = tiny_monitor()
+        probe = PrecisionProbe(monitor, rate=1.0, budget_seconds=None)
+        probe.sample()
+        built = {stream_id: matcher for stream_id, (_, matcher) in probe._matchers.items()}
+        assert built
+        probe.sample()  # nothing changed: every matcher is reused
+        assert all(probe._matchers[other][1] is matcher for other, matcher in built.items())
+        stream_id = next(iter(built))
+        graph = monitor.graph(stream_id)
+        u, v, label = next(iter(graph.edges()))
+        labels = graph.vertex_label(u), graph.vertex_label(v)
+        # Delete and re-insert one edge: the graph is the same, its
+        # mutation version is not, so that stream's matcher is rebuilt.
+        monitor.apply(stream_id, EdgeChange.delete(u, v))
+        monitor.apply(stream_id, EdgeChange.insert(u, v, label, *labels))
+        probe.sample()
+        assert probe._matchers[stream_id][1] is not built[stream_id]
+        assert all(
+            probe._matchers[other][1] is matcher
+            for other, matcher in built.items()
+            if other != stream_id
+        )
+
+    def test_sampled_rate_agrees_within_the_bound(self):
+        """A fig14-style replay: the probe's rate-0.5 estimate and the
+        offline ratio (every poll's candidates verified) agree within
+        ``z * sqrt(p * (1-p) / checked)``, z = 3."""
+        from repro.experiments.config import SMOKE
+        from repro.experiments.harness import replay
+        from repro.experiments.workloads import build_synthetic_stream_workload
+
+        workload = build_synthetic_stream_workload(SMOKE, "dense").limited(
+            num_queries=4, num_streams=4, timestamps=8
+        )
+        monitor = StreamMonitor(workload.queries, method="dsc")
+        probe = PrecisionProbe(monitor, rate=0.5, budget_seconds=None, seed=3)
+        offline = {"candidates": 0, "false_positives": 0}
+
+        def verify_and_sample(emitted: set) -> None:
+            offline["candidates"] += len(emitted)
+            offline["false_positives"] += len(emitted) - len(monitor.verified_matches(emitted))
+            probe.sample(emitted)
+
+        replay(workload, monitor, "dsc", on_poll=verify_and_sample)
+        checked, estimate = probe.stats["checked"], probe.fp_ratio_estimate
+        # Real false positives, and a real sample: else the check is vacuous.
+        assert offline["false_positives"] > 0
+        assert 0 < checked < offline["candidates"]
+        ratio = offline["false_positives"] / offline["candidates"]
+        bound = 3.0 * sqrt(estimate * (1.0 - estimate) / checked)
+        assert abs(ratio - estimate) <= bound + 1e-12, (
+            f"offline {ratio:.4f} vs estimate {estimate:.4f} exceeds bound {bound:.4f}"
+        )
+
 
 # ----------------------------------------------------------------------
 # per-engine pruning-power counters
@@ -377,51 +433,3 @@ class TestOneRecordingSite:
                 tick,
                 per_engine,
             )
-
-
-# ----------------------------------------------------------------------
-# reconciling the live estimate with the offline figs 13/14 ratio
-# ----------------------------------------------------------------------
-class TestFigReconcile:
-    @pytest.fixture(scope="class")
-    def fig14_workload(self):
-        from repro.experiments.config import SMOKE
-        from repro.experiments.workloads import build_synthetic_stream_workload
-
-        return build_synthetic_stream_workload(SMOKE, "dense").limited(
-            num_queries=4, num_streams=4, timestamps=8
-        )
-
-    def test_full_sampling_matches_offline_exactly(self, fig14_workload):
-        from repro.experiments.fp_reconcile import reconcile
-
-        result = reconcile(fig14_workload, method="dsc", rate=1.0, budget_seconds=None)
-        assert result["offline"]["candidates"] > 0
-        # The workload is chosen so the filter has real false positives —
-        # otherwise the ratio comparison is vacuous.
-        assert result["offline"]["false_positives"] > 0
-        assert result["probed"]["skipped"] == 0
-        assert result["difference"] == 0.0
-        assert result["agrees"]
-
-    def test_sampled_rate_agrees_within_the_bound(self, fig14_workload):
-        from repro.experiments.fp_reconcile import reconcile
-
-        result = reconcile(
-            fig14_workload, method="dsc", rate=0.5, budget_seconds=None, seed=3
-        )
-        assert 0 < result["probed"]["checked"] < result["offline"]["candidates"]
-        assert result["bound"] is not None
-        assert result["agrees"], (
-            f"offline {result['offline']['fp_ratio']:.4f} vs "
-            f"estimate {result['probed']['fp_ratio_estimate']:.4f} "
-            f"exceeds bound {result['bound']:.4f}"
-        )
-
-    def test_zero_rate_reports_disagreement_not_a_crash(self, fig14_workload):
-        from repro.experiments.fp_reconcile import reconcile
-
-        result = reconcile(fig14_workload, method="dsc", rate=0.0)
-        assert result["probed"]["fp_ratio_estimate"] is None
-        assert result["bound"] is None
-        assert not result["agrees"]

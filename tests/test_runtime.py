@@ -256,9 +256,7 @@ class TestLifecycle:
         # A fault the coordinator cannot pre-validate (a refused batch
         # never reaches a worker any more); forked workers inherit it.
         monkeypatch.setattr(StreamMonitor, "apply", boom)
-        with ShardedMonitor(
-            small_queries(rng), num_workers=1, auto_recover=False
-        ) as sharded:
+        with ShardedMonitor(small_queries(rng), num_workers=1) as sharded:
             sharded.add_stream("s0", random_labeled_graph(rng, 3))
             sharded.apply("s0", EdgeChange.insert(100, 101, "-", "A", "B"))
             with pytest.raises((WorkerCrashed, WorkerDied)) as excinfo:
@@ -345,16 +343,15 @@ class TestBackpressure:
                 assert sharded.graph(stream_id).has_edge("1", "2")  # text ids
             assert sharded.matches() == {(stream_id, "q") for stream_id in streams}
 
-    @pytest.mark.parametrize("auto_recover", (True, False))
-    def test_worker_killed_while_apply_waits_on_its_full_inbox(self, auto_recover):
+    def test_worker_killed_while_apply_waits_on_its_full_inbox(self):
         """The update an ``apply`` was waiting to put lands exactly once
-        on the respawn, or, with ``auto_recover`` off, nowhere at all."""
+        on the respawn."""
         edge = LabeledGraph.from_vertices_and_edges([(0, "A"), (1, "B")], [(0, 1, "-")])
         first = EdgeChange.insert(1, 2, "-", "A", "B")  # fills the one slot
         waiting = EdgeChange.insert(2, 3, "-", None, "A")
         oracle = StreamMonitor({"q": edge})
         with ShardedMonitor(
-            {"q": edge}, num_workers=1, queue_capacity=1, shm=True, auto_recover=auto_recover
+            {"q": edge}, num_workers=1, queue_capacity=1, shm=True
         ) as sharded:
             for monitor in (sharded, oracle):
                 monitor.add_stream("s")
@@ -365,17 +362,12 @@ class TestBackpressure:
             kill = threading.Timer(0.5, os.kill, (pid, signal.SIGKILL))
             kill.start()
             try:
-                if auto_recover:
-                    sharded.apply("s", waiting)
-                else:
-                    with pytest.raises(WorkerDied):
-                        sharded.apply("s", waiting)
+                sharded.apply("s", waiting)
             finally:
                 kill.join()
-            if auto_recover:
-                oracle.apply("s", waiting)
-                assert sharded.matches() == oracle.matches() == {("s", "q")}
-                assert sharded.recovery_log.recoveries == 1
+            oracle.apply("s", waiting)
+            assert sharded.matches() == oracle.matches() == {("s", "q")}
+            assert sharded.recovery_log.recoveries == 1
             assert sharded.graph("s") == oracle.graph("s")
 
 

@@ -22,6 +22,7 @@ from repro.join import ENGINES
 from repro.runtime import ShardedMonitor
 from repro.runtime import coordinator as coordinator_module
 from repro.runtime.shm import (
+    DEFAULT_RING_CAPACITY,
     HEADER_SIZE,
     RingReader,
     ShmError,
@@ -238,15 +239,14 @@ class TestShardedShm:
         with ShardedMonitor(queries, method=method, num_workers=2, shm=True) as sharded:
             self.drive(sharded, streams)
             stats = sharded.stats()
-        assert stats["shm"] == {"rings": 2, "ring_capacity": sharded.ring_capacity}
+        assert stats["shm"] == {"rings": 2, "ring_capacity": DEFAULT_RING_CAPACITY}
 
-    def test_tiny_ring_falls_back_inline_losslessly(self, clean_obs):
+    def test_tiny_ring_falls_back_inline_losslessly(self, clean_obs, monkeypatch):
         rng = random.Random(73)
         queries = small_queries(rng)
         streams = small_streams(rng, count=2, timestamps=4)
-        with ShardedMonitor(
-            queries, method="dsc", num_workers=2, shm=True, ring_capacity=1
-        ) as sharded:
+        monkeypatch.setattr(coordinator_module, "DEFAULT_RING_CAPACITY", 1)
+        with ShardedMonitor(queries, method="dsc", num_workers=2, shm=True) as sharded:
             self.drive(sharded, streams)
         summary = obs.get_registry().summary()
         assert summary["shm.ring_overflow"]["value"] >= 1

@@ -198,9 +198,16 @@ class TestRefusedBatch:
         assert (fleet.graphs["s"], fleet.accepted_batches, fleet.since_checkpoint) == before
 
 
+#: A kill between a rescale move's add and remove, then a kill at every
+#: seed command, so each respawn of that shard dies and the move fails.
+MOVE_KILL_THEN_CRASH_LOOP = [Fault("move", 0, kill=True)] + [
+    Fault("seed", k, kill=True) for k in range(99)
+]
+
+
 class TestRespawn:
-    def _pair(self, **options) -> tuple[StreamMonitor, SimFleet]:
-        oracle, sim = StreamMonitor(BIRTH), SimFleet(BIRTH, num_workers=2, **options)
+    def _pair(self) -> tuple[StreamMonitor, SimFleet]:
+        oracle, sim = StreamMonitor(BIRTH), SimFleet(BIRTH, num_workers=2)
         for stream_id, initial in zip(STREAM_IDS, INITIAL + INITIAL):
             for monitor in (oracle, sim):
                 monitor.add_stream(stream_id, initial)
@@ -223,15 +230,15 @@ class TestRespawn:
         assert sim.recoveries == RESPAWNS_PER_CALL
 
     def test_a_rescale_that_fails_in_its_move_phase_keeps_the_answers(self):
-        """Without ``auto_recover`` a worker killed between a move's add
-        and remove fails the rescale, with some streams already on their
+        """A worker killed between a move's add and remove, whose every
+        respawn dies while it is seeded, fails the rescale, with some streams already on their
         new owners and the rest on their old ones.  Once the dead worker
         is recovered the answers are the oracle's, then and after every
         stream changes, and every stream is counted on one shard."""
-        oracle, sim = self._pair(auto_recover=False)
+        oracle, sim = self._pair()
         before = dict(sim.fleet.streams)
         assert sim.fleet.moves(ShardRouter(4))
-        sim.schedule([Fault("move", 0, kill=True)])
+        sim.schedule(MOVE_KILL_THEN_CRASH_LOOP)
         with pytest.raises(WorkerDied):
             sim.rescale(4)
         sim.schedule(())
@@ -251,8 +258,8 @@ class TestRespawn:
         """The failed grow already counts four shards, so the retried
         ``rescale(4)`` is to the current size: it must still hand every
         stream left on its old owner to its router shard."""
-        oracle, sim = self._pair(auto_recover=False)
-        sim.schedule([Fault("move", 0, kill=True)])
+        oracle, sim = self._pair()
+        sim.schedule(MOVE_KILL_THEN_CRASH_LOOP)
         with pytest.raises(WorkerDied):
             sim.rescale(4)
         sim.schedule(())
